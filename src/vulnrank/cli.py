@@ -54,7 +54,7 @@ from vulnrank.triage.svm import (
     DegenerateTaskWarning,
     Task,
     TrainConfig,
-    predict_text,
+    predict_texts,
     split,
     train,
 )
@@ -166,7 +166,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             config = replace(config, tier_bounds=_parse_tier_bounds(raw))
         else:
             cast = _SCALAR_CASTS.get(f.name, str)
-            config = replace(config, **{f.name: cast(raw)})
+            try:
+                value = cast(raw)
+            except ValueError:
+                raise InvalidConfig(
+                    f"{ENV_PREFIX}{f.name.upper()}={raw!r} is not a valid {cast.__name__}"
+                ) from None
+            config = replace(config, **{f.name: value})
 
     flag_updates = {}
     for f in fields(RunConfig):
@@ -236,6 +242,14 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig, task: Task) -> int:
+    try:
+        train_config = TrainConfig(
+            epochs=config.epochs, reg_lambda=config.reg_lambda, seed=config.seed
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"bad training config: {exc}") from None
+    if config.min_df < 1:
+        raise InvalidConfig(f"min_df must be >= 1, got {config.min_df}")
     _require_paths(config, ["cves", "labels"])
     records = load_cve_records(config.cves)
     merged = _effective_labels(config)
@@ -247,7 +261,6 @@ def cmd_train(config: RunConfig, task: Task) -> int:
     stratify = (lambda ex: task.label_of(ex)) if config.stratified else None
     train_set, test_set = split(examples, 0.8, seed=config.seed, stratify_key=stratify)
     vocab = fit_vocabulary([ex.description for ex in train_set], min_df=config.min_df)
-    train_config = TrainConfig(epochs=config.epochs, reg_lambda=config.reg_lambda, seed=config.seed)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateTaskWarning)
@@ -297,8 +310,8 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
 
     stamp = _deterministic_ts(merged)
     fresh = []
-    for rec in targets:
-        predicted = predict_text(model, rec.description)
+    predictions = predict_texts(model, [rec.description for rec in targets])
+    for rec, predicted in zip(targets, predictions):
         existing = merged.get(rec.cve_id)
         utility = existing.utility if existing is not None else 0
         opportune = existing.opportune if existing is not None else 0

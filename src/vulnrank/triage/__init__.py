@@ -5,6 +5,7 @@ so that subject-matter experts only have to label a seed corpus.
 """
 
 from vulnrank.triage.features import (
+    CsrMatrix,
     EmptyCorpus,
     FeatureVector,
     Vocabulary,
@@ -14,7 +15,13 @@ from vulnrank.triage.features import (
     tokenize,
 )
 from vulnrank.triage.metrics import EmptyTestSet, EvalReport, evaluate, evaluate_predictions
-from vulnrank.triage.modelio import MODEL_FORMAT_VERSION, ModelVersionError, load_model, save_model
+from vulnrank.triage.modelio import (
+    MODEL_FORMAT_VERSION,
+    CorruptModel,
+    ModelVersionError,
+    load_model,
+    save_model,
+)
 from vulnrank.triage.svm import (
     CorpusTooSmall,
     DegenerateTaskWarning,
@@ -25,12 +32,15 @@ from vulnrank.triage.svm import (
     hinge_objective,
     predict,
     predict_text,
+    predict_texts,
     split,
     train,
 )
 
 __all__ = [
     "CorpusTooSmall",
+    "CorruptModel",
+    "CsrMatrix",
     "DegenerateTaskWarning",
     "DimensionMismatch",
     "EmptyCorpus",
@@ -52,6 +62,7 @@ __all__ = [
     "load_model",
     "predict",
     "predict_text",
+    "predict_texts",
     "save_model",
     "split",
     "tokenize",

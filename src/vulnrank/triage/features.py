@@ -5,6 +5,13 @@ not an ASCII letter or digit, drop single-character tokens, no stemming
 and no stop-word removal. CVE descriptions carry their signal in raw
 technical tokens ("smbv1", "ssl_context" -> "ssl", "context"), which
 this keeps intact.
+
+A corpus is featurized into a ``CsrMatrix``: compressed sparse rows,
+where row ``i`` holds the ascending column ids
+``indices[indptr[i]:indptr[i+1]]`` and their weights at the same
+positions of ``data``. Memory is 16 bytes per stored weight plus 8 per
+row, independent of the vocabulary size; a dense n-by-V matrix of
+NVD-scale descriptions would not fit in memory at all.
 """
 
 from __future__ import annotations
@@ -59,11 +66,37 @@ class FeatureVector:
     dim: int
     weights: Mapping[int, float]
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        for col, weight in self.weights.items():
-            dense[col] = weight
-        return dense
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """Featurized documents as compressed sparse rows (see module docstring)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dim: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, self.dim
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        """This matrix times a dense (dim, k) matrix, as a dense (n, k) array.
+
+        Each output cell sums its row's products in ascending column
+        order, so the result does not depend on how many rows share the
+        call.
+        """
+        n = self.shape[0]
+        row_of = np.repeat(np.arange(n), np.diff(self.indptr))
+        out = np.empty((n, dense.shape[1]))
+        for j in range(dense.shape[1]):
+            out[:, j] = np.bincount(row_of, weights=self.data * dense[self.indices, j], minlength=n)
+        return out
 
 
 def fit_vocabulary(corpus: Sequence[str], min_df: int = 1) -> Vocabulary:
@@ -102,10 +135,26 @@ def featurize(vocab: Vocabulary, text: str) -> FeatureVector:
     return FeatureVector(dim=vocab.size, weights={col: weight / norm for col, weight in items})
 
 
-def design_matrix(vocab: Vocabulary, texts: Sequence[str]) -> np.ndarray:
-    """Dense n-by-V matrix of featurized documents, row order preserved."""
-    X = np.zeros((len(texts), vocab.size))
-    for row, text in enumerate(texts):
-        for col, weight in featurize(vocab, text).weights.items():
-            X[row, col] = weight
-    return X
+def design_matrix(vocab: Vocabulary, texts: Sequence[str]) -> CsrMatrix:
+    """Featurize every text as ``featurize`` does, one CSR row per text in order."""
+    index = vocab.index
+    cols: list[int] = []
+    lengths = []
+    for text in texts:
+        known = [col for col in map(index.get, tokenize(text)) if col is not None]
+        cols.extend(known)
+        lengths.append(len(known))
+    n, dim = len(texts), vocab.size
+    # One key per (row, column) cell; unique keys come back sorted by row,
+    # then column, and their multiplicities are the term frequencies.
+    keys = np.repeat(np.arange(n, dtype=np.int64), lengths) * dim + np.array(cols, dtype=np.int64)
+    keys, tf = np.unique(keys, return_counts=True)
+    row_of, col = np.divmod(keys, dim)
+    idf = np.empty(dim)
+    for token, column in index.items():
+        idf[column] = vocab.idf(token)
+    weights = tf * idf[col]
+    norms = np.sqrt(np.bincount(row_of, weights=weights * weights, minlength=n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])
+    return CsrMatrix(indptr=indptr, indices=col, data=weights / norms[row_of], dim=dim)

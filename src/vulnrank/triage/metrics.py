@@ -13,8 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from vulnrank.feeds import LabeledExample
-from vulnrank.triage.features import featurize
-from vulnrank.triage.svm import LinearModel, predict
+from vulnrank.triage.svm import LinearModel, predict_texts
 
 
 class EmptyTestSet(ValueError):
@@ -104,5 +103,5 @@ def evaluate(model: LinearModel, test: Sequence[LabeledExample]) -> EvalReport:
     if not test:
         raise EmptyTestSet("no examples to evaluate")
     y_true = [model.task.label_of(ex) for ex in test]
-    y_pred = [predict(model, featurize(model.vocab, ex.description))[0] for ex in test]
+    y_pred = predict_texts(model, [ex.description for ex in test])
     return evaluate_predictions(model.classes, y_true, y_pred)

@@ -1,13 +1,18 @@
 """Versioned model files: JSON holding task, vocabulary, weights, and config.
 
 Floats are serialized via their shortest round-tripping repr, so a
-save/load/save cycle is byte-identical. Loading rejects any format
-version other than the one this code writes.
+save/load/save cycle is byte-identical. Saving writes a temporary file
+beside the target and renames it into place, so a failed save never
+leaves a partial model. Loading rejects any format version other than
+the one this code writes, and any file that does not hold a complete,
+consistently shaped model.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +24,10 @@ MODEL_FORMAT_VERSION = 1
 
 class ModelVersionError(ValueError):
     """Model file format version is not supported by this code."""
+
+
+class CorruptModel(ModelVersionError):
+    """Model file is not JSON, lacks a field, or holds mis-shaped weights."""
 
 
 def save_model(path, model: LinearModel) -> None:
@@ -40,31 +49,55 @@ def save_model(path, model: LinearModel) -> None:
         "weights": model.weights.tolist(),
         "bias": model.bias.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # only still there if the save failed
 
 
 def load_model(path) -> LinearModel:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise CorruptModel(f"{path}: not a JSON model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CorruptModel(f"{path}: model file holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"{path}: model format version {version!r} unsupported "
             f"(this build reads version {MODEL_FORMAT_VERSION})"
         )
-    tokens = doc["vocabulary"]["tokens"]
-    vocab = Vocabulary(
-        index={t: i for i, (t, _) in enumerate(tokens)},
-        document_frequency={t: df for t, df in tokens},
-        num_documents=doc["vocabulary"]["num_documents"],
-    )
-    return LinearModel(
-        task=Task(doc["task"]),
-        classes=tuple(doc["classes"]),
-        weights=np.array(doc["weights"], dtype=float).reshape(len(doc["classes"]), vocab.size),
-        bias=np.array(doc["bias"], dtype=float),
-        vocab=vocab,
-        config=TrainConfig(**doc["config"]),
-    )
+    try:
+        tokens = doc["vocabulary"]["tokens"]
+        vocab = Vocabulary(
+            index={t: i for i, (t, _) in enumerate(tokens)},
+            document_frequency={t: df for t, df in tokens},
+            num_documents=doc["vocabulary"]["num_documents"],
+        )
+        model = LinearModel(
+            task=Task(doc["task"]),
+            classes=tuple(doc["classes"]),
+            weights=np.array(doc["weights"], dtype=float),
+            bias=np.array(doc["bias"], dtype=float),
+            vocab=vocab,
+            config=TrainConfig(**doc["config"]),
+        )
+    except KeyError as exc:
+        raise CorruptModel(f"{path}: model file lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CorruptModel(f"{path}: malformed model file: {exc}") from None
+    k = len(model.classes)
+    if model.weights.shape != (k, vocab.size):
+        raise CorruptModel(
+            f"{path}: weights have shape {model.weights.shape}, expected {(k, vocab.size)}"
+        )
+    if model.bias.shape != (k,):
+        raise CorruptModel(f"{path}: bias has shape {model.bias.shape}, expected {(k,)}")
+    return model

@@ -5,6 +5,15 @@ is trained as a regularized constant feature, which keeps the huge early
 steps of the schedule from leaving an unshrinkable offset behind; it is
 still stored and exposed separately from the token weights.
 
+The trainer keeps the augmented weights as W = s * V, a scalar times a
+matrix, so the per-step decay W *= 1 - 1/t costs one multiplication of
+``s`` and a step touches only the columns the sampled document holds:
+O(K * nnz) per step instead of O(K * V) for K classes. At t = 1 the
+decay factor is 0, but W is still zero there, so ``s`` stays 1 instead
+of collapsing to 0. Whenever ``s`` falls below a fixed floor it is folded
+back into V (V *= s, s = 1), so V stays far from overflow however long
+training runs.
+
 Training is single-threaded and fully deterministic: the per-epoch
 shuffle order comes from one seeded generator, so identical data, config
 and seed reproduce bitwise-identical weights.
@@ -20,7 +29,17 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from vulnrank.feeds import InvalidCategory, LabeledExample
-from vulnrank.triage.features import EmptyCorpus, FeatureVector, Vocabulary, design_matrix, featurize
+from vulnrank.triage.features import (
+    CsrMatrix,
+    EmptyCorpus,
+    FeatureVector,
+    Vocabulary,
+    design_matrix,
+    featurize,
+)
+
+# Below this the scale of W = s * V is folded back into V.
+_SCALE_FLOOR = 1e-9
 
 
 class CorpusTooSmall(ValueError):
@@ -57,7 +76,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.reg_lambda <= 0:
+        if not self.reg_lambda > 0:
             raise ValueError("reg_lambda must be positive")
         if self.schedule != "inv_lambda_t":
             raise ValueError(f"unsupported step schedule {self.schedule!r}")
@@ -161,32 +180,40 @@ def train(
         )
 
     X = design_matrix(vocab, [ex.description for ex in examples])
-    n = X.shape[0]
-    # Constant column appended so the bias rides in the weight matrix.
-    Xa = np.hstack([X, np.ones((n, 1))])
-    Y = np.array([[1.0 if label == c else -1.0 for c in classes] for label in labels])
+    bounds = X.indptr.tolist()
+    Y = np.where(labels[:, None] == np.array(classes), 1.0, -1.0)
 
-    W = np.zeros((n_classes, vocab.size + 1))
+    # W = s * V; the last column of V is the weight of the constant
+    # bias feature, which every document holds with value 1.
+    V = np.zeros((n_classes, vocab.size + 1))
+    s = 1.0
     lam = config.reg_lambda
     rng = np.random.RandomState(config.seed)
     t = 0
     for _ in range(config.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(X.shape[0]).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            x = Xa[i]
+            idx = X.indices[bounds[i] : bounds[i + 1]]
+            val = X.data[bounds[i] : bounds[i + 1]]
             ys = Y[i]
-            margins = ys * (W @ x)
-            W *= 1.0 - 1.0 / t
+            margins = ys * (s * (V[:, idx] @ val + V[:, -1]))
+            if t > 1:
+                s *= 1.0 - 1.0 / t
             violated = margins < 1.0
             if violated.any():
-                W[violated] += (eta * ys[violated])[:, None] * x[None, :]
+                step = np.where(violated, eta * ys / s, 0.0)
+                V[:, idx] += step[:, None] * val
+                V[:, -1] += step
+            if s < _SCALE_FLOOR:
+                V *= s
+                s = 1.0
 
     return LinearModel(
         task=task,
         classes=classes,
-        weights=W[:, :-1].copy(),
-        bias=W[:, -1].copy(),
+        weights=s * V[:, :-1],
+        bias=s * V[:, -1],
         vocab=vocab,
         config=config,
     )
@@ -201,7 +228,14 @@ def predict(model: LinearModel, features: FeatureVector) -> tuple[int, dict[int,
         raise DimensionMismatch(
             f"feature dim {features.dim} != model dim {model.weights.shape[1]}"
         )
-    scores = model.weights @ features.to_dense() + model.bias
+    cols = sorted(features.weights)
+    X = CsrMatrix(
+        indptr=np.array([0, len(cols)]),
+        indices=np.array(cols, dtype=np.int64),
+        data=np.array([features.weights[col] for col in cols], dtype=float),
+        dim=features.dim,
+    )
+    scores = (X @ model.weights.T + model.bias)[0]
     best = int(np.argmax(scores))
     return model.classes[best], {c: float(s) for c, s in zip(model.classes, scores)}
 
@@ -212,6 +246,12 @@ def predict_text(model: LinearModel, text: str) -> int:
     return category
 
 
+def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[int]:
+    """``predict_text`` for every text, from one sparse-dense product."""
+    scores = design_matrix(model.vocab, texts) @ model.weights.T + model.bias
+    return [model.classes[best] for best in np.argmax(scores, axis=1).tolist()]
+
+
 def hinge_objective(model: LinearModel, examples: Sequence[LabeledExample]) -> float:
     """The exact objective the trainer descends, summed over classes:
 
@@ -219,12 +259,11 @@ def hinge_objective(model: LinearModel, examples: Sequence[LabeledExample]) -> f
     """
     labels = _validate_labels(model.task, examples)
     X = design_matrix(model.vocab, [ex.description for ex in examples])
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    Wa = np.hstack([model.weights, model.bias[:, None]])
+    scores = X @ model.weights.T + model.bias
     total = 0.0
     for ci, c in enumerate(model.classes):
         ys = np.where(labels == c, 1.0, -1.0)
-        margins = ys * (Xa @ Wa[ci])
-        hinge = np.maximum(0.0, 1.0 - margins).mean()
-        total += hinge + 0.5 * model.config.reg_lambda * float(Wa[ci] @ Wa[ci])
+        hinge = np.maximum(0.0, 1.0 - ys * scores[:, ci]).mean()
+        norm_sq = float(model.weights[ci] @ model.weights[ci]) + float(model.bias[ci]) ** 2
+        total += hinge + 0.5 * model.config.reg_lambda * norm_sq
     return total

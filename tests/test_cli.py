@@ -151,6 +151,38 @@ class TestTrain:
         save_labels(tmp_path / "labels.jsonl", corpus)
         assert main(self.train_args(tmp_path)) == 3
 
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            ({"epochs": 0}, {}),
+            ({"reg_lambda": 0}, {}),
+            ({"reg_lambda": -0.5}, {}),
+            ({"reg_lambda": "nan"}, {}),
+            ({"min_df": 0}, {}),
+            ({}, {"VULNRANK_SEED": "abc"}),
+            ({}, {"VULNRANK_EPOCHS": "abc"}),
+            ({}, {"VULNRANK_MIN_DF": "abc"}),
+            ({}, {"VULNRANK_REG_LAMBDA": "abc"}),
+        ],
+    )
+    def test_bad_training_knob_exits_2(self, synth_feeds, monkeypatch, capsys, flags, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(self.train_args(synth_feeds, **flags)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (synth_feeds / "utility_model.json").exists()
+
+    def test_unwritable_model_path_exits_2(self, synth_feeds, capsys):
+        args = self.train_args(synth_feeds, min_df=1)
+        missing = synth_feeds / "missing"
+        args[args.index("--model-utility") + 1] = str(missing / "utility_model.json")
+        before = sorted(p.name for p in synth_feeds.iterdir())
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in synth_feeds.iterdir()) == before
+
     def test_degenerate_task_warns_but_succeeds(self, tmp_path, capsys):
         corpus = [ex for ex in synth_labeled_corpus(n=200, seed=3) if ex.opportune == 0][:40]
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
@@ -237,6 +269,27 @@ class TestPredict:
         doc = model_path.read_text().replace('"format_version": 1', '"format_version": 99')
         model_path.write_text(doc)
         assert main(self.predict_args(trained, portfolio)) == 4
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: "{truncated",
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "weights"}),
+            lambda doc: json.dumps({**doc, "weights": [row[:-1] for row in doc["weights"]]}),
+            lambda doc: json.dumps({**doc, "bias": doc["bias"] + [0.0]}),
+        ],
+        ids=["corrupt-json", "missing-weights", "weight-shape", "bias-length"],
+    )
+    def test_corrupt_model_exits_4(self, trained, tmp_path, capsys, corrupt):
+        portfolio = self.write_portfolio(tmp_path)
+        model_path = trained / "utility_model.json"
+        model_path.write_text(corrupt(json.loads(model_path.read_text())))
+        before = (portfolio / "portfolio_labels.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(self.predict_args(trained, portfolio)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert (portfolio / "portfolio_labels.jsonl").read_bytes() == before
 
 
 class TestScoreRankReport:

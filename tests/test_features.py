@@ -90,7 +90,6 @@ class TestFeaturize:
     def test_oov_only_gives_zero_vector(self):
         fv = featurize(self.toy_vocab(), "omega sigma")
         assert fv.weights == {}
-        assert np.all(fv.to_dense() == 0)
 
     def test_single_known_token_is_unit(self):
         fv = featurize(self.toy_vocab(), "alpha")
@@ -136,9 +135,38 @@ class TestFeaturize:
             assert thrice.weights[col] == pytest.approx(once.weights[col], abs=1e-12)
 
     def test_design_matrix_rows_match_featurize(self):
-        vocab = self.toy_vocab()
-        texts = ["alpha beta", "omega", "beta delta"]
+        rng = random.Random(17)
+        pool = [f"tok{n}" for n in range(25)]
+        vocab = fit_vocabulary([" ".join(rng.choices(pool, k=9)) for _ in range(30)], min_df=2)
+        texts = ["", "omega sigma", "tok3", "tok3 tok3 tok1 omega"] + [
+            " ".join(rng.choices(pool + ["oov"], k=rng.randrange(0, 20))) for _ in range(40)
+        ]
         X = design_matrix(vocab, texts)
-        assert X.shape == (3, vocab.size)
+        assert X.shape == (len(texts), vocab.size)
+        assert X.indptr[0] == 0 and X.indptr[-1] == len(X.indices) == len(X.data)
         for row, text in enumerate(texts):
-            assert np.allclose(X[row], featurize(vocab, text).to_dense())
+            lo, hi = X.indptr[row], X.indptr[row + 1]
+            expected = featurize(vocab, text).weights
+            assert X.indices[lo:hi].tolist() == sorted(expected)
+            for col, weight in zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()):
+                assert abs(weight - expected[col]) <= 1e-12
+
+    def test_design_matrix_of_no_texts_or_no_vocabulary(self):
+        assert design_matrix(self.toy_vocab(), []).shape == (0, 4)
+        empty = fit_vocabulary(["aa", "bb"], min_df=2)
+        X = design_matrix(empty, ["aa bb", ""])
+        assert X.shape == (2, 0)
+        assert X.indptr.tolist() == [0, 0, 0]
+
+    def test_design_matrix_stays_sparse_at_scale(self):
+        # ~2k documents over a vocabulary above 10^4 tokens: a dense
+        # matrix would take 8 * n * V bytes (~170 MB); CSR may take only
+        # its weights, column ids and row pointers.
+        rng = np.random.default_rng(5)
+        words = np.array([f"w{k}" for k in range(15_000)])
+        texts = [" ".join(row) for row in words[rng.integers(0, len(words), size=(2_000, 60))]]
+        vocab = fit_vocabulary(texts, min_df=1)
+        assert vocab.size >= 10_000
+        X = design_matrix(vocab, texts)
+        nnz, n = len(X.data), X.shape[0]
+        assert X.nbytes <= 20 * nnz + 8 * (n + 1)

@@ -1,14 +1,16 @@
 """Split determinism, SVM training behavior, prediction, and model files."""
 
+import json
 import random
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+import vulnrank.triage.svm as svm
 from vulnrank.feeds import InvalidCategory, LabeledExample, Labeler
-from vulnrank.triage.features import FeatureVector, fit_vocabulary
-from vulnrank.triage.modelio import ModelVersionError, load_model, save_model
+from vulnrank.triage.features import FeatureVector, featurize, fit_vocabulary
+from vulnrank.triage.modelio import CorruptModel, ModelVersionError, load_model, save_model
 from vulnrank.triage.svm import (
     CorpusTooSmall,
     DegenerateTaskWarning,
@@ -19,6 +21,7 @@ from vulnrank.triage.svm import (
     hinge_objective,
     predict,
     predict_text,
+    predict_texts,
     split,
     train,
 )
@@ -49,6 +52,57 @@ def separable_corpus(n_per_class=15, seed=9):
             example(n_per_class + i, utility=1, description="beta " + " ".join(rng.choices(filler, k=4)))
         )
     return docs
+
+
+def three_class_corpus(n_per_class=12, seed=4):
+    """Utility corpus with one marker token per class plus shared noise."""
+    rng = random.Random(seed)
+    filler = [f"noise{k}" for k in range(15)]
+    return [
+        example(
+            label * n_per_class + i,
+            utility=label,
+            description=f"{marker} " + " ".join(rng.choices(filler, k=rng.randrange(2, 7))),
+        )
+        for label, marker in enumerate(("alpha", "beta", "gamma"))
+        for i in range(n_per_class)
+    ]
+
+
+def dense_reference_train(task, examples, vocab, config):
+    """The trainer before the sparse path: dense rows, W decayed in full each step."""
+    X = np.zeros((len(examples), vocab.size + 1))
+    for row, ex in enumerate(examples):
+        for col, weight in featurize(vocab, ex.description).weights.items():
+            X[row, col] = weight
+    X[:, -1] = 1.0
+    Y = np.array([[1.0 if task.label_of(ex) == c else -1.0 for c in task.classes] for ex in examples])
+    W = np.zeros((len(task.classes), vocab.size + 1))
+    rng = np.random.RandomState(config.seed)
+    t = 0
+    for _ in range(config.epochs):
+        for i in rng.permutation(len(examples)):
+            t += 1
+            eta = 1.0 / (config.reg_lambda * t)
+            margins = Y[i] * (W @ X[i])
+            W *= 1.0 - 1.0 / t
+            violated = margins < 1.0
+            W[violated] += (eta * Y[i][violated])[:, None] * X[i][None, :]
+    return W[:, :-1], W[:, -1]
+
+
+def dense_reference_objective(model, examples):
+    X = np.zeros((len(examples), model.vocab.size))
+    for row, ex in enumerate(examples):
+        for col, weight in featurize(model.vocab, ex.description).weights.items():
+            X[row, col] = weight
+    total = 0.0
+    for ci, c in enumerate(model.classes):
+        ys = np.array([1.0 if model.task.label_of(ex) == c else -1.0 for ex in examples])
+        margins = ys * (X @ model.weights[ci] + model.bias[ci])
+        norm_sq = model.weights[ci] @ model.weights[ci] + model.bias[ci] ** 2
+        total += np.maximum(0.0, 1.0 - margins).mean() + 0.5 * model.config.reg_lambda * norm_sq
+    return total
 
 
 class TestSplit:
@@ -148,6 +202,38 @@ class TestTrain:
         last = hinge_objective(train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=20)), corpus)
         assert last < first
 
+    @pytest.mark.parametrize(
+        "corpus, config",
+        [
+            (separable_corpus(), TrainConfig(epochs=5)),
+            (separable_corpus(n_per_class=10, seed=3), TrainConfig(epochs=4, reg_lambda=2.5)),
+            (three_class_corpus(), TrainConfig(epochs=6, seed=7)),
+        ],
+        ids=["separable", "separable-strong-reg", "three-class"],
+    )
+    def test_sparse_trainer_matches_dense_reference(self, corpus, config):
+        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        model = train(Task.UTILITY, corpus, vocab, config)
+        weights, bias = dense_reference_train(Task.UTILITY, corpus, vocab, config)
+        assert np.abs(model.weights - weights).max() <= 1e-9
+        assert np.abs(model.bias - bias).max() <= 1e-9
+        assert hinge_objective(model, corpus) == pytest.approx(
+            dense_reference_objective(model, corpus), abs=1e-9
+        )
+
+    def test_scale_fold_back_matches_dense_reference(self, monkeypatch):
+        # Under the 1/(lambda*t) schedule the scale only falls to 1/t, so
+        # the fold-back never fires at test sizes; a high floor forces it
+        # on every other step.
+        monkeypatch.setattr(svm, "_SCALE_FLOOR", 0.6)
+        corpus = three_class_corpus()
+        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        config = TrainConfig(epochs=3, seed=11)
+        model = train(Task.UTILITY, corpus, vocab, config)
+        weights, bias = dense_reference_train(Task.UTILITY, corpus, vocab, config)
+        assert np.abs(model.weights - weights).max() <= 1e-9
+        assert np.abs(model.bias - bias).max() <= 1e-9
+
     def test_illegal_label_for_task(self):
         # LabeledExample validates its own fields, so the trainer's guard
         # can only fire on records from outside the type system.
@@ -208,6 +294,27 @@ class TestPredict:
         assert predict_text(model, doc) == predict_text(model, " ".join([doc] * 4))
 
 
+    def test_batch_prediction_matches_one_at_a_time(self):
+        corpus = three_class_corpus()
+        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        model = train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=4))
+        rng = random.Random(21)
+        pool = ["alpha", "beta", "gamma", "noise2", "noise7", "unseen"]
+        texts = ["", "unseen words only", "alpha", "gamma gamma beta"] + [
+            " ".join(rng.choices(pool, k=rng.randrange(0, 8))) for _ in range(60)
+        ]
+        assert predict_texts(model, texts) == [predict_text(model, t) for t in texts]
+        assert predict_texts(model, []) == []
+
+    @pytest.mark.parametrize("bias", [[0.1, 0.9, 0.2], [0.5, 0.5, 0.5], [-1.0, -1.0, 1.0]])
+    def test_batch_prediction_of_constant_model(self, bias):
+        model = self.constant_model(bias)
+        texts = ["", "aa", "zz unseen", "bb cc aa"]
+        expected = [predict_text(model, t) for t in texts]
+        assert predict_texts(model, texts) == expected
+        assert len(set(expected)) == 1
+
+
 class TestModelFiles:
     def trained(self):
         corpus = separable_corpus()
@@ -239,4 +346,50 @@ class TestModelFiles:
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(ModelVersionError):
+            load_model(path)
+
+    def test_save_replaces_atomically(self, tmp_path):
+        model = self.trained()
+        path = tmp_path / "model.json"
+        path.write_text("old contents")
+        save_model(path, model)
+        assert load_model(path).task is model.task
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            save_model(tmp_path / "missing" / "model.json", self.trained())
+        assert list(tmp_path.iterdir()) == []
+        # The temporary file is written, then cannot replace a directory.
+        (tmp_path / "model.json").mkdir()
+        with pytest.raises(OSError):
+            save_model(tmp_path / "model.json", self.trained())
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: "{not json",
+            lambda doc: "[1, 2]",
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "weights"}),
+            lambda doc: json.dumps({**doc, "vocabulary": {"num_documents": 3}}),
+            lambda doc: json.dumps({**doc, "weights": doc["weights"][:-1]}),
+            lambda doc: json.dumps({**doc, "weights": [row[:-1] for row in doc["weights"]]}),
+            lambda doc: json.dumps({**doc, "weights": [doc["weights"][0], [1.0]]}),
+            lambda doc: json.dumps({**doc, "bias": doc["bias"][:-1]}),
+            lambda doc: json.dumps({**doc, "bias": [doc["bias"]]}),
+            lambda doc: json.dumps({**doc, "task": "severity"}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "epochs": 0}}),
+        ],
+        ids=[
+            "not-json", "not-an-object", "no-weights", "no-tokens", "too-few-weight-rows",
+            "short-weight-rows", "ragged-weights", "short-bias", "nested-bias", "unknown-task",
+            "bad-config",
+        ],
+    )
+    def test_corrupt_model_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "model.json"
+        save_model(path, self.trained())
+        path.write_text(corrupt(json.loads(path.read_text())))
+        with pytest.raises(CorruptModel):
             load_model(path)
