@@ -4,9 +4,12 @@ Configuration resolves in four layers, weakest first: built-in defaults,
 the --config JSON file, VULNRANK_* environment variables, then explicit
 flags. Every flag mirrors a config key of the same name.
 
-Exit codes are a stable scripting contract: 0 success, 2 ingest or
-validation failure, 3 training failure, 4 model compatibility failure,
-5 scoring completeness failure.
+Exit codes are a stable scripting contract: 0 success, 2 ingest,
+validation or output-write failure, 3 training failure, 4 model
+compatibility failure, 5 scoring completeness failure. Every failure
+prints one ``error:`` line to stderr. Output files are written to
+``<path>.tmp`` and renamed into place, so a failed write leaves the
+previous file untouched.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from vulnrank.feeds import (
     load_exploit_refs,
     load_labels,
     merge_labels,
+    parse_ts,
     save_labels,
+    write_atomic,
 )
 from vulnrank.report import DEFAULT_TIER_BOUNDS, ExportFormat, IoError, compare, export, rank
 from vulnrank.scoring import (
@@ -215,8 +220,7 @@ def _emit(config: RunConfig, data: bytes) -> None:
         sys.stdout.buffer.flush()
     else:
         try:
-            with open(config.output, "wb") as fh:
-                fh.write(data)
+            write_atomic(config.output, data)
         except OSError as exc:
             raise IoError(f"cannot write {config.output}: {exc}") from exc
 
@@ -382,6 +386,10 @@ def _prompt(question: str, legal: set[str]) -> str:
 
 
 def cmd_label(config: RunConfig, timestamp: str | None) -> int:
+    if timestamp is None:
+        stamp = datetime.now(timezone.utc)
+    else:
+        stamp = parse_ts(timestamp, "--timestamp")
     _require_paths(config, ["cves"])
     if config.labels is None:
         raise FeedError("no labels path configured (flag --labels)")
@@ -395,13 +403,6 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
     if not targets:
         print("all CVEs already carry SME labels")
         return EXIT_OK
-
-    if timestamp is not None:
-        stamp = datetime.fromisoformat(timestamp.replace("Z", "+00:00"))
-        if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=timezone.utc)
-    else:
-        stamp = datetime.now(timezone.utc)
 
     collected = []
     for rec in targets:
@@ -523,15 +524,11 @@ def main(argv=None) -> int:
     except CorpusTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
-    except (FeedError, CvssError, InvalidConfig, json.JSONDecodeError) as exc:
+    except (
+        FeedError, CvssError, InvalidConfig, IoError, FileNotFoundError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -3,10 +3,14 @@
 Base metric group only. Temporal and environmental metric tokens are
 rejected rather than ignored, so a vector string either describes exactly
 the eight base metrics or it does not parse.
+
+Parsing and scoring are memoised: a portfolio repeats a small set of
+vector strings, and only 2,592 base vectors exist.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -166,12 +170,17 @@ def format_score(value: float) -> str:
     return f"{value:.1f}"
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_vector(text: str) -> CvssVector:
     """Decode a CVSS v3.1 base vector string.
 
     The 'CVSS:3.1/' prefix is optional and metric order is free, but each
     of the eight base metrics must appear exactly once. Any other token
     (including temporal or environmental metrics) is rejected.
+
+    Memoised on the text; the cache is bounded because spellings of one
+    vector (order, prefix, whitespace) are unbounded. A rejected text is
+    not cached and raises on every call.
     """
     body = text.strip()
     if body.startswith(VECTOR_PREFIX + "/"):
@@ -242,11 +251,14 @@ def severity_of(value: float) -> Severity:
     return Severity.CRITICAL
 
 
+# No size bound needed: only the 2,592 base vectors can be cached.
+@functools.lru_cache(maxsize=None)
 def base_score(v: CvssVector) -> BaseScore:
     """Compute the base score of a vector.
 
     Impact and exploitability sub-scores are combined and rounded up to
-    one decimal; a vector with no impact at all scores 0.0.
+    one decimal; a vector with no impact at all scores 0.0. Memoised per
+    vector.
     """
     c = IMPACT_WEIGHT[v.confidentiality]
     i = IMPACT_WEIGHT[v.integrity]

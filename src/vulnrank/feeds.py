@@ -10,7 +10,8 @@ labels use ``cve``, ``utility``, ``opportune``, ``labeler``, ``ts``;
 asset context uses ``cve``, ``exposure``, ``criticality``; the exploit
 reference feed uses ``cve``, ``url``, ``source``, ``exploit``. A
 reference's ``exploit`` flag defaults to false when absent, whatever the
-source: nothing counts as an exploit unless the feed says so.
+source: nothing counts as an exploit unless the feed says so. A published
+``score`` is a number in [0, 10] with at most one decimal.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -151,7 +153,7 @@ def _cve_id(raw, where: str) -> str:
     return raw
 
 
-def _source_of(raw, where: str, unknown: list) -> ReferenceSource:
+def _source_of(raw, unknown: list) -> ReferenceSource:
     try:
         return ReferenceSource(raw)
     except ValueError:
@@ -163,8 +165,21 @@ def _reference(obj: dict, where: str, unknown: list) -> ReferenceEntry:
     url = _require(obj, "url", where)
     if not isinstance(url, str) or not url:
         raise SchemaError(f"{where}: reference url must be a non-empty string")
-    source = _source_of(obj.get("source", "Other"), where, unknown)
+    source = _source_of(obj.get("source", "Other"), unknown)
     return ReferenceEntry(url=url, source=source, is_exploit=bool(obj.get("exploit", False)))
+
+
+def _published_score(raw, where: str) -> float:
+    # bool is an int subclass, so true would otherwise score as 1.0.
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise SchemaError(f"{where}: score {raw!r} is not a number")
+    if not 0 <= raw <= 10:
+        raise SchemaError(f"{where}: score {raw!r} outside [0, 10]")
+    # str() gives the shortest repr, so 0.3 reads as one decimal even
+    # though 0.3 * 10 != 3 in binary floating point.
+    if Decimal(str(raw)).as_tuple().exponent < -1:
+        raise SchemaError(f"{where}: score {raw!r} has more than one decimal")
+    return float(raw)
 
 
 def load_cve_records(path) -> list[CveRecord]:
@@ -185,6 +200,8 @@ def load_cve_records(path) -> list[CveRecord]:
 
         vector = None
         if obj.get("vector") is not None:
+            if not isinstance(obj["vector"], str):
+                raise SchemaError(f"{where}: vector must be a string")
             try:
                 vector = parse_vector(obj["vector"])
             except CvssError as exc:
@@ -192,10 +209,7 @@ def load_cve_records(path) -> list[CveRecord]:
 
         score = None
         if obj.get("score") is not None:
-            score = obj["score"]
-            if not isinstance(score, (int, float)) or not 0 <= score <= 10:
-                raise SchemaError(f"{where}: score {score!r} outside [0, 10]")
-            score = float(score)
+            score = _published_score(obj["score"], where)
 
         refs = tuple(
             _reference(r, where, unknown_sources) for r in obj.get("references", [])
@@ -245,7 +259,8 @@ def load_exploit_refs(path) -> dict[str, list[ReferenceEntry]]:
     return grouped
 
 
-def _parse_ts(raw, where: str) -> datetime:
+def parse_ts(raw, where: str) -> datetime:
+    """ISO-8601 string to an aware datetime; 'Z' and naive stamps are UTC."""
     if not isinstance(raw, str):
         raise SchemaError(f"{where}: ts must be an ISO-8601 string")
     text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
@@ -279,7 +294,7 @@ def load_labels(path) -> list[LabeledExample]:
             labeler = Labeler(_require(obj, "labeler", where))
         except ValueError:
             raise InvalidCategory(f"{where}: labeler must be SME or Model") from None
-        ts = _parse_ts(_require(obj, "ts", where), where)
+        ts = parse_ts(_require(obj, "ts", where), where)
         try:
             examples.append(
                 LabeledExample(
@@ -339,10 +354,22 @@ def save_labels(path, examples: Iterable[LabeledExample]) -> None:
                 separators=(",", ":"),
             )
         )
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    os.replace(tmp, path)
+    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``.
+
+    A failed write leaves ``path`` as it was, removes the temporary file
+    and raises the OSError.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # only still there if the write failed
 
 
 def load_asset_context(path) -> dict[str, AssetContext]:

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from vulnrank.cvss import format_score
+from vulnrank.feeds import write_atomic
 from vulnrank.scoring import ScoredVulnerability, format_quantity
 
 DEFAULT_TIER_BOUNDS = (Decimal(64), Decimal(32), Decimal(16), Decimal(8))
@@ -160,7 +161,7 @@ def _portfolio_row(rank_pos: int, s: ScoredVulnerability) -> dict:
         "threat_score": format_quantity(s.threat_score),
         "cvss": format_score(s.cvss.value),
         "severity": s.cvss.severity.value,
-        "wx": s.wx.count,
+        "wx": s.wx,
         "utility": s.labels.utility,
         "opportune": s.labels.opportune,
         "env_product": format_quantity(s.env.product),
@@ -274,9 +275,9 @@ def export(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> bytes:
 
 
 def write_export(path, obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> None:
+    """Write the export atomically; a failed write raises IoError."""
     data = export(obj, fmt)
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        write_atomic(path, data)
     except OSError as exc:
         raise IoError(f"cannot write export to {path}: {exc}") from exc

@@ -11,7 +11,7 @@ with no float noise and no rounding. Scores have no upper bound.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -65,15 +65,13 @@ class TriageLabels:
 class EnvironmentalFactors:
     exposure_weight: Decimal
     criticality_weight: Decimal
+    product: Decimal = field(init=False)
 
     def __post_init__(self):
         for w in (self.exposure_weight, self.criticality_weight):
             if w <= 0:
                 raise InvalidConfig(f"environmental weight {w} must be positive")
-
-    @property
-    def product(self) -> Decimal:
-        return self.exposure_weight * self.criticality_weight
+        object.__setattr__(self, "product", self.exposure_weight * self.criticality_weight)
 
 
 NEUTRAL_ENV = EnvironmentalFactors(Decimal(1), Decimal(1))
@@ -99,22 +97,24 @@ DEFAULT_ENV_WEIGHTS = EnvWeights(
 
 @dataclass(frozen=True)
 class ScoredVulnerability:
-    """One CVE with all scoring inputs and its final threat score."""
+    """One CVE with all scoring inputs and its final threat score.
+
+    ``wx`` is the exploit count. ``threat_score`` is not a constructor
+    argument: it is computed from the other fields, so it always
+    matches them.
+    """
 
     cve_id: str
     cvss: BaseScore
-    wx: WxCount
+    wx: int
     labels: TriageLabels
     env: EnvironmentalFactors
-    threat_score: Decimal
+    threat_score: Decimal = field(init=False)
 
     def __post_init__(self):
-        expected = threat_score(self.cvss.value, self.wx.count, self.labels, self.env)
-        if self.threat_score != expected:
-            raise ScoringError(
-                f"{self.cve_id}: threat score {self.threat_score} does not match "
-                f"its inputs (expected {expected})"
-            )
+        object.__setattr__(
+            self, "threat_score", threat_score(self.cvss.value, self.wx, self.labels, self.env)
+        )
 
 
 def _as_decimal_score(cvss) -> Decimal:
@@ -190,8 +190,9 @@ def score_portfolio(
 
     Records without an entry in ``wx_map`` count zero exploits; records
     without asset context score with neutral environmental factors.
-    Records without labels are an error unless ``predict_missing`` is
-    supplied to fill them in.
+    Records with the same exposure and criticality share one
+    ``EnvironmentalFactors``. Records without labels are an error unless
+    ``predict_missing`` is supplied to fill them in.
     """
     records = list(records)
     wx_map = wx_map or {}
@@ -206,22 +207,26 @@ def score_portfolio(
         if unlabeled:
             raise MissingLabels(unlabeled)
 
+    envs: dict[tuple[Exposure, Criticality] | None, EnvironmentalFactors] = {}
     scored = []
     for record in records:
-        labels = labels_map.get(record.cve_id)
+        cve_id = record.cve_id
+        labels = labels_map.get(cve_id)
         if labels is None:
             labels = predict_missing(record)
-        cvss = resolve_base_score(record)
-        wx = wx_map.get(record.cve_id) or WxCount.zero(record.cve_id)
-        env = env_factor(ctx_map.get(record.cve_id), env_weights)
+        wx = wx_map.get(cve_id)
+        ctx = ctx_map.get(cve_id)
+        env_key = None if ctx is None else (ctx.exposure, ctx.criticality)
+        env = envs.get(env_key)
+        if env is None:
+            env = envs[env_key] = env_factor(ctx, env_weights)
         scored.append(
             ScoredVulnerability(
-                cve_id=record.cve_id,
-                cvss=cvss,
-                wx=wx,
+                cve_id=cve_id,
+                cvss=resolve_base_score(record),
+                wx=0 if wx is None else wx.count,
                 labels=labels,
                 env=env,
-                threat_score=threat_score(cvss.value, wx.count, labels, env),
             )
         )
     return scored

@@ -11,11 +11,10 @@ consistently shaped model.
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 
+from vulnrank.feeds import write_atomic
 from vulnrank.triage.features import Vocabulary
 from vulnrank.triage.svm import LinearModel, Task, TrainConfig
 
@@ -49,15 +48,7 @@ def save_model(path, model: LinearModel) -> None:
         "weights": model.weights.tolist(),
         "bias": model.bias.tolist(),
     }
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # only still there if the save failed
+    write_atomic(path, (json.dumps(doc) + "\n").encode("utf-8"))
 
 
 def load_model(path) -> LinearModel:

@@ -224,7 +224,7 @@ def test_criterion_5_comparison_report_properties():
 
     portfolio = synth_portfolio(n=1000, seed=42, wx_rate=0.05)
     assert len(portfolio) == 1000
-    assert sum(1 for s in portfolio if s.wx.count > 0) == 50
+    assert sum(1 for s in portfolio if s.wx > 0) == 50
 
     report = compare(portfolio)
     assert sum(report.cvss_bands.values()) == 1000

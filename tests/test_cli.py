@@ -7,7 +7,7 @@ import re
 import pytest
 
 from vulnrank.cli import build_config, main
-from vulnrank.feeds import Labeler, load_labels, save_labels
+from vulnrank.feeds import Labeler, format_ts, load_labels, save_labels
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
 
 from conftest import trio_cve_rows, write_jsonl
@@ -378,6 +378,32 @@ class TestScoreRankReport:
         # (7.5+2) * 2.25 = 21.375
         assert ",21.375," in out
 
+    @pytest.mark.parametrize("score", [True, 7.25])
+    def test_bad_published_score_exits_2(self, trio_feed_dir, capsys, score):
+        rows = trio_cve_rows()
+        del rows[1]["vector"]
+        rows[1]["score"] = score
+        write_jsonl(trio_feed_dir / "cves.jsonl", rows)
+        assert main(self.base_args(trio_feed_dir, "score")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trio_feed_dir / 'cves.jsonl'}:2: score ")
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("cmd", ["score", "rank", "report"])
+    def test_unwritable_output_exits_2(self, trio_feed_dir, capsys, cmd):
+        work = trio_feed_dir / "work"
+        out = work / "out"
+        out.mkdir(parents=True)
+        # The second target is a directory: the temporary file is written,
+        # then cannot replace it.
+        for target in (work / "missing" / "out.txt", out):
+            assert main(self.base_args(trio_feed_dir, cmd) + ["--output", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1, err
+        assert [p.name for p in work.iterdir()] == ["out"]
+        assert main(self.base_args(trio_feed_dir, cmd) + ["--output", str(out / "ok")]) == 0
+        assert [p.name for p in out.iterdir()] == ["ok"]
+
 
 class TestLabelLoop:
     def label_args(self, feed_dir, labels_name="new_labels.jsonl"):
@@ -418,3 +444,24 @@ class TestLabelLoop:
         labels = load_labels(trio_feed_dir / "new_labels.jsonl")
         assert len(labels) == 1
         assert labels[0].cve_id == "CVE-2019-11324"  # second in id order
+
+    @pytest.mark.parametrize("stamp", ["notatime", "2024-13-01T00:00:00Z", ""])
+    def test_bad_timestamp_exits_2(self, trio_feed_dir, monkeypatch, capsys, stamp):
+        self.run_with_keys(monkeypatch, ["2", "1", "q"])
+        args = self.label_args(trio_feed_dir)
+        args[args.index("--timestamp") + 1] = stamp
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --timestamp: ") and err.count("\n") == 1, err
+        assert not (trio_feed_dir / "new_labels.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "stamp", ["2024-05-01T00:00:00Z", "2024-05-01T00:00:00", "2024-05-01T02:00:00+02:00"]
+    )
+    def test_timestamp_forms_read_as_utc(self, trio_feed_dir, monkeypatch, stamp):
+        self.run_with_keys(monkeypatch, ["2", "1", "q"])
+        args = self.label_args(trio_feed_dir)
+        args[args.index("--timestamp") + 1] = stamp
+        assert main(args) == 0
+        (label,) = load_labels(trio_feed_dir / "new_labels.jsonl")
+        assert format_ts(label.labeled_at) == "2024-05-01T00:00:00Z"

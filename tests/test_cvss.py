@@ -79,6 +79,19 @@ class TestParseVector:
         with pytest.raises(MissingMetric):
             parse_vector("")
 
+    def test_rejection_is_not_memoised(self):
+        for _ in range(3):
+            with pytest.raises(MissingMetric, match="PR"):
+                parse_vector("AV:N/AC:L/UI:N/S:U/C:H/I:N/A:N")
+            with pytest.raises(UnknownMetricValue):
+                parse_vector("AV:X/AC:L/PR:N/UI:N/S:U/C:H/I:N/A:N")
+
+    def test_memo_is_bounded_and_keyed_on_text(self):
+        assert parse_vector.cache_info().maxsize is not None
+        text = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:N/A:N"
+        assert parse_vector(text) is parse_vector(text)
+        assert parse_vector(text) == parse_vector("C:H/I:N/A:N/AV:N/AC:L/PR:N/UI:N/S:U")
+
     def test_round_trip_all_vectors(self):
         for v in iter_vectors():
             assert parse_vector(v.to_string()) == v
@@ -177,22 +190,28 @@ class TestSeverityBands:
 
 class TestAgainstReference:
     def test_all_vectors_match_reference(self):
-        mismatches = []
-        for v in iter_vectors():
-            got = base_score(v)
-            want = reference_base_score(
-                v.attack_vector.value,
-                v.attack_complexity.value,
-                v.privileges_required.value,
-                v.user_interaction.value,
-                v.scope.value,
-                v.confidentiality.value,
-                v.integrity.value,
-                v.availability.value,
-            )
-            if got.value != want or got.severity.value != reference_severity(want):
-                mismatches.append((v.to_string(), got.value, want))
-        assert mismatches == []
+        # Once computing every score after clearing the memo, once
+        # reading every score back from it.
+        base_score.cache_clear()
+        for memo in ("cold", "warm"):
+            mismatches = []
+            for v in iter_vectors():
+                got = base_score(v)
+                want = reference_base_score(
+                    v.attack_vector.value,
+                    v.attack_complexity.value,
+                    v.privileges_required.value,
+                    v.user_interaction.value,
+                    v.scope.value,
+                    v.confidentiality.value,
+                    v.integrity.value,
+                    v.availability.value,
+                )
+                if got.value != want or got.severity.value != reference_severity(want):
+                    mismatches.append((v.to_string(), got.value, want))
+            assert mismatches == [], memo
+        info = base_score.cache_info()
+        assert (info.currsize, info.hits) == (2592, 2592)
 
     def test_all_scores_one_decimal_in_range(self):
         for v in iter_vectors():

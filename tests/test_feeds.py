@@ -83,6 +83,31 @@ class TestLoadCveRecords:
         with pytest.raises(SchemaError, match="11.0"):
             load_cve_records(path)
 
+    @pytest.mark.parametrize(
+        "score,reason",
+        [(True, "not a number"), (False, "not a number"), ("7.5", "not a number"),
+         (7.25, "more than one decimal"), (0.05, "more than one decimal"),
+         (1e-7, "more than one decimal")],
+    )
+    def test_score_rejected_with_line(self, tmp_path, score, reason):
+        rows = [{"id": "CVE-2020-0001", "description": "a", "score": 5.0},
+                {"id": "CVE-2020-0002", "description": "b", "score": score}]
+        path = write_jsonl(tmp_path / "cves.jsonl", rows)
+        with pytest.raises(SchemaError, match=f"cves.jsonl:2: score .* {reason}"):
+            load_cve_records(path)
+
+    @pytest.mark.parametrize("score,value", [(0.3, 0.3), (7, 7.0), (0, 0.0), (10, 10.0), (9.9, 9.9)])
+    def test_one_decimal_score_accepted(self, tmp_path, score, value):
+        rows = [{"id": "CVE-2020-0001", "description": "a", "score": score}]
+        (record,) = load_cve_records(write_jsonl(tmp_path / "cves.jsonl", rows))
+        assert record.published_score == value
+
+    def test_non_string_vector_rejected(self, tmp_path):
+        rows = [{"id": "CVE-2020-0001", "description": "a", "vector": ["AV:N"]}]
+        path = write_jsonl(tmp_path / "cves.jsonl", rows)
+        with pytest.raises(SchemaError, match="cves.jsonl:1: vector must be a string"):
+            load_cve_records(path)
+
     def test_record_without_vector_or_score_loads(self, tmp_path):
         path = write_jsonl(tmp_path / "cves.jsonl", [{"id": "CVE-2020-0001", "description": "a"}])
         (record,) = load_cve_records(path)
@@ -156,6 +181,20 @@ class TestLabels:
         save_labels(a, examples)
         save_labels(b, list(reversed(examples)))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "labels.jsonl"
+        save_labels(path, [self.example()])
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise PermissionError("rename refused")
+
+        monkeypatch.setattr("vulnrank.feeds.os.replace", fail)
+        with pytest.raises(PermissionError):
+            save_labels(path, [self.example(cve="CVE-2020-0002")])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
     def test_newest_wins_on_merge(self, tmp_path):
         older = self.example(utility=0, when="2021-01-01T00:00:00")

@@ -1,0 +1,116 @@
+"""Byte-identity of score, rank and report output on a fixed seeded portfolio.
+
+The portfolio mixes every input path the scoring code has: vector-only
+records (with and without the ``CVSS:3.1/`` prefix, metrics in canonical
+and shuffled order), published-only scores (floats and integers),
+records carrying both (agreeing and disagreeing), inline references,
+an exploit reference feed with duplicate URLs, non-exploit rows and
+unknown sources, asset context over every exposure/criticality pair, and
+SME and model labels with superseded entries.
+
+Each pinned digest is the sha256 of what the CLI wrote. A change that
+moves any rendered byte fails here; when output changes on purpose,
+recompute the digests and give the reason in the same commit.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from vulnrank.cli import main
+from vulnrank.cvss import base_score, iter_vectors
+from vulnrank.synth import synth_labeled_corpus
+
+from conftest import write_jsonl
+
+GOLDEN = {
+    ("score", "json-lines"):
+        "c5b41a70f31edfa4c86eaed1fea5c3e5029fd44a29d0b8b9342b0d60a54baf32",
+    ("rank", "text"):
+        "7e26962570f97de32f56f06b08a3115a6ed4a98d444acde948265d89c05839be",
+    ("rank", "csv"):
+        "5c10111f488e3d33d9f0bb98726b22bc27ef317c9ae3b8de83b6a2677d6246fe",
+    ("report", "text"):
+        "6a63fe1a1126ef1540dbcc1f4d943ef4319b182e2a6f37ef0d389c5c16404d09",
+    ("report", "csv"):
+        "25970383c8010ac953ca36f6f36da90ada5331585a1939f5b0895f6ecc8610cf",
+    ("report", "json-lines"):
+        "4d98de237d58bf423c208d908a20e54806a1b439994050202322ee368be85abe",
+}
+
+SOURCES = ("ExploitDB", "Metasploit", "GitHub", "Other", "PacketStorm")
+CONTEXTS = [(e, c) for e in ("Public", "Private") for c in ("Low", "Medium", "High")]
+
+
+def _vector_text(rng, vector) -> str:
+    text = vector.to_string()
+    if rng.random() < 0.3:
+        head, *metrics = text.split("/")
+        rng.shuffle(metrics)
+        text = "/".join([head, *metrics])
+    if rng.random() < 0.3:
+        text = text.split("/", 1)[1]
+    return text
+
+
+def write_golden_feeds(root):
+    """Feed files for the golden portfolio; identical bytes on every call."""
+    rng = random.Random(20240501)
+    corpus = synth_labeled_corpus(n=300, seed=11)
+    vectors = list(iter_vectors())
+
+    cves, refs, context, labels = [], [], [], []
+    for i, ex in enumerate(corpus):
+        row = {"id": ex.cve_id, "description": ex.description}
+        kind = i % 5
+        vector = rng.choice(vectors)
+        if kind in (0, 2, 3):
+            row["vector"] = _vector_text(rng, vector)
+        if kind in (1, 2, 4):
+            score = rng.randrange(0, 101)
+            row["score"] = score // 10 if kind == 4 and score % 10 == 0 else score / 10
+            if kind == 2 and rng.random() < 0.5:
+                row["score"] = base_score(vector).value
+        if kind == 3:
+            row["references"] = [
+                {"url": f"https://example.org/{ex.cve_id}/{n}", "source": rng.choice(SOURCES),
+                 "exploit": rng.random() < 0.5}
+                for n in range(rng.randrange(1, 4))
+            ]
+        cves.append(row)
+
+        if rng.random() < 0.3:
+            for n in range(rng.choice((1, 1, 2, 5, 40))):
+                url = f"https://exploits.example/{ex.cve_id}/{rng.randrange(0, 8) if n % 3 else n}"
+                refs.append({"cve": ex.cve_id, "url": url, "source": rng.choice(SOURCES),
+                             "exploit": rng.random() < 0.85})
+        if rng.random() < 0.4:
+            exposure, criticality = rng.choice(CONTEXTS)
+            context.append({"cve": ex.cve_id, "exposure": exposure, "criticality": criticality})
+
+        labeler = "Model" if rng.random() < 0.3 else "SME"
+        labels.append({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
+                       "labeler": labeler, "ts": "2024-01-01T00:00:00Z"})
+        if rng.random() < 0.2:
+            labels.append({"cve": ex.cve_id, "utility": rng.choice((0, 1, 2)),
+                           "opportune": rng.choice((0, 1)), "labeler": rng.choice(("SME", "Model")),
+                           "ts": rng.choice(("2023-06-01T00:00:00Z", "2024-06-01T00:00:00Z"))})
+
+    paths = {}
+    for name, rows in (("cves", cves), ("refs", refs), ("context", context), ("labels", labels)):
+        paths[name] = str(write_jsonl(root / f"{name}.jsonl", rows))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def golden_feeds(tmp_path_factory):
+    return write_golden_feeds(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN))
+def test_output_bytes_pinned(golden_feeds, tmp_path, command, fmt):
+    out = tmp_path / "out"
+    feeds = [arg for name, path in golden_feeds.items() for arg in (f"--{name}", path)]
+    assert main([command, *feeds, "--format", fmt, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(command, fmt)]

@@ -7,32 +7,28 @@ from decimal import Decimal
 import pytest
 
 from vulnrank.cvss import BaseScore, severity_of
-from vulnrank.feeds import Labeler, ReferenceSource
+from vulnrank.feeds import Labeler
 from vulnrank.report import (
     CSV_COLUMNS,
     ExportFormat,
+    IoError,
     compare,
     export,
     rank,
     write_export,
 )
-from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability, TriageLabels, threat_score
-from vulnrank.wx import WxCount
+from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability, TriageLabels
 
 from conftest import WORKED_TRIO
 
 
 def scored(cve_id, cvss, wx=0, utility=0, opportune=0, source=Labeler.SME):
-    labels = TriageLabels(utility=utility, opportune=opportune, source=source)
-    per_source = {ReferenceSource.EXPLOITDB: wx} if wx else {}
-    wx_count = WxCount(cve_id, wx, per_source)
     return ScoredVulnerability(
         cve_id=cve_id,
         cvss=BaseScore(cvss, severity_of(cvss)),
-        wx=wx_count,
-        labels=labels,
+        wx=wx,
+        labels=TriageLabels(utility=utility, opportune=opportune, source=source),
         env=NEUTRAL_ENV,
-        threat_score=threat_score(cvss, wx, labels, NEUTRAL_ENV),
     )
 
 
@@ -231,3 +227,12 @@ class TestExport:
         path = tmp_path / "out.csv"
         write_export(path, rank(trio_portfolio()), ExportFormat.CSV)
         assert path.read_bytes() == export(rank(trio_portfolio()), ExportFormat.CSV)
+
+    def test_failed_write_export_leaves_no_tmp(self, tmp_path):
+        with pytest.raises(IoError, match="cannot write export"):
+            write_export(tmp_path / "missing" / "out.csv", rank(trio_portfolio()), ExportFormat.CSV)
+        # The temporary file is written, then cannot replace a directory.
+        (tmp_path / "out.csv").mkdir()
+        with pytest.raises(IoError, match="cannot write export"):
+            write_export(tmp_path / "out.csv", rank(trio_portfolio()), ExportFormat.CSV)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

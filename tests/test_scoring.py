@@ -32,7 +32,7 @@ from vulnrank.scoring import (
     score_portfolio,
     threat_score,
 )
-from vulnrank.wx import WxCount, count_wx
+from vulnrank.wx import count_wx
 
 from conftest import WORKED_TRIO, trio_cve_rows, trio_ref_rows, write_jsonl
 
@@ -217,13 +217,52 @@ class TestScorePortfolio:
         (scored,) = score_portfolio([record], {}, {"CVE-2020-0001": labels()})
         assert scored.cvss.severity is Severity.CRITICAL
 
-    def test_scored_invariant_enforced(self):
-        with pytest.raises(ScoringError, match="does not match"):
+    def test_scored_invariant_enforced(self, tmp_path):
+        with pytest.raises(TypeError):
             ScoredVulnerability(
                 cve_id="CVE-2020-0001",
                 cvss=BaseScore(5.0, severity_of(5.0)),
-                wx=WxCount.zero("CVE-2020-0001"),
+                wx=0,
                 labels=labels(),
                 env=NEUTRAL_ENV,
                 threat_score=Decimal("55"),
             )
+        records, wx_map, labels_map = self.load_trio(tmp_path)
+        ctx_map = {"CVE-2019-11324": AssetContext("CVE-2019-11324", Exposure.PUBLIC, Criticality.HIGH)}
+        scored = score_portfolio(records, wx_map, labels_map, ctx_map)
+        assert [s.wx for s in scored] == [rec["wx"] for rec in WORKED_TRIO]
+        for s in scored:
+            assert s.threat_score == threat_score(s.cvss.value, s.wx, s.labels, s.env)
+
+    def test_threat_score_computed_once_per_record(self, tmp_path, monkeypatch):
+        import vulnrank.scoring
+
+        calls = []
+        real = vulnrank.scoring.threat_score
+        monkeypatch.setattr(
+            vulnrank.scoring, "threat_score", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        records, wx_map, labels_map = self.load_trio(tmp_path)
+        scored = score_portfolio(records, wx_map, labels_map)
+        assert len(calls) == len(scored) == 3
+
+    def test_env_factors_shared_per_context_pair(self):
+        ids = [f"CVE-2020-000{i}" for i in range(1, 7)]
+        records = [CveRecord(cve_id, "text", published_score=5.0) for cve_id in ids]
+        pairs = {
+            ids[0]: (Exposure.PUBLIC, Criticality.HIGH),
+            ids[1]: (Exposure.PUBLIC, Criticality.HIGH),
+            ids[2]: (Exposure.PRIVATE, Criticality.LOW),
+            ids[3]: (Exposure.PUBLIC, Criticality.HIGH),
+        }
+        ctx_map = {cve_id: AssetContext(cve_id, *pair) for cve_id, pair in pairs.items()}
+        env = [
+            s.env
+            for s in score_portfolio(records, {}, {cve_id: labels() for cve_id in ids}, ctx_map)
+        ]
+        assert env[0] is env[1] is env[3]
+        assert env[2] is not env[0]
+        assert env[4] is env[5] is NEUTRAL_ENV
+        assert [e.product for e in env] == [
+            Decimal("2.25"), Decimal("2.25"), Decimal("1.0"), Decimal("2.25"), 1, 1
+        ]
