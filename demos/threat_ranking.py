@@ -7,11 +7,13 @@ with a hard-coded PIN (CVSS 6.8) outranks a TLS validation bug
 (CVSS 7.5) because attackers get more out of it with less effort.
 """
 
+from datetime import datetime, timezone
+
 from vulnrank import (
     AssetContext,
     CveRecord,
+    LabeledExample,
     Labeler,
-    TriageLabels,
     WxCount,
     compare,
     export,
@@ -49,10 +51,14 @@ WX = {
 # SME triage: the SMB bug and the pump both give attackers "actions on
 # objectives" (utility 2); the pump needs no exploit code at all
 # (opportune 1).
+LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 LABELS = {
-    "CVE-2017-0143": TriageLabels(utility=2, opportune=0, source=Labeler.SME),
-    "CVE-2019-11324": TriageLabels(utility=0, opportune=0, source=Labeler.SME),
-    "CVE-2020-27256": TriageLabels(utility=2, opportune=1, source=Labeler.SME),
+    cve_id: LabeledExample(cve_id, utility, opportune, Labeler.SME, LABELED_AT)
+    for cve_id, utility, opportune in (
+        ("CVE-2017-0143", 2, 0),
+        ("CVE-2019-11324", 0, 0),
+        ("CVE-2020-27256", 2, 1),
+    )
 }
 
 scored = score_portfolio(RECORDS, WX, LABELS)

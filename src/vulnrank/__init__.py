@@ -42,7 +42,6 @@ from vulnrank.scoring import (
     EnvironmentalFactors,
     EnvWeights,
     ScoredVulnerability,
-    TriageLabels,
     env_factor,
     score_portfolio,
     threat_score,
@@ -67,7 +66,6 @@ __all__ = [
     "ReferenceEntry",
     "ScoredVulnerability",
     "Severity",
-    "TriageLabels",
     "WxCount",
     "base_score",
     "compare",

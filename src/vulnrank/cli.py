@@ -2,14 +2,15 @@
 
 Configuration resolves in four layers, weakest first: built-in defaults,
 the --config JSON file, VULNRANK_* environment variables, then explicit
-flags. Every flag mirrors a config key of the same name.
+flags. Every flag mirrors a config key of the same name. Every value,
+from whichever layer, is type-checked by its key's parser.
 
 Exit codes are a stable scripting contract: 0 success, 2 ingest,
-validation or output-write failure, 3 training failure, 4 model
-compatibility failure, 5 scoring completeness failure. Every failure
-prints one ``error:`` line to stderr. Output files are written to
-``<path>.tmp`` and renamed into place, so a failed write leaves the
-previous file untouched.
+validation, configuration or file read/write failure, 3 training
+failure, 4 model compatibility failure, 5 scoring completeness failure.
+Every failure prints one ``error:`` line to stderr. Output files are
+written to ``<path>.tmp`` and renamed into place, so a failed write
+leaves the previous file untouched.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -48,7 +49,6 @@ from vulnrank.scoring import (
     InvalidConfig,
     MissingCvss,
     MissingLabels,
-    TriageLabels,
     score_portfolio,
 )
 from vulnrank.triage.features import fit_vocabulary
@@ -98,98 +98,145 @@ class RunConfig:
         return self.model_utility if task is Task.UTILITY else self.model_opportune
 
 
-_SCALAR_CASTS = {
-    "seed": int,
-    "min_df": int,
-    "epochs": int,
-    "reg_lambda": float,
-}
+def _bad(where: str, raw, expected: str) -> InvalidConfig:
+    return InvalidConfig(f"{where}: expected {expected}, got {raw!r}")
 
 
-def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+def _path(raw, where: str) -> str:
+    if isinstance(raw, str) and raw and "\0" not in raw:
+        return raw
+    raise _bad(where, raw, "a file path")
 
 
-def _parse_tier_bounds(raw) -> tuple[Decimal, ...]:
-    # Accepts a JSON list or a comma-separated string ("64,32,16,8").
+def _format(raw, where: str) -> str:
+    try:
+        if isinstance(raw, str) and ExportFormat.parse(raw):
+            return raw
+    except ValueError:
+        pass
+    raise _bad(where, raw, "text, csv or json-lines")
+
+
+# JSON values are taken as they are, strings are cast. type() rather than
+# isinstance(), because bool is an int subclass and true would read as 1.
+def _integer(raw, where: str) -> int:
+    try:
+        if isinstance(raw, str) or type(raw) is int:
+            return int(raw)
+    except ValueError:
+        pass
+    raise _bad(where, raw, "an integer")
+
+
+def _real(raw, where: str) -> float:
+    try:
+        if isinstance(raw, str) or type(raw) in (int, float):
+            return float(raw)
+    except (ValueError, OverflowError):
+        pass
+    raise _bad(where, raw, "a number")
+
+
+def _decimal(raw, where: str, positive: bool = False) -> Decimal:
+    try:
+        if isinstance(raw, str) or type(raw) in (int, float):
+            value = Decimal(str(raw))
+            if value.is_finite() and (value > 0 or not positive):
+                return value
+    except InvalidOperation:
+        pass
+    raise _bad(where, raw, "a positive number" if positive else "a finite number")
+
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True}
+_BOOL_WORDS |= {"0": False, "false": False, "no": False, "off": False}
+
+
+def _boolean(raw, where: str) -> bool:
+    value = _BOOL_WORDS.get(raw.strip().lower()) if isinstance(raw, str) else raw
+    if isinstance(value, bool):
+        return value
+    raise _bad(where, raw, "true or false")
+
+
+def _tier_bounds(raw, where: str) -> tuple[Decimal, ...]:
+    # A JSON list or a comma-separated string ("64,32,16,8").
     values = raw.split(",") if isinstance(raw, str) else raw
-    try:
-        return tuple(Decimal(str(v).strip()) for v in values)
-    except InvalidOperation as exc:
-        raise InvalidConfig(f"bad tier_bounds {raw!r}: {exc}") from None
+    if not isinstance(values, list) or not values:
+        raise _bad(where, raw, "a list of numbers")
+    bounds = tuple(_decimal(v, where) for v in values)
+    if list(bounds) != sorted(set(bounds), reverse=True):
+        raise _bad(where, raw, "strictly descending bounds")
+    return bounds
 
 
-def _parse_env_weights(section: dict) -> EnvWeights:
-    try:
-        exposure = {
-            Exposure(name): Decimal(str(value))
-            for name, value in section.get("exposure", {}).items()
+def _env_weights(raw, where: str) -> EnvWeights:
+    if not isinstance(raw, dict) or not raw.keys() <= {"exposure", "criticality"}:
+        raise _bad(where, raw, "an object of exposure and criticality weights")
+    tables = {}
+    for name, enum in (("exposure", Exposure), ("criticality", Criticality)):
+        section, members = raw.get(name, {}), {m.value: m for m in enum}
+        if not isinstance(section, dict) or not section.keys() <= members.keys():
+            raise _bad(f"{where}.{name}", section, f"weights for {', '.join(members)}")
+        tables[name] = {
+            members[k]: _decimal(v, f"{where}.{name}.{k}", positive=True) for k, v in section.items()
         }
-        criticality = {
-            Criticality(name): Decimal(str(value))
-            for name, value in section.get("criticality", {}).items()
-        }
-    except (ValueError, InvalidOperation) as exc:
-        raise InvalidConfig(f"bad env_weights section: {exc}") from None
     return EnvWeights(
-        exposure=exposure or DEFAULT_ENV_WEIGHTS.exposure,
-        criticality=criticality or DEFAULT_ENV_WEIGHTS.criticality,
+        exposure=tables["exposure"] or DEFAULT_ENV_WEIGHTS.exposure,
+        criticality=tables["criticality"] or DEFAULT_ENV_WEIGHTS.criticality,
     )
 
 
+# One parser per RunConfig key, in field order. Each takes the JSON value
+# or its string form and raises InvalidConfig naming where it came from.
+CONFIG_KEYS = {
+    "cves": _path,
+    "refs": _path,
+    "context": _path,
+    "labels": _path,
+    "model_utility": _path,
+    "model_opportune": _path,
+    "output": _path,
+    "format": _format,
+    "seed": _integer,
+    "min_df": _integer,
+    "epochs": _integer,
+    "reg_lambda": _real,
+    "stratified": _boolean,
+    "env_weights": _env_weights,
+    "tier_bounds": _tier_bounds,
+}
+FILE_ONLY_KEYS = {"env_weights"}
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file, then environment, then flags."""
-    config = RunConfig()
+    """Defaults, then config file, then environment, then flags.
 
+    Every value, whichever layer sets it, goes through its key's parser
+    in ``CONFIG_KEYS``; a later layer overrides an earlier one.
+    """
+    settings = []
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise FeedError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        updates = {}
-        for key, value in doc.items():
-            if key == "env_weights":
-                updates[key] = _parse_env_weights(value)
-            elif key == "tier_bounds":
-                updates[key] = _parse_tier_bounds(value)
-            elif key in {f.name for f in fields(RunConfig)}:
-                updates[key] = value
-            else:
-                raise FeedError(f"{path}: unknown config key {key!r}")
-        config = replace(config, **updates)
-
-    for f in fields(RunConfig):
-        if f.name == "env_weights":
-            continue
-        raw = os.environ.get(ENV_PREFIX + f.name.upper())
-        if raw is None:
-            continue
-        if f.name == "stratified":
-            config = replace(config, stratified=_parse_bool(raw))
-        elif f.name == "tier_bounds":
-            config = replace(config, tier_bounds=_parse_tier_bounds(raw))
-        else:
-            cast = _SCALAR_CASTS.get(f.name, str)
+        with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                value = cast(raw)
-            except ValueError:
-                raise InvalidConfig(
-                    f"{ENV_PREFIX}{f.name.upper()}={raw!r} is not a valid {cast.__name__}"
-                ) from None
-            config = replace(config, **{f.name: value})
-
-    flag_updates = {}
-    for f in fields(RunConfig):
-        if f.name == "env_weights":
-            continue
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name == "tier_bounds":
-            value = _parse_tier_bounds(value)
-        flag_updates[f.name] = value
-    return replace(config, **flag_updates)
+                doc = json.load(fh)
+            except ValueError as exc:  # also UnicodeDecodeError
+                raise InvalidConfig(f"{args.config}: not a JSON config file: {exc}") from None
+        if not isinstance(doc, dict):
+            raise _bad(args.config, type(doc).__name__, "a JSON object")
+        for key, raw in doc.items():
+            if key not in CONFIG_KEYS:
+                raise InvalidConfig(f"{args.config}: unknown config key {key!r}")
+            settings.append((key, raw, f"{args.config}: {key}"))
+    for key in CONFIG_KEYS:
+        name = ENV_PREFIX + key.upper()
+        if key not in FILE_ONLY_KEYS and name in os.environ:
+            settings.append((key, os.environ[name], name))
+        if getattr(args, key, None) is not None:
+            settings.append((key, getattr(args, key), "--" + key.replace("_", "-")))
+    return replace(
+        RunConfig(), **{key: CONFIG_KEYS[key](raw, where) for key, raw, where in settings}
+    )
 
 
 def _require_paths(config: RunConfig, names: list[str]) -> None:
@@ -233,7 +280,7 @@ def cmd_ingest(config: RunConfig) -> int:
     if config.refs is not None:
         ref_count = sum(len(group) for group in load_exploit_refs(config.refs).values())
     label_count = 0
-    if config.labels is not None and Path(config.labels).exists():
+    if config.labels is not None:
         label_count = len(load_labels(config.labels))
     ctx_count = 0
     if config.context is not None:
@@ -282,6 +329,14 @@ def cmd_train(config: RunConfig, task: Task) -> int:
     return EXIT_OK
 
 
+def _without_sme_labels(records, merged: dict[str, LabeledExample]) -> list:
+    return [
+        rec
+        for rec in records
+        if rec.cve_id not in merged or merged[rec.cve_id].labeler is not Labeler.SME
+    ]
+
+
 def _deterministic_ts(merged: dict[str, LabeledExample]) -> datetime:
     # Reruns on identical inputs must produce identical label files, so
     # model labels are stamped with the newest timestamp already in the
@@ -300,38 +355,22 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
         raise ModelVersionError(
             f"{config.model_path(task)} holds a {model.task.value} model, not {task.value}"
         )
-    records = load_cve_records(config.cves)
     merged = _effective_labels(config)
-
-    targets = [
-        rec
-        for rec in records
-        if rec.cve_id not in merged or merged[rec.cve_id].labeler is not Labeler.SME
-    ]
+    targets = _without_sme_labels(load_cve_records(config.cves), merged)
     if not targets:
         print("all CVEs already carry SME labels; nothing to predict")
         return EXIT_OK
 
     stamp = _deterministic_ts(merged)
     fresh = []
-    predictions = predict_texts(model, [rec.description for rec in targets])
-    for rec, predicted in zip(targets, predictions):
+    for rec, predicted in zip(targets, predict_texts(model, [rec.description for rec in targets])):
         existing = merged.get(rec.cve_id)
-        utility = existing.utility if existing is not None else 0
-        opportune = existing.opportune if existing is not None else 0
+        utility, opportune = (existing.utility, existing.opportune) if existing else (0, 0)
         if task is Task.UTILITY:
             utility = predicted
         else:
             opportune = predicted
-        fresh.append(
-            LabeledExample(
-                cve_id=rec.cve_id,
-                utility=utility,
-                opportune=opportune,
-                labeler=Labeler.MODEL,
-                labeled_at=stamp,
-            )
-        )
+        fresh.append(LabeledExample(rec.cve_id, utility, opportune, Labeler.MODEL, stamp))
     save_labels(config.labels, fresh)
     print(f"predicted {task.value} for {len(fresh)} CVEs -> {config.labels}")
     return EXIT_OK
@@ -341,28 +380,18 @@ def _scored_portfolio(config: RunConfig):
     _require_paths(config, ["cves", "labels"])
     _optional_paths(config, ["refs", "context"])
     records = load_cve_records(config.cves)
-    merged = _effective_labels(config)
-    labels_map = {
-        cve_id: TriageLabels(ex.utility, ex.opportune, ex.labeler)
-        for cve_id, ex in merged.items()
-    }
+    labels = _effective_labels(config)
     wx_map = {}
     if config.refs is not None:
         wx_map = count_wx(load_exploit_refs(config.refs))
     ctx_map = {}
     if config.context is not None:
         ctx_map = load_asset_context(config.context)
-    return score_portfolio(records, wx_map, labels_map, ctx_map, config.env_weights)
+    return score_portfolio(records, wx_map, labels, ctx_map, config.env_weights)
 
 
-def cmd_score(config: RunConfig) -> int:
-    fmt = ExportFormat.parse(config.format or "json-lines")
-    _emit(config, export(rank(_scored_portfolio(config)), fmt))
-    return EXIT_OK
-
-
-def cmd_rank(config: RunConfig) -> int:
-    fmt = ExportFormat.parse(config.format or "text")
+def cmd_rank(config: RunConfig, default_format: str) -> int:
+    fmt = ExportFormat.parse(config.format or default_format)
     _emit(config, export(rank(_scored_portfolio(config)), fmt))
     return EXIT_OK
 
@@ -393,13 +422,8 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
     _require_paths(config, ["cves"])
     if config.labels is None:
         raise FeedError("no labels path configured (flag --labels)")
-    records = load_cve_records(config.cves)
-    merged = _effective_labels(config)
-    targets = [
-        rec
-        for rec in sorted(records, key=lambda r: r.cve_id)
-        if rec.cve_id not in merged or merged[rec.cve_id].labeler is not Labeler.SME
-    ]
+    records = sorted(load_cve_records(config.cves), key=lambda r: r.cve_id)
+    targets = _without_sme_labels(records, _effective_labels(config))
     if not targets:
         print("all CVEs already carry SME labels")
         return EXIT_OK
@@ -417,15 +441,7 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
             break
         if opportune == "s":
             continue
-        collected.append(
-            LabeledExample(
-                cve_id=rec.cve_id,
-                utility=int(utility),
-                opportune=int(opportune),
-                labeler=Labeler.SME,
-                labeled_at=stamp,
-            )
-        )
+        collected.append(LabeledExample(rec.cve_id, int(utility), int(opportune), Labeler.SME, stamp))
     if collected:
         save_labels(config.labels, collected)
     print(f"\nsaved {len(collected)} label(s) to {config.labels}")
@@ -507,9 +523,9 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(config, Task(args.task))
         if args.command == "score":
-            return cmd_score(config)
+            return cmd_rank(config, "json-lines")
         if args.command == "rank":
-            return cmd_rank(config)
+            return cmd_rank(config, "text")
         if args.command == "report":
             return cmd_report(config)
         if args.command == "label":
@@ -524,9 +540,7 @@ def main(argv=None) -> int:
     except CorpusTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
-    except (
-        FeedError, CvssError, InvalidConfig, IoError, FileNotFoundError, json.JSONDecodeError
-    ) as exc:
+    except (FeedError, CvssError, InvalidConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST
 

@@ -100,7 +100,8 @@ class CveRecord:
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """One triage judgment: utility and opportune categories for a CVE.
+    """One triage judgment for a CVE: utility 0/1/2, the opportune flag
+    0/1, who assigned them and when. Training and scoring both use it.
 
     ``description`` is not persisted in label files; it is joined back in
     from the CVE feed when the example is used for training.
@@ -114,10 +115,11 @@ class LabeledExample:
     description: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.utility not in (0, 1, 2):
-            raise InvalidCategory(f"utility must be 0, 1, or 2, got {self.utility!r}")
-        if self.opportune not in (0, 1):
-            raise InvalidCategory(f"opportune must be 0 or 1, got {self.opportune!r}")
+        for name, legal in (("utility", (0, 1, 2)), ("opportune", (0, 1))):
+            value = getattr(self, name)
+            # bool is an int subclass, so True would otherwise pass as 1.
+            if not isinstance(value, int) or isinstance(value, bool) or value not in legal:
+                raise InvalidCategory(f"{name} must be one of {legal}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -286,25 +288,13 @@ def load_labels(path) -> list[LabeledExample]:
         cve_id = _cve_id(_require(obj, "cve", where), where)
         utility = _require(obj, "utility", where)
         opportune = _require(obj, "opportune", where)
-        if not isinstance(utility, int) or isinstance(utility, bool):
-            raise InvalidCategory(f"{where}: utility must be an integer")
-        if not isinstance(opportune, int) or isinstance(opportune, bool):
-            raise InvalidCategory(f"{where}: opportune must be an integer")
         try:
             labeler = Labeler(_require(obj, "labeler", where))
         except ValueError:
             raise InvalidCategory(f"{where}: labeler must be SME or Model") from None
         ts = parse_ts(_require(obj, "ts", where), where)
         try:
-            examples.append(
-                LabeledExample(
-                    cve_id=cve_id,
-                    utility=utility,
-                    opportune=opportune,
-                    labeler=labeler,
-                    labeled_at=ts,
-                )
-            )
+            examples.append(LabeledExample(cve_id, utility, opportune, labeler, ts))
         except InvalidCategory as exc:
             raise InvalidCategory(f"{where}: {exc}") from None
     return examples

@@ -165,7 +165,7 @@ def _portfolio_row(rank_pos: int, s: ScoredVulnerability) -> dict:
         "utility": s.labels.utility,
         "opportune": s.labels.opportune,
         "env_product": format_quantity(s.env.product),
-        "label_source": s.labels.source.value,
+        "label_source": s.labels.labeler.value,
     }
 
 

@@ -16,7 +16,7 @@ from decimal import Decimal
 from typing import Callable, Iterable, Mapping, Sequence
 
 from vulnrank.cvss import BaseScore, base_score, severity_of
-from vulnrank.feeds import AssetContext, Criticality, CveRecord, Exposure, InvalidCategory, Labeler
+from vulnrank.feeds import AssetContext, Criticality, CveRecord, Exposure, LabeledExample
 from vulnrank.wx import WxCount
 
 logger = logging.getLogger(__name__)
@@ -27,7 +27,7 @@ class ScoringError(ValueError):
 
 
 class InvalidConfig(ScoringError):
-    """An environmental weight table carries a non-positive weight."""
+    """A configuration value, such as an environmental weight, is unusable."""
 
 
 class MissingLabels(ScoringError):
@@ -44,21 +44,6 @@ class MissingCvss(ScoringError):
     def __init__(self, cve_ids: Sequence[str]):
         self.cve_ids = tuple(cve_ids)
         super().__init__(f"no CVSS vector or score for: {', '.join(self.cve_ids)}")
-
-
-@dataclass(frozen=True)
-class TriageLabels:
-    """Utility category, opportune flag, and who assigned them."""
-
-    utility: int
-    opportune: int
-    source: Labeler
-
-    def __post_init__(self):
-        if self.utility not in (0, 1, 2):
-            raise InvalidCategory(f"utility must be 0, 1, or 2, got {self.utility!r}")
-        if self.opportune not in (0, 1):
-            raise InvalidCategory(f"opportune must be 0 or 1, got {self.opportune!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +92,7 @@ class ScoredVulnerability:
     cve_id: str
     cvss: BaseScore
     wx: int
-    labels: TriageLabels
+    labels: LabeledExample
     env: EnvironmentalFactors
     threat_score: Decimal = field(init=False)
 
@@ -141,7 +126,7 @@ def env_factor(ctx: AssetContext | None, weights: EnvWeights = DEFAULT_ENV_WEIGH
     return EnvironmentalFactors(exposure_weight, criticality_weight)
 
 
-def threat_score(cvss, wx: int, labels: TriageLabels, env: EnvironmentalFactors = NEUTRAL_ENV) -> Decimal:
+def threat_score(cvss, wx: int, labels: LabeledExample, env: EnvironmentalFactors = NEUTRAL_ENV) -> Decimal:
     """Exact threat score; unbounded above, never rounded."""
     if wx < 0:
         raise ScoringError(f"wx count {wx} must be non-negative")
@@ -181,10 +166,10 @@ def resolve_base_score(record: CveRecord) -> BaseScore:
 def score_portfolio(
     records: Iterable[CveRecord],
     wx_map: Mapping[str, WxCount] | None = None,
-    labels_map: Mapping[str, TriageLabels] | None = None,
+    labels_map: Mapping[str, LabeledExample] | None = None,
     ctx_map: Mapping[str, AssetContext] | None = None,
     env_weights: EnvWeights = DEFAULT_ENV_WEIGHTS,
-    predict_missing: Callable[[CveRecord], TriageLabels] | None = None,
+    predict_missing: Callable[[CveRecord], LabeledExample] | None = None,
 ) -> list[ScoredVulnerability]:
     """Score every record; output order follows input order.
 

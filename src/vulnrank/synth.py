@@ -14,12 +14,7 @@ import random
 from datetime import datetime, timezone
 
 from vulnrank.feeds import CveRecord, LabeledExample, Labeler, ReferenceSource
-from vulnrank.scoring import (
-    DEFAULT_ENV_WEIGHTS,
-    ScoredVulnerability,
-    TriageLabels,
-    score_portfolio,
-)
+from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, ScoredVulnerability, score_portfolio
 from vulnrank.wx import WxCount
 
 SYNTH_TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -134,9 +129,8 @@ def synth_portfolio(
         else:
             score = rng.randrange(1, 91) / 10
         records.append(CveRecord(cve_id, f"synthetic finding {i}", published_score=score))
-        labels_map[cve_id] = TriageLabels(
-            utility=rng.choice((0, 1, 2)), opportune=rng.choice((0, 1)), source=Labeler.SME
-        )
+        utility, opportune = rng.choice((0, 1, 2)), rng.choice((0, 1))
+        labels_map[cve_id] = LabeledExample(cve_id, utility, opportune, Labeler.SME, SYNTH_TS)
     wx_map = {}
     for i in wx_ids:
         cve_id = f"CVE-2097-{10000 + i}"

@@ -28,17 +28,13 @@ class WxCount:
                 f"per-source totals {dict(self.per_source)}"
             )
 
-    @classmethod
-    def zero(cls, cve_id: str) -> "WxCount":
-        return cls(cve_id=cve_id, count=0, per_source=MappingProxyType({}))
-
 
 def count_wx(refs: Mapping[str, Iterable[ReferenceEntry]]) -> dict[str, WxCount]:
     """Count exploit-flagged references per CVE.
 
     Input must already be URL-deduplicated (the reference feed loader
-    guarantees this). CVEs absent from the feed simply have no entry;
-    use ``WxCount.zero`` as the lookup default.
+    guarantees this). CVEs absent from the feed have no entry, and
+    ``score_portfolio`` scores them with zero exploits.
     """
     counts: dict[str, WxCount] = {}
     for cve_id, entries in refs.items():

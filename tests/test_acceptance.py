@@ -9,16 +9,16 @@ each criterion enforces its own runtime budget.
 
 import random
 import time
+from datetime import datetime, timezone
 from decimal import Decimal
 
 from vulnrank.cli import main
 from vulnrank.cvss import base_score, iter_vectors, parse_vector
-from vulnrank.feeds import Labeler, save_labels
+from vulnrank.feeds import LabeledExample, Labeler, save_labels
 from vulnrank.report import compare, rank
 from vulnrank.scoring import (
     EnvironmentalFactors,
     NEUTRAL_ENV,
-    TriageLabels,
     threat_score,
 )
 from vulnrank.synth import (
@@ -34,6 +34,8 @@ from vulnrank.triage.svm import Task, TrainConfig, split, train
 
 from conftest import WORKED_TRIO
 from cvss_reference import reference_base_score
+
+LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def _passed(n, message):
@@ -68,7 +70,7 @@ def test_criterion_1_cvss_reproduction():
 def test_criterion_2_threat_score_reproduction():
     scores = {}
     for rec in WORKED_TRIO:
-        labels = TriageLabels(rec["utility"], rec["opportune"], Labeler.SME)
+        labels = LabeledExample(rec["id"], rec["utility"], rec["opportune"], Labeler.SME, LABELED_AT)
         scores[rec["id"]] = threat_score(rec["score"], rec["wx"], labels)
     assert scores["CVE-2017-0143"] == Decimal("102.3")
     assert scores["CVE-2019-11324"] == Decimal("9.5")
@@ -184,7 +186,7 @@ def test_criterion_4_scoring_properties():
     # Exhaustive multiplier table.
     for utility, factor_u in ((0, 1), (1, 2), (2, 3)):
         for opportune, factor_o in ((0, 1), (1, 2)):
-            labels = TriageLabels(utility, opportune, Labeler.SME)
+            labels = LabeledExample("CVE-2000-0001", utility, opportune, Labeler.SME, LABELED_AT)
             assert threat_score(1.0, 0, labels) == Decimal(factor_u * factor_o)
 
     # Strict monotonicity over 10,000 randomized instances with cvss+wx > 0.
@@ -197,20 +199,20 @@ def test_criterion_4_scoring_properties():
             wx = 1
         utility, opportune = rng.choice((0, 1, 2)), rng.choice((0, 1))
         env = EnvironmentalFactors(rng.choice(weights), rng.choice(weights))
-        labels = TriageLabels(utility, opportune, Labeler.SME)
+        labels = LabeledExample("CVE-2000-0001", utility, opportune, Labeler.SME, LABELED_AT)
         base = threat_score(cvss, wx, labels, env)
 
         bumped_wx = threat_score(cvss, wx + 1, labels, env)
         assert bumped_wx - base == (utility + 1) * (opportune + 1) * env.product
         if utility < 2:
-            raised = TriageLabels(utility + 1, opportune, Labeler.SME)
+            raised = LabeledExample("CVE-2000-0001", utility + 1, opportune, Labeler.SME, LABELED_AT)
             assert threat_score(cvss, wx, raised, env) > base
         if opportune == 0:
-            flagged = TriageLabels(utility, 1, Labeler.SME)
+            flagged = LabeledExample("CVE-2000-0001", utility, 1, Labeler.SME, LABELED_AT)
             assert threat_score(cvss, wx, flagged, env) > base
 
     # Neutral case: the formula degenerates to the CVSS score.
-    neutral = TriageLabels(0, 0, Labeler.SME)
+    neutral = LabeledExample("CVE-2000-0001", 0, 0, Labeler.SME, LABELED_AT)
     for tenths in range(0, 101):
         assert threat_score(tenths / 10, 0, neutral, NEUTRAL_ENV) == Decimal(str(tenths / 10))
 

@@ -3,11 +3,14 @@
 import argparse
 import json
 import re
+from dataclasses import fields
+from decimal import Decimal
 
 import pytest
 
-from vulnrank.cli import build_config, main
+from vulnrank.cli import CONFIG_KEYS, RunConfig, build_config, main
 from vulnrank.feeds import Labeler, format_ts, load_labels, save_labels
+from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
 
 from conftest import trio_cve_rows, write_jsonl
@@ -22,6 +25,10 @@ def make_args(**overrides):
     }
     base.update(overrides)
     return argparse.Namespace(**base)
+
+
+def trio_score_args(feeds):
+    return ["score", "--cves", str(feeds / "cves.jsonl"), "--labels", str(feeds / "labels.jsonl")]
 
 
 @pytest.fixture
@@ -72,6 +79,65 @@ class TestConfigResolution:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"sedd": 7}))
         assert main(["ingest", "--config", str(path)]) == 2
+
+    def test_every_run_config_field_has_one_parser(self):
+        assert list(CONFIG_KEYS) == [f.name for f in fields(RunConfig)]
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"seed": "x"}, "seed"),
+            ({"epochs": 2.5}, "epochs"),
+            ({"tier_bounds": 5}, "tier_bounds"),
+            ({"env_weights": [1]}, "env_weights"),
+            ({"output": 5}, "output"),
+            ({"cves": None}, "cves"),
+            ({"format": "xml"}, "format"),
+            ([1], "JSON object"),
+            ({"env_weights": {"exposure": {"Public": -1}}}, "env_weights.exposure.Public"),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, trio_feed_dir, capsys, doc, named):
+        path = trio_feed_dir / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(trio_score_args(trio_feed_dir) + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert named in err
+
+    @pytest.mark.parametrize("name, value", [("VULNRANK_FORMAT", "xml"), ("VULNRANK_STRATIFIED", "maybe")])
+    def test_bad_env_value_exits_2(self, trio_feed_dir, monkeypatch, capsys, name, value):
+        monkeypatch.setenv(name, value)
+        assert main(trio_score_args(trio_feed_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "doc, key, expected",
+        [
+            ({"stratified": "no"}, "stratified", False),
+            ({"stratified": " Yes "}, "stratified", True),
+            ({"stratified": False}, "stratified", False),
+            ({"seed": "7"}, "seed", 7),
+            ({"reg_lambda": 1}, "reg_lambda", 1.0),
+            ({"tier_bounds": "100,50"}, "tier_bounds", (Decimal(100), Decimal(50))),
+            ({"tier_bounds": [100, "50.5"]}, "tier_bounds", (Decimal(100), Decimal("50.5"))),
+            ({"format": "structured"}, "format", "structured"),
+        ],
+    )
+    def test_config_value_forms(self, tmp_path, doc, key, expected):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        value = getattr(build_config(make_args(config=str(path))), key)
+        assert value == expected and type(value) is type(expected)
+
+    def test_env_reads_only_known_keys(self, monkeypatch):
+        monkeypatch.setenv("VULNRANK_ENV_WEIGHTS", "not even json")
+        monkeypatch.setenv("VULNRANK_SEDD", "x")
+        monkeypatch.setenv("VULNRANK_STRATIFIED", "off")
+        config = build_config(make_args())
+        assert config.env_weights == DEFAULT_ENV_WEIGHTS
+        assert config.stratified is False
 
 
 class TestIngest:
@@ -182,6 +248,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(p.name for p in synth_feeds.iterdir()) == before
+
+    def test_model_path_directory_exits_2(self, synth_feeds, capsys):
+        target = synth_feeds / "utility_model.json"
+        target.mkdir()
+        assert main(self.train_args(synth_feeds, min_df=1)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert target.is_dir() and not any(target.iterdir())
+        assert not list(synth_feeds.rglob("*.tmp"))
 
     def test_degenerate_task_warns_but_succeeds(self, tmp_path, capsys):
         corpus = [ex for ex in synth_labeled_corpus(n=200, seed=3) if ex.opportune == 0][:40]
@@ -377,6 +452,23 @@ class TestScoreRankReport:
         out = capsys.readouterr().out
         # (7.5+2) * 2.25 = 21.375
         assert ",21.375," in out
+
+    @pytest.mark.parametrize("bounds", ["1,2", "8,8", "x", ""])
+    def test_bad_tier_bounds_exit_2(self, trio_feed_dir, capsys, bounds):
+        assert main(self.base_args(trio_feed_dir, "report") + ["--tier-bounds", bounds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tier-bounds: ") and err.count("\n") == 1, err
+
+    def test_label_store_directory_exits_2(self, trio_feed_dir, capsys):
+        store = trio_feed_dir / "store"
+        store.mkdir()
+        args = self.base_args(trio_feed_dir, "score")
+        args[args.index("--labels") + 1] = str(store)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(store) in err and err.count("\n") == 1, err
+        assert not any(store.iterdir())
+        assert not list(trio_feed_dir.rglob("*.tmp"))
 
     @pytest.mark.parametrize("score", [True, 7.25])
     def test_bad_published_score_exits_2(self, trio_feed_dir, capsys, score):

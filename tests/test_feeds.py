@@ -217,6 +217,17 @@ class TestLabels:
         with pytest.raises(InvalidCategory):
             load_labels(path)
 
+    @pytest.mark.parametrize(
+        "field, value", [("utility", True), ("utility", 1.0), ("utility", "1"), ("opportune", False)]
+    )
+    def test_non_int_label_rejected(self, tmp_path, field, value):
+        with pytest.raises(InvalidCategory, match=field):
+            self.example(**{field: value})
+        row = {"cve": "CVE-2020-0001", "utility": 1, "opportune": 0, "labeler": "SME", "ts": "2021-01-01T00:00:00Z"}
+        path = write_jsonl(tmp_path / "labels.jsonl", [row, dict(row, **{field: value})])
+        with pytest.raises(InvalidCategory, match=f"labels.jsonl:2: {field} "):
+            load_labels(path)
+
     def test_invalid_labeler(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "utility": 1, "opportune": 0, "labeler": "Bot", "ts": "2021-01-01T00:00:00Z"}]
         path = write_jsonl(tmp_path / "labels.jsonl", rows)

@@ -2,12 +2,13 @@
 
 import json
 import random
+from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
 
 from vulnrank.cvss import BaseScore, severity_of
-from vulnrank.feeds import Labeler
+from vulnrank.feeds import LabeledExample, Labeler
 from vulnrank.report import (
     CSV_COLUMNS,
     ExportFormat,
@@ -17,9 +18,11 @@ from vulnrank.report import (
     rank,
     write_export,
 )
-from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability, TriageLabels
+from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability
 
 from conftest import WORKED_TRIO
+
+LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def scored(cve_id, cvss, wx=0, utility=0, opportune=0, source=Labeler.SME):
@@ -27,7 +30,7 @@ def scored(cve_id, cvss, wx=0, utility=0, opportune=0, source=Labeler.SME):
         cve_id=cve_id,
         cvss=BaseScore(cvss, severity_of(cvss)),
         wx=wx,
-        labels=TriageLabels(utility=utility, opportune=opportune, source=source),
+        labels=LabeledExample(cve_id, utility, opportune, source, LABELED_AT),
         env=NEUTRAL_ENV,
     )
 

@@ -1,6 +1,7 @@
 """Threat score arithmetic and portfolio scoring."""
 
 import random
+from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
@@ -12,6 +13,7 @@ from vulnrank.feeds import (
     CveRecord,
     Exposure,
     InvalidCategory,
+    LabeledExample,
     Labeler,
     load_cve_records,
     load_exploit_refs,
@@ -26,7 +28,6 @@ from vulnrank.scoring import (
     MissingLabels,
     ScoredVulnerability,
     ScoringError,
-    TriageLabels,
     env_factor,
     format_quantity,
     score_portfolio,
@@ -38,7 +39,9 @@ from conftest import WORKED_TRIO, trio_cve_rows, trio_ref_rows, write_jsonl
 
 
 def labels(utility=0, opportune=0, source=Labeler.SME):
-    return TriageLabels(utility=utility, opportune=opportune, source=source)
+    return LabeledExample(
+        "CVE-2020-0001", utility, opportune, source, datetime(2024, 1, 1, tzinfo=timezone.utc)
+    )
 
 
 class TestThreatScore:
@@ -192,7 +195,7 @@ class TestScorePortfolio:
             [record],
             predict_missing=lambda rec: labels(2, 0, Labeler.MODEL),
         )
-        assert scored.labels.source is Labeler.MODEL
+        assert scored.labels.labeler is Labeler.MODEL
         assert scored.threat_score == Decimal("12.0")
 
     def test_vector_wins_over_published(self, tmp_path, caplog):

@@ -1,10 +1,19 @@
 """Weaponized-exploit counting."""
 
 import random
+from datetime import datetime, timezone
 
 import pytest
 
-from vulnrank.feeds import ReferenceEntry, ReferenceSource, load_exploit_refs
+from vulnrank.feeds import (
+    CveRecord,
+    LabeledExample,
+    Labeler,
+    ReferenceEntry,
+    ReferenceSource,
+    load_exploit_refs,
+)
+from vulnrank.scoring import score_portfolio
 from vulnrank.wx import WxCount, count_wx
 
 from conftest import trio_ref_rows, write_jsonl
@@ -22,9 +31,16 @@ class TestCountWx:
         assert counts["CVE-2019-11324"].count == 2
 
     def test_absent_cve_defaults_to_zero(self):
-        counts = count_wx({})
-        wx = counts.get("CVE-2020-27256") or WxCount.zero("CVE-2020-27256")
-        assert wx.count == 0
+        counts = count_wx({"CVE-2017-0143": [ref("https://x/1")]})
+        assert "CVE-2020-27256" not in counts
+        record = CveRecord("CVE-2020-27256", "text", published_score=6.8)
+        labels = {
+            "CVE-2020-27256": LabeledExample(
+                "CVE-2020-27256", 0, 0, Labeler.SME, datetime(2024, 1, 1, tzinfo=timezone.utc)
+            )
+        }
+        (scored,) = score_portfolio([record], counts, labels)
+        assert scored.wx == 0
 
     def test_non_exploit_refs_excluded(self):
         entries = [ref(f"https://x/{n}") for n in range(3)] + [
