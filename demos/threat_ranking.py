@@ -8,6 +8,7 @@ with a hard-coded PIN (CVSS 6.8) outranks a TLS validation bug
 """
 
 from datetime import datetime, timezone
+from decimal import Decimal
 
 from vulnrank import (
     AssetContext,
@@ -27,17 +28,17 @@ RECORDS = [
     CveRecord(
         "CVE-2017-0143",
         "SMBv1 server allows remote attackers to execute arbitrary code",
-        published_score=8.1,
+        published_score=Decimal("8.1"),
     ),
     CveRecord(
         "CVE-2019-11324",
         "urllib3 mishandles certain CA certificate stores",
-        published_score=7.5,
+        published_score=Decimal("7.5"),
     ),
     CveRecord(
         "CVE-2020-27256",
         "hard-coded physician PIN in an insulin pump",
-        published_score=6.8,
+        published_score=Decimal("6.8"),
     ),
 ]
 

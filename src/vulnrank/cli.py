@@ -137,15 +137,21 @@ def _real(raw, where: str) -> float:
     raise _bad(where, raw, "a number")
 
 
-def _decimal(raw, where: str, positive: bool = False) -> Decimal:
+# Bounded in range and scale: a threat score with wx up to 10^6 then needs
+# at most 25 digits, exact in Decimal's 28, and never renders as 1E-29.
+WEIGHT_RANGE = (Decimal("0.0001"), Decimal(10**4))
+TIER_BOUND_RANGE = (Decimal(-(10**9)), Decimal(10**9))
+
+
+def _decimal(raw, where: str, low: Decimal, high: Decimal) -> Decimal:
     try:
         if isinstance(raw, str) or type(raw) in (int, float):
             value = Decimal(str(raw))
-            if value.is_finite() and (value > 0 or not positive):
+            if value.is_finite() and low <= value <= high and value.as_tuple().exponent >= -4:
                 return value
     except InvalidOperation:
         pass
-    raise _bad(where, raw, "a positive number" if positive else "a finite number")
+    raise _bad(where, raw, f"a number in [{low}, {high}] with at most four decimals")
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True}
@@ -164,7 +170,7 @@ def _tier_bounds(raw, where: str) -> tuple[Decimal, ...]:
     values = raw.split(",") if isinstance(raw, str) else raw
     if not isinstance(values, list) or not values:
         raise _bad(where, raw, "a list of numbers")
-    bounds = tuple(_decimal(v, where) for v in values)
+    bounds = tuple(_decimal(v, where, *TIER_BOUND_RANGE) for v in values)
     if list(bounds) != sorted(set(bounds), reverse=True):
         raise _bad(where, raw, "strictly descending bounds")
     return bounds
@@ -179,7 +185,7 @@ def _env_weights(raw, where: str) -> EnvWeights:
         if not isinstance(section, dict) or not section.keys() <= members.keys():
             raise _bad(f"{where}.{name}", section, f"weights for {', '.join(members)}")
         tables[name] = {
-            members[k]: _decimal(v, f"{where}.{name}.{k}", positive=True) for k, v in section.items()
+            members[k]: _decimal(v, f"{where}.{name}.{k}", *WEIGHT_RANGE) for k, v in section.items()
         }
     return EnvWeights(
         exposure=tables["exposure"] or DEFAULT_ENV_WEIGHTS.exposure,

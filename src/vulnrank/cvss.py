@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from itertools import product
 from typing import Iterator
@@ -156,18 +157,13 @@ class CvssVector:
 
 @dataclass(frozen=True)
 class BaseScore:
-    """One-decimal score in [0.0, 10.0] plus its severity band."""
+    """One-place Decimal score in [0.0, 10.0] plus its severity band."""
 
-    value: float
+    value: Decimal
     severity: Severity
 
     def __str__(self) -> str:
-        return format_score(self.value)
-
-
-def format_score(value: float) -> str:
-    """Serialize a one-decimal score without float noise, e.g. '8.1'."""
-    return f"{value:.1f}"
+        return str(self.value)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -221,32 +217,30 @@ def parse_vector(text: str) -> CvssVector:
     )
 
 
-def round_up(x: float) -> float:
-    """Smallest one-decimal value >= x, via integer arithmetic.
+def round_up(x: float) -> Decimal:
+    """Smallest one-decimal value >= x, as a one-place Decimal.
 
     Works at 1e-5 precision so that float representation error in the
-    sub-score products cannot push a score across a tenth boundary.
+    sub-score products cannot push a score across a tenth boundary. This
+    is the one step from the spec's float formula to an exact score.
     """
     if x < 0 or x > 10:
         raise DomainError(f"score input {x!r} outside [0, 10]")
     scaled = math.floor(x * 100000 + 0.5)
-    if scaled % 10000 == 0:
-        return scaled / 100000
-    return (scaled // 10000 + 1) / 10
+    return Decimal(-(-scaled // 10000)).scaleb(-1)
 
 
-def severity_of(value: float) -> Severity:
+def severity_of(value: Decimal) -> Severity:
     """Map a one-decimal score to its severity band."""
-    if value < 0.0 or value > 10.0:
-        raise DomainError(f"score {value!r} outside [0.0, 10.0]")
-    tenths = round(value * 10)
-    if tenths == 0:
+    if not 0 <= value <= 10:
+        raise DomainError(f"score {value} outside [0.0, 10.0]")
+    if value == 0:
         return Severity.NONE
-    if tenths <= 39:
+    if value < 4:
         return Severity.LOW
-    if tenths <= 69:
+    if value < 7:
         return Severity.MEDIUM
-    if tenths <= 89:
+    if value < 9:
         return Severity.HIGH
     return Severity.CRITICAL
 
@@ -281,7 +275,7 @@ def base_score(v: CvssVector) -> BaseScore:
     )
 
     if impact <= 0:
-        value = 0.0
+        value = Decimal("0.0")
     elif v.scope is Scope.UNCHANGED:
         value = round_up(min(impact + exploitability, 10.0))
     else:

@@ -2,7 +2,8 @@
 
 Every loader either returns fully validated records or raises with the
 file and line of the first offending record; there are no partially
-valid datasets. Files are UTF-8, one JSON object per line.
+valid datasets. Files are UTF-8, one JSON object per line; each line is
+decoded on its own, so a byte that is not UTF-8 names its line.
 
 Field names are fixed: CVE records use ``id``, ``description``,
 ``vector``, ``score``, ``references`` (each ``{url, source, exploit}``);
@@ -89,7 +90,7 @@ class CveRecord:
     cve_id: str
     description: str
     vector: CvssVector | None = None
-    published_score: float | None = None
+    published_score: Decimal | None = None
     references: tuple[ReferenceEntry, ...] = ()
 
     @property
@@ -130,8 +131,12 @@ class AssetContext:
 
 
 def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
             if not line.strip():
                 continue
             try:
@@ -171,7 +176,7 @@ def _reference(obj: dict, where: str, unknown: list) -> ReferenceEntry:
     return ReferenceEntry(url=url, source=source, is_exploit=bool(obj.get("exploit", False)))
 
 
-def _published_score(raw, where: str) -> float:
+def _published_score(raw, where: str) -> Decimal:
     # bool is an int subclass, so true would otherwise score as 1.0.
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise SchemaError(f"{where}: score {raw!r} is not a number")
@@ -179,9 +184,10 @@ def _published_score(raw, where: str) -> float:
         raise SchemaError(f"{where}: score {raw!r} outside [0, 10]")
     # str() gives the shortest repr, so 0.3 reads as one decimal even
     # though 0.3 * 10 != 3 in binary floating point.
-    if Decimal(str(raw)).as_tuple().exponent < -1:
+    score = Decimal(str(raw))
+    if score.as_tuple().exponent < -1:
         raise SchemaError(f"{where}: score {raw!r} has more than one decimal")
-    return float(raw)
+    return score.quantize(Decimal("0.1"))
 
 
 def load_cve_records(path) -> list[CveRecord]:

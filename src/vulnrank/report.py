@@ -13,11 +13,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import ROUND_CEILING, Decimal
 from enum import Enum
 from typing import Iterable, Sequence
 
-from vulnrank.cvss import format_score
 from vulnrank.feeds import write_atomic
 from vulnrank.scoring import ScoredVulnerability, format_quantity
 
@@ -93,10 +92,9 @@ def rank(scored: Iterable[ScoredVulnerability]) -> RankedPortfolio:
     return RankedPortfolio(entries=tuple(sorted(scored, key=_order_key)))
 
 
-def _cvss_band(value: float) -> int:
+def _cvss_band(value: Decimal) -> int:
     # Band k covers (k-1, k]; 0.0 joins band 1 so the bands partition.
-    tenths = round(value * 10)
-    return max(1, (tenths + 9) // 10)
+    return max(1, int(value.to_integral_value(ROUND_CEILING)))
 
 
 def _tier_label(bounds: Sequence[Decimal], i: int) -> str:
@@ -122,7 +120,7 @@ def compare(
     tier_counts = [0] * (len(bounds) + 1)
     for s in scored:
         cvss_bands[_cvss_band(s.cvss.value)] += 1
-        if round(s.cvss.value * 10) >= 90:
+        if s.cvss.value >= 9:
             critical += 1
         for i, bound in enumerate(bounds):
             if s.threat_score >= bound:
@@ -159,7 +157,7 @@ def _portfolio_row(rank_pos: int, s: ScoredVulnerability) -> dict:
         "rank": rank_pos,
         "cve_id": s.cve_id,
         "threat_score": format_quantity(s.threat_score),
-        "cvss": format_score(s.cvss.value),
+        "cvss": str(s.cvss.value),
         "severity": s.cvss.severity.value,
         "wx": s.wx,
         "utility": s.labels.utility,

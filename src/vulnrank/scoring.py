@@ -102,18 +102,6 @@ class ScoredVulnerability:
         )
 
 
-def _as_decimal_score(cvss) -> Decimal:
-    if isinstance(cvss, Decimal):
-        value = cvss
-    else:
-        # str() of a float is its shortest exact repr, so one-decimal
-        # scores convert without binary noise (8.1 -> Decimal('8.1')).
-        value = Decimal(str(cvss))
-    if value < 0 or value > 10:
-        raise ScoringError(f"cvss score {cvss!r} outside [0, 10]")
-    return value
-
-
 def env_factor(ctx: AssetContext | None, weights: EnvWeights = DEFAULT_ENV_WEIGHTS) -> EnvironmentalFactors:
     """Environmental factors for one asset context; neutral when absent."""
     if ctx is None:
@@ -126,20 +114,20 @@ def env_factor(ctx: AssetContext | None, weights: EnvWeights = DEFAULT_ENV_WEIGH
     return EnvironmentalFactors(exposure_weight, criticality_weight)
 
 
-def threat_score(cvss, wx: int, labels: LabeledExample, env: EnvironmentalFactors = NEUTRAL_ENV) -> Decimal:
-    """Exact threat score; unbounded above, never rounded."""
+def threat_score(
+    cvss: Decimal, wx: int, labels: LabeledExample, env: EnvironmentalFactors = NEUTRAL_ENV
+) -> Decimal:
+    """Exact threat score from a one-place Decimal CVSS; unbounded above, never rounded."""
+    if not 0 <= cvss <= 10:
+        raise ScoringError(f"cvss score {cvss} outside [0, 10]")
     if wx < 0:
         raise ScoringError(f"wx count {wx} must be non-negative")
-    base = _as_decimal_score(cvss)
-    return (base + wx) * (labels.utility + 1) * (labels.opportune + 1) * env.product
+    return (cvss + wx) * (labels.utility + 1) * (labels.opportune + 1) * env.product
 
 
 def format_quantity(value: Decimal) -> str:
     """Render a Decimal without trailing zeros or exponent notation."""
-    value = value.normalize()
-    if value == value.to_integral_value():
-        return str(value.quantize(Decimal(1)))
-    return str(value)
+    return format(value.normalize(), "f")
 
 
 def resolve_base_score(record: CveRecord) -> BaseScore:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from datetime import datetime, timezone
+from decimal import Decimal
 
 from vulnrank.feeds import CveRecord, LabeledExample, Labeler, ReferenceSource
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, ScoredVulnerability, score_portfolio
@@ -101,7 +102,7 @@ def synth_cve_records(examples, seed: int = 42) -> list[CveRecord]:
         CveRecord(
             cve_id=ex.cve_id,
             description=ex.description,
-            published_score=rng.randrange(1, 101) / 10,
+            published_score=Decimal(rng.randrange(1, 101)).scaleb(-1),
         )
         for ex in examples
     ]
@@ -125,9 +126,9 @@ def synth_portfolio(
     for i in range(n):
         cve_id = f"CVE-2097-{10000 + i}"
         if i < pinned_critical:
-            score = 10.0
+            score = Decimal("10.0")
         else:
-            score = rng.randrange(1, 91) / 10
+            score = Decimal(rng.randrange(1, 91)).scaleb(-1)
         records.append(CveRecord(cve_id, f"synthetic finding {i}", published_score=score))
         utility, opportune = rng.choice((0, 1, 2)), rng.choice((0, 1))
         labels_map[cve_id] = LabeledExample(cve_id, utility, opportune, Labeler.SME, SYNTH_TS)
@@ -147,7 +148,7 @@ def write_cve_feed(path, records) -> None:
             if rec.vector is not None:
                 row["vector"] = rec.vector.to_string()
             if rec.published_score is not None:
-                row["score"] = rec.published_score
+                row["score"] = float(rec.published_score)
             if rec.references:
                 row["references"] = [
                     {"url": r.url, "source": r.source.value, "exploit": r.is_exploit}

@@ -6,13 +6,14 @@ being frozen here.
 """
 
 import json
+from decimal import Decimal
 
 import pytest
 
 CVE_SMB = {
     "id": "CVE-2017-0143",
     "vector": "CVSS:3.1/AV:N/AC:H/PR:N/UI:N/S:U/C:H/I:H/A:H",
-    "score": 8.1,
+    "score": Decimal("8.1"),
     "severity": "High",
     "wx": 26,
     "utility": 2,
@@ -30,7 +31,7 @@ CVE_SMB = {
 CVE_URLLIB3 = {
     "id": "CVE-2019-11324",
     "vector": "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:N/A:N",
-    "score": 7.5,
+    "score": Decimal("7.5"),
     "severity": "High",
     "wx": 2,
     "utility": 0,
@@ -48,7 +49,7 @@ CVE_URLLIB3 = {
 CVE_PUMP = {
     "id": "CVE-2020-27256",
     "vector": "CVSS:3.1/AV:P/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",
-    "score": 6.8,
+    "score": Decimal("6.8"),
     "severity": "Medium",
     "wx": 0,
     "utility": 2,

@@ -58,7 +58,7 @@ def test_criterion_1_cvss_reproduction():
             v.scope.value, v.confidentiality.value, v.integrity.value,
             v.availability.value,
         )
-        if base_score(v).value != expected:
+        if float(base_score(v).value) != expected:
             mismatches += 1
     assert mismatches == 0
 
@@ -187,15 +187,15 @@ def test_criterion_4_scoring_properties():
     for utility, factor_u in ((0, 1), (1, 2), (2, 3)):
         for opportune, factor_o in ((0, 1), (1, 2)):
             labels = LabeledExample("CVE-2000-0001", utility, opportune, Labeler.SME, LABELED_AT)
-            assert threat_score(1.0, 0, labels) == Decimal(factor_u * factor_o)
+            assert threat_score(Decimal("1.0"), 0, labels) == Decimal(factor_u * factor_o)
 
     # Strict monotonicity over 10,000 randomized instances with cvss+wx > 0.
     rng = random.Random(4242)
     weights = [Decimal("1.0"), Decimal("1.2"), Decimal("1.5"), Decimal("2.25")]
     for _ in range(10_000):
-        cvss = rng.randrange(1, 101) / 10 if rng.random() < 0.9 else 0.0
+        cvss = Decimal(rng.randrange(1, 101)).scaleb(-1) if rng.random() < 0.9 else Decimal("0.0")
         wx = rng.randrange(0, 300)
-        if cvss == 0.0 and wx == 0:
+        if cvss == 0 and wx == 0:
             wx = 1
         utility, opportune = rng.choice((0, 1, 2)), rng.choice((0, 1))
         env = EnvironmentalFactors(rng.choice(weights), rng.choice(weights))
@@ -214,7 +214,8 @@ def test_criterion_4_scoring_properties():
     # Neutral case: the formula degenerates to the CVSS score.
     neutral = LabeledExample("CVE-2000-0001", 0, 0, Labeler.SME, LABELED_AT)
     for tenths in range(0, 101):
-        assert threat_score(tenths / 10, 0, neutral, NEUTRAL_ENV) == Decimal(str(tenths / 10))
+        cvss = Decimal(tenths).scaleb(-1)
+        assert threat_score(cvss, 0, neutral, NEUTRAL_ENV) == cvss
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"criterion 4 took {elapsed:.2f}s (budget 5s)"

@@ -95,6 +95,11 @@ class TestConfigResolution:
             ({"format": "xml"}, "format"),
             ([1], "JSON object"),
             ({"env_weights": {"exposure": {"Public": -1}}}, "env_weights.exposure.Public"),
+            # Out of range or scale: an InvalidOperation traceback and a
+            # threat score printed as 1E-29 before weights were bounded.
+            ({"env_weights": {"exposure": {"Public": 1e300}}}, "env_weights.exposure.Public"),
+            ({"env_weights": {"exposure": {"Public": 1e-30}}}, "env_weights.exposure.Public"),
+            ({"env_weights": {"criticality": {"High": "1.00001"}}}, "env_weights.criticality.High"),
         ],
     )
     def test_bad_config_value_exits_2(self, trio_feed_dir, capsys, doc, named):
@@ -123,6 +128,11 @@ class TestConfigResolution:
             ({"tier_bounds": "100,50"}, "tier_bounds", (Decimal(100), Decimal(50))),
             ({"tier_bounds": [100, "50.5"]}, "tier_bounds", (Decimal(100), Decimal("50.5"))),
             ({"format": "structured"}, "format", "structured"),
+            (
+                {"tier_bounds": "1e9,0.0001,-1e9"},
+                "tier_bounds",
+                (Decimal(10**9), Decimal("0.0001"), Decimal(-(10**9))),
+            ),
         ],
     )
     def test_config_value_forms(self, tmp_path, doc, key, expected):
@@ -163,6 +173,22 @@ class TestIngest:
         path = write_jsonl(tmp_path / "cves.jsonl", rows)
         assert main(["ingest", "--cves", str(path)]) == 2
         assert "CVE-2017-0143" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("feed", ["cves", "refs", "labels", "context"])
+    def test_non_utf8_byte_names_line(self, trio_feed_dir, capsys, feed):
+        write_jsonl(
+            trio_feed_dir / "context.jsonl",
+            [{"cve": "CVE-2019-11324", "exposure": "Public", "criticality": "High"}],
+        )
+        path = trio_feed_dir / f"{feed}.jsonl"
+        first = path.read_bytes().splitlines(keepends=True)[0]
+        path.write_bytes(first + b'{"note": "caf\xe9"}\n')  # Latin-1 e-acute
+        args = ["ingest"]
+        for name in ("cves", "refs", "labels", "context"):
+            args += [f"--{name}", str(trio_feed_dir / f"{name}.jsonl")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: not UTF-8 ") and err.count("\n") == 1, err
 
     def test_schema_error_names_line(self, tmp_path, capsys):
         path = tmp_path / "cves.jsonl"
@@ -453,7 +479,23 @@ class TestScoreRankReport:
         # (7.5+2) * 2.25 = 21.375
         assert ",21.375," in out
 
-    @pytest.mark.parametrize("bounds", ["1,2", "8,8", "x", ""])
+    def test_smallest_weights_render_without_exponent(self, trio_feed_dir, capsys):
+        write_jsonl(
+            trio_feed_dir / "context.jsonl",
+            [{"cve": "CVE-2019-11324", "exposure": "Public", "criticality": "High"}],
+        )
+        config = trio_feed_dir / "config.json"
+        weights = {"exposure": {"Public": 0.0001}, "criticality": {"High": 0.0001}}
+        config.write_text(json.dumps({"env_weights": weights}))
+        assert main(
+            self.base_args(trio_feed_dir, "rank")
+            + ["--context", str(trio_feed_dir / "context.jsonl"), "--config", str(config)]
+            + ["--format", "csv"]
+        ) == 0
+        # (7.5+2) * 0.0001 * 0.0001, once printed as 9.5E-8 and 1E-8
+        assert "3,CVE-2019-11324,0.000000095,7.5,High,2,0,0,0.00000001,SME" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bounds", ["1,2", "8,8", "x", "", "1e999999999,1", "64,0.00001"])
     def test_bad_tier_bounds_exit_2(self, trio_feed_dir, capsys, bounds):
         assert main(self.base_args(trio_feed_dir, "report") + ["--tier-bounds", bounds]) == 2
         err = capsys.readouterr().err

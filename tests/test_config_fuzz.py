@@ -24,7 +24,8 @@ JSON_VALUES = st.recursive(
 # Values near the accepted forms, so the success paths are drawn too.
 PLAUSIBLE_TEXT = st.sampled_from(
     ["7", " 7 ", "-1", "2.5", "1e-3", "nan", "inf", "yes", "Off", "maybe", "text",
-     "json-lines", "structured", "xml", "64,32,16,8", "8,16", "1,,2", "", "out.txt"]
+     "json-lines", "structured", "xml", "64,32,16,8", "8,16", "1,,2", "", "out.txt",
+     "1e999999999,1"]
 )
 PLAUSIBLE_JSON = PLAUSIBLE_TEXT | st.sampled_from(
     [
@@ -33,6 +34,8 @@ PLAUSIBLE_JSON = PLAUSIBLE_TEXT | st.sampled_from(
         {"criticality": {"High": 0}},
         {"exposure": {"DMZ": 1}},
         {"exposure": {"Public": "NaN"}},
+        {"exposure": {"Public": 1e300}},
+        {"exposure": {"Public": 1e-30}},
         {"exposure": []},
     ]
 )
@@ -46,7 +49,10 @@ TYPED = {
     "EnvWeights": st.fixed_dictionaries(
         {},
         optional={
-            "exposure": st.dictionaries(st.sampled_from(["Public", "Private"]), st.floats(0.5, 3)),
+            "exposure": st.dictionaries(
+                st.sampled_from(["Public", "Private"]),
+                st.floats(0.5, 3) | st.floats(0.5, 3).map(lambda w: round(w, 4)),
+            ),
             "criticality": st.dictionaries(st.sampled_from(["High", "Low"]), st.integers(1, 3)),
         },
     ),
@@ -66,9 +72,20 @@ ENV = st.dictionaries(
 )
 
 
+# The documented ranges: weights in [0.0001, 10000], tier bounds in
+# [-10^9, 10^9], each with at most four decimals.
+def _bounded(value, low, high) -> bool:
+    return (
+        isinstance(value, Decimal)
+        and value.is_finite()
+        and Decimal(low) <= value <= Decimal(high)
+        and value.as_tuple().exponent >= -4
+    )
+
+
 def _weights_ok(weights) -> bool:
     tables = (weights.exposure, weights.criticality)
-    return all(isinstance(w, Decimal) and w.is_finite() and w > 0 for t in tables for w in t.values())
+    return all(_bounded(w, "0.0001", 10**4) for t in tables for w in t.values())
 
 
 DECLARED = {
@@ -79,7 +96,7 @@ DECLARED = {
     "bool": lambda v: type(v) is bool,
     "EnvWeights": lambda v: isinstance(v, EnvWeights) and _weights_ok(v),
     "tuple[Decimal, ...]": lambda v: (
-        isinstance(v, tuple) and all(isinstance(b, Decimal) and b.is_finite() for b in v)
+        isinstance(v, tuple) and all(_bounded(b, -(10**9), 10**9) for b in v)
     ),
 }
 

@@ -1,10 +1,13 @@
 """CVSS vector parsing, base scores, and severity bands."""
 
+from decimal import Decimal
+
 import pytest
 
 from vulnrank.cvss import (
     AttackComplexity,
     AttackVector,
+    BaseScore,
     DomainError,
     DuplicateMetric,
     ImpactMetric,
@@ -16,7 +19,6 @@ from vulnrank.cvss import (
     UnknownMetricValue,
     UserInteraction,
     base_score,
-    format_score,
     iter_vectors,
     parse_vector,
     round_up,
@@ -103,19 +105,19 @@ class TestParseVector:
 
 class TestRoundUp:
     def test_exact_tenth_preserved(self):
-        assert round_up(4.0) == 4.0
+        assert round_up(4.0) == Decimal("4.0")
 
     def test_smb_subscore_sum(self):
         # Impact 6.42*(1-0.44^3) = 5.873119... plus exploitability
         # 8.22*0.85*0.44*0.85*0.85 = 2.221167...; sum 8.09428... -> 8.1.
-        assert round_up(8.0943) == 8.1
+        assert round_up(8.0943) == Decimal("8.1")
 
     def test_rounds_up_not_nearest(self):
-        assert round_up(4.02) == 4.1
+        assert round_up(4.02) == Decimal("4.1")
 
     def test_boundaries(self):
-        assert round_up(0.0) == 0.0
-        assert round_up(10.0) == 10.0
+        assert round_up(0.0) == Decimal("0.0")
+        assert round_up(10.0) == Decimal("10.0")
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -133,59 +135,72 @@ class TestBaseScore:
 
     def test_zero_impact_scores_zero(self):
         result = base_score(parse_vector("AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"))
-        assert result.value == 0.0
+        assert result.value == Decimal("0.0")
         assert result.severity is Severity.NONE
 
     def test_scope_changed_max(self):
         result = base_score(parse_vector("AV:N/AC:L/PR:N/UI:N/S:C/C:H/I:H/A:H"))
-        assert result.value == 10.0
+        assert result.value == Decimal("10.0")
         assert result.severity is Severity.CRITICAL
 
     def test_classic_network_rce(self):
         result = base_score(parse_vector("AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"))
-        assert result.value == 9.8
+        assert result.value == Decimal("9.8")
 
     def test_score_serializes_one_decimal(self):
         result = base_score(parse_vector("CVSS:3.1/AV:N/AC:H/PR:N/UI:N/S:U/C:H/I:H/A:H"))
         assert str(result) == "8.1"
-        assert format_score(10.0) == "10.0"
+        assert str(BaseScore(Decimal("10.0"), Severity.CRITICAL)) == "10.0"
 
 
 class TestSeverityBands:
     def test_worked_example_band(self):
-        assert severity_of(6.8) is Severity.MEDIUM
+        assert severity_of(Decimal("6.8")) is Severity.MEDIUM
 
     def test_critical_floor(self):
-        assert severity_of(9.0) is Severity.CRITICAL
+        assert severity_of(Decimal("9.0")) is Severity.CRITICAL
 
     def test_zero_is_none(self):
-        assert severity_of(0.0) is Severity.NONE
+        assert severity_of(Decimal("0.0")) is Severity.NONE
 
     @pytest.mark.parametrize(
         "value,expected",
         [
-            (0.1, Severity.LOW),
-            (3.9, Severity.LOW),
-            (4.0, Severity.MEDIUM),
-            (6.9, Severity.MEDIUM),
-            (7.0, Severity.HIGH),
-            (8.9, Severity.HIGH),
-            (10.0, Severity.CRITICAL),
+            ("0.1", Severity.LOW),
+            ("3.9", Severity.LOW),
+            ("4.0", Severity.MEDIUM),
+            ("6.9", Severity.MEDIUM),
+            ("7.0", Severity.HIGH),
+            ("8.9", Severity.HIGH),
+            ("10.0", Severity.CRITICAL),
         ],
     )
     def test_band_boundaries(self, value, expected):
-        assert severity_of(value) is expected
+        assert severity_of(Decimal(value)) is expected
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            severity_of(-0.1)
+            severity_of(Decimal("-0.1"))
         with pytest.raises(DomainError):
-            severity_of(10.1)
+            severity_of(Decimal("10.1"))
 
     def test_bands_partition_without_gaps(self):
-        # Every one-decimal value in [0, 10] lands in exactly one band.
+        # Every one-decimal value in [0, 10] lands in exactly one band and
+        # renders as written. The table is built from the integer and
+        # tenth digits, with no float in between.
+        bands = (Severity.LOW,) * 4 + (Severity.MEDIUM,) * 3 + (Severity.HIGH,) * 2
         for tenths in range(0, 101):
-            assert severity_of(tenths / 10) in Severity
+            units, tenth = divmod(tenths, 10)
+            text = f"{units}.{tenth}"
+            if tenths == 0:
+                expected = Severity.NONE
+            elif units >= 9:
+                expected = Severity.CRITICAL
+            else:
+                expected = bands[units]
+            value = Decimal(text)
+            assert severity_of(value) is expected, text
+            assert str(BaseScore(value, expected)) == text
 
 
 class TestAgainstReference:
@@ -207,7 +222,7 @@ class TestAgainstReference:
                     v.integrity.value,
                     v.availability.value,
                 )
-                if got.value != want or got.severity.value != reference_severity(want):
+                if float(got.value) != want or got.severity.value != reference_severity(want):
                     mismatches.append((v.to_string(), got.value, want))
             assert mismatches == [], memo
         info = base_score.cache_info()
@@ -216,8 +231,8 @@ class TestAgainstReference:
     def test_all_scores_one_decimal_in_range(self):
         for v in iter_vectors():
             value = base_score(v).value
-            assert 0.0 <= value <= 10.0
-            assert round(value * 10) == pytest.approx(value * 10)
+            assert isinstance(value, Decimal) and value.as_tuple().exponent == -1, value
+            assert Decimal("0.0") <= value <= Decimal("10.0")
 
 
 class TestMonotonicity:

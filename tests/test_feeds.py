@@ -2,6 +2,7 @@
 
 import logging
 from datetime import datetime, timezone
+from decimal import Decimal
 
 import pytest
 
@@ -96,11 +97,16 @@ class TestLoadCveRecords:
         with pytest.raises(SchemaError, match=f"cves.jsonl:2: score .* {reason}"):
             load_cve_records(path)
 
-    @pytest.mark.parametrize("score,value", [(0.3, 0.3), (7, 7.0), (0, 0.0), (10, 10.0), (9.9, 9.9)])
+    @pytest.mark.parametrize(
+        "score,value",
+        [(0.3, "0.3"), (7, "7.0"), (0, "0.0"), (10, "10.0"), (9.9, "9.9"), (8, "8.0"), (8.0, "8.0")],
+    )
     def test_one_decimal_score_accepted(self, tmp_path, score, value):
         rows = [{"id": "CVE-2020-0001", "description": "a", "score": score}]
         (record,) = load_cve_records(write_jsonl(tmp_path / "cves.jsonl", rows))
-        assert record.published_score == value
+        assert record.published_score == Decimal(value)
+        # One place, whichever form the feed used: 8, 8.0 and 10 included.
+        assert str(record.published_score) == value
 
     def test_non_string_vector_rejected(self, tmp_path):
         rows = [{"id": "CVE-2020-0001", "description": "a", "vector": ["AV:N"]}]

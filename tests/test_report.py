@@ -1,5 +1,7 @@
 """Ranking order, comparison bucketing, and export determinism."""
 
+import csv
+import io
 import json
 import random
 from datetime import datetime, timezone
@@ -26,6 +28,7 @@ LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def scored(cve_id, cvss, wx=0, utility=0, opportune=0, source=Labeler.SME):
+    cvss = Decimal(cvss)
     return ScoredVulnerability(
         cve_id=cve_id,
         cvss=BaseScore(cvss, severity_of(cvss)),
@@ -50,7 +53,7 @@ def random_portfolio(n, seed, wx_rate=0.2):
         out.append(
             scored(
                 f"CVE-2022-{i:05d}",
-                rng.randrange(0, 101) / 10,
+                Decimal(rng.randrange(0, 101)).scaleb(-1),
                 wx=wx,
                 utility=rng.choice((0, 1, 2)),
                 opportune=rng.choice((0, 1)),
@@ -75,14 +78,14 @@ class TestRank:
 
     def test_tie_breaks_by_cvss_then_id(self):
         # Equal threat scores (9.8 each), different CVSS: higher CVSS first.
-        high_cvss = scored("CVE-2020-0020", 9.8)
-        low_cvss = scored("CVE-2020-0021", 4.9, utility=1)  # (4.9+0)*2 = 9.8
+        high_cvss = scored("CVE-2020-0020", "9.8")
+        low_cvss = scored("CVE-2020-0021", "4.9", utility=1)  # (4.9+0)*2 = 9.8
         portfolio = rank([low_cvss, high_cvss])
         assert [s.cve_id for s in portfolio.entries] == ["CVE-2020-0020", "CVE-2020-0021"]
 
     def test_equal_everything_breaks_by_id(self):
-        a = scored("CVE-2020-0002", 5.0)
-        b = scored("CVE-2020-0001", 5.0)
+        a = scored("CVE-2020-0002", "5.0")
+        b = scored("CVE-2020-0001", "5.0")
         portfolio = rank([a, b])
         assert [s.cve_id for s in portfolio.entries] == ["CVE-2020-0001", "CVE-2020-0002"]
 
@@ -105,7 +108,7 @@ class TestRank:
 
     def test_stable_under_insertion(self):
         base = random_portfolio(60, seed=11)
-        newcomer = scored("CVE-2022-99999", 6.3, wx=7, utility=1)
+        newcomer = scored("CVE-2022-99999", "6.3", wx=7, utility=1)
         before = [s.cve_id for s in rank(base).entries]
         after = [s.cve_id for s in rank(base + [newcomer]).entries if s.cve_id != newcomer.cve_id]
         assert before == after
@@ -117,7 +120,7 @@ class TestRank:
 
 class TestCompare:
     def test_degenerate_portfolio_full_overlap(self):
-        entries = [scored(f"CVE-2022-{i:05d}", (i % 100) / 10) for i in range(300)]
+        entries = [scored(f"CVE-2022-{i:05d}", Decimal(i % 100).scaleb(-1)) for i in range(300)]
         report = compare(entries)
         assert report.top_k_overlap[10] == 1.0
         assert report.top_k_overlap[100] == 1.0
@@ -139,26 +142,40 @@ class TestCompare:
         assert report.total == 1000
 
     def test_zero_score_lands_in_band_one(self):
-        report = compare([scored("CVE-2022-00001", 0.0)])
+        report = compare([scored("CVE-2022-00001", "0.0")])
         assert report.cvss_bands[1] == 1
 
     def test_band_edges(self):
         # 9.0 belongs to band 9 (8-9]; 9.1 to band 10; both are critical
         # only from 9.0 up.
         report = compare(
-            [scored("CVE-2022-00001", 9.0), scored("CVE-2022-00002", 9.1)]
+            [scored("CVE-2022-00001", "9.0"), scored("CVE-2022-00002", "9.1")]
         )
         assert report.cvss_bands[9] == 1
         assert report.cvss_bands[10] == 1
         assert report.critical_count == 2
+        # Every one-decimal value, against a table built from its integer
+        # and tenth digits with no float in between: band k covers
+        # (k-1, k] with 0.0 in band 1, critical means 9.0 and up, and the
+        # cvss column renders the value as written.
+        for tenths in range(0, 101):
+            units, tenth = divmod(tenths, 10)
+            text = f"{units}.{tenth}"
+            entry = scored(f"CVE-2022-{tenths:05d}", text)
+            report = compare([entry])
+            band = max(1, units + (tenth > 0))
+            assert report.cvss_bands == {b: int(b == band) for b in range(10, 0, -1)}, text
+            assert report.critical_count == int(units >= 9), text
+            (row,) = csv.DictReader(io.StringIO(export(rank([entry]), ExportFormat.CSV).decode()))
+            assert row["cvss"] == text
 
     def test_default_tiers(self):
         entries = [
-            scored("CVE-2022-00001", 10.0, wx=100),  # 110 -> >=64
-            scored("CVE-2022-00002", 10.0, wx=30),  # 40 -> 32-64
-            scored("CVE-2022-00003", 10.0, wx=10),  # 20 -> 16-32
-            scored("CVE-2022-00004", 9.0),  # 9 -> 8-16
-            scored("CVE-2022-00005", 5.0),  # 5 -> <8
+            scored("CVE-2022-00001", "10.0", wx=100),  # 110 -> >=64
+            scored("CVE-2022-00002", "10.0", wx=30),  # 40 -> 32-64
+            scored("CVE-2022-00003", "10.0", wx=10),  # 20 -> 16-32
+            scored("CVE-2022-00004", "9.0"),  # 9 -> 8-16
+            scored("CVE-2022-00005", "5.0"),  # 5 -> <8
         ]
         report = compare(entries)
         assert report.threat_tiers == (

@@ -52,20 +52,20 @@ class TestThreatScore:
 
     def test_neutral_case_equals_cvss(self):
         for tenths in range(0, 101):
-            cvss = tenths / 10
-            assert threat_score(cvss, 0, labels()) == Decimal(str(cvss))
+            cvss = Decimal(tenths).scaleb(-1)
+            assert threat_score(cvss, 0, labels()) == cvss
 
     def test_multiplier_table_exhaustive(self):
         # utility maps to factor {1,2,3}; opportune to {1,2}.
         for utility in (0, 1, 2):
             for opportune in (0, 1):
-                score = threat_score(1.0, 0, labels(utility, opportune))
+                score = threat_score(Decimal("1.0"), 0, labels(utility, opportune))
                 assert score == Decimal(1) * (utility + 1) * (opportune + 1)
 
     def test_wx_increment_is_exact(self):
         rng = random.Random(11)
         for _ in range(200):
-            cvss = rng.randrange(0, 101) / 10
+            cvss = Decimal(rng.randrange(0, 101)).scaleb(-1)
             wx = rng.randrange(0, 500)
             u, o = rng.choice((0, 1, 2)), rng.choice((0, 1))
             env = EnvironmentalFactors(Decimal("1.5"), Decimal("1.2"))
@@ -75,22 +75,23 @@ class TestThreatScore:
             assert step == (u + 1) * (o + 1) * env.product
 
     def test_strictly_monotone_in_categories(self):
-        base = threat_score(5.0, 3, labels(0, 0))
-        assert threat_score(5.0, 3, labels(1, 0)) > base
-        assert threat_score(5.0, 3, labels(2, 0)) > threat_score(5.0, 3, labels(1, 0))
-        assert threat_score(5.0, 3, labels(0, 1)) > base
+        five = Decimal("5.0")
+        base = threat_score(five, 3, labels(0, 0))
+        assert threat_score(five, 3, labels(1, 0)) > base
+        assert threat_score(five, 3, labels(2, 0)) > threat_score(five, 3, labels(1, 0))
+        assert threat_score(five, 3, labels(0, 1)) > base
 
     def test_unbounded_above_ten(self):
-        score = threat_score(10.0, 500, labels(2, 1))
+        score = threat_score(Decimal("10.0"), 500, labels(2, 1))
         assert score == Decimal("3060")
 
     def test_invalid_inputs(self):
         with pytest.raises(ScoringError):
-            threat_score(-0.1, 0, labels())
+            threat_score(Decimal("-0.1"), 0, labels())
         with pytest.raises(ScoringError):
-            threat_score(10.1, 0, labels())
+            threat_score(Decimal("10.1"), 0, labels())
         with pytest.raises(ScoringError):
-            threat_score(5.0, -1, labels())
+            threat_score(Decimal("5.0"), -1, labels())
 
     def test_label_validation(self):
         with pytest.raises(InvalidCategory):
@@ -125,7 +126,7 @@ class TestEnvFactor:
 
     def test_env_scales_score(self):
         ctx = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH)
-        score = threat_score(6.8, 0, labels(2, 1), env_factor(ctx))
+        score = threat_score(Decimal("6.8"), 0, labels(2, 1), env_factor(ctx))
         assert score == Decimal("40.8") * Decimal("2.25")
 
 
@@ -139,6 +140,8 @@ class TestFormatQuantity:
             (Decimal("1.00"), "1"),
             (Decimal("2.25"), "2.25"),
             (Decimal("0"), "0"),
+            (Decimal("1E-9"), "0.000000001"),
+            (Decimal("1.5E+30"), "1500000000000000000000000000000"),
         ],
     )
     def test_no_noise(self, value, expected):
@@ -172,7 +175,7 @@ class TestScorePortfolio:
         assert pump.threat_score > urllib3.threat_score
 
     def test_all_neutral_degenerates_to_cvss(self):
-        record = CveRecord("CVE-2020-0001", "text", published_score=7.5)
+        record = CveRecord("CVE-2020-0001", "text", published_score=Decimal("7.5"))
         (scored,) = score_portfolio([record], {}, {"CVE-2020-0001": labels()})
         assert scored.threat_score == Decimal("7.5")
 
@@ -180,7 +183,7 @@ class TestScorePortfolio:
         assert score_portfolio([], {}, {}) == []
 
     def test_missing_labels_named(self):
-        record = CveRecord("CVE-2020-0001", "text", published_score=7.5)
+        record = CveRecord("CVE-2020-0001", "text", published_score=Decimal("7.5"))
         with pytest.raises(MissingLabels, match="CVE-2020-0001"):
             score_portfolio([record], {}, {})
 
@@ -190,7 +193,7 @@ class TestScorePortfolio:
             score_portfolio([record], {}, {"CVE-2020-0001": labels()})
 
     def test_predictor_fills_missing_labels(self):
-        record = CveRecord("CVE-2020-0001", "text", published_score=4.0)
+        record = CveRecord("CVE-2020-0001", "text", published_score=Decimal("4.0"))
         (scored,) = score_portfolio(
             [record],
             predict_missing=lambda rec: labels(2, 0, Labeler.MODEL),
@@ -212,11 +215,11 @@ class TestScorePortfolio:
 
         with caplog.at_level(logging.WARNING, logger="vulnrank.scoring"):
             (scored,) = score_portfolio(records, {}, {"CVE-2017-0143": labels()})
-        assert scored.cvss.value == 8.1
+        assert scored.cvss.value == Decimal("8.1")
         assert "disagrees" in caplog.text
 
     def test_published_score_used_without_vector(self):
-        record = CveRecord("CVE-2020-0001", "text", published_score=9.8)
+        record = CveRecord("CVE-2020-0001", "text", published_score=Decimal("9.8"))
         (scored,) = score_portfolio([record], {}, {"CVE-2020-0001": labels()})
         assert scored.cvss.severity is Severity.CRITICAL
 
@@ -224,7 +227,7 @@ class TestScorePortfolio:
         with pytest.raises(TypeError):
             ScoredVulnerability(
                 cve_id="CVE-2020-0001",
-                cvss=BaseScore(5.0, severity_of(5.0)),
+                cvss=BaseScore(Decimal("5.0"), severity_of(Decimal("5.0"))),
                 wx=0,
                 labels=labels(),
                 env=NEUTRAL_ENV,
@@ -251,7 +254,7 @@ class TestScorePortfolio:
 
     def test_env_factors_shared_per_context_pair(self):
         ids = [f"CVE-2020-000{i}" for i in range(1, 7)]
-        records = [CveRecord(cve_id, "text", published_score=5.0) for cve_id in ids]
+        records = [CveRecord(cve_id, "text", published_score=Decimal("5.0")) for cve_id in ids]
         pairs = {
             ids[0]: (Exposure.PUBLIC, Criticality.HIGH),
             ids[1]: (Exposure.PUBLIC, Criticality.HIGH),

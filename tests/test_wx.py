@@ -2,6 +2,7 @@
 
 import random
 from datetime import datetime, timezone
+from decimal import Decimal
 
 import pytest
 
@@ -33,7 +34,7 @@ class TestCountWx:
     def test_absent_cve_defaults_to_zero(self):
         counts = count_wx({"CVE-2017-0143": [ref("https://x/1")]})
         assert "CVE-2020-27256" not in counts
-        record = CveRecord("CVE-2020-27256", "text", published_score=6.8)
+        record = CveRecord("CVE-2020-27256", "text", published_score=Decimal("6.8"))
         labels = {
             "CVE-2020-27256": LabeledExample(
                 "CVE-2020-27256", 0, 0, Labeler.SME, datetime(2024, 1, 1, tzinfo=timezone.utc)
