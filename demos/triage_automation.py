@@ -12,7 +12,7 @@ from vulnrank.triage import (
     TrainConfig,
     evaluate,
     fit_vocabulary,
-    predict_text,
+    predict_texts,
     split,
     train,
 )
@@ -43,7 +43,7 @@ FRESH = [
     "The appliance ships with default credentials and a hardcoded admin password.",
 ]
 print("== predictions on unseen text ==")
-for text in FRESH:
-    utility = predict_text(models[Task.UTILITY], text)
-    opportune = predict_text(models[Task.OPPORTUNE], text)
+utilities = predict_texts(models[Task.UTILITY], FRESH)
+opportunes = predict_texts(models[Task.OPPORTUNE], FRESH)
+for text, utility, opportune in zip(FRESH, utilities, opportunes):
     print(f"utility={utility} opportune={opportune}  <- {text[:70]}...")

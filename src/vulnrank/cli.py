@@ -139,8 +139,9 @@ def _real(raw, where: str) -> float:
 
 # Bounded in range and scale: a threat score with wx up to 10^6 then needs
 # at most 25 digits, exact in Decimal's 28, and never renders as 1E-29.
+# Threat scores are never negative, so a tier below 0 could never fill.
 WEIGHT_RANGE = (Decimal("0.0001"), Decimal(10**4))
-TIER_BOUND_RANGE = (Decimal(-(10**9)), Decimal(10**9))
+TIER_BOUND_RANGE = (Decimal(0), Decimal(10**9))
 
 
 def _decimal(raw, where: str, low: Decimal, high: Decimal) -> Decimal:

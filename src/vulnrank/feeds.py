@@ -187,7 +187,8 @@ def _published_score(raw, where: str) -> Decimal:
     score = Decimal(str(raw))
     if score.as_tuple().exponent < -1:
         raise SchemaError(f"{where}: score {raw!r} has more than one decimal")
-    return score.quantize(Decimal("0.1"))
+    # The range check lets -0.0 through; its sign would print as "-0.0".
+    return score.copy_abs().quantize(Decimal("0.1"))
 
 
 def load_cve_records(path) -> list[CveRecord]:
@@ -393,7 +394,7 @@ def attach_descriptions(
     """Fill each example's description from the CVE feed.
 
     Raises SchemaError naming the CVEs that have labels but no feed
-    record, since such examples cannot be featurized.
+    record, since such examples have no description to train on.
     """
     by_id = {rec.cve_id: rec.description for rec in records}
     out = []

@@ -7,10 +7,8 @@ so that subject-matter experts only have to label a seed corpus.
 from vulnrank.triage.features import (
     CsrMatrix,
     EmptyCorpus,
-    FeatureVector,
     Vocabulary,
     design_matrix,
-    featurize,
     fit_vocabulary,
     tokenize,
 )
@@ -25,13 +23,9 @@ from vulnrank.triage.modelio import (
 from vulnrank.triage.svm import (
     CorpusTooSmall,
     DegenerateTaskWarning,
-    DimensionMismatch,
     LinearModel,
     Task,
     TrainConfig,
-    hinge_objective,
-    predict,
-    predict_text,
     predict_texts,
     split,
     train,
@@ -42,11 +36,9 @@ __all__ = [
     "CorruptModel",
     "CsrMatrix",
     "DegenerateTaskWarning",
-    "DimensionMismatch",
     "EmptyCorpus",
     "EmptyTestSet",
     "EvalReport",
-    "FeatureVector",
     "LinearModel",
     "MODEL_FORMAT_VERSION",
     "ModelVersionError",
@@ -56,12 +48,8 @@ __all__ = [
     "design_matrix",
     "evaluate",
     "evaluate_predictions",
-    "featurize",
     "fit_vocabulary",
-    "hinge_objective",
     "load_model",
-    "predict",
-    "predict_text",
     "predict_texts",
     "save_model",
     "split",

@@ -6,7 +6,14 @@ and no stop-word removal. CVE descriptions carry their signal in raw
 technical tokens ("smbv1", "ssl_context" -> "ssl", "context"), which
 this keeps intact.
 
-A corpus is featurized into a ``CsrMatrix``: compressed sparse rows,
+A document's tf-idf weight for vocabulary token ``t`` is its raw count
+of ``t`` times the smoothed idf ``ln((1 + N) / (1 + df(t))) + 1``, where
+``N`` is the number of documents the vocabulary was fitted on and
+``df(t)`` the number of them holding ``t``; each document's weights are
+then divided by their L2 norm. Out-of-vocabulary tokens are ignored, so
+a document with no known token is the zero vector.
+
+A corpus becomes a ``CsrMatrix``: compressed sparse rows,
 where row ``i`` holds the ascending column ids
 ``indices[indptr[i]:indptr[i+1]]`` and their weights at the same
 positions of ``data``. Memory is 16 bytes per stored weight plus 8 per
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,33 +45,35 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token-to-column map plus the document frequencies behind idf."""
+    """Token-to-column map plus the document frequencies behind idf.
+
+    ``idf[column]`` is the smoothed idf of the column's token, computed
+    once, when the vocabulary is made; it takes no part in ``==`` or
+    ``repr``, since the other fields determine it.
+    """
 
     index: Mapping[str, int]
     document_frequency: Mapping[str, int]
     num_documents: int
+    idf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.num_documents
+        if type(n) is not int or n < 1:
+            raise ValueError(f"num_documents {n!r} is not an int >= 1")
+        idf = np.empty(self.size)
+        for token, column in self.index.items():
+            df = self.document_frequency[token]
+            if type(token) is not str or type(df) is not int or not 1 <= df <= n:
+                raise ValueError(f"token {token!r} has document frequency {df!r}, not in [1, {n}]")
+            # Smoothed idf; never zero, so every vocabulary token contributes.
+            # math.log token by token, since np.log need not match it bit for bit.
+            idf[column] = math.log((1 + n) / (1 + df)) + 1.0
+        object.__setattr__(self, "idf", idf)
 
     @property
     def size(self) -> int:
         return len(self.index)
-
-    def idf(self, token: str) -> float:
-        # Smoothed idf; never zero, so every vocabulary token contributes.
-        df = self.document_frequency[token]
-        return math.log((1 + self.num_documents) / (1 + df)) + 1.0
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse L2-normalized tf-idf vector.
-
-    ``weights`` maps column index to weight; the norm is 1.0 for any
-    document with at least one in-vocabulary token, else the vector is
-    empty (all-zero).
-    """
-
-    dim: int
-    weights: Mapping[int, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,22 +130,8 @@ def fit_vocabulary(corpus: Sequence[str], min_df: int = 1) -> Vocabulary:
     )
 
 
-def featurize(vocab: Vocabulary, text: str) -> FeatureVector:
-    """tf-idf weights for one document: raw tf times smoothed idf, L2-normalized.
-
-    Out-of-vocabulary tokens are ignored; a document with no known
-    tokens yields the zero vector.
-    """
-    tf = Counter(token for token in tokenize(text) if token in vocab.index)
-    if not tf:
-        return FeatureVector(dim=vocab.size, weights={})
-    items = sorted((vocab.index[token], count * vocab.idf(token)) for token, count in tf.items())
-    norm = math.sqrt(sum(weight * weight for _, weight in items))
-    return FeatureVector(dim=vocab.size, weights={col: weight / norm for col, weight in items})
-
-
 def design_matrix(vocab: Vocabulary, texts: Sequence[str]) -> CsrMatrix:
-    """Featurize every text as ``featurize`` does, one CSR row per text in order."""
+    """tf-idf weights of every text (see module docstring), one CSR row per text in order."""
     index = vocab.index
     cols: list[int] = []
     lengths = []
@@ -150,10 +145,7 @@ def design_matrix(vocab: Vocabulary, texts: Sequence[str]) -> CsrMatrix:
     keys = np.repeat(np.arange(n, dtype=np.int64), lengths) * dim + np.array(cols, dtype=np.int64)
     keys, tf = np.unique(keys, return_counts=True)
     row_of, col = np.divmod(keys, dim)
-    idf = np.empty(dim)
-    for token, column in index.items():
-        idf[column] = vocab.idf(token)
-    weights = tf * idf[col]
+    weights = tf * vocab.idf[col]
     norms = np.sqrt(np.bincount(row_of, weights=weights * weights, minlength=n))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])

@@ -5,7 +5,7 @@ save/load/save cycle is byte-identical. Saving writes a temporary file
 beside the target and renames it into place, so a failed save never
 leaves a partial model. Loading rejects any format version other than
 the one this code writes, and any file that does not hold a complete,
-consistently shaped model.
+consistently shaped model with a valid vocabulary and finite weights.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class ModelVersionError(ValueError):
 
 
 class CorruptModel(ModelVersionError):
-    """Model file is not JSON, lacks a field, or holds mis-shaped weights."""
+    """Model file is not JSON, lacks a field, or holds a bad value or shape."""
 
 
 def save_model(path, model: LinearModel) -> None:
@@ -67,23 +67,36 @@ def load_model(path) -> LinearModel:
         )
     try:
         tokens = doc["vocabulary"]["tokens"]
+        index = {t: i for i, (t, _) in enumerate(tokens)}
+        if len(index) != len(tokens):
+            raise ValueError("the vocabulary lists a token twice")
         vocab = Vocabulary(
-            index={t: i for i, (t, _) in enumerate(tokens)},
+            index=index,
             document_frequency={t: df for t, df in tokens},
             num_documents=doc["vocabulary"]["num_documents"],
         )
+        # Checked first: TrainConfig's TypeError would quote an unknown key
+        # unescaped, so a key holding a newline would split the error line.
+        unknown = set(doc["config"]) - TrainConfig.__dataclass_fields__.keys()
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)!r}")
         model = LinearModel(
             task=Task(doc["task"]),
-            classes=tuple(doc["classes"]),
             weights=np.array(doc["weights"], dtype=float),
             bias=np.array(doc["bias"], dtype=float),
             vocab=vocab,
             config=TrainConfig(**doc["config"]),
         )
+        classes = doc["classes"]
     except KeyError as exc:
         raise CorruptModel(f"{path}: model file lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"{path}: malformed model file: {exc}") from None
+    if classes != list(model.classes):
+        raise CorruptModel(
+            f"{path}: classes {classes!r} are not the {model.task.value} classes "
+            f"{list(model.classes)}"
+        )
     k = len(model.classes)
     if model.weights.shape != (k, vocab.size):
         raise CorruptModel(
@@ -91,4 +104,6 @@ def load_model(path) -> LinearModel:
         )
     if model.bias.shape != (k,):
         raise CorruptModel(f"{path}: bias has shape {model.bias.shape}, expected {(k,)}")
+    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+        raise CorruptModel(f"{path}: weights or bias hold a value that is not finite")
     return model

@@ -29,14 +29,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from vulnrank.feeds import InvalidCategory, LabeledExample
-from vulnrank.triage.features import (
-    CsrMatrix,
-    EmptyCorpus,
-    FeatureVector,
-    Vocabulary,
-    design_matrix,
-    featurize,
-)
+from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 
 # Below this the scale of W = s * V is folded back into V.
 _SCALE_FLOOR = 1e-9
@@ -44,10 +37,6 @@ _SCALE_FLOOR = 1e-9
 
 class CorpusTooSmall(ValueError):
     """Too few labeled examples to split into train and test sets."""
-
-
-class DimensionMismatch(ValueError):
-    """Feature vector dimension differs from the model's vocabulary size."""
 
 
 class DegenerateTaskWarning(UserWarning):
@@ -84,14 +73,20 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class LinearModel:
-    """Per-class weight vectors and biases over a fixed vocabulary."""
+    """Per-class weight vectors and biases over a fixed vocabulary.
+
+    Row ``i`` of ``weights`` and ``bias[i]`` score ``classes[i]``.
+    """
 
     task: Task
-    classes: tuple[int, ...]
     weights: np.ndarray
     bias: np.ndarray
     vocab: Vocabulary
     config: TrainConfig
+
+    @property
+    def classes(self) -> tuple[int, ...]:
+        return self.task.classes
 
 
 def split(
@@ -172,7 +167,6 @@ def train(
         bias = np.where(np.array(classes) == only, 1.0, -1.0)
         return LinearModel(
             task=task,
-            classes=classes,
             weights=np.zeros((n_classes, vocab.size)),
             bias=bias,
             vocab=vocab,
@@ -211,7 +205,6 @@ def train(
 
     return LinearModel(
         task=task,
-        classes=classes,
         weights=s * V[:, :-1],
         bias=s * V[:, -1],
         vocab=vocab,
@@ -219,51 +212,12 @@ def train(
     )
 
 
-def predict(model: LinearModel, features: FeatureVector) -> tuple[int, dict[int, float]]:
-    """Predicted category plus the per-class decision values.
-
-    Ties go to the lowest category value.
-    """
-    if features.dim != model.weights.shape[1]:
-        raise DimensionMismatch(
-            f"feature dim {features.dim} != model dim {model.weights.shape[1]}"
-        )
-    cols = sorted(features.weights)
-    X = CsrMatrix(
-        indptr=np.array([0, len(cols)]),
-        indices=np.array(cols, dtype=np.int64),
-        data=np.array([features.weights[col] for col in cols], dtype=float),
-        dim=features.dim,
-    )
-    scores = (X @ model.weights.T + model.bias)[0]
-    best = int(np.argmax(scores))
-    return model.classes[best], {c: float(s) for c, s in zip(model.classes, scores)}
-
-
-def predict_text(model: LinearModel, text: str) -> int:
-    """Featurize with the model's own vocabulary and predict."""
-    category, _ = predict(model, featurize(model.vocab, text))
-    return category
-
-
 def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[int]:
-    """``predict_text`` for every text, from one sparse-dense product."""
+    """Predicted category of every text, from one sparse-dense product.
+
+    Texts are weighted with the model's own vocabulary. Each row's
+    scores do not depend on the other rows, and ties go to the lowest
+    category value.
+    """
     scores = design_matrix(model.vocab, texts) @ model.weights.T + model.bias
     return [model.classes[best] for best in np.argmax(scores, axis=1).tolist()]
-
-
-def hinge_objective(model: LinearModel, examples: Sequence[LabeledExample]) -> float:
-    """The exact objective the trainer descends, summed over classes:
-
-    mean hinge loss plus (lambda/2) * ||augmented weights||^2.
-    """
-    labels = _validate_labels(model.task, examples)
-    X = design_matrix(model.vocab, [ex.description for ex in examples])
-    scores = X @ model.weights.T + model.bias
-    total = 0.0
-    for ci, c in enumerate(model.classes):
-        ys = np.where(labels == c, 1.0, -1.0)
-        hinge = np.maximum(0.0, 1.0 - ys * scores[:, ci]).mean()
-        norm_sq = float(model.weights[ci] @ model.weights[ci]) + float(model.bias[ci]) ** 2
-        total += hinge + 0.5 * model.config.reg_lambda * norm_sq
-    return total

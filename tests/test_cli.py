@@ -129,9 +129,9 @@ class TestConfigResolution:
             ({"tier_bounds": [100, "50.5"]}, "tier_bounds", (Decimal(100), Decimal("50.5"))),
             ({"format": "structured"}, "format", "structured"),
             (
-                {"tier_bounds": "1e9,0.0001,-1e9"},
+                {"tier_bounds": "1e9,0.0001,0"},
                 "tier_bounds",
-                (Decimal(10**9), Decimal("0.0001"), Decimal(-(10**9))),
+                (Decimal(10**9), Decimal("0.0001"), Decimal(0)),
             ),
         ],
     )
@@ -378,8 +378,13 @@ class TestPredict:
             lambda doc: json.dumps({k: v for k, v in doc.items() if k != "weights"}),
             lambda doc: json.dumps({**doc, "weights": [row[:-1] for row in doc["weights"]]}),
             lambda doc: json.dumps({**doc, "bias": doc["bias"] + [0.0]}),
+            lambda doc: json.dumps({**doc, "classes": ["a", "b", "c"]}),
+            lambda doc: json.dumps({**doc, "vocabulary": {**doc["vocabulary"], "num_documents": -1}}),
         ],
-        ids=["corrupt-json", "missing-weights", "weight-shape", "bias-length"],
+        ids=[
+            "corrupt-json", "missing-weights", "weight-shape", "bias-length", "string-classes",
+            "negative-documents",
+        ],
     )
     def test_corrupt_model_exits_4(self, trained, tmp_path, capsys, corrupt):
         portfolio = self.write_portfolio(tmp_path)
@@ -495,7 +500,9 @@ class TestScoreRankReport:
         # (7.5+2) * 0.0001 * 0.0001, once printed as 9.5E-8 and 1E-8
         assert "3,CVE-2019-11324,0.000000095,7.5,High,2,0,0,0.00000001,SME" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("bounds", ["1,2", "8,8", "x", "", "1e999999999,1", "64,0.00001"])
+    @pytest.mark.parametrize(
+        "bounds", ["1,2", "8,8", "x", "", "1e999999999,1", "64,0.00001", "0,-5"]
+    )
     def test_bad_tier_bounds_exit_2(self, trio_feed_dir, capsys, bounds):
         assert main(self.base_args(trio_feed_dir, "report") + ["--tier-bounds", bounds]) == 2
         err = capsys.readouterr().err
@@ -511,6 +518,15 @@ class TestScoreRankReport:
         assert err.startswith("error: ") and str(store) in err and err.count("\n") == 1, err
         assert not any(store.iterdir())
         assert not list(trio_feed_dir.rglob("*.tmp"))
+
+    def test_negative_zero_score_renders_unsigned(self, trio_feed_dir, capsys):
+        rows = trio_cve_rows()
+        del rows[1]["vector"]
+        rows[1]["score"] = -0.0
+        write_jsonl(trio_feed_dir / "cves.jsonl", rows)
+        assert main(self.base_args(trio_feed_dir, "score")) == 0
+        out = capsys.readouterr().out
+        assert '"cvss":"0.0"' in out and "-0.0" not in out
 
     @pytest.mark.parametrize("score", [True, 7.25])
     def test_bad_published_score_exits_2(self, trio_feed_dir, capsys, score):

@@ -73,7 +73,7 @@ ENV = st.dictionaries(
 
 
 # The documented ranges: weights in [0.0001, 10000], tier bounds in
-# [-10^9, 10^9], each with at most four decimals.
+# [0, 10^9], each with at most four decimals.
 def _bounded(value, low, high) -> bool:
     return (
         isinstance(value, Decimal)
@@ -96,7 +96,7 @@ DECLARED = {
     "bool": lambda v: type(v) is bool,
     "EnvWeights": lambda v: isinstance(v, EnvWeights) and _weights_ok(v),
     "tuple[Decimal, ...]": lambda v: (
-        isinstance(v, tuple) and all(_bounded(b, -(10**9), 10**9) for b in v)
+        isinstance(v, tuple) and all(_bounded(b, 0, 10**9) for b in v)
     ),
 }
 

@@ -8,11 +8,19 @@ import pytest
 
 from vulnrank.triage.features import (
     EmptyCorpus,
+    Vocabulary,
     design_matrix,
-    featurize,
     fit_vocabulary,
     tokenize,
 )
+
+from tfidf_reference import featurize
+
+
+def row(vocab, text) -> dict[int, float]:
+    """Column -> weight of ``text``'s design-matrix row."""
+    X = design_matrix(vocab, [text])
+    return dict(zip(X.indices.tolist(), X.data.tolist()))
 
 
 class TestTokenize:
@@ -83,36 +91,74 @@ class TestFitVocabulary:
             fit_vocabulary(["aa"], min_df=0)
 
 
+class TestVocabulary:
+    def test_idf_computed_once_per_column(self):
+        vocab = fit_vocabulary(["alpha beta", "beta gamma", "beta beta delta"], min_df=1)
+        for token, col in vocab.index.items():
+            df = vocab.document_frequency[token]
+            assert vocab.idf[col] == math.log(4 / (1 + df)) + 1.0
+        assert vocab.idf.shape == (vocab.size,)
+        assert "idf" not in repr(vocab)
+
+    @pytest.mark.parametrize(
+        "tokens, num_documents",
+        [
+            ({"aa": 1}, 0),
+            ({"aa": 1}, -1),
+            ({"aa": 1}, "3"),
+            ({"aa": 1}, 2.0),
+            ({"aa": 1}, True),
+            ({"aa": 0}, 3),
+            ({"aa": -1}, 3),
+            ({"aa": 4}, 3),
+            ({"aa": "1"}, 3),
+            ({"aa": 1.0}, 3),
+            ({"aa": True}, 3),
+            ({7: 1}, 3),
+        ],
+        ids=[
+            "zero-documents", "negative-documents", "string-documents", "float-documents",
+            "bool-documents", "zero-df", "negative-df", "df-above-documents", "string-df",
+            "float-df", "bool-df", "int-token",
+        ],
+    )
+    def test_bad_counts_rejected(self, tokens, num_documents):
+        with pytest.raises(ValueError):
+            Vocabulary(
+                index={token: col for col, token in enumerate(tokens)},
+                document_frequency=tokens,
+                num_documents=num_documents,
+            )
+
+
 class TestFeaturize:
     def toy_vocab(self):
         return fit_vocabulary(["alpha beta", "beta gamma", "beta beta delta"], min_df=1)
 
     def test_oov_only_gives_zero_vector(self):
-        fv = featurize(self.toy_vocab(), "omega sigma")
-        assert fv.weights == {}
+        assert row(self.toy_vocab(), "omega sigma") == {}
 
     def test_single_known_token_is_unit(self):
-        fv = featurize(self.toy_vocab(), "alpha")
-        assert list(fv.weights.values()) == [1.0]
+        assert list(row(self.toy_vocab(), "alpha").values()) == [1.0]
 
     def test_hand_computed_weights(self):
         # Corpus: {alpha beta | beta gamma | beta beta delta}, N=3.
         # df(alpha)=1, df(beta)=3; idf = ln((1+N)/(1+df)) + 1.
         vocab = self.toy_vocab()
-        fv = featurize(vocab, "alpha beta")
+        weights = row(vocab, "alpha beta")
         idf_alpha = math.log(4 / 2) + 1
         idf_beta = math.log(4 / 4) + 1
         norm = math.sqrt(idf_alpha**2 + idf_beta**2)
-        assert fv.weights[vocab.index["alpha"]] == pytest.approx(idf_alpha / norm, abs=1e-9)
-        assert fv.weights[vocab.index["beta"]] == pytest.approx(idf_beta / norm, abs=1e-9)
+        assert weights[vocab.index["alpha"]] == pytest.approx(idf_alpha / norm, abs=1e-9)
+        assert weights[vocab.index["beta"]] == pytest.approx(idf_beta / norm, abs=1e-9)
 
     def test_tf_scales_before_normalization(self):
         # Two alphas to one beta: tf doubles alpha's weight pre-norm.
         vocab = self.toy_vocab()
-        fv = featurize(vocab, "alpha alpha beta")
+        weights = row(vocab, "alpha alpha beta")
         idf_alpha = math.log(2) + 1
         norm = math.sqrt((2 * idf_alpha) ** 2 + 1.0)
-        assert fv.weights[vocab.index["alpha"]] == pytest.approx(2 * idf_alpha / norm, abs=1e-9)
+        assert weights[vocab.index["alpha"]] == pytest.approx(2 * idf_alpha / norm, abs=1e-9)
 
     def test_norm_is_zero_or_one(self):
         rng = random.Random(5)
@@ -120,19 +166,18 @@ class TestFeaturize:
         corpus = [" ".join(rng.choices(pool, k=8)) for _ in range(40)]
         vocab = fit_vocabulary(corpus[:30], min_df=2)
         for text in corpus + ["", "zz-unseen-token"]:
-            fv = featurize(vocab, text)
-            norm = math.sqrt(sum(w * w for w in fv.weights.values()))
+            norm = math.sqrt(sum(w * w for w in row(vocab, text).values()))
             assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
 
     def test_repetition_invariance(self):
         # Repeating a document rescales all tf counts; normalization
         # cancels it.
         vocab = self.toy_vocab()
-        once = featurize(vocab, "alpha beta")
-        thrice = featurize(vocab, " ".join(["alpha beta"] * 3))
-        assert set(once.weights) == set(thrice.weights)
-        for col in once.weights:
-            assert thrice.weights[col] == pytest.approx(once.weights[col], abs=1e-12)
+        once = row(vocab, "alpha beta")
+        thrice = row(vocab, " ".join(["alpha beta"] * 3))
+        assert set(once) == set(thrice)
+        for col in once:
+            assert thrice[col] == pytest.approx(once[col], abs=1e-12)
 
     def test_design_matrix_rows_match_featurize(self):
         rng = random.Random(17)
@@ -146,7 +191,7 @@ class TestFeaturize:
         assert X.indptr[0] == 0 and X.indptr[-1] == len(X.indices) == len(X.data)
         for row, text in enumerate(texts):
             lo, hi = X.indptr[row], X.indptr[row + 1]
-            expected = featurize(vocab, text).weights
+            expected = featurize(vocab, text)
             assert X.indices[lo:hi].tolist() == sorted(expected)
             for col, weight in zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()):
                 assert abs(weight - expected[col]) <= 1e-12

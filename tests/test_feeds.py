@@ -99,7 +99,8 @@ class TestLoadCveRecords:
 
     @pytest.mark.parametrize(
         "score,value",
-        [(0.3, "0.3"), (7, "7.0"), (0, "0.0"), (10, "10.0"), (9.9, "9.9"), (8, "8.0"), (8.0, "8.0")],
+        [(0.3, "0.3"), (7, "7.0"), (0, "0.0"), (-0.0, "0.0"), (10, "10.0"), (9.9, "9.9"), (8, "8.0"),
+         (8.0, "8.0")],
     )
     def test_one_decimal_score_accepted(self, tmp_path, score, value):
         rows = [{"id": "CVE-2020-0001", "description": "a", "score": score}]
