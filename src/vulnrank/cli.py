@@ -16,6 +16,7 @@ leaves the previous file untouched.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -51,19 +52,34 @@ from vulnrank.scoring import (
     MissingLabels,
     score_portfolio,
 )
-from vulnrank.triage.features import fit_vocabulary
-from vulnrank.triage.metrics import evaluate
-from vulnrank.triage.modelio import ModelVersionError, load_model, save_model
-from vulnrank.triage.svm import (
-    CorpusTooSmall,
-    DegenerateTaskWarning,
-    Task,
-    TrainConfig,
-    predict_texts,
-    split,
-    train,
-)
 from vulnrank.wx import count_wx
+
+# vulnrank.triage imports numpy, which only train and predict need. The
+# triage names below are bound into this module on first access
+# (``__getattr__``), and main binds them all before it runs either
+# command, so ingest, score, rank, report and label never load numpy.
+_TRIAGE_NAMES = (
+    "CorpusTooSmall", "DegenerateTaskWarning", "ModelVersionError", "Task", "TrainConfig",
+    "evaluate", "fit_vocabulary", "load_model", "predict_texts", "save_model", "split", "train",
+)
+# The values of triage.svm.Task, for the --task flag.
+TASK_NAMES = ("utility", "opportune")
+
+
+def __getattr__(name: str):
+    if name not in _TRIAGE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module("vulnrank.triage"), name)
+    return value
+
+
+def _bind_triage() -> None:
+    # getattr keeps a name that is already bound, such as a wrapper a
+    # profiler installed, and imports the rest.
+    module = sys.modules[__name__]
+    for name in _TRIAGE_NAMES:
+        getattr(module, name)
+
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -499,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("predict", "fill missing labels with model predictions"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--task", required=True, choices=[t.value for t in Task])
+        p.add_argument("--task", required=True, choices=TASK_NAMES)
 
     for name, default_fmt, help_text in (
         ("score", "json-lines", "score and emit the ranked portfolio"),
@@ -519,16 +535,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
+def _triage_main(command: str, config: RunConfig, task_name: str) -> int:
+    _bind_triage()
+    try:
+        task = Task(task_name)
+        return cmd_train(config, task) if command == "train" else cmd_predict(config, task)
+    except ModelVersionError as exc:
+        return _error(exc, EXIT_MODEL)
+    except CorpusTooSmall as exc:
+        return _error(exc, EXIT_TRAIN)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
         if args.command == "ingest":
             return cmd_ingest(config)
-        if args.command == "train":
-            return cmd_train(config, Task(args.task))
-        if args.command == "predict":
-            return cmd_predict(config, Task(args.task))
+        if args.command in ("train", "predict"):
+            return _triage_main(args.command, config, args.task)
         if args.command == "score":
             return cmd_rank(config, "json-lines")
         if args.command == "rank":
@@ -539,17 +569,9 @@ def main(argv=None) -> int:
             return cmd_label(config, args.timestamp)
         raise AssertionError(args.command)
     except (MissingLabels, MissingCvss) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCORING
-    except ModelVersionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except CorpusTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAIN
+        return _error(exc, EXIT_SCORING)
     except (FeedError, CvssError, InvalidConfig, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
+        return _error(exc, EXIT_INGEST)
 
 
 if __name__ == "__main__":

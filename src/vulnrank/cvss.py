@@ -126,7 +126,7 @@ _METRIC_ENUMS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CvssVector:
     """The eight base metrics of one vulnerability."""
 
@@ -155,7 +155,7 @@ class CvssVector:
         return "/".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseScore:
     """One-place Decimal score in [0.0, 10.0] plus its severity band."""
 

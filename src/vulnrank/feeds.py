@@ -2,8 +2,12 @@
 
 Every loader either returns fully validated records or raises with the
 file and line of the first offending record; there are no partially
-valid datasets. Files are UTF-8, one JSON object per line; each line is
-decoded on its own, so a byte that is not UTF-8 names its line.
+valid datasets. Files are UTF-8, one JSON object per line. Lines end at
+``\n`` and are read and decoded one at a time, so a byte that is not
+UTF-8 names its line; a line holding only whitespace (``str.isspace``)
+is skipped. Each line must hold exactly one JSON value, as ``json.loads``
+reads it: JSON whitespace (space, tab, CR, LF) may surround it, and
+nothing else may.
 
 Field names are fixed: CVE records use ``id``, ``description``,
 ``vector``, ``score``, ``references`` (each ``{url, source, exploit}``);
@@ -78,14 +82,25 @@ class Labeler(Enum):
     MODEL = "Model"
 
 
-@dataclass(frozen=True)
+_SOURCES = {member.value: member for member in ReferenceSource}
+_EXPOSURES = {member.value: member for member in Exposure}
+_CRITICALITIES = {member.value: member for member in Criticality}
+_LABELERS = {member.value: member for member in Labeler}
+
+
+def _member(table: dict[str, Enum], raw):
+    """The member whose value is the string ``raw``; None for anything else."""
+    return table.get(raw) if isinstance(raw, str) else None
+
+
+@dataclass(frozen=True, slots=True)
 class ReferenceEntry:
     url: str
     source: ReferenceSource
     is_exploit: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CveRecord:
     cve_id: str
     description: str
@@ -99,7 +114,7 @@ class CveRecord:
         return self.vector is not None or self.published_score is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
     """One triage judgment for a CVE: utility 0/1/2, the opportune flag
     0/1, who assigned them and when. Training and scoring both use it.
@@ -123,11 +138,17 @@ class LabeledExample:
                 raise InvalidCategory(f"{name} must be one of {legal}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssetContext:
     cve_id: str
     exposure: Exposure
     criticality: Criticality
+
+
+_scan_once = json.JSONDecoder().scan_once
+_JSON_WHITESPACE = " \t\n\r"
+# json.dumps with any option builds a new encoder per call; lines share this one.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
@@ -139,10 +160,20 @@ def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
                 raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
             if not line.strip():
                 continue
+            # json.loads accepts one JSON value between JSON whitespace; the
+            # C scanner reads exactly that without json.loads' Python-level
+            # wrapper. A line the scan does not consume whole goes to
+            # json.loads, which raises the message it always raised.
+            text = line.strip(_JSON_WHITESPACE)
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                obj, end = _scan_once(text, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(text):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: expected an object per line")
             yield lineno, obj
@@ -161,11 +192,11 @@ def _cve_id(raw, where: str) -> str:
 
 
 def _source_of(raw, unknown: list) -> ReferenceSource:
-    try:
-        return ReferenceSource(raw)
-    except ValueError:
+    source = _member(_SOURCES, raw)
+    if source is None:
         unknown.append(raw)
         return ReferenceSource.OTHER
+    return source
 
 
 def _reference(obj: dict, where: str, unknown: list) -> ReferenceEntry:
@@ -290,16 +321,20 @@ def format_ts(ts: datetime) -> str:
 def load_labels(path) -> list[LabeledExample]:
     """Load label records as written, including superseded entries."""
     examples: list[LabeledExample] = []
+    # Label stores repeat stamps: a predict run gives all its labels one.
+    stamps: dict[str, datetime] = {}
     for lineno, obj in _iter_jsonl(path):
         where = f"{path}:{lineno}"
         cve_id = _cve_id(_require(obj, "cve", where), where)
         utility = _require(obj, "utility", where)
         opportune = _require(obj, "opportune", where)
-        try:
-            labeler = Labeler(_require(obj, "labeler", where))
-        except ValueError:
-            raise InvalidCategory(f"{where}: labeler must be SME or Model") from None
-        ts = parse_ts(_require(obj, "ts", where), where)
+        labeler = _member(_LABELERS, obj.get("labeler"))
+        if labeler is None:
+            raise InvalidCategory(f"{where}: labeler must be SME or Model")
+        raw_ts = _require(obj, "ts", where)
+        ts = stamps.get(raw_ts) if isinstance(raw_ts, str) else None
+        if ts is None:
+            ts = stamps[raw_ts] = parse_ts(raw_ts, where)
         try:
             examples.append(LabeledExample(cve_id, utility, opportune, labeler, ts))
         except InvalidCategory as exc:
@@ -340,15 +375,14 @@ def save_labels(path, examples: Iterable[LabeledExample]) -> None:
     for cve_id in sorted(merged):
         ex = merged[cve_id]
         lines.append(
-            json.dumps(
+            compact_json(
                 {
                     "cve": ex.cve_id,
                     "utility": ex.utility,
                     "opportune": ex.opportune,
                     "labeler": ex.labeler.value,
                     "ts": format_ts(ex.labeled_at),
-                },
-                separators=(",", ":"),
+                }
             )
         )
     write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
@@ -377,13 +411,12 @@ def load_asset_context(path) -> dict[str, AssetContext]:
         cve_id = _cve_id(_require(obj, "cve", where), where)
         if cve_id in contexts:
             raise DuplicateId(f"{where}: duplicate context entry for {cve_id}")
-        try:
-            exposure = Exposure(_require(obj, "exposure", where))
-            criticality = Criticality(_require(obj, "criticality", where))
-        except ValueError:
+        exposure = _member(_EXPOSURES, obj.get("exposure"))
+        criticality = _member(_CRITICALITIES, obj.get("criticality"))
+        if exposure is None or criticality is None:
             raise InvalidCategory(
                 f"{where}: exposure must be Public/Private and criticality Low/Medium/High"
-            ) from None
+            )
         contexts[cve_id] = AssetContext(cve_id=cve_id, exposure=exposure, criticality=criticality)
     return contexts
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
 from enum import Enum
 from typing import Iterable, Sequence
 
-from vulnrank.feeds import write_atomic
+from vulnrank.feeds import compact_json, write_atomic
 from vulnrank.scoring import ScoredVulnerability, format_quantity
 
 DEFAULT_TIER_BOUNDS = (Decimal(64), Decimal(32), Decimal(16), Decimal(8))
@@ -162,7 +161,7 @@ def _portfolio_row(rank_pos: int, s: ScoredVulnerability) -> dict:
         "wx": s.wx,
         "utility": s.labels.utility,
         "opportune": s.labels.opportune,
-        "env_product": format_quantity(s.env.product),
+        "env_product": s.env.product_text,
         "label_source": s.labels.labeler.value,
     }
 
@@ -194,10 +193,7 @@ def _portfolio_text(portfolio: RankedPortfolio) -> str:
 
 
 def _portfolio_jsonl(portfolio: RankedPortfolio) -> str:
-    lines = [
-        json.dumps(_portfolio_row(pos, s), separators=(",", ":"))
-        for pos, s in portfolio.ranked()
-    ]
+    lines = [compact_json(_portfolio_row(pos, s)) for pos, s in portfolio.ranked()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -250,7 +246,7 @@ def _report_jsonl(report: ComparisonReport) -> str:
         {"kind": "overlap", "k": k, "jaccard": report.top_k_overlap[k]}
         for k in sorted(report.top_k_overlap)
     ]
-    return "\n".join(json.dumps(row, separators=(",", ":")) for row in rows) + "\n"
+    return "\n".join(compact_json(row) for row in rows) + "\n"
 
 
 def export(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> bytes:

@@ -46,17 +46,31 @@ class MissingCvss(ScoringError):
         super().__init__(f"no CVSS vector or score for: {', '.join(self.cve_ids)}")
 
 
-@dataclass(frozen=True)
+def format_quantity(value: Decimal) -> str:
+    """Render a Decimal without trailing zeros or exponent notation."""
+    return format(value.normalize(), "f")
+
+
+@dataclass(frozen=True, slots=True)
 class EnvironmentalFactors:
+    """Exposure and criticality weights and their product.
+
+    ``product_text`` is the product as reports print it, rendered once
+    here rather than once per exported row.
+    """
+
     exposure_weight: Decimal
     criticality_weight: Decimal
     product: Decimal = field(init=False)
+    product_text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w in (self.exposure_weight, self.criticality_weight):
             if w <= 0:
                 raise InvalidConfig(f"environmental weight {w} must be positive")
-        object.__setattr__(self, "product", self.exposure_weight * self.criticality_weight)
+        product = self.exposure_weight * self.criticality_weight
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "product_text", format_quantity(product))
 
 
 NEUTRAL_ENV = EnvironmentalFactors(Decimal(1), Decimal(1))
@@ -80,7 +94,7 @@ DEFAULT_ENV_WEIGHTS = EnvWeights(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredVulnerability:
     """One CVE with all scoring inputs and its final threat score.
 
@@ -123,11 +137,6 @@ def threat_score(
     if wx < 0:
         raise ScoringError(f"wx count {wx} must be non-negative")
     return (cvss + wx) * (labels.utility + 1) * (labels.opportune + 1) * env.product
-
-
-def format_quantity(value: Decimal) -> str:
-    """Render a Decimal without trailing zeros or exponent notation."""
-    return format(value.normalize(), "f")
 
 
 def resolve_base_score(record: CveRecord) -> BaseScore:

@@ -5,7 +5,8 @@ save/load/save cycle is byte-identical. Saving writes a temporary file
 beside the target and renames it into place, so a failed save never
 leaves a partial model. Loading rejects any format version other than
 the one this code writes, and any file that does not hold a complete,
-consistently shaped model with a valid vocabulary and finite weights.
+consistently shaped model with a valid vocabulary and finite weights
+that are JSON numbers.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ def load_model(path) -> LinearModel:
     if not isinstance(doc, dict):
         raise CorruptModel(f"{path}: model file holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
+    # type() rather than isinstance(), because true == 1 and bool is an int.
+    if type(version) is not int:
+        raise CorruptModel(f"{path}: format_version {version!r} is not an integer")
     if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"{path}: model format version {version!r} unsupported "
@@ -92,7 +96,7 @@ def load_model(path) -> LinearModel:
         raise CorruptModel(f"{path}: model file lacks the key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"{path}: malformed model file: {exc}") from None
-    if classes != list(model.classes):
+    if classes != list(model.classes) or any(type(c) is not int for c in classes):
         raise CorruptModel(
             f"{path}: classes {classes!r} are not the {model.task.value} classes "
             f"{list(model.classes)}"
@@ -104,6 +108,11 @@ def load_model(path) -> LinearModel:
         )
     if model.bias.shape != (k,):
         raise CorruptModel(f"{path}: bias has shape {model.bias.shape}, expected {(k,)}")
+    # The shapes hold, so weights is k lists of numbers and bias one list;
+    # np.array(dtype=float) would also have converted "1.5" and true.
+    leaf_types = {type(w) for row in doc["weights"] for w in row} | {type(b) for b in doc["bias"]}
+    if not leaf_types <= {int, float}:
+        raise CorruptModel(f"{path}: weights or bias hold a value that is not a JSON number")
     if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
         raise CorruptModel(f"{path}: weights or bias hold a value that is not finite")
     return model

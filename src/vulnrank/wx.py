@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 from vulnrank.feeds import ReferenceEntry, ReferenceSource
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WxCount:
     cve_id: str
     count: int

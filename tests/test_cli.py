@@ -150,6 +150,9 @@ class TestConfigResolution:
         assert config.stratified is False
 
 
+CONTEXT_MESSAGE = "exposure must be Public/Private and criticality Low/Medium/High"
+
+
 class TestIngest:
     def test_summary_counts(self, trio_feed_dir, capsys):
         code = main(
@@ -189,6 +192,28 @@ class TestIngest:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:2: not UTF-8 ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("value", [["SME"], {"SME": 1}, ["Public"], {"High": True}, 1])
+    @pytest.mark.parametrize(
+        "feed, field, message",
+        [
+            ("labels", "labeler", "labeler must be SME or Model"),
+            ("context", "exposure", CONTEXT_MESSAGE),
+            ("context", "criticality", CONTEXT_MESSAGE),
+        ],
+    )
+    def test_non_string_category_exits_2(self, trio_feed_dir, capsys, feed, field, message, value):
+        row = {"cve": "CVE-2019-11324", "utility": 1, "opportune": 0, "labeler": "SME",
+               "ts": "2021-01-01T00:00:00Z", "exposure": "Public", "criticality": "High", field: value}
+        path = write_jsonl(trio_feed_dir / f"{feed}.jsonl", [row])
+        assert main(["ingest", "--cves", str(trio_feed_dir / "cves.jsonl"), f"--{feed}", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: {message}\n"
+
+    @pytest.mark.parametrize("exposure", ["DMZ", ["Public"], None])
+    def test_bad_exposure_reported_before_missing_criticality(self, trio_feed_dir, capsys, exposure):
+        path = write_jsonl(trio_feed_dir / "context.jsonl", [{"cve": "CVE-2019-11324", "exposure": exposure}])
+        assert main(["ingest", "--cves", str(trio_feed_dir / "cves.jsonl"), "--context", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: {CONTEXT_MESSAGE}\n"
 
     def test_schema_error_names_line(self, tmp_path, capsys):
         path = tmp_path / "cves.jsonl"

@@ -158,6 +158,23 @@ class TestLoadExploitRefs:
         assert all(e.source is ReferenceSource.OTHER for e in grouped["CVE-2020-0001"])
         assert "2 reference(s)" in caplog.text
 
+    def test_non_string_source_downgraded_and_counted(self, tmp_path, caplog):
+        rows = [
+            {"cve": "CVE-2020-0001", "url": "https://x/1", "source": ["ExploitDB"], "exploit": True},
+            {"cve": "CVE-2020-0001", "url": "https://x/2", "source": {"GitHub": 1}, "exploit": True},
+            {"cve": "CVE-2020-0001", "url": "https://x/3", "source": None, "exploit": True},
+            {"cve": "CVE-2020-0001", "url": "https://x/4", "source": "GitHub", "exploit": True},
+        ]
+        path = write_jsonl(tmp_path / "refs.jsonl", rows)
+        with caplog.at_level(logging.WARNING, logger="vulnrank.feeds"):
+            grouped = load_exploit_refs(path)
+        assert [e.source for e in grouped["CVE-2020-0001"]] == [ReferenceSource.OTHER] * 3 + [
+            ReferenceSource.GITHUB
+        ]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: 3 reference(s) with unknown source downgraded to Other"
+        ]
+
     def test_exploit_flag_defaults_false(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "url": "https://x/1", "source": "ExploitDB"}]
         grouped = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", rows))

@@ -1,0 +1,69 @@
+"""numpy is imported by train and predict only.
+
+``vulnrank.cli`` binds the ``vulnrank.triage`` names on first access, so
+a process that scores, ranks, reports or ingests never loads numpy. The
+names must still resolve on the module, since the benchmark's tracer
+wraps them there before ``main`` runs.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import vulnrank.cli
+import vulnrank.triage
+from vulnrank.cli import build_parser
+
+REPO = Path(__file__).resolve().parent.parent
+
+CHILD = """
+import json, sys
+from vulnrank.cli import main
+argv = json.loads(sys.argv[1])
+code = main(argv)
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def test_score_rank_report_ingest_leave_numpy_unloaded(trio_feed_dir):
+    feeds = []
+    for name in ("cves", "refs", "labels"):
+        feeds += [f"--{name}", str(trio_feed_dir / f"{name}.jsonl")]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    for command in ("score", "rank", "report", "ingest"):
+        argv = [command, *feeds, "--output", str(trio_feed_dir / f"{command}.out")]
+        if command == "ingest":
+            argv = argv[:-2]
+        done = subprocess.run(
+            [sys.executable, "-c", CHILD, json.dumps(argv)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, False], (command, done.stdout, done.stderr)
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_cli_names_resolve_to_their_functions():
+    names = [attr for module, attr, *_ in _tracer().SPANS if module == "vulnrank.cli"]
+    triage_names = [name for name in names if name in vulnrank.triage.__all__]
+    assert {"fit_vocabulary", "train", "evaluate", "save_model", "load_model"} <= set(triage_names)
+    for name in names:
+        assert callable(getattr(vulnrank.cli, name)), name
+    for name in triage_names:
+        assert getattr(vulnrank.cli, name) is getattr(vulnrank.triage, name), name
+    assert getattr(vulnrank.cli, "predict_text", None) is None
+
+
+def test_task_choices_are_the_task_values():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for command in ("train", "predict"):
+        (task,) = [a for a in subcommands[command]._actions if a.dest == "task"]
+        assert list(task.choices) == [t.value for t in vulnrank.triage.Task]

@@ -392,6 +392,12 @@ class TestModelFiles:
             lambda doc: json.dumps({**doc, "weights": [[float("inf")] + row[1:] for row in doc["weights"]]}),
             lambda doc: json.dumps({**doc, "bias": [float("nan")] * len(doc["bias"])}),
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "a\nb": 1}}),
+            lambda doc: json.dumps({**doc, "weights": [[str(w) for w in row] for row in doc["weights"]]}),
+            lambda doc: json.dumps({**doc, "weights": [[True] + row[1:] for row in doc["weights"]]}),
+            lambda doc: json.dumps({**doc, "bias": [str(b) for b in doc["bias"]]}),
+            lambda doc: json.dumps({**doc, "bias": [False] * len(doc["bias"])}),
+            lambda doc: json.dumps({**doc, "format_version": True}),
+            lambda doc: json.dumps({**doc, "classes": [0.0, 1.0, 2.0]}),
         ],
         ids=[
             "not-json", "not-an-object", "no-weights", "no-tokens", "too-few-weight-rows",
@@ -399,7 +405,8 @@ class TestModelFiles:
             "bad-config", "wide-weight-rows", "string-df", "negative-df", "df-above-documents",
             "int-tokens", "repeated-token", "negative-documents", "string-documents",
             "huge-documents", "wrong-classes", "string-classes", "nan-weights", "inf-weight",
-            "nan-bias", "unknown-config-key",
+            "nan-bias", "unknown-config-key", "string-weights", "bool-weight", "string-bias",
+            "bool-bias", "bool-version", "float-classes",
         ],
     )
     def test_corrupt_model_rejected(self, tmp_path, corrupt):
