@@ -16,11 +16,13 @@ leaves the previous file untouched.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -399,6 +401,23 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector, and leave it as it was found.
+
+    Feed objects, records, scored rows, rankings and rendered rows hold
+    no reference cycles, so the collector's passes over them, which grow
+    with the portfolio, find nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _scored_portfolio(config: RunConfig):
     _require_paths(config, ["cves", "labels"])
     _optional_paths(config, ["refs", "context"])
@@ -415,14 +434,16 @@ def _scored_portfolio(config: RunConfig):
 
 def cmd_rank(config: RunConfig, default_format: str) -> int:
     fmt = ExportFormat.parse(config.format or default_format)
-    _emit(config, export(rank(_scored_portfolio(config)), fmt))
+    with _cyclic_gc_paused():
+        _emit(config, export(rank(_scored_portfolio(config)), fmt))
     return EXIT_OK
 
 
 def cmd_report(config: RunConfig) -> int:
     fmt = ExportFormat.parse(config.format or "text")
-    report = compare(_scored_portfolio(config), tier_bounds=config.tier_bounds)
-    _emit(config, export(report, fmt))
+    with _cyclic_gc_paused():
+        report = compare(_scored_portfolio(config), tier_bounds=config.tier_bounds)
+        _emit(config, export(report, fmt))
     return EXIT_OK
 
 

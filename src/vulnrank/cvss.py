@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from itertools import product
@@ -128,7 +128,12 @@ _METRIC_ENUMS = {
 
 @dataclass(frozen=True, slots=True)
 class CvssVector:
-    """The eight base metrics of one vulnerability."""
+    """The eight base metrics of one vulnerability.
+
+    The hash is computed once, at construction: ``base_score`` looks a
+    vector up once per record, and hashing eight Enum members through
+    ``Enum.__hash__`` would cost most of that lookup.
+    """
 
     attack_vector: AttackVector
     attack_complexity: AttackComplexity
@@ -138,6 +143,18 @@ class CvssVector:
     confidentiality: ImpactMetric
     integrity: ImpactMetric
     availability: ImpactMetric
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        metrics = (
+            self.attack_vector, self.attack_complexity, self.privileges_required,
+            self.user_interaction, self.scope, self.confidentiality, self.integrity,
+            self.availability,
+        )
+        object.__setattr__(self, "_hash", hash(metrics))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_string(self) -> str:
         """Canonical vector form, prefix always included."""

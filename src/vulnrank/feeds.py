@@ -2,12 +2,14 @@
 
 Every loader either returns fully validated records or raises with the
 file and line of the first offending record; there are no partially
-valid datasets. Files are UTF-8, one JSON object per line. Lines end at
-``\n`` and are read and decoded one at a time, so a byte that is not
-UTF-8 names its line; a line holding only whitespace (``str.isspace``)
-is skipped. Each line must hold exactly one JSON value, as ``json.loads``
-reads it: JSON whitespace (space, tab, CR, LF) may surround it, and
-nothing else may.
+valid datasets. A CVE id is ``CVE-``, four ASCII digits, ``-`` and four
+or more ASCII digits, as the whole string. Files are UTF-8, one JSON
+object per line. Lines end at ``\n`` and are read and decoded one at a
+time, so a byte that is not UTF-8 names its line; a line holding only
+whitespace (``str.isspace``) is skipped. Each line must hold exactly one
+JSON value, as ``json.loads`` reads it: JSON whitespace (space, tab, CR,
+LF) may surround it, and nothing else may. An integer too long for
+``int`` or nesting deeper than the recursion limit is invalid JSON too.
 
 Field names are fixed: CVE records use ``id``, ``description``,
 ``vector``, ``score``, ``references`` (each ``{url, source, exploit}``);
@@ -36,7 +38,10 @@ from vulnrank.cvss import CvssError, CvssVector, parse_vector
 
 logger = logging.getLogger(__name__)
 
-CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
+# An id is matched as a whole string and with ASCII digits only: ``\d``
+# takes any Unicode digit, and ``$`` matches before a final newline.
+CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}")
+_is_cve_id = CVE_ID_RE.fullmatch
 
 
 class FeedError(ValueError):
@@ -82,15 +87,11 @@ class Labeler(Enum):
     MODEL = "Model"
 
 
+# Members by value; a loader looks a field up only when it is a string.
 _SOURCES = {member.value: member for member in ReferenceSource}
 _EXPOSURES = {member.value: member for member in Exposure}
 _CRITICALITIES = {member.value: member for member in Criticality}
 _LABELERS = {member.value: member for member in Labeler}
-
-
-def _member(table: dict[str, Enum], raw):
-    """The member whose value is the string ``raw``; None for anything else."""
-    return table.get(raw) if isinstance(raw, str) else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,11 +132,12 @@ class LabeledExample:
     description: str = field(default="", compare=False)
 
     def __post_init__(self):
-        for name, legal in (("utility", (0, 1, 2)), ("opportune", (0, 1))):
-            value = getattr(self, name)
-            # bool is an int subclass, so True would otherwise pass as 1.
-            if not isinstance(value, int) or isinstance(value, bool) or value not in legal:
-                raise InvalidCategory(f"{name} must be one of {legal}, got {value!r}")
+        # bool is an int subclass, so True would otherwise pass as 1.
+        utility, opportune = self.utility, self.opportune
+        if not isinstance(utility, int) or isinstance(utility, bool) or utility not in (0, 1, 2):
+            raise InvalidCategory(f"utility must be one of (0, 1, 2), got {utility!r}")
+        if not isinstance(opportune, int) or isinstance(opportune, bool) or opportune not in (0, 1):
+            raise InvalidCategory(f"opportune must be one of (0, 1), got {opportune!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,13 +154,19 @@ compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, object)`` for each non-blank line of a feed.
+
+    Raises ParseError naming ``<file>:<line>`` for a line that is not
+    UTF-8, not one JSON value (an integer too long for ``int`` or nesting
+    deeper than the recursion limit included) or not an object.
+    """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
-            if not line.strip():
+            if line.isspace():
                 continue
             # json.loads accepts one JSON value between JSON whitespace; the
             # C scanner reads exactly that without json.loads' Python-level
@@ -166,60 +174,84 @@ def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             # json.loads, which raises the message it always raised.
             text = line.strip(_JSON_WHITESPACE)
             try:
-                obj, end = _scan_once(text, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = -1
-            if end != len(text):
                 try:
+                    obj, end = _scan_once(text, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(text):
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: expected an object per line")
             yield lineno, obj
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj or obj[key] is None:
-        raise SchemaError(f"{where}: missing field '{key}'")
-    return obj[key]
+# The loaders read each field with dict.get and check it inline; a field
+# that is absent or null is missing. "<file>:<line>" is formatted only
+# when a line is rejected, by these helpers or at the raise.
 
 
-def _cve_id(raw, where: str) -> str:
-    if not isinstance(raw, str) or not CVE_ID_RE.match(raw):
-        raise SchemaError(f"{where}: '{raw}' is not a CVE id")
-    return raw
+def _missing(path, lineno: int, key: str) -> SchemaError:
+    return SchemaError(f"{path}:{lineno}: missing field '{key}'")
 
 
-def _source_of(raw, unknown: list) -> ReferenceSource:
-    source = _member(_SOURCES, raw)
-    if source is None:
-        unknown.append(raw)
-        return ReferenceSource.OTHER
-    return source
+def _bad_cve_id(path, lineno: int, key: str, raw) -> SchemaError:
+    if raw is None:
+        return _missing(path, lineno, key)
+    # repr() escapes a newline in a string id, which would split the
+    # one-line error; other values print as they always did.
+    shown = repr(raw) if isinstance(raw, str) else f"'{raw}'"
+    return SchemaError(f"{path}:{lineno}: {shown} is not a CVE id")
 
 
-def _reference(obj: dict, where: str, unknown: list) -> ReferenceEntry:
-    url = _require(obj, "url", where)
+def _reference(obj: dict, path, lineno: int, unknown: list) -> ReferenceEntry:
+    # Not obj.get: an inline reference may be any JSON value, and one
+    # without a "url" key, such as a string, is reported as missing it.
+    url = obj["url"] if "url" in obj else None
     if not isinstance(url, str) or not url:
-        raise SchemaError(f"{where}: reference url must be a non-empty string")
-    source = _source_of(obj.get("source", "Other"), unknown)
-    return ReferenceEntry(url=url, source=source, is_exploit=bool(obj.get("exploit", False)))
+        if url is None:
+            raise _missing(path, lineno, "url")
+        raise SchemaError(f"{path}:{lineno}: reference url must be a non-empty string")
+    raw_source = obj.get("source", "Other")
+    source = _SOURCES.get(raw_source) if isinstance(raw_source, str) else None
+    if source is None:
+        unknown.append(raw_source)
+        source = ReferenceSource.OTHER
+    return ReferenceEntry(url, source, bool(obj.get("exploit", False)))
 
 
-def _published_score(raw, where: str) -> Decimal:
+# Every accepted published score by its JSON number: at most 101 values,
+# each validated once, and records with equal scores share one Decimal.
+_published: dict[int | float, Decimal] = {}
+
+
+def _published_score(raw, path, lineno: int) -> Decimal:
     # bool is an int subclass, so true would otherwise score as 1.0.
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise SchemaError(f"{where}: score {raw!r} is not a number")
+        raise SchemaError(f"{path}:{lineno}: score {raw!r} is not a number")
+    score = _published.get(raw)
+    if score is not None:
+        return score
     if not 0 <= raw <= 10:
-        raise SchemaError(f"{where}: score {raw!r} outside [0, 10]")
+        raise SchemaError(f"{path}:{lineno}: score {raw!r} outside [0, 10]")
     # str() gives the shortest repr, so 0.3 reads as one decimal even
     # though 0.3 * 10 != 3 in binary floating point.
     score = Decimal(str(raw))
     if score.as_tuple().exponent < -1:
-        raise SchemaError(f"{where}: score {raw!r} has more than one decimal")
+        raise SchemaError(f"{path}:{lineno}: score {raw!r} has more than one decimal")
     # The range check lets -0.0 through; its sign would print as "-0.0".
-    return score.copy_abs().quantize(Decimal("0.1"))
+    score = _published[raw] = score.copy_abs().quantize(Decimal("0.1"))
+    return score
+
+
+def _warn_unknown_sources(path, unknown: list) -> None:
+    if unknown:
+        logger.warning(
+            "%s: %d reference(s) with unknown source downgraded to Other", path, len(unknown)
+        )
 
 
 def load_cve_records(path) -> list[CveRecord]:
@@ -228,47 +260,39 @@ def load_cve_records(path) -> list[CveRecord]:
     seen: set[str] = set()
     unknown_sources: list = []
     for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        cve_id = _cve_id(_require(obj, "id", where), where)
+        cve_id = obj.get("id")
+        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+            raise _bad_cve_id(path, lineno, "id", cve_id)
         if cve_id in seen:
-            raise DuplicateId(f"{where}: duplicate CVE id {cve_id}")
+            raise DuplicateId(f"{path}:{lineno}: duplicate CVE id {cve_id}")
         seen.add(cve_id)
 
-        description = _require(obj, "description", where)
+        description = obj.get("description")
         if not isinstance(description, str):
-            raise SchemaError(f"{where}: description must be a string")
+            if description is None:
+                raise _missing(path, lineno, "description")
+            raise SchemaError(f"{path}:{lineno}: description must be a string")
 
-        vector = None
-        if obj.get("vector") is not None:
-            if not isinstance(obj["vector"], str):
-                raise SchemaError(f"{where}: vector must be a string")
+        vector = obj.get("vector")
+        if vector is not None:
+            if not isinstance(vector, str):
+                raise SchemaError(f"{path}:{lineno}: vector must be a string")
             try:
-                vector = parse_vector(obj["vector"])
+                vector = parse_vector(vector)
             except CvssError as exc:
-                raise SchemaError(f"{where}: bad vector: {exc}") from None
+                raise SchemaError(f"{path}:{lineno}: bad vector: {exc}") from None
 
-        score = None
-        if obj.get("score") is not None:
-            score = _published_score(obj["score"], where)
+        score = obj.get("score")
+        if score is not None:
+            score = _published_score(score, path, lineno)
 
-        refs = tuple(
-            _reference(r, where, unknown_sources) for r in obj.get("references", [])
-        )
-        records.append(
-            CveRecord(
-                cve_id=cve_id,
-                description=description,
-                vector=vector,
-                published_score=score,
-                references=refs,
+        refs = ()
+        if "references" in obj:
+            refs = tuple(
+                _reference(r, path, lineno, unknown_sources) for r in obj["references"]
             )
-        )
-    if unknown_sources:
-        logger.warning(
-            "%s: %d reference(s) with unknown source downgraded to Other",
-            path,
-            len(unknown_sources),
-        )
+        records.append(CveRecord(cve_id, description, vector, score, refs))
+    _warn_unknown_sources(path, unknown_sources)
     return records
 
 
@@ -276,26 +300,24 @@ def load_exploit_refs(path) -> dict[str, list[ReferenceEntry]]:
     """Load an exploit reference feed, grouped by CVE and URL-deduplicated.
 
     Unknown source names are downgraded to Other; one warning with the
-    total count is logged per file.
+    total count, repeated URLs included, is logged per file.
     """
     grouped: dict[str, list[ReferenceEntry]] = {}
     seen_urls: dict[str, set[str]] = {}
     unknown_sources: list = []
     for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        cve_id = _cve_id(_require(obj, "cve", where), where)
-        entry = _reference(obj, where, unknown_sources)
-        urls = seen_urls.setdefault(cve_id, set())
-        if entry.url in urls:
-            continue
-        urls.add(entry.url)
-        grouped.setdefault(cve_id, []).append(entry)
-    if unknown_sources:
-        logger.warning(
-            "%s: %d reference(s) with unknown source downgraded to Other",
-            path,
-            len(unknown_sources),
-        )
+        cve_id = obj.get("cve")
+        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+            raise _bad_cve_id(path, lineno, "cve", cve_id)
+        entry = _reference(obj, path, lineno, unknown_sources)
+        urls = seen_urls.get(cve_id)
+        if urls is None:
+            seen_urls[cve_id] = {entry.url}
+            grouped[cve_id] = [entry]
+        elif entry.url not in urls:
+            urls.add(entry.url)
+            grouped[cve_id].append(entry)
+    _warn_unknown_sources(path, unknown_sources)
     return grouped
 
 
@@ -324,21 +346,29 @@ def load_labels(path) -> list[LabeledExample]:
     # Label stores repeat stamps: a predict run gives all its labels one.
     stamps: dict[str, datetime] = {}
     for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        cve_id = _cve_id(_require(obj, "cve", where), where)
-        utility = _require(obj, "utility", where)
-        opportune = _require(obj, "opportune", where)
-        labeler = _member(_LABELERS, obj.get("labeler"))
+        cve_id = obj.get("cve")
+        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+            raise _bad_cve_id(path, lineno, "cve", cve_id)
+        utility = obj.get("utility")
+        if utility is None:
+            raise _missing(path, lineno, "utility")
+        opportune = obj.get("opportune")
+        if opportune is None:
+            raise _missing(path, lineno, "opportune")
+        labeler = obj.get("labeler")
+        labeler = _LABELERS.get(labeler) if isinstance(labeler, str) else None
         if labeler is None:
-            raise InvalidCategory(f"{where}: labeler must be SME or Model")
-        raw_ts = _require(obj, "ts", where)
+            raise InvalidCategory(f"{path}:{lineno}: labeler must be SME or Model")
+        raw_ts = obj.get("ts")
         ts = stamps.get(raw_ts) if isinstance(raw_ts, str) else None
         if ts is None:
-            ts = stamps[raw_ts] = parse_ts(raw_ts, where)
+            if raw_ts is None:
+                raise _missing(path, lineno, "ts")
+            ts = stamps[raw_ts] = parse_ts(raw_ts, f"{path}:{lineno}")
         try:
             examples.append(LabeledExample(cve_id, utility, opportune, labeler, ts))
         except InvalidCategory as exc:
-            raise InvalidCategory(f"{where}: {exc}") from None
+            raise InvalidCategory(f"{path}:{lineno}: {exc}") from None
     return examples
 
 
@@ -407,17 +437,20 @@ def load_asset_context(path) -> dict[str, AssetContext]:
     """Load per-CVE exposure and criticality; one entry per CVE."""
     contexts: dict[str, AssetContext] = {}
     for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        cve_id = _cve_id(_require(obj, "cve", where), where)
+        cve_id = obj.get("cve")
+        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+            raise _bad_cve_id(path, lineno, "cve", cve_id)
         if cve_id in contexts:
-            raise DuplicateId(f"{where}: duplicate context entry for {cve_id}")
-        exposure = _member(_EXPOSURES, obj.get("exposure"))
-        criticality = _member(_CRITICALITIES, obj.get("criticality"))
+            raise DuplicateId(f"{path}:{lineno}: duplicate context entry for {cve_id}")
+        exposure = obj.get("exposure")
+        exposure = _EXPOSURES.get(exposure) if isinstance(exposure, str) else None
+        criticality = obj.get("criticality")
+        criticality = _CRITICALITIES.get(criticality) if isinstance(criticality, str) else None
         if exposure is None or criticality is None:
             raise InvalidCategory(
-                f"{where}: exposure must be Public/Private and criticality Low/Medium/High"
+                f"{path}:{lineno}: exposure must be Public/Private and criticality Low/Medium/High"
             )
-        contexts[cve_id] = AssetContext(cve_id=cve_id, exposure=exposure, criticality=criticality)
+        contexts[cve_id] = AssetContext(cve_id, exposure, criticality)
     return contexts
 
 

@@ -14,7 +14,8 @@ import io
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
 from enum import Enum
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from vulnrank.feeds import compact_json, write_atomic
 from vulnrank.scoring import ScoredVulnerability, format_quantity
@@ -78,17 +79,18 @@ class ComparisonReport:
     top_k_overlap: dict[int, float]
 
 
-def _order_key(s: ScoredVulnerability):
-    return (-s.threat_score, -s.cvss.value, s.cve_id)
-
-
-def _cvss_order_key(s: ScoredVulnerability):
-    return (-s.cvss.value, s.cve_id)
+# Orders are built by sorting on the CVE id first, then on the descending
+# key with reverse=True, which keeps the sort stable: entries with equal
+# keys stay in id order, and no Decimal is negated.
+_by_id = attrgetter("cve_id")
+_by_threat = attrgetter("threat_score", "cvss.value")
+_by_cvss = attrgetter("cvss.value")
 
 
 def rank(scored: Iterable[ScoredVulnerability]) -> RankedPortfolio:
     """Total order by threat score, then CVSS, then CVE id."""
-    return RankedPortfolio(entries=tuple(sorted(scored, key=_order_key)))
+    by_id = sorted(scored, key=_by_id)
+    return RankedPortfolio(entries=tuple(sorted(by_id, key=_by_threat, reverse=True)))
 
 
 def _cvss_band(value: Decimal) -> int:
@@ -132,8 +134,9 @@ def compare(
         (_tier_label(bounds, i), tier_counts[i]) for i in range(len(bounds))
     ) + ((f"<{format_quantity(bounds[-1])}", tier_counts[-1]),)
 
-    by_threat = sorted(scored, key=_order_key)
-    by_cvss = sorted(scored, key=_cvss_order_key)
+    by_id = sorted(scored, key=_by_id)
+    by_threat = sorted(by_id, key=_by_threat, reverse=True)
+    by_cvss = sorted(by_id, key=_by_cvss, reverse=True)
     overlap = {}
     for k in top_k:
         if not 1 <= k <= len(scored):
@@ -175,25 +178,49 @@ def _portfolio_csv(portfolio: RankedPortfolio) -> str:
     return buf.getvalue()
 
 
+def _rows(portfolio: RankedPortfolio) -> Iterator[tuple[int, ScoredVulnerability, str]]:
+    """``(rank, entry, threat score text)`` in rank order.
+
+    ``format_quantity`` runs once per distinct score: a portfolio holds
+    far fewer distinct scores than rows, and equal Decimals print alike.
+    """
+    texts: dict[Decimal, str] = {}
+    for pos, s in portfolio.ranked():
+        threat = texts.get(s.threat_score)
+        if threat is None:
+            threat = texts[s.threat_score] = format_quantity(s.threat_score)
+        yield pos, s, threat
+
+
 def _portfolio_text(portfolio: RankedPortfolio) -> str:
     header = (
         f"{'rank':>5} {'cve_id':<18} {'threat':>12} {'cvss':>5} "
         f"{'severity':<8} {'wx':>5} {'util':>4} {'opp':>3} {'env':>6} {'source':<6}"
     )
     lines = [header]
-    for pos, s in portfolio.ranked():
-        row = _portfolio_row(pos, s)
+    for pos, s, threat in _rows(portfolio):
+        cvss, labels = s.cvss, s.labels
         lines.append(
-            f"{row['rank']:>5} {row['cve_id']:<18} {row['threat_score']:>12} "
-            f"{row['cvss']:>5} {row['severity']:<8} {row['wx']:>5} "
-            f"{row['utility']:>4} {row['opportune']:>3} {row['env_product']:>6} "
-            f"{row['label_source']:<6}"
+            f"{pos:>5} {s.cve_id:<18} {threat:>12} {cvss.value!s:>5} "
+            f"{cvss.severity.value:<8} {s.wx:>5} {labels.utility:>4} {labels.opportune:>3} "
+            f"{s.env.product_text:>6} {labels.labeler.value:<6}"
         )
     return "\n".join(lines) + "\n"
 
 
 def _portfolio_jsonl(portfolio: RankedPortfolio) -> str:
-    lines = [compact_json(_portfolio_row(pos, s)) for pos, s in portfolio.ranked()]
+    # compact_json(_portfolio_row(...)) written out: every string in the
+    # row is a CVE id (ASCII digits by the feed's id rule), a plain
+    # decimal or an enum value, so none needs escaping.
+    lines = []
+    for pos, s, threat in _rows(portfolio):
+        cvss, labels = s.cvss, s.labels
+        lines.append(
+            f'{{"rank":{pos},"cve_id":"{s.cve_id}","threat_score":"{threat}",'
+            f'"cvss":"{cvss.value!s}","severity":"{cvss.severity.value}","wx":{s.wx},'
+            f'"utility":{labels.utility},"opportune":{labels.opportune},'
+            f'"env_product":"{s.env.product_text}","label_source":"{labels.labeler.value}"}}'
+        )
     return "\n".join(lines) + ("\n" if lines else "")
 
 

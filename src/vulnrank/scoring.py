@@ -139,11 +139,16 @@ def threat_score(
     return (cvss + wx) * (labels.utility + 1) * (labels.opportune + 1) * env.product
 
 
+# One BaseScore per published value: there are at most 101.
+_published_scores: dict[Decimal, BaseScore] = {}
+
+
 def resolve_base_score(record: CveRecord) -> BaseScore:
     """The CVSS score used for scoring a record.
 
     A vector always wins over a published score; disagreement is logged,
-    since published scores drift across NVD revisions.
+    since published scores drift across NVD revisions. Records with
+    equal published scores share one BaseScore.
     """
     if record.vector is not None:
         computed = base_score(record.vector)
@@ -155,8 +160,15 @@ def resolve_base_score(record: CveRecord) -> BaseScore:
                 record.published_score,
             )
         return computed
-    if record.published_score is not None:
-        return BaseScore(value=record.published_score, severity=severity_of(record.published_score))
+    published = record.published_score
+    if published is not None:
+        score = _published_scores.get(published)
+        # An equal Decimal of another exponent (7 and 7.0) renders
+        # differently, so a hit counts only for the Decimal it was built
+        # from; the feed loader gives equal scores one Decimal.
+        if score is None or score.value is not published:
+            score = _published_scores[published] = BaseScore(published, severity_of(published))
+        return score
     raise MissingCvss([record.cve_id])
 
 

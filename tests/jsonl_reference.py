@@ -23,6 +23,9 @@ def iter_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:
+                # An integer too long for int, or nesting past the recursion limit.
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: expected an object per line")
             yield lineno, obj

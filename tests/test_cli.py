@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, exit codes, determinism."""
 
 import argparse
+import gc
 import json
 import re
 from dataclasses import fields
@@ -477,6 +478,26 @@ class TestScoreRankReport:
         )
         assert code == 5
         assert "CVE-2017-0143" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "rank", "report"])
+    @pytest.mark.parametrize("case, code", [("ok", 0), ("bad feed line", 2), ("missing labels", 5)])
+    @pytest.mark.parametrize("enabled_before", [True, False])
+    def test_gc_state_restored(self, trio_feed_dir, capsys, command, case, code, enabled_before):
+        # The collector is paused while the portfolio is loaded and
+        # scored; however the command ends, it is left as it was found.
+        if case == "bad feed line":
+            with open(trio_feed_dir / "cves.jsonl", "a") as fh:
+                fh.write("not json\n")
+        elif case == "missing labels":
+            (trio_feed_dir / "labels.jsonl").write_text("")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled_before else gc.disable)()
+        try:
+            assert main(self.base_args(trio_feed_dir, command)) == code
+            assert gc.isenabled() is enabled_before
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert capsys.readouterr().err.count("error: ") == (code != 0)
 
     def test_output_file_written(self, trio_feed_dir, tmp_path):
         out_path = tmp_path / "queue.csv"

@@ -27,11 +27,36 @@ from vulnrank.feeds import (
     save_labels,
 )
 
+from vulnrank.cli import main
+
 from conftest import WORKED_TRIO, trio_cve_rows, trio_ref_rows, write_jsonl
 
 
 def ts(text):
     return datetime.fromisoformat(text).replace(tzinfo=timezone.utc)
+
+
+# Ids the rule "CVE-, four ASCII digits, -, four or more ASCII digits, as
+# the whole string" rejects although \d and $ would let them through.
+BAD_IDS = {
+    "trailing newline": "CVE-2020-0002\n",
+    "Arabic-Indic digits": "CVE-\u0662\u0660\u0662\u0660-\u0660\u0660\u0660\u0662",
+}
+
+
+def assert_bad_id_exits_2(tmp_path, capsys, flag, key, row, bad_id):
+    """Line 2 of the --flag feed carries ``bad_id``: ingest exits 2 with
+    one error line naming that line."""
+    cves = write_jsonl(tmp_path / "cves.jsonl", [{"id": "CVE-2020-0001", "description": "a"}])
+    argv = ["ingest", "--cves", str(cves)]
+    path = cves
+    if flag != "cves":
+        path = tmp_path / f"{flag}.jsonl"
+        argv += [f"--{flag}", str(path)]
+    write_jsonl(path, [dict(row, **{key: "CVE-2020-0001"}), dict(row, **{key: bad_id})])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1, err
 
 
 class TestLoadCveRecords:
@@ -124,6 +149,11 @@ class TestLoadCveRecords:
         path = write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows())
         assert load_cve_records(path) == load_cve_records(path)
 
+    @pytest.mark.parametrize("bad_id", BAD_IDS.values(), ids=BAD_IDS)
+    def test_non_ascii_or_newline_id_exits_2(self, tmp_path, capsys, bad_id):
+        row = {"description": "b", "score": 5.0}
+        assert_bad_id_exits_2(tmp_path, capsys, "cves", "id", row, bad_id)
+
 
 class TestLoadExploitRefs:
     def test_wx_26_group(self, tmp_path):
@@ -185,6 +215,11 @@ class TestLoadExploitRefs:
         path = write_jsonl(tmp_path / "refs.jsonl", rows)
         with pytest.raises(SchemaError, match="url"):
             load_exploit_refs(path)
+
+    @pytest.mark.parametrize("bad_id", BAD_IDS.values(), ids=BAD_IDS)
+    def test_non_ascii_or_newline_id_exits_2(self, tmp_path, capsys, bad_id):
+        row = {"url": "https://x/1", "source": "GitHub", "exploit": True}
+        assert_bad_id_exits_2(tmp_path, capsys, "refs", "cve", row, bad_id)
 
 
 class TestLabels:
@@ -278,6 +313,11 @@ class TestLabels:
         for utility, count in counts.items():
             assert sum(1 for e in loaded if e.utility == utility) == count
 
+    @pytest.mark.parametrize("bad_id", BAD_IDS.values(), ids=BAD_IDS)
+    def test_non_ascii_or_newline_id_exits_2(self, tmp_path, capsys, bad_id):
+        row = {"utility": 1, "opportune": 0, "labeler": "SME", "ts": "2021-01-01T00:00:00Z"}
+        assert_bad_id_exits_2(tmp_path, capsys, "labels", "cve", row, bad_id)
+
 
 class TestAssetContext:
     def test_load(self, tmp_path):
@@ -301,6 +341,11 @@ class TestAssetContext:
         path = write_jsonl(tmp_path / "ctx.jsonl", rows)
         with pytest.raises(InvalidCategory):
             load_asset_context(path)
+
+    @pytest.mark.parametrize("bad_id", BAD_IDS.values(), ids=BAD_IDS)
+    def test_non_ascii_or_newline_id_exits_2(self, tmp_path, capsys, bad_id):
+        row = {"exposure": "Public", "criticality": "High"}
+        assert_bad_id_exits_2(tmp_path, capsys, "context", "cve", row, bad_id)
 
 
 class TestAttachDescriptions:

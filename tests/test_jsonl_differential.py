@@ -14,6 +14,7 @@ import math
 
 from hypothesis import event, given, settings, strategies as st
 
+from vulnrank.cli import main
 from vulnrank.feeds import _iter_jsonl
 
 from jsonl_reference import iter_jsonl
@@ -90,11 +91,16 @@ def test_reader_matches_json_loads_per_line(tmp_path_factory, feed, final_newlin
     assert got == expected
 
 
-def test_deep_nesting_and_huge_integers_fail_alike(tmp_path):
+def test_deep_nesting_and_huge_integers_fail_alike(tmp_path, capsys):
     # Neither is a JSONDecodeError: json.loads raises RecursionError and
-    # ValueError, and the reader must not turn them into anything else.
+    # ValueError. Both readers turn them into a ParseError naming the
+    # line, and the CLI exits 2 with one error line.
     for name, line in (("deep", "[" * 100_000 + "]" * 100_000), ("digits", '{"a": ' + "9" * 5000 + "}")):
         path = tmp_path / f"{name}.jsonl"
-        path.write_text('{"ok": 1}\n' + line + "\n")
+        path.write_text('{"id": "CVE-2020-0001", "description": "a"}\n' + line + "\n")
         assert outcome(_iter_jsonl, path) == outcome(iter_jsonl, path)
-        assert outcome(iter_jsonl, path)[1][0] in ("RecursionError", "ValueError")
+        kind, message = outcome(iter_jsonl, path)[1]
+        assert kind == "ParseError" and message.startswith(f"{path}:2: invalid JSON ("), message
+        assert main(["ingest", "--cves", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"

@@ -1,0 +1,106 @@
+"""Row rendering and ranking held to their dict-based and negated-key forms.
+
+The json-lines and text exports format each row straight from the
+``ScoredVulnerability``, and ``rank``/``compare`` order by stable sorts
+without negating any Decimal. Here each is compared with the form it
+replaced: ``compact_json(_portfolio_row(...))``, the text row formatted
+from that dict, and a sort on ``(-threat, -cvss, cve_id)``. The
+portfolios are the golden one and hypothesis ones with heavy ties: few
+distinct CVSS, wx, label and environment values.
+"""
+
+from datetime import datetime, timezone
+from decimal import Decimal
+
+from hypothesis import given, settings, strategies as st
+
+from vulnrank.cli import _scored_portfolio, build_config, build_parser
+from vulnrank.cvss import BaseScore, severity_of
+from vulnrank.feeds import LabeledExample, Labeler, compact_json
+from vulnrank.report import ExportFormat, _portfolio_row, compare, export, rank
+from vulnrank.scoring import EnvironmentalFactors, ScoredVulnerability
+
+from test_golden import write_golden_feeds
+
+LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
+TOP_K = (1, 2, 3, 5, 10, 100, 1000)
+
+
+def reference_order(scored):
+    return sorted(scored, key=lambda s: (-s.threat_score, -s.cvss.value, s.cve_id))
+
+
+def reference_text_row(row: dict) -> str:
+    return (
+        f"{row['rank']:>5} {row['cve_id']:<18} {row['threat_score']:>12} "
+        f"{row['cvss']:>5} {row['severity']:<8} {row['wx']:>5} "
+        f"{row['utility']:>4} {row['opportune']:>3} {row['env_product']:>6} "
+        f"{row['label_source']:<6}"
+    )
+
+
+def reference_overlap(scored, top_k):
+    by_threat = reference_order(scored)
+    by_cvss = sorted(scored, key=lambda s: (-s.cvss.value, s.cve_id))
+    overlap = {}
+    for k in top_k:
+        if 1 <= k <= len(scored):
+            top_threat = {s.cve_id for s in by_threat[:k]}
+            top_cvss = {s.cve_id for s in by_cvss[:k]}
+            overlap[k] = len(top_threat & top_cvss) / len(top_threat | top_cvss)
+    return overlap
+
+
+def assert_equivalent(scored):
+    portfolio = rank(scored)
+    assert list(portfolio.entries) == reference_order(scored)
+    assert [s.cve_id for s in portfolio.entries] == [s.cve_id for s in reference_order(scored)]
+    rows = [_portfolio_row(pos, s) for pos, s in portfolio.ranked()]
+
+    jsonl = export(portfolio, ExportFormat.STRUCTURED).decode("utf-8").splitlines()
+    assert jsonl == [compact_json(row) for row in rows]
+    text = export(portfolio, ExportFormat.TEXT).decode("utf-8").splitlines()
+    assert text[1:] == [reference_text_row(row) for row in rows]
+
+    assert compare(scored, top_k=TOP_K).top_k_overlap == reference_overlap(scored, TOP_K)
+
+
+def test_golden_portfolio(tmp_path):
+    paths = write_golden_feeds(tmp_path)
+    argv = ["score"] + [arg for name, path in paths.items() for arg in (f"--{name}", path)]
+    scored = _scored_portfolio(build_config(build_parser().parse_args(argv)))
+    assert len(scored) == 300
+    assert_equivalent(scored)
+
+
+CVSS = [BaseScore(value, severity_of(value)) for value in map(Decimal, ("0.0", "7.5", "10.0"))]
+# 1*1 and 2*0.5 are equal products that differ in exponent.
+ENVS = [EnvironmentalFactors(Decimal(e), Decimal(c)) for e, c in (("1", "1"), ("2", "0.5"), ("1.5", "1.2"))]
+
+
+def scored(year, number, width, utility, opportune, labeler, cvss, wx, env):
+    cve_id = f"CVE-{year}-{number:0{width}d}"
+    labels = LabeledExample(cve_id, utility, opportune, labeler, LABELED_AT)
+    return ScoredVulnerability(cve_id=cve_id, cvss=cvss, wx=wx, labels=labels, env=env)
+
+
+TIED_PORTFOLIOS = st.lists(
+    st.builds(
+        scored, st.sampled_from(["1999", "2020"]), st.integers(1, 99_999), st.sampled_from([4, 5]),
+        st.integers(0, 2), st.integers(0, 1), st.sampled_from(list(Labeler)),
+        st.sampled_from(CVSS), st.sampled_from([0, 0, 1]), st.sampled_from(ENVS),
+    ),
+    min_size=8,
+    max_size=40,
+    unique_by=lambda s: s.cve_id,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scored=TIED_PORTFOLIOS)
+def test_tied_portfolios(scored):
+    assert_equivalent(scored)
+
+
+def test_empty_portfolio():
+    assert_equivalent([])
