@@ -44,6 +44,7 @@ from vulnrank.feeds import (
     parse_ts,
     save_labels,
     write_atomic,
+    write_labels,
 )
 from vulnrank.report import DEFAULT_TIER_BOUNDS, ExportFormat, IoError, compare, export, rank
 from vulnrank.scoring import (
@@ -62,7 +63,8 @@ from vulnrank.wx import count_wx
 # command, so ingest, score, rank, report and label never load numpy.
 _TRIAGE_NAMES = (
     "CorpusTooSmall", "DegenerateTaskWarning", "ModelVersionError", "Task", "TrainConfig",
-    "evaluate", "fit_vocabulary", "load_model", "predict_texts", "save_model", "split", "train",
+    "TrainingDiverged", "evaluate", "fit_vocabulary", "load_model", "predict_texts",
+    "save_model", "split", "train",
 )
 # The values of triage.svm.Task, for the --task flag.
 TASK_NAMES = ("utility", "opportune")
@@ -146,6 +148,19 @@ def _integer(raw, where: str) -> int:
     raise _bad(where, raw, "an integer")
 
 
+# The seeds numpy's RandomState accepts (triage.svm.SEED_RANGE, which
+# this module does not import: that would load numpy for every command).
+SEED_RANGE = (0, 2**32 - 1)
+
+
+def _seed(raw, where: str) -> int:
+    value = _integer(raw, where)
+    low, high = SEED_RANGE
+    if not low <= value <= high:
+        raise _bad(where, raw, f"an integer in [{low}, {high}]")
+    return value
+
+
 def _real(raw, where: str) -> float:
     try:
         if isinstance(raw, str) or type(raw) in (int, float):
@@ -223,7 +238,7 @@ CONFIG_KEYS = {
     "model_opportune": _path,
     "output": _path,
     "format": _format,
-    "seed": _integer,
+    "seed": _seed,
     "min_df": _integer,
     "epochs": _integer,
     "reg_lambda": _real,
@@ -396,7 +411,10 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
         else:
             opportune = predicted
         fresh.append(LabeledExample(rec.cve_id, utility, opportune, Labeler.MODEL, stamp))
-    save_labels(config.labels, fresh)
+    # What save_labels would write, without reading the store again:
+    # merge_labels is a left fold, so merging the merged store with the
+    # fresh labels equals merging every stored entry with them.
+    write_labels(config.labels, merge_labels([*merged.values(), *fresh]))
     print(f"predicted {task.value} for {len(fresh)} CVEs -> {config.labels}")
     return EXIT_OK
 
@@ -568,7 +586,7 @@ def _triage_main(command: str, config: RunConfig, task_name: str) -> int:
         return cmd_train(config, task) if command == "train" else cmd_predict(config, task)
     except ModelVersionError as exc:
         return _error(exc, EXIT_MODEL)
-    except CorpusTooSmall as exc:
+    except (CorpusTooSmall, TrainingDiverged) as exc:
         return _error(exc, EXIT_TRAIN)
 
 

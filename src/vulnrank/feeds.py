@@ -12,7 +12,8 @@ LF) may surround it, and nothing else may. An integer too long for
 ``int`` or nesting deeper than the recursion limit is invalid JSON too.
 
 Field names are fixed: CVE records use ``id``, ``description``,
-``vector``, ``score``, ``references`` (each ``{url, source, exploit}``);
+``vector``, ``score``, ``references`` (a list of ``{url, source, exploit}``
+objects);
 labels use ``cve``, ``utility``, ``opportune``, ``labeler``, ``ts``;
 asset context uses ``cve``, ``exposure``, ``criticality``; the exploit
 reference feed uses ``cve``, ``url``, ``source``, ``exploit``. A
@@ -208,9 +209,7 @@ def _bad_cve_id(path, lineno: int, key: str, raw) -> SchemaError:
 
 
 def _reference(obj: dict, path, lineno: int, unknown: list) -> ReferenceEntry:
-    # Not obj.get: an inline reference may be any JSON value, and one
-    # without a "url" key, such as a string, is reported as missing it.
-    url = obj["url"] if "url" in obj else None
+    url = obj.get("url")
     if not isinstance(url, str) or not url:
         if url is None:
             raise _missing(path, lineno, "url")
@@ -288,9 +287,11 @@ def load_cve_records(path) -> list[CveRecord]:
 
         refs = ()
         if "references" in obj:
-            refs = tuple(
-                _reference(r, path, lineno, unknown_sources) for r in obj["references"]
-            )
+            raw_refs = obj["references"]
+            # Present means a list of objects: null, a string or an object is refused.
+            if not isinstance(raw_refs, list) or not all(isinstance(r, dict) for r in raw_refs):
+                raise SchemaError(f"{path}:{lineno}: references must be a list of objects")
+            refs = tuple(_reference(r, path, lineno, unknown_sources) for r in raw_refs)
         records.append(CveRecord(cve_id, description, vector, score, refs))
     _warn_unknown_sources(path, unknown_sources)
     return records
@@ -400,10 +401,20 @@ def save_labels(path, examples: Iterable[LabeledExample]) -> None:
     """
     path = Path(path)
     existing = load_labels(path) if path.exists() else []
-    merged = merge_labels(existing + list(examples))
+    write_labels(path, merge_labels(existing + list(examples)))
+
+
+def write_labels(path, merged: dict[str, LabeledExample]) -> None:
+    """Write an already merged store to ``path``: one line per CVE, sorted by id."""
+    stamps: dict[datetime, str] = {}
     lines = []
     for cve_id in sorted(merged):
         ex = merged[cve_id]
+        # Equal instants in different UTC offsets are equal keys and
+        # format alike, so a store's few distinct stamps format once each.
+        ts = stamps.get(ex.labeled_at)
+        if ts is None:
+            ts = stamps[ex.labeled_at] = format_ts(ex.labeled_at)
         lines.append(
             compact_json(
                 {
@@ -411,7 +422,7 @@ def save_labels(path, examples: Iterable[LabeledExample]) -> None:
                     "utility": ex.utility,
                     "opportune": ex.opportune,
                     "labeler": ex.labeler.value,
-                    "ts": format_ts(ex.labeled_at),
+                    "ts": ts,
                 }
             )
         )

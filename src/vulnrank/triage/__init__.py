@@ -26,6 +26,7 @@ from vulnrank.triage.svm import (
     LinearModel,
     Task,
     TrainConfig,
+    TrainingDiverged,
     predict_texts,
     split,
     train,
@@ -44,6 +45,7 @@ __all__ = [
     "ModelVersionError",
     "Task",
     "TrainConfig",
+    "TrainingDiverged",
     "Vocabulary",
     "design_matrix",
     "evaluate",

@@ -14,6 +14,26 @@ of collapsing to 0. Whenever ``s`` falls below a fixed floor it is folded
 back into V (V *= s, s = 1), so V stays far from overflow however long
 training runs.
 
+V is held transposed, as a C-contiguous (vocabulary, K) array ``Vt``
+with one row per token, and its bias column as a list of K Python
+floats. A step then makes one numpy call, ``val @ Vt.take(idx, 0)``,
+which gathers the document's rows into one contiguous block and takes
+its K dot products. Everything else in a step is Python float
+arithmetic on K values: the margins, the per-class ``m < 1.0`` tests,
+the decay of ``s``, the step size and the bias. Python floats round
+exactly as numpy's float64 does, and each expression keeps the
+operation order the trainer had when V was a (K, vocabulary + 1)
+array, so training still yields the same bytes. Only a step that
+violates a margin touches ``Vt`` again, adding the outer product of the
+document's values and the K steps. The layout is fixed for that
+identity, not for speed alone: the gathered (nnz, K) block has the same
+memory image as the F-ordered ``V[:, idx]`` numpy returned before, so
+both reach the same BLAS kernel and sum each dot product in the same
+order. Another layout may sum in another order, and a margin that moves
+in its last bit can flip a ``m < 1.0`` test and change the model. A
+margin that is NaN never violates, as numpy's elementwise test had it.
+A model whose weights or bias end up non-finite raises TrainingDiverged.
+
 Training is single-threaded and fully deterministic: the per-epoch
 shuffle order comes from one seeded generator, so identical data, config
 and seed reproduce bitwise-identical weights.
@@ -33,10 +53,16 @@ from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 
 # Below this the scale of W = s * V is folded back into V.
 _SCALE_FLOOR = 1e-9
+# The seeds numpy's RandomState accepts.
+SEED_RANGE = (0, 2**32 - 1)
 
 
 class CorpusTooSmall(ValueError):
     """Too few labeled examples to split into train and test sets."""
+
+
+class TrainingDiverged(ArithmeticError):
+    """Training ended with a weight or bias that is not finite."""
 
 
 class DegenerateTaskWarning(UserWarning):
@@ -67,6 +93,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not self.reg_lambda > 0:
             raise ValueError("reg_lambda must be positive")
+        low, high = SEED_RANGE
+        if not low <= self.seed <= high:
+            raise ValueError(f"seed must be in [{low}, {high}], got {self.seed!r}")
         if self.schedule != "inv_lambda_t":
             raise ValueError(f"unsupported step schedule {self.schedule!r}")
 
@@ -175,11 +204,14 @@ def train(
 
     X = design_matrix(vocab, [ex.description for ex in examples])
     bounds = X.indptr.tolist()
-    Y = np.where(labels[:, None] == np.array(classes), 1.0, -1.0)
+    rows = [(X.indices[a:b], X.data[a:b]) for a, b in zip(bounds, bounds[1:])]
+    Y = [[1.0 if label == c else -1.0 for c in classes] for label in labels.tolist()]
 
-    # W = s * V; the last column of V is the weight of the constant
-    # bias feature, which every document holds with value 1.
-    V = np.zeros((n_classes, vocab.size + 1))
+    # W = s * V, with V held transposed as Vt (one row per token) and its
+    # bias column, the weight of the constant feature every document
+    # holds with value 1, as the Python list ``bias``.
+    Vt = np.zeros((vocab.size, n_classes))
+    bias = [0.0] * n_classes
     s = 1.0
     lam = config.reg_lambda
     rng = np.random.RandomState(config.seed)
@@ -188,28 +220,30 @@ def train(
         for i in rng.permutation(X.shape[0]).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            idx = X.indices[bounds[i] : bounds[i + 1]]
-            val = X.data[bounds[i] : bounds[i + 1]]
+            idx, val = rows[i]
             ys = Y[i]
-            margins = ys * (s * (V[:, idx] @ val + V[:, -1]))
+            dots = (val @ Vt.take(idx, 0)).tolist()
+            margins = [y * (s * (d + b)) for y, d, b in zip(ys, dots, bias)]
             if t > 1:
                 s *= 1.0 - 1.0 / t
-            violated = margins < 1.0
-            if violated.any():
-                step = np.where(violated, eta * ys / s, 0.0)
-                V[:, idx] += step[:, None] * val
-                V[:, -1] += step
+            # m < 1.0 per class, not min(margins): a NaN margin never violates.
+            if any(m < 1.0 for m in margins):
+                step = [eta * y / s if m < 1.0 else 0.0 for y, m in zip(ys, margins)]
+                Vt[idx] += np.multiply.outer(val, step)
+                bias = [b + st for b, st in zip(bias, step)]
             if s < _SCALE_FLOOR:
-                V *= s
+                Vt *= s
+                bias = [b * s for b in bias]
                 s = 1.0
 
-    return LinearModel(
-        task=task,
-        weights=s * V[:, :-1],
-        bias=s * V[:, -1],
-        vocab=vocab,
-        config=config,
-    )
+    weights = np.ascontiguousarray((s * Vt).T)
+    bias = np.array([s * b for b in bias])
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise TrainingDiverged(
+            f"training the {task.value} model diverged to non-finite weights "
+            f"(reg_lambda {lam!r}, epochs {config.epochs})"
+        )
+    return LinearModel(task=task, weights=weights, bias=bias, vocab=vocab, config=config)
 
 
 def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[int]:

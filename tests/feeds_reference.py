@@ -107,7 +107,10 @@ def load_cve_records(path) -> list[CveRecord]:
         score = None
         if obj.get("score") is not None:
             score = _published_score(obj["score"], where)
-        refs = tuple(_reference(r, where, unknown) for r in obj.get("references", []))
+        refs = obj.get("references", [])
+        if not isinstance(refs, list) or not all(isinstance(r, dict) for r in refs):
+            raise SchemaError(f"{where}: references must be a list of objects")
+        refs = tuple(_reference(r, where, unknown) for r in refs)
         records.append(CveRecord(cve_id, description, vector, score, refs))
     _warn_unknown(path, unknown)
     return records

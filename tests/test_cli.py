@@ -9,6 +9,8 @@ from decimal import Decimal
 
 import pytest
 
+import vulnrank.cli as cli
+from vulnrank import feeds
 from vulnrank.cli import CONFIG_KEYS, RunConfig, build_config, main
 from vulnrank.feeds import Labeler, format_ts, load_labels, save_labels
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
@@ -88,6 +90,8 @@ class TestConfigResolution:
         "doc, named",
         [
             ({"seed": "x"}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**32}, "seed"),
             ({"epochs": 2.5}, "epochs"),
             ({"tier_bounds": 5}, "tier_bounds"),
             ({"env_weights": [1]}, "env_weights"),
@@ -281,6 +285,10 @@ class TestTrain:
             ({}, {"VULNRANK_EPOCHS": "abc"}),
             ({}, {"VULNRANK_MIN_DF": "abc"}),
             ({}, {"VULNRANK_REG_LAMBDA": "abc"}),
+            # numpy's RandomState takes seeds in [0, 2**32 - 1]; outside
+            # it, a ValueError traceback and exit 1.
+            ({"seed": -1}, {}),
+            ({}, {"VULNRANK_SEED": str(2**32)}),
         ],
     )
     def test_bad_training_knob_exits_2(self, synth_feeds, monkeypatch, capsys, flags, env):
@@ -290,6 +298,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (synth_feeds / "utility_model.json").exists()
+
+    def test_largest_seed_trains(self, synth_feeds):
+        assert main(self.train_args(synth_feeds, min_df=1, seed=2**32 - 1)) == 0
+
+    def test_non_finite_weights_exit_3(self, synth_feeds, capsys):
+        # A subnormal lambda makes the first step infinite; the model was
+        # written with Infinity and NaN weights, which predict refused.
+        assert main(self.train_args(synth_feeds, min_df=1, reg_lambda=1e-320)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: training the utility model diverged"), err
+        assert err.count("\n") == 1, err
+        assert not (synth_feeds / "utility_model.json").exists()
+        assert not list(synth_feeds.glob("*.tmp"))
 
     def test_unwritable_model_path_exits_2(self, synth_feeds, capsys):
         args = self.train_args(synth_feeds, min_df=1)
@@ -389,6 +410,64 @@ class TestPredict:
         labels = load_labels(portfolio / "portfolio_labels.jsonl")
         assert len(labels) == 12
         assert all(ex.labeler is Labeler.MODEL for ex in labels)
+
+    @pytest.mark.parametrize("store", ["superseded", "missing"])
+    def test_store_equals_what_save_labels_writes(self, trained, tmp_path, monkeypatch, store):
+        # predict writes the store from the entries it loaded once; the
+        # bytes must be those save_labels, which loads them again, writes.
+        portfolio = self.write_portfolio(tmp_path, labeled_count=0)
+        path = portfolio / "portfolio_labels.jsonl"
+        ids = [json.loads(line)["id"] for line in (portfolio / "portfolio.jsonl").read_text().splitlines()]
+        if store == "missing":
+            path.unlink()
+        else:
+            rows = [
+                (0, 1, 0, "SME", "2021-01-01T00:00:00Z"),
+                (0, 2, 1, "SME", "2021-03-01T00:00:00Z"),
+                (0, 0, 0, "Model", "2021-09-01T00:00:00Z"),
+                (1, 2, 0, "Model", "2021-05-01T00:00:00Z"),
+                (1, 1, 1, "Model", "2021-01-01T00:00:00Z"),
+                # Equal instants in different UTC offsets: the later line wins the tie.
+                (2, 0, 1, "Model", "2021-06-01T12:00:00+02:00"),
+                (2, 2, 0, "Model", "2021-06-01T10:00:00Z"),
+                (3, 1, 0, "SME", "2021-06-01T10:00:00"),
+                (5, 0, 0, "SME", "2021-06-01T00:00:00Z"),
+                # The newest stamp, which stamps the predictions, in another offset.
+                (4, 1, 1, "Model", "2021-09-01T02:00:00+02:00"),
+            ]
+            write_jsonl(path, [
+                {"cve": ids[n], "utility": u, "opportune": o, "labeler": who, "ts": ts}
+                for n, u, o, who, ts in rows
+            ])
+        loads, merges = [], []
+        real_load, real_merge = cli.load_labels, cli.merge_labels
+
+        def spy_load(p):
+            loads.append(p)
+            return real_load(p)
+
+        def spy_merge(examples):
+            merges.append(list(examples))
+            return real_merge(merges[-1])
+
+        monkeypatch.setattr(cli, "load_labels", spy_load)
+        monkeypatch.setattr(feeds, "load_labels", spy_load)
+        monkeypatch.setattr(cli, "merge_labels", spy_merge)
+        for task in ("utility", "opportune"):
+            expected = tmp_path / "expected.jsonl"
+            expected.unlink(missing_ok=True)
+            if path.exists():
+                expected.write_bytes(path.read_bytes())
+            loads.clear()
+            merges.clear()
+            assert main(self.predict_args(trained, portfolio, task=task)) == 0
+            assert len(loads) == (1 if expected.exists() else 0)
+            # The last merge takes the stored entries, merged, then the predictions.
+            stored = len(real_merge(merges[0])) if len(merges) == 2 else 0
+            fresh = merges[-1][stored:]
+            assert len(fresh) == len(ids) - (3 if store == "superseded" else 0)
+            save_labels(expected, fresh)
+            assert path.read_bytes() == expected.read_bytes()
 
     def test_version_mismatch_exits_4(self, trained, tmp_path):
         portfolio = self.write_portfolio(tmp_path)

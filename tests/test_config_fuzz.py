@@ -23,7 +23,8 @@ JSON_VALUES = st.recursive(
 )
 # Values near the accepted forms, so the success paths are drawn too.
 PLAUSIBLE_TEXT = st.sampled_from(
-    ["7", " 7 ", "-1", "2.5", "1e-3", "nan", "inf", "yes", "Off", "maybe", "text",
+    ["7", " 7 ", "-1", "4294967295", "4294967296", "2.5", "1e-3", "nan", "inf", "yes", "Off",
+     "maybe", "text",
      "json-lines", "structured", "xml", "64,32,16,8", "8,16", "1,,2", "", "out.txt",
      "1e999999999,1"]
 )
@@ -119,5 +120,6 @@ def test_config_is_typed_or_exits_2(tmp_path_factory, doc, env):
             return
     for f in fields(RunConfig):
         assert DECLARED[f.type](getattr(config, f.name)), (f.name, getattr(config, f.name))
+    assert 0 <= config.seed <= 2**32 - 1
     if not isinstance(doc, dict) or "env_weights" not in doc:
         assert config.env_weights == DEFAULT_ENV_WEIGHTS

@@ -18,6 +18,7 @@ from vulnrank.feeds import (
     ReferenceSource,
     SchemaError,
     attach_descriptions,
+    compact_json,
     format_ts,
     load_asset_context,
     load_cve_records,
@@ -25,6 +26,7 @@ from vulnrank.feeds import (
     load_labels,
     merge_labels,
     save_labels,
+    write_labels,
 )
 
 from vulnrank.cli import main
@@ -154,6 +156,16 @@ class TestLoadCveRecords:
         row = {"description": "b", "score": 5.0}
         assert_bad_id_exits_2(tmp_path, capsys, "cves", "id", row, bad_id)
 
+    @pytest.mark.parametrize("references", [None, 3, 2.5, True, "x", {}, [None]], ids=repr)
+    def test_references_not_a_list_of_objects_exits_2(self, tmp_path, capsys, references):
+        # null, numbers and booleans ended in a TypeError traceback (exit 1).
+        row = {"id": "CVE-2020-0002", "description": "b", "references": references}
+        first = {"id": "CVE-2020-0001", "description": "a"}
+        path = write_jsonl(tmp_path / "cves.jsonl", [first, row])
+        assert main(["ingest", "--cves", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:2: references must be a list of objects\n"
+
 
 class TestLoadExploitRefs:
     def test_wx_26_group(self, tmp_path):
@@ -240,6 +252,27 @@ class TestLabels:
         save_labels(a, examples)
         save_labels(b, list(reversed(examples)))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_write_labels_formats_every_row_stamp(self, tmp_path):
+        # Stamps format once per distinct instant: equal instants in other
+        # offsets share one string, other instants of one day do not.
+        stamps = ["2021-06-01T00:00:00+00:00", "2021-06-01T10:00:00+00:00", "2021-06-01T12:00:00+02:00",
+                  "2021-06-01T23:30:00-05:00", "2021-06-01T10:00:00+00:00"]
+        merged = {
+            f"CVE-2020-{n:04d}": LabeledExample(
+                f"CVE-2020-{n:04d}", n % 3, n % 2, Labeler.MODEL, datetime.fromisoformat(stamp)
+            )
+            for n, stamp in enumerate(stamps, start=1)
+        }
+        path = tmp_path / "labels.jsonl"
+        write_labels(path, dict(reversed(merged.items())))
+        assert path.read_text().splitlines() == [
+            compact_json({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
+                          "labeler": "Model", "ts": format_ts(ex.labeled_at)})
+            for ex in merged.values()
+        ]
+        loaded = [ex.labeled_at for ex in load_labels(path)]
+        assert loaded == [ex.labeled_at for ex in merged.values()]
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "labels.jsonl"

@@ -85,7 +85,9 @@ FAULTS = {
         "vector": bad("AV:N/AC:L", "AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/E:F", "AV:X", ""),
         "score": bad(True, False, 7.25, 0.05, 1e-7, -1, 11, 10.5, float("nan"), "7.5"),
         "references": st.one_of(
-            st.sampled_from([None, None, [], "", "x", ["url"], [5], {"url": "https://x/1"}]),
+            st.sampled_from(
+                [None, None, [], "", "x", 0, 2.5, True, ["url"], [5], {"url": "https://x/1"}]
+            ),
             st.lists(st.fixed_dictionaries({"url": BAD_URL, "source": SOURCE}), min_size=1, max_size=2),
         ),
     },
@@ -199,15 +201,18 @@ def test_loader_matches_reference(tmp_path_factory, kind, data):
 
 @pytest.mark.parametrize(
     "references",
-    [None, [], "", "x", ["url"], [5], [None], {"url": "https://x/1"}, [{"url": 5}], [{"source": "GitHub"}]],
+    [None, [], "", "x", {}, 0, 2.5, True, False, ["url"], [5], [None], [[]],
+     {"url": "https://x/1"}, [{"url": 5}], [{"source": "GitHub"}], [{"url": "https://x/1"}, 5]],
     ids=repr,
 )
 def test_inline_reference_shapes_match_reference(tmp_path, references):
-    # Whatever the shape, both versions fail alike: an exit-2 SchemaError
-    # for a missing url, a TypeError where the value cannot hold one.
+    # Whatever the shape, both versions agree, and a value that is not a
+    # list of objects with urls is an exit-2 SchemaError naming the line,
+    # never a TypeError traceback.
     path = tmp_path / "cves.jsonl"
     record = {"id": "CVE-2020-0001", "description": "a", "references": references}
     path.write_text(json.dumps(record) + "\n")
     got = outcome(feeds.load_cve_records, path)
     assert got == outcome(feeds_reference.load_cve_records, path)
-    assert got[1] is None or got[1][0] in ("SchemaError", "TypeError")
+    assert got[1] is None or got[1][0] == "SchemaError"
+    assert (got[1] is None) == (references == [])

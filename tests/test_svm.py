@@ -17,6 +17,7 @@ from vulnrank.triage.svm import (
     LinearModel,
     Task,
     TrainConfig,
+    TrainingDiverged,
     predict_texts,
     split,
     train,
@@ -231,6 +232,19 @@ class TestTrain:
         assert np.abs(model.weights - weights).max() <= 1e-9
         assert np.abs(model.bias - bias).max() <= 1e-9
 
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_randomstate_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 4294967295\]"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_weights_raise(self):
+        # 1 / (lambda * t) overflows for a subnormal lambda.
+        corpus = three_class_corpus()
+        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        with pytest.raises(TrainingDiverged, match="utility model diverged"):
+            train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=2, reg_lambda=1e-320))
+
     def test_illegal_label_for_task(self):
         # LabeledExample validates its own fields, so the trainer's guard
         # can only fire on records from outside the type system.
@@ -398,6 +412,8 @@ class TestModelFiles:
             lambda doc: json.dumps({**doc, "bias": [False] * len(doc["bias"])}),
             lambda doc: json.dumps({**doc, "format_version": True}),
             lambda doc: json.dumps({**doc, "classes": [0.0, 1.0, 2.0]}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": -1}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": 2**32}}),
         ],
         ids=[
             "not-json", "not-an-object", "no-weights", "no-tokens", "too-few-weight-rows",
@@ -406,7 +422,7 @@ class TestModelFiles:
             "int-tokens", "repeated-token", "negative-documents", "string-documents",
             "huge-documents", "wrong-classes", "string-classes", "nan-weights", "inf-weight",
             "nan-bias", "unknown-config-key", "string-weights", "bool-weight", "string-bias",
-            "bool-bias", "bool-version", "float-classes",
+            "bool-bias", "bool-version", "float-classes", "negative-seed", "seed-above-range",
         ],
     )
     def test_corrupt_model_rejected(self, tmp_path, corrupt):
