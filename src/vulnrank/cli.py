@@ -1,9 +1,10 @@
 """Command-line front end: ingest, train, predict, score, rank, report, label.
 
 Configuration resolves in four layers, weakest first: built-in defaults,
-the --config JSON file, VULNRANK_* environment variables, then explicit
-flags. Every flag mirrors a config key of the same name. Every value,
-from whichever layer, is type-checked by its key's parser.
+the --config JSON file, VULNRANK_* environment variables, then the
+flags, which are built from ``CONFIG_KEYS``. Every value, a flag's as
+typed, goes through its key's parser; argparse rejects only usage errors
+(an unknown flag, a flag without its value, a missing subcommand or --task).
 
 Exit codes are a stable scripting contract: 0 success, 2 ingest,
 validation, configuration or file read/write failure, 3 training
@@ -227,26 +228,32 @@ def _env_weights(raw, where: str) -> EnvWeights:
     )
 
 
-# One parser per RunConfig key, in field order. Each takes the JSON value
-# or its string form and raises InvalidConfig naming where it came from.
+# Each RunConfig key, in field order, with its parser (the JSON value or its
+# string form in, InvalidConfig naming where it came from out) and its flag's
+# help; None for env_weights, which only the config file sets.
 CONFIG_KEYS = {
-    "cves": _path,
-    "refs": _path,
-    "context": _path,
-    "labels": _path,
-    "model_utility": _path,
-    "model_opportune": _path,
-    "output": _path,
-    "format": _format,
-    "seed": _seed,
-    "min_df": _integer,
-    "epochs": _integer,
-    "reg_lambda": _real,
-    "stratified": _boolean,
-    "env_weights": _env_weights,
-    "tier_bounds": _tier_bounds,
+    "cves": (_path, "CVE feed path"),
+    "refs": (_path, "exploit reference feed path"),
+    "context": (_path, "asset context feed path"),
+    "labels": (_path, "label store path"),
+    "model_utility": (_path, "utility model file"),
+    "model_opportune": (_path, "opportune model file"),
+    "output": (_path, "output path (default: stdout)"),
+    "format": (_format, "text, csv or json-lines"),
+    "seed": (_seed, "RNG seed (default 42)"),
+    "min_df": (_integer, "vocabulary min document frequency"),
+    "epochs": (_integer, "training epochs"),
+    "reg_lambda": (_real, "L2 regularization"),
+    "stratified": (_boolean, "stratify the train/test split by task label"),
+    "env_weights": (_env_weights, None),
+    "tier_bounds": (
+        _tier_bounds, "comma-separated threat tier boundaries, descending (default 64,32,16,8)"
+    ),
 }
-FILE_ONLY_KEYS = {"env_weights"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -268,14 +275,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if key not in CONFIG_KEYS:
                 raise InvalidConfig(f"{args.config}: unknown config key {key!r}")
             settings.append((key, raw, f"{args.config}: {key}"))
-    for key in CONFIG_KEYS:
+    for key, (_, help_text) in CONFIG_KEYS.items():
         name = ENV_PREFIX + key.upper()
-        if key not in FILE_ONLY_KEYS and name in os.environ:
+        if help_text is not None and name in os.environ:
             settings.append((key, os.environ[name], name))
         if getattr(args, key, None) is not None:
-            settings.append((key, getattr(args, key), "--" + key.replace("_", "-")))
+            settings.append((key, getattr(args, key), _flag(key)))
     return replace(
-        RunConfig(), **{key: CONFIG_KEYS[key](raw, where) for key, raw, where in settings}
+        RunConfig(), **{key: CONFIG_KEYS[key][0](raw, where) for key, raw, where in settings}
     )
 
 
@@ -283,7 +290,7 @@ def _require_paths(config: RunConfig, names: list[str]) -> None:
     for name in names:
         value = getattr(config, name)
         if value is None:
-            raise FeedError(f"no {name} path configured (flag --{name.replace('_', '-')})")
+            raise FeedError(f"no {name} path configured (flag {_flag(name)})")
         if not Path(value).exists():
             raise FeedError(f"{name} file not found: {value}")
 
@@ -457,8 +464,8 @@ def cmd_rank(config: RunConfig, default_format: str) -> int:
     return EXIT_OK
 
 
-def cmd_report(config: RunConfig) -> int:
-    fmt = ExportFormat.parse(config.format or "text")
+def cmd_report(config: RunConfig, default_format: str) -> int:
+    fmt = ExportFormat.parse(config.format or default_format)
     with _cyclic_gc_paused():
         report = compare(_scored_portfolio(config), tier_bounds=config.tier_bounds)
         _emit(config, export(report, fmt))
@@ -505,38 +512,10 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
             continue
         collected.append(LabeledExample(rec.cve_id, int(utility), int(opportune), Labeler.SME, stamp))
     if collected:
+        # Reads the store again, or a predict run during this session would be lost.
         save_labels(config.labels, collected)
     print(f"\nsaved {len(collected)} label(s) to {config.labels}")
     return EXIT_OK
-
-
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--cves", help="CVE feed path")
-    common.add_argument("--refs", help="exploit reference feed path")
-    common.add_argument("--context", help="asset context feed path")
-    common.add_argument("--labels", help="label store path")
-    common.add_argument("--model-utility", dest="model_utility", help="utility model file")
-    common.add_argument("--model-opportune", dest="model_opportune", help="opportune model file")
-    common.add_argument("--output", help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, help="RNG seed (default 42)")
-    common.add_argument("--min-df", dest="min_df", type=int, help="vocabulary min document frequency")
-    common.add_argument("--epochs", type=int, help="training epochs")
-    common.add_argument("--reg-lambda", dest="reg_lambda", type=float, help="L2 regularization")
-    common.add_argument(
-        "--stratified",
-        action="store_const",
-        const=True,
-        default=None,
-        help="stratify the train/test split by task label",
-    )
-    common.add_argument(
-        "--tier-bounds",
-        dest="tier_bounds",
-        help="comma-separated threat tier boundaries, descending (default 64,32,16,8)",
-    )
-    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,7 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vulnrank",
         description="Threat-score vulnerability prioritization pipeline.",
     )
-    common = _common_flags()
+    # Every flag but --format, which only score, rank and report take.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    for key, (_, help_text) in CONFIG_KEYS.items():
+        if help_text is not None and key != "format":
+            switch = {"action": "store_const", "const": "true"} if key == "stratified" else {}
+            common.add_argument(_flag(key), dest=key, help=help_text, **switch)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("ingest", parents=[common], help="validate feeds and print counts")
@@ -562,11 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", "text", "emit the CVSS-versus-threat comparison report"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument(
-            "--format",
-            choices=["text", "csv", "json-lines"],
-            help=f"output format (default {default_fmt})",
-        )
+        p.add_argument("--format", help=f"{CONFIG_KEYS['format'][1]} (default {default_fmt})")
+        p.set_defaults(default_format=default_fmt)
 
     label = sub.add_parser("label", parents=[common], help="interactive SME labeling loop")
     label.add_argument("--timestamp", help="ISO-8601 stamp for saved labels (default: now)")
@@ -598,12 +580,10 @@ def main(argv=None) -> int:
             return cmd_ingest(config)
         if args.command in ("train", "predict"):
             return _triage_main(args.command, config, args.task)
-        if args.command == "score":
-            return cmd_rank(config, "json-lines")
-        if args.command == "rank":
-            return cmd_rank(config, "text")
+        if args.command in ("score", "rank"):
+            return cmd_rank(config, args.default_format)
         if args.command == "report":
-            return cmd_report(config)
+            return cmd_report(config, args.default_format)
         if args.command == "label":
             return cmd_label(config, args.timestamp)
         raise AssertionError(args.command)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from vulnrank.cvss import BaseScore, base_score, severity_of
 from vulnrank.feeds import AssetContext, Criticality, CveRecord, Exposure, LabeledExample
@@ -31,7 +31,7 @@ class InvalidConfig(ScoringError):
 
 
 class MissingLabels(ScoringError):
-    """Records lack triage labels and no predictor was supplied."""
+    """Records lack triage labels."""
 
     def __init__(self, cve_ids: Sequence[str]):
         self.cve_ids = tuple(cve_ids)
@@ -178,15 +178,14 @@ def score_portfolio(
     labels_map: Mapping[str, LabeledExample] | None = None,
     ctx_map: Mapping[str, AssetContext] | None = None,
     env_weights: EnvWeights = DEFAULT_ENV_WEIGHTS,
-    predict_missing: Callable[[CveRecord], LabeledExample] | None = None,
 ) -> list[ScoredVulnerability]:
     """Score every record; output order follows input order.
 
     Records without an entry in ``wx_map`` count zero exploits; records
     without asset context score with neutral environmental factors.
     Records with the same exposure and criticality share one
-    ``EnvironmentalFactors``. Records without labels are an error unless
-    ``predict_missing`` is supplied to fill them in.
+    ``EnvironmentalFactors``. Records without an entry in ``labels_map``
+    are an error (``MissingLabels``); ``vulnrank predict`` fills them in.
     """
     records = list(records)
     wx_map = wx_map or {}
@@ -196,18 +195,14 @@ def score_portfolio(
     no_cvss = [r.cve_id for r in records if not r.scoring_eligible]
     if no_cvss:
         raise MissingCvss(no_cvss)
-    if predict_missing is None:
-        unlabeled = [r.cve_id for r in records if r.cve_id not in labels_map]
-        if unlabeled:
-            raise MissingLabels(unlabeled)
+    unlabeled = [r.cve_id for r in records if r.cve_id not in labels_map]
+    if unlabeled:
+        raise MissingLabels(unlabeled)
 
     envs: dict[tuple[Exposure, Criticality] | None, EnvironmentalFactors] = {}
     scored = []
     for record in records:
         cve_id = record.cve_id
-        labels = labels_map.get(cve_id)
-        if labels is None:
-            labels = predict_missing(record)
         wx = wx_map.get(cve_id)
         ctx = ctx_map.get(cve_id)
         env_key = None if ctx is None else (ctx.exposure, ctx.criticality)
@@ -219,7 +214,7 @@ def score_portfolio(
                 cve_id=cve_id,
                 cvss=resolve_base_score(record),
                 wx=0 if wx is None else wx.count,
-                labels=labels,
+                labels=labels_map[cve_id],
                 env=env,
             )
         )

@@ -41,6 +41,7 @@ and seed reproduce bitwise-identical weights.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -91,8 +92,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.reg_lambda > 0:
-            raise ValueError("reg_lambda must be positive")
+        # An infinite lambda makes every step 1/(inf * t) = 0, an all-zero
+        # model, and a model file holding Infinity, which is not JSON.
+        if not 0 < self.reg_lambda < math.inf:
+            raise ValueError(f"reg_lambda must be positive and finite, got {self.reg_lambda!r}")
         low, high = SEED_RANGE
         if not low <= self.seed <= high:
             raise ValueError(f"seed must be in [{low}, {high}], got {self.seed!r}")

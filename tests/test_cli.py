@@ -11,7 +11,7 @@ import pytest
 
 import vulnrank.cli as cli
 from vulnrank import feeds
-from vulnrank.cli import CONFIG_KEYS, RunConfig, build_config, main
+from vulnrank.cli import CONFIG_KEYS, RunConfig, build_config, build_parser, main
 from vulnrank.feeds import Labeler, format_ts, load_labels, save_labels
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
@@ -20,12 +20,7 @@ from conftest import trio_cve_rows, write_jsonl
 
 
 def make_args(**overrides):
-    base = {
-        "config": None, "cves": None, "refs": None, "context": None, "labels": None,
-        "model_utility": None, "model_opportune": None, "output": None, "format": None,
-        "seed": None, "min_df": None, "epochs": None, "reg_lambda": None, "stratified": None,
-        "tier_bounds": None,
-    }
+    base = {"config": None, **dict.fromkeys(CONFIG_KEYS)}
     base.update(overrides)
     return argparse.Namespace(**base)
 
@@ -121,6 +116,38 @@ class TestConfigResolution:
         assert main(trio_score_args(trio_feed_dir)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "abc"), ("--min-df", "1.5"), ("--epochs", "x"), ("--reg-lambda", "x"),
+         ("--format", "xml")],
+    )
+    def test_bad_flag_value_exits_2(self, trio_feed_dir, capsys, flag, value):
+        # argparse once refused these itself, with its usage block.
+        assert main(trio_score_args(trio_feed_dir) + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, err
+
+    def test_structured_format_flag_as_env(self, trio_feed_dir, monkeypatch, capsys):
+        assert main(trio_score_args(trio_feed_dir) + ["--format", "structured"]) == 0
+        from_flag = capsys.readouterr().out
+        monkeypatch.setenv("VULNRANK_FORMAT", "structured")
+        assert main(trio_score_args(trio_feed_dir)) == 0
+        assert capsys.readouterr().out == from_flag != ""
+
+    def test_flags_follow_config_keys(self):
+        # One flag per key with help, in CONFIG_KEYS order, and argparse
+        # neither converts nor checks their values.
+        flagged = [key for key, (_, help_text) in CONFIG_KEYS.items() if help_text is not None]
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        for name, sub in commands.items():
+            actions = [a for a in sub._actions if a.dest in CONFIG_KEYS]
+            expected = [k for k in flagged if k != "format"]
+            expected += ["format"] if name in ("score", "rank", "report") else []
+            assert [a.dest for a in actions] == expected, name
+            flags = [["--" + k.replace("_", "-")] for k in expected]
+            assert [a.option_strings for a in actions] == flags, name
+            assert all(a.type is None and a.choices is None for a in actions), name
 
     @pytest.mark.parametrize(
         "doc, key, expected",
@@ -289,6 +316,10 @@ class TestTrain:
             # it, a ValueError traceback and exit 1.
             ({"seed": -1}, {}),
             ({}, {"VULNRANK_SEED": str(2**32)}),
+            # An infinite lambda trained an all-zero model and wrote
+            # Infinity into the model file.
+            ({"reg_lambda": "inf"}, {}),
+            ({}, {"VULNRANK_REG_LAMBDA": "1e309"}),
         ],
     )
     def test_bad_training_knob_exits_2(self, synth_feeds, monkeypatch, capsys, flags, env):
@@ -485,10 +516,13 @@ class TestPredict:
             lambda doc: json.dumps({**doc, "bias": doc["bias"] + [0.0]}),
             lambda doc: json.dumps({**doc, "classes": ["a", "b", "c"]}),
             lambda doc: json.dumps({**doc, "vocabulary": {**doc["vocabulary"], "num_documents": -1}}),
+            # A model trained with an infinite lambda: all zeros, and
+            # predict labelled every CVE 0.
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": float("inf")}}),
         ],
         ids=[
             "corrupt-json", "missing-weights", "weight-shape", "bias-length", "string-classes",
-            "negative-documents",
+            "negative-documents", "infinite-lambda",
         ],
     )
     def test_corrupt_model_exits_4(self, trained, tmp_path, capsys, corrupt):

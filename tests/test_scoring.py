@@ -192,15 +192,6 @@ class TestScorePortfolio:
         with pytest.raises(MissingCvss, match="CVE-2020-0001"):
             score_portfolio([record], {}, {"CVE-2020-0001": labels()})
 
-    def test_predictor_fills_missing_labels(self):
-        record = CveRecord("CVE-2020-0001", "text", published_score=Decimal("4.0"))
-        (scored,) = score_portfolio(
-            [record],
-            predict_missing=lambda rec: labels(2, 0, Labeler.MODEL),
-        )
-        assert scored.labels.labeler is Labeler.MODEL
-        assert scored.threat_score == Decimal("12.0")
-
     def test_vector_wins_over_published(self, tmp_path, caplog):
         rows = [
             {

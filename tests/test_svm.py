@@ -414,6 +414,8 @@ class TestModelFiles:
             lambda doc: json.dumps({**doc, "classes": [0.0, 1.0, 2.0]}),
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": -1}}),
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": 2**32}}),
+            # json.dumps writes Infinity, which json.load reads back as inf.
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": float("inf")}}),
         ],
         ids=[
             "not-json", "not-an-object", "no-weights", "no-tokens", "too-few-weight-rows",
@@ -423,6 +425,7 @@ class TestModelFiles:
             "huge-documents", "wrong-classes", "string-classes", "nan-weights", "inf-weight",
             "nan-bias", "unknown-config-key", "string-weights", "bool-weight", "string-bias",
             "bool-bias", "bool-version", "float-classes", "negative-seed", "seed-above-range",
+            "infinite-lambda",
         ],
     )
     def test_corrupt_model_rejected(self, tmp_path, corrupt):
