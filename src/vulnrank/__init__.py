@@ -35,7 +35,6 @@ from vulnrank.report import (
     compare,
     export,
     rank,
-    write_export,
 )
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
@@ -83,5 +82,4 @@ __all__ = [
     "score_portfolio",
     "severity_of",
     "threat_score",
-    "write_export",
 ]

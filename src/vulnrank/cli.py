@@ -3,15 +3,17 @@
 Configuration resolves in four layers, weakest first: built-in defaults,
 the --config JSON file, VULNRANK_* environment variables, then the
 flags, which are built from ``CONFIG_KEYS``. Every value, a flag's as
-typed, goes through its key's parser; argparse rejects only usage errors
-(an unknown flag, a flag without its value, a missing subcommand or --task).
+typed or one-dash like ``-1e-3``, goes through its key's parser, the one
+check of its type and range; argparse rejects only usage errors (an
+unknown flag, a flag without its value, a missing subcommand or --task).
 
 Exit codes are a stable scripting contract: 0 success, 2 ingest,
 validation, configuration or file read/write failure, 3 training
 failure, 4 model compatibility failure, 5 scoring completeness failure.
 Every failure prints one ``error:`` line to stderr. Output files are
-written to ``<path>.tmp`` and renamed into place, so a failed write
-leaves the previous file untouched.
+written by ``feeds.write_atomic``, which follows symlinks, refuses a
+target that is not a regular file, and fsyncs a temporary file beside
+the target before renaming it into place.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import gc
 import importlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -27,6 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from pathlib import Path
 
 from vulnrank.cvss import CvssError
@@ -42,12 +46,13 @@ from vulnrank.feeds import (
     load_exploit_refs,
     load_labels,
     merge_labels,
+    output_target,
     parse_ts,
     save_labels,
     write_atomic,
     write_labels,
 )
-from vulnrank.report import DEFAULT_TIER_BOUNDS, ExportFormat, IoError, compare, export, rank
+from vulnrank.report import DEFAULT_TIER_BOUNDS, ExportFormat, compare, export, rank
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
     EnvWeights,
@@ -140,35 +145,28 @@ def _format(raw, where: str) -> str:
 
 # JSON values are taken as they are, strings are cast. type() rather than
 # isinstance(), because bool is an int subclass and true would read as 1.
-def _integer(raw, where: str) -> int:
+def _integer(raw, where: str, low: int, high: float = math.inf) -> int:
     try:
         if isinstance(raw, str) or type(raw) is int:
-            return int(raw)
+            value = int(raw)
+            if low <= value <= high:
+                return value
     except ValueError:
         pass
-    raise _bad(where, raw, "an integer")
+    span = f"in [{low}, {high}]" if high < math.inf else f">= {low}"
+    raise _bad(where, raw, f"an integer {span}")
 
 
-# The seeds numpy's RandomState accepts (triage.svm.SEED_RANGE, which
-# this module does not import: that would load numpy for every command).
-SEED_RANGE = (0, 2**32 - 1)
-
-
-def _seed(raw, where: str) -> int:
-    value = _integer(raw, where)
-    low, high = SEED_RANGE
-    if not low <= value <= high:
-        raise _bad(where, raw, f"an integer in [{low}, {high}]")
-    return value
-
-
-def _real(raw, where: str) -> float:
+# An infinite lambda would train an all-zero model and write Infinity.
+def _positive_real(raw, where: str) -> float:
     try:
         if isinstance(raw, str) or type(raw) in (int, float):
-            return float(raw)
+            value = float(raw)
+            if 0 < value < math.inf:
+                return value
     except (ValueError, OverflowError):
         pass
-    raise _bad(where, raw, "a number")
+    raise _bad(where, raw, "a positive finite number")
 
 
 # Bounded in range and scale: a threat score with wx up to 10^6 then needs
@@ -240,10 +238,12 @@ CONFIG_KEYS = {
     "model_opportune": (_path, "opportune model file"),
     "output": (_path, "output path (default: stdout)"),
     "format": (_format, "text, csv or json-lines"),
-    "seed": (_seed, "RNG seed (default 42)"),
-    "min_df": (_integer, "vocabulary min document frequency"),
-    "epochs": (_integer, "training epochs"),
-    "reg_lambda": (_real, "L2 regularization"),
+    # The seeds numpy's RandomState takes (triage.svm.SEED_RANGE, not imported
+    # here: that would load numpy for every command).
+    "seed": (partial(_integer, low=0, high=2**32 - 1), "RNG seed (default 42)"),
+    "min_df": (partial(_integer, low=1), "vocabulary min document frequency"),
+    "epochs": (partial(_integer, low=1), "training epochs"),
+    "reg_lambda": (_positive_real, "L2 regularization"),
     "stratified": (_boolean, "stratify the train/test split by task label"),
     "env_weights": (_env_weights, None),
     "tier_bounds": (
@@ -286,19 +286,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _require_paths(config: RunConfig, names: list[str]) -> None:
-    for name in names:
+def _require_paths(config: RunConfig, required: list[str], optional: tuple[str, ...] = ()) -> None:
+    for name in (*required, *optional):
         value = getattr(config, name)
         if value is None:
-            raise FeedError(f"no {name} path configured (flag {_flag(name)})")
-        if not Path(value).exists():
-            raise FeedError(f"{name} file not found: {value}")
-
-
-def _optional_paths(config: RunConfig, names: list[str]) -> None:
-    for name in names:
-        value = getattr(config, name)
-        if value is not None and not Path(value).exists():
+            if name in required:
+                raise FeedError(f"no {name} path configured (flag {_flag(name)})")
+        elif not Path(value).exists():
             raise FeedError(f"{name} file not found: {value}")
 
 
@@ -307,21 +301,19 @@ def _effective_labels(config: RunConfig) -> dict[str, LabeledExample]:
     return merge_labels(load_labels(path)) if path.exists() else {}
 
 
-def _emit(config: RunConfig, data: bytes) -> None:
+def _emit(config: RunConfig, obj, default_format: str) -> int:
+    data = export(obj, ExportFormat.parse(config.format or default_format))
     if config.output is None:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        try:
-            write_atomic(config.output, data)
-        except OSError as exc:
-            raise IoError(f"cannot write {config.output}: {exc}") from exc
+        write_atomic(config.output, data)
+    return EXIT_OK
 
 
 def cmd_ingest(config: RunConfig) -> int:
-    _require_paths(config, ["cves"])
-    _optional_paths(config, ["refs", "context", "labels"])
+    _require_paths(config, ["cves"], ("refs", "context", "labels"))
     records = load_cve_records(config.cves)
     ref_count = 0
     if config.refs is not None:
@@ -340,14 +332,7 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig, task: Task) -> int:
-    try:
-        train_config = TrainConfig(
-            epochs=config.epochs, reg_lambda=config.reg_lambda, seed=config.seed
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad training config: {exc}") from None
-    if config.min_df < 1:
-        raise InvalidConfig(f"min_df must be >= 1, got {config.min_df}")
+    train_config = TrainConfig(epochs=config.epochs, reg_lambda=config.reg_lambda, seed=config.seed)
     _require_paths(config, ["cves", "labels"])
     records = load_cve_records(config.cves)
     merged = _effective_labels(config)
@@ -397,6 +382,7 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
     _require_paths(config, ["cves"])
     if config.labels is None:
         raise FeedError("no labels path configured (flag --labels)")
+    output_target(config.labels)  # before reading it: a FIFO would block
     model = load_model(config.model_path(task))
     if model.task is not task:
         raise ModelVersionError(
@@ -444,8 +430,7 @@ def _cyclic_gc_paused():
 
 
 def _scored_portfolio(config: RunConfig):
-    _require_paths(config, ["cves", "labels"])
-    _optional_paths(config, ["refs", "context"])
+    _require_paths(config, ["cves", "labels"], ("refs", "context"))
     records = load_cve_records(config.cves)
     labels = _effective_labels(config)
     wx_map = {}
@@ -458,18 +443,14 @@ def _scored_portfolio(config: RunConfig):
 
 
 def cmd_rank(config: RunConfig, default_format: str) -> int:
-    fmt = ExportFormat.parse(config.format or default_format)
     with _cyclic_gc_paused():
-        _emit(config, export(rank(_scored_portfolio(config)), fmt))
-    return EXIT_OK
+        return _emit(config, rank(_scored_portfolio(config)), default_format)
 
 
 def cmd_report(config: RunConfig, default_format: str) -> int:
-    fmt = ExportFormat.parse(config.format or default_format)
     with _cyclic_gc_paused():
         report = compare(_scored_portfolio(config), tier_bounds=config.tier_bounds)
-        _emit(config, export(report, fmt))
-    return EXIT_OK
+        return _emit(config, report, default_format)
 
 
 def _prompt(question: str, legal: set[str]) -> str:
@@ -491,6 +472,7 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
     _require_paths(config, ["cves"])
     if config.labels is None:
         raise FeedError("no labels path configured (flag --labels)")
+    output_target(config.labels)  # before reading it: a FIFO would block
     records = sorted(load_cve_records(config.cves), key=lambda r: r.cve_id)
     targets = _without_sme_labels(records, _effective_labels(config))
     if not targets:
@@ -518,8 +500,27 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
     return EXIT_OK
 
 
+# The flags that take a value: every flagged key's but the switch's.
+_VALUE_FLAGS = {_flag(k) for k, (_, h) in CONFIG_KEYS.items() if h and k != "stratified"}
+
+
+# argparse reads a token that starts with "-" and is not a plain negative
+# number ("-1e-3", "-5,1") as an option. Every vulnrank option that takes a
+# value has two dashes, so a one-dash token after one is joined to it
+# ("--reg-lambda=-1e-3") and reaches the key's parser.
+class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in _VALUE_FLAGS and arg[:1] == "-" and arg[1:2] != "-":
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vulnrank",
         description="Threat-score vulnerability prioritization pipeline.",
     )

@@ -28,6 +28,7 @@ import json
 import logging
 import os
 import re
+import tempfile
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -63,6 +64,10 @@ class DuplicateId(FeedError):
 
 class InvalidCategory(FeedError):
     """A label field is outside its legal value set."""
+
+
+class IoError(OSError):
+    """An output file cannot be written; the message names the path as given."""
 
 
 class ReferenceSource(Enum):
@@ -429,19 +434,39 @@ def write_labels(path, merged: dict[str, LabeledExample]) -> None:
     write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``.
+def output_target(path) -> str:
+    """``path`` with symlinks resolved; IoError if it exists and is not a regular file."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise IoError(f"cannot write {path}: not a regular file")
+    return target
 
-    A failed write leaves ``path`` as it was, removes the temporary file
-    and raises the OSError.
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a fsynced ``.tmp`` file beside ``output_target(path)``
+    and rename it over that file, with the mode ``open`` gives a new file.
+
+    A failure leaves the target as it was, removes the temporary file and
+    raises IoError naming ``path`` as given.
     """
-    tmp = Path(f"{path}.tmp")
+    target = output_target(path)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # only still there if the write failed
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(target) + ".", suffix=".tmp", dir=os.path.dirname(target)
+        )
+        try:
+            with open(fd, "wb") as fh:
+                os.fchmod(fd, 0o666 & ~umask)  # mkstemp's is 0o600
+                fh.write(data)
+                fh.flush()
+                os.fsync(fd)
+            os.replace(tmp, target)
+        finally:
+            Path(tmp).unlink(missing_ok=True)  # only still there if the write failed
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def load_asset_context(path) -> dict[str, AssetContext]:

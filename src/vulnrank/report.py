@@ -17,7 +17,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from vulnrank.feeds import compact_json, write_atomic
+from vulnrank.feeds import compact_json
 from vulnrank.scoring import ScoredVulnerability, format_quantity
 
 DEFAULT_TIER_BOUNDS = (Decimal(64), Decimal(32), Decimal(16), Decimal(8))
@@ -35,10 +35,6 @@ CSV_COLUMNS = (
     "env_product",
     "label_source",
 )
-
-
-class IoError(OSError):
-    """Raised when an export cannot be written to its destination."""
 
 
 class ExportFormat(Enum):
@@ -293,12 +289,3 @@ def export(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> bytes:
     else:
         raise TypeError(f"cannot export {type(obj).__name__}")
     return renderers[fmt](obj).encode("utf-8")
-
-
-def write_export(path, obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> None:
-    """Write the export atomically; a failed write raises IoError."""
-    data = export(obj, fmt)
-    try:
-        write_atomic(path, data)
-    except OSError as exc:
-        raise IoError(f"cannot write export to {path}: {exc}") from exc

@@ -163,17 +163,3 @@ def write_ref_feed(path, rows) -> None:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
 
-
-def write_context_feed(path, contexts) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ctx in contexts:
-            fh.write(
-                json.dumps(
-                    {
-                        "cve": ctx.cve_id,
-                        "exposure": ctx.exposure.value,
-                        "criticality": ctx.criticality.value,
-                    }
-                )
-                + "\n"
-            )

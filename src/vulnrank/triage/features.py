@@ -117,7 +117,7 @@ def fit_vocabulary(corpus: Sequence[str], min_df: int = 1) -> Vocabulary:
     """
     if not corpus:
         raise EmptyCorpus("cannot fit a vocabulary on an empty corpus")
-    if min_df < 1:
+    if not min_df >= 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
     df: Counter[str] = Counter()
     for text in corpus:

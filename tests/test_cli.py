@@ -3,7 +3,9 @@
 import argparse
 import gc
 import json
+import os
 import re
+import stat
 from dataclasses import fields
 from decimal import Decimal
 
@@ -127,6 +129,33 @@ class TestConfigResolution:
         assert main(trio_score_args(trio_feed_dir) + [flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # score took these and exited 0, while train refused them.
+            (["score", "--epochs", "0"], "--epochs"),
+            (["score", "--min-df", "0"], "--min-df"),
+            (["score", "--reg-lambda", "nan"], "--reg-lambda"),
+            (["score", "--epochs", "0", "--min-df", "0", "--reg-lambda", "nan"], "--min-df"),
+            # argparse read a value like these as an option and printed its usage block.
+            (["train", "--task", "utility", "--reg-lambda", "-1e-3"], "--reg-lambda"),
+            (["report", "--tier-bounds", "-5,1"], "--tier-bounds"),
+        ],
+    )
+    def test_range_checked_for_every_command(self, trio_feed_dir, capsys, argv, flag):
+        feeds = [f"--{name}={trio_feed_dir / name}.jsonl" for name in ("cves", "labels")]
+        assert main(argv + feeds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, err
+
+    def test_option_in_value_position_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["score", "--cves", "--labels", "x"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.count("error:") == 1, err
+        assert "argument --cves: expected one argument" in err
 
     def test_structured_format_flag_as_env(self, trio_feed_dir, monkeypatch, capsys):
         assert main(trio_score_args(trio_feed_dir) + ["--format", "structured"]) == 0
@@ -703,8 +732,7 @@ class TestScoreRankReport:
         work = trio_feed_dir / "work"
         out = work / "out"
         out.mkdir(parents=True)
-        # The second target is a directory: the temporary file is written,
-        # then cannot replace it.
+        # The second target is a directory, refused before anything is written.
         for target in (work / "missing" / "out.txt", out):
             assert main(self.base_args(trio_feed_dir, cmd) + ["--output", str(target)]) == 2
             err = capsys.readouterr().err
@@ -712,6 +740,92 @@ class TestScoreRankReport:
         assert [p.name for p in work.iterdir()] == ["out"]
         assert main(self.base_args(trio_feed_dir, cmd) + ["--output", str(out / "ok")]) == 0
         assert [p.name for p in out.iterdir()] == ["ok"]
+
+
+ROLES = ("output", "labels", "model")
+
+
+def writing_args(feeds, role, path):
+    """argv that writes ``path`` as score's --output, predict's --labels or
+    train's model; for predict, the model it reads is trained first."""
+    base = [
+        "--cves", str(feeds / "cves.jsonl"), "--labels", str(feeds / "labels.jsonl"),
+        "--model-utility", str(feeds / "utility_model.json"), "--min-df", "1",
+    ]
+    if role == "output":
+        return ["score", *base, "--output", str(path)]
+    if role == "model":
+        return ["train", "--task", "utility", *base, "--model-utility", str(path)]
+    assert main(["train", "--task", "utility", *base]) == 0
+    return ["predict", "--task", "utility", *base, "--labels", str(path)]
+
+
+class TestOutputFiles:
+    """--output, the label store predict writes and model files share one
+    writer, feeds.write_atomic."""
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_symlink_is_written_through(self, synth_feeds, capsys, role):
+        # The link was replaced by a regular file, and its target kept.
+        target, link = synth_feeds / "target", synth_feeds / "link"
+        target.write_bytes(b"")
+        link.symlink_to(target)
+        assert main(writing_args(synth_feeds, role, link)) == 0
+        assert "error:" not in capsys.readouterr().err
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.stat().st_size > 0
+        assert not list(synth_feeds.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize("role", ROLES)
+    def test_non_regular_target_exits_2(self, synth_feeds, capsys, role, kind):
+        # A FIFO was replaced by a regular file, with exit 0.
+        path = synth_feeds / "special"
+        if kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        args = writing_args(synth_feeds, role, path)
+        before = sorted(p.name for p in synth_feeds.iterdir())
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: not a regular file\n", err
+        if kind == "fifo":
+            assert stat.S_ISFIFO(path.stat().st_mode)
+        else:
+            assert path.is_dir() and not any(path.iterdir())
+        assert sorted(p.name for p in synth_feeds.iterdir()) == before
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_existing_tmp_file_is_left_alone(self, synth_feeds, capsys, role):
+        path, tmp = synth_feeds / "written", synth_feeds / "written.tmp"
+        tmp.write_bytes(b"not ours\n")
+        assert main(writing_args(synth_feeds, role, path)) == 0
+        assert "error:" not in capsys.readouterr().err
+        assert path.stat().st_size > 0 and tmp.read_bytes() == b"not ours\n"
+        assert [p.name for p in synth_feeds.rglob("*.tmp")] == ["written.tmp"]
+
+    @pytest.mark.parametrize("umask", [0o027, 0o002])
+    @pytest.mark.parametrize("role", ROLES)
+    def test_new_file_mode_follows_umask(self, synth_feeds, capsys, role, umask):
+        path = synth_feeds / "written"
+        args = writing_args(synth_feeds, role, path)
+        old = os.umask(umask)
+        try:
+            assert main(args) == 0
+        finally:
+            os.umask(old)
+        assert "error:" not in capsys.readouterr().err
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_error_names_the_path_given(self, synth_feeds, monkeypatch, capsys, role):
+        # train once said "No such file or directory: 'nodir/m.json.tmp'".
+        args = writing_args(synth_feeds, role, "nodir/written")
+        monkeypatch.chdir(synth_feeds)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot write nodir/written: No such file or directory\n", err
 
 
 class TestLabelLoop:
@@ -734,6 +848,15 @@ class TestLabelLoop:
         assert len(labels) == 1
         assert (labels[0].utility, labels[0].opportune) == (2, 1)
         assert labels[0].labeler is Labeler.SME
+
+    def test_fifo_store_exits_2_before_reading(self, trio_feed_dir, monkeypatch, capsys):
+        # label reads the store, then writes it; reading a FIFO would block.
+        store = trio_feed_dir / "store"
+        os.mkfifo(store)
+        self.run_with_keys(monkeypatch, [])
+        assert main(self.label_args(trio_feed_dir, "store")) == 2
+        assert capsys.readouterr().err == f"error: cannot write {store}: not a regular file\n"
+        assert stat.S_ISFIFO(store.stat().st_mode)
 
     def test_invalid_entry_reprompts(self, trio_feed_dir, monkeypatch, capsys):
         self.run_with_keys(monkeypatch, ["7", "2", "1", "q"])

@@ -25,8 +25,8 @@ JSON_VALUES = st.recursive(
 )
 # Values near the accepted forms, so the success paths are drawn too.
 PLAUSIBLE_STRINGS = [
-    "7", " 7 ", "-1", "4294967295", "4294967296", "2.5", "1e-3", "nan", "inf", "yes", "Off",
-    "maybe", "text", "json-lines", "structured", "xml", "64,32,16,8", "8,16", "1,,2", "",
+    "0", "7", " 7 ", "-1", "-1e-3", "-5,1", "4294967295", "4294967296", "2.5", "1e-3", "nan",
+    "inf", "yes", "Off", "maybe", "text", "json-lines", "structured", "xml", "64,32,16,8", "8,16", "1,,2", "",
     "out.txt", "1e999999999,1",
 ]
 PLAUSIBLE_TEXT = st.sampled_from(PLAUSIBLE_STRINGS)
@@ -144,17 +144,15 @@ def test_flag_value_builds_what_env_value_builds(monkeypatch, key):
         monkeypatch.delenv(name)
     flag, name = "--" + key.replace("_", "-"), ENV_PREFIX + key.upper()
     for value in PLAUSIBLE_STRINGS:
-        # --key=value, so that a value starting with "-" is not an option.
-        from_flag = _outcome(["score", f"{flag}={value}"])
         monkeypatch.setenv(name, value)
         from_env = _outcome(["score"])
         monkeypatch.delenv(name)
         if isinstance(from_env, str):
             from_env = from_env.replace(f"error: {name}: ", f"error: {flag}: ", 1)
             assert from_env.count("\n") == 0
-        # repr, because a reg_lambda of nan is accepted here (train refuses
-        # it) and nan != nan.
-        assert repr(from_flag) == repr(from_env), (key, value)
+        # Both forms, so a value that starts with "-" must reach the parser too.
+        assert _outcome(["score", f"{flag}={value}"]) == from_env, (key, value)
+        assert _outcome(["score", flag, value]) == from_env, (key, value)
 
 
 def test_stratified_switch_builds_what_env_true_builds(monkeypatch):

@@ -1,6 +1,8 @@
-"""Feed loading, validation, and label-store round trips."""
+"""Feed loading, validation, label-store round trips, and the one writer."""
 
+import errno
 import logging
+import re
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -12,6 +14,7 @@ from vulnrank.feeds import (
     DuplicateId,
     Exposure,
     InvalidCategory,
+    IoError,
     LabeledExample,
     Labeler,
     ParseError,
@@ -26,6 +29,7 @@ from vulnrank.feeds import (
     load_labels,
     merge_labels,
     save_labels,
+    write_atomic,
     write_labels,
 )
 
@@ -283,7 +287,7 @@ class TestLabels:
             raise PermissionError("rename refused")
 
         monkeypatch.setattr("vulnrank.feeds.os.replace", fail)
-        with pytest.raises(PermissionError):
+        with pytest.raises(IoError, match=f"^cannot write {re.escape(str(path))}: rename refused$"):
             save_labels(path, [self.example(cve="CVE-2020-0002")])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
@@ -396,3 +400,41 @@ class TestAttachDescriptions:
         ]
         with pytest.raises(SchemaError, match="CVE-1999-9999"):
             attach_descriptions(examples, [])
+
+
+class TestWriteAtomic:
+    """Every output goes through write_atomic: a failure is one IoError
+    naming the path as given, and leaves the old file and no temporary."""
+
+    def test_writes_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_atomic(path, b"rank,cve_id\n")
+        assert path.read_bytes() == b"rank,cve_id\n"
+
+    def test_missing_directory(self, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        with pytest.raises(IoError, match=f"^cannot write {re.escape(str(path))}: No such file"):
+            write_atomic(path, b"x")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("step", ["tempfile.mkstemp", "os.fsync", "os.replace"])
+    def test_failed_step_keeps_old_file(self, tmp_path, monkeypatch, step):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+
+        def fail(*args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(f"vulnrank.feeds.{step}", fail)
+        message = f"^cannot write {re.escape(str(path))}: Input/output error$"
+        with pytest.raises(IoError, match=message):
+            write_atomic(path, b"new\n")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_non_regular_target_refused_before_any_write(self, tmp_path, monkeypatch):
+        (tmp_path / "out.csv").mkdir()
+        monkeypatch.setattr("vulnrank.feeds.tempfile.mkstemp", None)  # never reached
+        with pytest.raises(IoError, match="out.csv: not a regular file$"):
+            write_atomic(tmp_path / "out.csv", b"x")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -14,11 +14,9 @@ from vulnrank.feeds import LabeledExample, Labeler
 from vulnrank.report import (
     CSV_COLUMNS,
     ExportFormat,
-    IoError,
     compare,
     export,
     rank,
-    write_export,
 )
 from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability
 
@@ -242,17 +240,3 @@ class TestExport:
         assert ExportFormat.parse("json-lines") is ExportFormat.STRUCTURED
         with pytest.raises(ValueError):
             ExportFormat.parse("xml")
-
-    def test_write_export(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_export(path, rank(trio_portfolio()), ExportFormat.CSV)
-        assert path.read_bytes() == export(rank(trio_portfolio()), ExportFormat.CSV)
-
-    def test_failed_write_export_leaves_no_tmp(self, tmp_path):
-        with pytest.raises(IoError, match="cannot write export"):
-            write_export(tmp_path / "missing" / "out.csv", rank(trio_portfolio()), ExportFormat.CSV)
-        # The temporary file is written, then cannot replace a directory.
-        (tmp_path / "out.csv").mkdir()
-        with pytest.raises(IoError, match="cannot write export"):
-            write_export(tmp_path / "out.csv", rank(trio_portfolio()), ExportFormat.CSV)
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

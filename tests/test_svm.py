@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vulnrank.triage.svm as svm
-from vulnrank.feeds import InvalidCategory, LabeledExample, Labeler
+from vulnrank.feeds import InvalidCategory, IoError, LabeledExample, Labeler
 from vulnrank.triage.features import fit_vocabulary
 from vulnrank.triage.modelio import CorruptModel, ModelVersionError, load_model, save_model
 from vulnrank.triage.svm import (
@@ -368,12 +368,12 @@ class TestModelFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
     def test_failed_save_leaves_no_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(IoError, match="No such file or directory"):
             save_model(tmp_path / "missing" / "model.json", self.trained())
         assert list(tmp_path.iterdir()) == []
-        # The temporary file is written, then cannot replace a directory.
+        # A directory is refused before anything is written.
         (tmp_path / "model.json").mkdir()
-        with pytest.raises(OSError):
+        with pytest.raises(IoError, match="not a regular file"):
             save_model(tmp_path / "model.json", self.trained())
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
