@@ -111,7 +111,7 @@ class RunConfig:
     model_utility: str = "utility_model.json"
     model_opportune: str = "opportune_model.json"
     output: str | None = None
-    format: str | None = None
+    format: ExportFormat | None = None
     seed: int = 42
     min_df: int = 2
     epochs: int = 20
@@ -134,10 +134,10 @@ def _path(raw, where: str) -> str:
     raise _bad(where, raw, "a file path")
 
 
-def _format(raw, where: str) -> str:
+def _format(raw, where: str) -> ExportFormat:
     try:
-        if isinstance(raw, str) and ExportFormat.parse(raw):
-            return raw
+        if isinstance(raw, str):
+            return ExportFormat.parse(raw)
     except ValueError:
         pass
     raise _bad(where, raw, "text, csv or json-lines")
@@ -301,8 +301,8 @@ def _effective_labels(config: RunConfig) -> dict[str, LabeledExample]:
     return merge_labels(load_labels(path)) if path.exists() else {}
 
 
-def _emit(config: RunConfig, obj, default_format: str) -> int:
-    data = export(obj, ExportFormat.parse(config.format or default_format))
+def _emit(config: RunConfig, obj, default_format: ExportFormat) -> int:
+    data = export(obj, config.format or default_format)
     if config.output is None:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
@@ -442,12 +442,12 @@ def _scored_portfolio(config: RunConfig):
     return score_portfolio(records, wx_map, labels, ctx_map, config.env_weights)
 
 
-def cmd_rank(config: RunConfig, default_format: str) -> int:
+def cmd_rank(config: RunConfig, default_format: ExportFormat) -> int:
     with _cyclic_gc_paused():
         return _emit(config, rank(_scored_portfolio(config)), default_format)
 
 
-def cmd_report(config: RunConfig, default_format: str) -> int:
+def cmd_report(config: RunConfig, default_format: ExportFormat) -> int:
     with _cyclic_gc_paused():
         report = compare(_scored_portfolio(config), tier_bounds=config.tier_bounds)
         return _emit(config, report, default_format)
@@ -543,12 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--task", required=True, choices=TASK_NAMES)
 
     for name, default_fmt, help_text in (
-        ("score", "json-lines", "score and emit the ranked portfolio"),
-        ("rank", "text", "emit the ranked remediation queue"),
-        ("report", "text", "emit the CVSS-versus-threat comparison report"),
+        ("score", ExportFormat.STRUCTURED, "score and emit the ranked portfolio"),
+        ("rank", ExportFormat.TEXT, "emit the ranked remediation queue"),
+        ("report", ExportFormat.TEXT, "emit the CVSS-versus-threat comparison report"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--format", help=f"{CONFIG_KEYS['format'][1]} (default {default_fmt})")
+        p.add_argument("--format", help=f"{CONFIG_KEYS['format'][1]} (default {default_fmt.value})")
         p.set_defaults(default_format=default_fmt)
 
     label = sub.add_parser("label", parents=[common], help="interactive SME labeling loop")

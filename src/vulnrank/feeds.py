@@ -12,11 +12,10 @@ LF) may surround it, and nothing else may. An integer too long for
 ``int`` or nesting deeper than the recursion limit is invalid JSON too.
 
 Field names are fixed: CVE records use ``id``, ``description``,
-``vector``, ``score``, ``references`` (a list of ``{url, source, exploit}``
-objects);
-labels use ``cve``, ``utility``, ``opportune``, ``labeler``, ``ts``;
-asset context uses ``cve``, ``exposure``, ``criticality``; the exploit
-reference feed uses ``cve``, ``url``, ``source``, ``exploit``. A
+``vector``, ``score``; labels use ``cve``, ``utility``, ``opportune``,
+``labeler``, ``ts``; asset context uses ``cve``, ``exposure``,
+``criticality``; the exploit reference feed uses ``cve``, ``url``,
+``source``, ``exploit``. A loader ignores any other key. A
 reference's ``exploit`` flag defaults to false when absent, whatever the
 source: nothing counts as an exploit unless the feed says so. A published
 ``score`` is a number in [0, 10] with at most one decimal.
@@ -113,7 +112,6 @@ class CveRecord:
     description: str
     vector: CvssVector | None = None
     published_score: Decimal | None = None
-    references: tuple[ReferenceEntry, ...] = ()
 
     @property
     def scoring_eligible(self) -> bool:
@@ -213,20 +211,6 @@ def _bad_cve_id(path, lineno: int, key: str, raw) -> SchemaError:
     return SchemaError(f"{path}:{lineno}: {shown} is not a CVE id")
 
 
-def _reference(obj: dict, path, lineno: int, unknown: list) -> ReferenceEntry:
-    url = obj.get("url")
-    if not isinstance(url, str) or not url:
-        if url is None:
-            raise _missing(path, lineno, "url")
-        raise SchemaError(f"{path}:{lineno}: reference url must be a non-empty string")
-    raw_source = obj.get("source", "Other")
-    source = _SOURCES.get(raw_source) if isinstance(raw_source, str) else None
-    if source is None:
-        unknown.append(raw_source)
-        source = ReferenceSource.OTHER
-    return ReferenceEntry(url, source, bool(obj.get("exploit", False)))
-
-
 # Every accepted published score by its JSON number: at most 101 values,
 # each validated once, and records with equal scores share one Decimal.
 _published: dict[int | float, Decimal] = {}
@@ -251,18 +235,10 @@ def _published_score(raw, path, lineno: int) -> Decimal:
     return score
 
 
-def _warn_unknown_sources(path, unknown: list) -> None:
-    if unknown:
-        logger.warning(
-            "%s: %d reference(s) with unknown source downgraded to Other", path, len(unknown)
-        )
-
-
 def load_cve_records(path) -> list[CveRecord]:
     """Load a CVE feed, in file order, rejecting duplicates."""
     records: list[CveRecord] = []
     seen: set[str] = set()
-    unknown_sources: list = []
     for lineno, obj in _iter_jsonl(path):
         cve_id = obj.get("id")
         if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
@@ -289,16 +265,7 @@ def load_cve_records(path) -> list[CveRecord]:
         score = obj.get("score")
         if score is not None:
             score = _published_score(score, path, lineno)
-
-        refs = ()
-        if "references" in obj:
-            raw_refs = obj["references"]
-            # Present means a list of objects: null, a string or an object is refused.
-            if not isinstance(raw_refs, list) or not all(isinstance(r, dict) for r in raw_refs):
-                raise SchemaError(f"{path}:{lineno}: references must be a list of objects")
-            refs = tuple(_reference(r, path, lineno, unknown_sources) for r in raw_refs)
-        records.append(CveRecord(cve_id, description, vector, score, refs))
-    _warn_unknown_sources(path, unknown_sources)
+        records.append(CveRecord(cve_id, description, vector, score))
     return records
 
 
@@ -310,20 +277,33 @@ def load_exploit_refs(path) -> dict[str, list[ReferenceEntry]]:
     """
     grouped: dict[str, list[ReferenceEntry]] = {}
     seen_urls: dict[str, set[str]] = {}
-    unknown_sources: list = []
+    unknown_sources = 0
     for lineno, obj in _iter_jsonl(path):
         cve_id = obj.get("cve")
         if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
             raise _bad_cve_id(path, lineno, "cve", cve_id)
-        entry = _reference(obj, path, lineno, unknown_sources)
+        url = obj.get("url")
+        if not isinstance(url, str) or not url:
+            if url is None:
+                raise _missing(path, lineno, "url")
+            raise SchemaError(f"{path}:{lineno}: reference url must be a non-empty string")
+        source = obj.get("source", "Other")
+        source = _SOURCES.get(source) if isinstance(source, str) else None
+        if source is None:
+            unknown_sources += 1
+            source = ReferenceSource.OTHER
+        entry = ReferenceEntry(url, source, bool(obj.get("exploit", False)))
         urls = seen_urls.get(cve_id)
         if urls is None:
-            seen_urls[cve_id] = {entry.url}
+            seen_urls[cve_id] = {url}
             grouped[cve_id] = [entry]
-        elif entry.url not in urls:
-            urls.add(entry.url)
+        elif url not in urls:
+            urls.add(url)
             grouped[cve_id].append(entry)
-    _warn_unknown_sources(path, unknown_sources)
+    if unknown_sources:
+        logger.warning(
+            "%s: %d reference(s) with unknown source downgraded to Other", path, unknown_sources
+        )
     return grouped
 
 
@@ -443,28 +423,41 @@ def output_target(path) -> str:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a fsynced ``.tmp`` file beside ``output_target(path)``
-    and rename it over that file, with the mode ``open`` gives a new file.
+    """Write ``data`` to a fsynced ``.tmp`` file beside ``output_target(path)``,
+    rename it over that file and fsync the directory, so the rename is durable.
 
-    A failure leaves the target as it was, removes the temporary file and
-    raises IoError naming ``path`` as given.
+    An existing target keeps its permission bits; a new one gets
+    ``0o666 & ~umask``, as ``open`` would give it. A failure before the
+    rename leaves the target as it was and removes the temporary file; a
+    failed directory fsync comes after it, when the target already holds
+    the new data. Either raises IoError naming ``path`` as given.
     """
     target = output_target(path)
-    umask = os.umask(0)
-    os.umask(umask)
+    directory = os.path.dirname(target)
     try:
+        try:
+            mode = os.stat(target).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(
-            prefix=os.path.basename(target) + ".", suffix=".tmp", dir=os.path.dirname(target)
+            prefix=os.path.basename(target) + ".", suffix=".tmp", dir=directory
         )
         try:
             with open(fd, "wb") as fh:
-                os.fchmod(fd, 0o666 & ~umask)  # mkstemp's is 0o600
+                os.fchmod(fd, mode)  # mkstemp's is 0o600
                 fh.write(data)
                 fh.flush()
                 os.fsync(fd)
             os.replace(tmp, target)
         finally:
             Path(tmp).unlink(missing_ok=True)  # only still there if the write failed
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

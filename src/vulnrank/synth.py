@@ -149,11 +149,6 @@ def write_cve_feed(path, records) -> None:
                 row["vector"] = rec.vector.to_string()
             if rec.published_score is not None:
                 row["score"] = float(rec.published_score)
-            if rec.references:
-                row["references"] = [
-                    {"url": r.url, "source": r.source.value, "exploit": r.is_exploit}
-                    for r in rec.references
-                ]
             fh.write(json.dumps(row) + "\n")
 
 

@@ -86,7 +86,6 @@ def _warn_unknown(path, unknown: list) -> None:
 def load_cve_records(path) -> list[CveRecord]:
     records = []
     seen = set()
-    unknown = []
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
         cve_id = _cve_id(_require(obj, "id", where), where)
@@ -107,12 +106,7 @@ def load_cve_records(path) -> list[CveRecord]:
         score = None
         if obj.get("score") is not None:
             score = _published_score(obj["score"], where)
-        refs = obj.get("references", [])
-        if not isinstance(refs, list) or not all(isinstance(r, dict) for r in refs):
-            raise SchemaError(f"{where}: references must be a list of objects")
-        refs = tuple(_reference(r, where, unknown) for r in refs)
-        records.append(CveRecord(cve_id, description, vector, score, refs))
-    _warn_unknown(path, unknown)
+        records.append(CveRecord(cve_id, description, vector, score))
     return records
 
 

@@ -15,6 +15,7 @@ import vulnrank.cli as cli
 from vulnrank import feeds
 from vulnrank.cli import CONFIG_KEYS, RunConfig, build_config, build_parser, main
 from vulnrank.feeds import Labeler, format_ts, load_labels, save_labels
+from vulnrank.report import ExportFormat
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
 
@@ -188,7 +189,7 @@ class TestConfigResolution:
             ({"reg_lambda": 1}, "reg_lambda", 1.0),
             ({"tier_bounds": "100,50"}, "tier_bounds", (Decimal(100), Decimal(50))),
             ({"tier_bounds": [100, "50.5"]}, "tier_bounds", (Decimal(100), Decimal("50.5"))),
-            ({"format": "structured"}, "format", "structured"),
+            ({"format": "structured"}, "format", ExportFormat.STRUCTURED),
             (
                 {"tier_bounds": "1e9,0.0001,0"},
                 "tier_bounds",
@@ -817,6 +818,22 @@ class TestOutputFiles:
             os.umask(old)
         assert "error:" not in capsys.readouterr().err
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("role, mode", [("labels", 0o600), ("model", 0o640), ("output", 0o600)])
+    def test_rewritten_file_keeps_its_mode(self, synth_feeds, capsys, role, mode):
+        # A 0600 label store came back 0644 after one predict.
+        path = synth_feeds / "written"
+        path.write_bytes(b"")
+        path.chmod(mode)
+        args = writing_args(synth_feeds, role, path)
+        old = os.umask(0o022)
+        try:
+            assert main(args) == 0
+        finally:
+            os.umask(old)
+        assert "error:" not in capsys.readouterr().err
+        assert path.stat().st_size > 0
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
     @pytest.mark.parametrize("role", ROLES)
     def test_error_names_the_path_given(self, synth_feeds, monkeypatch, capsys, role):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulnrank.cli import CONFIG_KEYS, ENV_PREFIX, RunConfig, build_config, build_parser, main
+from vulnrank.report import ExportFormat
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, EnvWeights, InvalidConfig
 
 JSON_VALUES = st.recursive(
@@ -46,6 +47,7 @@ PLAUSIBLE_JSON = PLAUSIBLE_TEXT | st.sampled_from(
 TYPED = {
     "str | None": st.none() | st.text(min_size=1),
     "str": st.text(min_size=1),
+    "ExportFormat | None": st.none() | st.sampled_from(["text", "csv", "json-lines", "structured"]),
     "int": st.integers() | st.integers().map(str),
     "float": st.floats() | st.integers(),
     "bool": st.booleans() | st.sampled_from(["yes", "no", "1", "0", "on", "off"]),
@@ -94,6 +96,7 @@ def _weights_ok(weights) -> bool:
 DECLARED = {
     "str | None": lambda v: v is None or isinstance(v, str),
     "str": lambda v: isinstance(v, str),
+    "ExportFormat | None": lambda v: v is None or isinstance(v, ExportFormat),
     "int": lambda v: type(v) is int,
     "float": lambda v: type(v) is float,
     "bool": lambda v: type(v) is bool,

@@ -2,7 +2,9 @@
 
 import errno
 import logging
+import os
 import re
+import stat
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -160,15 +162,18 @@ class TestLoadCveRecords:
         row = {"description": "b", "score": 5.0}
         assert_bad_id_exits_2(tmp_path, capsys, "cves", "id", row, bad_id)
 
-    @pytest.mark.parametrize("references", [None, 3, 2.5, True, "x", {}, [None]], ids=repr)
-    def test_references_not_a_list_of_objects_exits_2(self, tmp_path, capsys, references):
-        # null, numbers and booleans ended in a TypeError traceback (exit 1).
-        row = {"id": "CVE-2020-0002", "description": "b", "references": references}
-        first = {"id": "CVE-2020-0001", "description": "a"}
-        path = write_jsonl(tmp_path / "cves.jsonl", [first, row])
-        assert main(["ingest", "--cves", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {path}:2: references must be a list of objects\n"
+    @pytest.mark.parametrize(
+        "references",
+        [None, 3, 2.5, True, "x", {}, [None],
+         [{"url": "https://x/1", "source": "ExploitDB", "exploit": True}]],
+        ids=repr,
+    )
+    def test_references_key_is_ignored(self, tmp_path, references):
+        # Exploit references are read only from the --refs feed.
+        row = {"id": "CVE-2020-0002", "description": "b", "score": 5.0}
+        plain = write_jsonl(tmp_path / "plain.jsonl", [row])
+        inline = write_jsonl(tmp_path / "inline.jsonl", [{**row, "references": references}])
+        assert load_cve_records(inline) == load_cve_records(plain)
 
 
 class TestLoadExploitRefs:
@@ -430,6 +435,41 @@ class TestWriteAtomic:
         with pytest.raises(IoError, match=message):
             write_atomic(path, b"new\n")
         assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_fsyncs_the_target_directory_after_the_rename(self, tmp_path, monkeypatch):
+        # Through a link, the directory is the real target's.
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "out.csv"
+        link.symlink_to(tmp_path / "real" / "out.csv")
+        synced, fsync = [], os.fsync
+
+        def spy(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                assert info.st_ino == (tmp_path / "real").stat().st_ino
+                synced.append(link.read_bytes())
+            fsync(fd)
+
+        monkeypatch.setattr("vulnrank.feeds.os.fsync", spy)
+        write_atomic(link, b"one\n")
+        write_atomic(link, b"two\n")
+        assert synced == [b"one\n", b"two\n"]
+
+    def test_failed_directory_fsync_names_the_path(self, tmp_path, monkeypatch):
+        path, fsync = tmp_path / "out.csv", os.fsync
+
+        def fail_on_directory(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "Input/output error")
+            fsync(fd)
+
+        monkeypatch.setattr("vulnrank.feeds.os.fsync", fail_on_directory)
+        message = f"^cannot write {re.escape(str(path))}: Input/output error$"
+        with pytest.raises(IoError, match=message):
+            write_atomic(path, b"new\n")
+        # The rename came first: the target holds the new data.
+        assert path.read_bytes() == b"new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_non_regular_target_refused_before_any_write(self, tmp_path, monkeypatch):

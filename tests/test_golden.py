@@ -3,8 +3,10 @@
 The portfolio mixes every input path the scoring code has: vector-only
 records (with and without the ``CVSS:3.1/`` prefix, metrics in canonical
 and shuffled order), published-only scores (floats and integers),
-records carrying both (agreeing and disagreeing), inline references,
-an exploit reference feed with duplicate URLs, non-exploit rows and
+records carrying both (agreeing and disagreeing), inline references
+(ignored input: exploit references are read only from the reference
+feed, and the same digests hold with them stripped), an exploit
+reference feed with duplicate URLs, non-exploit rows and
 unknown sources, asset context over every exposure/criticality pair, and
 SME and model labels with superseded entries.
 
@@ -14,6 +16,7 @@ recompute the digests and give the reason in the same commit.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -108,9 +111,22 @@ def golden_feeds(tmp_path_factory):
     return write_golden_feeds(tmp_path_factory.mktemp("golden"))
 
 
+def _digest(feeds, out, command, fmt) -> str:
+    args = [arg for name, path in feeds.items() for arg in (f"--{name}", path)]
+    assert main([command, *args, "--format", fmt, "--output", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("command,fmt", sorted(GOLDEN))
 def test_output_bytes_pinned(golden_feeds, tmp_path, command, fmt):
-    out = tmp_path / "out"
-    feeds = [arg for name, path in golden_feeds.items() for arg in (f"--{name}", path)]
-    assert main([command, *feeds, "--format", fmt, "--output", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(command, fmt)]
+    assert _digest(golden_feeds, tmp_path / "out", command, fmt) == GOLDEN[(command, fmt)]
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN))
+def test_inline_references_are_ignored(golden_feeds, tmp_path, command, fmt):
+    with open(golden_feeds["cves"], encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert any("references" in row for row in rows)
+    rows = [{key: value for key, value in row.items() if key != "references"} for row in rows]
+    feeds = {**golden_feeds, "cves": str(write_jsonl(tmp_path / "cves.jsonl", rows))}
+    assert _digest(feeds, tmp_path / "out", command, fmt) == GOLDEN[(command, fmt)]
