@@ -2,9 +2,11 @@
 
 Configuration resolves in four layers, weakest first: built-in defaults,
 the --config JSON file, VULNRANK_* environment variables, then the
-flags, which are built from ``CONFIG_KEYS``. Every value, a flag's as
-typed or one-dash like ``-1e-3``, goes through its key's parser, the one
-check of its type and range; argparse rejects only usage errors (an
+flags, which are built from ``CONFIG_KEYS``. The default ``format`` of
+score, rank and report is the command's own, from ``EXPORT_FORMATS``, so
+it is the weakest layer like every other default. Every value, a flag's
+as typed or one-dash like ``-1e-3``, goes through its key's parser, the
+one check of its type and range; argparse rejects only usage errors (an
 unknown flag, a flag without its value, a missing subcommand or --task).
 
 Exit codes are a stable scripting contract: 0 success, 2 ingest,
@@ -98,6 +100,11 @@ EXIT_MODEL = 4
 EXIT_SCORING = 5
 
 ENV_PREFIX = "VULNRANK_"
+FORMAT_NAMES = "text, csv or json-lines"
+# The commands that export, each with the format it writes when no layer sets one.
+EXPORT_FORMATS = {
+    "score": ExportFormat.STRUCTURED, "rank": ExportFormat.TEXT, "report": ExportFormat.TEXT
+}
 
 
 @dataclass(frozen=True)
@@ -137,10 +144,10 @@ def _path(raw, where: str) -> str:
 def _format(raw, where: str) -> ExportFormat:
     try:
         if isinstance(raw, str):
-            return ExportFormat.parse(raw)
+            return ExportFormat(raw)
     except ValueError:
         pass
-    raise _bad(where, raw, "text, csv or json-lines")
+    raise _bad(where, raw, FORMAT_NAMES)
 
 
 # JSON values are taken as they are, strings are cast. type() rather than
@@ -217,13 +224,11 @@ def _env_weights(raw, where: str) -> EnvWeights:
         section, members = raw.get(name, {}), {m.value: m for m in enum}
         if not isinstance(section, dict) or not section.keys() <= members.keys():
             raise _bad(f"{where}.{name}", section, f"weights for {', '.join(members)}")
-        tables[name] = {
+        # A member the section leaves out keeps its default weight.
+        tables[name] = getattr(DEFAULT_ENV_WEIGHTS, name) | {
             members[k]: _decimal(v, f"{where}.{name}.{k}", *WEIGHT_RANGE) for k, v in section.items()
         }
-    return EnvWeights(
-        exposure=tables["exposure"] or DEFAULT_ENV_WEIGHTS.exposure,
-        criticality=tables["criticality"] or DEFAULT_ENV_WEIGHTS.criticality,
-    )
+    return EnvWeights(**tables)
 
 
 # Each RunConfig key, in field order, with its parser (the JSON value or its
@@ -237,7 +242,7 @@ CONFIG_KEYS = {
     "model_utility": (_path, "utility model file"),
     "model_opportune": (_path, "opportune model file"),
     "output": (_path, "output path (default: stdout)"),
-    "format": (_format, "text, csv or json-lines"),
+    "format": (_format, FORMAT_NAMES),
     # The seeds numpy's RandomState takes (triage.svm.SEED_RANGE, not imported
     # here: that would load numpy for every command).
     "seed": (partial(_integer, low=0, high=2**32 - 1), "RNG seed (default 42)"),
@@ -282,7 +287,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, key, None) is not None:
             settings.append((key, getattr(args, key), _flag(key)))
     return replace(
-        RunConfig(), **{key: CONFIG_KEYS[key][0](raw, where) for key, raw, where in settings}
+        RunConfig(format=EXPORT_FORMATS.get(getattr(args, "command", None))),
+        **{key: CONFIG_KEYS[key][0](raw, where) for key, raw, where in settings}
     )
 
 
@@ -299,17 +305,6 @@ def _require_paths(config: RunConfig, required: list[str], optional: tuple[str, 
 def _effective_labels(config: RunConfig) -> dict[str, LabeledExample]:
     path = Path(config.labels)
     return merge_labels(load_labels(path)) if path.exists() else {}
-
-
-def _emit(config: RunConfig, obj, default_format: ExportFormat) -> int:
-    data = export(obj, config.format or default_format)
-    if config.output is None:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        write_atomic(config.output, data)
-    return EXIT_OK
 
 
 def cmd_ingest(config: RunConfig) -> int:
@@ -442,15 +437,21 @@ def _scored_portfolio(config: RunConfig):
     return score_portfolio(records, wx_map, labels, ctx_map, config.env_weights)
 
 
-def cmd_rank(config: RunConfig, default_format: ExportFormat) -> int:
+def cmd_export(config: RunConfig, command: str) -> int:
+    """score and rank write the ranked portfolio, report the comparison."""
     with _cyclic_gc_paused():
-        return _emit(config, rank(_scored_portfolio(config)), default_format)
-
-
-def cmd_report(config: RunConfig, default_format: ExportFormat) -> int:
-    with _cyclic_gc_paused():
-        report = compare(_scored_portfolio(config), tier_bounds=config.tier_bounds)
-        return _emit(config, report, default_format)
+        if command == "report":
+            result = compare(_scored_portfolio(config), tier_bounds=config.tier_bounds)
+        else:
+            result = rank(_scored_portfolio(config))
+        data = export(result, config.format)
+        if config.output is None:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        else:
+            write_atomic(config.output, data)
+    return EXIT_OK
 
 
 def _prompt(question: str, legal: set[str]) -> str:
@@ -542,14 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("--task", required=True, choices=TASK_NAMES)
 
-    for name, default_fmt, help_text in (
-        ("score", ExportFormat.STRUCTURED, "score and emit the ranked portfolio"),
-        ("rank", ExportFormat.TEXT, "emit the ranked remediation queue"),
-        ("report", ExportFormat.TEXT, "emit the CVSS-versus-threat comparison report"),
+    for name, help_text in (
+        ("score", "score and emit the ranked portfolio"),
+        ("rank", "emit the ranked remediation queue"),
+        ("report", "emit the CVSS-versus-threat comparison report"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--format", help=f"{CONFIG_KEYS['format'][1]} (default {default_fmt.value})")
-        p.set_defaults(default_format=default_fmt)
+        p.add_argument("--format", help=f"{FORMAT_NAMES} (default {EXPORT_FORMATS[name].value})")
 
     label = sub.add_parser("label", parents=[common], help="interactive SME labeling loop")
     label.add_argument("--timestamp", help="ISO-8601 stamp for saved labels (default: now)")
@@ -581,10 +581,8 @@ def main(argv=None) -> int:
             return cmd_ingest(config)
         if args.command in ("train", "predict"):
             return _triage_main(args.command, config, args.task)
-        if args.command in ("score", "rank"):
-            return cmd_rank(config, args.default_format)
-        if args.command == "report":
-            return cmd_report(config, args.default_format)
+        if args.command in EXPORT_FORMATS:
+            return cmd_export(config, args.command)
         if args.command == "label":
             return cmd_label(config, args.timestamp)
         raise AssertionError(args.command)

@@ -43,14 +43,9 @@ class ExportFormat(Enum):
     STRUCTURED = "json-lines"
 
     @classmethod
-    def parse(cls, name: str) -> "ExportFormat":
-        if name == "structured":
-            return cls.STRUCTURED
-        try:
-            return cls(name)
-        except ValueError:
-            legal = ", ".join(f.value for f in cls)
-            raise ValueError(f"unknown export format {name!r} (expected {legal})") from None
+    def _missing_(cls, value):
+        # "structured" is an alias of json-lines.
+        return cls.STRUCTURED if value == "structured" else None
 
 
 @dataclass(frozen=True)
@@ -150,30 +145,6 @@ def compare(
     )
 
 
-def _portfolio_row(rank_pos: int, s: ScoredVulnerability) -> dict:
-    return {
-        "rank": rank_pos,
-        "cve_id": s.cve_id,
-        "threat_score": format_quantity(s.threat_score),
-        "cvss": str(s.cvss.value),
-        "severity": s.cvss.severity.value,
-        "wx": s.wx,
-        "utility": s.labels.utility,
-        "opportune": s.labels.opportune,
-        "env_product": s.env.product_text,
-        "label_source": s.labels.labeler.value,
-    }
-
-
-def _portfolio_csv(portfolio: RankedPortfolio) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for pos, s in portfolio.ranked():
-        writer.writerow(_portfolio_row(pos, s))
-    return buf.getvalue()
-
-
 def _rows(portfolio: RankedPortfolio) -> Iterator[tuple[int, ScoredVulnerability, str]]:
     """``(rank, entry, threat score text)`` in rank order.
 
@@ -204,9 +175,21 @@ def _portfolio_text(portfolio: RankedPortfolio) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _portfolio_csv(portfolio: RankedPortfolio) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        (pos, s.cve_id, threat, s.cvss.value, s.cvss.severity.value, s.wx, s.labels.utility,
+         s.labels.opportune, s.env.product_text, s.labels.labeler.value)
+        for pos, s, threat in _rows(portfolio)
+    )
+    return buf.getvalue()
+
+
 def _portfolio_jsonl(portfolio: RankedPortfolio) -> str:
-    # compact_json(_portfolio_row(...)) written out: every string in the
-    # row is a CVE id (ASCII digits by the feed's id rule), a plain
+    # compact_json of the CSV_COLUMNS row, written out: every string in
+    # the row is a CVE id (ASCII digits by the feed's id rule), a plain
     # decimal or an enum value, so none needs escaping.
     lines = []
     for pos, s, threat in _rows(portfolio):

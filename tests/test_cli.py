@@ -76,6 +76,44 @@ class TestConfigResolution:
 
         assert config.env_weights.exposure[Exposure.PUBLIC] == 2
 
+    @pytest.mark.parametrize(
+        "weights",
+        [{"exposure": {"Public": 2}}, {"criticality": {"High": 3}}, {}],
+    )
+    def test_partial_env_weights_keep_defaults(self, tmp_path, weights):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"env_weights": weights}))
+        config = build_config(make_args(config=str(path)))
+        for name in ("exposure", "criticality"):
+            given = {m.value: w for m, w in getattr(config.env_weights, name).items()}
+            default = {m.value: w for m, w in getattr(DEFAULT_ENV_WEIGHTS, name).items()}
+            assert given == default | {k: Decimal(v) for k, v in weights.get(name, {}).items()}
+
+    @pytest.mark.parametrize("command", ["score", "rank", "report"])
+    def test_partial_env_weights_score_every_context(self, trio_feed_dir, capsys, command):
+        # A partial exposure table once passed the config check, then
+        # exited 2 with "no weight configured for Exposure.PRIVATE" on
+        # the first Private context line.
+        write_jsonl(
+            trio_feed_dir / "context.jsonl",
+            [
+                {"cve": "CVE-2019-11324", "exposure": "Private", "criticality": "Low"},
+                {"cve": "CVE-2017-0143", "exposure": "Public", "criticality": "High"},
+            ],
+        )
+        outputs = []
+        for exposure in ({"Public": 2}, {"Public": 2, "Private": 1.0}):
+            config = trio_feed_dir / "config.json"
+            config.write_text(json.dumps({"env_weights": {"exposure": exposure}}))
+            argv = trio_score_args(trio_feed_dir)[1:] + [
+                "--context", str(trio_feed_dir / "context.jsonl"), "--config", str(config),
+            ]
+            assert main([command, *argv]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1] != ""
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"sedd": 7}))
@@ -202,6 +240,14 @@ class TestConfigResolution:
         path.write_text(json.dumps(doc))
         value = getattr(build_config(make_args(config=str(path))), key)
         assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("body", ["{not json", "", "\xff", "# seed: 7"])
+    def test_config_not_json_exits_2(self, trio_feed_dir, capsys, body):
+        path = trio_feed_dir / "config.txt"
+        path.write_bytes(body.encode("latin-1"))
+        assert main(trio_score_args(trio_feed_dir) + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a JSON config file: ") and err.count("\n") == 1, err
 
     def test_env_reads_only_known_keys(self, monkeypatch):
         monkeypatch.setenv("VULNRANK_ENV_WEIGHTS", "not even json")
@@ -537,6 +583,27 @@ class TestPredict:
         model_path.write_text(doc)
         assert main(self.predict_args(trained, portfolio)) == 4
 
+    def test_other_tasks_model_exits_4(self, trained, tmp_path, capsys):
+        portfolio = self.write_portfolio(tmp_path)
+        args = self.predict_args(trained, portfolio)
+        args[args.index("--model-utility") + 1] = str(trained / "opportune_model.json")
+        before = (portfolio / "portfolio_labels.jsonl").read_bytes()
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: {trained / 'opportune_model.json'} holds a opportune model, not utility\n"
+        assert (portfolio / "portfolio_labels.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["predict", "label"])
+    def test_no_label_store_exits_2(self, trio_feed_dir, monkeypatch, capsys, command):
+        monkeypatch.delenv("VULNRANK_LABELS", raising=False)
+        monkeypatch.setattr("builtins.input", lambda prompt="": "q")
+        argv = [command, "--cves", str(trio_feed_dir / "cves.jsonl")]
+        argv += ["--task", "utility"] if command == "predict" else []
+        before = sorted(p.name for p in trio_feed_dir.iterdir())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: no labels path configured (flag --labels)\n"
+        assert sorted(p.name for p in trio_feed_dir.iterdir()) == before
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -608,6 +675,14 @@ class TestScoreRankReport:
         out = capsys.readouterr().out
         assert "CVSS band" in out
         assert "threat tier" in out
+
+    @pytest.mark.parametrize("command", ["score", "rank", "report"])
+    def test_no_cves_path_exits_2(self, trio_feed_dir, monkeypatch, capsys, command):
+        monkeypatch.delenv("VULNRANK_CVES", raising=False)
+        assert main([command, "--labels", str(trio_feed_dir / "labels.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no cves path configured (flag --cves)\n"
+        assert captured.out == ""
 
     def test_missing_labels_exit_5(self, trio_feed_dir, tmp_path, capsys):
         empty = tmp_path / "empty_labels.jsonl"
@@ -885,6 +960,17 @@ class TestLabelLoop:
     def test_immediate_quit_writes_nothing(self, trio_feed_dir, monkeypatch):
         self.run_with_keys(monkeypatch, ["q"])
         assert main(self.label_args(trio_feed_dir)) == 0
+        assert not (trio_feed_dir / "new_labels.jsonl").exists()
+
+    def test_eof_quits_and_saves_nothing(self, trio_feed_dir, monkeypatch, capsys):
+        def eof(prompt=""):
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", eof)
+        assert main(self.label_args(trio_feed_dir)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "saved 0 label(s)" in captured.out
         assert not (trio_feed_dir / "new_labels.jsonl").exists()
 
     def test_skip_moves_on(self, trio_feed_dir, monkeypatch, capsys):

@@ -12,7 +12,9 @@ SME and model labels with superseded entries.
 
 Each pinned digest is the sha256 of what the CLI wrote. A change that
 moves any rendered byte fails here; when output changes on purpose,
-recompute the digests and give the reason in the same commit.
+recompute the digests and give the reason in the same commit. Without
+``--format`` each command writes its own default format, which the
+config file, ``VULNRANK_FORMAT`` and ``--format`` override in turn.
 """
 
 import hashlib
@@ -41,6 +43,9 @@ GOLDEN = {
     ("report", "json-lines"):
         "4d98de237d58bf423c208d908a20e54806a1b439994050202322ee368be85abe",
 }
+
+# The format each command writes when no layer sets one.
+DEFAULT_FORMATS = {"score": "json-lines", "rank": "text", "report": "text"}
 
 SOURCES = ("ExploitDB", "Metasploit", "GitHub", "Other", "PacketStorm")
 CONTEXTS = [(e, c) for e in ("Public", "Private") for c in ("Low", "Medium", "High")]
@@ -111,9 +116,10 @@ def golden_feeds(tmp_path_factory):
     return write_golden_feeds(tmp_path_factory.mktemp("golden"))
 
 
-def _digest(feeds, out, command, fmt) -> str:
+def _digest(feeds, out, command, fmt=None, extra=()) -> str:
     args = [arg for name, path in feeds.items() for arg in (f"--{name}", path)]
-    assert main([command, *args, "--format", fmt, "--output", str(out)]) == 0
+    args += ["--format", fmt] if fmt is not None else []
+    assert main([command, *args, *extra, "--output", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -130,3 +136,37 @@ def test_inline_references_are_ignored(golden_feeds, tmp_path, command, fmt):
     rows = [{key: value for key, value in row.items() if key != "references"} for row in rows]
     feeds = {**golden_feeds, "cves": str(write_jsonl(tmp_path / "cves.jsonl", rows))}
     assert _digest(feeds, tmp_path / "out", command, fmt) == GOLDEN[(command, fmt)]
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_FORMATS))
+def test_default_format_per_command(golden_feeds, tmp_path, monkeypatch, command):
+    monkeypatch.delenv("VULNRANK_FORMAT", raising=False)
+    digest = _digest(golden_feeds, tmp_path / "out", command)
+    assert digest == GOLDEN[(command, DEFAULT_FORMATS[command])]
+
+
+# (config file format, VULNRANK_FORMAT, --format) -> the format written.
+@pytest.mark.parametrize(
+    "in_file, in_env, flag, written",
+    [
+        ("csv", None, None, "csv"),
+        (None, "csv", None, "csv"),
+        ("csv", "json-lines", None, "json-lines"),
+        ("csv", "json-lines", "text", "text"),
+        (None, None, "structured", "json-lines"),
+    ],
+)
+def test_format_layers_override_command_default(
+    golden_feeds, tmp_path, monkeypatch, in_file, in_env, flag, written
+):
+    extra = []
+    if in_file is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": in_file}))
+        extra = ["--config", str(config)]
+    if in_env is None:
+        monkeypatch.delenv("VULNRANK_FORMAT", raising=False)
+    else:
+        monkeypatch.setenv("VULNRANK_FORMAT", in_env)
+    digest = _digest(golden_feeds, tmp_path / "out", "report", flag, extra)
+    assert digest == GOLDEN[("report", written)]

@@ -236,7 +236,7 @@ class TestExport:
         assert "threat_tier,>=64,1" in data
 
     def test_format_parse_accepts_structured_alias(self):
-        assert ExportFormat.parse("structured") is ExportFormat.STRUCTURED
-        assert ExportFormat.parse("json-lines") is ExportFormat.STRUCTURED
+        assert ExportFormat("structured") is ExportFormat.STRUCTURED
+        assert ExportFormat("json-lines") is ExportFormat.STRUCTURED
         with pytest.raises(ValueError):
-            ExportFormat.parse("xml")
+            ExportFormat("xml")

@@ -1,14 +1,17 @@
 """Row rendering and ranking held to their dict-based and negated-key forms.
 
-The json-lines and text exports format each row straight from the
+The json-lines, text and CSV exports format each row straight from the
 ``ScoredVulnerability``, and ``rank``/``compare`` order by stable sorts
 without negating any Decimal. Here each is compared with the form it
 replaced: ``compact_json(_portfolio_row(...))``, the text row formatted
-from that dict, and a sort on ``(-threat, -cvss, cve_id)``. The
+from that dict, ``csv.DictWriter`` over those dicts, and a sort on
+``(-threat, -cvss, cve_id)``. The
 portfolios are the golden one and hypothesis ones with heavy ties: few
 distinct CVSS, wx, label and environment values.
 """
 
+import csv
+import io
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -17,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from vulnrank.cli import _scored_portfolio, build_config, build_parser
 from vulnrank.cvss import BaseScore, severity_of
 from vulnrank.feeds import LabeledExample, Labeler, compact_json
-from vulnrank.report import ExportFormat, _portfolio_row, compare, export, rank
-from vulnrank.scoring import EnvironmentalFactors, ScoredVulnerability
+from vulnrank.report import CSV_COLUMNS, ExportFormat, compare, export, rank
+from vulnrank.scoring import EnvironmentalFactors, ScoredVulnerability, format_quantity
 
 from test_golden import write_golden_feeds
 
@@ -28,6 +31,29 @@ TOP_K = (1, 2, 3, 5, 10, 100, 1000)
 
 def reference_order(scored):
     return sorted(scored, key=lambda s: (-s.threat_score, -s.cvss.value, s.cve_id))
+
+
+def _portfolio_row(rank_pos: int, s: ScoredVulnerability) -> dict:
+    return {
+        "rank": rank_pos,
+        "cve_id": s.cve_id,
+        "threat_score": format_quantity(s.threat_score),
+        "cvss": str(s.cvss.value),
+        "severity": s.cvss.severity.value,
+        "wx": s.wx,
+        "utility": s.labels.utility,
+        "opportune": s.labels.opportune,
+        "env_product": s.env.product_text,
+        "label_source": s.labels.labeler.value,
+    }
+
+
+def reference_csv(rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def reference_text_row(row: dict) -> str:
@@ -61,6 +87,7 @@ def assert_equivalent(scored):
     assert jsonl == [compact_json(row) for row in rows]
     text = export(portfolio, ExportFormat.TEXT).decode("utf-8").splitlines()
     assert text[1:] == [reference_text_row(row) for row in rows]
+    assert export(portfolio, ExportFormat.CSV).decode("utf-8") == reference_csv(rows)
 
     assert compare(scored, top_k=TOP_K).top_k_overlap == reference_overlap(scored, TOP_K)
 

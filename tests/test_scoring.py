@@ -124,6 +124,18 @@ class TestEnvFactor:
         with pytest.raises(InvalidConfig):
             env_factor(ctx, bad)
 
+    def test_partial_weights_name_the_missing_member(self):
+        # The config parser fills left-out members from the defaults; a
+        # table built by hand may still leave one out.
+        partial = EnvWeights(
+            exposure={Exposure.PUBLIC: Decimal(2)}, criticality=DEFAULT_ENV_WEIGHTS.criticality
+        )
+        public = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.LOW)
+        assert env_factor(public, partial).product == Decimal(2)
+        private = AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.LOW)
+        with pytest.raises(InvalidConfig, match="no weight configured for Exposure.PRIVATE"):
+            env_factor(private, partial)
+
     def test_env_scales_score(self):
         ctx = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH)
         score = threat_score(Decimal("6.8"), 0, labels(2, 1), env_factor(ctx))
