@@ -42,6 +42,7 @@ from vulnrank.feeds import (
     FeedError,
     LabeledExample,
     Labeler,
+    Task,
     attach_descriptions,
     load_asset_context,
     load_cve_records,
@@ -70,12 +71,10 @@ from vulnrank.wx import count_wx
 # (``__getattr__``), and main binds them all before it runs either
 # command, so ingest, score, rank, report and label never load numpy.
 _TRIAGE_NAMES = (
-    "CorpusTooSmall", "DegenerateTaskWarning", "ModelVersionError", "Task", "TrainConfig",
+    "CorpusTooSmall", "DegenerateTaskWarning", "ModelVersionError", "TrainConfig",
     "TrainingDiverged", "evaluate", "fit_vocabulary", "load_model", "predict_texts",
     "save_model", "split", "train",
 )
-# The values of triage.svm.Task, for the --task flag.
-TASK_NAMES = ("utility", "opportune")
 
 
 def __getattr__(name: str):
@@ -331,13 +330,15 @@ def cmd_train(config: RunConfig, task: Task) -> int:
     _require_paths(config, ["cves", "labels"])
     records = load_cve_records(config.cves)
     merged = _effective_labels(config)
-    examples = [merged[cve_id] for cve_id in sorted(merged)]
+    # Model rows are predictions, with a placeholder 0 for the task not
+    # predicted; a model learns from SME judgments only.
+    examples = [ex for _, ex in sorted(merged.items()) if ex.labeler is Labeler.SME]
     if len(examples) < 5:
-        raise CorpusTooSmall(f"label store holds {len(examples)} examples; need at least 5")
+        raise CorpusTooSmall(f"label store holds {len(examples)} SME examples; need at least 5")
     examples = attach_descriptions(examples, records)
 
-    stratify = (lambda ex: task.label_of(ex)) if config.stratified else None
-    train_set, test_set = split(examples, 0.8, seed=config.seed, stratify_key=stratify)
+    stratify = task.label_of if config.stratified else None
+    train_set, test_set = split(examples, seed=config.seed, stratify_key=stratify)
     vocab = fit_vocabulary([ex.description for ex in train_set], min_df=config.min_df)
 
     with warnings.catch_warnings(record=True) as caught:
@@ -454,7 +455,11 @@ def cmd_export(config: RunConfig, command: str) -> int:
     return EXIT_OK
 
 
-def _prompt(question: str, legal: set[str]) -> str:
+def _prompt(task: Task) -> str:
+    """One of ``task``'s classes, ``s`` (skip) or ``q`` (quit, also at EOF)."""
+    classes = [str(c) for c in task.classes]
+    question = f"{task.value} [{'/'.join(classes)}, s=skip, q=quit]: "
+    legal = {*classes, "s", "q"}
     while True:
         try:
             answer = input(question).strip().lower()
@@ -483,17 +488,19 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
     collected = []
     for rec in targets:
         print(f"\n{rec.cve_id}: {rec.description}")
-        utility = _prompt("utility [0/1/2, s=skip, q=quit]: ", {"0", "1", "2", "s", "q"})
-        if utility == "q":
+        # Each task's value is the name of the LabeledExample field it labels.
+        labels = {}
+        for task in Task:
+            answer = _prompt(task)
+            if answer in ("s", "q"):
+                break
+            labels[task.value] = int(answer)
+        if answer == "q":
             break
-        if utility == "s":
-            continue
-        opportune = _prompt("opportune [0/1, s=skip, q=quit]: ", {"0", "1", "s", "q"})
-        if opportune == "q":
-            break
-        if opportune == "s":
-            continue
-        collected.append(LabeledExample(rec.cve_id, int(utility), int(opportune), Labeler.SME, stamp))
+        if answer != "s":
+            collected.append(
+                LabeledExample(rec.cve_id, labeler=Labeler.SME, labeled_at=stamp, **labels)
+            )
     if collected:
         # Reads the store again, or a predict run during this session would be lost.
         save_labels(config.labels, collected)
@@ -541,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("predict", "fill missing labels with model predictions"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--task", required=True, choices=TASK_NAMES)
+        p.add_argument("--task", required=True, choices=[task.value for task in Task])
 
     for name, help_text in (
         ("score", "score and emit the ranked portfolio"),

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from enum import Enum
-from itertools import product
+from itertools import product, starmap
+from operator import attrgetter
 from typing import Iterator
 
 
@@ -111,10 +112,9 @@ IMPACT_WEIGHT = {ImpactMetric.HIGH: 0.56, ImpactMetric.LOW: 0.22, ImpactMetric.N
 
 VECTOR_PREFIX = "CVSS:3.1"
 
-# Canonical metric order for serialization; also the order used when
-# reporting which metrics are missing.
-_METRIC_ORDER = ("AV", "AC", "PR", "UI", "S", "C", "I", "A")
-_METRIC_ENUMS = {
+# Each base metric's vector key and value enum, in CvssVector field order,
+# which is also the order of the serialized form and of a missing-metric error.
+_METRICS = {
     "AV": AttackVector,
     "AC": AttackComplexity,
     "PR": PrivilegesRequired,
@@ -146,30 +146,19 @@ class CvssVector:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        metrics = (
-            self.attack_vector, self.attack_complexity, self.privileges_required,
-            self.user_interaction, self.scope, self.confidentiality, self.integrity,
-            self.availability,
-        )
-        object.__setattr__(self, "_hash", hash(metrics))
+        object.__setattr__(self, "_hash", hash(_metric_values(self)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def to_string(self) -> str:
         """Canonical vector form, prefix always included."""
-        parts = [
-            VECTOR_PREFIX,
-            f"AV:{self.attack_vector.value}",
-            f"AC:{self.attack_complexity.value}",
-            f"PR:{self.privileges_required.value}",
-            f"UI:{self.user_interaction.value}",
-            f"S:{self.scope.value}",
-            f"C:{self.confidentiality.value}",
-            f"I:{self.integrity.value}",
-            f"A:{self.availability.value}",
-        ]
-        return "/".join(parts)
+        pairs = zip(_METRICS, _metric_values(self))
+        return "/".join([VECTOR_PREFIX, *(f"{key}:{member.value}" for key, member in pairs)])
+
+
+# The eight metric values of a vector, in field order.
+_metric_values = attrgetter(*(f.name for f in fields(CvssVector) if f.init))
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +197,7 @@ def parse_vector(text: str) -> CvssVector:
         key, sep, raw = token.partition(":")
         if not sep or not key or not raw:
             raise MalformedVector(f"bad metric token {token!r}")
-        enum_cls = _METRIC_ENUMS.get(key)
+        enum_cls = _METRICS.get(key)
         if enum_cls is None:
             raise MalformedVector(f"unknown metric key in token {token!r}")
         if key in seen:
@@ -218,20 +207,10 @@ def parse_vector(text: str) -> CvssVector:
         except ValueError:
             raise UnknownMetricValue(f"illegal value in token {token!r}") from None
 
-    missing = [key for key in _METRIC_ORDER if key not in seen]
+    missing = [key for key in _METRICS if key not in seen]
     if missing:
         raise MissingMetric(f"missing metric(s): {', '.join(missing)}")
-
-    return CvssVector(
-        attack_vector=seen["AV"],  # type: ignore[arg-type]
-        attack_complexity=seen["AC"],  # type: ignore[arg-type]
-        privileges_required=seen["PR"],  # type: ignore[arg-type]
-        user_interaction=seen["UI"],  # type: ignore[arg-type]
-        scope=seen["S"],  # type: ignore[arg-type]
-        confidentiality=seen["C"],  # type: ignore[arg-type]
-        integrity=seen["I"],  # type: ignore[arg-type]
-        availability=seen["A"],  # type: ignore[arg-type]
-    )
+    return CvssVector(*[seen[key] for key in _METRICS])
 
 
 def round_up(x: float) -> Decimal:
@@ -303,8 +282,4 @@ def base_score(v: CvssVector) -> BaseScore:
 
 def iter_vectors() -> Iterator[CvssVector]:
     """Yield all 2,592 possible base vectors in a fixed order."""
-    for av, ac, pr, ui, s, c, i, a in product(
-        AttackVector, AttackComplexity, PrivilegesRequired, UserInteraction,
-        Scope, ImpactMetric, ImpactMetric, ImpactMetric,
-    ):
-        yield CvssVector(av, ac, pr, ui, s, c, i, a)
+    return starmap(CvssVector, product(*_METRICS.values()))

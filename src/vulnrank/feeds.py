@@ -92,6 +92,25 @@ class Labeler(Enum):
     MODEL = "Model"
 
 
+class Task(Enum):
+    """A triage task: the LabeledExample field it labels and its classes."""
+
+    UTILITY = "utility"
+    OPPORTUNE = "opportune"
+
+    @property
+    def classes(self) -> tuple[int, ...]:
+        return (0, 1, 2) if self is Task.UTILITY else (0, 1)
+
+    def label_of(self, example: LabeledExample) -> int:
+        return example.utility if self is Task.UTILITY else example.opportune
+
+
+# The legal utility and opportune values, read from Task once: checking a
+# label then costs no Enum access.
+_UTILITIES, _OPPORTUNES = Task.UTILITY.classes, Task.OPPORTUNE.classes
+
+
 # Members by value; a loader looks a field up only when it is a string.
 _SOURCES = {member.value: member for member in ReferenceSource}
 _EXPOSURES = {member.value: member for member in Exposure}
@@ -138,10 +157,10 @@ class LabeledExample:
     def __post_init__(self):
         # bool is an int subclass, so True would otherwise pass as 1.
         utility, opportune = self.utility, self.opportune
-        if not isinstance(utility, int) or isinstance(utility, bool) or utility not in (0, 1, 2):
-            raise InvalidCategory(f"utility must be one of (0, 1, 2), got {utility!r}")
-        if not isinstance(opportune, int) or isinstance(opportune, bool) or opportune not in (0, 1):
-            raise InvalidCategory(f"opportune must be one of (0, 1), got {opportune!r}")
+        if not isinstance(utility, int) or isinstance(utility, bool) or utility not in _UTILITIES:
+            raise InvalidCategory(f"utility must be one of {_UTILITIES}, got {utility!r}")
+        if not isinstance(opportune, int) or isinstance(opportune, bool) or opportune not in _OPPORTUNES:
+            raise InvalidCategory(f"opportune must be one of {_OPPORTUNES}, got {opportune!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,7 @@ import random
 from datetime import datetime, timezone
 from decimal import Decimal
 
-from vulnrank.feeds import CveRecord, LabeledExample, Labeler, ReferenceSource
+from vulnrank.feeds import CveRecord, LabeledExample, Labeler, ReferenceSource, write_atomic
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, ScoredVulnerability, score_portfolio
 from vulnrank.wx import WxCount
 
@@ -142,19 +142,18 @@ def synth_portfolio(
 
 def write_cve_feed(path, records) -> None:
     """CVE feed file: one record per line in the documented field layout."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            row = {"id": rec.cve_id, "description": rec.description}
-            if rec.vector is not None:
-                row["vector"] = rec.vector.to_string()
-            if rec.published_score is not None:
-                row["score"] = float(rec.published_score)
-            fh.write(json.dumps(row) + "\n")
+    rows = []
+    for rec in records:
+        row = {"id": rec.cve_id, "description": rec.description}
+        if rec.vector is not None:
+            row["vector"] = rec.vector.to_string()
+        if rec.published_score is not None:
+            row["score"] = float(rec.published_score)
+        rows.append(row)
+    write_atomic(path, "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8"))
 
 
 def write_ref_feed(path, rows) -> None:
     """Exploit reference feed: dicts with cve/url/source/exploit fields."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    write_atomic(path, "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8"))
 

@@ -44,12 +44,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from vulnrank.feeds import InvalidCategory, LabeledExample
+from vulnrank.feeds import InvalidCategory, LabeledExample, Task
 from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 
 # Below this the scale of W = s * V is folded back into V.
@@ -68,18 +67,6 @@ class TrainingDiverged(ArithmeticError):
 
 class DegenerateTaskWarning(UserWarning):
     """Train set holds a single class; the model will predict it constantly."""
-
-
-class Task(Enum):
-    UTILITY = "utility"
-    OPPORTUNE = "opportune"
-
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return (0, 1, 2) if self is Task.UTILITY else (0, 1)
-
-    def label_of(self, example: LabeledExample) -> int:
-        return example.utility if self is Task.UTILITY else example.opportune
 
 
 @dataclass(frozen=True)

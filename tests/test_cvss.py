@@ -102,6 +102,24 @@ class TestParseVector:
         v = parse_vector("AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:N/A:N")
         assert v.to_string().startswith("CVSS:3.1/")
 
+    def test_to_string_is_canonical(self):
+        v = parse_vector("A:H/I:L/C:N/S:C/UI:R/PR:H/AC:H/AV:A")
+        assert v.to_string() == "CVSS:3.1/AV:A/AC:H/PR:H/UI:R/S:C/C:N/I:L/A:H"
+
+    def test_missing_metrics_listed_in_canonical_order(self):
+        with pytest.raises(MissingMetric) as raised:
+            parse_vector("I:N/S:U/UI:N/AC:L/AV:N")
+        assert str(raised.value) == "missing metric(s): PR, C, A"
+
+
+def test_iter_vectors_order():
+    # tests/test_golden.py builds its feeds in this order.
+    texts = [v.to_string() for v in iter_vectors()]
+    assert len(set(texts)) == len(texts) == 2592
+    assert texts[0] == "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"
+    assert texts[1] == "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:L"
+    assert texts[-1] == "CVSS:3.1/AV:P/AC:H/PR:H/UI:R/S:C/C:H/I:H/A:H"
+
 
 class TestRoundUp:
     def test_exact_tenth_preserved(self):

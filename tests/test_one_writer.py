@@ -4,8 +4,7 @@ Exports, label stores and model files are written atomically, through
 symlinks, never over a directory, FIFO or device, and with one error
 message; ``write_atomic`` is the one place that is done. This scans the
 source of every module under ``src/vulnrank`` for a call that creates,
-writes or renames a file and names the function it sits in. The synth
-fixture writers, which write feeds for tests and demos, are allowed.
+writes or renames a file and names the function it sits in.
 """
 
 import ast
@@ -13,11 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vulnrank"
 
-ALLOWED = {
-    "feeds.write_atomic",
-    "synth.write_cve_feed",
-    "synth.write_ref_feed",
-}
+ALLOWED = {"feeds.write_atomic"}
 # Calls that create, write or rename a file whatever their arguments.
 WRITING_CALLS = {
     "os.open", "os.fdopen", "os.replace", "os.rename", "os.mkfifo",
@@ -73,7 +68,7 @@ def writers(source: str, module: str) -> set[str]:
     return found
 
 
-def test_only_write_atomic_and_synth_fixtures_write_files():
+def test_only_write_atomic_writes_files():
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
