@@ -15,10 +15,11 @@ Field names are fixed: CVE records use ``id``, ``description``,
 ``vector``, ``score``; labels use ``cve``, ``utility``, ``opportune``,
 ``labeler``, ``ts``; asset context uses ``cve``, ``exposure``,
 ``criticality``; the exploit reference feed uses ``cve``, ``url``,
-``source``, ``exploit``. A loader ignores any other key. A
-reference's ``exploit`` flag defaults to false when absent, whatever the
-source: nothing counts as an exploit unless the feed says so. A published
-``score`` is a number in [0, 10] with at most one decimal.
+``source``, ``exploit``. A loader ignores any other key. A reference's
+``exploit`` flag is ``true`` or ``false``, and false when absent or
+null, whatever the source: nothing counts as an exploit unless the feed
+says so. A published ``score`` is a number in [0, 10] with at most one
+decimal.
 """
 
 from __future__ import annotations
@@ -311,7 +312,12 @@ def load_exploit_refs(path) -> dict[str, list[ReferenceEntry]]:
         if source is None:
             unknown_sources += 1
             source = ReferenceSource.OTHER
-        entry = ReferenceEntry(url, source, bool(obj.get("exploit", False)))
+        exploit = obj.get("exploit")
+        if exploit is not True and exploit is not False:
+            if exploit is not None:
+                raise SchemaError(f"{path}:{lineno}: exploit must be true or false")
+            exploit = False
+        entry = ReferenceEntry(url, source, exploit)
         urls = seen_urls.get(cve_id)
         if urls is None:
             seen_urls[cve_id] = {url}

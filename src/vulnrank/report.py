@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
 from enum import Enum
@@ -70,18 +71,32 @@ class ComparisonReport:
     top_k_overlap: dict[int, float]
 
 
-# Orders are built by sorting on the CVE id first, then on the descending
-# key with reverse=True, which keeps the sort stable: entries with equal
-# keys stay in id order, and no Decimal is negated.
+# Orders are built by stable sorts on one key each, weakest key first:
+# CVE id ascending, then CVSS descending, then threat score descending.
+# A stable sort keeps the order of the previous pass among equal keys,
+# even with reverse=True, so no Decimal is negated and each comparison
+# is one Decimal compare rather than a tuple's two.
 _by_id = attrgetter("cve_id")
-_by_threat = attrgetter("threat_score", "cvss.value")
 _by_cvss = attrgetter("cvss.value")
+_by_threat = attrgetter("threat_score")
+
+
+def _by_id_then_cvss(scored: Iterable[ScoredVulnerability]) -> list[ScoredVulnerability]:
+    """CVSS descending, ties in CVE id order."""
+    entries = sorted(scored, key=_by_id)
+    entries.sort(key=_by_cvss, reverse=True)
+    return entries
 
 
 def rank(scored: Iterable[ScoredVulnerability]) -> RankedPortfolio:
-    """Total order by threat score, then CVSS, then CVE id."""
-    by_id = sorted(scored, key=_by_id)
-    return RankedPortfolio(entries=tuple(sorted(by_id, key=_by_threat, reverse=True)))
+    """Total order by threat score, then CVSS, then CVE id.
+
+    One list is sorted in place in three stable single-key passes: CVE
+    id ascending, CVSS descending, then threat score descending.
+    """
+    entries = _by_id_then_cvss(scored)
+    entries.sort(key=_by_threat, reverse=True)
+    return RankedPortfolio(entries=tuple(entries))
 
 
 def _cvss_band(value: Decimal) -> int:
@@ -104,37 +119,47 @@ def compare(
     how far the two orderings agree at the top."""
     scored = list(scored)
     bounds = [Decimal(b) for b in tier_bounds]
-    if list(bounds) != sorted(bounds, reverse=True) or len(set(bounds)) != len(bounds):
+    if not bounds:
+        raise ValueError("tier bounds must not be empty")
+    if bounds != sorted(bounds, reverse=True) or len(set(bounds)) != len(bounds):
         raise ValueError(f"tier bounds must be strictly descending, got {tier_bounds}")
 
+    # Bands and tiers depend only on the value, and a portfolio holds far
+    # fewer distinct CVSS values and threat scores than records.
     cvss_bands = {band: 0 for band in range(10, 0, -1)}
     critical = 0
+    for value, count in Counter(map(_by_cvss, scored)).items():
+        cvss_bands[_cvss_band(value)] += count
+        if value >= 9:
+            critical += count
     tier_counts = [0] * (len(bounds) + 1)
-    for s in scored:
-        cvss_bands[_cvss_band(s.cvss.value)] += 1
-        if s.cvss.value >= 9:
-            critical += 1
+    for threat, count in Counter(map(_by_threat, scored)).items():
         for i, bound in enumerate(bounds):
-            if s.threat_score >= bound:
-                tier_counts[i] += 1
+            if threat >= bound:
+                tier_counts[i] += count
                 break
         else:
-            tier_counts[-1] += 1
+            tier_counts[-1] += count
 
     tiers = tuple(
         (_tier_label(bounds, i), tier_counts[i]) for i in range(len(bounds))
     ) + ((f"<{format_quantity(bounds[-1])}", tier_counts[-1]),)
 
-    by_id = sorted(scored, key=_by_id)
-    by_threat = sorted(by_id, key=_by_threat, reverse=True)
-    by_cvss = sorted(by_id, key=_by_cvss, reverse=True)
+    ks = [k for k in top_k if 1 <= k <= len(scored)]
     overlap = {}
-    for k in top_k:
-        if not 1 <= k <= len(scored):
-            continue
-        top_threat = {s.cve_id for s in by_threat[:k]}
-        top_cvss = {s.cve_id for s in by_cvss[:k]}
-        overlap[k] = len(top_threat & top_cvss) / len(top_threat | top_cvss)
+    if ks:
+        # Imported here so that no other command loads heapq at start-up.
+        # nlargest is documented to equal sorted(..., reverse=True)[:n],
+        # ties included, so over the CVSS order it gives the top of the
+        # rank order without a full sort.
+        from heapq import nlargest
+
+        by_cvss = _by_id_then_cvss(scored)
+        by_threat = nlargest(max(ks), by_cvss, key=_by_threat)
+        for k in ks:
+            top_threat = {s.cve_id for s in by_threat[:k]}
+            top_cvss = {s.cve_id for s in by_cvss[:k]}
+            overlap[k] = len(top_threat & top_cvss) / len(top_threat | top_cvss)
 
     return ComparisonReport(
         total=len(scored),
@@ -165,13 +190,15 @@ def _portfolio_text(portfolio: RankedPortfolio) -> str:
         f"{'severity':<8} {'wx':>5} {'util':>4} {'opp':>3} {'env':>6} {'source':<6}"
     )
     lines = [header]
+    # "%5d" pads an int (or bool) as f"{n:>5}" does. _value_ is the enum's
+    # plain attribute; the ``value`` property costs ten times as much.
+    row = "%5d %-18s %12s %5s %-8s %5d %4d %3d %6s %-6s"
     for pos, s, threat in _rows(portfolio):
         cvss, labels = s.cvss, s.labels
-        lines.append(
-            f"{pos:>5} {s.cve_id:<18} {threat:>12} {cvss.value!s:>5} "
-            f"{cvss.severity.value:<8} {s.wx:>5} {labels.utility:>4} {labels.opportune:>3} "
-            f"{s.env.product_text:>6} {labels.labeler.value:<6}"
-        )
+        lines.append(row % (
+            pos, s.cve_id, threat, cvss.value, cvss.severity._value_, s.wx, labels.utility,
+            labels.opportune, s.env.product_text, labels.labeler._value_,
+        ))
     return "\n".join(lines) + "\n"
 
 
@@ -180,8 +207,8 @@ def _portfolio_csv(portfolio: RankedPortfolio) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(
-        (pos, s.cve_id, threat, s.cvss.value, s.cvss.severity.value, s.wx, s.labels.utility,
-         s.labels.opportune, s.env.product_text, s.labels.labeler.value)
+        (pos, s.cve_id, threat, s.cvss.value, s.cvss.severity._value_, s.wx, s.labels.utility,
+         s.labels.opportune, s.env.product_text, s.labels.labeler._value_)
         for pos, s, threat in _rows(portfolio)
     )
     return buf.getvalue()
@@ -196,9 +223,9 @@ def _portfolio_jsonl(portfolio: RankedPortfolio) -> str:
         cvss, labels = s.cvss, s.labels
         lines.append(
             f'{{"rank":{pos},"cve_id":"{s.cve_id}","threat_score":"{threat}",'
-            f'"cvss":"{cvss.value!s}","severity":"{cvss.severity.value}","wx":{s.wx},'
+            f'"cvss":"{cvss.value!s}","severity":"{cvss.severity._value_}","wx":{s.wx},'
             f'"utility":{labels.utility},"opportune":{labels.opportune},'
-            f'"env_product":"{s.env.product_text}","label_source":"{labels.labeler.value}"}}'
+            f'"env_product":"{s.env.product_text}","label_source":"{labels.labeler._value_}"}}'
         )
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -56,13 +56,18 @@ class EnvironmentalFactors:
     """Exposure and criticality weights and their product.
 
     ``product_text`` is the product as reports print it, rendered once
-    here rather than once per exported row.
+    here rather than once per exported row. ``multipliers[2u + o]`` is
+    ``(u + 1) * (o + 1) * product`` for utility u and opportune o. Over
+    the weights' configured range the products are exact, so a threat
+    score taken through them is the same Decimal, exponent included, as
+    one multiplied out factor by factor.
     """
 
     exposure_weight: Decimal
     criticality_weight: Decimal
     product: Decimal = field(init=False)
     product_text: str = field(init=False, repr=False, compare=False)
+    multipliers: tuple[Decimal, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w in (self.exposure_weight, self.criticality_weight):
@@ -71,6 +76,8 @@ class EnvironmentalFactors:
         product = self.exposure_weight * self.criticality_weight
         object.__setattr__(self, "product", product)
         object.__setattr__(self, "product_text", format_quantity(product))
+        multipliers = tuple((u + 1) * (o + 1) * product for u in range(3) for o in range(2))
+        object.__setattr__(self, "multipliers", multipliers)
 
 
 NEUTRAL_ENV = EnvironmentalFactors(Decimal(1), Decimal(1))
@@ -136,7 +143,7 @@ def threat_score(
         raise ScoringError(f"cvss score {cvss} outside [0, 10]")
     if wx < 0:
         raise ScoringError(f"wx count {wx} must be non-negative")
-    return (cvss + wx) * (labels.utility + 1) * (labels.opportune + 1) * env.product
+    return (cvss + wx) * env.multipliers[2 * labels.utility + labels.opportune]
 
 
 # One BaseScore per published value: there are at most 101.

@@ -62,7 +62,12 @@ def _reference(obj: dict, where: str, unknown: list) -> ReferenceEntry:
     if source is None:
         unknown.append(obj.get("source", "Other"))
         source = ReferenceSource.OTHER
-    return ReferenceEntry(url=url, source=source, is_exploit=bool(obj.get("exploit", False)))
+    exploit = obj.get("exploit")
+    if exploit is None:
+        exploit = False
+    elif not isinstance(exploit, bool):
+        raise SchemaError(f"{where}: exploit must be true or false")
+    return ReferenceEntry(url=url, source=source, is_exploit=exploit)
 
 
 def _published_score(raw, where: str) -> Decimal:

@@ -227,9 +227,21 @@ class TestLoadExploitRefs:
         ]
 
     def test_exploit_flag_defaults_false(self, tmp_path):
-        rows = [{"cve": "CVE-2020-0001", "url": "https://x/1", "source": "ExploitDB"}]
+        rows = [
+            {"cve": "CVE-2020-0001", "url": "https://x/1", "source": "ExploitDB"},
+            {"cve": "CVE-2020-0001", "url": "https://x/2", "source": "ExploitDB", "exploit": None},
+        ]
         grouped = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", rows))
-        assert grouped["CVE-2020-0001"][0].is_exploit is False
+        assert [e.is_exploit for e in grouped["CVE-2020-0001"]] == [False, False]
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, 1.0, [], [0], {}], ids=repr)
+    def test_exploit_flag_not_bool_exits_2(self, tmp_path, capsys, flag):
+        # "false" and 1 are truthy, yet only JSON true may count toward wx.
+        cves = write_jsonl(tmp_path / "cves.jsonl", [{"id": "CVE-2020-0001", "description": "a"}])
+        row = {"cve": "CVE-2020-0001", "url": "https://x/1", "source": "GitHub"}
+        refs = write_jsonl(tmp_path / "refs.jsonl", [dict(row, exploit=True), dict(row, exploit=flag)])
+        assert main(["ingest", "--cves", str(cves), "--refs", str(refs)]) == 2
+        assert capsys.readouterr().err == f"error: {refs}:2: exploit must be true or false\n"
 
     def test_empty_url_rejected(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "url": "", "source": "Other"}]

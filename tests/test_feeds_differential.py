@@ -3,10 +3,10 @@
 Both versions read the same feed: records whose fields are valid,
 missing, ``null`` or of the wrong type; good and bad CVE ids, repeated
 ones included; known, unknown and non-string reference sources with
-repeated URLs; bad categories, bool, float and string labels; valid,
-bad and repeated stamps; inline ``references`` of any shape, which
-neither version reads; and now and then a line that is not a JSON
-object. They must return equal records and log the same warnings, or
+repeated URLs; ``exploit`` flags that are not true, false or null; bad
+categories, bool, float and string labels; valid, bad and repeated
+stamps; inline ``references`` of any shape, which neither version reads;
+and now and then a line that is not a JSON object. They must return equal records and log the same warnings, or
 raise the same exception type with the same message.
 """
 
@@ -43,7 +43,7 @@ SOURCE = st.one_of(
     st.sampled_from(["ExploitDB", "Metasploit", "GitHub", "Other"]),
     st.sampled_from(["PacketStorm", "exploitdb", MISSING, None, ["GitHub"], {"GitHub": 1}, 5, True]),
 )
-EXPLOIT = st.sampled_from([True, False, MISSING, None, 0, 1, "false", [], [0]])
+EXPLOIT = st.sampled_from([True, False, MISSING, None])
 URL = st.sampled_from(["https://x/1", "https://x/2", "https://x/3"])
 BAD_URL = bad("")
 VECTOR = st.sampled_from([
@@ -92,7 +92,7 @@ FAULTS = {
             st.lists(st.fixed_dictionaries({"url": BAD_URL, "source": SOURCE}), min_size=1, max_size=2),
         ),
     },
-    "refs": {"cve": BAD_ID, "url": BAD_URL},
+    "refs": {"cve": BAD_ID, "url": BAD_URL, "exploit": st.sampled_from(["false", 0, 1, [], [0]])},
     "labels": {
         "cve": BAD_ID,
         "utility": bad(3, -1, 1.0, "1"),

@@ -192,6 +192,11 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(trio_portfolio(), tier_bounds=(8, 16))
 
+    def test_empty_bounds_refused(self):
+        # The CLI's parser refuses empty bounds; a library caller may not.
+        with pytest.raises(ValueError, match="must not be empty"):
+            compare(trio_portfolio(), tier_bounds=[])
+
 
 class TestExport:
     def test_deterministic_bytes(self):

@@ -1,17 +1,20 @@
-"""Row rendering and ranking held to their dict-based and negated-key forms.
+"""Row rendering, ranking and comparison held to per-record reference forms.
 
 The json-lines, text and CSV exports format each row straight from the
-``ScoredVulnerability``, and ``rank``/``compare`` order by stable sorts
-without negating any Decimal. Here each is compared with the form it
-replaced: ``compact_json(_portfolio_row(...))``, the text row formatted
-from that dict, ``csv.DictWriter`` over those dicts, and a sort on
-``(-threat, -cvss, cve_id)``. The
+``ScoredVulnerability``, ``rank``/``compare`` order by stable sorts
+without negating any Decimal, ``compare`` counts bands and tiers once per
+distinct value, and threat scores go through precomputed multipliers.
+Here each is compared with a plain form: ``compact_json(_portfolio_row(...))``,
+the text row formatted from that dict, ``csv.DictWriter`` over those
+dicts, a sort on ``(-threat, -cvss, cve_id)``, counts taken record by
+record, and the threat formula multiplied out factor by factor. The
 portfolios are the golden one and hypothesis ones with heavy ties: few
 distinct CVSS, wx, label and environment values.
 """
 
 import csv
 import io
+import math
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -20,13 +23,22 @@ from hypothesis import given, settings, strategies as st
 from vulnrank.cli import _scored_portfolio, build_config, build_parser
 from vulnrank.cvss import BaseScore, severity_of
 from vulnrank.feeds import LabeledExample, Labeler, compact_json
-from vulnrank.report import CSV_COLUMNS, ExportFormat, compare, export, rank
+from vulnrank.report import (
+    CSV_COLUMNS,
+    DEFAULT_TIER_BOUNDS,
+    ExportFormat,
+    compare,
+    export,
+    rank,
+)
 from vulnrank.scoring import EnvironmentalFactors, ScoredVulnerability, format_quantity
 
 from test_golden import write_golden_feeds
 
 LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 TOP_K = (1, 2, 3, 5, 10, 100, 1000)
+# The second set has bounds equal to threat scores the tied portfolios hold.
+TIER_BOUNDS = (DEFAULT_TIER_BOUNDS, (Decimal(15), Decimal("7.5"), Decimal(0)))
 
 
 def reference_order(scored):
@@ -77,7 +89,28 @@ def reference_overlap(scored, top_k):
     return overlap
 
 
+def reference_counts(scored, bounds):
+    """``(cvss_bands, critical_count, threat_tiers)``, record by record."""
+    bands = {band: 0 for band in range(10, 0, -1)}
+    labels = [f">={format_quantity(bounds[0])}"]
+    labels += [f"{format_quantity(lo)}-{format_quantity(hi)}" for hi, lo in zip(bounds, bounds[1:])]
+    labels.append(f"<{format_quantity(bounds[-1])}")
+    tiers = [0] * len(labels)
+    for s in scored:
+        bands[max(1, math.ceil(s.cvss.value))] += 1
+        tiers[next((i for i, b in enumerate(bounds) if s.threat_score >= b), len(bounds))] += 1
+    critical = sum(1 for s in scored if s.cvss.value >= 9)
+    return bands, critical, tuple(zip(labels, tiers))
+
+
+def reference_threat(s):
+    return (s.cvss.value + s.wx) * (s.labels.utility + 1) * (s.labels.opportune + 1) * s.env.product
+
+
 def assert_equivalent(scored):
+    # By representation: equal Decimals of another exponent print apart.
+    assert [str(s.threat_score) for s in scored] == [str(reference_threat(s)) for s in scored]
+
     portfolio = rank(scored)
     assert list(portfolio.entries) == reference_order(scored)
     assert [s.cve_id for s in portfolio.entries] == [s.cve_id for s in reference_order(scored)]
@@ -90,6 +123,10 @@ def assert_equivalent(scored):
     assert export(portfolio, ExportFormat.CSV).decode("utf-8") == reference_csv(rows)
 
     assert compare(scored, top_k=TOP_K).top_k_overlap == reference_overlap(scored, TOP_K)
+    for bounds in TIER_BOUNDS:
+        report = compare(scored, tier_bounds=bounds)
+        counts = (report.cvss_bands, report.critical_count, report.threat_tiers)
+        assert counts == reference_counts(scored, bounds)
 
 
 def test_golden_portfolio(tmp_path):

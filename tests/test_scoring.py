@@ -3,6 +3,7 @@
 import random
 from datetime import datetime, timezone
 from decimal import Decimal
+from itertools import product
 
 import pytest
 
@@ -73,6 +74,17 @@ class TestThreatScore:
                 cvss, wx, labels(u, o), env
             )
             assert step == (u + 1) * (o + 1) * env.product
+
+    def test_exact_by_representation(self):
+        # Products 1 and 1.00 are equal, yet the scores they give print
+        # apart, so a score must come from its own env, not an equal one.
+        private_low = env_factor(AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.LOW))
+        envs, cvss_values = (NEUTRAL_ENV, private_low), map(Decimal, ("0.0", "7.5", "10.0"))
+        for env, cvss, wx, u, o in product(envs, cvss_values, (0, 1, 12), (0, 1, 2), (0, 1)):
+            expected = (cvss + wx) * (u + 1) * (o + 1) * env.product
+            assert str(threat_score(cvss, wx, labels(u, o), env)) == str(expected)
+        assert str(threat_score(Decimal("7.5"), 0, labels(), NEUTRAL_ENV)) == "7.5"
+        assert str(threat_score(Decimal("7.5"), 0, labels(), private_low)) == "7.500"
 
     def test_strictly_monotone_in_categories(self):
         five = Decimal("5.0")
