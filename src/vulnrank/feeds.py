@@ -333,7 +333,11 @@ def load_exploit_refs(path) -> dict[str, list[ReferenceEntry]]:
 
 
 def parse_ts(raw, where: str) -> datetime:
-    """ISO-8601 string to an aware datetime; 'Z' and naive stamps are UTC."""
+    """ISO-8601 string to an aware datetime; 'Z' and naive stamps are UTC.
+
+    The stamp's UTC form must fall in years 1-9999, or ``format_ts``
+    could not write it back.
+    """
     if not isinstance(raw, str):
         raise SchemaError(f"{where}: ts must be an ISO-8601 string")
     text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
@@ -343,12 +347,17 @@ def parse_ts(raw, where: str) -> datetime:
         raise SchemaError(f"{where}: ts {raw!r} is not ISO-8601") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
+    try:
+        ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise SchemaError(f"{where}: ts {raw!r} is outside years 1-9999 in UTC") from None
     return ts
 
 
 def format_ts(ts: datetime) -> str:
-    """UTC timestamp in the compact 'Z' form used in label files."""
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """UTC timestamp in the compact 'Z' form used in label files, with a
+    four-digit year: ``strftime("%Y")`` does not pad it on glibc."""
+    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 def load_labels(path) -> list[LabeledExample]:

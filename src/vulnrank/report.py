@@ -5,12 +5,16 @@ CVSS and then lexicographically smaller CVE id, so remediation queues
 come out identical on every run. The comparison report buckets the same
 portfolio twice: by integer CVSS band (10 down to 1) and by configurable
 threat-score tiers, plus top-k agreement between the two orderings.
+
+Exports are built from ``%``-templates, not by a CSV or JSON writer: no
+exported string needs CSV quoting or JSON escaping. Ids are checked
+against ``feeds.CVE_ID_RE`` as each row is written, and every other
+string is a plain decimal, an enum value or a tier label built from
+decimals.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
@@ -18,24 +22,11 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from vulnrank.feeds import compact_json
+from vulnrank.feeds import CVE_ID_RE, compact_json
 from vulnrank.scoring import ScoredVulnerability, format_quantity
 
 DEFAULT_TIER_BOUNDS = (Decimal(64), Decimal(32), Decimal(16), Decimal(8))
 DEFAULT_TOP_K = (10, 100, 1000)
-
-CSV_COLUMNS = (
-    "rank",
-    "cve_id",
-    "threat_score",
-    "cvss",
-    "severity",
-    "wx",
-    "utility",
-    "opportune",
-    "env_product",
-    "label_source",
-)
 
 
 class ExportFormat(Enum):
@@ -47,6 +38,35 @@ class ExportFormat(Enum):
     def _missing_(cls, value):
         # "structured" is an alias of json-lines.
         return cls.STRUCTURED if value == "structured" else None
+
+
+# The portfolio columns: (name, text title, text %-spec). The name heads
+# the CSV column and keys the JSON field; a "d" column is a JSON number
+# and an "s" column a JSON string. Every template writes with "s", which
+# prints an int as "d" does, in less time.
+_COLUMNS = (
+    ("rank", "rank", "%5d"),
+    ("cve_id", "cve_id", "%-18s"),
+    ("threat_score", "threat", "%12s"),
+    ("cvss", "cvss", "%5s"),
+    ("severity", "severity", "%-8s"),
+    ("wx", "wx", "%5d"),
+    ("utility", "util", "%4d"),
+    ("opportune", "opp", "%3d"),
+    ("env_product", "env", "%6s"),
+    ("label_source", "source", "%-6s"),
+)
+CSV_COLUMNS = tuple(name for name, _, _ in _COLUMNS)
+_TEXT_ROW = " ".join(f"{spec[:-1]}s" for _, _, spec in _COLUMNS)
+# Per format: (header line or None, row template).
+_PORTFOLIO_LINES = {
+    ExportFormat.TEXT: (_TEXT_ROW % tuple(title for _, title, _ in _COLUMNS), _TEXT_ROW),
+    ExportFormat.CSV: (",".join(CSV_COLUMNS), ",".join(["%s"] * len(_COLUMNS))),
+    ExportFormat.STRUCTURED: (None, "{%s}" % ",".join(
+        f'"{name}":%s' if spec[-1] == "d" else f'"{name}":"%s"' for name, _, spec in _COLUMNS
+    )),
+}
+_is_cve_id = CVE_ID_RE.fullmatch
 
 
 @dataclass(frozen=True)
@@ -170,63 +190,33 @@ def compare(
     )
 
 
-def _rows(portfolio: RankedPortfolio) -> Iterator[tuple[int, ScoredVulnerability, str]]:
-    """``(rank, entry, threat score text)`` in rank order.
+def _rows(portfolio: RankedPortfolio) -> Iterator[tuple]:
+    """Each entry's ``_COLUMNS`` values, in rank order.
 
-    ``format_quantity`` runs once per distinct score: a portfolio holds
-    far fewer distinct scores than rows, and equal Decimals print alike.
+    Raises ValueError for an id that ``CVE_ID_RE`` does not match as a
+    whole: rows are written unquoted and unescaped. ``format_quantity`` runs
+    once per distinct score: a portfolio holds far fewer distinct scores
+    than rows, and equal Decimals print alike. ``_value_`` is the enum's
+    plain attribute; the ``value`` property costs ten times as much.
     """
     texts: dict[Decimal, str] = {}
     for pos, s in portfolio.ranked():
+        if not _is_cve_id(s.cve_id):
+            raise ValueError(f"cannot export {s.cve_id!r}: not a CVE id")
         threat = texts.get(s.threat_score)
         if threat is None:
             threat = texts[s.threat_score] = format_quantity(s.threat_score)
-        yield pos, s, threat
-
-
-def _portfolio_text(portfolio: RankedPortfolio) -> str:
-    header = (
-        f"{'rank':>5} {'cve_id':<18} {'threat':>12} {'cvss':>5} "
-        f"{'severity':<8} {'wx':>5} {'util':>4} {'opp':>3} {'env':>6} {'source':<6}"
-    )
-    lines = [header]
-    # "%5d" pads an int (or bool) as f"{n:>5}" does. _value_ is the enum's
-    # plain attribute; the ``value`` property costs ten times as much.
-    row = "%5d %-18s %12s %5s %-8s %5d %4d %3d %6s %-6s"
-    for pos, s, threat in _rows(portfolio):
         cvss, labels = s.cvss, s.labels
-        lines.append(row % (
+        yield (
             pos, s.cve_id, threat, cvss.value, cvss.severity._value_, s.wx, labels.utility,
             labels.opportune, s.env.product_text, labels.labeler._value_,
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def _portfolio_csv(portfolio: RankedPortfolio) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        (pos, s.cve_id, threat, s.cvss.value, s.cvss.severity._value_, s.wx, s.labels.utility,
-         s.labels.opportune, s.env.product_text, s.labels.labeler._value_)
-        for pos, s, threat in _rows(portfolio)
-    )
-    return buf.getvalue()
-
-
-def _portfolio_jsonl(portfolio: RankedPortfolio) -> str:
-    # compact_json of the CSV_COLUMNS row, written out: every string in
-    # the row is a CVE id (ASCII digits by the feed's id rule), a plain
-    # decimal or an enum value, so none needs escaping.
-    lines = []
-    for pos, s, threat in _rows(portfolio):
-        cvss, labels = s.cvss, s.labels
-        lines.append(
-            f'{{"rank":{pos},"cve_id":"{s.cve_id}","threat_score":"{threat}",'
-            f'"cvss":"{cvss.value!s}","severity":"{cvss.severity._value_}","wx":{s.wx},'
-            f'"utility":{labels.utility},"opportune":{labels.opportune},'
-            f'"env_product":"{s.env.product_text}","label_source":"{labels.labeler._value_}"}}'
         )
+
+
+def _portfolio(portfolio: RankedPortfolio, fmt: ExportFormat) -> str:
+    header, row = _PORTFOLIO_LINES[fmt]
+    lines = [] if header is None else [header]
+    lines += map(row.__mod__, _rows(portfolio))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -251,17 +241,15 @@ def _report_text(report: ComparisonReport) -> str:
 
 
 def _report_csv(report: ComparisonReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "bucket", "value"])
-    for band in range(10, 0, -1):
-        writer.writerow(["cvss_band", band, report.cvss_bands[band]])
-    for label, count in report.threat_tiers:
-        writer.writerow(["threat_tier", label, count])
-    writer.writerow(["critical", "9.0-10.0", report.critical_count])
-    for k in sorted(report.top_k_overlap):
-        writer.writerow(["overlap", f"top-{k}", f"{report.top_k_overlap[k]:.4f}"])
-    return buf.getvalue()
+    rows = [("section", "bucket", "value")]
+    rows += [("cvss_band", band, report.cvss_bands[band]) for band in range(10, 0, -1)]
+    rows += [("threat_tier", label, count) for label, count in report.threat_tiers]
+    rows.append(("critical", "9.0-10.0", report.critical_count))
+    rows += [
+        ("overlap", f"top-{k}", f"{report.top_k_overlap[k]:.4f}")
+        for k in sorted(report.top_k_overlap)
+    ]
+    return "".join("%s,%s,%s\n" % row for row in rows)
 
 
 def _report_jsonl(report: ComparisonReport) -> str:
@@ -285,17 +273,14 @@ def _report_jsonl(report: ComparisonReport) -> str:
 def export(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> bytes:
     """Deterministic bytes for a portfolio or comparison report."""
     if isinstance(obj, RankedPortfolio):
-        renderers = {
-            ExportFormat.TEXT: _portfolio_text,
-            ExportFormat.CSV: _portfolio_csv,
-            ExportFormat.STRUCTURED: _portfolio_jsonl,
-        }
+        text = _portfolio(obj, fmt)
     elif isinstance(obj, ComparisonReport):
         renderers = {
             ExportFormat.TEXT: _report_text,
             ExportFormat.CSV: _report_csv,
             ExportFormat.STRUCTURED: _report_jsonl,
         }
+        text = renderers[fmt](obj)
     else:
         raise TypeError(f"cannot export {type(obj).__name__}")
-    return renderers[fmt](obj).encode("utf-8")
+    return text.encode("utf-8")

@@ -19,7 +19,7 @@ from vulnrank.report import ExportFormat
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
 
-from conftest import trio_cve_rows, write_jsonl
+from conftest import trio_cve_rows, trio_label_rows, write_jsonl
 
 
 def make_args(**overrides):
@@ -1056,7 +1056,10 @@ class TestLabelLoop:
         assert len(labels) == 1
         assert labels[0].cve_id == "CVE-2019-11324"  # second in id order
 
-    @pytest.mark.parametrize("stamp", ["notatime", "2024-13-01T00:00:00Z", ""])
+    @pytest.mark.parametrize(
+        "stamp",
+        ["notatime", "2024-13-01T00:00:00Z", "", "9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"],
+    )
     def test_bad_timestamp_exits_2(self, trio_feed_dir, monkeypatch, capsys, stamp):
         self.run_with_keys(monkeypatch, ["2", "1", "q"])
         args = self.label_args(trio_feed_dir)
@@ -1076,3 +1079,21 @@ class TestLabelLoop:
         assert main(args) == 0
         (label,) = load_labels(trio_feed_dir / "new_labels.jsonl")
         assert format_ts(label.labeled_at) == "2024-05-01T00:00:00Z"
+
+    def test_store_year_below_1000_round_trips(self, trio_feed_dir, monkeypatch, capsys):
+        store = write_jsonl(
+            trio_feed_dir / "new_labels.jsonl", trio_label_rows("Model", "0999-06-01T00:00:00Z")
+        )
+        self.run_with_keys(monkeypatch, ["2", "1", "q"])
+        assert main(self.label_args(trio_feed_dir)) == 0
+        assert store.read_text().count('"ts":"0999-06-01T00:00:00Z"') == 2
+        assert main(["score", "--cves", str(trio_feed_dir / "cves.jsonl"), "--labels", str(store)]) == 0
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_store_stamp_outside_utc_years_exits_2(self, trio_feed_dir, monkeypatch, capsys, stamp):
+        store = write_jsonl(trio_feed_dir / "new_labels.jsonl", trio_label_rows("Model", stamp))
+        before = store.read_bytes()
+        self.run_with_keys(monkeypatch, ["2", "1", "q"])
+        assert main(self.label_args(trio_feed_dir)) == 2
+        assert capsys.readouterr().err == f"error: {store}:1: ts '{stamp}' is outside years 1-9999 in UTC\n"
+        assert store.read_bytes() == before

@@ -5,10 +5,11 @@ import logging
 import os
 import re
 import stat
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vulnrank.feeds import (
     AssetContext,
@@ -30,6 +31,7 @@ from vulnrank.feeds import (
     load_exploit_refs,
     load_labels,
     merge_labels,
+    parse_ts,
     save_labels,
     write_atomic,
     write_labels,
@@ -490,3 +492,28 @@ class TestWriteAtomic:
         with pytest.raises(IoError, match="out.csv: not a regular file$"):
             write_atomic(tmp_path / "out.csv", b"x")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(local=st.datetimes(), minutes=st.integers(-(24 * 60 - 1), 24 * 60 - 1))
+@example(datetime(999, 6, 1), 0)
+@example(datetime(1, 1, 1), 60)
+@example(datetime(9999, 12, 31, 23, 59, 59), -60)
+@example(datetime.min, 0)
+@example(datetime.max, 0)
+def test_ts_round_trip(local, minutes):
+    """A stamp whose UTC form falls in years 1-9999 is written back as one
+    that reads as the same second; any other stamp is refused."""
+    offset = timedelta(minutes=minutes)
+    stamp = local.replace(tzinfo=timezone(offset))
+    since_min = local - datetime.min - offset  # from 0001-01-01T00:00:00 UTC
+    if not timedelta(0) <= since_min <= datetime.max - datetime.min:
+        with pytest.raises(SchemaError, match=r"^x: ts '.*' is outside years 1-9999 in UTC$"):
+            parse_ts(stamp.isoformat(), "x")
+        return
+    assert parse_ts(stamp.isoformat(), "x") == stamp
+    text = format_ts(stamp)
+    utc = (datetime.min + since_min).replace(microsecond=0, tzinfo=timezone.utc)
+    assert re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", text)
+    assert parse_ts(text, "x") == utc
+    assert format_ts(parse_ts(text, "x")) == text

@@ -5,9 +5,11 @@ missing, ``null`` or of the wrong type; good and bad CVE ids, repeated
 ones included; known, unknown and non-string reference sources with
 repeated URLs; ``exploit`` flags that are not true, false or null; bad
 categories, bool, float and string labels; valid, bad and repeated
-stamps; inline ``references`` of any shape, which neither version reads;
-and now and then a line that is not a JSON object. They must return equal records and log the same warnings, or
-raise the same exception type with the same message.
+stamps, stamps outside years 1-9999 in UTC among the bad; inline
+``references`` of any shape, which neither version reads; and now and
+then a line that is not a JSON object. They must return equal records
+and log the same warnings, or raise the same exception type with the
+same message.
 """
 
 import json
@@ -98,7 +100,10 @@ FAULTS = {
         "utility": bad(3, -1, 1.0, "1"),
         "opportune": bad(2, 1.0, "0"),
         "labeler": bad("Bot", "sme"),
-        "ts": bad("2021-13-01", "soon", "2021-01-01T00:00:00ZZ"),
+        "ts": bad(
+            "2021-13-01", "soon", "2021-01-01T00:00:00ZZ",
+            "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
+        ),
     },
     "context": {
         "cve": st.one_of(st.just(DUPLICATE), st.just(DUPLICATE), BAD_ID),

@@ -1,9 +1,10 @@
-"""numpy is imported by train and predict only.
+"""numpy is imported by train and predict only, and csv by no command.
 
 ``vulnrank.cli`` binds the ``vulnrank.triage`` names on first access, so
 a process that scores, ranks, reports or ingests never loads numpy. The
 names must still resolve on the module, since the benchmark's tracer
-wraps them there before ``main`` runs.
+wraps them there before ``main`` runs. Exports are written from
+templates, so no command loads the csv module either.
 """
 
 import importlib.util
@@ -24,7 +25,7 @@ import json, sys
 from vulnrank.cli import main
 argv = json.loads(sys.argv[1])
 code = main(argv)
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, "csv" in sys.modules]))
 """
 
 
@@ -41,7 +42,7 @@ def test_score_rank_report_ingest_leave_numpy_unloaded(trio_feed_dir):
             [sys.executable, "-c", CHILD, json.dumps(argv)],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert json.loads(done.stdout.splitlines()[-1]) == [0, False], (command, done.stdout, done.stderr)
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, False, False], (command, done.stdout, done.stderr)
 
 
 def _tracer():

@@ -240,6 +240,14 @@ class TestExport:
         assert "cvss_band,10,0" in data
         assert "threat_tier,>=64,1" in data
 
+    @pytest.mark.parametrize("fmt", list(ExportFormat))
+    def test_id_that_is_not_a_cve_id_refused(self, fmt):
+        # Rows are written without quoting or escaping, so an id that
+        # would need either is refused in every format.
+        portfolio = rank([*trio_portfolio(), scored('bad"id,x', "5.0")])
+        with pytest.raises(ValueError, match="not a CVE id"):
+            export(portfolio, fmt)
+
     def test_format_parse_accepts_structured_alias(self):
         assert ExportFormat("structured") is ExportFormat.STRUCTURED
         assert ExportFormat("json-lines") is ExportFormat.STRUCTURED

@@ -1,15 +1,17 @@
 """Row rendering, ranking and comparison held to per-record reference forms.
 
-The json-lines, text and CSV exports format each row straight from the
-``ScoredVulnerability``, ``rank``/``compare`` order by stable sorts
-without negating any Decimal, ``compare`` counts bands and tiers once per
-distinct value, and threat scores go through precomputed multipliers.
-Here each is compared with a plain form: ``compact_json(_portfolio_row(...))``,
-the text row formatted from that dict, ``csv.DictWriter`` over those
-dicts, a sort on ``(-threat, -cvss, cve_id)``, counts taken record by
-record, and the threat formula multiplied out factor by factor. The
-portfolios are the golden one and hypothesis ones with heavy ties: few
-distinct CVSS, wx, label and environment values.
+The json-lines, text and CSV exports write each row from one
+``%``-template per format, and the comparison report's CSV likewise;
+``rank``/``compare`` order by stable sorts without negating any Decimal,
+``compare`` counts bands and tiers once per distinct value, and threat
+scores go through precomputed multipliers. Here each is compared with a
+plain form: ``compact_json(_portfolio_row(...))``, the text row
+formatted from that dict, ``csv.DictWriter`` over those dicts,
+``csv.writer`` over the report's rows for both tier-bound sets, a sort
+on ``(-threat, -cvss, cve_id)``, counts taken record by record, and the
+threat formula multiplied out factor by factor. The portfolios are the
+golden one and hypothesis ones with heavy ties: few distinct CVSS, wx,
+label and environment values.
 """
 
 import csv
@@ -65,6 +67,20 @@ def reference_csv(rows: list[dict]) -> str:
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
+    return buf.getvalue()
+
+
+def reference_report_csv(report) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["section", "bucket", "value"])
+    for band in range(10, 0, -1):
+        writer.writerow(["cvss_band", band, report.cvss_bands[band]])
+    for label, count in report.threat_tiers:
+        writer.writerow(["threat_tier", label, count])
+    writer.writerow(["critical", "9.0-10.0", report.critical_count])
+    for k in sorted(report.top_k_overlap):
+        writer.writerow(["overlap", f"top-{k}", f"{report.top_k_overlap[k]:.4f}"])
     return buf.getvalue()
 
 
@@ -124,9 +140,10 @@ def assert_equivalent(scored):
 
     assert compare(scored, top_k=TOP_K).top_k_overlap == reference_overlap(scored, TOP_K)
     for bounds in TIER_BOUNDS:
-        report = compare(scored, tier_bounds=bounds)
+        report = compare(scored, tier_bounds=bounds, top_k=TOP_K)
         counts = (report.cvss_bands, report.critical_count, report.threat_tiers)
         assert counts == reference_counts(scored, bounds)
+        assert export(report, ExportFormat.CSV).decode("utf-8") == reference_report_csv(report)
 
 
 def test_golden_portfolio(tmp_path):
