@@ -34,6 +34,7 @@ from vulnrank.report import (
     RankedPortfolio,
     compare,
     export,
+    export_chunks,
     rank,
 )
 from vulnrank.scoring import (
@@ -71,6 +72,7 @@ __all__ = [
     "count_wx",
     "env_factor",
     "export",
+    "export_chunks",
     "load_asset_context",
     "load_cve_records",
     "load_exploit_refs",

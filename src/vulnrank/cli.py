@@ -55,7 +55,7 @@ from vulnrank.feeds import (
     write_atomic,
     write_labels,
 )
-from vulnrank.report import DEFAULT_TIER_BOUNDS, ExportFormat, compare, export, rank
+from vulnrank.report import DEFAULT_TIER_BOUNDS, ExportFormat, compare, export_chunks, rank
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
     EnvWeights,
@@ -445,13 +445,13 @@ def cmd_export(config: RunConfig, command: str) -> int:
             result = compare(_scored_portfolio(config), tier_bounds=config.tier_bounds)
         else:
             result = rank(_scored_portfolio(config))
-        data = export(result, config.format)
+        chunks = export_chunks(result, config.format)
         if config.output is None:
             sys.stdout.flush()
-            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.writelines(chunks)
             sys.stdout.buffer.flush()
         else:
-            write_atomic(config.output, data)
+            write_atomic(config.output, chunks)
     return EXIT_OK
 
 

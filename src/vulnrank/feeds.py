@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -425,8 +426,11 @@ def save_labels(path, examples: Iterable[LabeledExample]) -> None:
 
 def write_labels(path, merged: dict[str, LabeledExample]) -> None:
     """Write an already merged store to ``path``: one line per CVE, sorted by id."""
+    write_atomic(path, encoded_chunks(_label_lines(merged)))
+
+
+def _label_lines(merged: dict[str, LabeledExample]) -> Iterator[str]:
     stamps: dict[datetime, str] = {}
-    lines = []
     for cve_id in sorted(merged):
         ex = merged[cve_id]
         # Equal instants in different UTC offsets are equal keys and
@@ -434,18 +438,28 @@ def write_labels(path, merged: dict[str, LabeledExample]) -> None:
         ts = stamps.get(ex.labeled_at)
         if ts is None:
             ts = stamps[ex.labeled_at] = format_ts(ex.labeled_at)
-        lines.append(
-            compact_json(
-                {
-                    "cve": ex.cve_id,
-                    "utility": ex.utility,
-                    "opportune": ex.opportune,
-                    "labeler": ex.labeler.value,
-                    "ts": ts,
-                }
-            )
-        )
-    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
+        yield compact_json(
+            {
+                "cve": ex.cve_id,
+                "utility": ex.utility,
+                "opportune": ex.opportune,
+                "labeler": ex.labeler.value,
+                "ts": ts,
+            }
+        ) + "\n"
+
+
+# Lines per chunk of a streamed output: a writer holds one chunk's lines,
+# their join and its bytes at a time, never its whole output.
+CHUNK_LINES = 4096
+
+
+def encoded_chunks(lines: Iterable[str]) -> Iterator[bytes]:
+    """``lines``, each ending in ``\\n``, joined and UTF-8 encoded
+    ``CHUNK_LINES`` at a time; nothing at all for no lines."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, CHUNK_LINES)):
+        yield chunk.encode("utf-8")
 
 
 def output_target(path) -> str:
@@ -456,16 +470,19 @@ def output_target(path) -> str:
     return target
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a fsynced ``.tmp`` file beside ``output_target(path)``,
-    rename it over that file and fsync the directory, so the rename is durable.
+def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
+    """Write ``data``, bytes or an iterable of byte chunks, to a fsynced
+    ``.tmp`` file beside ``output_target(path)``, rename it over that file
+    and fsync the directory, so the rename is durable.
 
     An existing target keeps its permission bits; a new one gets
     ``0o666 & ~umask``, as ``open`` would give it. A failure before the
-    rename leaves the target as it was and removes the temporary file; a
-    failed directory fsync comes after it, when the target already holds
-    the new data. Either raises IoError naming ``path`` as given.
+    rename, an iterable that raises part-way included, leaves the target as
+    it was and removes the temporary file; a failed directory fsync comes
+    after it, when the target already holds the new data. An OSError
+    either way is raised as IoError naming ``path`` as given.
     """
+    chunks = (data,) if isinstance(data, bytes) else data
     target = output_target(path)
     directory = os.path.dirname(target)
     try:
@@ -481,7 +498,7 @@ def write_atomic(path, data: bytes) -> None:
         try:
             with open(fd, "wb") as fh:
                 os.fchmod(fd, mode)  # mkstemp's is 0o600
-                fh.write(data)
+                fh.writelines(chunks)
                 fh.flush()
                 os.fsync(fd)
             os.replace(tmp, target)

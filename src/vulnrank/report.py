@@ -7,10 +7,10 @@ portfolio twice: by integer CVSS band (10 down to 1) and by configurable
 threat-score tiers, plus top-k agreement between the two orderings.
 
 Exports are built from ``%``-templates, not by a CSV or JSON writer: no
-exported string needs CSV quoting or JSON escaping. Ids are checked
-against ``feeds.CVE_ID_RE`` as each row is written, and every other
-string is a plain decimal, an enum value or a tier label built from
-decimals.
+exported string needs CSV quoting or JSON escaping. Every id is checked
+against ``feeds.CVE_ID_RE`` before the first row is rendered, and every
+other string is a plain decimal, an enum value or a tier label built
+from decimals.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
 from enum import Enum
+from itertools import chain, filterfalse
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from vulnrank.feeds import CVE_ID_RE, compact_json
+from vulnrank.feeds import CHUNK_LINES, CVE_ID_RE, compact_json, encoded_chunks
 from vulnrank.scoring import ScoredVulnerability, format_quantity
 
 DEFAULT_TIER_BOUNDS = (Decimal(64), Decimal(32), Decimal(16), Decimal(8))
@@ -57,12 +58,12 @@ _COLUMNS = (
     ("label_source", "source", "%-6s"),
 )
 CSV_COLUMNS = tuple(name for name, _, _ in _COLUMNS)
-_TEXT_ROW = " ".join(f"{spec[:-1]}s" for _, _, spec in _COLUMNS)
-# Per format: (header line or None, row template).
+_TEXT_ROW = " ".join(f"{spec[:-1]}s" for _, _, spec in _COLUMNS) + "\n"
+# Per format: (header line or None, row template), each ending in a newline.
 _PORTFOLIO_LINES = {
     ExportFormat.TEXT: (_TEXT_ROW % tuple(title for _, title, _ in _COLUMNS), _TEXT_ROW),
-    ExportFormat.CSV: (",".join(CSV_COLUMNS), ",".join(["%s"] * len(_COLUMNS))),
-    ExportFormat.STRUCTURED: (None, "{%s}" % ",".join(
+    ExportFormat.CSV: (",".join(CSV_COLUMNS) + "\n", ",".join(["%s"] * len(_COLUMNS)) + "\n"),
+    ExportFormat.STRUCTURED: (None, "{%s}\n" % ",".join(
         f'"{name}":%s' if spec[-1] == "d" else f'"{name}":"%s"' for name, _, spec in _COLUMNS
     )),
 }
@@ -193,31 +194,24 @@ def compare(
 def _rows(portfolio: RankedPortfolio) -> Iterator[tuple]:
     """Each entry's ``_COLUMNS`` values, in rank order.
 
-    Raises ValueError for an id that ``CVE_ID_RE`` does not match as a
-    whole: rows are written unquoted and unescaped. ``format_quantity`` runs
-    once per distinct score: a portfolio holds far fewer distinct scores
-    than rows, and equal Decimals print alike. ``_value_`` is the enum's
-    plain attribute; the ``value`` property costs ten times as much.
+    ``format_quantity`` runs once per distinct score: a portfolio holds
+    far fewer distinct scores than rows, and equal Decimals print alike.
+    The cache is emptied at ``CHUNK_LINES`` texts, so it never outgrows a
+    chunk. ``_value_`` is the enum's plain attribute; the ``value``
+    property costs ten times as much.
     """
     texts: dict[Decimal, str] = {}
     for pos, s in portfolio.ranked():
-        if not _is_cve_id(s.cve_id):
-            raise ValueError(f"cannot export {s.cve_id!r}: not a CVE id")
         threat = texts.get(s.threat_score)
         if threat is None:
+            if len(texts) == CHUNK_LINES:
+                texts.clear()
             threat = texts[s.threat_score] = format_quantity(s.threat_score)
         cvss, labels = s.cvss, s.labels
         yield (
             pos, s.cve_id, threat, cvss.value, cvss.severity._value_, s.wx, labels.utility,
             labels.opportune, s.env.product_text, labels.labeler._value_,
         )
-
-
-def _portfolio(portfolio: RankedPortfolio, fmt: ExportFormat) -> str:
-    header, row = _PORTFOLIO_LINES[fmt]
-    lines = [] if header is None else [header]
-    lines += map(row.__mod__, _rows(portfolio))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _report_text(report: ComparisonReport) -> str:
@@ -270,17 +264,34 @@ def _report_jsonl(report: ComparisonReport) -> str:
     return "\n".join(compact_json(row) for row in rows) + "\n"
 
 
-def export(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> bytes:
-    """Deterministic bytes for a portfolio or comparison report."""
-    if isinstance(obj, RankedPortfolio):
-        text = _portfolio(obj, fmt)
-    elif isinstance(obj, ComparisonReport):
-        renderers = {
-            ExportFormat.TEXT: _report_text,
-            ExportFormat.CSV: _report_csv,
-            ExportFormat.STRUCTURED: _report_jsonl,
-        }
-        text = renderers[fmt](obj)
-    else:
+_REPORT_RENDERERS = {
+    ExportFormat.TEXT: _report_text,
+    ExportFormat.CSV: _report_csv,
+    ExportFormat.STRUCTURED: _report_jsonl,
+}
+
+
+def export_chunks(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> Iterator[bytes]:
+    """Deterministic bytes for a portfolio or comparison report, in chunks:
+    a portfolio's of ``CHUNK_LINES`` lines, so no export holds its whole
+    output, and a report's in one.
+
+    Rows are written unquoted and unescaped, so an id that ``CVE_ID_RE``
+    does not match as a whole raises ValueError here, at the call, before
+    any row is rendered.
+    """
+    if isinstance(obj, ComparisonReport):
+        return iter((_REPORT_RENDERERS[fmt](obj).encode("utf-8"),))
+    if not isinstance(obj, RankedPortfolio):
         raise TypeError(f"cannot export {type(obj).__name__}")
-    return text.encode("utf-8")
+    bad = next(filterfalse(_is_cve_id, map(_by_id, obj.entries)), None)
+    if bad is not None:
+        raise ValueError(f"cannot export {bad!r}: not a CVE id")
+    header, row = _PORTFOLIO_LINES[fmt]
+    lines = map(row.__mod__, _rows(obj))
+    return encoded_chunks(lines if header is None else chain((header,), lines))
+
+
+def export(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> bytes:
+    """The bytes of ``export_chunks``, joined."""
+    return b"".join(export_chunks(obj, fmt))

@@ -206,13 +206,14 @@ def score_portfolio(
     if unlabeled:
         raise MissingLabels(unlabeled)
 
-    envs: dict[tuple[Exposure, Criticality] | None, EnvironmentalFactors] = {}
+    # Keyed on the members' _value_ strings: Enum.__hash__ is Python code.
+    envs: dict[tuple[str, str] | None, EnvironmentalFactors] = {}
     scored = []
     for record in records:
         cve_id = record.cve_id
         wx = wx_map.get(cve_id)
         ctx = ctx_map.get(cve_id)
-        env_key = None if ctx is None else (ctx.exposure, ctx.criticality)
+        env_key = None if ctx is None else (ctx.exposure._value_, ctx.criticality._value_)
         env = envs.get(env_key)
         if env is None:
             env = envs[env_key] = env_factor(ctx, env_weights)

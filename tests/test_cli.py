@@ -704,6 +704,17 @@ class TestScoreRankReport:
         assert lines[3].startswith("3,CVE-2019-11324,7.5,")
         assert all(line.split(",")[5] == "0" for line in lines[1:])
 
+    @pytest.mark.parametrize("command", ["score", "rank", "report"])
+    def test_stdout_gets_the_bytes_output_gets(self, synth_feeds, monkeypatch, capsysbinary, command):
+        # Seven lines to a chunk: the 200-CVE portfolio spans 29 of them.
+        monkeypatch.setattr(feeds, "CHUNK_LINES", 7)
+        args = trio_score_args(synth_feeds)
+        args[0] = command
+        assert main(args) == 0
+        out = capsysbinary.readouterr().out
+        assert main([*args, "--output", str(synth_feeds / "out")]) == 0
+        assert (synth_feeds / "out").read_bytes() == out != b""
+
     def test_report_text_two_columns(self, trio_feed_dir, capsys):
         assert main(self.base_args(trio_feed_dir, "report")) == 0
         out = capsys.readouterr().out

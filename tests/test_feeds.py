@@ -297,6 +297,15 @@ class TestLabels:
         loaded = [ex.labeled_at for ex in load_labels(path)]
         assert loaded == [ex.labeled_at for ex in merged.values()]
 
+    def test_write_labels_in_chunks_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        merged = merge_labels([self.example(cve=f"CVE-2020-{n:04d}") for n in range(1, 6)])
+        whole, chunked = tmp_path / "whole.jsonl", tmp_path / "chunked.jsonl"
+        write_labels(whole, merged)
+        monkeypatch.setattr("vulnrank.feeds.CHUNK_LINES", 2)  # three chunks
+        write_labels(chunked, merged)
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert len(whole.read_text().splitlines()) == 5
+
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "labels.jsonl"
         save_labels(path, [self.example()])
@@ -429,6 +438,26 @@ class TestWriteAtomic:
         path = tmp_path / "out.csv"
         write_atomic(path, b"rank,cve_id\n")
         assert path.read_bytes() == b"rank,cve_id\n"
+
+    def test_writes_chunks(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_atomic(path, iter([b"rank,cve_id\n", b"", b"1,CVE-2020-0001\n"]))
+        assert path.read_bytes() == b"rank,cve_id\n1,CVE-2020-0001\n"
+
+    def test_chunks_that_raise_part_way_keep_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o640)
+
+        def chunks():
+            yield b"new\n"
+            raise ValueError("cannot export 'x': not a CVE id")
+
+        with pytest.raises(ValueError, match="not a CVE id"):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_missing_directory(self, tmp_path):
         path = tmp_path / "missing" / "out.csv"

@@ -4,7 +4,8 @@
 a process that scores, ranks, reports or ingests never loads numpy. The
 names must still resolve on the module, since the benchmark's tracer
 wraps them there before ``main`` runs. Exports are written from
-templates, so no command loads the csv module either.
+templates, so no command loads the csv module either. The child process
+gets the source tree this suite imported, so it checks that tree.
 """
 
 import importlib.util
@@ -14,11 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import vulnrank
 import vulnrank.cli
 import vulnrank.triage
 from vulnrank.cli import build_parser
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = Path(vulnrank.__file__).resolve().parents[1]
 
 CHILD = """
 import json, sys
@@ -33,7 +36,7 @@ def test_score_rank_report_ingest_leave_numpy_unloaded(trio_feed_dir):
     feeds = []
     for name in ("cves", "refs", "labels"):
         feeds += [f"--{name}", str(trio_feed_dir / f"{name}.jsonl")]
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     for command in ("score", "rank", "report", "ingest"):
         argv = [command, *feeds, "--output", str(trio_feed_dir / f"{command}.out")]
         if command == "ingest":
@@ -52,8 +55,17 @@ def _tracer():
     return module
 
 
+# score and rank write through export_chunks, a generator; the cli binds
+# no "export", so the tracer's bytes-counting wrapper is listed absent
+# rather than handed a generator.
+UNBOUND_CLI_NAMES = {"export"}
+
+
 def test_traced_cli_names_resolve_to_their_functions():
     names = [attr for module, attr, *_ in _tracer().SPANS if module == "vulnrank.cli"]
+    for name in UNBOUND_CLI_NAMES:
+        assert getattr(vulnrank.cli, name, None) is None, name
+    names = [name for name in names if name not in UNBOUND_CLI_NAMES]
     triage_names = [name for name in names if name in vulnrank.triage.__all__]
     assert {"fit_vocabulary", "train", "evaluate", "save_model", "load_model"} <= set(triage_names)
     for name in names:

@@ -4,18 +4,20 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
 
 from vulnrank.cvss import BaseScore, severity_of
-from vulnrank.feeds import LabeledExample, Labeler
+from vulnrank.feeds import CHUNK_LINES, LabeledExample, Labeler
 from vulnrank.report import (
     CSV_COLUMNS,
     ExportFormat,
     compare,
     export,
+    export_chunks,
     rank,
 )
 from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability
@@ -247,6 +249,32 @@ class TestExport:
         portfolio = rank([*trio_portfolio(), scored('bad"id,x', "5.0")])
         with pytest.raises(ValueError, match="not a CVE id"):
             export(portfolio, fmt)
+
+    @pytest.mark.parametrize("fmt", list(ExportFormat))
+    def test_bad_id_in_the_last_chunk_raises_at_the_call(self, fmt):
+        # The check runs before the generator is returned, so the CLI
+        # neither creates the output file nor writes to stdout.
+        entries = [scored(f"CVE-2020-{n:05d}", "9.0") for n in range(2 * CHUNK_LINES)]
+        portfolio = rank([*entries, scored("CVE-2020-1", "0.0")])
+        assert portfolio.entries[-1].cve_id == "CVE-2020-1"
+        with pytest.raises(ValueError, match="'CVE-2020-1': not a CVE id"):
+            export_chunks(portfolio, fmt)
+
+    def test_export_memory_does_not_grow_with_the_portfolio(self):
+        # Every threat score distinct: the score-text cache is bounded too.
+        # JSON lines, score's format, has the longest rows.
+        def peak(n):
+            portfolio = rank(scored(f"CVE-2021-{i:06d}", "5.0", wx=i) for i in range(n))
+            tracemalloc.start()
+            try:
+                for _ in export_chunks(portfolio, ExportFormat.STRUCTURED):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10_000), peak(40_000)
+        assert abs(large - small) <= 1 << 20, (small, large)
 
     def test_format_parse_accepts_structured_alias(self):
         assert ExportFormat("structured") is ExportFormat.STRUCTURED

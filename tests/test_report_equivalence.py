@@ -11,7 +11,8 @@ formatted from that dict, ``csv.DictWriter`` over those dicts,
 on ``(-threat, -cvss, cve_id)``, counts taken record by record, and the
 threat formula multiplied out factor by factor. The portfolios are the
 golden one and hypothesis ones with heavy ties: few distinct CVSS, wx,
-label and environment values.
+label and environment values. ``export_chunks`` is held to the same
+forms at every size around the chunk boundaries.
 """
 
 import csv
@@ -20,17 +21,19 @@ import math
 from datetime import datetime, timezone
 from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulnrank.cli import _scored_portfolio, build_config, build_parser
 from vulnrank.cvss import BaseScore, severity_of
-from vulnrank.feeds import LabeledExample, Labeler, compact_json
+from vulnrank.feeds import CHUNK_LINES, LabeledExample, Labeler, compact_json
 from vulnrank.report import (
     CSV_COLUMNS,
     DEFAULT_TIER_BOUNDS,
     ExportFormat,
     compare,
     export,
+    export_chunks,
     rank,
 )
 from vulnrank.scoring import EnvironmentalFactors, ScoredVulnerability, format_quantity
@@ -185,3 +188,48 @@ def test_tied_portfolios(scored):
 
 def test_empty_portfolio():
     assert_equivalent([])
+
+
+TEXT_TITLES = {
+    "rank": "rank", "cve_id": "cve_id", "threat_score": "threat", "cvss": "cvss",
+    "severity": "severity", "wx": "wx", "utility": "util", "opportune": "opp",
+    "env_product": "env", "label_source": "source",
+}
+
+
+def tied_portfolio(n):
+    labelers = list(Labeler)
+    return [
+        scored("2020", i, 5, i % 3, i % 2, labelers[i % 2], CVSS[i % 3], i % 4, ENVS[i % 3])
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES + 1])
+def test_export_chunks_at_chunk_boundaries(size):
+    portfolio = rank(tied_portfolio(size))
+    rows = [_portfolio_row(pos, s) for pos, s in portfolio.ranked()]
+    expected = {
+        ExportFormat.STRUCTURED: "".join(compact_json(row) + "\n" for row in rows),
+        ExportFormat.TEXT: "".join(reference_text_row(row) + "\n" for row in [TEXT_TITLES, *rows]),
+        ExportFormat.CSV: reference_csv(rows),
+    }
+    for fmt, text in expected.items():
+        chunks = list(export_chunks(portfolio, fmt))
+        assert b"".join(chunks) == export(portfolio, fmt) == text.encode("utf-8")
+        # Whole lines, CHUNK_LINES of them to a chunk, the header counting as one.
+        assert [chunk.count(b"\n") for chunk in chunks[:-1]] == [CHUNK_LINES] * (len(chunks) - 1)
+        assert len(chunks) == -(-text.count("\n") // CHUNK_LINES)
+        assert all(chunk.endswith(b"\n") for chunk in chunks)
+    if size == 0:
+        assert export(portfolio, ExportFormat.STRUCTURED) == b""
+        assert export(portfolio, ExportFormat.CSV) == (",".join(CSV_COLUMNS) + "\n").encode()
+
+
+def test_comparison_report_is_one_chunk():
+    report = compare(tied_portfolio(2 * CHUNK_LINES + 1), top_k=TOP_K)
+    for fmt in ExportFormat:
+        (chunk,) = export_chunks(report, fmt)
+        assert chunk == export(report, fmt)
+    (csv_chunk,) = export_chunks(report, ExportFormat.CSV)
+    assert csv_chunk.decode("utf-8") == reference_report_csv(report)
