@@ -20,6 +20,11 @@ Field names are fixed: CVE records use ``id``, ``description``,
 null, whatever the source: nothing counts as an exploit unless the feed
 says so. A published ``score`` is a number in [0, 10] with at most one
 decimal.
+
+A label store is written from a ``%`` template, with nothing escaped:
+its other fields are labels, labeler names and ``format_ts`` stamps, and
+``write_labels`` raises ValueError for an id that ``CVE_ID_RE`` does not
+match as a whole before it opens the file.
 """
 
 from __future__ import annotations
@@ -425,8 +430,17 @@ def save_labels(path, examples: Iterable[LabeledExample]) -> None:
 
 
 def write_labels(path, merged: dict[str, LabeledExample]) -> None:
-    """Write an already merged store to ``path``: one line per CVE, sorted by id."""
+    """Write an already merged store to ``path``: one line per CVE, sorted
+    by id. An id that is not a CVE id raises ValueError before the file is
+    opened."""
+    for ex in merged.values():
+        if not isinstance(ex.cve_id, str) or not _is_cve_id(ex.cve_id):
+            raise ValueError(f"cannot write a label for {ex.cve_id!r}: not a CVE id")
     write_atomic(path, encoded_chunks(_label_lines(merged)))
+
+
+# A store line; no field needs JSON escaping (see the module docstring).
+_LABEL_LINE = '{"cve":"%s","utility":%d,"opportune":%d,"labeler":"%s","ts":"%s"}\n'
 
 
 def _label_lines(merged: dict[str, LabeledExample]) -> Iterator[str]:
@@ -438,15 +452,7 @@ def _label_lines(merged: dict[str, LabeledExample]) -> Iterator[str]:
         ts = stamps.get(ex.labeled_at)
         if ts is None:
             ts = stamps[ex.labeled_at] = format_ts(ex.labeled_at)
-        yield compact_json(
-            {
-                "cve": ex.cve_id,
-                "utility": ex.utility,
-                "opportune": ex.opportune,
-                "labeler": ex.labeler.value,
-                "ts": ts,
-            }
-        ) + "\n"
+        yield _LABEL_LINE % (ex.cve_id, ex.utility, ex.opportune, ex.labeler.value, ts)
 
 
 # Lines per chunk of a streamed output: a writer holds one chunk's lines,

@@ -4,7 +4,14 @@ Deliberately minimal text handling: lowercase, split on anything that is
 not an ASCII letter or digit, drop single-character tokens, no stemming
 and no stop-word removal. CVE descriptions carry their signal in raw
 technical tokens ("smbv1", "ssl_context" -> "ssl", "context"), which
-this keeps intact.
+this keeps intact. The rule is ``TOKEN_RE.findall(text.lower())``.
+
+ASCII text, nearly every description, takes an exact fast path: one
+byte table maps ``A-Z`` to ``a-z``, keeps ``a-z0-9`` and turns every
+other byte into a space, and the result is split on the spaces. Text
+with any non-ASCII character keeps the regex, because ``str.lower`` can
+make ASCII letters from other ones: the Kelvin sign lowers to ``k`` and
+a dotted capital I to ``i`` plus a combining dot.
 
 A document's tf-idf weight for vocabulary token ``t`` is its raw count
 of ``t`` times the smoothed idf ``ln((1 + N) / (1 + df(t))) + 1``, where
@@ -32,44 +39,72 @@ from typing import Mapping, Sequence
 import numpy as np
 
 TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
+# The ASCII fast path's table: A-Z to a-z, a-z and 0-9 kept, any other byte a space.
+_ASCII_FOLD = bytes(
+    c + 32 if 65 <= c <= 90 else c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256)
+)
 
 
 class EmptyCorpus(ValueError):
     """A vocabulary cannot be fitted on zero documents."""
 
 
+def _pieces(text: str) -> list[str]:
+    """The tokens of ``text`` in order, and on the ASCII path also the
+    single characters that ``tokenize`` drops."""
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_FOLD).decode("ascii").split()
+    return TOKEN_RE.findall(text.lower())
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric tokens of length >= 2."""
-    return TOKEN_RE.findall(text.lower())
+    return [piece for piece in _pieces(text) if len(piece) > 1]
 
 
 @dataclass(frozen=True)
 class Vocabulary:
     """Token-to-column map plus the document frequencies behind idf.
 
-    ``idf[column]`` is the smoothed idf of the column's token, computed
-    once, when the vocabulary is made; it takes no part in ``==`` or
-    ``repr``, since the other fields determine it.
+    The columns are exactly ``0 .. size-1``. ``idf[column]`` is the
+    smoothed idf of the column's token, computed once, when the
+    vocabulary is made. It and the private lookup ``design_matrix`` reads
+    take no part in ``==`` or ``repr``, since the other fields determine
+    them.
     """
 
     index: Mapping[str, int]
     document_frequency: Mapping[str, int]
     num_documents: int
     idf: np.ndarray = field(init=False, repr=False, compare=False)
+    _lookup: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.num_documents
+        n, size = self.num_documents, self.size
         if type(n) is not int or n < 1:
             raise ValueError(f"num_documents {n!r} is not an int >= 1")
-        idf = np.empty(self.size)
+        idf = np.full(size, np.nan)
         for token, column in self.index.items():
             df = self.document_frequency[token]
             if type(token) is not str or type(df) is not int or not 1 <= df <= n:
                 raise ValueError(f"token {token!r} has document frequency {df!r}, not in [1, {n}]")
+            if type(column) is not int or not 0 <= column < size:
+                raise ValueError(f"token {token!r} has column {column!r}, not in [0, {size})")
             # Smoothed idf; never zero, so every vocabulary token contributes.
             # math.log token by token, since np.log need not match it bit for bit.
             idf[column] = math.log((1 + n) / (1 + df)) + 1.0
+        # Each token set one column in [0, size), so all are set only if no
+        # two tokens share one.
+        if np.isnan(idf).any():
+            raise ValueError("two tokens share a column")
         object.__setattr__(self, "idf", idf)
+        # design_matrix looks up raw pieces, single characters included, so
+        # the lookup holds only the tokens tokenize can produce: a model
+        # file's "a", "Foo" or "a b" loads and never matches.
+        lookup = self.index
+        if not all(map(TOKEN_RE.fullmatch, lookup)):
+            lookup = {token: column for token, column in lookup.items() if TOKEN_RE.fullmatch(token)}
+        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def size(self) -> int:
@@ -121,8 +156,8 @@ def fit_vocabulary(corpus: Sequence[str], min_df: int = 1) -> Vocabulary:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
     df: Counter[str] = Counter()
     for text in corpus:
-        df.update(set(tokenize(text)))
-    kept = sorted(token for token, count in df.items() if count >= min_df)
+        df.update(set(_pieces(text)))
+    kept = sorted(token for token, count in df.items() if count >= min_df and len(token) > 1)
     return Vocabulary(
         index={token: col for col, token in enumerate(kept)},
         document_frequency={token: df[token] for token in kept},
@@ -132,11 +167,11 @@ def fit_vocabulary(corpus: Sequence[str], min_df: int = 1) -> Vocabulary:
 
 def design_matrix(vocab: Vocabulary, texts: Sequence[str]) -> CsrMatrix:
     """tf-idf weights of every text (see module docstring), one CSR row per text in order."""
-    index = vocab.index
+    get = vocab._lookup.get
     cols: list[int] = []
     lengths = []
     for text in texts:
-        known = [col for col in map(index.get, tokenize(text)) if col is not None]
+        known = [col for col in map(get, _pieces(text)) if col is not None]
         cols.extend(known)
         lengths.append(len(known))
     n, dim = len(texts), vocab.size

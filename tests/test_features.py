@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vulnrank.triage.features import (
     EmptyCorpus,
@@ -14,7 +15,7 @@ from vulnrank.triage.features import (
     tokenize,
 )
 
-from tfidf_reference import featurize
+from tfidf_reference import featurize, tokenize as reference_tokenize
 
 
 def row(vocab, text) -> dict[int, float]:
@@ -41,6 +42,40 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("ssl_context") == ["ssl", "context"]
+
+
+# Text whose lowercase holds ASCII letters made from other characters
+# (the dotted capital I lowers to "i" plus a combining dot, the Kelvin
+# sign to "k"), fullwidth and other Unicode letters and digits the rule
+# does not take, characters str.split treats as whitespace (file
+# separator, NEL, no-break space), and pieces of one character.
+TRICKY_TEXTS = [
+    "\u0130", "\u0130nstall \u0130\u0130", "\u212a", "\u212a\u212aB \u212aey",
+    "\uff21\uff11 \uff41\uff42", "caf\xe9 na\xefve \xb2\xb3 \u0663\u0664",
+    "ab\x1ccd", "ab\x85cd", "ab\xa0cd",
+    "", "a", "Z", "7", "_", " ", "\x00", "\x7f", "\xe9", "a b c", "x_y-z", "ab", "AB", "a1", "9z",
+]
+
+
+class TestTokenizeIdentity:
+    """tokenize against the token rule as the regex states it, over any text."""
+
+    @pytest.mark.parametrize("text", TRICKY_TEXTS)
+    def test_tricky_text(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_non_ascii_lowercase_keeps_its_ascii_letters(self):
+        assert tokenize("\u0130nstall \u0130\u0130") == ["nstall"]
+        assert tokenize("\u212a\u212aB \u212aey") == ["kkb", "key"]
+        assert tokenize("\uff21\uff11 \uff41\uff42") == []
+        assert tokenize("ab\x1ccd ab\x85cd ab\xa0cd") == ["ab", "cd"] * 3
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.text() | st.text(st.characters(max_codepoint=127)))
+    @example("\x1c\x1d\x1e\x1f\x0b\x0c AbC")
+    @example("\u2028\u2029\u3000x\u00a0yy")
+    def test_matches_the_regex(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestFitVocabulary:
@@ -129,6 +164,22 @@ class TestVocabulary:
                 document_frequency=tokens,
                 num_documents=num_documents,
             )
+
+    @pytest.mark.parametrize(
+        "index",
+        [{"aa": 0, "bb": 0}, {"aa": 5}, {"aa": -1}, {"aa": 1, "bb": 2}, {"aa": 0, "bb": 2},
+         {"aa": 0.0}, {"aa": "0"}, {"aa": False}, {"aa": None}],
+        ids=["shared", "beyond-size", "negative", "from-one", "gap", "float", "string", "bool",
+             "none"],
+    )
+    def test_columns_must_be_range_of_size(self, index):
+        with pytest.raises(ValueError):
+            Vocabulary(index=index, document_frequency={token: 1 for token in index}, num_documents=2)
+
+    def test_columns_in_any_order(self):
+        vocab = Vocabulary(index={"bb": 1, "aa": 0, "cc": 2},
+                           document_frequency={"aa": 1, "bb": 1, "cc": 2}, num_documents=2)
+        assert vocab.idf.tolist() == [math.log(3 / 2) + 1] * 2 + [1.0]
 
 
 class TestFeaturize:

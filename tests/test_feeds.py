@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vulnrank.feeds import (
+    CVE_ID_RE,
     AssetContext,
     Criticality,
     DuplicateId,
@@ -23,6 +24,7 @@ from vulnrank.feeds import (
     ParseError,
     ReferenceSource,
     SchemaError,
+    _label_lines,
     attach_descriptions,
     compact_json,
     format_ts,
@@ -320,6 +322,32 @@ class TestLabels:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "cve-2020-0003", "CVE-2020-003", "CVE-2020-0003\n", 'CVE-2020-0003"', "CVE-2020-0003\\",
+         "CVE-\uff12\uff10\uff12\uff10-0003", 20200003, None],
+    )
+    @pytest.mark.parametrize("writer", ["write_labels", "save_labels"])
+    def test_non_cve_id_refused_before_the_store_is_opened(self, tmp_path, bad, writer):
+        # Lines go out unescaped, so every id is checked first; the bad one
+        # sorts or iterates last, after ids that would have been written.
+        path = tmp_path / "labels.jsonl"
+        save_labels(path, [self.example()])
+        before = path.read_bytes()
+        examples = [self.example(cve="CVE-2020-0002"), self.example(cve=bad)]
+        with pytest.raises(ValueError, match="not a CVE id$"):
+            if writer == "write_labels":
+                write_labels(path, {ex.cve_id: ex for ex in examples})
+            else:
+                save_labels(path, examples)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
+
+    def test_non_cve_id_creates_no_store(self, tmp_path):
+        with pytest.raises(ValueError, match="^cannot write a label for 'CVE-1-1': not a CVE id$"):
+            write_labels(tmp_path / "labels.jsonl", {"CVE-1-1": self.example(cve="CVE-1-1")})
+        assert list(tmp_path.iterdir()) == []
+
     def test_newest_wins_on_merge(self, tmp_path):
         older = self.example(utility=0, when="2021-01-01T00:00:00")
         newer = self.example(utility=2, when="2021-06-01T00:00:00")
@@ -521,6 +549,34 @@ class TestWriteAtomic:
         with pytest.raises(IoError, match="out.csv: not a regular file$"):
             write_atomic(tmp_path / "out.csv", b"x")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+LABEL_OFFSETS = [timezone(timedelta(minutes=m)) for m in (0, 330, -240, 845, -719, 1439)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.from_regex(CVE_ID_RE, fullmatch=True),
+            st.integers(0, 2),
+            st.integers(0, 1),
+            st.sampled_from(Labeler),
+            st.datetimes(datetime(2, 1, 1), datetime(9998, 12, 31),
+                         timezones=st.sampled_from(LABEL_OFFSETS)),
+        ),
+        max_size=30,
+    )
+)
+def test_label_lines_match_the_json_encoder(rows):
+    """The templated store lines are the bytes compact_json wrote for them."""
+    merged = {row[0]: LabeledExample(*row) for row in rows}
+    expected = "".join(
+        compact_json({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
+                      "labeler": ex.labeler.value, "ts": format_ts(ex.labeled_at)}) + "\n"
+        for _, ex in sorted(merged.items())
+    )
+    assert "".join(_label_lines(merged)) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

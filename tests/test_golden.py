@@ -170,3 +170,74 @@ def test_format_layers_override_command_default(
         monkeypatch.setenv("VULNRANK_FORMAT", in_env)
     digest = _digest(golden_feeds, tmp_path / "out", "report", flag, extra)
     assert digest == GOLDEN[("report", written)]
+
+
+# The triage commands on a fixed labeled corpus, run in order against one
+# label store: the sha256 of each command's output file (the model, then
+# the store) and of its stdout. A quarter of the descriptions carry
+# non-ASCII text (dotted capital I, the Kelvin sign, fullwidth letters
+# and digits, accented words, C1, control and no-break spaces), so both
+# tokenizer paths are pinned.
+GOLDEN_TRIAGE = {
+    ("train", "utility"): (
+        "9a11fd4fa42b5ac0db6fc3ac7eba113a7f078c4bb1e551dc08e0d708b20f6441",
+        "3f71a6db2038ab438842ca0751d4b3fd30f4c73dc7d0c1e04063504822a44979",
+    ),
+    ("train", "opportune"): (
+        "ede80a3d137fc6b998c52ab176d978d8dd30743dd6296b792d8f833020b270ff",
+        "5468cbffec8a478462ada40e23415047d754b53c3ab731aca0245a40ee4a6e0a",
+    ),
+    ("predict", "utility"): (
+        "8d8160c64e9416e8b148f3044c80ec57de07de4cce1ff735f60b647f4368c5af",
+        "9d46cc86f9b995a6662631ccf87775a4640451271af3cce90d4bb8b40ea3a921",
+    ),
+    ("predict", "opportune"): (
+        "75c8c8d0f1786dfb9a0c2504d7a134c16782c592fd65f13f054f16955a090f4a",
+        "cd6f58496b0062b32779cf6c4120dab8988b89afe7e64ef6ae67fbd649e5b19a",
+    ),
+}
+
+NON_ASCII = (
+    "\u0130njection in \u0130stanbul", "the \u212aernel \u212aVM",
+    "\uff21\uff22\uff23\uff11\uff12 overflow", "caf\u00e9 na\u00efve stra\u00dfe",
+    "\u03a9mega\u0085handler\u00a0crash", "\u00dcnicode\x1cpath", "ma\u00f1ana \u00f8rsted",
+    "x\u00b2 \u00e9\u00e9 ab\u00adcd",
+)
+STAMPS = ("2024-01-01T00:00:00Z", "2024-03-01T05:30:00+05:30", "2023-12-31T20:00:00-04:00")
+
+
+def write_triage_feeds(root):
+    """cves.jsonl and labels.jsonl in ``root``; identical bytes on every call.
+
+    A third of the CVEs have no label, so predict has targets; one in ten
+    of the rest carries a Model label, which train leaves out.
+    """
+    rng = random.Random(20240601)
+    cves, labels = [], []
+    for i, ex in enumerate(synth_labeled_corpus(n=240, seed=29)):
+        description = ex.description
+        if i % 4 == 0:
+            description += " " + rng.choice(NON_ASCII)
+        cves.append({"id": ex.cve_id, "description": description})
+        if i % 3 == 2:
+            continue
+        labels.append({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
+                       "labeler": "Model" if i % 10 == 0 else "SME", "ts": rng.choice(STAMPS)})
+    write_jsonl(root / "cves.jsonl", cves)
+    write_jsonl(root / "labels.jsonl", labels)
+
+
+def test_triage_outputs_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_triage_feeds(tmp_path)
+    digests = {}
+    for command, task in GOLDEN_TRIAGE:
+        model = f"{task}_model.json"
+        args = [command, "--task", task, "--cves", "cves.jsonl", "--labels", "labels.jsonl",
+                f"--model-{task}", model]
+        assert main(args) == 0
+        written = (tmp_path / (model if command == "train" else "labels.jsonl")).read_bytes()
+        stdout = capsys.readouterr().out.encode()
+        digests[(command, task)] = (hashlib.sha256(written).hexdigest(),
+                                    hashlib.sha256(stdout).hexdigest())
+    assert digests == GOLDEN_TRIAGE

@@ -9,7 +9,7 @@ import pytest
 
 import vulnrank.triage.svm as svm
 from vulnrank.feeds import InvalidCategory, IoError, LabeledExample, Labeler
-from vulnrank.triage.features import fit_vocabulary
+from vulnrank.triage.features import design_matrix, fit_vocabulary
 from vulnrank.triage.modelio import CorruptModel, ModelVersionError, load_model, save_model
 from vulnrank.triage.svm import (
     CorpusTooSmall,
@@ -349,6 +349,31 @@ class TestModelFiles:
         save_model(first, model)
         save_model(second, load_model(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_tokens_no_text_produces_load_and_never_match(self, tmp_path):
+        # A model file may list tokens that tokenize never returns. They
+        # load, take columns, and match nothing: rows and predictions are
+        # those of the model without them, though a match would flip
+        # every prediction to class 0.
+        model = self.trained()
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        doc = json.loads(path.read_text())
+        odd = ["a", "Foo", "a b", "\u00e91", "x", "AB", "ab\n"]
+        doc["vocabulary"]["tokens"][:0] = [[token, 1] for token in odd]
+        doc["weights"] = [[1e3 if c == 0 else -1e3] * len(odd) + row
+                          for c, row in enumerate(doc["weights"])]
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert [loaded.vocab.index[token] for token in odd] == list(range(len(odd)))
+        texts = ["beta a", "beta Foo", "beta a b", "beta \u00e91", "beta x AB ab", "alpha", "a", ""]
+        expected = predict_texts(model, texts)
+        assert expected[:6] == [1] * 5 + [0]
+        assert predict_texts(loaded, texts) == expected
+        with_odd, without = design_matrix(loaded.vocab, texts), design_matrix(model.vocab, texts)
+        assert np.array_equal(with_odd.indptr, without.indptr)
+        assert np.array_equal(with_odd.indices, without.indices + len(odd))
+        assert np.array_equal(with_odd.data, without.data)
 
     def test_version_mismatch_rejected(self, tmp_path):
         model = self.trained()

@@ -3,13 +3,23 @@
 Kept apart from the library's batch ``design_matrix`` as the oracle the
 reference tests compare it with: raw term frequency times the smoothed
 idf ``ln((1 + N) / (1 + df)) + 1``, L2-normalized, computed token by
-token from the vocabulary's document frequencies.
+token from the vocabulary's document frequencies. It tokenizes with its
+own copy of the token rule, not with the library's ``tokenize``.
 """
 
 import math
+import re
 from collections import Counter
 
-from vulnrank.triage.features import Vocabulary, tokenize
+from vulnrank.triage.features import Vocabulary
+
+TOKEN_RULE = re.compile(r"[a-z0-9]{2,}")
+
+
+def tokenize(text: str) -> list[str]:
+    """The token rule as the regex states it: lowercase, then every run
+    of two or more ASCII letters and digits."""
+    return TOKEN_RULE.findall(text.lower())
 
 
 def featurize(vocab: Vocabulary, text: str) -> dict[int, float]:
