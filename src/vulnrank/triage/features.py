@@ -25,7 +25,10 @@ where row ``i`` holds the ascending column ids
 ``indices[indptr[i]:indptr[i+1]]`` and their weights at the same
 positions of ``data``. Memory is 16 bytes per stored weight plus 8 per
 row, independent of the vocabulary size; a dense n-by-V matrix of
-NVD-scale descriptions would not fit in memory at all.
+NVD-scale descriptions would not fit in memory at all. ``design_matrix``
+works through ``BLOCK_TEXTS`` texts at a time, so its transients (the
+column ids of every token, their sort and the per-cell term counts) are
+held for one block only, and the matrix is the blocks' rows joined.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
+# Texts featurized at a time: design_matrix's temporaries and predict_texts'
+# scores are held for one block, never for the whole corpus.
+BLOCK_TEXTS = 256
 # The ASCII fast path's table: A-Z to a-z, a-z and 0-9 kept, any other byte a space.
 _ASCII_FOLD = bytes(
     c + 32 if 65 <= c <= 90 else c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256)
@@ -166,7 +172,24 @@ def fit_vocabulary(corpus: Sequence[str], min_df: int = 1) -> Vocabulary:
 
 
 def design_matrix(vocab: Vocabulary, texts: Sequence[str]) -> CsrMatrix:
-    """tf-idf weights of every text (see module docstring), one CSR row per text in order."""
+    """tf-idf weights of every text (see module docstring), one CSR row per text in order.
+
+    Built ``BLOCK_TEXTS`` texts at a time. A row depends only on its own
+    text, so the arrays are the same, value and dtype, for any block size.
+    """
+    # An empty corpus still makes one, empty, block, which sets the dtypes.
+    starts = range(0, len(texts) or 1, BLOCK_TEXTS)
+    row_nnz, indices, data = zip(*(_block(vocab, texts[lo : lo + BLOCK_TEXTS]) for lo in starts))
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
+    # Rebinding frees each kind of block array once it is joined.
+    indices = np.concatenate(indices)
+    data = np.concatenate(data)
+    return CsrMatrix(indptr=indptr, indices=indices, data=data, dim=vocab.size)
+
+
+def _block(vocab: Vocabulary, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How many weights each row stores, then the column ids and weights, of a block of texts."""
     get = vocab._lookup.get
     cols: list[int] = []
     lengths = []
@@ -182,6 +205,5 @@ def design_matrix(vocab: Vocabulary, texts: Sequence[str]) -> CsrMatrix:
     row_of, col = np.divmod(keys, dim)
     weights = tf * vocab.idf[col]
     norms = np.sqrt(np.bincount(row_of, weights=weights * weights, minlength=n))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])
-    return CsrMatrix(indptr=indptr, indices=col, data=weights / norms[row_of], dim=dim)
+    weights /= norms[row_of]
+    return np.bincount(row_of, minlength=n), col, weights

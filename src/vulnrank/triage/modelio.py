@@ -12,6 +12,7 @@ that are JSON numbers.
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 import numpy as np
 
@@ -46,10 +47,25 @@ def save_model(path, model: LinearModel) -> None:
             "num_documents": model.vocab.num_documents,
             "tokens": [[t, model.vocab.document_frequency[t]] for t in tokens],
         },
-        "weights": model.weights.tolist(),
+        "weights": model.weights,
         "bias": model.bias.tolist(),
     }
-    write_atomic(path, (json.dumps(doc) + "\n").encode("utf-8"))
+    write_atomic(path, _json_parts(doc))
+
+
+def _json_parts(doc: dict) -> Iterator[bytes]:
+    """The bytes of ``json.dumps(doc) + "\\n"``, one part per key and one per
+    row of an array value, so no part holds a whole model."""
+    for i, (key, value) in enumerate(doc.items()):
+        head = f'{", " if i else "{"}{json.dumps(key)}: '
+        if isinstance(value, np.ndarray):
+            yield f"{head}[".encode()
+            for j, row in enumerate(value):
+                yield f'{", " if j else ""}{json.dumps(row.tolist())}'.encode()
+            yield b"]"
+        else:
+            yield f"{head}{json.dumps(value)}".encode()
+    yield b"}\n"
 
 
 def load_model(path) -> LinearModel:

@@ -49,6 +49,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from vulnrank.feeds import InvalidCategory, LabeledExample, Task
+from vulnrank.triage import features
 from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 
 # Below this the scale of W = s * V is folded back into V.
@@ -237,11 +238,16 @@ def train(
 
 
 def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[int]:
-    """Predicted category of every text, from one sparse-dense product.
+    """Predicted category of every text, from sparse-dense products over
+    ``BLOCK_TEXTS`` texts at a time, so memory does not grow with the corpus.
 
     Texts are weighted with the model's own vocabulary. Each row's
     scores do not depend on the other rows, and ties go to the lowest
     category value.
     """
-    scores = design_matrix(model.vocab, texts) @ model.weights.T + model.bias
-    return [model.classes[best] for best in np.argmax(scores, axis=1).tolist()]
+    classes, block = model.classes, features.BLOCK_TEXTS
+    predicted: list[int] = []
+    for lo in range(0, len(texts), block):
+        scores = design_matrix(model.vocab, texts[lo : lo + block]) @ model.weights.T + model.bias
+        predicted += [classes[best] for best in np.argmax(scores, axis=1).tolist()]
+    return predicted

@@ -13,6 +13,9 @@ from typing import Iterable, Mapping
 from vulnrank.feeds import ReferenceEntry, ReferenceSource
 
 
+_MEMBER = {source.value: source for source in ReferenceSource}
+
+
 @dataclass(frozen=True, slots=True)
 class WxCount:
     cve_id: str
@@ -38,14 +41,16 @@ def count_wx(refs: Mapping[str, Iterable[ReferenceEntry]]) -> dict[str, WxCount]
     """
     counts: dict[str, WxCount] = {}
     for cve_id, entries in refs.items():
-        per_source: dict[ReferenceSource, int] = {}
+        # Tallied on the members' value strings: a member key would cost
+        # two Python-level Enum.__hash__ calls per entry.
+        tally: dict[str, int] = {}
         for entry in entries:
-            if not entry.is_exploit:
-                continue
-            per_source[entry.source] = per_source.get(entry.source, 0) + 1
+            if entry.is_exploit:
+                value = entry.source._value_
+                tally[value] = tally.get(value, 0) + 1
         counts[cve_id] = WxCount(
             cve_id=cve_id,
-            count=sum(per_source.values()),
-            per_source=MappingProxyType(per_source),
+            count=sum(tally.values()),
+            per_source=MappingProxyType({_MEMBER[value]: n for value, n in tally.items()}),
         )
     return counts
