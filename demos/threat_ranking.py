@@ -21,7 +21,7 @@ from vulnrank import (
     rank,
     score_portfolio,
 )
-from vulnrank.feeds import Criticality, Exposure, ReferenceSource
+from vulnrank.feeds import Criticality, Exposure
 from vulnrank.report import ExportFormat
 
 RECORDS = [
@@ -45,8 +45,8 @@ RECORDS = [
 # Exploit-reference counts, as a feed crawler would produce them:
 # 26 public exploits for the SMB bug, 2 for urllib3, none for the pump.
 WX = {
-    "CVE-2017-0143": WxCount("CVE-2017-0143", 26, {ReferenceSource.EXPLOITDB: 20, ReferenceSource.METASPLOIT: 4, ReferenceSource.GITHUB: 2}),
-    "CVE-2019-11324": WxCount("CVE-2019-11324", 2, {ReferenceSource.GITHUB: 2}),
+    "CVE-2017-0143": WxCount("CVE-2017-0143", 26),
+    "CVE-2019-11324": WxCount("CVE-2019-11324", 2),
 }
 
 # SME triage: the SMB bug and the pump both give attackers "actions on

@@ -336,6 +336,7 @@ def cmd_train(config: RunConfig, task: Task) -> int:
     if len(examples) < 5:
         raise CorpusTooSmall(f"label store holds {len(examples)} SME examples; need at least 5")
     examples = attach_descriptions(examples, records)
+    del records, merged  # only the join reads them; train's peak comes after
 
     stratify = task.label_of if config.stratified else None
     train_set, test_set = split(examples, seed=config.seed, stratify_key=stratify)

@@ -14,7 +14,7 @@ import random
 from datetime import datetime, timezone
 from decimal import Decimal
 
-from vulnrank.feeds import CveRecord, LabeledExample, Labeler, ReferenceSource, write_atomic
+from vulnrank.feeds import CveRecord, LabeledExample, Labeler, write_atomic
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, ScoredVulnerability, score_portfolio
 from vulnrank.wx import WxCount
 
@@ -136,7 +136,7 @@ def synth_portfolio(
     for i in wx_ids:
         cve_id = f"CVE-2097-{10000 + i}"
         count = 120 if i == big_wx else rng.randrange(1, 61)
-        wx_map[cve_id] = WxCount(cve_id, count, {ReferenceSource.EXPLOITDB: count})
+        wx_map[cve_id] = WxCount(cve_id, count)
     return score_portfolio(records, wx_map, labels_map, env_weights=DEFAULT_ENV_WEIGHTS)
 
 

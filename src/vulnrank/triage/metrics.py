@@ -38,10 +38,6 @@ class EvalReport:
     macro_f: float
     weighted_f: float
 
-    @property
-    def accuracy(self) -> float:
-        return _ratio(float(np.trace(self.confusion)), float(self.confusion.sum()))
-
     def lines(self) -> list[str]:
         """Human-readable per-class and aggregate rows."""
         out = [f"{'class':>8} {'precision':>10} {'recall':>10} {'f1':>10} {'support':>8}"]

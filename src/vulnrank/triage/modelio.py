@@ -12,6 +12,7 @@ that are JSON numbers.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Iterator
 
 import numpy as np
@@ -37,12 +38,7 @@ def save_model(path, model: LinearModel) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "task": model.task.value,
         "classes": list(model.classes),
-        "config": {
-            "epochs": model.config.epochs,
-            "reg_lambda": model.config.reg_lambda,
-            "seed": model.config.seed,
-            "schedule": model.config.schedule,
-        },
+        "config": asdict(model.config),
         "vocabulary": {
             "num_documents": model.vocab.num_documents,
             "tokens": [[t, model.vocab.document_frequency[t]] for t in tokens],

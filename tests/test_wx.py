@@ -51,18 +51,14 @@ class TestCountWx:
         counts = count_wx({"CVE-2020-0001": entries})
         assert counts["CVE-2020-0001"].count == 3
 
-    def test_per_source_breakdown(self):
-        entries = [
-            ref("https://x/1", ReferenceSource.EXPLOITDB),
-            ref("https://x/2", ReferenceSource.METASPLOIT),
-            ref("https://x/3", ReferenceSource.METASPLOIT),
-            ref("https://x/4", ReferenceSource.GITHUB, exploit=False),
+    @pytest.mark.parametrize("flags, expected", [((False, True), 0), ((True, False), 1)])
+    def test_first_line_for_a_url_decides_its_flag(self, tmp_path, flags, expected):
+        rows = [
+            {"cve": "CVE-2020-0001", "url": "https://x/1", "source": "GitHub", "exploit": flag}
+            for flag in flags
         ]
-        wx = count_wx({"CVE-2020-0001": entries})["CVE-2020-0001"]
-        assert wx.per_source[ReferenceSource.EXPLOITDB] == 1
-        assert wx.per_source[ReferenceSource.METASPLOIT] == 2
-        assert ReferenceSource.GITHUB not in wx.per_source
-        assert wx.count == sum(wx.per_source.values())
+        grouped = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", rows))
+        assert count_wx(grouped)["CVE-2020-0001"].count == expected
 
     def test_order_invariant(self):
         entries = [ref(f"https://x/{n}", exploit=(n % 3 > 0)) for n in range(20)]
@@ -79,10 +75,6 @@ class TestCountWx:
         after = count_wx({"CVE-2020-0001": entries + [ref("https://x/new")]})["CVE-2020-0001"].count
         assert after == before + 1
 
-    def test_reconciliation_enforced(self):
-        with pytest.raises(ValueError, match="reconcile"):
-            WxCount("CVE-2020-0001", count=5, per_source={ReferenceSource.EXPLOITDB: 3})
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            WxCount("CVE-2020-0001", count=-1, per_source={})
+            WxCount("CVE-2020-0001", count=-1)
