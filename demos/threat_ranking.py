@@ -15,7 +15,6 @@ from vulnrank import (
     CveRecord,
     LabeledExample,
     Labeler,
-    WxCount,
     compare,
     export,
     rank,
@@ -45,8 +44,8 @@ RECORDS = [
 # Exploit-reference counts, as a feed crawler would produce them:
 # 26 public exploits for the SMB bug, 2 for urllib3, none for the pump.
 WX = {
-    "CVE-2017-0143": WxCount("CVE-2017-0143", 26),
-    "CVE-2019-11324": WxCount("CVE-2019-11324", 2),
+    "CVE-2017-0143": 26,
+    "CVE-2019-11324": 2,
 }
 
 # SME triage: the SMB bug and the pump both give attackers "actions on

@@ -20,7 +20,6 @@ from vulnrank.feeds import (
     CveRecord,
     LabeledExample,
     Labeler,
-    ReferenceEntry,
     load_asset_context,
     load_cve_records,
     load_exploit_refs,
@@ -46,7 +45,6 @@ from vulnrank.scoring import (
     score_portfolio,
     threat_score,
 )
-from vulnrank.wx import WxCount, count_wx
 
 __version__ = "0.1.0"
 
@@ -63,13 +61,10 @@ __all__ = [
     "LabeledExample",
     "Labeler",
     "RankedPortfolio",
-    "ReferenceEntry",
     "ScoredVulnerability",
     "Severity",
-    "WxCount",
     "base_score",
     "compare",
-    "count_wx",
     "env_factor",
     "export",
     "export_chunks",

@@ -64,7 +64,6 @@ from vulnrank.scoring import (
     MissingLabels,
     score_portfolio,
 )
-from vulnrank.wx import count_wx
 
 # vulnrank.triage imports numpy, which only train and predict need. The
 # triage names below are bound into this module on first access
@@ -311,7 +310,7 @@ def cmd_ingest(config: RunConfig) -> int:
     records = load_cve_records(config.cves)
     ref_count = 0
     if config.refs is not None:
-        ref_count = sum(len(group) for group in load_exploit_refs(config.refs).values())
+        ref_count = sum(map(len, load_exploit_refs(config.refs).values()))
     label_count = 0
     if config.labels is not None:
         label_count = len(load_labels(config.labels))
@@ -432,7 +431,11 @@ def _scored_portfolio(config: RunConfig):
     labels = _effective_labels(config)
     wx_map = {}
     if config.refs is not None:
-        wx_map = count_wx(load_exploit_refs(config.refs))
+        # Unbound, the URL dicts are freed before scoring starts.
+        wx_map = {
+            cve_id: sum(urls.values())
+            for cve_id, urls in load_exploit_refs(config.refs).items()
+        }
     ctx_map = {}
     if config.context is not None:
         ctx_map = load_asset_context(config.context)

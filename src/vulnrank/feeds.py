@@ -18,8 +18,10 @@ Field names are fixed: CVE records use ``id``, ``description``,
 ``source``, ``exploit``. A loader ignores any other key. A reference's
 ``exploit`` flag is ``true`` or ``false``, and false when absent or
 null, whatever the source: nothing counts as an exploit unless the feed
-says so. A published ``score`` is a number in [0, 10] with at most one
-decimal.
+says so. ``load_exploit_refs`` returns ``{cve_id: {url: exploit}}``: each
+distinct URL of a CVE keeps the flag of the first line that names it, so
+the CVE's wx is ``sum(urls.values())``. A published ``score`` is a
+number in [0, 10] with at most one decimal.
 
 A label store is written from a ``%`` template, with nothing escaped:
 its other fields are labels, labeler names and ``format_ts`` stamps, and
@@ -76,11 +78,8 @@ class IoError(OSError):
     """An output file cannot be written; the message names the path as given."""
 
 
-class ReferenceSource(Enum):
-    EXPLOITDB = "ExploitDB"
-    METASPLOIT = "Metasploit"
-    GITHUB = "GitHub"
-    OTHER = "Other"
+# The reference sources a feed may name; any other is downgraded to Other.
+REFERENCE_SOURCES = frozenset({"ExploitDB", "Metasploit", "GitHub", "Other"})
 
 
 class Exposure(Enum):
@@ -119,17 +118,9 @@ _UTILITIES, _OPPORTUNES = Task.UTILITY.classes, Task.OPPORTUNE.classes
 
 
 # Members by value; a loader looks a field up only when it is a string.
-_SOURCES = {member.value: member for member in ReferenceSource}
 _EXPOSURES = {member.value: member for member in Exposure}
 _CRITICALITIES = {member.value: member for member in Criticality}
 _LABELERS = {member.value: member for member in Labeler}
-
-
-@dataclass(frozen=True, slots=True)
-class ReferenceEntry:
-    url: str
-    source: ReferenceSource
-    is_exploit: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,14 +286,16 @@ def load_cve_records(path) -> list[CveRecord]:
     return records
 
 
-def load_exploit_refs(path) -> dict[str, list[ReferenceEntry]]:
-    """Load an exploit reference feed, grouped by CVE and URL-deduplicated.
+def load_exploit_refs(path) -> dict[str, dict[str, bool]]:
+    """Load an exploit reference feed as ``{cve_id: {url: exploit}}``.
 
-    Unknown source names are downgraded to Other; one warning with the
-    total count, repeated URLs included, is logged per file.
+    Each distinct URL of a CVE maps to the ``exploit`` flag of the first
+    line that names it; later lines for that URL change nothing. A CVE's
+    wx is ``sum(urls.values())``. The source is checked, not kept: one
+    warning per file gives the number of lines, repeated URLs included,
+    whose source is outside ``REFERENCE_SOURCES`` and so downgraded to Other.
     """
-    grouped: dict[str, list[ReferenceEntry]] = {}
-    seen_urls: dict[str, set[str]] = {}
+    refs: dict[str, dict[str, bool]] = {}
     unknown_sources = 0
     for lineno, obj in _iter_jsonl(path):
         cve_id = obj.get("cve")
@@ -314,28 +307,19 @@ def load_exploit_refs(path) -> dict[str, list[ReferenceEntry]]:
                 raise _missing(path, lineno, "url")
             raise SchemaError(f"{path}:{lineno}: reference url must be a non-empty string")
         source = obj.get("source", "Other")
-        source = _SOURCES.get(source) if isinstance(source, str) else None
-        if source is None:
+        if not isinstance(source, str) or source not in REFERENCE_SOURCES:
             unknown_sources += 1
-            source = ReferenceSource.OTHER
         exploit = obj.get("exploit")
         if exploit is not True and exploit is not False:
             if exploit is not None:
                 raise SchemaError(f"{path}:{lineno}: exploit must be true or false")
             exploit = False
-        entry = ReferenceEntry(url, source, exploit)
-        urls = seen_urls.get(cve_id)
-        if urls is None:
-            seen_urls[cve_id] = {url}
-            grouped[cve_id] = [entry]
-        elif url not in urls:
-            urls.add(url)
-            grouped[cve_id].append(entry)
+        refs.setdefault(cve_id, {}).setdefault(url, exploit)
     if unknown_sources:
         logger.warning(
             "%s: %d reference(s) with unknown source downgraded to Other", path, unknown_sources
         )
-    return grouped
+    return refs
 
 
 def parse_ts(raw, where: str) -> datetime:

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from vulnrank.cvss import BaseScore, base_score, severity_of
 from vulnrank.feeds import AssetContext, Criticality, CveRecord, Exposure, LabeledExample
-from vulnrank.wx import WxCount
 
 logger = logging.getLogger(__name__)
 
@@ -181,18 +180,20 @@ def resolve_base_score(record: CveRecord) -> BaseScore:
 
 def score_portfolio(
     records: Iterable[CveRecord],
-    wx_map: Mapping[str, WxCount] | None = None,
+    wx_map: Mapping[str, int] | None = None,
     labels_map: Mapping[str, LabeledExample] | None = None,
     ctx_map: Mapping[str, AssetContext] | None = None,
     env_weights: EnvWeights = DEFAULT_ENV_WEIGHTS,
 ) -> list[ScoredVulnerability]:
     """Score every record; output order follows input order.
 
-    Records without an entry in ``wx_map`` count zero exploits; records
-    without asset context score with neutral environmental factors.
-    Records with the same exposure and criticality share one
-    ``EnvironmentalFactors``. Records without an entry in ``labels_map``
-    are an error (``MissingLabels``); ``vulnrank predict`` fills them in.
+    ``wx_map`` holds each CVE's exploit count as an int; records without
+    an entry there count zero exploits, and a negative count raises
+    ``ScoringError``. Records without asset context score with neutral
+    environmental factors. Records with the same exposure and criticality
+    share one ``EnvironmentalFactors``. Records without an entry in
+    ``labels_map`` are an error (``MissingLabels``); ``vulnrank predict``
+    fills them in.
     """
     records = list(records)
     wx_map = wx_map or {}
@@ -211,7 +212,6 @@ def score_portfolio(
     scored = []
     for record in records:
         cve_id = record.cve_id
-        wx = wx_map.get(cve_id)
         ctx = ctx_map.get(cve_id)
         env_key = None if ctx is None else (ctx.exposure._value_, ctx.criticality._value_)
         env = envs.get(env_key)
@@ -221,7 +221,7 @@ def score_portfolio(
             ScoredVulnerability(
                 cve_id=cve_id,
                 cvss=resolve_base_score(record),
-                wx=0 if wx is None else wx.count,
+                wx=wx_map.get(cve_id, 0),
                 labels=labels_map[cve_id],
                 env=env,
             )

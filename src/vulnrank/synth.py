@@ -16,7 +16,6 @@ from decimal import Decimal
 
 from vulnrank.feeds import CveRecord, LabeledExample, Labeler, write_atomic
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, ScoredVulnerability, score_portfolio
-from vulnrank.wx import WxCount
 
 SYNTH_TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -120,7 +119,7 @@ def synth_portfolio(
     """
     rng = random.Random(seed)
     pinned_critical = 12
-    records, labels_map, refs = [], {}, {}
+    records, labels_map = [], {}
     wx_ids = rng.sample(range(pinned_critical, n), round(n * wx_rate))
     big_wx = wx_ids[0]
     for i in range(n):
@@ -132,11 +131,9 @@ def synth_portfolio(
         records.append(CveRecord(cve_id, f"synthetic finding {i}", published_score=score))
         utility, opportune = rng.choice((0, 1, 2)), rng.choice((0, 1))
         labels_map[cve_id] = LabeledExample(cve_id, utility, opportune, Labeler.SME, SYNTH_TS)
-    wx_map = {}
-    for i in wx_ids:
-        cve_id = f"CVE-2097-{10000 + i}"
-        count = 120 if i == big_wx else rng.randrange(1, 61)
-        wx_map[cve_id] = WxCount(cve_id, count)
+    wx_map = {
+        f"CVE-2097-{10000 + i}": 120 if i == big_wx else rng.randrange(1, 61) for i in wx_ids
+    }
     return score_portfolio(records, wx_map, labels_map, env_weights=DEFAULT_ENV_WEIGHTS)
 
 

@@ -23,8 +23,6 @@ from vulnrank.feeds import (
     InvalidCategory,
     LabeledExample,
     Labeler,
-    ReferenceEntry,
-    ReferenceSource,
     SchemaError,
     parse_ts,
 )
@@ -32,6 +30,10 @@ from vulnrank.feeds import (
 from jsonl_reference import iter_jsonl
 
 logger = logging.getLogger("vulnrank.feeds")
+
+# Written out here rather than imported, so the downgrade count is
+# checked against the documented names.
+KNOWN_SOURCES = ("ExploitDB", "Metasploit", "GitHub", "Other")
 
 
 def _member(enum_cls, raw):
@@ -54,20 +56,19 @@ def _cve_id(raw, where: str) -> str:
     return raw
 
 
-def _reference(obj: dict, where: str, unknown: list) -> ReferenceEntry:
+def _reference(obj: dict, where: str, unknown: list) -> tuple[str, bool]:
     url = _require(obj, "url", where)
     if not isinstance(url, str) or not url:
         raise SchemaError(f"{where}: reference url must be a non-empty string")
-    source = _member(ReferenceSource, obj.get("source", "Other"))
-    if source is None:
-        unknown.append(obj.get("source", "Other"))
-        source = ReferenceSource.OTHER
+    source = obj.get("source", "Other")
+    if source not in KNOWN_SOURCES:
+        unknown.append(source)
     exploit = obj.get("exploit")
     if exploit is None:
         exploit = False
     elif not isinstance(exploit, bool):
         raise SchemaError(f"{where}: exploit must be true or false")
-    return ReferenceEntry(url=url, source=source, is_exploit=exploit)
+    return url, exploit
 
 
 def _published_score(raw, where: str) -> Decimal:
@@ -115,21 +116,18 @@ def load_cve_records(path) -> list[CveRecord]:
     return records
 
 
-def load_exploit_refs(path) -> dict[str, list[ReferenceEntry]]:
-    grouped = {}
-    seen_urls = {}
+def load_exploit_refs(path) -> dict[str, dict[str, bool]]:
+    refs = {}
     unknown = []
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
         cve_id = _cve_id(_require(obj, "cve", where), where)
-        entry = _reference(obj, where, unknown)
-        urls = seen_urls.setdefault(cve_id, set())
-        if entry.url in urls:
-            continue
-        urls.add(entry.url)
-        grouped.setdefault(cve_id, []).append(entry)
+        url, exploit = _reference(obj, where, unknown)
+        urls = refs.setdefault(cve_id, {})
+        if url not in urls:
+            urls[url] = exploit
     _warn_unknown(path, unknown)
-    return grouped
+    return refs
 
 
 def load_labels(path) -> list[LabeledExample]:

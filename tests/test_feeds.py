@@ -15,6 +15,7 @@ from vulnrank.feeds import (
     CVE_ID_RE,
     AssetContext,
     Criticality,
+    CveRecord,
     DuplicateId,
     Exposure,
     InvalidCategory,
@@ -22,7 +23,6 @@ from vulnrank.feeds import (
     LabeledExample,
     Labeler,
     ParseError,
-    ReferenceSource,
     SchemaError,
     _label_lines,
     attach_descriptions,
@@ -40,6 +40,7 @@ from vulnrank.feeds import (
 )
 
 from vulnrank.cli import main
+from vulnrank.scoring import score_portfolio
 
 from conftest import WORKED_TRIO, trio_cve_rows, trio_ref_rows, write_jsonl
 
@@ -180,27 +181,53 @@ class TestLoadCveRecords:
         assert load_cve_records(inline) == load_cve_records(plain)
 
 
+def wx_of(refs):
+    """The wx map the CLI builds from the loader's result."""
+    return {cve_id: sum(urls.values()) for cve_id, urls in refs.items()}
+
+
 class TestLoadExploitRefs:
     def test_wx_26_group(self, tmp_path):
         path = write_jsonl(tmp_path / "refs.jsonl", trio_ref_rows())
-        grouped = load_exploit_refs(path)
-        assert len(grouped["CVE-2017-0143"]) == 26
-        assert len(grouped["CVE-2019-11324"]) == 2
-        assert "CVE-2020-27256" not in grouped
+        refs = load_exploit_refs(path)
+        assert len(refs["CVE-2017-0143"]) == 26
+        assert len(refs["CVE-2019-11324"]) == 2
+        assert "CVE-2020-27256" not in refs
+        assert wx_of(refs) == {"CVE-2017-0143": 26, "CVE-2019-11324": 2}
+
+    def test_cve_missing_from_feed_scores_wx_0(self, tmp_path):
+        refs = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", trio_ref_rows()))
+        record = CveRecord("CVE-2020-27256", "text", published_score=Decimal("6.8"))
+        labels = {"CVE-2020-27256": LabeledExample(
+            "CVE-2020-27256", 0, 0, Labeler.SME, ts("2024-01-01T00:00:00"))}
+        (scored,) = score_portfolio([record], wx_of(refs), labels)
+        assert scored.wx == 0
+        assert scored.threat_score == Decimal("6.8")
 
     def test_same_url_deduplicated(self, tmp_path):
         row = {"cve": "CVE-2020-0001", "url": "https://x/1", "source": "GitHub", "exploit": True}
         path = write_jsonl(tmp_path / "refs.jsonl", [row, dict(row)])
-        grouped = load_exploit_refs(path)
-        assert len(grouped["CVE-2020-0001"]) == 1
+        assert load_exploit_refs(path) == {"CVE-2020-0001": {"https://x/1": True}}
 
     def test_non_exploit_reference_retained(self, tmp_path):
+        # Kept, so ingest counts it, but it adds nothing to wx.
         rows = [
-            {"cve": "CVE-2020-0001", "url": "https://x/1", "source": "Other", "exploit": False},
+            {"cve": "CVE-2020-0001", "url": f"https://x/{n}", "source": "Other", "exploit": n < 3}
+            for n in range(5)
         ]
-        grouped = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", rows))
-        (entry,) = grouped["CVE-2020-0001"]
-        assert entry.is_exploit is False
+        refs = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", rows))
+        assert refs == {"CVE-2020-0001": {f"https://x/{n}": n < 3 for n in range(5)}}
+        assert wx_of(refs) == {"CVE-2020-0001": 3}
+
+    @pytest.mark.parametrize("flags, expected", [((False, True), 0), ((True, False), 1)])
+    def test_first_line_for_a_url_decides_its_flag(self, tmp_path, flags, expected):
+        rows = [
+            {"cve": "CVE-2020-0001", "url": "https://x/1", "source": "GitHub", "exploit": flag}
+            for flag in flags
+        ]
+        refs = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", rows))
+        assert refs == {"CVE-2020-0001": {"https://x/1": flags[0]}}
+        assert wx_of(refs) == {"CVE-2020-0001": expected}
 
     def test_unknown_source_downgraded_with_warning(self, tmp_path, caplog):
         rows = [
@@ -209,9 +236,11 @@ class TestLoadExploitRefs:
         ]
         path = write_jsonl(tmp_path / "refs.jsonl", rows)
         with caplog.at_level(logging.WARNING, logger="vulnrank.feeds"):
-            grouped = load_exploit_refs(path)
-        assert all(e.source is ReferenceSource.OTHER for e in grouped["CVE-2020-0001"])
-        assert "2 reference(s)" in caplog.text
+            refs = load_exploit_refs(path)
+        assert refs == {"CVE-2020-0001": {"https://x/1": True, "https://x/2": True}}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: 2 reference(s) with unknown source downgraded to Other"
+        ]
 
     def test_non_string_source_downgraded_and_counted(self, tmp_path, caplog):
         rows = [
@@ -219,13 +248,12 @@ class TestLoadExploitRefs:
             {"cve": "CVE-2020-0001", "url": "https://x/2", "source": {"GitHub": 1}, "exploit": True},
             {"cve": "CVE-2020-0001", "url": "https://x/3", "source": None, "exploit": True},
             {"cve": "CVE-2020-0001", "url": "https://x/4", "source": "GitHub", "exploit": True},
+            {"cve": "CVE-2020-0001", "url": "https://x/5", "exploit": True},
         ]
         path = write_jsonl(tmp_path / "refs.jsonl", rows)
         with caplog.at_level(logging.WARNING, logger="vulnrank.feeds"):
-            grouped = load_exploit_refs(path)
-        assert [e.source for e in grouped["CVE-2020-0001"]] == [ReferenceSource.OTHER] * 3 + [
-            ReferenceSource.GITHUB
-        ]
+            refs = load_exploit_refs(path)
+        assert refs == {"CVE-2020-0001": {f"https://x/{n}": True for n in range(1, 6)}}
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}: 3 reference(s) with unknown source downgraded to Other"
         ]
@@ -235,8 +263,8 @@ class TestLoadExploitRefs:
             {"cve": "CVE-2020-0001", "url": "https://x/1", "source": "ExploitDB"},
             {"cve": "CVE-2020-0001", "url": "https://x/2", "source": "ExploitDB", "exploit": None},
         ]
-        grouped = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", rows))
-        assert [e.is_exploit for e in grouped["CVE-2020-0001"]] == [False, False]
+        refs = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", rows))
+        assert refs == {"CVE-2020-0001": {"https://x/1": False, "https://x/2": False}}
 
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, 1.0, [], [0], {}], ids=repr)
     def test_exploit_flag_not_bool_exits_2(self, tmp_path, capsys, flag):
@@ -602,3 +630,45 @@ def test_ts_round_trip(local, minutes):
     assert re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", text)
     assert parse_ts(text, "x") == utc
     assert format_ts(parse_ts(text, "x")) == text
+
+
+REF_CVES = ("CVE-2020-0001", "CVE-2020-0002", "CVE-2020-0003")
+
+
+def ref_row(cve_id, url, exploit):
+    """A reference line; exploit None leaves the key out."""
+    row = {"cve": cve_id, "url": url, "source": "GitHub"}
+    if exploit is not None:
+        row["exploit"] = exploit
+    return row
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=st.lists(
+    st.tuples(st.sampled_from(REF_CVES), st.sampled_from("abcde"), st.sampled_from([True, False, None])),
+    max_size=40,
+))
+def test_wx_counts_distinct_urls_whose_first_line_is_an_exploit(tmp_path_factory, lines):
+    path = write_jsonl(tmp_path_factory.getbasetemp() / "refs_first_line.jsonl",
+                       [ref_row(cve_id, f"https://x/{url}", exploit) for cve_id, url, exploit in lines])
+    expected = {
+        cve_id: sum(
+            next(flag for c, u, flag in lines if (c, u) == (cve_id, url)) is True
+            for url in {u for c, u, _ in lines if c == cve_id}
+        )
+        for cve_id in {c for c, _, _ in lines}
+    }
+    assert wx_of(load_exploit_refs(path)) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), lines=st.lists(st.tuples(st.sampled_from(REF_CVES), st.booleans()), max_size=30))
+def test_wx_of_distinct_urls_ignores_line_order(tmp_path_factory, data, lines):
+    rows = [ref_row(cve_id, f"https://x/{n}", exploit) for n, (cve_id, exploit) in enumerate(lines)]
+    path = tmp_path_factory.getbasetemp() / "refs_order.jsonl"
+    wx = wx_of(load_exploit_refs(write_jsonl(path, rows)))
+    assert wx_of(load_exploit_refs(write_jsonl(path, data.draw(st.permutations(rows))))) == wx
+    # One more exploit URL for a CVE adds exactly one to its wx.
+    cve_id = data.draw(st.sampled_from(REF_CVES))
+    grown = wx_of(load_exploit_refs(write_jsonl(path, rows + [ref_row(cve_id, "https://x/new", True)])))
+    assert grown == {**wx, cve_id: wx.get(cve_id, 0) + 1}

@@ -34,7 +34,6 @@ from vulnrank.scoring import (
     score_portfolio,
     threat_score,
 )
-from vulnrank.wx import count_wx
 
 from conftest import WORKED_TRIO, trio_cve_rows, trio_ref_rows, write_jsonl
 
@@ -175,7 +174,8 @@ class TestFormatQuantity:
 class TestScorePortfolio:
     def load_trio(self, tmp_path):
         records = load_cve_records(write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows()))
-        wx_map = count_wx(load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", trio_ref_rows())))
+        refs = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", trio_ref_rows()))
+        wx_map = {cve_id: sum(urls.values()) for cve_id, urls in refs.items()}
         labels_map = {
             rec["id"]: labels(rec["utility"], rec["opportune"]) for rec in WORKED_TRIO
         }
@@ -210,6 +210,11 @@ class TestScorePortfolio:
         record = CveRecord("CVE-2020-0001", "text", published_score=Decimal("7.5"))
         with pytest.raises(MissingLabels, match="CVE-2020-0001"):
             score_portfolio([record], {}, {})
+
+    def test_negative_wx_rejected(self):
+        record = CveRecord("CVE-2020-0001", "text", published_score=Decimal("7.5"))
+        with pytest.raises(ScoringError, match="wx count -1 must be non-negative"):
+            score_portfolio([record], {"CVE-2020-0001": -1}, {"CVE-2020-0001": labels()})
 
     def test_missing_cvss_named(self):
         record = CveRecord("CVE-2020-0001", "text")
