@@ -20,6 +20,7 @@ from vulnrank.feeds import (
     CveRecord,
     LabeledExample,
     Labeler,
+    iter_cve_records,
     load_asset_context,
     load_cve_records,
     load_exploit_refs,
@@ -68,6 +69,7 @@ __all__ = [
     "env_factor",
     "export",
     "export_chunks",
+    "iter_cve_records",
     "load_asset_context",
     "load_cve_records",
     "load_exploit_refs",

@@ -44,6 +44,7 @@ from vulnrank.feeds import (
     Labeler,
     Task,
     attach_descriptions,
+    iter_cve_records,
     load_asset_context,
     load_cve_records,
     load_exploit_refs,
@@ -307,7 +308,7 @@ def _effective_labels(config: RunConfig) -> dict[str, LabeledExample]:
 
 def cmd_ingest(config: RunConfig) -> int:
     _require_paths(config, ["cves"], ("refs", "context", "labels"))
-    records = load_cve_records(config.cves)
+    cve_count = sum(1 for _ in iter_cve_records(config.cves))
     ref_count = 0
     if config.refs is not None:
         ref_count = sum(map(len, load_exploit_refs(config.refs).values()))
@@ -318,7 +319,7 @@ def cmd_ingest(config: RunConfig) -> int:
     if config.context is not None:
         ctx_count = len(load_asset_context(config.context))
     print(
-        f"{len(records)} CVEs, {ref_count} references, "
+        f"{cve_count} CVEs, {ref_count} references, "
         f"{label_count} labels, {ctx_count} context entries"
     )
     return EXIT_OK
@@ -426,19 +427,30 @@ def _cyclic_gc_paused():
 
 
 def _scored_portfolio(config: RunConfig):
+    """Load labels, refs and context, then score the CVE feed as it streams.
+
+    The CVE feed's own error wins, as when it was read first: when another
+    feed fails to load, the CVE feed is read through before that error is
+    raised.
+    """
     _require_paths(config, ["cves", "labels"], ("refs", "context"))
-    records = load_cve_records(config.cves)
-    labels = _effective_labels(config)
-    wx_map = {}
-    if config.refs is not None:
-        # Unbound, the URL dicts are freed before scoring starts.
-        wx_map = {
-            cve_id: sum(urls.values())
-            for cve_id, urls in load_exploit_refs(config.refs).items()
-        }
-    ctx_map = {}
-    if config.context is not None:
-        ctx_map = load_asset_context(config.context)
+    try:
+        labels = _effective_labels(config)
+        wx_map = {}
+        if config.refs is not None:
+            # Unbound, the URL dicts are freed before scoring starts.
+            wx_map = {
+                cve_id: sum(urls.values())
+                for cve_id, urls in load_exploit_refs(config.refs).items()
+            }
+        ctx_map = {}
+        if config.context is not None:
+            ctx_map = load_asset_context(config.context)
+    except (FeedError, OSError):
+        for _ in iter_cve_records(config.cves):
+            pass
+        raise
+    records = iter_cve_records(config.cves)
     return score_portfolio(records, wx_map, labels, ctx_map, config.env_weights)
 
 

@@ -23,6 +23,11 @@ distinct URL of a CVE keeps the flag of the first line that names it, so
 the CVE's wx is ``sum(urls.values())``. A published ``score`` is a
 number in [0, 10] with at most one decimal.
 
+``iter_cve_records`` yields a CVE feed's records one line at a time and
+keeps only the ids it has seen; ``load_cve_records`` is its list. The
+CVE, label, context and reference loaders intern every id they keep
+(``sys.intern``), so feeds loaded side by side hold one string per CVE.
+
 A label store is written from a ``%`` template, with nothing escaped:
 its other fields are labels, labeler names and ``format_ts`` stamps, and
 ``write_labels`` raises ValueError for an id that ``CVE_ID_RE`` does not
@@ -42,6 +47,7 @@ from decimal import Decimal
 from enum import Enum
 from itertools import islice
 from pathlib import Path
+from sys import intern
 from typing import Iterable, Iterator
 
 from vulnrank.cvss import CvssError, CvssVector, parse_vector
@@ -252,9 +258,14 @@ def _published_score(raw, path, lineno: int) -> Decimal:
     return score
 
 
-def load_cve_records(path) -> list[CveRecord]:
-    """Load a CVE feed, in file order, rejecting duplicates."""
-    records: list[CveRecord] = []
+def iter_cve_records(path) -> Iterator[CveRecord]:
+    """Yield a CVE feed's records in file order, rejecting duplicates.
+
+    Each line is checked as it is read, and the generator keeps only the
+    set of ids it has yielded, so a caller that drops each record keeps
+    no description and no record. An error raises at its line, after the
+    records before it have been yielded.
+    """
     seen: set[str] = set()
     for lineno, obj in _iter_jsonl(path):
         cve_id = obj.get("id")
@@ -262,6 +273,7 @@ def load_cve_records(path) -> list[CveRecord]:
             raise _bad_cve_id(path, lineno, "id", cve_id)
         if cve_id in seen:
             raise DuplicateId(f"{path}:{lineno}: duplicate CVE id {cve_id}")
+        cve_id = intern(cve_id)
         seen.add(cve_id)
 
         description = obj.get("description")
@@ -282,8 +294,12 @@ def load_cve_records(path) -> list[CveRecord]:
         score = obj.get("score")
         if score is not None:
             score = _published_score(score, path, lineno)
-        records.append(CveRecord(cve_id, description, vector, score))
-    return records
+        yield CveRecord(cve_id, description, vector, score)
+
+
+def load_cve_records(path) -> list[CveRecord]:
+    """Load a CVE feed, in file order, rejecting duplicates."""
+    return list(iter_cve_records(path))
 
 
 def load_exploit_refs(path) -> dict[str, dict[str, bool]]:
@@ -314,7 +330,10 @@ def load_exploit_refs(path) -> dict[str, dict[str, bool]]:
             if exploit is not None:
                 raise SchemaError(f"{path}:{lineno}: exploit must be true or false")
             exploit = False
-        refs.setdefault(cve_id, {}).setdefault(url, exploit)
+        urls = refs.get(cve_id)
+        if urls is None:
+            urls = refs[intern(cve_id)] = {}
+        urls.setdefault(url, exploit)
     if unknown_sources:
         logger.warning(
             "%s: %d reference(s) with unknown source downgraded to Other", path, unknown_sources
@@ -359,6 +378,7 @@ def load_labels(path) -> list[LabeledExample]:
         cve_id = obj.get("cve")
         if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
             raise _bad_cve_id(path, lineno, "cve", cve_id)
+        cve_id = intern(cve_id)
         utility = obj.get("utility")
         if utility is None:
             raise _missing(path, lineno, "utility")
@@ -512,6 +532,7 @@ def load_asset_context(path) -> dict[str, AssetContext]:
             raise _bad_cve_id(path, lineno, "cve", cve_id)
         if cve_id in contexts:
             raise DuplicateId(f"{path}:{lineno}: duplicate context entry for {cve_id}")
+        cve_id = intern(cve_id)
         exposure = obj.get("exposure")
         exposure = _EXPOSURES.get(exposure) if isinstance(exposure, str) else None
         criticality = obj.get("criticality")

@@ -178,6 +178,26 @@ def resolve_base_score(record: CveRecord) -> BaseScore:
     raise MissingCvss([record.cve_id])
 
 
+_TENTH = Decimal("0.1")
+
+# score_portfolio builds rows without __init__, which would compute each
+# threat score again: a row's threat_score is the shared Decimal equal in
+# value and exponent to threat_score of its own fields.
+_new_row = object.__new__
+_set = object.__setattr__
+
+
+def _scored_row(cve_id, cvss, wx, labels, env, threat) -> ScoredVulnerability:
+    row = _new_row(ScoredVulnerability)
+    _set(row, "cve_id", cve_id)
+    _set(row, "cvss", cvss)
+    _set(row, "wx", wx)
+    _set(row, "labels", labels)
+    _set(row, "env", env)
+    _set(row, "threat_score", threat)
+    return row
+
+
 def score_portfolio(
     records: Iterable[CveRecord],
     wx_map: Mapping[str, int] | None = None,
@@ -185,45 +205,79 @@ def score_portfolio(
     ctx_map: Mapping[str, AssetContext] | None = None,
     env_weights: EnvWeights = DEFAULT_ENV_WEIGHTS,
 ) -> list[ScoredVulnerability]:
-    """Score every record; output order follows input order.
+    """Score every record in one pass; output order follows input order.
+
+    ``records`` may be any iterable, a generator such as
+    ``feeds.iter_cve_records`` included. It is consumed once, and no
+    record is kept after it is scored. An error the iterable raises
+    propagates at once.
 
     ``wx_map`` holds each CVE's exploit count as an int; records without
     an entry there count zero exploits, and a negative count raises
     ``ScoringError``. Records without asset context score with neutral
     environmental factors. Records with the same exposure and criticality
-    share one ``EnvironmentalFactors``. Records without an entry in
-    ``labels_map`` are an error (``MissingLabels``); ``vulnrank predict``
-    fills them in.
+    share one ``EnvironmentalFactors``. ``threat_score`` runs once per
+    distinct (CVSS, wx, utility, opportune, context), and rows whose
+    threat scores are equal in value and exponent share one ``Decimal``.
+
+    Records with neither a vector nor a published score, and records
+    without an entry in ``labels_map`` (``vulnrank predict`` fills them
+    in), are collected during the pass. After it, the first kind raises
+    ``MissingCvss`` and else the second ``MissingLabels``, each naming
+    every such CVE in input order; then a ``ScoringError`` from the first
+    record that failed to score, if any.
     """
-    records = list(records)
     wx_map = wx_map or {}
     labels_map = labels_map or {}
     ctx_map = ctx_map or {}
 
-    no_cvss = [r.cve_id for r in records if not r.scoring_eligible]
-    if no_cvss:
-        raise MissingCvss(no_cvss)
-    unlabeled = [r.cve_id for r in records if r.cve_id not in labels_map]
-    if unlabeled:
-        raise MissingLabels(unlabeled)
-
     # Keyed on the members' _value_ strings: Enum.__hash__ is Python code.
     envs: dict[tuple[str, str] | None, EnvironmentalFactors] = {}
+    # Each threat by its inputs, and each distinct threat by value and
+    # exponent. Equal Decimals of other exponents (7 and 7.0) render
+    # differently, so only one-place CVSS values key by value; any other
+    # keys by str(), which names its exponent.
+    threats: dict[tuple, Decimal] = {}
+    shared: dict[tuple[Decimal, int], Decimal] = {}
+    no_cvss: list[str] = []
+    unlabeled: list[str] = []
+    failure: ScoringError | None = None
     scored = []
     for record in records:
         cve_id = record.cve_id
-        ctx = ctx_map.get(cve_id)
-        env_key = None if ctx is None else (ctx.exposure._value_, ctx.criticality._value_)
-        env = envs.get(env_key)
-        if env is None:
-            env = envs[env_key] = env_factor(ctx, env_weights)
-        scored.append(
-            ScoredVulnerability(
-                cve_id=cve_id,
-                cvss=resolve_base_score(record),
-                wx=wx_map.get(cve_id, 0),
-                labels=labels_map[cve_id],
-                env=env,
-            )
-        )
+        labels = labels_map.get(cve_id)
+        if not record.scoring_eligible:
+            no_cvss.append(cve_id)
+        if labels is None:
+            unlabeled.append(cve_id)
+        # Once the pass is bound to raise, it only collects ids.
+        if no_cvss or unlabeled or failure is not None:
+            continue
+        try:
+            ctx = ctx_map.get(cve_id)
+            env_key = None if ctx is None else (ctx.exposure._value_, ctx.criticality._value_)
+            env = envs.get(env_key)
+            if env is None:
+                env = envs[env_key] = env_factor(ctx, env_weights)
+            cvss = resolve_base_score(record)
+            wx = wx_map.get(cve_id, 0)
+            value = cvss.value
+            value = value if _TENTH.same_quantum(value) else str(value)
+            key = (value, wx, labels.utility, labels.opportune, env_key)
+            threat = threats.get(key)
+            if threat is None:
+                threat = threat_score(cvss.value, wx, labels, env)
+                threat = shared.setdefault((threat, threat.as_tuple().exponent), threat)
+                threats[key] = threat
+        except ScoringError as exc:
+            failure = exc
+            continue
+        scored.append(_scored_row(cve_id, cvss, wx, labels, env, threat))
+
+    if no_cvss:
+        raise MissingCvss(no_cvss)
+    if unlabeled:
+        raise MissingLabels(unlabeled)
+    if failure is not None:
+        raise failure
     return scored

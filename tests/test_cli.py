@@ -6,8 +6,11 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 from dataclasses import fields, replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,8 @@ from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
 
 from conftest import trio_cve_rows, trio_label_rows, write_jsonl
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_args(**overrides):
@@ -741,6 +746,70 @@ class TestScoreRankReport:
         )
         assert code == 5
         assert "CVE-2017-0143" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "rank", "report"])
+    @pytest.mark.parametrize("other", ["labels", "refs", "context"])
+    def test_cve_feed_error_wins_over_another_bad_feed(self, trio_feed_dir, capsys, command, other):
+        # The CVE feed streams through scoring after the other feeds load,
+        # yet its error is the one reported, as when it was read first.
+        cves = trio_feed_dir / "cves.jsonl"
+        cves.write_text(cves.read_text() + '{"id": "CVE-2020-0009"}\n')
+        write_jsonl(trio_feed_dir / "context.jsonl", [])
+        bad = trio_feed_dir / f"{other}.jsonl"
+        bad.write_text("not json\n")
+        args = self.base_args(trio_feed_dir, command) + ["--context", str(trio_feed_dir / "context.jsonl")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {cves}:4: missing field 'description'\n"
+
+    @pytest.mark.parametrize("other", ["labels", "refs", "context"])
+    def test_other_feed_error_when_the_cve_feed_is_good(self, trio_feed_dir, capsys, other):
+        write_jsonl(trio_feed_dir / "context.jsonl", [])
+        bad = trio_feed_dir / f"{other}.jsonl"
+        bad.write_text("not json\n")
+        args = self.base_args(trio_feed_dir, "score") + ["--context", str(trio_feed_dir / "context.jsonl")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:1: invalid JSON (") and err.count("\n") == 1, err
+
+    def test_cve_feed_error_wins_over_missing_cvss_and_labels(self, trio_feed_dir, capsys):
+        cves = trio_feed_dir / "cves.jsonl"
+        rows = [{"id": "CVE-2020-0001", "description": "no score"}, *trio_cve_rows()]
+        write_jsonl(cves, rows + [{"id": "CVE-2020-0002", "description": "unlabeled", "score": 5}])
+        cves.write_text(cves.read_text() + "{\n")
+        assert main(self.base_args(trio_feed_dir, "score")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cves}:6: invalid JSON (") and err.count("\n") == 1, err
+
+    def test_missing_cvss_names_every_id_in_feed_order(self, trio_feed_dir, capsys):
+        rows = [
+            {"id": "CVE-2020-0003", "description": "unlabeled", "score": 5},
+            {"id": "CVE-2020-0002", "description": "no score, unlabeled"},
+            *trio_cve_rows(),
+            {"id": "CVE-2020-0001", "description": "no score, unlabeled"},
+        ]
+        write_jsonl(trio_feed_dir / "cves.jsonl", rows)
+        assert main(self.base_args(trio_feed_dir, "score")) == 5
+        assert capsys.readouterr().err == (
+            "error: no CVSS vector or score for: CVE-2020-0002, CVE-2020-0001\n"
+        )
+
+    def test_refs_warning_can_precede_the_cve_feed_error(self, trio_feed_dir):
+        # refs load before the CVE feed streams, so their one warning is
+        # printed before the CVE feed's error; the error is still last.
+        cves = trio_feed_dir / "cves.jsonl"
+        cves.write_text(cves.read_text() + "[]\n")
+        refs = trio_feed_dir / "refs.jsonl"
+        refs.write_text(refs.read_text() + '{"cve": "CVE-2017-0143", "url": "u", "source": "Blog"}\n')
+        done = subprocess.run(
+            [sys.executable, "-m", "vulnrank", *self.base_args(trio_feed_dir, "score")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"{refs}: 1 reference(s) with unknown source downgraded to Other\n"
+            f"error: {cves}:4: expected an object per line\n"
+        )
 
     @pytest.mark.parametrize("command", ["score", "rank", "report"])
     @pytest.mark.parametrize("case, code", [("ok", 0), ("bad feed line", 2), ("missing labels", 5)])

@@ -1,8 +1,10 @@
 """The feed keys README documents are the keys the loaders read.
 
-Each loader in ``vulnrank.feeds`` reads a line's fields from the dict
-``obj``: ``obj.get("key")``, ``"key" in obj`` or ``obj["key"]``. This
-reads those keys from the source, checks them against the table below,
+Each loader in ``vulnrank.feeds`` (a ``load_*`` function or an
+``iter_*`` generator) reads a line's fields from the dict ``obj``:
+``obj.get("key")``, ``"key" in obj`` or ``obj["key"]``, itself or in a
+loader it calls. This reads those keys from the source, checks them
+against the table below,
 and checks that README's "Feed formats" bullet for that feed names each
 of them in backticks and names no other key, so a key that is read but
 undocumented, or documented but no longer read, fails here.
@@ -20,13 +22,14 @@ README = ROOT / "README.md"
 
 # Loader: (its README bullet, the keys it reads).
 LOADER_KEYS = {
+    "iter_cve_records": ("CVE records", {"id", "description", "vector", "score"}),
     "load_cve_records": ("CVE records", {"id", "description", "vector", "score"}),
     "load_exploit_refs": ("Exploit references", {"cve", "url", "source", "exploit"}),
     "load_labels": ("Labels", {"cve", "utility", "opportune", "labeler", "ts"}),
     "load_asset_context": ("Asset context", {"cve", "exposure", "criticality"}),
 }
 # Keys a bullet names as ignored: no loader may read them.
-IGNORED = {"load_cve_records": {"references"}}
+IGNORED = {"iter_cve_records": {"references"}, "load_cve_records": {"references"}}
 # Backticked words in a bullet that are JSON values, not keys.
 JSON_WORDS = {"true", "false", "null"}
 
@@ -40,17 +43,24 @@ def _text(node):
 
 
 def keys_read(source: str) -> dict[str, set[str]]:
-    """The string keys each top-level ``load_*`` function reads from ``obj``."""
-    found = {}
-    for func in ast.parse(source).body:
-        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("load_")):
-            continue
-        keys = found[func.name] = set()
+    """The string keys each top-level ``load_*`` or ``iter_*`` function
+    reads from ``obj``, with the keys of every such function it calls."""
+    loaders = {
+        func.name: func
+        for func in ast.parse(source).body
+        if isinstance(func, ast.FunctionDef) and func.name.startswith(("load_", "iter_"))
+    }
+    own, calls = {}, {}
+    for name, func in loaders.items():
+        keys, called = own[name], calls[name] = set(), set()
         for node in ast.walk(func):
             key = None
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if node.func.attr == "get" and _is_obj(node.func.value) and node.args:
                     key = _text(node.args[0])
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in loaders:
+                    called.add(node.func.id)
             elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
                 if _is_obj(node.comparators[0]):
                     key = _text(node.left)
@@ -58,6 +68,16 @@ def keys_read(source: str) -> dict[str, set[str]]:
                 key = _text(node.slice)
             if key is not None:
                 keys.add(key)
+    found = {}
+    for name in loaders:
+        keys, todo, done = set(), [name], set()
+        while todo:
+            callee = todo.pop()
+            if callee not in done:
+                done.add(callee)
+                keys |= own[callee]
+                todo.extend(calls[callee])
+        found[name] = keys
     return found
 
 
@@ -104,3 +124,28 @@ def helper(obj):
     obj.get("g")
 '''
     assert keys_read(source) == {"load_x": {"a", "b", "c", "d"}}
+
+
+def test_scanner_follows_a_loader_into_the_loaders_it_calls():
+    source = '''
+def iter_x(path):
+    for lineno, obj in lines:
+        yield obj.get("a"), obj["b"]
+def load_x(path):
+    return list(iter_x(path))
+def load_y(path):
+    for lineno, obj in lines:
+        obj.get("c")
+    return load_x(path), helper(path)
+def load_z(path):
+    return load_z(path)
+def helper(path):
+    for lineno, obj in lines:
+        obj.get("d")
+'''
+    assert keys_read(source) == {
+        "iter_x": {"a", "b"},
+        "load_x": {"a", "b"},
+        "load_y": {"a", "b", "c"},
+        "load_z": set(),
+    }

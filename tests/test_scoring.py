@@ -16,6 +16,7 @@ from vulnrank.feeds import (
     InvalidCategory,
     LabeledExample,
     Labeler,
+    iter_cve_records,
     load_cve_records,
     load_exploit_refs,
 )
@@ -271,6 +272,84 @@ class TestScorePortfolio:
         records, wx_map, labels_map = self.load_trio(tmp_path)
         scored = score_portfolio(records, wx_map, labels_map)
         assert len(calls) == len(scored) == 3
+
+    def test_one_shot_generator_scores_like_the_list(self, tmp_path):
+        rng = random.Random(3)
+        vectors = [rec["vector"] for rec in WORKED_TRIO]
+        ids = [f"CVE-2021-{1000 + k}" for k in range(60)]
+        rows = [
+            {"id": cve_id, "description": "text",
+             **({"vector": rng.choice(vectors)} if k % 3 else {"score": rng.choice([0, 5, 7.5, 9.8])})}
+            for k, cve_id in enumerate(ids)
+        ]
+        path = write_jsonl(tmp_path / "cves.jsonl", rows)
+        wx_map = {cve_id: rng.randrange(3) for cve_id in ids[::2]}
+        labels_map = {cve_id: labels(rng.randrange(3), rng.randrange(2)) for cve_id in ids}
+        ctx_map = {
+            cve_id: AssetContext(cve_id, rng.choice(list(Exposure)), rng.choice(list(Criticality)))
+            for cve_id in ids[::3]
+        }
+        records = load_cve_records(path)
+        expected = score_portfolio(records, wx_map, labels_map, ctx_map)
+        for stream in (iter(records), iter_cve_records(path)):
+            scored = score_portfolio(stream, wx_map, labels_map, ctx_map)
+            assert next(stream, None) is None
+            assert scored == expected
+            assert [str(s.threat_score) for s in scored] == [str(s.threat_score) for s in expected]
+
+    def test_threat_decimals_shared_by_value_and_exponent(self, monkeypatch):
+        import vulnrank.scoring
+
+        calls = []
+        real = vulnrank.scoring.threat_score
+        monkeypatch.setattr(
+            vulnrank.scoring, "threat_score", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        scores = ["6.0", "6.0", "5.0", "6"]
+        records = [
+            CveRecord(f"CVE-2020-000{k}", "text", published_score=Decimal(score))
+            for k, score in enumerate(scores)
+        ]
+        labels_map = {record.cve_id: labels() for record in records}
+        scored = score_portfolio(records, {"CVE-2020-0002": 1}, labels_map)
+        # Equal inputs compute once; equal threats of one exponent share a
+        # Decimal; 6 and 6.0 are equal but render differently.
+        assert len(calls) == 3
+        assert [str(s.threat_score) for s in scored] == ["6.0", "6.0", "6.0", "6"]
+        assert scored[0].threat_score is scored[1].threat_score is scored[2].threat_score
+        assert scored[3].threat_score is not scored[0].threat_score
+
+    def test_float_published_score_is_a_type_error(self):
+        record = CveRecord("CVE-2020-0001", "text", published_score=7.5)
+        with pytest.raises(TypeError):
+            score_portfolio([record], {}, {"CVE-2020-0001": labels()})
+
+    def test_missing_cvss_wins_and_names_every_id_in_order(self):
+        def stream(with_cvss):
+            yield CveRecord("CVE-2020-0003", "unlabeled", published_score=Decimal("5.0"))
+            yield CveRecord("CVE-2020-0002", "labeled", published_score=with_cvss)
+            yield CveRecord("CVE-2020-0004", "labeled", published_score=Decimal("5.0"))
+            yield CveRecord("CVE-2020-0001", "unlabeled", published_score=with_cvss)
+
+        labels_map = {cve_id: labels() for cve_id in ("CVE-2020-0002", "CVE-2020-0004")}
+        with pytest.raises(MissingCvss) as missing:
+            score_portfolio(stream(None), {}, labels_map)
+        assert missing.value.cve_ids == ("CVE-2020-0002", "CVE-2020-0001")
+        with pytest.raises(MissingLabels) as unlabeled:
+            score_portfolio(stream(Decimal("7.5")), {}, labels_map)
+        assert unlabeled.value.cve_ids == ("CVE-2020-0003", "CVE-2020-0001")
+
+    def test_missing_ids_win_over_an_earlier_scoring_error(self):
+        records = [
+            CveRecord("CVE-2020-0001", "negative wx", published_score=Decimal("5.0")),
+            CveRecord("CVE-2020-0002", "unlabeled", published_score=Decimal("5.0")),
+        ]
+        wx_map, labels_map = {"CVE-2020-0001": -1}, {"CVE-2020-0001": labels()}
+        with pytest.raises(MissingLabels) as unlabeled:
+            score_portfolio(records, wx_map, labels_map)
+        assert unlabeled.value.cve_ids == ("CVE-2020-0002",)
+        with pytest.raises(ScoringError, match="wx count -1 must be non-negative"):
+            score_portfolio(records[:1], wx_map, labels_map)
 
     def test_env_factors_shared_per_context_pair(self):
         ids = [f"CVE-2020-000{i}" for i in range(1, 7)]
