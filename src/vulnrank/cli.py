@@ -33,11 +33,14 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import partial
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from vulnrank.cvss import CvssError
 from vulnrank.feeds import (
     Criticality,
+    CveRecord,
     Exposure,
     FeedError,
     LabeledExample,
@@ -358,12 +361,12 @@ def cmd_train(config: RunConfig, task: Task) -> int:
     return EXIT_OK
 
 
-def _without_sme_labels(records, merged: dict[str, LabeledExample]) -> list:
-    return [
+def _without_sme_labels(records, merged: dict[str, LabeledExample]) -> Iterator[CveRecord]:
+    return (
         rec
         for rec in records
         if rec.cve_id not in merged or merged[rec.cve_id].labeler is not Labeler.SME
-    ]
+    )
 
 
 def _deterministic_ts(merged: dict[str, LabeledExample]) -> datetime:
@@ -386,21 +389,27 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
             f"{config.model_path(task)} holds a {model.task.value} model, not {task.value}"
         )
     merged = _effective_labels(config)
-    targets = _without_sme_labels(load_cve_records(config.cves), merged)
-    if not targets:
+    stamp = _deterministic_ts(merged)
+    # The CVE feed streams: one block of targets, descriptions included, is
+    # held at a time, and only each target's fresh label is kept. A bad
+    # feed line still raises before the store is written.
+    from vulnrank.triage.features import BLOCK_TEXTS  # numpy is loaded by now
+
+    targets = _without_sme_labels(iter_cve_records(config.cves), merged)
+    fresh = []
+    while block := list(islice(targets, BLOCK_TEXTS)):
+        predictions = predict_texts(model, [rec.description for rec in block])
+        for rec, predicted in zip(block, predictions):
+            existing = merged.get(rec.cve_id)
+            utility, opportune = (existing.utility, existing.opportune) if existing else (0, 0)
+            if task is Task.UTILITY:
+                utility = predicted
+            else:
+                opportune = predicted
+            fresh.append(LabeledExample(rec.cve_id, utility, opportune, Labeler.MODEL, stamp))
+    if not fresh:
         print("all CVEs already carry SME labels; nothing to predict")
         return EXIT_OK
-
-    stamp = _deterministic_ts(merged)
-    fresh = []
-    for rec, predicted in zip(targets, predict_texts(model, [rec.description for rec in targets])):
-        existing = merged.get(rec.cve_id)
-        utility, opportune = (existing.utility, existing.opportune) if existing else (0, 0)
-        if task is Task.UTILITY:
-            utility = predicted
-        else:
-            opportune = predicted
-        fresh.append(LabeledExample(rec.cve_id, utility, opportune, Labeler.MODEL, stamp))
     # What save_labels would write, without reading the store again:
     # merge_labels is a left fold, so merging the merged store with the
     # fresh labels equals merging every stored entry with them.
@@ -496,7 +505,7 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
         raise FeedError("no labels path configured (flag --labels)")
     output_target(config.labels)  # before reading it: a FIFO would block
     records = sorted(load_cve_records(config.cves), key=lambda r: r.cve_id)
-    targets = _without_sme_labels(records, _effective_labels(config))
+    targets = list(_without_sme_labels(records, _effective_labels(config)))
     if not targets:
         print("all CVEs already carry SME labels")
         return EXIT_OK

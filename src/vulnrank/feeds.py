@@ -31,7 +31,16 @@ CVE, label, context and reference loaders intern every id they keep
 A label store is written from a ``%`` template, with nothing escaped:
 its other fields are labels, labeler names and ``format_ts`` stamps, and
 ``write_labels`` raises ValueError for an id that ``CVE_ID_RE`` does not
-match as a whole before it opens the file.
+match as a whole before it opens the file. ``load_labels`` reads a line
+in exactly that form from the groups of one bytes pattern, without the
+JSON decoder. Any other line, such as a blank one, another key order or
+spacing, an escape, a repeated key, a CR or a faulty value, is decoded
+and checked as above. For any line both ways give the same record, or
+the same error at the same line.
+
+The loaders build records they have checked through the dataclasses'
+slot setters, without the frozen ``__init__``; a record built by its
+constructor is checked there, as before.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import logging
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
@@ -174,21 +183,47 @@ class AssetContext:
     criticality: Criticality
 
 
+def _slot_setters(cls) -> tuple:
+    """The slot setter of each field of a slotted dataclass, in field order.
+
+    Each is ``cls.<field>.__set__``: it stores a value in the record's slot
+    past a frozen class's ``__setattr__``, and no ``__post_init__`` runs.
+    A loader that has already checked every value builds a record as
+    ``object.__new__(cls)`` and one call per setter, defaults included; the
+    record then equals, hashes and prints as the constructor's would.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_new = object.__new__
+_CVE_RECORD_SETTERS = _slot_setters(CveRecord)
+_LABELED_EXAMPLE_SETTERS = _slot_setters(LabeledExample)
+_ASSET_CONTEXT_SETTERS = _slot_setters(AssetContext)
+
 _scan_once = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
 # json.dumps with any option builds a new encoder per call; lines share this one.
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
+def _iter_jsonl(path, own=None) -> Iterator[tuple[int, dict | re.Match]]:
     """Yield ``(lineno, object)`` for each non-blank line of a feed.
 
     Raises ParseError naming ``<file>:<line>`` for a line that is not
     UTF-8, not one JSON value (an integer too long for ``int`` or nesting
     deeper than the recursion limit included) or not an object.
+
+    ``own``, a bytes pattern's ``fullmatch``, names the line form a loader
+    reads itself: a line it matches is not decoded, and its match is
+    yielded in place of the object.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if own is not None:
+                match = own(raw)
+                if match is not None:
+                    yield lineno, match
+                    continue
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -267,6 +302,7 @@ def iter_cve_records(path) -> Iterator[CveRecord]:
     records before it have been yielded.
     """
     seen: set[str] = set()
+    set_id, set_description, set_vector, set_score = _CVE_RECORD_SETTERS
     for lineno, obj in _iter_jsonl(path):
         cve_id = obj.get("id")
         if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
@@ -294,7 +330,12 @@ def iter_cve_records(path) -> Iterator[CveRecord]:
         score = obj.get("score")
         if score is not None:
             score = _published_score(score, path, lineno)
-        yield CveRecord(cve_id, description, vector, score)
+        record = _new(CveRecord)
+        set_id(record, cve_id)
+        set_description(record, description)
+        set_vector(record, vector)
+        set_score(record, score)
+        yield record
 
 
 def load_cve_records(path) -> list[CveRecord]:
@@ -370,11 +411,36 @@ def format_ts(ts: datetime) -> str:
 
 
 def load_labels(path) -> list[LabeledExample]:
-    """Load label records as written, including superseded entries."""
+    """Load label records as written, including superseded entries.
+
+    A line in the store's own form (``_STORE_LINE``) is read from the
+    pattern's groups, which admit only values the checks below accept;
+    any other line is decoded as JSON and checked field by field. Both
+    give the same record, or the same error, for the same line.
+    """
     examples: list[LabeledExample] = []
+    append = examples.append
+    set_id, set_utility, set_opportune, set_labeler, set_ts, set_description = (
+        _LABELED_EXAMPLE_SETTERS
+    )
     # Label stores repeat stamps: a predict run gives all its labels one.
     stamps: dict[str, datetime] = {}
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in _iter_jsonl(path, _STORE_LINE):
+        if not isinstance(obj, dict):
+            cve_id, utility, opportune, labeler, raw_ts = obj.groups()
+            raw_ts = raw_ts.decode()
+            ts = stamps.get(raw_ts)
+            if ts is None:
+                ts = stamps[raw_ts] = parse_ts(raw_ts, f"{path}:{lineno}")
+            ex = _new(LabeledExample)
+            set_id(ex, intern(cve_id.decode()))
+            set_utility(ex, _STORE_DIGITS[utility])
+            set_opportune(ex, _STORE_DIGITS[opportune])
+            set_labeler(ex, _STORE_LABELERS[labeler])
+            set_ts(ex, ts)
+            set_description(ex, "")
+            append(ex)
+            continue
         cve_id = obj.get("cve")
         if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
             raise _bad_cve_id(path, lineno, "cve", cve_id)
@@ -396,7 +462,7 @@ def load_labels(path) -> list[LabeledExample]:
                 raise _missing(path, lineno, "ts")
             ts = stamps[raw_ts] = parse_ts(raw_ts, f"{path}:{lineno}")
         try:
-            examples.append(LabeledExample(cve_id, utility, opportune, labeler, ts))
+            append(LabeledExample(cve_id, utility, opportune, labeler, ts))
         except InvalidCategory as exc:
             raise InvalidCategory(f"{path}:{lineno}: {exc}") from None
     return examples
@@ -445,6 +511,15 @@ def write_labels(path, merged: dict[str, LabeledExample]) -> None:
 
 # A store line; no field needs JSON escaping (see the module docstring).
 _LABEL_LINE = '{"cve":"%s","utility":%d,"opportune":%d,"labeler":"%s","ts":"%s"}\n'
+# That line, matched whole as bytes, with its id, utility, opportune, labeler
+# and format_ts stamp as groups: load_labels reads it without the JSON decoder.
+_STORE_LINE = re.compile(
+    rb'\{"cve":"(%s)","utility":([012]),"opportune":([01]),"labeler":"(SME|Model)",'
+    rb'"ts":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)"\}\n?'
+    % CVE_ID_RE.pattern.encode()
+).fullmatch
+_STORE_DIGITS = {b"0": 0, b"1": 1, b"2": 2}
+_STORE_LABELERS = {member.value.encode(): member for member in Labeler}
 
 
 def _label_lines(merged: dict[str, LabeledExample]) -> Iterator[str]:
@@ -526,6 +601,7 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
 def load_asset_context(path) -> dict[str, AssetContext]:
     """Load per-CVE exposure and criticality; one entry per CVE."""
     contexts: dict[str, AssetContext] = {}
+    set_id, set_exposure, set_criticality = _ASSET_CONTEXT_SETTERS
     for lineno, obj in _iter_jsonl(path):
         cve_id = obj.get("cve")
         if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
@@ -541,7 +617,10 @@ def load_asset_context(path) -> dict[str, AssetContext]:
             raise InvalidCategory(
                 f"{path}:{lineno}: exposure must be Public/Private and criticality Low/Medium/High"
             )
-        contexts[cve_id] = AssetContext(cve_id, exposure, criticality)
+        ctx = contexts[cve_id] = _new(AssetContext)
+        set_id(ctx, cve_id)
+        set_exposure(ctx, exposure)
+        set_criticality(ctx, criticality)
     return contexts
 
 

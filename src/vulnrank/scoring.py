@@ -16,7 +16,9 @@ from decimal import Decimal
 from typing import Iterable, Mapping, Sequence
 
 from vulnrank.cvss import BaseScore, base_score, severity_of
-from vulnrank.feeds import AssetContext, Criticality, CveRecord, Exposure, LabeledExample
+from vulnrank.feeds import (
+    AssetContext, Criticality, CveRecord, Exposure, LabeledExample, _slot_setters,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -184,17 +186,18 @@ _TENTH = Decimal("0.1")
 # threat score again: a row's threat_score is the shared Decimal equal in
 # value and exponent to threat_score of its own fields.
 _new_row = object.__new__
-_set = object.__setattr__
+_ROW_SETTERS = _slot_setters(ScoredVulnerability)
 
 
 def _scored_row(cve_id, cvss, wx, labels, env, threat) -> ScoredVulnerability:
+    set_id, set_cvss, set_wx, set_labels, set_env, set_threat = _ROW_SETTERS
     row = _new_row(ScoredVulnerability)
-    _set(row, "cve_id", cve_id)
-    _set(row, "cvss", cvss)
-    _set(row, "wx", wx)
-    _set(row, "labels", labels)
-    _set(row, "env", env)
-    _set(row, "threat_score", threat)
+    set_id(row, cve_id)
+    set_cvss(row, cvss)
+    set_wx(row, wx)
+    set_labels(row, labels)
+    set_env(row, env)
+    set_threat(row, threat)
     return row
 
 

@@ -615,6 +615,61 @@ class TestPredict:
             save_labels(expected, fresh)
             assert path.read_bytes() == expected.read_bytes()
 
+    def test_predicts_one_block_of_descriptions_at_a_time(self, trained, tmp_path, monkeypatch):
+        portfolio = self.write_portfolio(tmp_path, labeled_count=2)
+        path = portfolio / "portfolio_labels.jsonl"
+        before = path.read_bytes()
+        assert main(self.predict_args(trained, portfolio)) == 0
+        whole = path.read_bytes()
+        path.write_bytes(before)
+
+        from vulnrank.triage import features
+
+        sizes = []
+        real_predict = cli.predict_texts
+
+        def spy_predict(model, texts):
+            sizes.append(len(texts))
+            return real_predict(model, texts)
+
+        def no_list(path):
+            raise AssertionError("predict read the CVE feed into a list")
+
+        monkeypatch.setattr(features, "BLOCK_TEXTS", 3)
+        monkeypatch.setattr(cli, "predict_texts", spy_predict)
+        monkeypatch.setattr(cli, "load_cve_records", no_list)
+        assert main(self.predict_args(trained, portfolio)) == 0
+        assert sizes == [3, 3, 3, 1]
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("bad", ["model", "store", "cves"])
+    def test_errors_keep_their_order(self, trained, tmp_path, monkeypatch, capsys, bad):
+        # The model is read first, then the store, then the CVE feed; a
+        # bad CVE feed line after full blocks still writes nothing.
+        from vulnrank.triage import features
+
+        monkeypatch.setattr(features, "BLOCK_TEXTS", 3)
+        portfolio = self.write_portfolio(tmp_path, labeled_count=2)
+        store = portfolio / "portfolio_labels.jsonl"
+        faults = {
+            "model": (trained / "utility_model.json", "{truncated\n"),
+            "store": (store, "not json\n"),
+            "cves": (portfolio / "portfolio.jsonl", "not json\n"),
+        }
+        order = list(faults)
+        for name in order[order.index(bad):]:
+            target, line = faults[name]
+            with open(target, "a", encoding="utf-8") as fh:
+                fh.write(line)
+        before = store.read_bytes()
+        capsys.readouterr()
+        assert main(self.predict_args(trained, portfolio)) == (4 if bad == "model" else 2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        if bad != "model":
+            assert err.startswith(f"error: {faults[bad][0]}:"), err
+        assert store.read_bytes() == before
+
     def test_version_mismatch_exits_4(self, trained, tmp_path):
         portfolio = self.write_portfolio(tmp_path)
         model_path = trained / "utility_model.json"

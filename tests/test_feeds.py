@@ -11,6 +11,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vulnrank import feeds
 from vulnrank.feeds import (
     CVE_ID_RE,
     AssetContext,
@@ -605,6 +606,41 @@ def test_label_lines_match_the_json_encoder(rows):
         for _, ex in sorted(merged.items())
     )
     assert "".join(_label_lines(merged)) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.from_regex(CVE_ID_RE, fullmatch=True),
+            st.integers(0, 2),
+            st.integers(0, 1),
+            st.sampled_from(Labeler),
+            # The store keeps whole seconds.
+            st.datetimes(datetime(2, 1, 1), datetime(9998, 12, 31),
+                         timezones=st.sampled_from(LABEL_OFFSETS)).map(lambda t: t.replace(microsecond=0)),
+        ),
+        max_size=30,
+    )
+)
+def test_written_store_reads_back_without_the_json_decoder(tmp_path_factory, rows):
+    """Every line write_labels renders is in the form load_labels reads
+    from the pattern's groups, and reads back as the entry it was."""
+    merged = {row[0]: LabeledExample(*row) for row in rows}
+    assert all(feeds._STORE_LINE(line.encode("utf-8")) for line in _label_lines(merged))
+    path = tmp_path_factory.getbasetemp() / "fast_path_store.jsonl"
+    write_labels(path, merged)
+
+    def decoded(*args):
+        raise AssertionError("a store line was decoded as JSON")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feeds, "_scan_once", decoded)
+        loaded = load_labels(path)
+    assert loaded == sorted(merged.values(), key=lambda ex: ex.cve_id)
+    assert [format_ts(ex.labeled_at) for ex in loaded] == [
+        format_ts(merged[ex.cve_id].labeled_at) for ex in loaded
+    ]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -10,6 +10,11 @@ stamps, stamps outside years 1-9999 in UTC among the bad; inline
 then a line that is not a JSON object. They must return equal records
 and log the same warnings, or raise the same exception type with the
 same message.
+
+Some label lines are rendered as the store writes them (``compact_json``,
+keys in store order), so ``load_labels`` reads them without the JSON
+decoder; the near misses of that form below must be decoded as JSON, and
+still load as the reference loads them.
 """
 
 import json
@@ -103,6 +108,8 @@ FAULTS = {
         "ts": bad(
             "2021-13-01", "soon", "2021-01-01T00:00:00ZZ",
             "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
+            # In the store's own stamp form, so read without the decoder.
+            "2021-13-01T00:00:00Z", "0000-12-31T23:59:59Z", "2021-02-29T00:00:00Z",
         ),
     },
     "context": {
@@ -129,6 +136,15 @@ def present(value):
     return value
 
 
+STORE_KEYS = ("cve", "utility", "opportune", "labeler", "ts")
+
+
+def store_form(record: dict) -> str:
+    """``record`` as ``compact_json`` renders it with the store's keys
+    first, in the store's order, and any other key after them."""
+    return feeds.compact_json({**{k: record[k] for k in STORE_KEYS if k in record}, **record})
+
+
 @st.composite
 def feeds_for(draw, kind: str) -> bytes:
     """A feed of valid records; most feeds then get one line with faulty
@@ -139,7 +155,9 @@ def feeds_for(draw, kind: str) -> bytes:
         ids = draw(st.lists(st.sampled_from(IDS), min_size=count, max_size=count, unique=True))
         for record, cve_id in zip(records, ids):
             record[ID_FIELD[kind]] = cve_id
-    lines = [json.dumps(present(record)) for record in records]
+    # Label lines are rendered one way or the other, each on its own draw.
+    render = st.sampled_from([json.dumps, store_form] if kind == "labels" else [json.dumps])
+    lines = [draw(render)(present(record)) for record in records]
     fault = draw(st.sampled_from(["none", "fields", "fields", "fields", "line"]))
     at = draw(st.integers(0, count - 1))
     if fault == "fields":
@@ -155,7 +173,7 @@ def feeds_for(draw, kind: str) -> bytes:
             if faulty[name] is DUPLICATE:
                 faulty[name] = records[0][ID_FIELD[kind]]
                 at = max(at, min(1, count - 1))
-        lines[at] = json.dumps(present(faulty))
+        lines[at] = draw(render)(present(faulty))
     elif fault == "line":
         lines[at] = draw(st.sampled_from(["[]", "5", "not json", "", "{}"]))
     event(f"fault: {fault}")
@@ -222,3 +240,58 @@ def test_every_inline_reference_shape_loads(tmp_path, references):
     got = outcome(feeds.load_cve_records, path)
     assert got == outcome(feeds_reference.load_cve_records, path)
     assert got == (repr([feeds.CveRecord("CVE-2020-0001", "a")]), None, [])
+
+
+STORE_LINE = '{"cve":"CVE-2020-0001","utility":1,"opportune":0,"labeler":"SME","ts":"2021-01-01T00:00:00Z"}'
+# Lines close to the store's own form that the pattern must not match; the
+# JSON path reads each, and the reference says what that must give.
+NEAR_MISSES = {
+    "utility 3": STORE_LINE.replace('"utility":1', '"utility":3'),
+    "utility true": STORE_LINE.replace('"utility":1', '"utility":true'),
+    "utility 1.0": STORE_LINE.replace('"utility":1', '"utility":1.0'),
+    "opportune 2": STORE_LINE.replace('"opportune":0', '"opportune":2'),
+    "labeler sme": STORE_LINE.replace('"SME"', '"sme"'),
+    "escaped cve": STORE_LINE.replace('"CVE-', '"\\u0043VE-'),
+    "escaped ts": STORE_LINE.replace('"2021-', '"\\u0032021-'),
+    "escaped key": STORE_LINE.replace('"labeler"', '"label\\u0065r"'),
+    "extra key": STORE_LINE[:-1] + ',"note":"x"}',
+    "reordered keys": '{"utility":1,"cve":"CVE-2020-0001","opportune":0,"labeler":"SME","ts":"2021-01-01T00:00:00Z"}',
+    "duplicate cve first": '{"cve":"CVE-2020-0009",' + STORE_LINE[1:],
+    "duplicate cve last": STORE_LINE[:-1] + ',"cve":"CVE-2020-0009"}',
+    "duplicate cve bad": STORE_LINE[:-1] + ',"cve":"CVE-20-9"}',
+    "offset stamp": STORE_LINE.replace("00:00:00Z", "02:00:00+02:00"),
+    "naive stamp": STORE_LINE.replace("00:00:00Z", "00:00:00"),
+    "fractional stamp": STORE_LINE.replace("00:00:00Z", "00:00:00.5Z"),
+    "spaced": json.dumps(json.loads(STORE_LINE)),
+    "leading space": " " + STORE_LINE,
+    "trailing spaces": STORE_LINE + "  ",
+    "trailing tab": STORE_LINE + "\t",
+    "crlf": STORE_LINE + "\r",
+    "short id": STORE_LINE.replace("0001", "001"),
+}
+
+
+@pytest.mark.parametrize("ending", ["\n", ""], ids=["lf", "eof"])
+@pytest.mark.parametrize("line", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+def test_near_misses_of_the_store_form_load_as_json(tmp_path, line, ending):
+    data = f"{STORE_LINE}\n{line}{ending}".encode("utf-8")
+    store_form, near_miss = data.splitlines(keepends=True)
+    assert feeds._STORE_LINE(store_form) is not None
+    assert feeds._STORE_LINE(near_miss) is None
+    path = tmp_path / "labels.jsonl"
+    path.write_bytes(data)
+    assert outcome(feeds.load_labels, path) == outcome(feeds_reference.load_labels, path)
+
+
+@pytest.mark.parametrize(
+    "stamp", ["2021-13-01T00:00:00Z", "2021-02-29T00:00:00Z", "2021-01-01T24:00:00Z", "0000-12-31T23:59:59Z"]
+)
+def test_bad_stamp_in_the_store_form_fails_at_its_line(tmp_path, stamp):
+    # The pattern admits any digits in a stamp; parse_ts still decides.
+    line = STORE_LINE.replace("2021-01-01T00:00:00Z", stamp).encode("utf-8")
+    assert feeds._STORE_LINE(line) is not None
+    path = tmp_path / "labels.jsonl"
+    path.write_bytes(STORE_LINE.encode("utf-8") + b"\n" + line + b"\n")
+    got = outcome(feeds.load_labels, path)
+    assert got == outcome(feeds_reference.load_labels, path)
+    assert got[1][1].startswith(f"{path}:2: ts '{stamp}' ")

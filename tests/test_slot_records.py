@@ -1,0 +1,127 @@
+"""Records the loaders and ``score_portfolio`` build through slot setters,
+without the frozen ``__init__``, are the records the constructor builds
+from the same values: equal, with equal hashes and reprs, ``replace``
+alike, and with every slot set."""
+
+import dataclasses
+from datetime import datetime, timezone
+from decimal import Decimal
+
+import pytest
+
+from vulnrank import feeds
+from vulnrank.cvss import base_score, parse_vector
+from vulnrank.feeds import (
+    AssetContext,
+    Criticality,
+    CveRecord,
+    Exposure,
+    InvalidCategory,
+    LabeledExample,
+    Labeler,
+    load_asset_context,
+    load_cve_records,
+    load_labels,
+    merge_labels,
+)
+from vulnrank.scoring import ScoredVulnerability, env_factor, score_portfolio
+
+from conftest import write_jsonl
+
+VECTOR = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"
+STAMP = datetime(2021, 6, 1, tzinfo=timezone.utc)
+
+
+def assert_same_record(loaded, built, **changes):
+    assert type(loaded) is type(built)
+    for field in dataclasses.fields(built):
+        # A slot left unset raises AttributeError here.
+        assert getattr(loaded, field.name) == getattr(built, field.name), field.name
+    assert loaded == built and built == loaded
+    assert hash(loaded) == hash(built)
+    assert repr(loaded) == repr(built)
+    assert dataclasses.replace(loaded, **changes) == dataclasses.replace(built, **changes)
+    assert dataclasses.replace(loaded) == built
+
+
+def test_cve_records(tmp_path):
+    path = write_jsonl(tmp_path / "cves.jsonl", [
+        {"id": "CVE-2020-0001", "description": "a", "vector": VECTOR, "score": 9.8},
+        {"id": "CVE-2020-0002", "description": "", "score": 7},
+        {"id": "CVE-2020-0003", "description": "c"},
+    ])
+    built = [
+        CveRecord("CVE-2020-0001", "a", parse_vector(VECTOR), Decimal("9.8")),
+        CveRecord("CVE-2020-0002", "", published_score=Decimal("7.0")),
+        CveRecord("CVE-2020-0003", "c"),
+    ]
+    for loaded, expected in zip(load_cve_records(path), built, strict=True):
+        assert_same_record(loaded, expected, description="changed")
+
+
+@pytest.mark.parametrize("store_form", [True, False], ids=["store-line", "json"])
+def test_labeled_examples(tmp_path, store_form):
+    path = tmp_path / "labels.jsonl"
+    rows = [("CVE-2020-0001", 2, 1, "SME"), ("CVE-2020-0002", 0, 0, "Model")]
+    sep = (",", ":") if store_form else (", ", ": ")
+    path.write_text("".join(
+        f'{{"cve"{sep[1]}"{cve}"{sep[0]}"utility"{sep[1]}{u}{sep[0]}"opportune"{sep[1]}{o}'
+        f'{sep[0]}"labeler"{sep[1]}"{who}"{sep[0]}"ts"{sep[1]}"2021-06-01T00:00:00Z"}}\n'
+        for cve, u, o, who in rows
+    ))
+    for line in path.read_bytes().splitlines(keepends=True):
+        assert (feeds._STORE_LINE(line) is not None) is store_form
+    built = [LabeledExample(cve, u, o, Labeler(who), STAMP) for cve, u, o, who in rows]
+    loaded = load_labels(path)
+    for ex, expected in zip(loaded, built, strict=True):
+        assert ex.description == ""
+        assert_same_record(ex, expected, description="text")
+    assert merge_labels(loaded) == merge_labels(built)
+
+
+def test_asset_context(tmp_path):
+    path = write_jsonl(tmp_path / "context.jsonl", [
+        {"cve": "CVE-2020-0001", "exposure": "Public", "criticality": "High"},
+        {"cve": "CVE-2020-0002", "exposure": "Private", "criticality": "Low"},
+    ])
+    built = {
+        "CVE-2020-0001": AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH),
+        "CVE-2020-0002": AssetContext("CVE-2020-0002", Exposure.PRIVATE, Criticality.LOW),
+    }
+    loaded = load_asset_context(path)
+    assert loaded.keys() == built.keys()
+    for cve_id, ctx in loaded.items():
+        assert_same_record(ctx, built[cve_id], criticality=Criticality.MEDIUM)
+
+
+def test_scored_rows():
+    records = [
+        CveRecord("CVE-2020-0001", "a", parse_vector(VECTOR)),
+        CveRecord("CVE-2020-0002", "b", published_score=Decimal("7.5")),
+    ]
+    labels = {
+        "CVE-2020-0001": LabeledExample("CVE-2020-0001", 2, 1, Labeler.SME, STAMP),
+        "CVE-2020-0002": LabeledExample("CVE-2020-0002", 1, 0, Labeler.MODEL, STAMP),
+    }
+    wx = {"CVE-2020-0001": 3}
+    ctx = {"CVE-2020-0002": AssetContext("CVE-2020-0002", Exposure.PUBLIC, Criticality.HIGH)}
+    scored = score_portfolio(records, wx, labels, ctx)
+    cvss = {
+        "CVE-2020-0001": base_score(parse_vector(VECTOR)).value, "CVE-2020-0002": Decimal("7.5")
+    }
+    for row in scored:
+        built = ScoredVulnerability(
+            row.cve_id, row.cvss, wx.get(row.cve_id, 0), labels[row.cve_id],
+            env_factor(ctx.get(row.cve_id)),
+        )
+        assert row.cvss.value == cvss[row.cve_id]
+        assert row.threat_score.as_tuple() == built.threat_score.as_tuple()
+        assert_same_record(row, built, wx=row.wx + 1)
+
+
+@pytest.mark.parametrize("value", [True, 3, "1"], ids=repr)
+@pytest.mark.parametrize("field", ["utility", "opportune"])
+def test_constructor_still_checks_labels(field, value):
+    values = {"utility": 1, "opportune": 0, field: value}
+    with pytest.raises(InvalidCategory, match=f"^{field} must be one of "):
+        LabeledExample("CVE-2020-0001", labeler=Labeler.SME, labeled_at=STAMP, **values)
