@@ -79,4 +79,4 @@ ctx = {"CVE-2020-27256": AssetContext("CVE-2020-27256", Exposure.PUBLIC, Critica
 rescored = score_portfolio(RECORDS, WX, LABELS, ctx)
 print("== with asset context on the pump ==")
 for s in rank(rescored).entries:
-    print(f"  {s.cve_id}: threat {s.threat_score} (env product {s.env.product})")
+    print(f"  {s.cve_id}: threat {s.threat_score} (env product {s.env})")

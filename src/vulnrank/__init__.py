@@ -39,7 +39,6 @@ from vulnrank.report import (
 )
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
-    EnvironmentalFactors,
     EnvWeights,
     ScoredVulnerability,
     env_factor,
@@ -57,7 +56,6 @@ __all__ = [
     "CvssVector",
     "DEFAULT_ENV_WEIGHTS",
     "EnvWeights",
-    "EnvironmentalFactors",
     "ExportFormat",
     "LabeledExample",
     "Labeler",

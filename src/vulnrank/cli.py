@@ -43,6 +43,7 @@ from vulnrank.feeds import (
     CveRecord,
     Exposure,
     FeedError,
+    IoError,
     LabeledExample,
     Labeler,
     Task,
@@ -472,9 +473,12 @@ def cmd_export(config: RunConfig, command: str) -> int:
             result = rank(_scored_portfolio(config))
         chunks = export_chunks(result, config.format)
         if config.output is None:
-            sys.stdout.flush()
-            sys.stdout.buffer.writelines(chunks)
-            sys.stdout.buffer.flush()
+            try:
+                sys.stdout.flush()
+                sys.stdout.buffer.writelines(chunks)
+                sys.stdout.buffer.flush()
+            except OSError as exc:
+                raise IoError(f"cannot write stdout: {exc.strerror or exc}") from exc
         else:
             write_atomic(config.output, chunks)
     return EXIT_OK

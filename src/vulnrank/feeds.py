@@ -90,7 +90,7 @@ class InvalidCategory(FeedError):
 
 
 class IoError(OSError):
-    """An output file cannot be written; the message names the path as given."""
+    """An output cannot be written; the message names the path as given, or stdout."""
 
 
 # The reference sources a feed may name; any other is downgraded to Other.

@@ -23,6 +23,7 @@ from itertools import chain, filterfalse
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
+from vulnrank.cvss import severity_of
 from vulnrank.feeds import CHUNK_LINES, CVE_ID_RE, compact_json, encoded_chunks
 from vulnrank.scoring import ScoredVulnerability, format_quantity
 
@@ -98,7 +99,7 @@ class ComparisonReport:
 # even with reverse=True, so no Decimal is negated and each comparison
 # is one Decimal compare rather than a tuple's two.
 _by_id = attrgetter("cve_id")
-_by_cvss = attrgetter("cvss.value")
+_by_cvss = attrgetter("cvss")
 _by_threat = attrgetter("threat_score")
 
 
@@ -191,26 +192,38 @@ def compare(
     )
 
 
+class _Texts(dict):
+    """Each Decimal's text, rendered on its first lookup; equal Decimals
+    share one. Emptied at ``CHUNK_LINES`` texts, so it never outgrows a
+    chunk."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, value: Decimal) -> str:
+        if len(self) == CHUNK_LINES:
+            self.clear()
+        text = self[value] = self.render(value)
+        return text
+
+
 def _rows(portfolio: RankedPortfolio) -> Iterator[tuple]:
     """Each entry's ``_COLUMNS`` values, in rank order.
 
-    ``format_quantity`` runs once per distinct score: a portfolio holds
-    far fewer distinct scores than rows, and equal Decimals print alike.
-    The cache is emptied at ``CHUNK_LINES`` texts, so it never outgrows a
-    chunk. ``_value_`` is the enum's plain attribute; the ``value``
+    A portfolio holds far fewer distinct threat scores, CVSS values and
+    env products than rows, so each text is rendered once per distinct
+    value. ``_value_`` is the enum's plain attribute; the ``value``
     property costs ten times as much.
     """
-    texts: dict[Decimal, str] = {}
+    quantities = _Texts(format_quantity)
+    severities = _Texts(lambda cvss: severity_of(cvss)._value_)
     for pos, s in portfolio.ranked():
-        threat = texts.get(s.threat_score)
-        if threat is None:
-            if len(texts) == CHUNK_LINES:
-                texts.clear()
-            threat = texts[s.threat_score] = format_quantity(s.threat_score)
-        cvss, labels = s.cvss, s.labels
+        labels = s.labels
         yield (
-            pos, s.cve_id, threat, cvss.value, cvss.severity._value_, s.wx, labels.utility,
-            labels.opportune, s.env.product_text, labels.labeler._value_,
+            pos, s.cve_id, quantities[s.threat_score], s.cvss, severities[s.cvss], s.wx,
+            labels.utility, labels.opportune, quantities[s.env], labels.labeler._value_,
         )
 
 

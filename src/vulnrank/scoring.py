@@ -1,11 +1,13 @@
 """The unbounded threat score used for stack ranking.
 
-    (cvss + wx) * (utility + 1) * (opportune + 1) * environmental product
+    (cvss + wx) * (utility + 1) * (opportune + 1) * env
 
-All arithmetic is exact: CVSS scores are one-decimal values, exploit
-counts and category multipliers are small integers, and environmental
-weights are decimal fractions, so every score is computed in Decimal
-with no float noise and no rounding. Scores have no upper bound.
+A scored row holds each factor as a plain value; ``env`` is the product
+of the asset's exposure and criticality weights. All arithmetic is
+exact: CVSS scores are one-decimal values, exploit counts and category
+multipliers are small integers, and environmental weights are decimal
+fractions, so every score is computed in Decimal with no float noise and
+no rounding. Scores have no upper bound.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping, Sequence
 
-from vulnrank.cvss import BaseScore, base_score, severity_of
+from vulnrank.cvss import base_score
 from vulnrank.feeds import (
     AssetContext, Criticality, CveRecord, Exposure, LabeledExample, _slot_setters,
 )
@@ -52,36 +54,8 @@ def format_quantity(value: Decimal) -> str:
     return format(value.normalize(), "f")
 
 
-@dataclass(frozen=True, slots=True)
-class EnvironmentalFactors:
-    """Exposure and criticality weights and their product.
-
-    ``product_text`` is the product as reports print it, rendered once
-    here rather than once per exported row. ``multipliers[2u + o]`` is
-    ``(u + 1) * (o + 1) * product`` for utility u and opportune o. Over
-    the weights' configured range the products are exact, so a threat
-    score taken through them is the same Decimal, exponent included, as
-    one multiplied out factor by factor.
-    """
-
-    exposure_weight: Decimal
-    criticality_weight: Decimal
-    product: Decimal = field(init=False)
-    product_text: str = field(init=False, repr=False, compare=False)
-    multipliers: tuple[Decimal, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for w in (self.exposure_weight, self.criticality_weight):
-            if w <= 0:
-                raise InvalidConfig(f"environmental weight {w} must be positive")
-        product = self.exposure_weight * self.criticality_weight
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "product_text", format_quantity(product))
-        multipliers = tuple((u + 1) * (o + 1) * product for u in range(3) for o in range(2))
-        object.__setattr__(self, "multipliers", multipliers)
-
-
-NEUTRAL_ENV = EnvironmentalFactors(Decimal(1), Decimal(1))
+# The environmental product of a CVE without asset context.
+NEUTRAL_ENV = Decimal(1)
 
 
 @dataclass(frozen=True)
@@ -106,26 +80,29 @@ DEFAULT_ENV_WEIGHTS = EnvWeights(
 class ScoredVulnerability:
     """One CVE with all scoring inputs and its final threat score.
 
-    ``wx`` is the exploit count. ``threat_score`` is not a constructor
-    argument: it is computed from the other fields, so it always
-    matches them.
+    ``cvss`` is the one-place CVSS ``Decimal``, ``wx`` the exploit count
+    and ``env`` the environmental product (``NEUTRAL_ENV`` without asset
+    context). ``threat_score`` is not a constructor argument: it is
+    computed from the other fields, so it always matches them.
     """
 
     cve_id: str
-    cvss: BaseScore
+    cvss: Decimal
     wx: int
     labels: LabeledExample
-    env: EnvironmentalFactors
+    env: Decimal
     threat_score: Decimal = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(
-            self, "threat_score", threat_score(self.cvss.value, self.wx, self.labels, self.env)
+            self, "threat_score", threat_score(self.cvss, self.wx, self.labels, self.env)
         )
 
 
-def env_factor(ctx: AssetContext | None, weights: EnvWeights = DEFAULT_ENV_WEIGHTS) -> EnvironmentalFactors:
-    """Environmental factors for one asset context; neutral when absent."""
+def env_factor(ctx: AssetContext | None, weights: EnvWeights = DEFAULT_ENV_WEIGHTS) -> Decimal:
+    """Exposure weight times criticality weight for one asset context;
+    ``NEUTRAL_ENV`` when absent. A member without a weight, or a weight
+    that is not positive, raises ``InvalidConfig``."""
     if ctx is None:
         return NEUTRAL_ENV
     try:
@@ -133,50 +110,45 @@ def env_factor(ctx: AssetContext | None, weights: EnvWeights = DEFAULT_ENV_WEIGH
         criticality_weight = weights.criticality[ctx.criticality]
     except KeyError as exc:
         raise InvalidConfig(f"no weight configured for {exc.args[0]}") from None
-    return EnvironmentalFactors(exposure_weight, criticality_weight)
+    for w in (exposure_weight, criticality_weight):
+        if w <= 0:
+            raise InvalidConfig(f"environmental weight {w} must be positive")
+    return exposure_weight * criticality_weight
 
 
 def threat_score(
-    cvss: Decimal, wx: int, labels: LabeledExample, env: EnvironmentalFactors = NEUTRAL_ENV
+    cvss: Decimal, wx: int, labels: LabeledExample, env: Decimal = NEUTRAL_ENV
 ) -> Decimal:
     """Exact threat score from a one-place Decimal CVSS; unbounded above, never rounded."""
     if not 0 <= cvss <= 10:
         raise ScoringError(f"cvss score {cvss} outside [0, 10]")
     if wx < 0:
         raise ScoringError(f"wx count {wx} must be non-negative")
-    return (cvss + wx) * env.multipliers[2 * labels.utility + labels.opportune]
+    if not env > 0:
+        raise ScoringError(f"env product {env} must be positive")
+    # The category factors are integers, so they leave the exponent as it is.
+    return (cvss + wx) * ((labels.utility + 1) * (labels.opportune + 1)) * env
 
 
-# One BaseScore per published value: there are at most 101.
-_published_scores: dict[Decimal, BaseScore] = {}
-
-
-def resolve_base_score(record: CveRecord) -> BaseScore:
-    """The CVSS score used for scoring a record.
+def resolve_base_score(record: CveRecord) -> Decimal:
+    """The CVSS score used for scoring a record: the vector's base score,
+    else the record's own ``published_score`` object.
 
     A vector always wins over a published score; disagreement is logged,
-    since published scores drift across NVD revisions. Records with
-    equal published scores share one BaseScore.
+    since published scores drift across NVD revisions.
     """
     if record.vector is not None:
-        computed = base_score(record.vector)
-        if record.published_score is not None and record.published_score != computed.value:
+        computed = base_score(record.vector).value
+        if record.published_score is not None and record.published_score != computed:
             logger.warning(
                 "%s: vector-derived score %s disagrees with published %s; using vector",
                 record.cve_id,
-                computed.value,
+                computed,
                 record.published_score,
             )
         return computed
-    published = record.published_score
-    if published is not None:
-        score = _published_scores.get(published)
-        # An equal Decimal of another exponent (7 and 7.0) renders
-        # differently, so a hit counts only for the Decimal it was built
-        # from; the feed loader gives equal scores one Decimal.
-        if score is None or score.value is not published:
-            score = _published_scores[published] = BaseScore(published, severity_of(published))
-        return score
+    if record.published_score is not None:
+        return record.published_score
     raise MissingCvss([record.cve_id])
 
 
@@ -218,8 +190,8 @@ def score_portfolio(
     ``wx_map`` holds each CVE's exploit count as an int; records without
     an entry there count zero exploits, and a negative count raises
     ``ScoringError``. Records without asset context score with neutral
-    environmental factors. Records with the same exposure and criticality
-    share one ``EnvironmentalFactors``. ``threat_score`` runs once per
+    environmental product, ``NEUTRAL_ENV``. Records with the same exposure
+    and criticality share one env ``Decimal``. ``threat_score`` runs once per
     distinct (CVSS, wx, utility, opportune, context), and rows whose
     threat scores are equal in value and exponent share one ``Decimal``.
 
@@ -235,7 +207,7 @@ def score_portfolio(
     ctx_map = ctx_map or {}
 
     # Keyed on the members' _value_ strings: Enum.__hash__ is Python code.
-    envs: dict[tuple[str, str] | None, EnvironmentalFactors] = {}
+    envs: dict[tuple[str, str] | None, Decimal] = {}
     # Each threat by its inputs, and each distinct threat by value and
     # exponent. Equal Decimals of other exponents (7 and 7.0) render
     # differently, so only one-place CVSS values key by value; any other
@@ -264,12 +236,11 @@ def score_portfolio(
                 env = envs[env_key] = env_factor(ctx, env_weights)
             cvss = resolve_base_score(record)
             wx = wx_map.get(cve_id, 0)
-            value = cvss.value
-            value = value if _TENTH.same_quantum(value) else str(value)
+            value = cvss if _TENTH.same_quantum(cvss) else str(cvss)
             key = (value, wx, labels.utility, labels.opportune, env_key)
             threat = threats.get(key)
             if threat is None:
-                threat = threat_score(cvss.value, wx, labels, env)
+                threat = threat_score(cvss, wx, labels, env)
                 threat = shared.setdefault((threat, threat.as_tuple().exponent), threat)
                 threats[key] = threat
         except ScoringError as exc:

@@ -16,11 +16,7 @@ from vulnrank.cli import main
 from vulnrank.cvss import base_score, iter_vectors, parse_vector
 from vulnrank.feeds import LabeledExample, Labeler, save_labels
 from vulnrank.report import compare, rank
-from vulnrank.scoring import (
-    EnvironmentalFactors,
-    NEUTRAL_ENV,
-    threat_score,
-)
+from vulnrank.scoring import NEUTRAL_ENV, threat_score
 from vulnrank.synth import (
     synth_cve_records,
     synth_labeled_corpus,
@@ -198,12 +194,12 @@ def test_criterion_4_scoring_properties():
         if cvss == 0 and wx == 0:
             wx = 1
         utility, opportune = rng.choice((0, 1, 2)), rng.choice((0, 1))
-        env = EnvironmentalFactors(rng.choice(weights), rng.choice(weights))
+        env = rng.choice(weights) * rng.choice(weights)
         labels = LabeledExample("CVE-2000-0001", utility, opportune, Labeler.SME, LABELED_AT)
         base = threat_score(cvss, wx, labels, env)
 
         bumped_wx = threat_score(cvss, wx + 1, labels, env)
-        assert bumped_wx - base == (utility + 1) * (opportune + 1) * env.product
+        assert bumped_wx - base == (utility + 1) * (opportune + 1) * env
         if utility < 2:
             raised = LabeledExample("CVE-2000-0001", utility + 1, opportune, Labeler.SME, LABELED_AT)
             assert threat_score(cvss, wx, raised, env) > base

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: commands, exit codes, determinism."""
 
 import argparse
+import errno
 import gc
+import io
 import json
 import os
 import re
@@ -985,6 +987,17 @@ class TestScoreRankReport:
         assert [p.name for p in work.iterdir()] == ["out"]
         assert main(self.base_args(trio_feed_dir, cmd) + ["--output", str(out / "ok")]) == 0
         assert [p.name for p in out.iterdir()] == ["ok"]
+
+    @pytest.mark.parametrize("cmd", ["score", "rank", "report"])
+    def test_closed_stdout_exits_2_naming_stdout(self, trio_feed_dir, monkeypatch, capsys, cmd):
+        # As when the reader of a pipe has exited: `vulnrank rank ... | head -1`.
+        class ClosedPipe(io.BytesIO):
+            def writelines(self, lines):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(ClosedPipe()))
+        assert main(self.base_args(trio_feed_dir, cmd)) == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
 
 
 ROLES = ("output", "labels", "model")

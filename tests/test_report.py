@@ -10,7 +10,6 @@ from decimal import Decimal
 
 import pytest
 
-from vulnrank.cvss import BaseScore, severity_of
 from vulnrank.feeds import CHUNK_LINES, LabeledExample, Labeler
 from vulnrank.report import (
     CSV_COLUMNS,
@@ -28,10 +27,9 @@ LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def scored(cve_id, cvss, wx=0, utility=0, opportune=0, source=Labeler.SME):
-    cvss = Decimal(cvss)
     return ScoredVulnerability(
         cve_id=cve_id,
-        cvss=BaseScore(cvss, severity_of(cvss)),
+        cvss=Decimal(cvss),
         wx=wx,
         labels=LabeledExample(cve_id, utility, opportune, source, LABELED_AT),
         env=NEUTRAL_ENV,
@@ -127,7 +125,7 @@ class TestCompare:
 
     def test_worked_trio_positions_swap(self):
         entries = trio_portfolio()
-        by_cvss = sorted(entries, key=lambda s: (-s.cvss.value, s.cve_id))
+        by_cvss = sorted(entries, key=lambda s: (-s.cvss, s.cve_id))
         by_threat = rank(entries).entries
         cvss_pos = {s.cve_id: i for i, s in enumerate(by_cvss)}
         threat_pos = {s.cve_id: i for i, s in enumerate(by_threat)}

@@ -3,16 +3,18 @@
 The json-lines, text and CSV exports write each row from one
 ``%``-template per format, and the comparison report's CSV likewise;
 ``rank``/``compare`` order by stable sorts without negating any Decimal,
-``compare`` counts bands and tiers once per distinct value, and threat
-scores go through precomputed multipliers. Here each is compared with a
-plain form: ``compact_json(_portfolio_row(...))``, the text row
-formatted from that dict, ``csv.DictWriter`` over those dicts,
+``compare`` counts bands and tiers once per distinct value, and rows
+render each distinct threat, severity and env once, from bounded
+caches. Here each is compared with a plain form:
+``compact_json(_portfolio_row(...))``, the text row formatted from that
+dict, ``csv.DictWriter`` over those dicts,
 ``csv.writer`` over the report's rows for both tier-bound sets, a sort
 on ``(-threat, -cvss, cve_id)``, counts taken record by record, and the
 threat formula multiplied out factor by factor. The portfolios are the
 golden one and hypothesis ones with heavy ties: few distinct CVSS, wx,
-label and environment values. ``export_chunks`` is held to the same
-forms at every size around the chunk boundaries.
+label and environment values, and one with more distinct values than
+the caches hold. ``export_chunks`` is held to the same forms at every
+size around the chunk boundaries.
 """
 
 import csv
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulnrank.cli import _scored_portfolio, build_config, build_parser
-from vulnrank.cvss import BaseScore, severity_of
+from vulnrank.cvss import severity_of
 from vulnrank.feeds import CHUNK_LINES, LabeledExample, Labeler, compact_json
 from vulnrank.report import (
     CSV_COLUMNS,
@@ -36,7 +38,7 @@ from vulnrank.report import (
     export_chunks,
     rank,
 )
-from vulnrank.scoring import EnvironmentalFactors, ScoredVulnerability, format_quantity
+from vulnrank.scoring import ScoredVulnerability, format_quantity
 
 from test_golden import write_golden_feeds
 
@@ -47,7 +49,7 @@ TIER_BOUNDS = (DEFAULT_TIER_BOUNDS, (Decimal(15), Decimal("7.5"), Decimal(0)))
 
 
 def reference_order(scored):
-    return sorted(scored, key=lambda s: (-s.threat_score, -s.cvss.value, s.cve_id))
+    return sorted(scored, key=lambda s: (-s.threat_score, -s.cvss, s.cve_id))
 
 
 def _portfolio_row(rank_pos: int, s: ScoredVulnerability) -> dict:
@@ -55,12 +57,12 @@ def _portfolio_row(rank_pos: int, s: ScoredVulnerability) -> dict:
         "rank": rank_pos,
         "cve_id": s.cve_id,
         "threat_score": format_quantity(s.threat_score),
-        "cvss": str(s.cvss.value),
-        "severity": s.cvss.severity.value,
+        "cvss": str(s.cvss),
+        "severity": severity_of(s.cvss).value,
         "wx": s.wx,
         "utility": s.labels.utility,
         "opportune": s.labels.opportune,
-        "env_product": s.env.product_text,
+        "env_product": format_quantity(s.env),
         "label_source": s.labels.labeler.value,
     }
 
@@ -98,7 +100,7 @@ def reference_text_row(row: dict) -> str:
 
 def reference_overlap(scored, top_k):
     by_threat = reference_order(scored)
-    by_cvss = sorted(scored, key=lambda s: (-s.cvss.value, s.cve_id))
+    by_cvss = sorted(scored, key=lambda s: (-s.cvss, s.cve_id))
     overlap = {}
     for k in top_k:
         if 1 <= k <= len(scored):
@@ -116,14 +118,14 @@ def reference_counts(scored, bounds):
     labels.append(f"<{format_quantity(bounds[-1])}")
     tiers = [0] * len(labels)
     for s in scored:
-        bands[max(1, math.ceil(s.cvss.value))] += 1
+        bands[max(1, math.ceil(s.cvss))] += 1
         tiers[next((i for i, b in enumerate(bounds) if s.threat_score >= b), len(bounds))] += 1
-    critical = sum(1 for s in scored if s.cvss.value >= 9)
+    critical = sum(1 for s in scored if s.cvss >= 9)
     return bands, critical, tuple(zip(labels, tiers))
 
 
 def reference_threat(s):
-    return (s.cvss.value + s.wx) * (s.labels.utility + 1) * (s.labels.opportune + 1) * s.env.product
+    return (s.cvss + s.wx) * (s.labels.utility + 1) * (s.labels.opportune + 1) * s.env
 
 
 def assert_equivalent(scored):
@@ -157,9 +159,14 @@ def test_golden_portfolio(tmp_path):
     assert_equivalent(scored)
 
 
-CVSS = [BaseScore(value, severity_of(value)) for value in map(Decimal, ("0.0", "7.5", "10.0"))]
-# 1*1 and 2*0.5 are equal products that differ in exponent.
-ENVS = [EnvironmentalFactors(Decimal(e), Decimal(c)) for e, c in (("1", "1"), ("2", "0.5"), ("1.5", "1.2"))]
+# 7 and 7.50, built by hand, are equal to 7.0 but print apart.
+CVSS = [Decimal(value) for value in ("0.0", "7.5", "10.0", "7", "7.50")]
+# 1*1 and 2*0.5 are equal products that differ in exponent, as are
+# 1.5*1 and 1.5*1.0.
+ENVS = [
+    Decimal(e) * Decimal(c)
+    for e, c in (("1", "1"), ("2", "0.5"), ("1.5", "1.2"), ("1.5", "1"), ("1.5", "1.0"))
+]
 
 
 def scored(year, number, width, utility, opportune, labeler, cvss, wx, env):
@@ -200,7 +207,10 @@ TEXT_TITLES = {
 def tied_portfolio(n):
     labelers = list(Labeler)
     return [
-        scored("2020", i, 5, i % 3, i % 2, labelers[i % 2], CVSS[i % 3], i % 4, ENVS[i % 3])
+        scored(
+            "2020", i, 5, i % 3, i % 2, labelers[i % 2], CVSS[i % len(CVSS)], i % 4,
+            ENVS[i % len(ENVS)],
+        )
         for i in range(n)
     ]
 
@@ -224,6 +234,24 @@ def test_export_chunks_at_chunk_boundaries(size):
     if size == 0:
         assert export(portfolio, ExportFormat.STRUCTURED) == b""
         assert export(portfolio, ExportFormat.CSV) == (",".join(CSV_COLUMNS) + "\n").encode()
+
+
+def test_more_distinct_values_than_the_caches_hold():
+    # Over CHUNK_LINES distinct threats, CVSS values and env products,
+    # each seen again after its cache was emptied.
+    labelers = list(Labeler)
+    distinct = CHUNK_LINES + 3
+    portfolio = [
+        scored(
+            "2021", i, 5, i % 3, i % 2, labelers[i % 2], Decimal(i % distinct).scaleb(-3), i % 5,
+            Decimal(1000 + i % (distinct + 2)).scaleb(-3),
+        )
+        for i in range(2 * CHUNK_LINES + 1)
+    ]
+    assert len({s.threat_score for s in portfolio}) > CHUNK_LINES
+    assert len({s.cvss for s in portfolio}) > CHUNK_LINES
+    assert len({s.env for s in portfolio}) > CHUNK_LINES
+    assert_equivalent(portfolio)
 
 
 def test_comparison_report_is_one_chunk():

@@ -1,13 +1,16 @@
 """Threat score arithmetic and portfolio scoring."""
 
+import math
 import random
 from datetime import datetime, timezone
 from decimal import Decimal
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vulnrank.cvss import BaseScore, Severity, severity_of
+from vulnrank.cli import WEIGHT_RANGE
+from vulnrank.cvss import Severity, base_score, parse_vector, severity_of
 from vulnrank.feeds import (
     AssetContext,
     Criticality,
@@ -23,7 +26,6 @@ from vulnrank.feeds import (
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
     NEUTRAL_ENV,
-    EnvironmentalFactors,
     EnvWeights,
     InvalidConfig,
     MissingCvss,
@@ -37,6 +39,15 @@ from vulnrank.scoring import (
 )
 
 from conftest import WORKED_TRIO, trio_cve_rows, trio_ref_rows, write_jsonl
+
+
+# Weights as the config parser accepts them: up to four decimals, within
+# WEIGHT_RANGE.
+WEIGHTS = st.integers(0, 4).flatmap(
+    lambda places: st.integers(
+        math.ceil(WEIGHT_RANGE[0].scaleb(places)), int(WEIGHT_RANGE[1].scaleb(places))
+    ).map(lambda n: Decimal(n).scaleb(-places))
+)
 
 
 def labels(utility=0, opportune=0, source=Labeler.SME):
@@ -69,11 +80,11 @@ class TestThreatScore:
             cvss = Decimal(rng.randrange(0, 101)).scaleb(-1)
             wx = rng.randrange(0, 500)
             u, o = rng.choice((0, 1, 2)), rng.choice((0, 1))
-            env = EnvironmentalFactors(Decimal("1.5"), Decimal("1.2"))
+            env = Decimal("1.5") * Decimal("1.2")
             step = threat_score(cvss, wx + 1, labels(u, o), env) - threat_score(
                 cvss, wx, labels(u, o), env
             )
-            assert step == (u + 1) * (o + 1) * env.product
+            assert step == (u + 1) * (o + 1) * env
 
     def test_exact_by_representation(self):
         # Products 1 and 1.00 are equal, yet the scores they give print
@@ -81,10 +92,37 @@ class TestThreatScore:
         private_low = env_factor(AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.LOW))
         envs, cvss_values = (NEUTRAL_ENV, private_low), map(Decimal, ("0.0", "7.5", "10.0"))
         for env, cvss, wx, u, o in product(envs, cvss_values, (0, 1, 12), (0, 1, 2), (0, 1)):
-            expected = (cvss + wx) * (u + 1) * (o + 1) * env.product
+            expected = (cvss + wx) * (u + 1) * (o + 1) * env
             assert str(threat_score(cvss, wx, labels(u, o), env)) == str(expected)
         assert str(threat_score(Decimal("7.5"), 0, labels(), NEUTRAL_ENV)) == "7.5"
         assert str(threat_score(Decimal("7.5"), 0, labels(), private_low)) == "7.500"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        cvss=st.one_of(
+            st.integers(0, 100).map(lambda tenths: Decimal(tenths).scaleb(-1)),
+            st.sampled_from([Decimal("7"), Decimal("7.50"), Decimal("0"), Decimal("10.00")]),
+        ),
+        wx=st.integers(0, 10**6),
+        exposure=WEIGHTS,
+        criticality=WEIGHTS,
+    )
+    def test_equals_the_formula_multiplied_out(self, cvss, wx, exposure, criticality):
+        weights = EnvWeights(
+            exposure={Exposure.PUBLIC: exposure}, criticality={Criticality.HIGH: criticality}
+        )
+        env = env_factor(AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH), weights)
+        assert str(env) == str(exposure * criticality)
+        for u, o in product(range(3), range(2)):
+            score = threat_score(cvss, wx, labels(u, o), env)
+            # Factor by factor, and through one (u + 1) * (o + 1) * env
+            # multiplier, as a table of multipliers per env would give it.
+            for expected in (
+                (cvss + wx) * (u + 1) * (o + 1) * exposure * criticality,
+                (cvss + wx) * ((u + 1) * (o + 1) * (exposure * criticality)),
+            ):
+                assert score == expected
+                assert str(score) == str(expected)
 
     def test_strictly_monotone_in_categories(self):
         five = Decimal("5.0")
@@ -104,6 +142,12 @@ class TestThreatScore:
             threat_score(Decimal("10.1"), 0, labels())
         with pytest.raises(ScoringError):
             threat_score(Decimal("5.0"), -1, labels())
+        # A row built by hand cannot carry an env no weights could give.
+        for env in (Decimal(0), Decimal("-1.5")):
+            with pytest.raises(ScoringError, match=f"^env product {env} must be positive$"):
+                threat_score(Decimal("5.0"), 0, labels(), env)
+            with pytest.raises(ScoringError):
+                ScoredVulnerability("CVE-2020-0001", Decimal("5.0"), 0, labels(), env)
 
     def test_label_validation(self):
         with pytest.raises(InvalidCategory):
@@ -114,27 +158,31 @@ class TestThreatScore:
 
 class TestEnvFactor:
     def test_missing_context_is_neutral(self):
-        factors = env_factor(None)
-        assert factors.product == Decimal(1)
+        assert env_factor(None) is NEUTRAL_ENV
+        assert str(NEUTRAL_ENV) == "1"
 
     def test_public_high_default(self):
         ctx = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH)
-        assert env_factor(ctx).product == Decimal("2.25")
+        assert str(env_factor(ctx)) == "2.25"
 
     def test_private_low_default(self):
         ctx = AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.LOW)
-        assert env_factor(ctx).product == Decimal("1.00")
+        assert str(env_factor(ctx)) == "1.00"
 
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(InvalidConfig):
-            EnvironmentalFactors(Decimal(0), Decimal(1))
-        bad = EnvWeights(
-            exposure={Exposure.PUBLIC: Decimal("-1"), Exposure.PRIVATE: Decimal(1)},
-            criticality=DEFAULT_ENV_WEIGHTS.criticality,
-        )
+    @pytest.mark.parametrize("weight", [Decimal(0), Decimal("-0.0"), Decimal("-1")], ids=str)
+    @pytest.mark.parametrize("table", ["exposure", "criticality"])
+    def test_nonpositive_weight_rejected(self, table, weight):
+        tables = {
+            "exposure": {**DEFAULT_ENV_WEIGHTS.exposure},
+            "criticality": {**DEFAULT_ENV_WEIGHTS.criticality},
+        }
+        tables[table][Exposure.PUBLIC if table == "exposure" else Criticality.LOW] = weight
         ctx = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.LOW)
-        with pytest.raises(InvalidConfig):
-            env_factor(ctx, bad)
+        with pytest.raises(InvalidConfig, match=f"^environmental weight {weight} must be positive$"):
+            env_factor(ctx, EnvWeights(**tables))
+        # Contexts that do not use the bad weight still score.
+        other = AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.HIGH)
+        assert env_factor(other, EnvWeights(**tables)) == Decimal("1.5")
 
     def test_partial_weights_name_the_missing_member(self):
         # The config parser fills left-out members from the defaults; a
@@ -143,7 +191,7 @@ class TestEnvFactor:
             exposure={Exposure.PUBLIC: Decimal(2)}, criticality=DEFAULT_ENV_WEIGHTS.criticality
         )
         public = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.LOW)
-        assert env_factor(public, partial).product == Decimal(2)
+        assert env_factor(public, partial) == Decimal(2)
         private = AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.LOW)
         with pytest.raises(InvalidConfig, match="no weight configured for Exposure.PRIVATE"):
             env_factor(private, partial)
@@ -196,7 +244,7 @@ class TestScorePortfolio:
         records, wx_map, labels_map = self.load_trio(tmp_path)
         scored = {s.cve_id: s for s in score_portfolio(records, wx_map, labels_map)}
         pump, urllib3 = scored["CVE-2020-27256"], scored["CVE-2019-11324"]
-        assert pump.cvss.value < urllib3.cvss.value
+        assert pump.cvss < urllib3.cvss
         assert pump.threat_score > urllib3.threat_score
 
     def test_all_neutral_degenerates_to_cvss(self):
@@ -236,19 +284,37 @@ class TestScorePortfolio:
 
         with caplog.at_level(logging.WARNING, logger="vulnrank.scoring"):
             (scored,) = score_portfolio(records, {}, {"CVE-2017-0143": labels()})
-        assert scored.cvss.value == Decimal("8.1")
+        assert scored.cvss == base_score(records[0].vector).value == Decimal("8.1")
         assert "disagrees" in caplog.text
 
     def test_published_score_used_without_vector(self):
         record = CveRecord("CVE-2020-0001", "text", published_score=Decimal("9.8"))
         (scored,) = score_portfolio([record], {}, {"CVE-2020-0001": labels()})
-        assert scored.cvss.severity is Severity.CRITICAL
+        assert scored.cvss is record.published_score
+        assert severity_of(scored.cvss) is Severity.CRITICAL
+
+    def test_row_cvss_is_the_published_decimal_or_the_vector_score(self):
+        # Equal published scores of other exponents stay apart, each the
+        # record's own object; a vector's row holds its base score.
+        vector = parse_vector("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H")
+        records = [
+            CveRecord("CVE-2020-0001", "text", published_score=Decimal("7.0")),
+            CveRecord("CVE-2020-0002", "text", published_score=Decimal("7")),
+            CveRecord("CVE-2020-0003", "text", published_score=Decimal("7.00")),
+            CveRecord("CVE-2020-0004", "text", vector=vector, published_score=Decimal("7.0")),
+        ]
+        scored = score_portfolio(records, {}, {r.cve_id: labels() for r in records})
+        for row, record in zip(scored[:3], records):
+            assert row.cvss is record.published_score
+        assert [str(s.cvss) for s in scored] == ["7.0", "7", "7.00", "9.8"]
+        assert scored[3].cvss is base_score(vector).value
+        assert [str(s.threat_score) for s in scored] == ["7.0", "7", "7.00", "9.8"]
 
     def test_scored_invariant_enforced(self, tmp_path):
         with pytest.raises(TypeError):
             ScoredVulnerability(
                 cve_id="CVE-2020-0001",
-                cvss=BaseScore(Decimal("5.0"), severity_of(Decimal("5.0"))),
+                cvss=Decimal("5.0"),
                 wx=0,
                 labels=labels(),
                 env=NEUTRAL_ENV,
@@ -259,7 +325,7 @@ class TestScorePortfolio:
         scored = score_portfolio(records, wx_map, labels_map, ctx_map)
         assert [s.wx for s in scored] == [rec["wx"] for rec in WORKED_TRIO]
         for s in scored:
-            assert s.threat_score == threat_score(s.cvss.value, s.wx, s.labels, s.env)
+            assert s.threat_score == threat_score(s.cvss, s.wx, s.labels, s.env)
 
     def test_threat_score_computed_once_per_record(self, tmp_path, monkeypatch):
         import vulnrank.scoring
@@ -368,6 +434,4 @@ class TestScorePortfolio:
         assert env[0] is env[1] is env[3]
         assert env[2] is not env[0]
         assert env[4] is env[5] is NEUTRAL_ENV
-        assert [e.product for e in env] == [
-            Decimal("2.25"), Decimal("2.25"), Decimal("1.0"), Decimal("2.25"), 1, 1
-        ]
+        assert [str(e) for e in env] == ["2.25", "2.25", "1.00", "2.25", "1", "1"]

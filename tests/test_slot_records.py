@@ -24,7 +24,7 @@ from vulnrank.feeds import (
     load_labels,
     merge_labels,
 )
-from vulnrank.scoring import ScoredVulnerability, env_factor, score_portfolio
+from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability, env_factor, score_portfolio
 
 from conftest import write_jsonl
 
@@ -98,25 +98,39 @@ def test_scored_rows():
     records = [
         CveRecord("CVE-2020-0001", "a", parse_vector(VECTOR)),
         CveRecord("CVE-2020-0002", "b", published_score=Decimal("7.5")),
+        CveRecord("CVE-2020-0003", "c", published_score=Decimal("7.50")),
+        CveRecord("CVE-2020-0004", "d", published_score=Decimal("7.5")),
     ]
     labels = {
         "CVE-2020-0001": LabeledExample("CVE-2020-0001", 2, 1, Labeler.SME, STAMP),
         "CVE-2020-0002": LabeledExample("CVE-2020-0002", 1, 0, Labeler.MODEL, STAMP),
+        "CVE-2020-0003": LabeledExample("CVE-2020-0003", 0, 1, Labeler.SME, STAMP),
+        "CVE-2020-0004": LabeledExample("CVE-2020-0004", 2, 0, Labeler.MODEL, STAMP),
     }
     wx = {"CVE-2020-0001": 3}
-    ctx = {"CVE-2020-0002": AssetContext("CVE-2020-0002", Exposure.PUBLIC, Criticality.HIGH)}
-    scored = score_portfolio(records, wx, labels, ctx)
-    cvss = {
-        "CVE-2020-0001": base_score(parse_vector(VECTOR)).value, "CVE-2020-0002": Decimal("7.5")
+    ctx = {
+        cve_id: AssetContext(cve_id, Exposure.PUBLIC, Criticality.HIGH)
+        for cve_id in ("CVE-2020-0002", "CVE-2020-0003")
     }
-    for row in scored:
+    scored = score_portfolio(records, wx, labels, ctx)
+    for row, record in zip(scored, records, strict=True):
         built = ScoredVulnerability(
             row.cve_id, row.cvss, wx.get(row.cve_id, 0), labels[row.cve_id],
             env_factor(ctx.get(row.cve_id)),
         )
-        assert row.cvss.value == cvss[row.cve_id]
         assert row.threat_score.as_tuple() == built.threat_score.as_tuple()
         assert_same_record(row, built, wx=row.wx + 1)
+        # Each factor is a plain value: the published score is the
+        # record's own Decimal, a vector's is its base score.
+        if record.vector is None:
+            assert row.cvss is record.published_score
+        else:
+            assert row.cvss is base_score(record.vector).value
+    # Rows with one context share one env Decimal; the others are neutral.
+    assert scored[1].env is scored[2].env
+    assert str(scored[1].env) == "2.25"
+    assert scored[0].env is scored[3].env is NEUTRAL_ENV
+    assert [str(row.cvss) for row in scored] == ["9.8", "7.5", "7.50", "7.5"]
 
 
 @pytest.mark.parametrize("value", [True, 3, "1"], ids=repr)
