@@ -246,8 +246,8 @@ CONFIG_KEYS = {
     "model_opportune": (_path, "opportune model file"),
     "output": (_path, "output path (default: stdout)"),
     "format": (_format, FORMAT_NAMES),
-    # The seeds numpy's RandomState takes (triage.svm.SEED_RANGE, not imported
-    # here: that would load numpy for every command).
+    # The seeds of the legacy MT19937 seeding (triage.svm.SEED_RANGE, not
+    # imported here: that would load numpy for every command).
     "seed": (partial(_integer, low=0, high=2**32 - 1), "RNG seed (default 42)"),
     "min_df": (partial(_integer, low=1), "vocabulary min document frequency"),
     "epochs": (partial(_integer, low=1), "training epochs"),
@@ -332,15 +332,17 @@ def cmd_ingest(config: RunConfig) -> int:
 def cmd_train(config: RunConfig, task: Task) -> int:
     train_config = TrainConfig(epochs=config.epochs, reg_lambda=config.reg_lambda, seed=config.seed)
     _require_paths(config, ["cves", "labels"])
-    records = load_cve_records(config.cves)
-    merged = _effective_labels(config)
-    # Model rows are predictions, with a placeholder 0 for the task not
-    # predicted; a model learns from SME judgments only.
-    examples = [ex for _, ex in sorted(merged.items()) if ex.labeler is Labeler.SME]
-    if len(examples) < 5:
-        raise CorpusTooSmall(f"label store holds {len(examples)} SME examples; need at least 5")
-    examples = attach_descriptions(examples, records)
-    del records, merged  # only the join reads them; train's peak comes after
+    with _cve_feed_error_first(config, CorpusTooSmall):
+        merged = _effective_labels(config)
+        # Model rows are predictions, with a placeholder 0 for the task not
+        # predicted; a model learns from SME judgments only.
+        examples = [ex for _, ex in sorted(merged.items()) if ex.labeler is Labeler.SME]
+        del merged  # train's peak comes after the join
+        if len(examples) < 5:
+            raise CorpusTooSmall(f"label store holds {len(examples)} SME examples; need at least 5")
+    # The CVE feed streams through the join, which keeps only the labeled
+    # CVEs' descriptions; a bad feed line raises before the missing ids.
+    examples = attach_descriptions(examples, iter_cve_records(config.cves))
 
     stratify = task.label_of if config.stratified else None
     train_set, test_set = split(examples, seed=config.seed, stratify_key=stratify)
@@ -436,15 +438,26 @@ def _cyclic_gc_paused():
             gc.enable()
 
 
-def _scored_portfolio(config: RunConfig):
-    """Load labels, refs and context, then score the CVE feed as it streams.
+@contextmanager
+def _cve_feed_error_first(config: RunConfig, *errors: type[Exception]):
+    """Run a block that reads the other inputs before the CVE feed streams.
 
-    The CVE feed's own error wins, as when it was read first: when another
-    feed fails to load, the CVE feed is read through before that error is
-    raised.
+    The CVE feed's own error wins, as when it was read first: when the
+    block raises a FeedError, an OSError or one of ``errors``, the CVE
+    feed is read through before that error is raised.
     """
-    _require_paths(config, ["cves", "labels"], ("refs", "context"))
     try:
+        yield
+    except (FeedError, OSError, *errors):
+        for _ in iter_cve_records(config.cves):
+            pass
+        raise
+
+
+def _scored_portfolio(config: RunConfig):
+    """Load labels, refs and context, then score the CVE feed as it streams."""
+    _require_paths(config, ["cves", "labels"], ("refs", "context"))
+    with _cve_feed_error_first(config):
         labels = _effective_labels(config)
         wx_map = {}
         if config.refs is not None:
@@ -456,10 +469,6 @@ def _scored_portfolio(config: RunConfig):
         ctx_map = {}
         if config.context is not None:
             ctx_map = load_asset_context(config.context)
-    except (FeedError, OSError):
-        for _ in iter_cve_records(config.cves):
-            pass
-        raise
     records = iter_cve_records(config.cves)
     return score_portfolio(records, wx_map, labels, ctx_map, config.env_weights)
 

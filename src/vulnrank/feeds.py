@@ -39,7 +39,8 @@ and checked as above. For any line both ways give the same record, or
 the same error at the same line.
 
 The loaders build records they have checked through the dataclasses'
-slot setters, without the frozen ``__init__``; a record built by its
+slot setters, without the frozen ``__init__``, and ``attach_descriptions``
+builds its examples from checked ones the same way; a record built by its
 constructor is checked there, as before.
 """
 
@@ -50,7 +51,7 @@ import logging
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
@@ -629,17 +630,33 @@ def attach_descriptions(
 ) -> list[LabeledExample]:
     """Fill each example's description from the CVE feed.
 
-    Raises SchemaError naming the CVEs that have labels but no feed
-    record, since such examples have no description to train on.
+    ``records`` is read once, and only the descriptions of the examples'
+    ids are kept, so a streamed feed (``iter_cve_records``) holds one
+    record at a time. Raises SchemaError naming the CVEs that have labels
+    but no feed record, since such examples have no description to train
+    on; a feed that raises part-way raises before that check.
     """
-    by_id = {rec.cve_id: rec.description for rec in records}
+    examples = list(examples)
+    wanted = {ex.cve_id for ex in examples}
+    by_id = {rec.cve_id: rec.description for rec in records if rec.cve_id in wanted}
+    set_id, set_utility, set_opportune, set_labeler, set_ts, set_description = (
+        _LABELED_EXAMPLE_SETTERS
+    )
     out = []
     missing = []
     for ex in examples:
-        if ex.cve_id not in by_id:
+        description = by_id.get(ex.cve_id)
+        if description is None:
             missing.append(ex.cve_id)
-        else:
-            out.append(replace(ex, description=by_id[ex.cve_id]))
+            continue
+        joined = _new(LabeledExample)
+        set_id(joined, ex.cve_id)
+        set_utility(joined, ex.utility)
+        set_opportune(joined, ex.opportune)
+        set_labeler(joined, ex.labeler)
+        set_ts(joined, ex.labeled_at)
+        set_description(joined, description)
+        out.append(joined)
     if missing:
         raise SchemaError(f"labeled CVEs absent from the CVE feed: {', '.join(sorted(missing))}")
     return out

@@ -24,8 +24,10 @@ the decay of ``s``, the step size and the bias. Python floats round
 exactly as numpy's float64 does, and each expression keeps the
 operation order the trainer had when V was a (K, vocabulary + 1)
 array, so training still yields the same bytes. Only a step that
-violates a margin touches ``Vt`` again, adding the outer product of the
-document's values and the K steps. The layout is fixed for that
+violates a margin computes a step size and touches ``Vt`` again: it adds
+the outer product of the document's values and the K steps to the
+gathered block, which still equals ``Vt[idx]``, and stores the sum
+back, as ``Vt[idx] +=`` would. The layout is fixed for that
 identity, not for speed alone: the gathered (nnz, K) block has the same
 memory image as the F-ordered ``V[:, idx]`` numpy returned before, so
 both reach the same BLAS kernel and sum each dot product in the same
@@ -36,12 +38,18 @@ A model whose weights or bias end up non-finite raises TrainingDiverged.
 
 Training is single-threaded and fully deterministic: the per-epoch
 shuffle order comes from one seeded generator, so identical data, config
-and seed reproduce bitwise-identical weights.
+and seed reproduce bitwise-identical weights. The generator is the
+standard library's Mersenne Twister (MT19937) seeded as numpy's legacy
+``RandomState(seed)`` seeds it, and a shuffle draws as its
+``permutation`` does, so every order is the one ``RandomState`` gives
+without loading ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
@@ -54,7 +62,7 @@ from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 
 # Below this the scale of W = s * V is folded back into V.
 _SCALE_FLOOR = 1e-9
-# The seeds numpy's RandomState accepts.
+# The seeds of the legacy MT19937 seeding: one 32-bit word.
 SEED_RANGE = (0, 2**32 - 1)
 
 
@@ -70,6 +78,59 @@ class DegenerateTaskWarning(UserWarning):
     """Train set holds a single class; the model will predict it constantly."""
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ValueError for a bool or a value that is not an
+    integer (``operator.index`` takes numpy integers too)."""
+    # bool is an int subclass, so True would otherwise pass as 1.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _checked_seed(seed) -> int:
+    seed = _integer("seed", seed)
+    low, high = SEED_RANGE
+    if not low <= seed <= high:
+        raise ValueError(f"seed must be in [{low}, {high}], got {seed!r}")
+    return seed
+
+
+def _generator(seed: int) -> random.Random:
+    """A Mersenne Twister in the state numpy's legacy ``RandomState(seed)``
+    starts from: its 624 key words from the recurrence of ``mt19937_seed``,
+    with the next draw regenerating them all."""
+    key = [seed]
+    for i in range(1, 624):
+        prev = key[-1]
+        key.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+    rng = random.Random()
+    rng.setstate((3, (*key, 624), None))
+    return rng
+
+
+def _permutation(rng: random.Random, n: int) -> list[int]:
+    """``range(n)`` shuffled as legacy ``RandomState.permutation(n)`` shuffles
+    it from the same state: a Fisher-Yates pass from the end, each index
+    drawn as a masked 32-bit word and redrawn while it exceeds ``i``."""
+    order = list(range(n))
+    draw = rng.getrandbits
+    top = n - 1
+    while top > 0:
+        # The mask is the smallest all-ones word covering i: one for every
+        # i from top down to mask >> 1, exclusive.
+        mask = (1 << top.bit_length()) - 1
+        for i in range(top, mask >> 1, -1):
+            j = draw(32) & mask
+            while j > i:
+                j = draw(32) & mask
+            order[i], order[j] = order[j], order[i]
+        top = mask >> 1
+    return order
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
@@ -78,15 +139,17 @@ class TrainConfig:
     schedule: str = "inv_lambda_t"
 
     def __post_init__(self):
-        if self.epochs < 1:
+        epochs = _integer("epochs", self.epochs)
+        if epochs < 1:
             raise ValueError("epochs must be >= 1")
         # An infinite lambda makes every step 1/(inf * t) = 0, an all-zero
         # model, and a model file holding Infinity, which is not JSON.
         if not 0 < self.reg_lambda < math.inf:
             raise ValueError(f"reg_lambda must be positive and finite, got {self.reg_lambda!r}")
-        low, high = SEED_RANGE
-        if not low <= self.seed <= high:
-            raise ValueError(f"seed must be in [{low}, {high}], got {self.seed!r}")
+        # A numpy integer is stored as the int it is, so the model file's
+        # JSON holds a plain number.
+        object.__setattr__(self, "epochs", epochs)
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         if self.schedule != "inv_lambda_t":
             raise ValueError(f"unsupported step schedule {self.schedule!r}")
 
@@ -119,7 +182,8 @@ def split(
 
     The partition is exact: train and test are disjoint and together
     hold every example. Unstratified by default; pass ``stratify_key``
-    to split each key group at the same fraction instead.
+    to split each key group at the same fraction instead. ``seed`` must
+    be an integer in ``SEED_RANGE``; anything else raises ValueError.
     """
     n = len(examples)
     if n < 5:
@@ -127,9 +191,9 @@ def split(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
 
-    rng = np.random.RandomState(seed)
+    rng = _generator(_checked_seed(seed))
     if stratify_key is None:
-        order = rng.permutation(n)
+        order = _permutation(rng, n)
         cut = int(train_fraction * n)
         train_idx, test_idx = order[:cut], order[cut:]
     else:
@@ -138,11 +202,11 @@ def split(
             groups.setdefault(stratify_key(ex), []).append(i)
         train_idx, test_idx = [], []
         for key in sorted(groups, key=repr):
-            members = np.array(groups[key])
-            order = rng.permutation(len(members))
+            members = groups[key]
+            order = _permutation(rng, len(members))
             cut = int(train_fraction * len(members))
-            train_idx.extend(members[order[:cut]])
-            test_idx.extend(members[order[cut:]])
+            train_idx += [members[i] for i in order[:cut]]
+            test_idx += [members[i] for i in order[cut:]]
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise ValueError(f"fraction {train_fraction} leaves an empty train or test set")
     return [examples[i] for i in train_idx], [examples[i] for i in test_idx]
@@ -205,22 +269,27 @@ def train(
     bias = [0.0] * n_classes
     s = 1.0
     lam = config.reg_lambda
-    rng = np.random.RandomState(config.seed)
+    rng = _generator(config.seed)
     t = 0
     for _ in range(config.epochs):
-        for i in rng.permutation(X.shape[0]).tolist():
+        for i in _permutation(rng, len(rows)):
             t += 1
-            eta = 1.0 / (lam * t)
             idx, val = rows[i]
             ys = Y[i]
-            dots = (val @ Vt.take(idx, 0)).tolist()
-            margins = [y * (s * (d + b)) for y, d, b in zip(ys, dots, bias)]
+            block = Vt.take(idx, 0)
+            # m < 1.0 per class, not min(margins): a NaN margin never violates.
+            violated = [
+                y * (s * (d + b)) < 1.0 for y, d, b in zip(ys, (val @ block).tolist(), bias)
+            ]
             if t > 1:
                 s *= 1.0 - 1.0 / t
-            # m < 1.0 per class, not min(margins): a NaN margin never violates.
-            if any(m < 1.0 for m in margins):
-                step = [eta * y / s if m < 1.0 else 0.0 for y, m in zip(ys, margins)]
-                Vt[idx] += np.multiply.outer(val, step)
+            if True in violated:
+                eta = 1.0 / (lam * t)
+                step = [eta * y / s if v else 0.0 for y, v in zip(ys, violated)]
+                # The gathered rows are Vt[idx] as it still is; their sum
+                # with the update is what Vt[idx] += would store.
+                block += np.multiply.outer(val, step)
+                Vt[idx] = block
                 bias = [b + st for b, st in zip(bias, step)]
             if s < _SCALE_FLOOR:
                 Vt *= s

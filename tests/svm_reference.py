@@ -1,6 +1,8 @@
 """Reference SGD trainer: the sparse trainer as it was before ``V`` was
 stored transposed, kept as the oracle the differential test compares
-``vulnrank.triage.svm.train`` with.
+``vulnrank.triage.svm.train`` with. ``split`` is the train/test split as
+it was while it drew its orders from ``numpy.random.RandomState``, the
+oracle for the standard-library shuffle.
 
 It keeps ``W = s * V`` as a ``(K, vocab.size + 1)`` array whose last
 column is the bias, and does every step's arithmetic on numpy arrays.
@@ -8,13 +10,14 @@ The library trainer must reproduce its weights and biases bit for bit.
 """
 
 import warnings
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from vulnrank.feeds import LabeledExample
 from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 from vulnrank.triage.svm import (
+    CorpusTooSmall,
     DegenerateTaskWarning,
     LinearModel,
     Task,
@@ -98,3 +101,37 @@ def train(
         vocab=vocab,
         config=config,
     )
+
+
+def split(
+    examples: Sequence[LabeledExample],
+    train_fraction: float = 0.8,
+    seed: int = 42,
+    stratify_key: Callable[[LabeledExample], Hashable] | None = None,
+) -> tuple[list[LabeledExample], list[LabeledExample]]:
+    """Seeded shuffle-then-prefix split into (train, test)."""
+    n = len(examples)
+    if n < 5:
+        raise CorpusTooSmall(f"need at least 5 examples, got {n}")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+
+    rng = np.random.RandomState(seed)
+    if stratify_key is None:
+        order = rng.permutation(n)
+        cut = int(train_fraction * n)
+        train_idx, test_idx = order[:cut], order[cut:]
+    else:
+        groups: dict[Hashable, list[int]] = {}
+        for i, ex in enumerate(examples):
+            groups.setdefault(stratify_key(ex), []).append(i)
+        train_idx, test_idx = [], []
+        for key in sorted(groups, key=repr):
+            members = np.array(groups[key])
+            order = rng.permutation(len(members))
+            cut = int(train_fraction * len(members))
+            train_idx.extend(members[order[:cut]])
+            test_idx.extend(members[order[cut:]])
+    if len(train_idx) == 0 or len(test_idx) == 0:
+        raise ValueError(f"fraction {train_fraction} leaves an empty train or test set")
+    return [examples[i] for i in train_idx], [examples[i] for i in test_idx]

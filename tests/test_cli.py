@@ -393,6 +393,52 @@ class TestTrain:
         assert err == "error: label store holds 4 SME examples; need at least 5\n"
         assert not (tmp_path / "utility_model.json").exists()
 
+    # The CVE feed streams through the join after the label store loads,
+    # yet its error is the one reported, as when it was read first.
+    def bad_cve_feed(self, directory, corpus):
+        cves = directory / "cves.jsonl"
+        write_cve_feed(cves, synth_cve_records(corpus))
+        cves.write_text(cves.read_text() + '{"id": "CVE-2020-0009"}\n')
+        return f"error: {cves}:{len(corpus) + 1}: missing field 'description'\n"
+
+    def test_cve_feed_error_wins_over_a_bad_label_store(self, tmp_path, capsys):
+        expected = self.bad_cve_feed(tmp_path, synth_labeled_corpus(n=10, seed=1))
+        (tmp_path / "labels.jsonl").write_text("not json\n")
+        assert main(self.train_args(tmp_path)) == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "utility_model.json").exists()
+
+    def test_cve_feed_error_wins_over_too_few_sme_rows(self, tmp_path, capsys):
+        corpus = synth_labeled_corpus(n=10, seed=1)
+        expected = self.bad_cve_feed(tmp_path, corpus)
+        save_labels(tmp_path / "labels.jsonl", corpus[:4])
+        assert main(self.train_args(tmp_path)) == 2
+        assert capsys.readouterr().err == expected
+
+    def test_cve_feed_error_wins_over_labels_absent_from_it(self, tmp_path, capsys):
+        corpus = synth_labeled_corpus(n=10, seed=1)
+        expected = self.bad_cve_feed(tmp_path, corpus[:5])
+        save_labels(tmp_path / "labels.jsonl", corpus)
+        assert main(self.train_args(tmp_path)) == 2
+        assert capsys.readouterr().err == expected
+
+    def test_labels_absent_from_a_good_feed_exit_2(self, tmp_path, capsys):
+        corpus = synth_labeled_corpus(n=10, seed=1)
+        write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus[2:]))
+        save_labels(tmp_path / "labels.jsonl", corpus)
+        assert main(self.train_args(tmp_path)) == 2
+        missing = ", ".join(sorted(ex.cve_id for ex in corpus[:2]))
+        assert capsys.readouterr().err == f"error: labeled CVEs absent from the CVE feed: {missing}\n"
+
+    def test_bad_label_store_when_the_cve_feed_is_good(self, tmp_path, capsys):
+        corpus = synth_labeled_corpus(n=10, seed=1)
+        write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
+        (tmp_path / "labels.jsonl").write_text("not json\n")
+        assert main(self.train_args(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'labels.jsonl'}:1: invalid JSON ("), err
+        assert err.count("\n") == 1, err
+
     def test_model_rows_are_not_trained_on(self, tmp_path, capsys):
         # predict stores its outputs as Model rows, with a placeholder 0 for
         # the task it did not predict; training on them once took the
@@ -429,8 +475,8 @@ class TestTrain:
             ({}, {"VULNRANK_EPOCHS": "abc"}),
             ({}, {"VULNRANK_MIN_DF": "abc"}),
             ({}, {"VULNRANK_REG_LAMBDA": "abc"}),
-            # numpy's RandomState takes seeds in [0, 2**32 - 1]; outside
-            # it, a ValueError traceback and exit 1.
+            # The legacy MT19937 seeding takes seeds in [0, 2**32 - 1];
+            # outside it, once a ValueError traceback and exit 1.
             ({"seed": -1}, {}),
             ({}, {"VULNRANK_SEED": str(2**32)}),
             # An infinite lambda trained an all-zero model and wrote
@@ -712,10 +758,13 @@ class TestPredict:
             # A model trained with an infinite lambda: all zeros, and
             # predict labelled every CVE 0.
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": float("inf")}}),
+            # A fractional seed and epoch count once loaded, and predict exited 0.
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": 1.5, "epochs": 2.5}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": True}}),
         ],
         ids=[
             "corrupt-json", "missing-weights", "weight-shape", "bias-length", "string-classes",
-            "negative-documents", "infinite-lambda",
+            "negative-documents", "infinite-lambda", "fractional-seed-and-epochs", "bool-seed",
         ],
     )
     def test_corrupt_model_exits_4(self, trained, tmp_path, capsys, corrupt):

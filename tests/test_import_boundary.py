@@ -1,4 +1,6 @@
 """numpy is imported by train and predict only, and csv by no command.
+numpy.random is imported by none: train shuffles with the standard
+library's generator.
 
 ``vulnrank.cli`` binds the ``vulnrank.triage`` names on first access, so
 a process that scores, ranks, reports or ingests never loads numpy. The
@@ -21,6 +23,8 @@ import vulnrank
 import vulnrank.cli
 import vulnrank.triage
 from vulnrank.cli import build_parser
+from vulnrank.feeds import save_labels
+from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = Path(vulnrank.__file__).resolve().parents[1]
@@ -48,6 +52,23 @@ def test_score_rank_report_ingest_leave_numpy_unloaded(trio_feed_dir):
             capture_output=True, text=True, env=env, check=True,
         )
         assert json.loads(done.stdout.splitlines()[-1]) == [0, False, False], (command, done.stdout, done.stderr)
+
+
+def test_train_leaves_numpy_random_unloaded(tmp_path):
+    corpus = synth_labeled_corpus(n=60, seed=3)
+    write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus, seed=3))
+    save_labels(tmp_path / "labels.jsonl", corpus)
+    argv = [
+        "train", "--task", "utility", "--min-df", "1",
+        "--cves", str(tmp_path / "cves.jsonl"), "--labels", str(tmp_path / "labels.jsonl"),
+        "--model-utility", str(tmp_path / "utility_model.json"),
+    ]
+    child = CHILD.replace('"csv" in sys.modules', '"numpy.random" in sys.modules')
+    done = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, True, False], (done.stdout, done.stderr)
 
 
 def _tracer():

@@ -1,7 +1,7 @@
-"""Records the loaders and ``score_portfolio`` build through slot setters,
-without the frozen ``__init__``, are the records the constructor builds
-from the same values: equal, with equal hashes and reprs, ``replace``
-alike, and with every slot set."""
+"""Records the loaders, ``attach_descriptions`` and ``score_portfolio`` build
+through slot setters, without the frozen ``__init__``, are the records the
+constructor builds from the same values: equal, with equal hashes and
+reprs, ``replace`` alike, and with every slot set."""
 
 import dataclasses
 from datetime import datetime, timezone
@@ -19,6 +19,8 @@ from vulnrank.feeds import (
     InvalidCategory,
     LabeledExample,
     Labeler,
+    attach_descriptions,
+    iter_cve_records,
     load_asset_context,
     load_cve_records,
     load_labels,
@@ -77,6 +79,25 @@ def test_labeled_examples(tmp_path, store_form):
         assert ex.description == ""
         assert_same_record(ex, expected, description="text")
     assert merge_labels(loaded) == merge_labels(built)
+
+
+def test_joined_examples(tmp_path):
+    path = write_jsonl(tmp_path / "cves.jsonl", [
+        {"id": "CVE-2020-0001", "description": "a", "score": 5},
+        {"id": "CVE-2020-0002", "description": "unlabeled", "score": 5},
+        {"id": "CVE-2020-0003", "description": "", "score": 5},
+    ])
+    labels = [
+        LabeledExample("CVE-2020-0003", 1, 0, Labeler.SME, STAMP),
+        LabeledExample("CVE-2020-0001", 2, 1, Labeler.MODEL, STAMP, description="stale"),
+    ]
+    built = [
+        LabeledExample("CVE-2020-0003", 1, 0, Labeler.SME, STAMP, description=""),
+        LabeledExample("CVE-2020-0001", 2, 1, Labeler.MODEL, STAMP, description="a"),
+    ]
+    joined = attach_descriptions(iter(labels), iter_cve_records(path))
+    for ex, expected in zip(joined, built, strict=True):
+        assert_same_record(ex, expected, description="text")
 
 
 def test_asset_context(tmp_path):

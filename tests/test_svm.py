@@ -439,6 +439,10 @@ class TestModelFiles:
             lambda doc: json.dumps({**doc, "classes": [0.0, 1.0, 2.0]}),
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": -1}}),
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": 2**32}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": 1.5}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": True}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "epochs": 2.5}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "epochs": "3"}}),
             # json.dumps writes Infinity, which json.load reads back as inf.
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": float("inf")}}),
         ],
@@ -450,7 +454,7 @@ class TestModelFiles:
             "huge-documents", "wrong-classes", "string-classes", "nan-weights", "inf-weight",
             "nan-bias", "unknown-config-key", "string-weights", "bool-weight", "string-bias",
             "bool-bias", "bool-version", "float-classes", "negative-seed", "seed-above-range",
-            "infinite-lambda",
+            "float-seed", "bool-seed", "float-epochs", "string-epochs", "infinite-lambda",
         ],
     )
     def test_corrupt_model_rejected(self, tmp_path, corrupt):
