@@ -7,7 +7,7 @@ the score distribution.
 
 from collections import Counter
 
-from vulnrank import base_score, parse_vector
+from vulnrank import base_score, parse_vector, severity_of
 from vulnrank.cvss import MissingMetric, UnknownMetricValue, iter_vectors, round_up
 
 # Three production vectors, straight from NVD.
@@ -20,10 +20,10 @@ VECTORS = {
 print("== scoring real vectors ==")
 for name, text in VECTORS.items():
     vector = parse_vector(text)
-    result = base_score(vector)
+    score = base_score(vector)
     print(f"{name}")
     print(f"  {vector.to_string()}")
-    print(f"  base score {result} ({result.severity.value})")
+    print(f"  base score {score} ({severity_of(score).value})")
 
 # The prefix is optional on input; serialization always emits it.
 short = parse_vector("AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H")
@@ -44,6 +44,6 @@ for bad in ("CVSS:3.1/AV:N/AC:L", "AV:X/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"):
 
 # All 2,592 possible base vectors, bucketed by severity.
 print("\n== severity distribution over the full vector space ==")
-bands = Counter(base_score(v).severity.value for v in iter_vectors())
+bands = Counter(severity_of(base_score(v)).value for v in iter_vectors())
 for band in ("None", "Low", "Medium", "High", "Critical"):
     print(f"{band:>8}: {bands[band]:>5}")

@@ -8,7 +8,6 @@ category assignment at portfolio scale.
 """
 
 from vulnrank.cvss import (
-    BaseScore,
     CvssVector,
     Severity,
     base_score,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssetContext",
-    "BaseScore",
     "ComparisonReport",
     "CveRecord",
     "CvssVector",

@@ -161,17 +161,6 @@ class CvssVector:
 _metric_values = attrgetter(*(f.name for f in fields(CvssVector) if f.init))
 
 
-@dataclass(frozen=True, slots=True)
-class BaseScore:
-    """One-place Decimal score in [0.0, 10.0] plus its severity band."""
-
-    value: Decimal
-    severity: Severity
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 @functools.lru_cache(maxsize=4096)
 def parse_vector(text: str) -> CvssVector:
     """Decode a CVSS v3.1 base vector string.
@@ -243,12 +232,13 @@ def severity_of(value: Decimal) -> Severity:
 
 # No size bound needed: only the 2,592 base vectors can be cached.
 @functools.lru_cache(maxsize=None)
-def base_score(v: CvssVector) -> BaseScore:
-    """Compute the base score of a vector.
+def base_score(v: CvssVector) -> Decimal:
+    """Compute the base score of a vector: a one-place Decimal in [0.0, 10.0].
 
     Impact and exploitability sub-scores are combined and rounded up to
     one decimal; a vector with no impact at all scores 0.0. Memoised per
-    vector.
+    vector, so every caller shares one Decimal per vector. Its severity
+    band is ``severity_of(score)``.
     """
     c = IMPACT_WEIGHT[v.confidentiality]
     i = IMPACT_WEIGHT[v.integrity]
@@ -271,13 +261,10 @@ def base_score(v: CvssVector) -> BaseScore:
     )
 
     if impact <= 0:
-        value = Decimal("0.0")
-    elif v.scope is Scope.UNCHANGED:
-        value = round_up(min(impact + exploitability, 10.0))
-    else:
-        value = round_up(min(1.08 * (impact + exploitability), 10.0))
-
-    return BaseScore(value=value, severity=severity_of(value))
+        return Decimal("0.0")
+    if v.scope is Scope.UNCHANGED:
+        return round_up(min(impact + exploitability, 10.0))
+    return round_up(min(1.08 * (impact + exploitability), 10.0))
 
 
 def iter_vectors() -> Iterator[CvssVector]:

@@ -138,7 +138,7 @@ def resolve_base_score(record: CveRecord) -> Decimal:
     since published scores drift across NVD revisions.
     """
     if record.vector is not None:
-        computed = base_score(record.vector).value
+        computed = base_score(record.vector)
         if record.published_score is not None and record.published_score != computed:
             logger.warning(
                 "%s: vector-derived score %s disagrees with published %s; using vector",

@@ -142,6 +142,11 @@ class TrainConfig:
         epochs = _integer("epochs", self.epochs)
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        # bool is an int subclass, so True would otherwise pass as 1. An
+        # int or a float is kept as given, and the model file's JSON holds
+        # that number; a numpy float32 or int64 would not serialise.
+        if isinstance(self.reg_lambda, bool) or not isinstance(self.reg_lambda, (int, float)):
+            raise ValueError(f"reg_lambda must be an int or a float, got {self.reg_lambda!r}")
         # An infinite lambda makes every step 1/(inf * t) = 0, an all-zero
         # model, and a model file holding Infinity, which is not JSON.
         if not 0 < self.reg_lambda < math.inf:

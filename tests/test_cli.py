@@ -761,10 +761,14 @@ class TestPredict:
             # A fractional seed and epoch count once loaded, and predict exited 0.
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": 1.5, "epochs": 2.5}}),
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": True}}),
+            # A lambda of true once loaded as 1.
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": True}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": "0.5"}}),
         ],
         ids=[
             "corrupt-json", "missing-weights", "weight-shape", "bias-length", "string-classes",
             "negative-documents", "infinite-lambda", "fractional-seed-and-epochs", "bool-seed",
+            "bool-lambda", "string-lambda",
         ],
     )
     def test_corrupt_model_exits_4(self, trained, tmp_path, capsys, corrupt):

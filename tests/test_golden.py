@@ -79,7 +79,7 @@ def write_golden_feeds(root):
             score = rng.randrange(0, 101)
             row["score"] = score // 10 if kind == 4 and score % 10 == 0 else score / 10
             if kind == 2 and rng.random() < 0.5:
-                row["score"] = float(base_score(vector).value)
+                row["score"] = float(base_score(vector))
         if kind == 3:
             row["references"] = [
                 {"url": f"https://example.org/{ex.cve_id}/{n}", "source": rng.choice(SOURCES),

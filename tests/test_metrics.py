@@ -1,10 +1,14 @@
 """Evaluation metrics against hand-computed confusion matrices."""
 
 import random
+from datetime import datetime, timezone
 
 import pytest
 
-from vulnrank.triage.metrics import EmptyTestSet, evaluate_predictions
+from vulnrank.feeds import LabeledExample, Labeler, Task
+from vulnrank.triage.features import fit_vocabulary
+from vulnrank.triage.metrics import EmptyTestSet, evaluate, evaluate_predictions
+from vulnrank.triage.svm import TrainConfig, train
 
 
 def realize(matrix, classes):
@@ -107,6 +111,24 @@ class TestAggregateProperties:
     def test_empty_test_set(self):
         with pytest.raises(EmptyTestSet):
             evaluate_predictions((0, 1), [], [])
+
+    def test_evaluate_empty_test_set(self):
+        # No prediction to score: evaluate_predictions raises for evaluate.
+        corpus = [
+            LabeledExample(
+                cve_id=f"CVE-2021-{n:05d}",
+                utility=n % 2,
+                opportune=0,
+                labeler=Labeler.SME,
+                labeled_at=datetime(2021, 1, 1, tzinfo=timezone.utc),
+                description=("alpha" if n % 2 else "beta") + " filler",
+            )
+            for n in range(4)
+        ]
+        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        model = train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=1))
+        with pytest.raises(EmptyTestSet, match=r"^no examples to evaluate$"):
+            evaluate(model, [])
 
     def test_report_lines_render(self):
         y_true, y_pred = realize([[5, 0], [2, 3]], (0, 1))

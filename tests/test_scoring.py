@@ -284,7 +284,7 @@ class TestScorePortfolio:
 
         with caplog.at_level(logging.WARNING, logger="vulnrank.scoring"):
             (scored,) = score_portfolio(records, {}, {"CVE-2017-0143": labels()})
-        assert scored.cvss == base_score(records[0].vector).value == Decimal("8.1")
+        assert scored.cvss == base_score(records[0].vector) == Decimal("8.1")
         assert "disagrees" in caplog.text
 
     def test_published_score_used_without_vector(self):
@@ -307,7 +307,7 @@ class TestScorePortfolio:
         for row, record in zip(scored[:3], records):
             assert row.cvss is record.published_score
         assert [str(s.cvss) for s in scored] == ["7.0", "7", "7.00", "9.8"]
-        assert scored[3].cvss is base_score(vector).value
+        assert scored[3].cvss is base_score(vector)
         assert [str(s.threat_score) for s in scored] == ["7.0", "7", "7.00", "9.8"]
 
     def test_scored_invariant_enforced(self, tmp_path):

@@ -146,7 +146,7 @@ def test_scored_rows():
         if record.vector is None:
             assert row.cvss is record.published_score
         else:
-            assert row.cvss is base_score(record.vector).value
+            assert row.cvss is base_score(record.vector)
     # Rows with one context share one env Decimal; the others are neutral.
     assert scored[1].env is scored[2].env
     assert str(scored[1].env) == "2.25"

@@ -237,6 +237,18 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"seed must be in \[0, 4294967295\]"):
             TrainConfig(seed=seed)
 
+    @pytest.mark.parametrize("reg_lambda", [True, False, "0.5", None, np.float32(0.5)])
+    def test_reg_lambda_not_an_int_or_float_rejected(self, reg_lambda):
+        # True would otherwise pass as a lambda of 1, and a float32 would
+        # train a model that save_model cannot write.
+        with pytest.raises(ValueError, match="reg_lambda must be an int or a float"):
+            TrainConfig(reg_lambda=reg_lambda)
+
+    @pytest.mark.parametrize("reg_lambda", [1, 0.5, np.float64(0.5)])
+    def test_reg_lambda_kept_as_given(self, reg_lambda):
+        # Not normalised to float, so a model file keeps the number it holds.
+        assert type(TrainConfig(reg_lambda=reg_lambda).reg_lambda) is type(reg_lambda)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_weights_raise(self):
         # 1 / (lambda * t) overflows for a subnormal lambda.
@@ -445,6 +457,8 @@ class TestModelFiles:
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "epochs": "3"}}),
             # json.dumps writes Infinity, which json.load reads back as inf.
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": float("inf")}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": True}}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": "0.5"}}),
         ],
         ids=[
             "not-json", "not-an-object", "no-weights", "no-tokens", "too-few-weight-rows",
@@ -455,6 +469,7 @@ class TestModelFiles:
             "nan-bias", "unknown-config-key", "string-weights", "bool-weight", "string-bias",
             "bool-bias", "bool-version", "float-classes", "negative-seed", "seed-above-range",
             "float-seed", "bool-seed", "float-epochs", "string-epochs", "infinite-lambda",
+            "bool-lambda", "string-lambda",
         ],
     )
     def test_corrupt_model_rejected(self, tmp_path, corrupt):
