@@ -11,7 +11,6 @@ from datetime import datetime, timezone
 from decimal import Decimal
 
 from vulnrank import (
-    AssetContext,
     CveRecord,
     LabeledExample,
     Labeler,
@@ -66,7 +65,7 @@ print("== ranked queue (neutral environment) ==")
 print(export(rank(scored), ExportFormat.TEXT).decode())
 
 print("CVSS order:   11324 (7.5) above 27256 (6.8)")
-print("threat order:", " > ".join(s.cve_id.split("-")[-1] for s in rank(scored).entries))
+print("threat order:", " > ".join(s.cve_id.split("-")[-1] for s in rank(scored)))
 print()
 
 # The comparison view: how the two orderings bucket the same portfolio.
@@ -75,8 +74,8 @@ print(export(compare(scored), ExportFormat.TEXT).decode())
 
 # Environmental factors: the same pump CVE on a public, high-criticality
 # asset multiplies by 1.5 * 1.5.
-ctx = {"CVE-2020-27256": AssetContext("CVE-2020-27256", Exposure.PUBLIC, Criticality.HIGH)}
+ctx = {"CVE-2020-27256": (Exposure.PUBLIC, Criticality.HIGH)}
 rescored = score_portfolio(RECORDS, WX, LABELS, ctx)
 print("== with asset context on the pump ==")
-for s in rank(rescored).entries:
+for s in rank(rescored):
     print(f"  {s.cve_id}: threat {s.threat_score} (env product {s.env})")

@@ -15,7 +15,6 @@ from vulnrank.cvss import (
     severity_of,
 )
 from vulnrank.feeds import (
-    AssetContext,
     CveRecord,
     LabeledExample,
     Labeler,
@@ -30,7 +29,6 @@ from vulnrank.feeds import (
 from vulnrank.report import (
     ComparisonReport,
     ExportFormat,
-    RankedPortfolio,
     compare,
     export,
     export_chunks,
@@ -48,7 +46,6 @@ from vulnrank.scoring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssetContext",
     "ComparisonReport",
     "CveRecord",
     "CvssVector",
@@ -57,7 +54,6 @@ __all__ = [
     "ExportFormat",
     "LabeledExample",
     "Labeler",
-    "RankedPortfolio",
     "ScoredVulnerability",
     "Severity",
     "base_score",

@@ -417,6 +417,11 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
     # merge_labels is a left fold, so merging the merged store with the
     # fresh labels equals merging every stored entry with them.
     write_labels(config.labels, merge_labels([*merged.values(), *fresh]))
+    # Rows new to the store hold a placeholder 0 for the other task.
+    if placeholders := sum(ex.cve_id not in merged for ex in fresh):
+        other = (Task.OPPORTUNE if task is Task.UTILITY else Task.UTILITY).value
+        warning = f"{placeholders} new Model rows hold {other} 0 until predict --task {other} runs"
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"predicted {task.value} for {len(fresh)} CVEs -> {config.labels}")
     return EXIT_OK
 
@@ -546,8 +551,9 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
     return EXIT_OK
 
 
-# The flags that take a value: every flagged key's but the switch's.
-_VALUE_FLAGS = {_flag(k) for k, (_, h) in CONFIG_KEYS.items() if h and k != "stratified"}
+# The flags that take a value: --config, --timestamp and every flagged key's but the switch's.
+_VALUE_FLAGS = {"--config", "--timestamp"}
+_VALUE_FLAGS |= {_flag(k) for k, (_, h) in CONFIG_KEYS.items() if h and k != "stratified"}
 
 
 # argparse reads a token that starts with "-" and is not a plain negative

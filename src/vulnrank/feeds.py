@@ -20,8 +20,9 @@ Field names are fixed: CVE records use ``id``, ``description``,
 null, whatever the source: nothing counts as an exploit unless the feed
 says so. ``load_exploit_refs`` returns ``{cve_id: {url: exploit}}``: each
 distinct URL of a CVE keeps the flag of the first line that names it, so
-the CVE's wx is ``sum(urls.values())``. A published ``score`` is a
-number in [0, 10] with at most one decimal.
+the CVE's wx is ``sum(urls.values())``. Asset context loads as
+``{cve_id: (exposure, criticality)}``, each value one of six shared pairs.
+A published ``score`` is a number in [0, 10] with at most one decimal.
 
 ``iter_cve_records`` yields a CVE feed's records one line at a time and
 keeps only the ids it has seen; ``load_cve_records`` is its list. The
@@ -134,9 +135,10 @@ _UTILITIES, _OPPORTUNES = Task.UTILITY.classes, Task.OPPORTUNE.classes
 
 
 # Members by value; a loader looks a field up only when it is a string.
-_EXPOSURES = {member.value: member for member in Exposure}
-_CRITICALITIES = {member.value: member for member in Criticality}
 _LABELERS = {member.value: member for member in Labeler}
+# The six asset contexts by their raw (exposure, criticality) strings:
+# every context line with the same two strings maps to one shared pair.
+_CONTEXTS = {(e.value, c.value): (e, c) for e in Exposure for c in Criticality}
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,13 +179,6 @@ class LabeledExample:
             raise InvalidCategory(f"opportune must be one of {_OPPORTUNES}, got {opportune!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class AssetContext:
-    cve_id: str
-    exposure: Exposure
-    criticality: Criticality
-
-
 def _slot_setters(cls) -> tuple:
     """The slot setter of each field of a slotted dataclass, in field order.
 
@@ -199,7 +194,6 @@ def _slot_setters(cls) -> tuple:
 _new = object.__new__
 _CVE_RECORD_SETTERS = _slot_setters(CveRecord)
 _LABELED_EXAMPLE_SETTERS = _slot_setters(LabeledExample)
-_ASSET_CONTEXT_SETTERS = _slot_setters(AssetContext)
 
 _scan_once = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
@@ -599,29 +593,26 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def load_asset_context(path) -> dict[str, AssetContext]:
-    """Load per-CVE exposure and criticality; one entry per CVE."""
-    contexts: dict[str, AssetContext] = {}
-    set_id, set_exposure, set_criticality = _ASSET_CONTEXT_SETTERS
+def load_asset_context(path) -> dict[str, tuple[Exposure, Criticality]]:
+    """Load per-CVE asset context as ``{cve_id: (exposure, criticality)}``,
+    one entry per CVE; equal pairs are one shared object (``_CONTEXTS``)."""
+    contexts: dict[str, tuple[Exposure, Criticality]] = {}
     for lineno, obj in _iter_jsonl(path):
         cve_id = obj.get("cve")
         if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
             raise _bad_cve_id(path, lineno, "cve", cve_id)
         if cve_id in contexts:
             raise DuplicateId(f"{path}:{lineno}: duplicate context entry for {cve_id}")
-        cve_id = intern(cve_id)
-        exposure = obj.get("exposure")
-        exposure = _EXPOSURES.get(exposure) if isinstance(exposure, str) else None
-        criticality = obj.get("criticality")
-        criticality = _CRITICALITIES.get(criticality) if isinstance(criticality, str) else None
-        if exposure is None or criticality is None:
+        exposure, criticality = obj.get("exposure"), obj.get("criticality")
+        # Only strings are looked up: a JSON list or object is unhashable.
+        pair = None
+        if isinstance(exposure, str) and isinstance(criticality, str):
+            pair = _CONTEXTS.get((exposure, criticality))
+        if pair is None:
             raise InvalidCategory(
                 f"{path}:{lineno}: exposure must be Public/Private and criticality Low/Medium/High"
             )
-        ctx = contexts[cve_id] = _new(AssetContext)
-        set_id(ctx, cve_id)
-        set_exposure(ctx, exposure)
-        set_criticality(ctx, criticality)
+        contexts[intern(cve_id)] = pair
     return contexts
 
 

@@ -72,19 +72,6 @@ _is_cve_id = CVE_ID_RE.fullmatch
 
 
 @dataclass(frozen=True)
-class RankedPortfolio:
-    """Scored vulnerabilities in rank order; position i holds rank i+1."""
-
-    entries: tuple[ScoredVulnerability, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def ranked(self) -> Iterable[tuple[int, ScoredVulnerability]]:
-        return enumerate(self.entries, start=1)
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     total: int
     cvss_bands: dict[int, int]
@@ -110,15 +97,16 @@ def _by_id_then_cvss(scored: Iterable[ScoredVulnerability]) -> list[ScoredVulner
     return entries
 
 
-def rank(scored: Iterable[ScoredVulnerability]) -> RankedPortfolio:
-    """Total order by threat score, then CVSS, then CVE id.
+def rank(scored: Iterable[ScoredVulnerability]) -> list[ScoredVulnerability]:
+    """Total order by threat score, then CVSS, then CVE id: a new list in
+    which position i holds rank i+1.
 
-    One list is sorted in place in three stable single-key passes: CVE
+    The list is sorted in place in three stable single-key passes: CVE
     id ascending, CVSS descending, then threat score descending.
     """
     entries = _by_id_then_cvss(scored)
     entries.sort(key=_by_threat, reverse=True)
-    return RankedPortfolio(entries=tuple(entries))
+    return entries
 
 
 def _cvss_band(value: Decimal) -> int:
@@ -209,8 +197,8 @@ class _Texts(dict):
         return text
 
 
-def _rows(portfolio: RankedPortfolio) -> Iterator[tuple]:
-    """Each entry's ``_COLUMNS`` values, in rank order.
+def _rows(ranked: Sequence[ScoredVulnerability]) -> Iterator[tuple]:
+    """Each row's ``_COLUMNS`` values, in rank order.
 
     A portfolio holds far fewer distinct threat scores, CVSS values and
     env products than rows, so each text is rendered once per distinct
@@ -219,7 +207,7 @@ def _rows(portfolio: RankedPortfolio) -> Iterator[tuple]:
     """
     quantities = _Texts(format_quantity)
     severities = _Texts(lambda cvss: severity_of(cvss)._value_)
-    for pos, s in portfolio.ranked():
+    for pos, s in enumerate(ranked, start=1):
         labels = s.labels
         yield (
             pos, s.cve_id, quantities[s.threat_score], s.cvss, severities[s.cvss], s.wx,
@@ -284,10 +272,11 @@ _REPORT_RENDERERS = {
 }
 
 
-def export_chunks(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> Iterator[bytes]:
-    """Deterministic bytes for a portfolio or comparison report, in chunks:
-    a portfolio's of ``CHUNK_LINES`` lines, so no export holds its whole
-    output, and a report's in one.
+def export_chunks(obj: list | tuple | ComparisonReport, fmt: ExportFormat) -> Iterator[bytes]:
+    """Deterministic bytes for a portfolio, its rows in rank order in a list
+    or tuple as ``rank`` returns them, or a comparison report, in chunks: a
+    portfolio's of ``CHUNK_LINES`` lines, so no export holds its whole
+    output, and a report's in one. Any other type raises TypeError.
 
     Rows are written unquoted and unescaped, so an id that ``CVE_ID_RE``
     does not match as a whole raises ValueError here, at the call, before
@@ -295,9 +284,9 @@ def export_chunks(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) ->
     """
     if isinstance(obj, ComparisonReport):
         return iter((_REPORT_RENDERERS[fmt](obj).encode("utf-8"),))
-    if not isinstance(obj, RankedPortfolio):
+    if not isinstance(obj, (list, tuple)):
         raise TypeError(f"cannot export {type(obj).__name__}")
-    bad = next(filterfalse(_is_cve_id, map(_by_id, obj.entries)), None)
+    bad = next(filterfalse(_is_cve_id, map(_by_id, obj)), None)
     if bad is not None:
         raise ValueError(f"cannot export {bad!r}: not a CVE id")
     header, row = _PORTFOLIO_LINES[fmt]
@@ -305,6 +294,6 @@ def export_chunks(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) ->
     return encoded_chunks(lines if header is None else chain((header,), lines))
 
 
-def export(obj: RankedPortfolio | ComparisonReport, fmt: ExportFormat) -> bytes:
+def export(obj: list | tuple | ComparisonReport, fmt: ExportFormat) -> bytes:
     """The bytes of ``export_chunks``, joined."""
     return b"".join(export_chunks(obj, fmt))

@@ -18,9 +18,7 @@ from decimal import Decimal
 from typing import Iterable, Mapping, Sequence
 
 from vulnrank.cvss import base_score
-from vulnrank.feeds import (
-    AssetContext, Criticality, CveRecord, Exposure, LabeledExample, _slot_setters,
-)
+from vulnrank.feeds import Criticality, CveRecord, Exposure, LabeledExample, _slot_setters
 
 logger = logging.getLogger(__name__)
 
@@ -99,15 +97,18 @@ class ScoredVulnerability:
         )
 
 
-def env_factor(ctx: AssetContext | None, weights: EnvWeights = DEFAULT_ENV_WEIGHTS) -> Decimal:
-    """Exposure weight times criticality weight for one asset context;
-    ``NEUTRAL_ENV`` when absent. A member without a weight, or a weight
-    that is not positive, raises ``InvalidConfig``."""
+def env_factor(
+    ctx: tuple[Exposure, Criticality] | None, weights: EnvWeights = DEFAULT_ENV_WEIGHTS
+) -> Decimal:
+    """Exposure weight times criticality weight for one (exposure,
+    criticality) pair; ``NEUTRAL_ENV`` for None. A member without a
+    weight, or a weight that is not positive, raises ``InvalidConfig``."""
     if ctx is None:
         return NEUTRAL_ENV
+    exposure, criticality = ctx
     try:
-        exposure_weight = weights.exposure[ctx.exposure]
-        criticality_weight = weights.criticality[ctx.criticality]
+        exposure_weight = weights.exposure[exposure]
+        criticality_weight = weights.criticality[criticality]
     except KeyError as exc:
         raise InvalidConfig(f"no weight configured for {exc.args[0]}") from None
     for w in (exposure_weight, criticality_weight):
@@ -177,7 +178,7 @@ def score_portfolio(
     records: Iterable[CveRecord],
     wx_map: Mapping[str, int] | None = None,
     labels_map: Mapping[str, LabeledExample] | None = None,
-    ctx_map: Mapping[str, AssetContext] | None = None,
+    ctx_map: Mapping[str, tuple[Exposure, Criticality]] | None = None,
     env_weights: EnvWeights = DEFAULT_ENV_WEIGHTS,
 ) -> list[ScoredVulnerability]:
     """Score every record in one pass; output order follows input order.
@@ -189,11 +190,11 @@ def score_portfolio(
 
     ``wx_map`` holds each CVE's exploit count as an int; records without
     an entry there count zero exploits, and a negative count raises
-    ``ScoringError``. Records without asset context score with neutral
-    environmental product, ``NEUTRAL_ENV``. Records with the same exposure
-    and criticality share one env ``Decimal``. ``threat_score`` runs once per
-    distinct (CVSS, wx, utility, opportune, context), and rows whose
-    threat scores are equal in value and exponent share one ``Decimal``.
+    ``ScoringError``. ``ctx_map`` holds (exposure, criticality) pairs; a
+    record without one scores with ``NEUTRAL_ENV``, and equal pairs share
+    one env ``Decimal``. ``threat_score`` runs once per distinct (CVSS,
+    wx, utility, opportune, context), and rows whose threat scores are
+    equal in value and exponent share one ``Decimal``.
 
     Records with neither a vector nor a published score, and records
     without an entry in ``labels_map`` (``vulnrank predict`` fills them
@@ -206,8 +207,7 @@ def score_portfolio(
     labels_map = labels_map or {}
     ctx_map = ctx_map or {}
 
-    # Keyed on the members' _value_ strings: Enum.__hash__ is Python code.
-    envs: dict[tuple[str, str] | None, Decimal] = {}
+    envs: dict[tuple[Exposure, Criticality] | None, Decimal] = {}
     # Each threat by its inputs, and each distinct threat by value and
     # exponent. Equal Decimals of other exponents (7 and 7.0) render
     # differently, so only one-place CVSS values key by value; any other
@@ -230,14 +230,13 @@ def score_portfolio(
             continue
         try:
             ctx = ctx_map.get(cve_id)
-            env_key = None if ctx is None else (ctx.exposure._value_, ctx.criticality._value_)
-            env = envs.get(env_key)
+            env = envs.get(ctx)
             if env is None:
-                env = envs[env_key] = env_factor(ctx, env_weights)
+                env = envs[ctx] = env_factor(ctx, env_weights)
             cvss = resolve_base_score(record)
             wx = wx_map.get(cve_id, 0)
             value = cvss if _TENTH.same_quantum(cvss) else str(cvss)
-            key = (value, wx, labels.utility, labels.opportune, env_key)
+            key = (value, wx, labels.utility, labels.opportune, ctx)
             threat = threats.get(key)
             if threat is None:
                 threat = threat_score(cvss, wx, labels, env)

@@ -15,7 +15,6 @@ from decimal import Decimal
 from vulnrank.cvss import CvssError, parse_vector
 from vulnrank.feeds import (
     CVE_ID_RE,
-    AssetContext,
     Criticality,
     CveRecord,
     DuplicateId,
@@ -148,7 +147,7 @@ def load_labels(path) -> list[LabeledExample]:
     return examples
 
 
-def load_asset_context(path) -> dict[str, AssetContext]:
+def load_asset_context(path) -> dict[str, tuple[Exposure, Criticality]]:
     contexts = {}
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
@@ -161,5 +160,5 @@ def load_asset_context(path) -> dict[str, AssetContext]:
             raise InvalidCategory(
                 f"{where}: exposure must be Public/Private and criticality Low/Medium/High"
             )
-        contexts[cve_id] = AssetContext(cve_id, exposure, criticality)
+        contexts[cve_id] = (exposure, criticality)
     return contexts

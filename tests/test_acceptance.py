@@ -230,7 +230,7 @@ def test_criterion_5_comparison_report_properties():
     assert sum(count for _, count in report.threat_tiers) == 1000
 
     ranked = rank(portfolio)
-    assert sorted(s.cve_id for s in ranked.entries) == sorted(s.cve_id for s in portfolio)
+    assert sorted(s.cve_id for s in ranked) == sorted(s.cve_id for s in portfolio)
 
     assert report.top_k_overlap[10] < 1.0
 

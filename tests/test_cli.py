@@ -195,6 +195,13 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, err
 
+    def test_config_path_may_start_with_one_dash(self, trio_feed_dir, tmp_path, monkeypatch, capsys):
+        # argparse read "-cfg.json" as an option and printed its usage block.
+        (tmp_path / "-cfg.json").write_text(json.dumps({"cves": str(trio_feed_dir / "cves.jsonl")}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--config", "-cfg.json"]) == 0
+        assert capsys.readouterr().out == "3 CVEs, 0 references, 0 labels, 0 context entries\n"
+
     def test_option_in_value_position_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["score", "--cves", "--labels", "x"])
@@ -604,6 +611,34 @@ class TestPredict:
         labels = load_labels(portfolio / "portfolio_labels.jsonl")
         assert len(labels) == 12
         assert all(ex.labeler is Labeler.MODEL for ex in labels)
+
+    def test_placeholder_rows_warn_until_the_other_task_runs(self, trained, tmp_path, capsys):
+        # Ten CVEs have no row: utility's run writes them with opportune 0
+        # and says so; opportune's run then only replaces Model rows.
+        portfolio = self.write_portfolio(tmp_path, labeled_count=2)
+        store = portfolio / "portfolio_labels.jsonl"
+        capsys.readouterr()
+        assert main(self.predict_args(trained, portfolio, task="utility")) == 0
+        first = capsys.readouterr()
+        assert first.err == (
+            "warning: 10 new Model rows hold opportune 0 until predict --task opportune runs\n"
+        )
+        assert first.out == f"predicted utility for 10 CVEs -> {store}\n"
+        assert main(self.predict_args(trained, portfolio, task="opportune")) == 0
+        second = capsys.readouterr()
+        assert second.err == ""
+        assert second.out == f"predicted opportune for 10 CVEs -> {store}\n"
+
+    def test_opportune_first_warns_of_utility_placeholders(self, trained, tmp_path, capsys):
+        portfolio = self.write_portfolio(tmp_path, labeled_count=2)
+        store = portfolio / "portfolio_labels.jsonl"
+        before = {ex.cve_id for ex in load_labels(store)}
+        assert main(self.predict_args(trained, portfolio, task="opportune")) == 0
+        assert capsys.readouterr().err == (
+            "warning: 10 new Model rows hold utility 0 until predict --task utility runs\n"
+        )
+        rows = [ex for ex in load_labels(store) if ex.cve_id not in before]
+        assert len(rows) == 10 and all(ex.utility == 0 for ex in rows)
 
     @pytest.mark.parametrize("store", ["superseded", "missing"])
     def test_store_equals_what_save_labels_writes(self, trained, tmp_path, monkeypatch, store):
@@ -1259,7 +1294,12 @@ class TestLabelLoop:
 
     @pytest.mark.parametrize(
         "stamp",
-        ["notatime", "2024-13-01T00:00:00Z", "", "9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"],
+        [
+            "notatime", "2024-13-01T00:00:00Z", "", "9999-12-31T23:59:59-01:00",
+            "0001-01-01T00:00:00+01:00",
+            # argparse read this as an option and printed its usage block.
+            "-2024-01-01T00:00:00Z",
+        ],
     )
     def test_bad_timestamp_exits_2(self, trio_feed_dir, monkeypatch, capsys, stamp):
         self.run_with_keys(monkeypatch, ["2", "1", "q"])

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from vulnrank import feeds
 from vulnrank.feeds import (
     CVE_ID_RE,
-    AssetContext,
     Criticality,
     CveRecord,
     DuplicateId,
@@ -445,9 +444,7 @@ class TestAssetContext:
     def test_load(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "exposure": "Public", "criticality": "High"}]
         ctx = load_asset_context(write_jsonl(tmp_path / "ctx.jsonl", rows))
-        assert ctx["CVE-2020-0001"] == AssetContext(
-            "CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH
-        )
+        assert ctx == {"CVE-2020-0001": (Exposure.PUBLIC, Criticality.HIGH)}
 
     def test_duplicate_rejected(self, tmp_path):
         rows = [

@@ -63,12 +63,12 @@ def random_portfolio(n, seed, wx_rate=0.2):
 class TestRank:
     def test_worked_trio_order(self):
         portfolio = rank(trio_portfolio())
-        assert [s.cve_id for s in portfolio.entries] == [
+        assert [s.cve_id for s in portfolio] == [
             "CVE-2017-0143",
             "CVE-2020-27256",
             "CVE-2019-11324",
         ]
-        assert [s.threat_score for s in portfolio.entries] == [
+        assert [s.threat_score for s in portfolio] == [
             Decimal("102.3"),
             Decimal("40.8"),
             Decimal("9.5"),
@@ -79,41 +79,51 @@ class TestRank:
         high_cvss = scored("CVE-2020-0020", "9.8")
         low_cvss = scored("CVE-2020-0021", "4.9", utility=1)  # (4.9+0)*2 = 9.8
         portfolio = rank([low_cvss, high_cvss])
-        assert [s.cve_id for s in portfolio.entries] == ["CVE-2020-0020", "CVE-2020-0021"]
+        assert [s.cve_id for s in portfolio] == ["CVE-2020-0020", "CVE-2020-0021"]
 
     def test_equal_everything_breaks_by_id(self):
         a = scored("CVE-2020-0002", "5.0")
         b = scored("CVE-2020-0001", "5.0")
         portfolio = rank([a, b])
-        assert [s.cve_id for s in portfolio.entries] == ["CVE-2020-0001", "CVE-2020-0002"]
+        assert [s.cve_id for s in portfolio] == ["CVE-2020-0001", "CVE-2020-0002"]
 
     def test_empty(self):
-        assert rank([]).entries == ()
+        assert rank([]) == []
 
     def test_permutation_of_input(self):
         original = random_portfolio(200, seed=5)
         shuffled = original[:]
         random.Random(9).shuffle(shuffled)
-        assert sorted(rank(original).entries, key=lambda s: s.cve_id) == sorted(
+        assert sorted(rank(original), key=lambda s: s.cve_id) == sorted(
             original, key=lambda s: s.cve_id
         )
-        assert rank(shuffled).entries == rank(original).entries
+        assert rank(shuffled) == rank(original)
 
     def test_scores_non_increasing(self):
-        entries = rank(random_portfolio(150, seed=2)).entries
+        entries = rank(random_portfolio(150, seed=2))
         for earlier, later in zip(entries, entries[1:]):
             assert earlier.threat_score >= later.threat_score
 
     def test_stable_under_insertion(self):
         base = random_portfolio(60, seed=11)
         newcomer = scored("CVE-2022-99999", "6.3", wx=7, utility=1)
-        before = [s.cve_id for s in rank(base).entries]
-        after = [s.cve_id for s in rank(base + [newcomer]).entries if s.cve_id != newcomer.cve_id]
+        before = [s.cve_id for s in rank(base)]
+        after = [s.cve_id for s in rank(base + [newcomer]) if s.cve_id != newcomer.cve_id]
         assert before == after
 
     def test_ranks_dense(self):
+        # Position i of the list holds rank i+1, and the export numbers it so.
         portfolio = rank(random_portfolio(25, seed=3))
-        assert [pos for pos, _ in portfolio.ranked()] == list(range(1, 26))
+        assert type(portfolio) is list and len(portfolio) == 25
+        rows = list(csv.DictReader(io.StringIO(export(portfolio, ExportFormat.CSV).decode())))
+        assert [int(row["rank"]) for row in rows] == list(range(1, 26))
+        assert [row["cve_id"] for row in rows] == [s.cve_id for s in portfolio]
+
+    def test_sorts_a_new_list(self):
+        entries = random_portfolio(40, seed=4)
+        before = entries[:]
+        ranked = rank(entries)
+        assert ranked is not entries and entries == before
 
 
 class TestCompare:
@@ -126,7 +136,7 @@ class TestCompare:
     def test_worked_trio_positions_swap(self):
         entries = trio_portfolio()
         by_cvss = sorted(entries, key=lambda s: (-s.cvss, s.cve_id))
-        by_threat = rank(entries).entries
+        by_threat = rank(entries)
         cvss_pos = {s.cve_id: i for i, s in enumerate(by_cvss)}
         threat_pos = {s.cve_id: i for i, s in enumerate(by_threat)}
         assert cvss_pos["CVE-2019-11324"] < cvss_pos["CVE-2020-27256"]
@@ -249,12 +259,30 @@ class TestExport:
             export(portfolio, fmt)
 
     @pytest.mark.parametrize("fmt", list(ExportFormat))
+    def test_a_tuple_exports_as_the_list(self, fmt):
+        portfolio = rank(trio_portfolio())
+        assert export(tuple(portfolio), fmt) == export(portfolio, fmt)
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda rows: {s.cve_id: s for s in rows}, "dict"),
+            (lambda rows: (s for s in rows), "generator"),
+        ],
+        ids=["dict", "generator"],
+    )
+    def test_other_types_are_a_type_error(self, make, name):
+        # A dict or a one-shot generator is no ranking: refused at the call.
+        with pytest.raises(TypeError, match=f"^cannot export {name}$"):
+            export_chunks(make(rank(trio_portfolio())), ExportFormat.CSV)
+
+    @pytest.mark.parametrize("fmt", list(ExportFormat))
     def test_bad_id_in_the_last_chunk_raises_at_the_call(self, fmt):
         # The check runs before the generator is returned, so the CLI
         # neither creates the output file nor writes to stdout.
         entries = [scored(f"CVE-2020-{n:05d}", "9.0") for n in range(2 * CHUNK_LINES)]
         portfolio = rank([*entries, scored("CVE-2020-1", "0.0")])
-        assert portfolio.entries[-1].cve_id == "CVE-2020-1"
+        assert portfolio[-1].cve_id == "CVE-2020-1"
         with pytest.raises(ValueError, match="'CVE-2020-1': not a CVE id"):
             export_chunks(portfolio, fmt)
 

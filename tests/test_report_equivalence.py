@@ -133,9 +133,9 @@ def assert_equivalent(scored):
     assert [str(s.threat_score) for s in scored] == [str(reference_threat(s)) for s in scored]
 
     portfolio = rank(scored)
-    assert list(portfolio.entries) == reference_order(scored)
-    assert [s.cve_id for s in portfolio.entries] == [s.cve_id for s in reference_order(scored)]
-    rows = [_portfolio_row(pos, s) for pos, s in portfolio.ranked()]
+    assert portfolio == reference_order(scored)
+    assert [s.cve_id for s in portfolio] == [s.cve_id for s in reference_order(scored)]
+    rows = [_portfolio_row(pos, s) for pos, s in enumerate(portfolio, start=1)]
 
     jsonl = export(portfolio, ExportFormat.STRUCTURED).decode("utf-8").splitlines()
     assert jsonl == [compact_json(row) for row in rows]
@@ -218,7 +218,7 @@ def tied_portfolio(n):
 @pytest.mark.parametrize("size", [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES + 1])
 def test_export_chunks_at_chunk_boundaries(size):
     portfolio = rank(tied_portfolio(size))
-    rows = [_portfolio_row(pos, s) for pos, s in portfolio.ranked()]
+    rows = [_portfolio_row(pos, s) for pos, s in enumerate(portfolio, start=1)]
     expected = {
         ExportFormat.STRUCTURED: "".join(compact_json(row) + "\n" for row in rows),
         ExportFormat.TEXT: "".join(reference_text_row(row) + "\n" for row in [TEXT_TITLES, *rows]),

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from vulnrank.cli import WEIGHT_RANGE
 from vulnrank.cvss import Severity, base_score, parse_vector, severity_of
 from vulnrank.feeds import (
-    AssetContext,
     Criticality,
     CveRecord,
     Exposure,
@@ -20,6 +19,7 @@ from vulnrank.feeds import (
     LabeledExample,
     Labeler,
     iter_cve_records,
+    load_asset_context,
     load_cve_records,
     load_exploit_refs,
 )
@@ -89,7 +89,7 @@ class TestThreatScore:
     def test_exact_by_representation(self):
         # Products 1 and 1.00 are equal, yet the scores they give print
         # apart, so a score must come from its own env, not an equal one.
-        private_low = env_factor(AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.LOW))
+        private_low = env_factor((Exposure.PRIVATE, Criticality.LOW))
         envs, cvss_values = (NEUTRAL_ENV, private_low), map(Decimal, ("0.0", "7.5", "10.0"))
         for env, cvss, wx, u, o in product(envs, cvss_values, (0, 1, 12), (0, 1, 2), (0, 1)):
             expected = (cvss + wx) * (u + 1) * (o + 1) * env
@@ -111,7 +111,7 @@ class TestThreatScore:
         weights = EnvWeights(
             exposure={Exposure.PUBLIC: exposure}, criticality={Criticality.HIGH: criticality}
         )
-        env = env_factor(AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH), weights)
+        env = env_factor((Exposure.PUBLIC, Criticality.HIGH), weights)
         assert str(env) == str(exposure * criticality)
         for u, o in product(range(3), range(2)):
             score = threat_score(cvss, wx, labels(u, o), env)
@@ -162,11 +162,11 @@ class TestEnvFactor:
         assert str(NEUTRAL_ENV) == "1"
 
     def test_public_high_default(self):
-        ctx = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH)
+        ctx = (Exposure.PUBLIC, Criticality.HIGH)
         assert str(env_factor(ctx)) == "2.25"
 
     def test_private_low_default(self):
-        ctx = AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.LOW)
+        ctx = (Exposure.PRIVATE, Criticality.LOW)
         assert str(env_factor(ctx)) == "1.00"
 
     @pytest.mark.parametrize("weight", [Decimal(0), Decimal("-0.0"), Decimal("-1")], ids=str)
@@ -177,11 +177,11 @@ class TestEnvFactor:
             "criticality": {**DEFAULT_ENV_WEIGHTS.criticality},
         }
         tables[table][Exposure.PUBLIC if table == "exposure" else Criticality.LOW] = weight
-        ctx = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.LOW)
+        ctx = (Exposure.PUBLIC, Criticality.LOW)
         with pytest.raises(InvalidConfig, match=f"^environmental weight {weight} must be positive$"):
             env_factor(ctx, EnvWeights(**tables))
         # Contexts that do not use the bad weight still score.
-        other = AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.HIGH)
+        other = (Exposure.PRIVATE, Criticality.HIGH)
         assert env_factor(other, EnvWeights(**tables)) == Decimal("1.5")
 
     def test_partial_weights_name_the_missing_member(self):
@@ -190,14 +190,14 @@ class TestEnvFactor:
         partial = EnvWeights(
             exposure={Exposure.PUBLIC: Decimal(2)}, criticality=DEFAULT_ENV_WEIGHTS.criticality
         )
-        public = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.LOW)
+        public = (Exposure.PUBLIC, Criticality.LOW)
         assert env_factor(public, partial) == Decimal(2)
-        private = AssetContext("CVE-2020-0001", Exposure.PRIVATE, Criticality.LOW)
+        private = (Exposure.PRIVATE, Criticality.LOW)
         with pytest.raises(InvalidConfig, match="no weight configured for Exposure.PRIVATE"):
             env_factor(private, partial)
 
     def test_env_scales_score(self):
-        ctx = AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH)
+        ctx = (Exposure.PUBLIC, Criticality.HIGH)
         score = threat_score(Decimal("6.8"), 0, labels(2, 1), env_factor(ctx))
         assert score == Decimal("40.8") * Decimal("2.25")
 
@@ -321,7 +321,7 @@ class TestScorePortfolio:
                 threat_score=Decimal("55"),
             )
         records, wx_map, labels_map = self.load_trio(tmp_path)
-        ctx_map = {"CVE-2019-11324": AssetContext("CVE-2019-11324", Exposure.PUBLIC, Criticality.HIGH)}
+        ctx_map = {"CVE-2019-11324": (Exposure.PUBLIC, Criticality.HIGH)}
         scored = score_portfolio(records, wx_map, labels_map, ctx_map)
         assert [s.wx for s in scored] == [rec["wx"] for rec in WORKED_TRIO]
         for s in scored:
@@ -352,7 +352,7 @@ class TestScorePortfolio:
         wx_map = {cve_id: rng.randrange(3) for cve_id in ids[::2]}
         labels_map = {cve_id: labels(rng.randrange(3), rng.randrange(2)) for cve_id in ids}
         ctx_map = {
-            cve_id: AssetContext(cve_id, rng.choice(list(Exposure)), rng.choice(list(Criticality)))
+            cve_id: (rng.choice(list(Exposure)), rng.choice(list(Criticality)))
             for cve_id in ids[::3]
         }
         records = load_cve_records(path)
@@ -426,12 +426,40 @@ class TestScorePortfolio:
             ids[2]: (Exposure.PRIVATE, Criticality.LOW),
             ids[3]: (Exposure.PUBLIC, Criticality.HIGH),
         }
-        ctx_map = {cve_id: AssetContext(cve_id, *pair) for cve_id, pair in pairs.items()}
+        # Equal pairs built apart: the env cache keys on the pair's value.
+        assert pairs[ids[0]] is not pairs[ids[1]]
         env = [
             s.env
-            for s in score_portfolio(records, {}, {cve_id: labels() for cve_id in ids}, ctx_map)
+            for s in score_portfolio(records, {}, {cve_id: labels() for cve_id in ids}, pairs)
         ]
         assert env[0] is env[1] is env[3]
         assert env[2] is not env[0]
         assert env[4] is env[5] is NEUTRAL_ENV
         assert [str(e) for e in env] == ["2.25", "2.25", "1.00", "2.25", "1", "1"]
+
+    def test_hand_built_pairs_score_as_loaded_ones(self, tmp_path):
+        # A context is a plain (exposure, criticality) pair: tuples built
+        # by hand, one per CVE, score exactly as the loader's shared ones.
+        combos = list(product(Exposure, Criticality))
+        ids = [f"CVE-2020-{k:04d}" for k in range(1, 15)]
+        records = [CveRecord(cve_id, "text", published_score=Decimal("7.5")) for cve_id in ids]
+        chosen = {cve_id: combos[k % len(combos)] for k, cve_id in enumerate(ids[:12])}
+        path = write_jsonl(tmp_path / "context.jsonl", [
+            {"cve": cve_id, "exposure": e.value, "criticality": c.value}
+            for cve_id, (e, c) in chosen.items()
+        ])
+        loaded = load_asset_context(path)
+        by_hand = {cve_id: (e, c) for cve_id, (e, c) in chosen.items()}
+        assert loaded == by_hand
+        assert all(by_hand[cve_id] is not loaded[cve_id] for cve_id in chosen)
+        labels_map = {cve_id: labels(k % 3, k % 2) for k, cve_id in enumerate(ids)}
+        expected = score_portfolio(records, {ids[0]: 2}, labels_map, loaded)
+        scored = score_portfolio(records, {ids[0]: 2}, labels_map, by_hand)
+        assert scored == expected
+        assert [(str(s.env), str(s.threat_score)) for s in scored] == [
+            (str(s.env), str(s.threat_score)) for s in expected
+        ]
+        assert [str(s.env) for s in scored[:6]] == [
+            "1.50", "1.80", "2.25", "1.00", "1.20", "1.50"
+        ]
+        assert scored[12].env is scored[13].env is NEUTRAL_ENV

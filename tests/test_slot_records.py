@@ -1,9 +1,11 @@
 """Records the loaders, ``attach_descriptions`` and ``score_portfolio`` build
 through slot setters, without the frozen ``__init__``, are the records the
 constructor builds from the same values: equal, with equal hashes and
-reprs, ``replace`` alike, and with every slot set."""
+reprs, ``replace`` alike, and with every slot set. Asset context is no
+record: ``load_asset_context`` maps each CVE to one of six shared pairs."""
 
 import dataclasses
+import itertools
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -12,7 +14,6 @@ import pytest
 from vulnrank import feeds
 from vulnrank.cvss import base_score, parse_vector
 from vulnrank.feeds import (
-    AssetContext,
     Criticality,
     CveRecord,
     Exposure,
@@ -101,18 +102,24 @@ def test_joined_examples(tmp_path):
 
 
 def test_asset_context(tmp_path):
+    # Every combination twice, the second round in reverse: equal
+    # combinations load as one shared pair, and the six pairs are the
+    # product of the two enums.
+    combos = list(itertools.product(Exposure, Criticality))
+    rows = combos + combos[::-1]
     path = write_jsonl(tmp_path / "context.jsonl", [
-        {"cve": "CVE-2020-0001", "exposure": "Public", "criticality": "High"},
-        {"cve": "CVE-2020-0002", "exposure": "Private", "criticality": "Low"},
+        {"cve": f"CVE-2020-{k:04d}", "exposure": e.value, "criticality": c.value}
+        for k, (e, c) in enumerate(rows, start=1)
     ])
-    built = {
-        "CVE-2020-0001": AssetContext("CVE-2020-0001", Exposure.PUBLIC, Criticality.HIGH),
-        "CVE-2020-0002": AssetContext("CVE-2020-0002", Exposure.PRIVATE, Criticality.LOW),
-    }
     loaded = load_asset_context(path)
-    assert loaded.keys() == built.keys()
-    for cve_id, ctx in loaded.items():
-        assert_same_record(ctx, built[cve_id], criticality=Criticality.MEDIUM)
+    assert list(loaded) == [f"CVE-2020-{k:04d}" for k in range(1, len(rows) + 1)]
+    assert list(loaded.values()) == rows
+    assert all(type(pair) is tuple for pair in loaded.values())
+    pairs = list(loaded.values())
+    for k in range(len(combos)):
+        assert pairs[k] is pairs[-1 - k]
+    distinct = list({id(pair): pair for pair in pairs}.values())
+    assert distinct == combos
 
 
 def test_scored_rows():
@@ -130,8 +137,7 @@ def test_scored_rows():
     }
     wx = {"CVE-2020-0001": 3}
     ctx = {
-        cve_id: AssetContext(cve_id, Exposure.PUBLIC, Criticality.HIGH)
-        for cve_id in ("CVE-2020-0002", "CVE-2020-0003")
+        cve_id: (Exposure.PUBLIC, Criticality.HIGH) for cve_id in ("CVE-2020-0002", "CVE-2020-0003")
     }
     scored = score_portfolio(records, wx, labels, ctx)
     for row, record in zip(scored, records, strict=True):
