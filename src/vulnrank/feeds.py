@@ -4,12 +4,13 @@ Every loader either returns fully validated records or raises with the
 file and line of the first offending record; there are no partially
 valid datasets. A CVE id is ``CVE-``, four ASCII digits, ``-`` and four
 or more ASCII digits, as the whole string. Files are UTF-8, one JSON
-object per line. Lines end at ``\n`` and are read and decoded one at a
-time, so a byte that is not UTF-8 names its line; a line holding only
-whitespace (``str.isspace``) is skipped. Each line must hold exactly one
-JSON value, as ``json.loads`` reads it: JSON whitespace (space, tab, CR,
-LF) may surround it, and nothing else may. An integer too long for
-``int`` or nesting deeper than the recursion limit is invalid JSON too.
+object per line. Lines end at ``\n``, and a line that is decoded is
+decoded on its own, so a byte that is not UTF-8 names its line; a line
+holding only whitespace (``str.isspace``) is skipped. Each line must
+hold exactly one JSON value, as ``json.loads`` reads it: JSON whitespace
+(space, tab, CR, LF) may surround it, and nothing else may. An integer
+too long for ``int`` or nesting deeper than the recursion limit is
+invalid JSON too.
 
 Field names are fixed: CVE records use ``id``, ``description``,
 ``vector``, ``score``; labels use ``cve``, ``utility``, ``opportune``,
@@ -29,15 +30,24 @@ keeps only the ids it has seen; ``load_cve_records`` is its list. The
 CVE, label, context and reference loaders intern every id they keep
 (``sys.intern``), so feeds loaded side by side hold one string per CVE.
 
+Each loader has a canonical line form: what ``compact_json`` writes for
+a record with the loader's keys in a fixed order and string values of
+printable ASCII without ``"`` or ``\\`` (``_CVE_LINE``, ``_REF_LINE``,
+``_STORE_LINE``, ``_CONTEXT_LINE``). A feed is read in blocks of
+``BLOCK_BYTES``, each extended to the end of its line, and one bytes
+pattern per feed splits a block into one tuple per line. A canonical
+line comes back as its groups and is read from them without the JSON
+decoder; any other line, such as a blank one, another key order or
+spacing, an escape, a repeated key, a CR or a faulty value, is decoded
+and checked as above. Both ways share the loader's checks after the
+values are read, so for any line they give the same record, or the same
+error at the same line.
+
 A label store is written from a ``%`` template, with nothing escaped:
 its other fields are labels, labeler names and ``format_ts`` stamps, and
 ``write_labels`` raises ValueError for an id that ``CVE_ID_RE`` does not
-match as a whole before it opens the file. ``load_labels`` reads a line
-in exactly that form from the groups of one bytes pattern, without the
-JSON decoder. Any other line, such as a blank one, another key order or
-spacing, an escape, a repeated key, a CR or a faulty value, is decoded
-and checked as above. For any line both ways give the same record, or
-the same error at the same line.
+match as a whole before it opens the file, so every store line it writes
+is in ``load_labels``' canonical form.
 
 The loaders build records they have checked through the dataclasses'
 slot setters, without the frozen ``__init__``, and ``attach_descriptions``
@@ -47,6 +57,7 @@ constructor is checked there, as before.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -171,12 +182,19 @@ class LabeledExample:
     description: str = field(default="", compare=False)
 
     def __post_init__(self):
-        # bool is an int subclass, so True would otherwise pass as 1.
-        utility, opportune = self.utility, self.opportune
-        if not isinstance(utility, int) or isinstance(utility, bool) or utility not in _UTILITIES:
-            raise InvalidCategory(f"utility must be one of {_UTILITIES}, got {utility!r}")
-        if not isinstance(opportune, int) or isinstance(opportune, bool) or opportune not in _OPPORTUNES:
-            raise InvalidCategory(f"opportune must be one of {_OPPORTUNES}, got {opportune!r}")
+        problem = _bad_labels(self.utility, self.opportune)
+        if problem is not None:
+            raise InvalidCategory(problem)
+
+
+def _bad_labels(utility, opportune) -> str | None:
+    """Why ``utility`` and ``opportune`` are not a triage judgment, or None."""
+    # bool is an int subclass, so True would otherwise pass as 1.
+    if not isinstance(utility, int) or isinstance(utility, bool) or utility not in _UTILITIES:
+        return f"utility must be one of {_UTILITIES}, got {utility!r}"
+    if not isinstance(opportune, int) or isinstance(opportune, bool) or opportune not in _OPPORTUNES:
+        return f"opportune must be one of {_OPPORTUNES}, got {opportune!r}"
+    return None
 
 
 def _slot_setters(cls) -> tuple:
@@ -200,50 +218,100 @@ _JSON_WHITESPACE = " \t\n\r"
 # json.dumps with any option builds a new encoder per call; lines share this one.
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
+# A feed is read in blocks of this many bytes, each extended to the end of
+# its line, so a reader holds one block and its lines' tuples at a time.
+BLOCK_BYTES = 16 * 1024
 
-def _iter_jsonl(path, own=None) -> Iterator[tuple[int, dict | re.Match]]:
+# The canonical line of each feed: what compact_json writes for a record
+# with its keys in the order below and string values of printable ASCII
+# without '"' or '\', each its own JSON text. The groups are the values;
+# an optional one never matches empty, so b"" is an absent field.
+_ID = CVE_ID_RE.pattern.encode()
+_TEXT = rb"[ !#-\[\]-~]"
+_CVE_LINE = (
+    rb'\{"id":"(%s)","description":"(%s*)"(?:,"vector":"(%s+)")?'
+    rb'(?:,"score":((?:10|[0-9])(?:\.[0-9])?))?\}' % (_ID, _TEXT, _TEXT)
+)
+_REF_LINE = rb'\{"cve":"(%s)","url":"(%s+)","source":"(%s*)","exploit":(true|false)\}' % (
+    _ID, _TEXT, _TEXT,
+)
+_CONTEXT_LINE = (
+    rb'\{"cve":"(%s)","exposure":"(Public|Private)","criticality":"(Low|Medium|High)"\}' % _ID
+)
+# A store line as _LABEL_LINE writes it: id, utility, opportune, labeler
+# and a format_ts stamp.
+_STORE_LINE = (
+    rb'\{"cve":"(%s)","utility":([012]),"opportune":([01]),"labeler":"(SME|Model)",'
+    rb'"ts":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)"\}' % _ID
+)
+# No line takes this form; its one group keeps the scan's items tuples.
+_NO_FORM = rb"()(?!)"
+
+
+@functools.cache
+def _line_scan(canonical: bytes):
+    """The ``findall`` that splits a block into its lines: one tuple per
+    line, in order, whose last item is the raw line.
+
+    A line in the ``canonical`` form gives its groups and an empty raw
+    line. Any other line gives empty groups and its bytes, ``\\n``
+    included, as iterating the file yields them; a lone ``\\r`` stays
+    inside its line. Compiled when a loader first reads that form.
+    """
+    return re.compile(rb"(?:%s)(?:\n|\Z)|([^\n]*\n|[^\n]+\Z)" % canonical).findall
+
+
+def _iter_jsonl(path, canonical: bytes = _NO_FORM) -> Iterator[tuple[int, dict | tuple]]:
     """Yield ``(lineno, object)`` for each non-blank line of a feed.
+
+    The file is read ``BLOCK_BYTES`` at a time, each block extended to the
+    end of its line, and ``_line_scan(canonical)`` splits the block. A line
+    in the ``canonical`` form is not decoded: its tuple of groups is
+    yielded in place of the object, for the loader to read its values from.
+    Any other line is decoded on its own.
 
     Raises ParseError naming ``<file>:<line>`` for a line that is not
     UTF-8, not one JSON value (an integer too long for ``int`` or nesting
     deeper than the recursion limit included) or not an object.
-
-    ``own``, a bytes pattern's ``fullmatch``, names the line form a loader
-    reads itself: a line it matches is not decoded, and its match is
-    yielded in place of the object.
     """
+    scan = _line_scan(canonical)
+    lineno = 0
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if own is not None:
-                match = own(raw)
-                if match is not None:
-                    yield lineno, match
+        while block := fh.read(BLOCK_BYTES):
+            if block[-1:] != b"\n":
+                block += fh.readline()
+            for groups in scan(block):
+                lineno += 1
+                raw = groups[-1]
+                if not raw:
+                    yield lineno, groups
                     continue
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
-            if line.isspace():
-                continue
-            # json.loads accepts one JSON value between JSON whitespace; the
-            # C scanner reads exactly that without json.loads' Python-level
-            # wrapper. A line the scan does not consume whole goes to
-            # json.loads, which raises the message it always raised.
-            text = line.strip(_JSON_WHITESPACE)
-            try:
                 try:
-                    obj, end = _scan_once(text, 0)
-                except (StopIteration, json.JSONDecodeError):
-                    end = -1
-                if end != len(text):
-                    obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: expected an object per line")
-            yield lineno, obj
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
+                if line.isspace():
+                    continue
+                # json.loads accepts one JSON value between JSON whitespace;
+                # the C scanner reads exactly that without json.loads'
+                # Python-level wrapper. A line the scan does not consume
+                # whole goes to json.loads, which raises the message it
+                # always raised.
+                text = line.strip(_JSON_WHITESPACE)
+                try:
+                    try:
+                        obj, end = _scan_once(text, 0)
+                    except (StopIteration, json.JSONDecodeError):
+                        end = -1
+                    if end != len(text):
+                        obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+                if not isinstance(obj, dict):
+                    raise ParseError(f"{path}:{lineno}: expected an object per line")
+                yield lineno, obj
 
 
 # The loaders read each field with dict.get and check it inline; a field
@@ -294,26 +362,33 @@ def iter_cve_records(path) -> Iterator[CveRecord]:
     Each line is checked as it is read, and the generator keeps only the
     set of ids it has yielded, so a caller that drops each record keeps
     no description and no record. An error raises at its line, after the
-    records before it have been yielded.
+    records before it have been yielded. A line in the canonical form
+    (``_CVE_LINE``) gives its values from the block scan's groups, the
+    score as a float, and goes through the same checks from the
+    duplicate id on.
     """
     seen: set[str] = set()
     set_id, set_description, set_vector, set_score = _CVE_RECORD_SETTERS
-    for lineno, obj in _iter_jsonl(path):
-        cve_id = obj.get("id")
-        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
-            raise _bad_cve_id(path, lineno, "id", cve_id)
+    for lineno, obj in _iter_jsonl(path, _CVE_LINE):
+        if type(obj) is tuple:
+            cve_id, description, vector, score, _ = obj
+            cve_id, description = cve_id.decode(), description.decode()
+            vector = vector.decode() if vector else None
+            score = float(score) if score else None
+        else:
+            cve_id = obj.get("id")
+            if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+                raise _bad_cve_id(path, lineno, "id", cve_id)
+            description, vector, score = obj.get("description"), obj.get("vector"), obj.get("score")
         if cve_id in seen:
             raise DuplicateId(f"{path}:{lineno}: duplicate CVE id {cve_id}")
         cve_id = intern(cve_id)
         seen.add(cve_id)
 
-        description = obj.get("description")
         if not isinstance(description, str):
             if description is None:
                 raise _missing(path, lineno, "description")
             raise SchemaError(f"{path}:{lineno}: description must be a string")
-
-        vector = obj.get("vector")
         if vector is not None:
             if not isinstance(vector, str):
                 raise SchemaError(f"{path}:{lineno}: vector must be a string")
@@ -321,8 +396,6 @@ def iter_cve_records(path) -> Iterator[CveRecord]:
                 vector = parse_vector(vector)
             except CvssError as exc:
                 raise SchemaError(f"{path}:{lineno}: bad vector: {exc}") from None
-
-        score = obj.get("score")
         if score is not None:
             score = _published_score(score, path, lineno)
         record = _new(CveRecord)
@@ -346,22 +419,27 @@ def load_exploit_refs(path) -> dict[str, dict[str, bool]]:
     wx is ``sum(urls.values())``. The source is checked, not kept: one
     warning per file gives the number of lines, repeated URLs included,
     whose source is outside ``REFERENCE_SOURCES`` and so downgraded to Other.
+    A line in the canonical form (``_REF_LINE``) gives its values from the
+    block scan's groups and goes through the same checks from the url on.
     """
     refs: dict[str, dict[str, bool]] = {}
     unknown_sources = 0
-    for lineno, obj in _iter_jsonl(path):
-        cve_id = obj.get("cve")
-        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
-            raise _bad_cve_id(path, lineno, "cve", cve_id)
-        url = obj.get("url")
+    for lineno, obj in _iter_jsonl(path, _REF_LINE):
+        if type(obj) is tuple:
+            cve_id, url, source, exploit, _ = obj
+            cve_id, url, source = cve_id.decode(), url.decode(), source.decode()
+            exploit = exploit == b"true"
+        else:
+            cve_id = obj.get("cve")
+            if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+                raise _bad_cve_id(path, lineno, "cve", cve_id)
+            url, source, exploit = obj.get("url"), obj.get("source", "Other"), obj.get("exploit")
         if not isinstance(url, str) or not url:
             if url is None:
                 raise _missing(path, lineno, "url")
             raise SchemaError(f"{path}:{lineno}: reference url must be a non-empty string")
-        source = obj.get("source", "Other")
         if not isinstance(source, str) or source not in REFERENCE_SOURCES:
             unknown_sources += 1
-        exploit = obj.get("exploit")
         if exploit is not True and exploit is not False:
             if exploit is not None:
                 raise SchemaError(f"{path}:{lineno}: exploit must be true or false")
@@ -408,10 +486,11 @@ def format_ts(ts: datetime) -> str:
 def load_labels(path) -> list[LabeledExample]:
     """Load label records as written, including superseded entries.
 
-    A line in the store's own form (``_STORE_LINE``) is read from the
-    pattern's groups, which admit only values the checks below accept;
-    any other line is decoded as JSON and checked field by field. Both
-    give the same record, or the same error, for the same line.
+    A line in the store's own form (``_STORE_LINE``) gives its values from
+    the block scan's groups, which admit only ids, labels and labelers the
+    checks accept; any other line is decoded as JSON and checked field by
+    field. Both then share the stamp and label checks, so they give the
+    same record, or the same error, for the same line.
     """
     examples: list[LabeledExample] = []
     append = examples.append
@@ -421,45 +500,42 @@ def load_labels(path) -> list[LabeledExample]:
     # Label stores repeat stamps: a predict run gives all its labels one.
     stamps: dict[str, datetime] = {}
     for lineno, obj in _iter_jsonl(path, _STORE_LINE):
-        if not isinstance(obj, dict):
-            cve_id, utility, opportune, labeler, raw_ts = obj.groups()
-            raw_ts = raw_ts.decode()
-            ts = stamps.get(raw_ts)
-            if ts is None:
-                ts = stamps[raw_ts] = parse_ts(raw_ts, f"{path}:{lineno}")
-            ex = _new(LabeledExample)
-            set_id(ex, intern(cve_id.decode()))
-            set_utility(ex, _STORE_DIGITS[utility])
-            set_opportune(ex, _STORE_DIGITS[opportune])
-            set_labeler(ex, _STORE_LABELERS[labeler])
-            set_ts(ex, ts)
-            set_description(ex, "")
-            append(ex)
-            continue
-        cve_id = obj.get("cve")
-        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
-            raise _bad_cve_id(path, lineno, "cve", cve_id)
-        cve_id = intern(cve_id)
-        utility = obj.get("utility")
-        if utility is None:
-            raise _missing(path, lineno, "utility")
-        opportune = obj.get("opportune")
-        if opportune is None:
-            raise _missing(path, lineno, "opportune")
-        labeler = obj.get("labeler")
-        labeler = _LABELERS.get(labeler) if isinstance(labeler, str) else None
-        if labeler is None:
-            raise InvalidCategory(f"{path}:{lineno}: labeler must be SME or Model")
-        raw_ts = obj.get("ts")
+        if type(obj) is tuple:
+            cve_id, utility, opportune, labeler, raw_ts, _ = obj
+            cve_id, raw_ts = cve_id.decode(), raw_ts.decode()
+            utility, opportune = _STORE_DIGITS[utility], _STORE_DIGITS[opportune]
+            labeler = _STORE_LABELERS[labeler]
+        else:
+            cve_id = obj.get("cve")
+            if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+                raise _bad_cve_id(path, lineno, "cve", cve_id)
+            utility = obj.get("utility")
+            if utility is None:
+                raise _missing(path, lineno, "utility")
+            opportune = obj.get("opportune")
+            if opportune is None:
+                raise _missing(path, lineno, "opportune")
+            labeler = obj.get("labeler")
+            labeler = _LABELERS.get(labeler) if isinstance(labeler, str) else None
+            if labeler is None:
+                raise InvalidCategory(f"{path}:{lineno}: labeler must be SME or Model")
+            raw_ts = obj.get("ts")
         ts = stamps.get(raw_ts) if isinstance(raw_ts, str) else None
         if ts is None:
             if raw_ts is None:
                 raise _missing(path, lineno, "ts")
             ts = stamps[raw_ts] = parse_ts(raw_ts, f"{path}:{lineno}")
-        try:
-            append(LabeledExample(cve_id, utility, opportune, labeler, ts))
-        except InvalidCategory as exc:
-            raise InvalidCategory(f"{path}:{lineno}: {exc}") from None
+        # The store form's pattern admits only labels; a decoded line's are checked.
+        if type(obj) is dict and (problem := _bad_labels(utility, opportune)) is not None:
+            raise InvalidCategory(f"{path}:{lineno}: {problem}")
+        ex = _new(LabeledExample)
+        set_id(ex, intern(cve_id))
+        set_utility(ex, utility)
+        set_opportune(ex, opportune)
+        set_labeler(ex, labeler)
+        set_ts(ex, ts)
+        set_description(ex, "")
+        append(ex)
     return examples
 
 
@@ -506,13 +582,6 @@ def write_labels(path, merged: dict[str, LabeledExample]) -> None:
 
 # A store line; no field needs JSON escaping (see the module docstring).
 _LABEL_LINE = '{"cve":"%s","utility":%d,"opportune":%d,"labeler":"%s","ts":"%s"}\n'
-# That line, matched whole as bytes, with its id, utility, opportune, labeler
-# and format_ts stamp as groups: load_labels reads it without the JSON decoder.
-_STORE_LINE = re.compile(
-    rb'\{"cve":"(%s)","utility":([012]),"opportune":([01]),"labeler":"(SME|Model)",'
-    rb'"ts":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)"\}\n?'
-    % CVE_ID_RE.pattern.encode()
-).fullmatch
 _STORE_DIGITS = {b"0": 0, b"1": 1, b"2": 2}
 _STORE_LABELERS = {member.value.encode(): member for member in Labeler}
 
@@ -595,15 +664,24 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
 
 def load_asset_context(path) -> dict[str, tuple[Exposure, Criticality]]:
     """Load per-CVE asset context as ``{cve_id: (exposure, criticality)}``,
-    one entry per CVE; equal pairs are one shared object (``_CONTEXTS``)."""
+    one entry per CVE; equal pairs are one shared object (``_CONTEXTS``).
+
+    A line in the canonical form (``_CONTEXT_LINE``) gives its values from
+    the block scan's groups and goes through the same checks from the
+    duplicate id on.
+    """
     contexts: dict[str, tuple[Exposure, Criticality]] = {}
-    for lineno, obj in _iter_jsonl(path):
-        cve_id = obj.get("cve")
-        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
-            raise _bad_cve_id(path, lineno, "cve", cve_id)
+    for lineno, obj in _iter_jsonl(path, _CONTEXT_LINE):
+        if type(obj) is tuple:
+            cve_id, exposure, criticality, _ = obj
+            cve_id, exposure, criticality = cve_id.decode(), exposure.decode(), criticality.decode()
+        else:
+            cve_id = obj.get("cve")
+            if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+                raise _bad_cve_id(path, lineno, "cve", cve_id)
+            exposure, criticality = obj.get("exposure"), obj.get("criticality")
         if cve_id in contexts:
             raise DuplicateId(f"{path}:{lineno}: duplicate context entry for {cve_id}")
-        exposure, criticality = obj.get("exposure"), obj.get("criticality")
         # Only strings are looked up: a JSON list or object is unhashable.
         pair = None
         if isinstance(exposure, str) and isinstance(criticality, str):

@@ -624,7 +624,8 @@ def test_written_store_reads_back_without_the_json_decoder(tmp_path_factory, row
     """Every line write_labels renders is in the form load_labels reads
     from the pattern's groups, and reads back as the entry it was."""
     merged = {row[0]: LabeledExample(*row) for row in rows}
-    assert all(feeds._STORE_LINE(line.encode("utf-8")) for line in _label_lines(merged))
+    scan = feeds._line_scan(feeds._STORE_LINE)
+    assert all(scan(line.encode("utf-8"))[0][-1] == b"" for line in _label_lines(merged))
     path = tmp_path_factory.getbasetemp() / "fast_path_store.jsonl"
     write_labels(path, merged)
 

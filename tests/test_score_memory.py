@@ -71,8 +71,16 @@ def test_score_path_memory_per_cve_is_bounded(tmp_path):
             tracemalloc.stop()
 
     # A first run grows the interpreter's string table and module caches once.
+    # The table of interned strings, which takes every id, also resizes each
+    # time a set number of strings has been added since its last resize, and
+    # the run that holds the old and new tables at once peaks about 2 MB
+    # higher. Which run that is depends on what the process ran before, so
+    # each size's peak is the lower of two runs, taken in turn.
     peak(8_000)
-    (small, _), (large, rows) = peak(2_000), peak(8_000)
+    (small, _), (large, rows), (small_again, _), (large_again, _) = (
+        peak(2_000), peak(8_000), peak(2_000), peak(8_000)
+    )
+    small, large = min(small, small_again), min(large, large_again)
     assert (large - small) / 6_000 < PER_CVE_BOUND, (small, large)
 
     threats = {(r.threat_score, r.threat_score.as_tuple().exponent) for r in rows}

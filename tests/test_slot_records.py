@@ -72,8 +72,8 @@ def test_labeled_examples(tmp_path, store_form):
         f'{sep[0]}"labeler"{sep[1]}"{who}"{sep[0]}"ts"{sep[1]}"2021-06-01T00:00:00Z"}}\n'
         for cve, u, o, who in rows
     ))
-    for line in path.read_bytes().splitlines(keepends=True):
-        assert (feeds._STORE_LINE(line) is not None) is store_form
+    lines = feeds._line_scan(feeds._STORE_LINE)(path.read_bytes())
+    assert [raw == b"" for *_, raw in lines] == [store_form] * len(rows)
     built = [LabeledExample(cve, u, o, Labeler(who), STAMP) for cve, u, o, who in rows]
     loaded = load_labels(path)
     for ex, expected in zip(loaded, built, strict=True):
