@@ -489,8 +489,8 @@ def load_labels(path) -> list[LabeledExample]:
     A line in the store's own form (``_STORE_LINE``) gives its values from
     the block scan's groups, which admit only ids, labels and labelers the
     checks accept; any other line is decoded as JSON and checked field by
-    field. Both then share the stamp and label checks, so they give the
-    same record, or the same error, for the same line.
+    field. Both then share the stamp check and the slot setters, so they
+    give the same record, or the same error, for the same line.
     """
     examples: list[LabeledExample] = []
     append = examples.append
