@@ -382,51 +382,48 @@ def _deterministic_ts(merged: dict[str, LabeledExample]) -> datetime:
 
 
 def cmd_predict(config: RunConfig, task: Task) -> int:
-    with _cyclic_gc_paused():
-        _require_paths(config, ["cves"])
-        if config.labels is None:
-            raise FeedError("no labels path configured (flag --labels)")
-        output_target(config.labels)  # before reading it: a FIFO would block
-        model = load_model(config.model_path(task))
-        if model.task is not task:
-            raise ModelVersionError(
-                f"{config.model_path(task)} holds a {model.task.value} model, not {task.value}"
-            )
-        merged = _effective_labels(config)
-        stamp = _deterministic_ts(merged)
-        # The CVE feed streams: one block of targets, descriptions included,
-        # is held at a time, and only each target's fresh label is kept. A
-        # bad feed line still raises before the store is written.
-        from vulnrank.triage.features import BLOCK_TEXTS  # numpy is loaded by now
+    _require_paths(config, ["cves"])
+    if config.labels is None:
+        raise FeedError("no labels path configured (flag --labels)")
+    output_target(config.labels)  # before reading it: a FIFO would block
+    model = load_model(config.model_path(task))
+    if model.task is not task:
+        raise ModelVersionError(
+            f"{config.model_path(task)} holds a {model.task.value} model, not {task.value}"
+        )
+    merged = _effective_labels(config)
+    stamp = _deterministic_ts(merged)
+    # The CVE feed streams: one block of targets, descriptions included, is
+    # held at a time, and only each target's fresh label is kept. A bad
+    # feed line still raises before the store is written.
+    from vulnrank.triage.features import BLOCK_TEXTS  # numpy is loaded by now
 
-        targets = _without_sme_labels(iter_cve_records(config.cves), merged)
-        fresh = []
-        while block := list(islice(targets, BLOCK_TEXTS)):
-            predictions = predict_texts(model, [rec.description for rec in block])
-            for rec, predicted in zip(block, predictions):
-                existing = merged.get(rec.cve_id)
-                utility, opportune = (existing.utility, existing.opportune) if existing else (0, 0)
-                if task is Task.UTILITY:
-                    utility = predicted
-                else:
-                    opportune = predicted
-                fresh.append(LabeledExample(rec.cve_id, utility, opportune, Labeler.MODEL, stamp))
-        if not fresh:
-            print("all CVEs already carry SME labels; nothing to predict")
-            return EXIT_OK
-        # What save_labels would write, without reading the store again:
-        # merge_labels is a left fold, so merging the merged store with the
-        # fresh labels equals merging every stored entry with them.
-        write_labels(config.labels, merge_labels([*merged.values(), *fresh]))
-        # Rows new to the store hold a placeholder 0 for the other task.
-        if placeholders := sum(ex.cve_id not in merged for ex in fresh):
-            other = (Task.OPPORTUNE if task is Task.UTILITY else Task.UTILITY).value
-            warning = (
-                f"{placeholders} new Model rows hold {other} 0 until predict --task {other} runs"
-            )
-            print(f"warning: {warning}", file=sys.stderr)
-        print(f"predicted {task.value} for {len(fresh)} CVEs -> {config.labels}")
+    targets = _without_sme_labels(iter_cve_records(config.cves), merged)
+    fresh = []
+    while block := list(islice(targets, BLOCK_TEXTS)):
+        predictions = predict_texts(model, [rec.description for rec in block])
+        for rec, predicted in zip(block, predictions):
+            existing = merged.get(rec.cve_id)
+            utility, opportune = (existing.utility, existing.opportune) if existing else (0, 0)
+            if task is Task.UTILITY:
+                utility = predicted
+            else:
+                opportune = predicted
+            fresh.append(LabeledExample(rec.cve_id, utility, opportune, Labeler.MODEL, stamp))
+    if not fresh:
+        print("all CVEs already carry SME labels; nothing to predict")
         return EXIT_OK
+    # What save_labels would write, without reading the store again:
+    # merge_labels is a left fold, so merging the merged store with the
+    # fresh labels equals merging every stored entry with them.
+    write_labels(config.labels, merge_labels([*merged.values(), *fresh]))
+    # Rows new to the store hold a placeholder 0 for the other task.
+    if placeholders := sum(ex.cve_id not in merged for ex in fresh):
+        other = (Task.OPPORTUNE if task is Task.UTILITY else Task.UTILITY).value
+        warning = f"{placeholders} new Model rows hold {other} 0 until predict --task {other} runs"
+        print(f"warning: {warning}", file=sys.stderr)
+    print(f"predicted {task.value} for {len(fresh)} CVEs -> {config.labels}")
+    return EXIT_OK
 
 
 @contextmanager
@@ -435,10 +432,7 @@ def _cyclic_gc_paused():
 
     Feed objects, records, scored rows, rankings and rendered rows hold
     no reference cycles, so the collector's passes over them, which grow
-    with the portfolio, find nothing. ``predict``'s merged store, its
-    blocks of descriptions and their predictions and fresh labels hold
-    none either. ``train`` keeps the collector: with it paused, its peak
-    RSS rises.
+    with the portfolio, find nothing.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -612,35 +612,6 @@ class TestPredict:
         assert len(labels) == 12
         assert all(ex.labeler is Labeler.MODEL for ex in labels)
 
-    @pytest.mark.parametrize("case, code", [("ok", 0), ("bad feed line", 2), ("missing model", 2)])
-    @pytest.mark.parametrize("enabled_before", [True, False])
-    def test_gc_paused_while_predicting(self, trained, tmp_path, monkeypatch, case, code, enabled_before):
-        # As in score: the collector is paused while predict runs, and
-        # however the command ends, it is left as it was found.
-        portfolio = self.write_portfolio(tmp_path)
-        args = self.predict_args(trained, portfolio)
-        if case == "bad feed line":
-            with open(portfolio / "portfolio.jsonl", "a") as fh:
-                fh.write("not json\n")
-        elif case == "missing model":
-            args = self.predict_args(tmp_path / "absent", portfolio)
-        paused_at_write = []
-        real_write = cli.write_labels
-
-        def spy_write(path, merged):
-            paused_at_write.append(not gc.isenabled())
-            return real_write(path, merged)
-
-        monkeypatch.setattr(cli, "write_labels", spy_write)
-        was_enabled = gc.isenabled()
-        (gc.enable if enabled_before else gc.disable)()
-        try:
-            assert main(args) == code
-            assert gc.isenabled() is enabled_before
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
-        assert paused_at_write == ([True] if code == 0 else [])
-
     def test_placeholder_rows_warn_until_the_other_task_runs(self, trained, tmp_path, capsys):
         # Ten CVEs have no row: utility's run writes them with opportune 0
         # and says so; opportune's run then only replaces Model rows.

@@ -3,10 +3,18 @@ row, the label and one id string, not by the feed's records, and rows
 share their threat Decimals."""
 
 import json
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
+from pathlib import Path
 
-import vulnrank.cli as cli
+import pytest
+
+import vulnrank
+from vulnrank import feeds
+
+SRC = Path(vulnrank.__file__).resolve().parents[1]
 
 VECTORS = (
     "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",
@@ -20,12 +28,51 @@ WORDS = ("buffer", "overflow", "remote", "attacker", "crafted", "request", "head
 PER_CVE_BOUND = 512
 
 
-def write_feeds(directory, n):
-    """Feeds for ``n`` CVEs: half vectors and half published scores, a label
-    each, two exploit references for every third and context for every fourth."""
+# The block scan's canonical form of each feed.
+FORMS = {"cves": feeds._CVE_LINE, "labels": feeds._STORE_LINE, "refs": feeds._REF_LINE,
+         "context": feeds._CONTEXT_LINE}
+
+# The peaks are taken in a new interpreter, so that what the process ran
+# before cannot move them. Every id is interned, and the table of interned
+# strings resizes each time a set number of strings has been added since
+# its last resize; the run that holds its old and new arrays at once peaks
+# about 1 MB higher. So the child first interns and keeps strings of its
+# own, which leaves the table room for every id the runs add, and a first
+# run grows the interpreter's module caches once.
+CHILD = """
+import json, sys, tracemalloc
+import vulnrank.cli as cli
+
+room = [sys.intern(f"room-{k}") for k in range(100_000)]
+
+
+def peak(args):
+    config = cli.build_config(cli.build_parser().parse_args(args))
+    tracemalloc.start()
+    try:
+        rows = cli._scored_portfolio(config)
+        return tracemalloc.get_traced_memory()[1], rows
+    finally:
+        tracemalloc.stop()
+
+
+small_args, large_args = json.loads(sys.argv[1])
+peak(large_args)
+(small, _), (large, rows) = peak(small_args), peak(large_args)
+threats = {(r.threat_score, r.threat_score.as_tuple().exponent) for r in rows}
+print(json.dumps([small, large, len({id(r.threat_score) for r in rows}), len(threats)]))
+"""
+
+
+def write_feeds(directory, n, render):
+    """Feeds for ``n`` CVEs, each line rendered by ``render`` from a row
+    with its keys in the loader's order: half vectors and half published
+    scores, a label each, two exploit references for every third and
+    context for every fourth. Returns the ``score`` args and the set of
+    the block scan's verdicts, whether it leaves a line to the decoder."""
     rng = random.Random(5)
     ids = [f"CVE-{2000 + k % 24}-{10000 + k}" for k in range(n)]
-    feeds = {
+    feeds_by_name = {
         "cves": (
             {
                 "id": cve_id,
@@ -50,38 +97,30 @@ def write_feeds(directory, n):
             for cve_id in ids[::4]
         ),
     }
-    args = ["score"]
-    for name, rows in feeds.items():
+    args, decoded = ["score"], set()
+    for name, rows in feeds_by_name.items():
         path = directory / f"{name}.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        data = "".join(render(row) + "\n" for row in rows).encode()
+        path.write_bytes(data)
         args += [f"--{name}", str(path)]
-    return cli.build_config(cli.build_parser().parse_args(args))
+        decoded |= {raw != b"" for *_, raw in feeds._line_scan(FORMS[name])(data)}
+    return args, decoded
 
 
-def test_score_path_memory_per_cve_is_bounded(tmp_path):
-    def peak(n):
+@pytest.mark.parametrize("render, decoded", [(json.dumps, True), (feeds.compact_json, False)],
+                         ids=["spaced", "canonical"])
+def test_score_path_memory_per_cve_is_bounded(tmp_path, render, decoded):
+    sizes = {}
+    for n in (2_000, 8_000):
         directory = tmp_path / str(n)
-        directory.mkdir(exist_ok=True)
-        config = write_feeds(directory, n)
-        tracemalloc.start()
-        try:
-            rows = cli._scored_portfolio(config)
-            return tracemalloc.get_traced_memory()[1], rows
-        finally:
-            tracemalloc.stop()
-
-    # A first run grows the interpreter's string table and module caches once.
-    # The table of interned strings, which takes every id, also resizes each
-    # time a set number of strings has been added since its last resize, and
-    # the run that holds the old and new tables at once peaks about 2 MB
-    # higher. Which run that is depends on what the process ran before, so
-    # each size's peak is the lower of two runs, taken in turn.
-    peak(8_000)
-    (small, _), (large, rows), (small_again, _), (large_again, _) = (
-        peak(2_000), peak(8_000), peak(2_000), peak(8_000)
+        directory.mkdir()
+        sizes[n], forms = write_feeds(directory, n, render)
+        # Every line takes the one path: the JSON decoder, or the scan's groups.
+        assert forms == {decoded}
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps([sizes[2_000], sizes[8_000]])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
     )
-    small, large = min(small, small_again), min(large, large_again)
+    small, large, threat_objects, threats = json.loads(done.stdout.splitlines()[-1])
     assert (large - small) / 6_000 < PER_CVE_BOUND, (small, large)
-
-    threats = {(r.threat_score, r.threat_score.as_tuple().exponent) for r in rows}
-    assert len({id(r.threat_score) for r in rows}) <= len(threats)
+    assert threat_objects <= threats
