@@ -15,7 +15,7 @@ from vulnrank import (
     LabeledExample,
     Labeler,
     compare,
-    export,
+    export_chunks,
     rank,
     score_portfolio,
 )
@@ -62,7 +62,7 @@ LABELS = {
 
 scored = score_portfolio(RECORDS, WX, LABELS)
 print("== ranked queue (neutral environment) ==")
-print(export(rank(scored), ExportFormat.TEXT).decode())
+print(b"".join(export_chunks(rank(scored), ExportFormat.TEXT)).decode())
 
 print("CVSS order:   11324 (7.5) above 27256 (6.8)")
 print("threat order:", " > ".join(s.cve_id.split("-")[-1] for s in rank(scored)))
@@ -70,7 +70,7 @@ print()
 
 # The comparison view: how the two orderings bucket the same portfolio.
 print("== comparison report ==")
-print(export(compare(scored), ExportFormat.TEXT).decode())
+print(b"".join(export_chunks(compare(scored), ExportFormat.TEXT)).decode())
 
 # Environmental factors: the same pump CVE on a public, high-criticality
 # asset multiplies by 1.5 * 1.5.

@@ -20,7 +20,6 @@ from vulnrank.feeds import (
     Labeler,
     iter_cve_records,
     load_asset_context,
-    load_cve_records,
     load_exploit_refs,
     load_labels,
     merge_labels,
@@ -30,7 +29,6 @@ from vulnrank.report import (
     ComparisonReport,
     ExportFormat,
     compare,
-    export,
     export_chunks,
     rank,
 )
@@ -59,11 +57,9 @@ __all__ = [
     "base_score",
     "compare",
     "env_factor",
-    "export",
     "export_chunks",
     "iter_cve_records",
     "load_asset_context",
-    "load_cve_records",
     "load_exploit_refs",
     "load_labels",
     "merge_labels",

@@ -50,7 +50,6 @@ from vulnrank.feeds import (
     attach_descriptions,
     iter_cve_records,
     load_asset_context,
-    load_cve_records,
     load_exploit_refs,
     load_labels,
     merge_labels,
@@ -275,7 +274,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:  # also UnicodeDecodeError
+            except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
                 raise InvalidConfig(f"{args.config}: not a JSON config file: {exc}") from None
         if not isinstance(doc, dict):
             raise _bad(args.config, type(doc).__name__, "a JSON object")
@@ -522,8 +521,11 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
     if config.labels is None:
         raise FeedError("no labels path configured (flag --labels)")
     output_target(config.labels)  # before reading it: a FIFO would block
-    records = sorted(load_cve_records(config.cves), key=lambda r: r.cve_id)
-    targets = list(_without_sme_labels(records, _effective_labels(config)))
+    with _cve_feed_error_first(config):
+        merged = _effective_labels(config)
+    targets = sorted(
+        _without_sme_labels(iter_cve_records(config.cves), merged), key=lambda r: r.cve_id
+    )
     if not targets:
         print("all CVEs already carry SME labels")
         return EXIT_OK

@@ -26,9 +26,9 @@ the CVE's wx is ``sum(urls.values())``. Asset context loads as
 A published ``score`` is a number in [0, 10] with at most one decimal.
 
 ``iter_cve_records`` yields a CVE feed's records one line at a time and
-keeps only the ids it has seen; ``load_cve_records`` is its list. The
-CVE, label, context and reference loaders intern every id they keep
-(``sys.intern``), so feeds loaded side by side hold one string per CVE.
+keeps only the ids it has seen. The CVE, label, context and reference
+loaders intern every id they keep (``sys.intern``), so feeds loaded side
+by side hold one string per CVE.
 
 Each loader has a canonical line form: what ``compact_json`` writes for
 a record with the loader's keys in a fixed order and string values of
@@ -404,11 +404,6 @@ def iter_cve_records(path) -> Iterator[CveRecord]:
         set_vector(record, vector)
         set_score(record, score)
         yield record
-
-
-def load_cve_records(path) -> list[CveRecord]:
-    """Load a CVE feed, in file order, rejecting duplicates."""
-    return list(iter_cve_records(path))
 
 
 def load_exploit_refs(path) -> dict[str, dict[str, bool]]:

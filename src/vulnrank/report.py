@@ -292,8 +292,3 @@ def export_chunks(obj: list | tuple | ComparisonReport, fmt: ExportFormat) -> It
     header, row = _PORTFOLIO_LINES[fmt]
     lines = map(row.__mod__, _rows(obj))
     return encoded_chunks(lines if header is None else chain((header,), lines))
-
-
-def export(obj: list | tuple | ComparisonReport, fmt: ExportFormat) -> bytes:
-    """The bytes of ``export_chunks``, joined."""
-    return b"".join(export_chunks(obj, fmt))

@@ -68,7 +68,7 @@ def load_model(path) -> LinearModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # also UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
             raise CorruptModel(f"{path}: not a JSON model file: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptModel(f"{path}: model file holds a JSON {type(doc).__name__}, not an object")

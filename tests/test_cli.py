@@ -27,6 +27,8 @@ from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_fe
 from conftest import trio_cve_rows, trio_label_rows, write_jsonl
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# A JSON value nested far deeper than the recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def make_args(**overrides):
@@ -260,6 +262,14 @@ class TestConfigResolution:
         path = trio_feed_dir / "config.txt"
         path.write_bytes(body.encode("latin-1"))
         assert main(trio_score_args(trio_feed_dir) + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a JSON config file: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("body", [DEEP_JSON, f'{{"seed": {DEEP_JSON}}}'], ids=["doc", "seed"])
+    def test_config_nested_too_deep_exits_2(self, trio_feed_dir, capsys, body):
+        path = trio_feed_dir / "deep.json"
+        path.write_text(body)
+        assert main(["ingest", "--cves", str(trio_feed_dir / "cves.jsonl"), "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not a JSON config file: ") and err.count("\n") == 1, err
 
@@ -715,15 +725,13 @@ class TestPredict:
             sizes.append(len(texts))
             return real_predict(model, texts)
 
-        def no_list(path):
-            raise AssertionError("predict read the CVE feed into a list")
-
         monkeypatch.setattr(features, "BLOCK_TEXTS", 3)
         monkeypatch.setattr(cli, "predict_texts", spy_predict)
-        monkeypatch.setattr(cli, "load_cve_records", no_list)
         assert main(self.predict_args(trained, portfolio)) == 0
         assert sizes == [3, 3, 3, 1]
         assert path.read_bytes() == whole
+        # The cli binds no reader that lists the whole CVE feed.
+        assert getattr(cli, "load_cve_records", None) is None
 
     @pytest.mark.parametrize("bad", ["model", "store", "cves"])
     def test_errors_keep_their_order(self, trained, tmp_path, monkeypatch, capsys, bad):
@@ -759,6 +767,16 @@ class TestPredict:
         doc = model_path.read_text().replace('"format_version": 1', '"format_version": 99')
         model_path.write_text(doc)
         assert main(self.predict_args(trained, portfolio)) == 4
+
+    def test_model_nested_too_deep_exits_4(self, tmp_path, capsys):
+        portfolio = self.write_portfolio(tmp_path)
+        model_path = tmp_path / "utility_model.json"
+        model_path.write_text(DEEP_JSON)
+        before = (portfolio / "portfolio_labels.jsonl").read_bytes()
+        assert main(self.predict_args(tmp_path, portfolio)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: not a JSON model file: ") and err.count("\n") == 1, err
+        assert (portfolio / "portfolio_labels.jsonl").read_bytes() == before
 
     def test_other_tasks_model_exits_4(self, trained, tmp_path, capsys):
         portfolio = self.write_portfolio(tmp_path)
@@ -1268,6 +1286,53 @@ class TestLabelLoop:
         assert "enter one of" in capsys.readouterr().out
         labels = load_labels(trio_feed_dir / "new_labels.jsonl")
         assert len(labels) == 1
+
+    def test_session_transcript_and_store(self, tmp_path, monkeypatch, capsys):
+        # Five CVEs out of id order, one with an SME row and one with a Model
+        # row: the session walks the other four in id order.
+        new = [
+            {"id": "CVE-2021-44228", "description": "JNDI lookups in log messages load remote code"},
+            {"id": "CVE-2018-0001", "description": "crafted packet crashes the daemon"},
+        ]
+        write_jsonl(tmp_path / "cves.jsonl", [new[0], *reversed(trio_cve_rows()), new[1]])
+        smb, _, pump = trio_label_rows()
+        store = write_jsonl(tmp_path / "new_labels.jsonl", [smb, {**pump, "labeler": "Model"}])
+        prompts = self.prompts_for(monkeypatch, ["2", "1", "s", "0", "7", "1", "q"])
+        assert main(self.label_args(tmp_path)) == 0
+        described = {row["id"]: row["description"] for row in trio_cve_rows()}
+        assert capsys.readouterr().out == (
+            "\nCVE-2018-0001: crafted packet crashes the daemon\n"
+            f"\nCVE-2019-11324: {described['CVE-2019-11324']}\n"
+            f"\nCVE-2020-27256: {described['CVE-2020-27256']}\n"
+            "  enter one of: 0, 1, q, s\n"
+            "\nCVE-2021-44228: JNDI lookups in log messages load remote code\n"
+            f"\nsaved 2 label(s) to {store}\n"
+        )
+        assert prompts == [
+            UTILITY_PROMPT, OPPORTUNE_PROMPT, UTILITY_PROMPT, UTILITY_PROMPT, OPPORTUNE_PROMPT,
+            OPPORTUNE_PROMPT, UTILITY_PROMPT,
+        ]
+        assert store.read_bytes() == (
+            b'{"cve":"CVE-2017-0143","utility":2,"opportune":0,"labeler":"SME","ts":"2021-06-01T00:00:00Z"}\n'
+            b'{"cve":"CVE-2018-0001","utility":2,"opportune":1,"labeler":"SME","ts":"2024-05-01T00:00:00Z"}\n'
+            b'{"cve":"CVE-2020-27256","utility":0,"opportune":1,"labeler":"SME","ts":"2024-05-01T00:00:00Z"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [{"cves"}, {"store"}, {"cves", "store"}], ids=["cves", "store", "both"]
+    )
+    def test_a_bad_cve_feed_wins_over_a_bad_store(self, trio_feed_dir, monkeypatch, capsys, bad):
+        # The store is read before the CVE feed streams; a bad feed line still wins.
+        cves, store = trio_feed_dir / "cves.jsonl", trio_feed_dir / "labels.jsonl"
+        if "cves" in bad:
+            cves.write_text(cves.read_text() + "not json\n")
+        if "store" in bad:
+            store.write_text("not json\n")
+        self.run_with_keys(monkeypatch, [])
+        assert main(self.label_args(trio_feed_dir, "labels.jsonl")) == 2
+        err = capsys.readouterr().err
+        where = f"{cves}:4: " if "cves" in bad else f"{store}:1: "
+        assert err.startswith(f"error: {where}invalid JSON") and err.count("\n") == 1, err
 
     def test_immediate_quit_writes_nothing(self, trio_feed_dir, monkeypatch):
         self.run_with_keys(monkeypatch, ["q"])

@@ -23,13 +23,12 @@ README = ROOT / "README.md"
 # Loader: (its README bullet, the keys it reads).
 LOADER_KEYS = {
     "iter_cve_records": ("CVE records", {"id", "description", "vector", "score"}),
-    "load_cve_records": ("CVE records", {"id", "description", "vector", "score"}),
     "load_exploit_refs": ("Exploit references", {"cve", "url", "source", "exploit"}),
     "load_labels": ("Labels", {"cve", "utility", "opportune", "labeler", "ts"}),
     "load_asset_context": ("Asset context", {"cve", "exposure", "criticality"}),
 }
 # Keys a bullet names as ignored: no loader may read them.
-IGNORED = {"iter_cve_records": {"references"}, "load_cve_records": {"references"}}
+IGNORED = {"iter_cve_records": {"references"}}
 # Backticked words in a bullet that are JSON values, not keys.
 JSON_WORDS = {"true", "false", "null"}
 

@@ -28,8 +28,8 @@ from vulnrank.feeds import (
     attach_descriptions,
     compact_json,
     format_ts,
+    iter_cve_records,
     load_asset_context,
-    load_cve_records,
     load_exploit_refs,
     load_labels,
     merge_labels,
@@ -75,7 +75,7 @@ def assert_bad_id_exits_2(tmp_path, capsys, flag, key, row, bad_id):
 class TestLoadCveRecords:
     def test_worked_trio(self, tmp_path):
         path = write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows())
-        records = load_cve_records(path)
+        records = list(iter_cve_records(path))
         assert [r.cve_id for r in records] == [rec["id"] for rec in WORKED_TRIO]
         assert [r.description for r in records] == [rec["description"] for rec in WORKED_TRIO]
         assert all(r.vector is not None for r in records)
@@ -83,7 +83,7 @@ class TestLoadCveRecords:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "cves.jsonl"
         path.write_text("")
-        assert load_cve_records(path) == []
+        assert list(iter_cve_records(path)) == []
 
     def test_duplicate_id(self, tmp_path):
         rows = [
@@ -92,35 +92,35 @@ class TestLoadCveRecords:
         ]
         path = write_jsonl(tmp_path / "cves.jsonl", rows)
         with pytest.raises(DuplicateId, match="CVE-2020-0001"):
-            load_cve_records(path)
+            list(iter_cve_records(path))
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "cves.jsonl"
         path.write_text('{"id": "CVE-2020-0001", "description": "a"}\nnot json\n')
         with pytest.raises(ParseError, match=":2"):
-            load_cve_records(path)
+            list(iter_cve_records(path))
 
     def test_missing_field_named(self, tmp_path):
         path = write_jsonl(tmp_path / "cves.jsonl", [{"id": "CVE-2020-0001"}])
         with pytest.raises(SchemaError, match="description"):
-            load_cve_records(path)
+            list(iter_cve_records(path))
 
     def test_bad_cve_id(self, tmp_path):
         path = write_jsonl(tmp_path / "cves.jsonl", [{"id": "CVE-20-1", "description": "a"}])
         with pytest.raises(SchemaError, match="CVE-20-1"):
-            load_cve_records(path)
+            list(iter_cve_records(path))
 
     def test_bad_vector_wrapped(self, tmp_path):
         rows = [{"id": "CVE-2020-0001", "description": "a", "vector": "AV:N/AC:L"}]
         path = write_jsonl(tmp_path / "cves.jsonl", rows)
         with pytest.raises(SchemaError, match="vector"):
-            load_cve_records(path)
+            list(iter_cve_records(path))
 
     def test_score_out_of_range(self, tmp_path):
         rows = [{"id": "CVE-2020-0001", "description": "a", "score": 11.0}]
         path = write_jsonl(tmp_path / "cves.jsonl", rows)
         with pytest.raises(SchemaError, match="11.0"):
-            load_cve_records(path)
+            list(iter_cve_records(path))
 
     @pytest.mark.parametrize(
         "score,reason",
@@ -133,7 +133,7 @@ class TestLoadCveRecords:
                 {"id": "CVE-2020-0002", "description": "b", "score": score}]
         path = write_jsonl(tmp_path / "cves.jsonl", rows)
         with pytest.raises(SchemaError, match=f"cves.jsonl:2: score .* {reason}"):
-            load_cve_records(path)
+            list(iter_cve_records(path))
 
     @pytest.mark.parametrize(
         "score,value",
@@ -142,7 +142,7 @@ class TestLoadCveRecords:
     )
     def test_one_decimal_score_accepted(self, tmp_path, score, value):
         rows = [{"id": "CVE-2020-0001", "description": "a", "score": score}]
-        (record,) = load_cve_records(write_jsonl(tmp_path / "cves.jsonl", rows))
+        (record,) = iter_cve_records(write_jsonl(tmp_path / "cves.jsonl", rows))
         assert record.published_score == Decimal(value)
         # One place, whichever form the feed used: 8, 8.0 and 10 included.
         assert str(record.published_score) == value
@@ -151,16 +151,16 @@ class TestLoadCveRecords:
         rows = [{"id": "CVE-2020-0001", "description": "a", "vector": ["AV:N"]}]
         path = write_jsonl(tmp_path / "cves.jsonl", rows)
         with pytest.raises(SchemaError, match="cves.jsonl:1: vector must be a string"):
-            load_cve_records(path)
+            list(iter_cve_records(path))
 
     def test_record_without_vector_or_score_loads(self, tmp_path):
         path = write_jsonl(tmp_path / "cves.jsonl", [{"id": "CVE-2020-0001", "description": "a"}])
-        (record,) = load_cve_records(path)
+        (record,) = iter_cve_records(path)
         assert not record.scoring_eligible
 
     def test_deterministic(self, tmp_path):
         path = write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows())
-        assert load_cve_records(path) == load_cve_records(path)
+        assert list(iter_cve_records(path)) == list(iter_cve_records(path))
 
     @pytest.mark.parametrize("bad_id", BAD_IDS.values(), ids=BAD_IDS)
     def test_non_ascii_or_newline_id_exits_2(self, tmp_path, capsys, bad_id):
@@ -178,7 +178,7 @@ class TestLoadCveRecords:
         row = {"id": "CVE-2020-0002", "description": "b", "score": 5.0}
         plain = write_jsonl(tmp_path / "plain.jsonl", [row])
         inline = write_jsonl(tmp_path / "inline.jsonl", [{**row, "references": references}])
-        assert load_cve_records(inline) == load_cve_records(plain)
+        assert list(iter_cve_records(inline)) == list(iter_cve_records(plain))
 
 
 def wx_of(refs):
@@ -469,7 +469,7 @@ class TestAssetContext:
 
 class TestAttachDescriptions:
     def test_join(self, tmp_path):
-        records = load_cve_records(write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows()))
+        records = list(iter_cve_records(write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows())))
         examples = [
             LabeledExample("CVE-2017-0143", 2, 0, Labeler.SME, ts("2021-01-01T00:00:00"))
         ]

@@ -124,11 +124,12 @@ FAULTS = {
     },
 }
 ID_FIELD = {"cves": "id", "context": "cve"}
+# Each feed's loader, read whole, and its oracle in feeds_reference.
 LOADERS = {
-    "cves": "load_cve_records",
-    "refs": "load_exploit_refs",
-    "labels": "load_labels",
-    "context": "load_asset_context",
+    "cves": (lambda path: list(feeds.iter_cve_records(path)), feeds_reference.load_cve_records),
+    "refs": (feeds.load_exploit_refs, feeds_reference.load_exploit_refs),
+    "labels": (feeds.load_labels, feeds_reference.load_labels),
+    "context": (feeds.load_asset_context, feeds_reference.load_asset_context),
 }
 
 
@@ -242,12 +243,12 @@ def outcome(loader, path):
 def test_loader_matches_reference(tmp_path_factory, kind, data):
     path = tmp_path_factory.getbasetemp() / f"loader_differential_{kind}.jsonl"
     path.write_bytes(data.draw(feeds_for(kind)))
-    name = LOADERS[kind]
+    loader, reference = LOADERS[kind]
     block_bytes = data.draw(st.sampled_from([feeds.BLOCK_BYTES, 1, 16, 48]), label="block bytes")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(feeds, "BLOCK_BYTES", block_bytes)
-        got = outcome(getattr(feeds, name), path)
-    expected = outcome(getattr(feeds_reference, name), path)
+        got = outcome(loader, path)
+    expected = outcome(reference, path)
     event(expected[1][0] if expected[1] else "loaded")
     assert got == expected
 
@@ -266,8 +267,9 @@ def test_every_inline_reference_shape_loads(tmp_path, references):
     path = tmp_path / "cves.jsonl"
     record = {"id": "CVE-2020-0001", "description": "a", "references": references}
     path.write_text(json.dumps(record) + "\n")
-    got = outcome(feeds.load_cve_records, path)
-    assert got == outcome(feeds_reference.load_cve_records, path)
+    loader, reference = LOADERS["cves"]
+    got = outcome(loader, path)
+    assert got == outcome(reference, path)
     assert got == (repr([feeds.CveRecord("CVE-2020-0001", "a")]), None, [])
 
 
@@ -439,8 +441,8 @@ def test_lines_near_each_form_load_as_the_reference(tmp_path, kind, line, canoni
     assert decoded(kind, data) == [False, not canonical]
     path = tmp_path / f"{kind}.jsonl"
     path.write_bytes(data)
-    name = LOADERS[kind]
-    assert outcome(getattr(feeds, name), path) == outcome(getattr(feeds_reference, name), path)
+    loader, reference = LOADERS[kind]
+    assert outcome(loader, path) == outcome(reference, path)
 
 
 def cve_line(n: int, vector: str = VECTOR_TEXT) -> str:
@@ -491,9 +493,9 @@ def test_an_error_in_the_third_block_names_its_line(
     monkeypatch.setattr(feeds, "BLOCK_BYTES", 2 * len(lines[0]) - 3)
     path = tmp_path / f"{kind}.jsonl"
     path.write_bytes(data)
-    name = LOADERS[kind]
-    got = outcome(getattr(feeds, name), path)
-    assert got == outcome(getattr(feeds_reference, name), path)
+    loader, reference = LOADERS[kind]
+    got = outcome(loader, path)
+    assert got == outcome(reference, path)
     assert got[1][1].startswith(f"{path}:6: ") and message in got[1][1], got
 
 
@@ -503,8 +505,9 @@ def test_a_last_line_without_a_newline_loads(tmp_path, monkeypatch, block_bytes,
     monkeypatch.setattr(feeds, "BLOCK_BYTES", block_bytes)
     path = tmp_path / "cves.jsonl"
     path.write_bytes(f"{cve_line(1)}\n{cve_line(2)}\n{last}".encode("utf-8"))
-    got = outcome(feeds.load_cve_records, path)
-    assert got == outcome(feeds_reference.load_cve_records, path)
+    loader, reference = LOADERS["cves"]
+    got = outcome(loader, path)
+    assert got == outcome(reference, path)
     assert got[0].count("CveRecord(") == 3
 
 

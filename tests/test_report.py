@@ -15,7 +15,6 @@ from vulnrank.report import (
     CSV_COLUMNS,
     ExportFormat,
     compare,
-    export,
     export_chunks,
     rank,
 )
@@ -115,7 +114,8 @@ class TestRank:
         # Position i of the list holds rank i+1, and the export numbers it so.
         portfolio = rank(random_portfolio(25, seed=3))
         assert type(portfolio) is list and len(portfolio) == 25
-        rows = list(csv.DictReader(io.StringIO(export(portfolio, ExportFormat.CSV).decode())))
+        data = b"".join(export_chunks(portfolio, ExportFormat.CSV)).decode()
+        rows = list(csv.DictReader(io.StringIO(data)))
         assert [int(row["rank"]) for row in rows] == list(range(1, 26))
         assert [row["cve_id"] for row in rows] == [s.cve_id for s in portfolio]
 
@@ -174,7 +174,8 @@ class TestCompare:
             band = max(1, units + (tenth > 0))
             assert report.cvss_bands == {b: int(b == band) for b in range(10, 0, -1)}, text
             assert report.critical_count == int(units >= 9), text
-            (row,) = csv.DictReader(io.StringIO(export(rank([entry]), ExportFormat.CSV).decode()))
+            data = b"".join(export_chunks(rank([entry]), ExportFormat.CSV)).decode()
+            (row,) = csv.DictReader(io.StringIO(data))
             assert row["cvss"] == text
 
     def test_default_tiers(self):
@@ -212,17 +213,19 @@ class TestExport:
     def test_deterministic_bytes(self):
         portfolio = rank(random_portfolio(50, seed=13))
         for fmt in ExportFormat:
-            assert export(portfolio, fmt) == export(portfolio, fmt)
+            assert b"".join(export_chunks(portfolio, fmt)) == b"".join(
+                export_chunks(portfolio, fmt)
+            )
         report = compare(random_portfolio(50, seed=13))
         for fmt in ExportFormat:
-            assert export(report, fmt) == export(report, fmt)
+            assert b"".join(export_chunks(report, fmt)) == b"".join(export_chunks(report, fmt))
 
     def test_empty_csv_is_header_only(self):
-        data = export(rank([]), ExportFormat.CSV)
+        data = b"".join(export_chunks(rank([]), ExportFormat.CSV))
         assert data.decode() == ",".join(CSV_COLUMNS) + "\n"
 
     def test_trio_csv_rows(self):
-        data = export(rank(trio_portfolio()), ExportFormat.CSV).decode()
+        data = b"".join(export_chunks(rank(trio_portfolio()), ExportFormat.CSV)).decode()
         lines = data.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert lines[1] == "1,CVE-2017-0143,102.3,8.1,High,26,2,0,1,SME"
@@ -230,7 +233,7 @@ class TestExport:
         assert lines[3] == "3,CVE-2019-11324,9.5,7.5,High,2,0,0,1,SME"
 
     def test_jsonl_mirrors_fields(self):
-        data = export(rank(trio_portfolio()), ExportFormat.STRUCTURED).decode()
+        data = b"".join(export_chunks(rank(trio_portfolio()), ExportFormat.STRUCTURED)).decode()
         rows = [json.loads(line) for line in data.strip().split("\n")]
         assert rows[0]["cve_id"] == "CVE-2017-0143"
         assert rows[0]["threat_score"] == "102.3"
@@ -238,14 +241,14 @@ class TestExport:
         assert set(rows[0]) == set(CSV_COLUMNS)
 
     def test_text_report_two_columns(self):
-        data = export(compare(trio_portfolio()), ExportFormat.TEXT).decode()
+        data = b"".join(export_chunks(compare(trio_portfolio()), ExportFormat.TEXT)).decode()
         assert "CVSS band" in data
         assert "threat tier" in data
         assert "|" in data
         assert "critical (9.0-10.0): 0" in data
 
     def test_report_csv_sections(self):
-        data = export(compare(trio_portfolio()), ExportFormat.CSV).decode()
+        data = b"".join(export_chunks(compare(trio_portfolio()), ExportFormat.CSV)).decode()
         assert data.startswith("section,bucket,value\n")
         assert "cvss_band,10,0" in data
         assert "threat_tier,>=64,1" in data
@@ -256,12 +259,14 @@ class TestExport:
         # would need either is refused in every format.
         portfolio = rank([*trio_portfolio(), scored('bad"id,x', "5.0")])
         with pytest.raises(ValueError, match="not a CVE id"):
-            export(portfolio, fmt)
+            b"".join(export_chunks(portfolio, fmt))
 
     @pytest.mark.parametrize("fmt", list(ExportFormat))
     def test_a_tuple_exports_as_the_list(self, fmt):
         portfolio = rank(trio_portfolio())
-        assert export(tuple(portfolio), fmt) == export(portfolio, fmt)
+        assert b"".join(export_chunks(tuple(portfolio), fmt)) == b"".join(
+            export_chunks(portfolio, fmt)
+        )
 
     @pytest.mark.parametrize(
         "make, name",

@@ -34,7 +34,6 @@ from vulnrank.report import (
     DEFAULT_TIER_BOUNDS,
     ExportFormat,
     compare,
-    export,
     export_chunks,
     rank,
 )
@@ -137,18 +136,18 @@ def assert_equivalent(scored):
     assert [s.cve_id for s in portfolio] == [s.cve_id for s in reference_order(scored)]
     rows = [_portfolio_row(pos, s) for pos, s in enumerate(portfolio, start=1)]
 
-    jsonl = export(portfolio, ExportFormat.STRUCTURED).decode("utf-8").splitlines()
+    jsonl = b"".join(export_chunks(portfolio, ExportFormat.STRUCTURED)).decode("utf-8").splitlines()
     assert jsonl == [compact_json(row) for row in rows]
-    text = export(portfolio, ExportFormat.TEXT).decode("utf-8").splitlines()
+    text = b"".join(export_chunks(portfolio, ExportFormat.TEXT)).decode("utf-8").splitlines()
     assert text[1:] == [reference_text_row(row) for row in rows]
-    assert export(portfolio, ExportFormat.CSV).decode("utf-8") == reference_csv(rows)
+    assert b"".join(export_chunks(portfolio, ExportFormat.CSV)).decode("utf-8") == reference_csv(rows)
 
     assert compare(scored, top_k=TOP_K).top_k_overlap == reference_overlap(scored, TOP_K)
     for bounds in TIER_BOUNDS:
         report = compare(scored, tier_bounds=bounds, top_k=TOP_K)
         counts = (report.cvss_bands, report.critical_count, report.threat_tiers)
         assert counts == reference_counts(scored, bounds)
-        assert export(report, ExportFormat.CSV).decode("utf-8") == reference_report_csv(report)
+        assert b"".join(export_chunks(report, ExportFormat.CSV)).decode("utf-8") == reference_report_csv(report)
 
 
 def test_golden_portfolio(tmp_path):
@@ -226,14 +225,14 @@ def test_export_chunks_at_chunk_boundaries(size):
     }
     for fmt, text in expected.items():
         chunks = list(export_chunks(portfolio, fmt))
-        assert b"".join(chunks) == export(portfolio, fmt) == text.encode("utf-8")
+        assert b"".join(chunks) == b"".join(export_chunks(portfolio, fmt)) == text.encode("utf-8")
         # Whole lines, CHUNK_LINES of them to a chunk, the header counting as one.
         assert [chunk.count(b"\n") for chunk in chunks[:-1]] == [CHUNK_LINES] * (len(chunks) - 1)
         assert len(chunks) == -(-text.count("\n") // CHUNK_LINES)
         assert all(chunk.endswith(b"\n") for chunk in chunks)
     if size == 0:
-        assert export(portfolio, ExportFormat.STRUCTURED) == b""
-        assert export(portfolio, ExportFormat.CSV) == (",".join(CSV_COLUMNS) + "\n").encode()
+        assert b"".join(export_chunks(portfolio, ExportFormat.STRUCTURED)) == b""
+        assert b"".join(export_chunks(portfolio, ExportFormat.CSV)) == (",".join(CSV_COLUMNS) + "\n").encode()
 
 
 def test_more_distinct_values_than_the_caches_hold():
@@ -258,6 +257,6 @@ def test_comparison_report_is_one_chunk():
     report = compare(tied_portfolio(2 * CHUNK_LINES + 1), top_k=TOP_K)
     for fmt in ExportFormat:
         (chunk,) = export_chunks(report, fmt)
-        assert chunk == export(report, fmt)
+        assert chunk == b"".join(export_chunks(report, fmt))
     (csv_chunk,) = export_chunks(report, ExportFormat.CSV)
     assert csv_chunk.decode("utf-8") == reference_report_csv(report)

@@ -22,10 +22,10 @@ VECTORS = (
     "CVSS:3.1/AV:A/AC:L/PR:H/UI:N/S:U/C:N/I:L/A:L",
 )
 WORDS = ("buffer", "overflow", "remote", "attacker", "crafted", "request", "header", "parser")
-# Bytes of traced peak per added CVE. The streamed path takes about 330;
-# one that holds every CveRecord, its description and two more copies of
-# each id until scoring ends takes about 720.
-PER_CVE_BOUND = 512
+# Bytes of traced peak per added CVE. The streamed path takes about 341,
+# on spaced and canonical feeds alike; one that holds every CveRecord
+# until scoring ends (a list of the CVE feed) takes about 504.
+PER_CVE_BOUND = 420
 
 
 # The block scan's canonical form of each feed.

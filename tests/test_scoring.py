@@ -20,7 +20,6 @@ from vulnrank.feeds import (
     Labeler,
     iter_cve_records,
     load_asset_context,
-    load_cve_records,
     load_exploit_refs,
 )
 from vulnrank.scoring import (
@@ -222,7 +221,7 @@ class TestFormatQuantity:
 
 class TestScorePortfolio:
     def load_trio(self, tmp_path):
-        records = load_cve_records(write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows()))
+        records = list(iter_cve_records(write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows())))
         refs = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", trio_ref_rows()))
         wx_map = {cve_id: sum(urls.values()) for cve_id, urls in refs.items()}
         labels_map = {
@@ -279,7 +278,7 @@ class TestScorePortfolio:
                 "score": 9.3,
             }
         ]
-        records = load_cve_records(write_jsonl(tmp_path / "cves.jsonl", rows))
+        records = list(iter_cve_records(write_jsonl(tmp_path / "cves.jsonl", rows)))
         import logging
 
         with caplog.at_level(logging.WARNING, logger="vulnrank.scoring"):
@@ -355,7 +354,7 @@ class TestScorePortfolio:
             cve_id: (rng.choice(list(Exposure)), rng.choice(list(Criticality)))
             for cve_id in ids[::3]
         }
-        records = load_cve_records(path)
+        records = list(iter_cve_records(path))
         expected = score_portfolio(records, wx_map, labels_map, ctx_map)
         for stream in (iter(records), iter_cve_records(path)):
             scored = score_portfolio(stream, wx_map, labels_map, ctx_map)

@@ -23,7 +23,6 @@ from vulnrank.feeds import (
     attach_descriptions,
     iter_cve_records,
     load_asset_context,
-    load_cve_records,
     load_labels,
     merge_labels,
 )
@@ -58,7 +57,7 @@ def test_cve_records(tmp_path):
         CveRecord("CVE-2020-0002", "", published_score=Decimal("7.0")),
         CveRecord("CVE-2020-0003", "c"),
     ]
-    for loaded, expected in zip(load_cve_records(path), built, strict=True):
+    for loaded, expected in zip(iter_cve_records(path), built, strict=True):
         assert_same_record(loaded, expected, description="changed")
 
 
