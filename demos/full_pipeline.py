@@ -1,8 +1,8 @@
 """Walkthrough: the whole CLI pipeline on generated feeds.
 
 Writes a synthetic CVE feed, an SME label store covering most of it, and
-an exploit reference feed into a scratch directory, then drives the
-`vulnrank` command line end to end:
+an exploit reference feed into a temporary directory, then drives the
+`vulnrank` command line end to end and removes the directory:
 
     ingest -> train (x2 tasks) -> predict (x2) -> rank -> report
 
@@ -17,7 +17,8 @@ from vulnrank.cli import main
 from vulnrank.feeds import save_labels
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed, write_ref_feed
 
-workdir = Path(tempfile.mkdtemp(prefix="vulnrank-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="vulnrank-demo-")
+workdir = Path(tmp.name)
 print(f"working in {workdir}\n")
 
 # Feed production (normally an out-of-band crawler/exporter): 300 CVEs,
@@ -25,7 +26,7 @@ print(f"working in {workdir}\n")
 corpus = synth_labeled_corpus(n=300, seed=11)
 records = synth_cve_records(corpus, seed=11)
 write_cve_feed(workdir / "cves.jsonl", records)
-save_labels(workdir / "labels.jsonl", corpus[:250])
+save_labels(workdir / "labels.jsonl", [ex for _, ex in corpus[:250]])
 write_ref_feed(
     workdir / "refs.jsonl",
     [
@@ -68,4 +69,4 @@ run(["report"] + base + ["--format", "text"])
 print("== top of the remediation queue ==")
 for line in (workdir / "queue.csv").read_text().splitlines()[:11]:
     print(line)
-print(f"\nartifacts left in {workdir}")
+tmp.cleanup()

@@ -20,11 +20,12 @@ from vulnrank.triage import (
 # 600 labeled examples: utility split 42/32/26, opportune 92/8.
 corpus = synth_labeled_corpus(n=600, seed=42)
 print(f"corpus: {len(corpus)} labeled descriptions")
-print(f"example: {corpus[0].cve_id} (utility={corpus[0].utility}, opportune={corpus[0].opportune})")
-print(f"  {corpus[0].description}\n")
+description, example = corpus[0]
+print(f"example: {example.cve_id} (utility={example.utility}, opportune={example.opportune})")
+print(f"  {description}\n")
 
 train_set, test_set = split(corpus, train_fraction=0.8, seed=42)
-vocab = fit_vocabulary([ex.description for ex in train_set], min_df=2)
+vocab = fit_vocabulary([text for text, _ in train_set], min_df=2)
 print(f"split: {len(train_set)} train / {len(test_set)} test, vocabulary {vocab.size} tokens\n")
 
 models = {}

@@ -34,7 +34,6 @@ from vulnrank.report import (
 )
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
-    EnvWeights,
     ScoredVulnerability,
     env_factor,
     score_portfolio,
@@ -48,7 +47,6 @@ __all__ = [
     "CveRecord",
     "CvssVector",
     "DEFAULT_ENV_WEIGHTS",
-    "EnvWeights",
     "ExportFormat",
     "LabeledExample",
     "Labeler",

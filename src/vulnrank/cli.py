@@ -29,13 +29,14 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from vulnrank.cvss import CvssError
 from vulnrank.feeds import (
@@ -62,7 +63,6 @@ from vulnrank.feeds import (
 from vulnrank.report import DEFAULT_TIER_BOUNDS, ExportFormat, compare, export_chunks, rank
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
-    EnvWeights,
     InvalidConfig,
     MissingCvss,
     MissingLabels,
@@ -126,7 +126,10 @@ class RunConfig:
     epochs: int = 20
     reg_lambda: float = 1e-4
     stratified: bool = False
-    env_weights: EnvWeights = DEFAULT_ENV_WEIGHTS
+    # A mapping proxy is not hashable, so dataclass refuses it as a default.
+    env_weights: Mapping[Exposure | Criticality, Decimal] = field(
+        default_factory=lambda: DEFAULT_ENV_WEIGHTS
+    )
     tier_bounds: tuple[Decimal, ...] = DEFAULT_TIER_BOUNDS
 
     def model_path(self, task: Task) -> str:
@@ -218,19 +221,18 @@ def _tier_bounds(raw, where: str) -> tuple[Decimal, ...]:
     return bounds
 
 
-def _env_weights(raw, where: str) -> EnvWeights:
+def _env_weights(raw, where: str) -> Mapping[Exposure | Criticality, Decimal]:
     if not isinstance(raw, dict) or not raw.keys() <= {"exposure", "criticality"}:
         raise _bad(where, raw, "an object of exposure and criticality weights")
-    tables = {}
+    # A member the config leaves out keeps its default weight.
+    weights = dict(DEFAULT_ENV_WEIGHTS)
     for name, enum in (("exposure", Exposure), ("criticality", Criticality)):
         section, members = raw.get(name, {}), {m.value: m for m in enum}
         if not isinstance(section, dict) or not section.keys() <= members.keys():
             raise _bad(f"{where}.{name}", section, f"weights for {', '.join(members)}")
-        # A member the section leaves out keeps its default weight.
-        tables[name] = getattr(DEFAULT_ENV_WEIGHTS, name) | {
-            members[k]: _decimal(v, f"{where}.{name}.{k}", *WEIGHT_RANGE) for k, v in section.items()
-        }
-    return EnvWeights(**tables)
+        for k, v in section.items():
+            weights[members[k]] = _decimal(v, f"{where}.{name}.{k}", *WEIGHT_RANGE)
+    return MappingProxyType(weights)
 
 
 # Each RunConfig key, in field order, with its parser (the JSON value or its
@@ -341,11 +343,11 @@ def cmd_train(config: RunConfig, task: Task) -> int:
             raise CorpusTooSmall(f"label store holds {len(examples)} SME examples; need at least 5")
     # The CVE feed streams through the join, which keeps only the labeled
     # CVEs' descriptions; a bad feed line raises before the missing ids.
-    examples = attach_descriptions(examples, iter_cve_records(config.cves))
+    docs = attach_descriptions(examples, iter_cve_records(config.cves))
 
-    stratify = task.label_of if config.stratified else None
-    train_set, test_set = split(examples, seed=config.seed, stratify_key=stratify)
-    vocab = fit_vocabulary([ex.description for ex in train_set], min_df=config.min_df)
+    stratify = (lambda doc: task.label_of(doc[1])) if config.stratified else None
+    train_set, test_set = split(docs, seed=config.seed, stratify_key=stratify)
+    vocab = fit_vocabulary([text for text, _ in train_set], min_df=config.min_df)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateTaskWarning)

@@ -50,9 +50,9 @@ match as a whole before it opens the file, so every store line it writes
 is in ``load_labels``' canonical form.
 
 The loaders build records they have checked through the dataclasses'
-slot setters, without the frozen ``__init__``, and ``attach_descriptions``
-builds its examples from checked ones the same way; a record built by its
-constructor is checked there, as before.
+slot setters, without the frozen ``__init__``; a record built by its
+constructor is checked there. ``attach_descriptions`` builds nothing: it
+pairs each checked example with its CVE's description.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import logging
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
@@ -168,10 +168,9 @@ class CveRecord:
 @dataclass(frozen=True, slots=True)
 class LabeledExample:
     """One triage judgment for a CVE: utility 0/1/2, the opportune flag
-    0/1, who assigned them and when. Training and scoring both use it.
-
-    ``description`` is not persisted in label files; it is joined back in
-    from the CVE feed when the example is used for training.
+    0/1, who assigned them and when; one label store line. Training and
+    scoring both use it, training as ``(description, example)`` pairs
+    that ``attach_descriptions`` joins from the CVE feed.
     """
 
     cve_id: str
@@ -179,7 +178,6 @@ class LabeledExample:
     opportune: int
     labeler: Labeler
     labeled_at: datetime
-    description: str = field(default="", compare=False)
 
     def __post_init__(self):
         problem = _bad_labels(self.utility, self.opportune)
@@ -244,8 +242,6 @@ _STORE_LINE = (
     rb'\{"cve":"(%s)","utility":([012]),"opportune":([01]),"labeler":"(SME|Model)",'
     rb'"ts":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)"\}' % _ID
 )
-# No line takes this form; its one group keeps the scan's items tuples.
-_NO_FORM = rb"()(?!)"
 
 
 @functools.cache
@@ -261,7 +257,7 @@ def _line_scan(canonical: bytes):
     return re.compile(rb"(?:%s)(?:\n|\Z)|([^\n]*\n|[^\n]+\Z)" % canonical).findall
 
 
-def _iter_jsonl(path, canonical: bytes = _NO_FORM) -> Iterator[tuple[int, dict | tuple]]:
+def _iter_jsonl(path, canonical: bytes) -> Iterator[tuple[int, dict | tuple]]:
     """Yield ``(lineno, object)`` for each non-blank line of a feed.
 
     The file is read ``BLOCK_BYTES`` at a time, each block extended to the
@@ -489,9 +485,7 @@ def load_labels(path) -> list[LabeledExample]:
     """
     examples: list[LabeledExample] = []
     append = examples.append
-    set_id, set_utility, set_opportune, set_labeler, set_ts, set_description = (
-        _LABELED_EXAMPLE_SETTERS
-    )
+    set_id, set_utility, set_opportune, set_labeler, set_ts = _LABELED_EXAMPLE_SETTERS
     # Label stores repeat stamps: a predict run gives all its labels one.
     stamps: dict[str, datetime] = {}
     for lineno, obj in _iter_jsonl(path, _STORE_LINE):
@@ -529,7 +523,6 @@ def load_labels(path) -> list[LabeledExample]:
         set_opportune(ex, opportune)
         set_labeler(ex, labeler)
         set_ts(ex, ts)
-        set_description(ex, "")
         append(ex)
     return examples
 
@@ -691,8 +684,9 @@ def load_asset_context(path) -> dict[str, tuple[Exposure, Criticality]]:
 
 def attach_descriptions(
     examples: Iterable[LabeledExample], records: Iterable[CveRecord]
-) -> list[LabeledExample]:
-    """Fill each example's description from the CVE feed.
+) -> list[tuple[str, LabeledExample]]:
+    """Each example paired with its CVE's description from the feed, as
+    ``(description, example)`` in the examples' order.
 
     ``records`` is read once, and only the descriptions of the examples'
     ids are kept, so a streamed feed (``iter_cve_records``) holds one
@@ -703,24 +697,7 @@ def attach_descriptions(
     examples = list(examples)
     wanted = {ex.cve_id for ex in examples}
     by_id = {rec.cve_id: rec.description for rec in records if rec.cve_id in wanted}
-    set_id, set_utility, set_opportune, set_labeler, set_ts, set_description = (
-        _LABELED_EXAMPLE_SETTERS
-    )
-    out = []
-    missing = []
-    for ex in examples:
-        description = by_id.get(ex.cve_id)
-        if description is None:
-            missing.append(ex.cve_id)
-            continue
-        joined = _new(LabeledExample)
-        set_id(joined, ex.cve_id)
-        set_utility(joined, ex.utility)
-        set_opportune(joined, ex.opportune)
-        set_labeler(joined, ex.labeler)
-        set_ts(joined, ex.labeled_at)
-        set_description(joined, description)
-        out.append(joined)
+    missing = [ex.cve_id for ex in examples if ex.cve_id not in by_id]
     if missing:
         raise SchemaError(f"labeled CVEs absent from the CVE feed: {', '.join(sorted(missing))}")
-    return out
+    return [(by_id[ex.cve_id], ex) for ex in examples]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from vulnrank.cvss import base_score
@@ -56,22 +57,14 @@ def format_quantity(value: Decimal) -> str:
 NEUTRAL_ENV = Decimal(1)
 
 
-@dataclass(frozen=True)
-class EnvWeights:
-    """Config weight tables for exposure and criticality."""
-
-    exposure: Mapping[Exposure, Decimal]
-    criticality: Mapping[Criticality, Decimal]
-
-
-DEFAULT_ENV_WEIGHTS = EnvWeights(
-    exposure={Exposure.PUBLIC: Decimal("1.5"), Exposure.PRIVATE: Decimal("1.0")},
-    criticality={
-        Criticality.HIGH: Decimal("1.5"),
-        Criticality.MEDIUM: Decimal("1.2"),
-        Criticality.LOW: Decimal("1.0"),
-    },
-)
+# The weight of each exposure and each criticality, read-only.
+DEFAULT_ENV_WEIGHTS: Mapping[Exposure | Criticality, Decimal] = MappingProxyType({
+    Exposure.PUBLIC: Decimal("1.5"),
+    Exposure.PRIVATE: Decimal("1.0"),
+    Criticality.HIGH: Decimal("1.5"),
+    Criticality.MEDIUM: Decimal("1.2"),
+    Criticality.LOW: Decimal("1.0"),
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,17 +91,19 @@ class ScoredVulnerability:
 
 
 def env_factor(
-    ctx: tuple[Exposure, Criticality] | None, weights: EnvWeights = DEFAULT_ENV_WEIGHTS
+    ctx: tuple[Exposure, Criticality] | None,
+    weights: Mapping[Exposure | Criticality, Decimal] = DEFAULT_ENV_WEIGHTS,
 ) -> Decimal:
     """Exposure weight times criticality weight for one (exposure,
-    criticality) pair; ``NEUTRAL_ENV`` for None. A member without a
-    weight, or a weight that is not positive, raises ``InvalidConfig``."""
+    criticality) pair, each looked up in ``weights``; ``NEUTRAL_ENV`` for
+    None. A member without a weight, or a weight that is not positive,
+    raises ``InvalidConfig``."""
     if ctx is None:
         return NEUTRAL_ENV
     exposure, criticality = ctx
     try:
-        exposure_weight = weights.exposure[exposure]
-        criticality_weight = weights.criticality[criticality]
+        exposure_weight = weights[exposure]
+        criticality_weight = weights[criticality]
     except KeyError as exc:
         raise InvalidConfig(f"no weight configured for {exc.args[0]}") from None
     for w in (exposure_weight, criticality_weight):
@@ -179,7 +174,7 @@ def score_portfolio(
     wx_map: Mapping[str, int] | None = None,
     labels_map: Mapping[str, LabeledExample] | None = None,
     ctx_map: Mapping[str, tuple[Exposure, Criticality]] | None = None,
-    env_weights: EnvWeights = DEFAULT_ENV_WEIGHTS,
+    env_weights: Mapping[Exposure | Criticality, Decimal] = DEFAULT_ENV_WEIGHTS,
 ) -> list[ScoredVulnerability]:
     """Score every record in one pass; output order follows input order.
 

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from decimal import Decimal
 
 from vulnrank.feeds import CveRecord, LabeledExample, Labeler, write_atomic
-from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, ScoredVulnerability, score_portfolio
+from vulnrank.scoring import ScoredVulnerability, score_portfolio
 
 SYNTH_TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -64,8 +64,9 @@ def synth_labeled_corpus(
     utility_split=(0.42, 0.32, 0.26),
     opportune_rate: float = 0.08,
     labeler: Labeler = Labeler.SME,
-) -> list[LabeledExample]:
-    """Labeled examples with planted-keyword descriptions attached."""
+) -> list[tuple[str, LabeledExample]]:
+    """``(description, example)`` pairs: labeled examples and their
+    planted-keyword descriptions."""
     rng = random.Random(seed)
     utilities = [c for c, count in enumerate(_split_counts(n, utility_split)) for _ in range(count)]
     rng.shuffle(utilities)
@@ -81,29 +82,22 @@ def synth_labeled_corpus(
         description = f"A flaw in {vendor} {component} before {version} {sentence}."
         if opportune:
             description += " " + rng.choice(OPPORTUNE_PHRASES)
-        examples.append(
-            LabeledExample(
-                cve_id=f"CVE-2098-{10000 + i}",
-                utility=utility,
-                opportune=opportune,
-                labeler=labeler,
-                labeled_at=SYNTH_TS,
-                description=description,
-            )
-        )
+        example = LabeledExample(f"CVE-2098-{10000 + i}", utility, opportune, labeler, SYNTH_TS)
+        examples.append((description, example))
     return examples
 
 
-def synth_cve_records(examples, seed: int = 42) -> list[CveRecord]:
-    """A CVE record per example, with a seeded one-decimal published score."""
+def synth_cve_records(docs, seed: int = 42) -> list[CveRecord]:
+    """A CVE record per ``(description, example)`` pair, with a seeded
+    one-decimal published score."""
     rng = random.Random(seed + 1)
     return [
         CveRecord(
             cve_id=ex.cve_id,
-            description=ex.description,
+            description=description,
             published_score=Decimal(rng.randrange(1, 101)).scaleb(-1),
         )
-        for ex in examples
+        for description, ex in docs
     ]
 
 
@@ -134,7 +128,7 @@ def synth_portfolio(
     wx_map = {
         f"CVE-2097-{10000 + i}": 120 if i == big_wx else rng.randrange(1, 61) for i in wx_ids
     }
-    return score_portfolio(records, wx_map, labels_map, env_weights=DEFAULT_ENV_WEIGHTS)
+    return score_portfolio(records, wx_map, labels_map)
 
 
 def write_cve_feed(path, records) -> None:

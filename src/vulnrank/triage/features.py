@@ -72,18 +72,17 @@ def tokenize(text: str) -> list[str]:
 class Vocabulary:
     """Token-to-column map plus the document frequencies behind idf.
 
-    The columns are exactly ``0 .. size-1``. ``idf[column]`` is the
-    smoothed idf of the column's token, computed once, when the
-    vocabulary is made. It and the private lookup ``design_matrix`` reads
-    take no part in ``==`` or ``repr``, since the other fields determine
-    them.
+    Every token is one ``tokenize`` can produce (``TOKEN_RE`` matches it
+    whole), and the columns are exactly ``0 .. size-1``. ``idf[column]`` is
+    the smoothed idf of the column's token, computed once, when the
+    vocabulary is made. It takes no part in ``==`` or ``repr``, since the
+    other fields determine it.
     """
 
     index: Mapping[str, int]
     document_frequency: Mapping[str, int]
     num_documents: int
     idf: np.ndarray = field(init=False, repr=False, compare=False)
-    _lookup: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, size = self.num_documents, self.size
@@ -96,6 +95,9 @@ class Vocabulary:
                 raise ValueError(f"token {token!r} has document frequency {df!r}, not in [1, {n}]")
             if type(column) is not int or not 0 <= column < size:
                 raise ValueError(f"token {token!r} has column {column!r}, not in [0, {size})")
+            # design_matrix looks up raw pieces, single characters included.
+            if not TOKEN_RE.fullmatch(token):
+                raise ValueError(f"token {token!r} is not a token tokenize can produce")
             # Smoothed idf; never zero, so every vocabulary token contributes.
             # math.log token by token, since np.log need not match it bit for bit.
             idf[column] = math.log((1 + n) / (1 + df)) + 1.0
@@ -104,13 +106,6 @@ class Vocabulary:
         if np.isnan(idf).any():
             raise ValueError("two tokens share a column")
         object.__setattr__(self, "idf", idf)
-        # design_matrix looks up raw pieces, single characters included, so
-        # the lookup holds only the tokens tokenize can produce: a model
-        # file's "a", "Foo" or "a b" loads and never matches.
-        lookup = self.index
-        if not all(map(TOKEN_RE.fullmatch, lookup)):
-            lookup = {token: column for token, column in lookup.items() if TOKEN_RE.fullmatch(token)}
-        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def size(self) -> int:
@@ -190,7 +185,7 @@ def design_matrix(vocab: Vocabulary, texts: Sequence[str]) -> CsrMatrix:
 
 def _block(vocab: Vocabulary, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """How many weights each row stores, then the column ids and weights, of a block of texts."""
-    get = vocab._lookup.get
+    get = vocab.index.get
     cols: list[int] = []
     lengths = []
     for text in texts:

@@ -12,8 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from vulnrank.feeds import LabeledExample
-from vulnrank.triage.svm import LinearModel, predict_texts
+from vulnrank.triage.svm import Doc, LinearModel, predict_texts
 
 
 class EmptyTestSet(ValueError):
@@ -94,8 +93,8 @@ def evaluate_predictions(
     )
 
 
-def evaluate(model: LinearModel, test: Sequence[LabeledExample]) -> EvalReport:
-    """Predict every test example and score against its task label."""
-    y_true = [model.task.label_of(ex) for ex in test]
-    y_pred = predict_texts(model, [ex.description for ex in test])
+def evaluate(model: LinearModel, docs: Sequence[Doc]) -> EvalReport:
+    """Predict every ``(description, example)`` pair and score against its task label."""
+    y_true = [model.task.label_of(ex) for _, ex in docs]
+    y_pred = predict_texts(model, [text for text, _ in docs])
     return evaluate_predictions(model.classes, y_true, y_pred)

@@ -64,6 +64,9 @@ from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 _SCALE_FLOOR = 1e-9
 # The seeds of the legacy MT19937 seeding: one 32-bit word.
 SEED_RANGE = (0, 2**32 - 1)
+# A training document: a CVE's description and its label, as
+# feeds.attach_descriptions pairs them.
+Doc = tuple[str, LabeledExample]
 
 
 class CorpusTooSmall(ValueError):
@@ -178,11 +181,11 @@ class LinearModel:
 
 
 def split(
-    examples: Sequence[LabeledExample],
+    examples: Sequence[Doc],
     train_fraction: float = 0.8,
     seed: int = 42,
-    stratify_key: Callable[[LabeledExample], Hashable] | None = None,
-) -> tuple[list[LabeledExample], list[LabeledExample]]:
+    stratify_key: Callable[[Doc], Hashable] | None = None,
+) -> tuple[list[Doc], list[Doc]]:
     """Seeded shuffle-then-prefix split into (train, test).
 
     The partition is exact: train and test are disjoint and together
@@ -217,9 +220,9 @@ def split(
     return [examples[i] for i in train_idx], [examples[i] for i in test_idx]
 
 
-def _validate_labels(task: Task, examples: Sequence[LabeledExample]) -> np.ndarray:
+def _validate_labels(task: Task, docs: Sequence[Doc]) -> np.ndarray:
     labels = []
-    for ex in examples:
+    for _, ex in docs:
         label = task.label_of(ex)
         if label not in task.classes:
             raise InvalidCategory(f"{ex.cve_id}: label {label} illegal for task {task.value}")
@@ -229,19 +232,20 @@ def _validate_labels(task: Task, examples: Sequence[LabeledExample]) -> np.ndarr
 
 def train(
     task: Task,
-    examples: Sequence[LabeledExample],
+    docs: Sequence[Doc],
     vocab: Vocabulary,
     config: TrainConfig = TrainConfig(),
 ) -> LinearModel:
-    """Fit one binary classifier per class over the task's full class set.
+    """Fit one binary classifier per class over the task's full class set,
+    from ``(description, example)`` pairs.
 
     A single-class train set cannot support discrimination; the model
     then predicts that class constantly and a DegenerateTaskWarning is
     emitted instead of failing, which is what sparse label regimes need.
     """
-    if not examples:
+    if not docs:
         raise EmptyCorpus("train set is empty")
-    labels = _validate_labels(task, examples)
+    labels = _validate_labels(task, docs)
     classes = task.classes
     n_classes = len(classes)
 
@@ -262,7 +266,7 @@ def train(
             config=config,
         )
 
-    X = design_matrix(vocab, [ex.description for ex in examples])
+    X = design_matrix(vocab, [text for text, _ in docs])
     bounds = X.indptr.tolist()
     rows = [(X.indices[a:b], X.data[a:b]) for a, b in zip(bounds, bounds[1:])]
     Y = [[1.0 if label == c else -1.0 for c in classes] for label in labels.tolist()]

@@ -14,7 +14,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from vulnrank.feeds import LabeledExample
+from vulnrank.feeds import InvalidCategory, LabeledExample
 from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 from vulnrank.triage.svm import (
     CorpusTooSmall,
@@ -22,16 +22,25 @@ from vulnrank.triage.svm import (
     LinearModel,
     Task,
     TrainConfig,
-    _validate_labels,
 )
 
 # Below this the scale of W = s * V is folded back into V.
 _SCALE_FLOOR = 1e-9
 
 
+def _validate_labels(task: Task, docs: Sequence[tuple[str, LabeledExample]]) -> np.ndarray:
+    labels = []
+    for _, ex in docs:
+        label = task.label_of(ex)
+        if label not in task.classes:
+            raise InvalidCategory(f"{ex.cve_id}: label {label} illegal for task {task.value}")
+        labels.append(label)
+    return np.array(labels)
+
+
 def train(
     task: Task,
-    examples: Sequence[LabeledExample],
+    docs: Sequence[tuple[str, LabeledExample]],
     vocab: Vocabulary,
     config: TrainConfig = TrainConfig(),
 ) -> LinearModel:
@@ -41,9 +50,9 @@ def train(
     then predicts that class constantly and a DegenerateTaskWarning is
     emitted instead of failing, which is what sparse label regimes need.
     """
-    if not examples:
+    if not docs:
         raise EmptyCorpus("train set is empty")
-    labels = _validate_labels(task, examples)
+    labels = _validate_labels(task, docs)
     classes = task.classes
     n_classes = len(classes)
 
@@ -64,7 +73,7 @@ def train(
             config=config,
         )
 
-    X = design_matrix(vocab, [ex.description for ex in examples])
+    X = design_matrix(vocab, [text for text, _ in docs])
     bounds = X.indptr.tolist()
     Y = np.where(labels[:, None] == np.array(classes), 1.0, -1.0)
 

@@ -153,13 +153,13 @@ def test_criterion_3_ml_substitutes():
     # (c) Learning sanity on the 600-document keyword-planted corpus
     # with the published class balance (42/32/26 utility, 92/8 opportune).
     corpus = synth_labeled_corpus(n=600, seed=42)
-    utility_counts = [sum(1 for ex in corpus if ex.utility == c) for c in (0, 1, 2)]
+    utility_counts = [sum(1 for _, ex in corpus if ex.utility == c) for c in (0, 1, 2)]
     assert utility_counts == [252, 192, 156]
-    assert sum(1 for ex in corpus if ex.opportune == 1) == 48
+    assert sum(1 for _, ex in corpus if ex.opportune == 1) == 48
 
     train_set, test_set = split(corpus, 0.8, seed=42)
     assert (len(train_set), len(test_set)) == (480, 120)
-    vocab = fit_vocabulary([ex.description for ex in train_set], min_df=2)
+    vocab = fit_vocabulary([text for text, _ in train_set], min_df=2)
     micro = {}
     for task in (Task.UTILITY, Task.OPPORTUNE):
         model = train(task, train_set, vocab, TrainConfig(seed=42))
@@ -246,7 +246,7 @@ def test_criterion_5_comparison_report_properties():
 def _run_pipeline(workdir, seed):
     """ingest -> train x2 -> predict x2 -> score -> report, seed pinned."""
     corpus = synth_labeled_corpus(n=200, seed=5)
-    labeled = corpus[:170]
+    labeled = [ex for _, ex in corpus[:170]]
     records = synth_cve_records(corpus, seed=5)
     write_cve_feed(workdir / "cves.jsonl", records)
     save_labels(workdir / "labels.jsonl", labeled)

@@ -19,7 +19,7 @@ import pytest
 import vulnrank.cli as cli
 from vulnrank import feeds
 from vulnrank.cli import CONFIG_KEYS, RunConfig, build_config, build_parser, main
-from vulnrank.feeds import Labeler, format_ts, load_labels, save_labels
+from vulnrank.feeds import Criticality, Exposure, Labeler, format_ts, load_labels, save_labels
 from vulnrank.report import ExportFormat
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
@@ -46,7 +46,7 @@ def synth_feeds(tmp_path):
     """A small but trainable synthetic corpus written as feed files."""
     corpus = synth_labeled_corpus(n=200, seed=7)
     write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus, seed=7))
-    save_labels(tmp_path / "labels.jsonl", corpus)
+    save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
     return tmp_path
 
 
@@ -81,9 +81,7 @@ class TestConfigResolution:
             json.dumps({"env_weights": {"exposure": {"Public": 2.0, "Private": 1.0}}})
         )
         config = build_config(make_args(config=str(path)))
-        from vulnrank.feeds import Exposure
-
-        assert config.env_weights.exposure[Exposure.PUBLIC] == 2
+        assert config.env_weights[Exposure.PUBLIC] == 2
 
     @pytest.mark.parametrize(
         "weights",
@@ -93,9 +91,9 @@ class TestConfigResolution:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"env_weights": weights}))
         config = build_config(make_args(config=str(path)))
-        for name in ("exposure", "criticality"):
-            given = {m.value: w for m, w in getattr(config.env_weights, name).items()}
-            default = {m.value: w for m, w in getattr(DEFAULT_ENV_WEIGHTS, name).items()}
+        for name, enum in (("exposure", Exposure), ("criticality", Criticality)):
+            given = {m.value: w for m, w in config.env_weights.items() if isinstance(m, enum)}
+            default = {m.value: w for m, w in DEFAULT_ENV_WEIGHTS.items() if isinstance(m, enum)}
             assert given == default | {k: Decimal(v) for k, v in weights.get(name, {}).items()}
 
     @pytest.mark.parametrize("command", ["score", "rank", "report"])
@@ -397,14 +395,14 @@ class TestTrain:
     def test_corpus_too_small_exits_3(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=3, seed=1)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
-        save_labels(tmp_path / "labels.jsonl", corpus)
+        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
         assert main(self.train_args(tmp_path)) == 3
 
     def test_fewer_than_five_sme_rows_exits_3(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
-        model_rows = [replace(ex, labeler=Labeler.MODEL) for ex in corpus[4:]]
-        save_labels(tmp_path / "labels.jsonl", corpus[:4] + model_rows)
+        model_rows = [replace(ex, labeler=Labeler.MODEL) for _, ex in corpus[4:]]
+        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus[:4]] + model_rows)
         assert main(self.train_args(tmp_path)) == 3
         err = capsys.readouterr().err
         assert err == "error: label store holds 4 SME examples; need at least 5\n"
@@ -428,23 +426,23 @@ class TestTrain:
     def test_cve_feed_error_wins_over_too_few_sme_rows(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         expected = self.bad_cve_feed(tmp_path, corpus)
-        save_labels(tmp_path / "labels.jsonl", corpus[:4])
+        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus[:4]])
         assert main(self.train_args(tmp_path)) == 2
         assert capsys.readouterr().err == expected
 
     def test_cve_feed_error_wins_over_labels_absent_from_it(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         expected = self.bad_cve_feed(tmp_path, corpus[:5])
-        save_labels(tmp_path / "labels.jsonl", corpus)
+        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
         assert main(self.train_args(tmp_path)) == 2
         assert capsys.readouterr().err == expected
 
     def test_labels_absent_from_a_good_feed_exit_2(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus[2:]))
-        save_labels(tmp_path / "labels.jsonl", corpus)
+        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
         assert main(self.train_args(tmp_path)) == 2
-        missing = ", ".join(sorted(ex.cve_id for ex in corpus[:2]))
+        missing = ", ".join(sorted(ex.cve_id for _, ex in corpus[:2]))
         assert capsys.readouterr().err == f"error: labeled CVEs absent from the CVE feed: {missing}\n"
 
     def test_bad_label_store_when_the_cve_feed_is_good(self, tmp_path, capsys):
@@ -462,7 +460,7 @@ class TestTrain:
         # opportune split from 160/40 to 480/120 and its macro-F to 0.61.
         corpus = synth_labeled_corpus(n=600, seed=3)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus, seed=3))
-        save_labels(tmp_path / "labels.jsonl", corpus[:200])
+        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus[:200]])
 
         def train_both():
             trained = {}
@@ -543,13 +541,18 @@ class TestTrain:
         assert not list(synth_feeds.rglob("*.tmp"))
 
     def test_degenerate_task_warns_but_succeeds(self, tmp_path, capsys):
-        corpus = [ex for ex in synth_labeled_corpus(n=200, seed=3) if ex.opportune == 0][:40]
+        corpus = [doc for doc in synth_labeled_corpus(n=200, seed=3) if doc[1].opportune == 0][:40]
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
-        save_labels(tmp_path / "labels.jsonl", corpus)
+        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
         assert main(self.train_args(tmp_path, task="opportune", min_df=1)) == 0
         captured = capsys.readouterr()
         assert "constant" in captured.err
         assert (tmp_path / "opportune_model.json").exists()
+
+
+def first_token_renamed(doc, token):
+    (_, df), *rest = doc["vocabulary"]["tokens"]
+    return {**doc, "vocabulary": {**doc["vocabulary"], "tokens": [[token, df], *rest]}}
 
 
 class TestPredict:
@@ -578,7 +581,7 @@ class TestPredict:
     def write_portfolio(self, tmp_path, labeled_count=2):
         corpus = synth_labeled_corpus(n=12, seed=99)
         write_cve_feed(tmp_path / "portfolio.jsonl", synth_cve_records(corpus, seed=99))
-        save_labels(tmp_path / "portfolio_labels.jsonl", corpus[:labeled_count])
+        save_labels(tmp_path / "portfolio_labels.jsonl", [ex for _, ex in corpus[:labeled_count]])
         return tmp_path
 
     def test_predicts_only_unlabeled(self, trained, tmp_path):
@@ -817,11 +820,14 @@ class TestPredict:
             # A lambda of true once loaded as 1.
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": True}}),
             lambda doc: json.dumps({**doc, "config": {**doc["config"], "reg_lambda": "0.5"}}),
+            # Tokens tokenize cannot produce once loaded and matched no text.
+            lambda doc: json.dumps(first_token_renamed(doc, "Foo")),
+            lambda doc: json.dumps(first_token_renamed(doc, "a")),
         ],
         ids=[
             "corrupt-json", "missing-weights", "weight-shape", "bias-length", "string-classes",
             "negative-documents", "infinite-lambda", "fractional-seed-and-epochs", "bool-seed",
-            "bool-lambda", "string-lambda",
+            "bool-lambda", "string-lambda", "upper-case-token", "one-letter-token",
         ],
     )
     def test_corrupt_model_exits_4(self, trained, tmp_path, capsys, corrupt):

@@ -10,6 +10,7 @@ import os
 from contextlib import redirect_stderr
 from dataclasses import fields
 from decimal import Decimal
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from vulnrank.cli import CONFIG_KEYS, ENV_PREFIX, RunConfig, build_config, build_parser, main
 from vulnrank.report import ExportFormat
-from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, EnvWeights, InvalidConfig
+from vulnrank.scoring import DEFAULT_ENV_WEIGHTS, InvalidConfig
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -51,7 +52,7 @@ TYPED = {
     "int": st.integers() | st.integers().map(str),
     "float": st.floats() | st.integers(),
     "bool": st.booleans() | st.sampled_from(["yes", "no", "1", "0", "on", "off"]),
-    "EnvWeights": st.fixed_dictionaries(
+    "Mapping[Exposure | Criticality, Decimal]": st.fixed_dictionaries(
         {},
         optional={
             "exposure": st.dictionaries(
@@ -89,8 +90,7 @@ def _bounded(value, low, high) -> bool:
 
 
 def _weights_ok(weights) -> bool:
-    tables = (weights.exposure, weights.criticality)
-    return all(_bounded(w, "0.0001", 10**4) for t in tables for w in t.values())
+    return all(_bounded(w, "0.0001", 10**4) for w in weights.values())
 
 
 DECLARED = {
@@ -100,7 +100,9 @@ DECLARED = {
     "int": lambda v: type(v) is int,
     "float": lambda v: type(v) is float,
     "bool": lambda v: type(v) is bool,
-    "EnvWeights": lambda v: isinstance(v, EnvWeights) and _weights_ok(v),
+    "Mapping[Exposure | Criticality, Decimal]": lambda v: (
+        isinstance(v, MappingProxyType) and _weights_ok(v)
+    ),
     "tuple[Decimal, ...]": lambda v: (
         isinstance(v, tuple) and all(_bounded(b, 0, 10**9) for b in v)
     ),

@@ -150,11 +150,15 @@ class TestVocabulary:
             ({"aa": 1.0}, 3),
             ({"aa": True}, 3),
             ({7: 1}, 3),
+            ({"Foo": 1}, 3),
+            ({"a": 1}, 3),
+            ({"a b": 1}, 3),
         ],
         ids=[
             "zero-documents", "negative-documents", "string-documents", "float-documents",
             "bool-documents", "zero-df", "negative-df", "df-above-documents", "string-df",
-            "float-df", "bool-df", "int-token",
+            "float-df", "bool-df", "int-token", "upper-case-token", "one-letter-token",
+            "spaced-token",
         ],
     )
     def test_bad_counts_rejected(self, tokens, num_documents):

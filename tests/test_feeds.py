@@ -473,8 +473,23 @@ class TestAttachDescriptions:
         examples = [
             LabeledExample("CVE-2017-0143", 2, 0, Labeler.SME, ts("2021-01-01T00:00:00"))
         ]
-        (joined,) = attach_descriptions(examples, records)
-        assert "SMBv1" in joined.description
+        ((description, _),) = attach_descriptions(examples, records)
+        assert "SMBv1" in description
+
+    def test_pairs_follow_the_examples(self, tmp_path):
+        path = write_jsonl(tmp_path / "cves.jsonl", [
+            {"id": "CVE-2020-0001", "description": "a", "score": 5},
+            {"id": "CVE-2020-0002", "description": "unlabeled", "score": 5},
+            {"id": "CVE-2020-0003", "description": "", "score": 5},
+        ])
+        stamp = ts("2021-01-01T00:00:00")
+        examples = [
+            LabeledExample("CVE-2020-0003", 1, 0, Labeler.SME, stamp),
+            LabeledExample("CVE-2020-0001", 2, 1, Labeler.MODEL, stamp),
+        ]
+        joined = attach_descriptions(iter(examples), iter_cve_records(path))
+        assert joined == [("", examples[0]), ("a", examples[1])]
+        assert all(ex is given for (_, ex), given in zip(joined, examples, strict=True))
 
     def test_missing_record_named(self):
         examples = [

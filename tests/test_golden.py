@@ -69,8 +69,8 @@ def write_golden_feeds(root):
     vectors = list(iter_vectors())
 
     cves, refs, context, labels = [], [], [], []
-    for i, ex in enumerate(corpus):
-        row = {"id": ex.cve_id, "description": ex.description}
+    for i, (description, ex) in enumerate(corpus):
+        row = {"id": ex.cve_id, "description": description}
         kind = i % 5
         vector = rng.choice(vectors)
         if kind in (0, 2, 3):
@@ -214,8 +214,7 @@ def write_triage_feeds(root):
     """
     rng = random.Random(20240601)
     cves, labels = [], []
-    for i, ex in enumerate(synth_labeled_corpus(n=240, seed=29)):
-        description = ex.description
+    for i, (description, ex) in enumerate(synth_labeled_corpus(n=240, seed=29)):
         if i % 4 == 0:
             description += " " + rng.choice(NON_ASCII)
         cves.append({"id": ex.cve_id, "description": description})

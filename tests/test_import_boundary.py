@@ -57,7 +57,7 @@ def test_score_rank_report_ingest_leave_numpy_unloaded(trio_feed_dir):
 def test_train_leaves_numpy_random_unloaded(tmp_path):
     corpus = synth_labeled_corpus(n=60, seed=3)
     write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus, seed=3))
-    save_labels(tmp_path / "labels.jsonl", corpus)
+    save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
     argv = [
         "train", "--task", "utility", "--min-df", "1",
         "--cves", str(tmp_path / "cves.jsonl"), "--labels", str(tmp_path / "labels.jsonl"),

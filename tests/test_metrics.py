@@ -115,17 +115,19 @@ class TestAggregateProperties:
     def test_evaluate_empty_test_set(self):
         # No prediction to score: evaluate_predictions raises for evaluate.
         corpus = [
-            LabeledExample(
-                cve_id=f"CVE-2021-{n:05d}",
-                utility=n % 2,
-                opportune=0,
-                labeler=Labeler.SME,
-                labeled_at=datetime(2021, 1, 1, tzinfo=timezone.utc),
-                description=("alpha" if n % 2 else "beta") + " filler",
+            (
+                ("alpha" if n % 2 else "beta") + " filler",
+                LabeledExample(
+                    cve_id=f"CVE-2021-{n:05d}",
+                    utility=n % 2,
+                    opportune=0,
+                    labeler=Labeler.SME,
+                    labeled_at=datetime(2021, 1, 1, tzinfo=timezone.utc),
+                ),
             )
             for n in range(4)
         ]
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         model = train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=1))
         with pytest.raises(EmptyTestSet, match=r"^no examples to evaluate$"):
             evaluate(model, [])

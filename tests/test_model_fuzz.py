@@ -38,11 +38,11 @@ def saved(tmp_path_factory):
     """A utility model trained on a small corpus, its JSON, and predict's inputs."""
     root = tmp_path_factory.mktemp("model_fuzz")
     corpus = synth_labeled_corpus(n=40, seed=5)
-    vocab = fit_vocabulary([ex.description for ex in corpus], min_df=3)
+    vocab = fit_vocabulary([text for text, _ in corpus], min_df=3)
     save_model(root / "model.json", train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=2)))
     write_cve_feed(root / "cves.jsonl", synth_cve_records(corpus[:8], seed=5))
-    unlabeled = {ex.cve_id for ex in corpus[3:8]}
-    return root, json.loads((root / "model.json").read_text()), corpus[:3], unlabeled
+    unlabeled = {ex.cve_id for _, ex in corpus[3:8]}
+    return root, json.loads((root / "model.json").read_text()), [ex for _, ex in corpus[:3]], unlabeled
 
 
 def _children(node) -> list:

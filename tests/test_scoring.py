@@ -25,7 +25,6 @@ from vulnrank.feeds import (
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
     NEUTRAL_ENV,
-    EnvWeights,
     InvalidConfig,
     MissingCvss,
     MissingLabels,
@@ -107,9 +106,7 @@ class TestThreatScore:
         criticality=WEIGHTS,
     )
     def test_equals_the_formula_multiplied_out(self, cvss, wx, exposure, criticality):
-        weights = EnvWeights(
-            exposure={Exposure.PUBLIC: exposure}, criticality={Criticality.HIGH: criticality}
-        )
+        weights = {Exposure.PUBLIC: exposure, Criticality.HIGH: criticality}
         env = env_factor((Exposure.PUBLIC, Criticality.HIGH), weights)
         assert str(env) == str(exposure * criticality)
         for u, o in product(range(3), range(2)):
@@ -171,24 +168,19 @@ class TestEnvFactor:
     @pytest.mark.parametrize("weight", [Decimal(0), Decimal("-0.0"), Decimal("-1")], ids=str)
     @pytest.mark.parametrize("table", ["exposure", "criticality"])
     def test_nonpositive_weight_rejected(self, table, weight):
-        tables = {
-            "exposure": {**DEFAULT_ENV_WEIGHTS.exposure},
-            "criticality": {**DEFAULT_ENV_WEIGHTS.criticality},
-        }
-        tables[table][Exposure.PUBLIC if table == "exposure" else Criticality.LOW] = weight
+        weights = dict(DEFAULT_ENV_WEIGHTS)
+        weights[Exposure.PUBLIC if table == "exposure" else Criticality.LOW] = weight
         ctx = (Exposure.PUBLIC, Criticality.LOW)
         with pytest.raises(InvalidConfig, match=f"^environmental weight {weight} must be positive$"):
-            env_factor(ctx, EnvWeights(**tables))
+            env_factor(ctx, weights)
         # Contexts that do not use the bad weight still score.
         other = (Exposure.PRIVATE, Criticality.HIGH)
-        assert env_factor(other, EnvWeights(**tables)) == Decimal("1.5")
+        assert env_factor(other, weights) == Decimal("1.5")
 
     def test_partial_weights_name_the_missing_member(self):
         # The config parser fills left-out members from the defaults; a
         # table built by hand may still leave one out.
-        partial = EnvWeights(
-            exposure={Exposure.PUBLIC: Decimal(2)}, criticality=DEFAULT_ENV_WEIGHTS.criticality
-        )
+        partial = {Exposure.PUBLIC: Decimal(2), **{c: DEFAULT_ENV_WEIGHTS[c] for c in Criticality}}
         public = (Exposure.PUBLIC, Criticality.LOW)
         assert env_factor(public, partial) == Decimal(2)
         private = (Exposure.PRIVATE, Criticality.LOW)

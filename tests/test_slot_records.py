@@ -1,11 +1,12 @@
-"""Records the loaders, ``attach_descriptions`` and ``score_portfolio`` build
-through slot setters, without the frozen ``__init__``, are the records the
-constructor builds from the same values: equal, with equal hashes and
-reprs, ``replace`` alike, and with every slot set. Asset context is no
-record: ``load_asset_context`` maps each CVE to one of six shared pairs."""
+"""Records the loaders and ``score_portfolio`` build through slot setters,
+without the frozen ``__init__``, are the records the constructor builds
+from the same values: equal, with equal hashes and reprs, ``replace``
+alike, and with every slot set. Asset context is no record:
+``load_asset_context`` maps each CVE to one of six shared pairs."""
 
 import dataclasses
 import itertools
+import re
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -20,7 +21,6 @@ from vulnrank.feeds import (
     InvalidCategory,
     LabeledExample,
     Labeler,
-    attach_descriptions,
     iter_cve_records,
     load_asset_context,
     load_labels,
@@ -76,28 +76,16 @@ def test_labeled_examples(tmp_path, store_form):
     built = [LabeledExample(cve, u, o, Labeler(who), STAMP) for cve, u, o, who in rows]
     loaded = load_labels(path)
     for ex, expected in zip(loaded, built, strict=True):
-        assert ex.description == ""
-        assert_same_record(ex, expected, description="text")
+        assert_same_record(ex, expected, labeled_at=datetime(2022, 1, 1, tzinfo=timezone.utc))
     assert merge_labels(loaded) == merge_labels(built)
 
 
-def test_joined_examples(tmp_path):
-    path = write_jsonl(tmp_path / "cves.jsonl", [
-        {"id": "CVE-2020-0001", "description": "a", "score": 5},
-        {"id": "CVE-2020-0002", "description": "unlabeled", "score": 5},
-        {"id": "CVE-2020-0003", "description": "", "score": 5},
-    ])
-    labels = [
-        LabeledExample("CVE-2020-0003", 1, 0, Labeler.SME, STAMP),
-        LabeledExample("CVE-2020-0001", 2, 1, Labeler.MODEL, STAMP, description="stale"),
-    ]
-    built = [
-        LabeledExample("CVE-2020-0003", 1, 0, Labeler.SME, STAMP, description=""),
-        LabeledExample("CVE-2020-0001", 2, 1, Labeler.MODEL, STAMP, description="a"),
-    ]
-    joined = attach_descriptions(iter(labels), iter_cve_records(path))
-    for ex, expected in zip(joined, built, strict=True):
-        assert_same_record(ex, expected, description="text")
+def test_a_labeled_example_holds_a_store_line():
+    # The fields are the store line's keys, in order, the id and the
+    # stamp under their own names.
+    keys = re.findall(r'"(\w+)":', feeds._LABEL_LINE)
+    names = {"cve": "cve_id", "ts": "labeled_at"}
+    assert [names.get(key, key) for key in keys] == [f.name for f in dataclasses.fields(LabeledExample)]
 
 
 def test_asset_context(tmp_path):

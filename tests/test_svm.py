@@ -9,7 +9,7 @@ import pytest
 
 import vulnrank.triage.svm as svm
 from vulnrank.feeds import InvalidCategory, IoError, LabeledExample, Labeler
-from vulnrank.triage.features import design_matrix, fit_vocabulary
+from vulnrank.triage.features import fit_vocabulary
 from vulnrank.triage.modelio import CorruptModel, ModelVersionError, load_model, save_model
 from vulnrank.triage.svm import (
     CorpusTooSmall,
@@ -29,13 +29,12 @@ TS = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
 
 def example(n, utility=0, opportune=0, description="filler text"):
-    return LabeledExample(
+    return description, LabeledExample(
         cve_id=f"CVE-2021-{n:05d}",
         utility=utility,
         opportune=opportune,
         labeler=Labeler.SME,
         labeled_at=TS,
-        description=description,
     )
 
 
@@ -71,11 +70,11 @@ def three_class_corpus(n_per_class=12, seed=4):
 def dense_reference_train(task, examples, vocab, config):
     """The trainer before the sparse path: dense rows, W decayed in full each step."""
     X = np.zeros((len(examples), vocab.size + 1))
-    for row, ex in enumerate(examples):
-        for col, weight in featurize(vocab, ex.description).items():
+    for row, (text, _) in enumerate(examples):
+        for col, weight in featurize(vocab, text).items():
             X[row, col] = weight
     X[:, -1] = 1.0
-    Y = np.array([[1.0 if task.label_of(ex) == c else -1.0 for c in task.classes] for ex in examples])
+    Y = np.array([[1.0 if task.label_of(ex) == c else -1.0 for c in task.classes] for _, ex in examples])
     W = np.zeros((len(task.classes), vocab.size + 1))
     rng = np.random.RandomState(config.seed)
     t = 0
@@ -92,12 +91,12 @@ def dense_reference_train(task, examples, vocab, config):
 
 def dense_reference_objective(model, examples):
     X = np.zeros((len(examples), model.vocab.size))
-    for row, ex in enumerate(examples):
-        for col, weight in featurize(model.vocab, ex.description).items():
+    for row, (text, _) in enumerate(examples):
+        for col, weight in featurize(model.vocab, text).items():
             X[row, col] = weight
     total = 0.0
     for ci, c in enumerate(model.classes):
-        ys = np.array([1.0 if model.task.label_of(ex) == c else -1.0 for ex in examples])
+        ys = np.array([1.0 if model.task.label_of(ex) == c else -1.0 for _, ex in examples])
         margins = ys * (X @ model.weights[ci] + model.bias[ci])
         norm_sq = model.weights[ci] @ model.weights[ci] + model.bias[ci] ** 2
         total += np.maximum(0.0, 1.0 - margins).mean() + 0.5 * model.config.reg_lambda * norm_sq
@@ -123,9 +122,9 @@ class TestSplit:
     def test_exact_partition(self):
         corpus = self.corpus(43)
         train_set, test_set = split(corpus, train_fraction=0.8, seed=1)
-        combined = sorted(train_set + test_set, key=lambda e: e.cve_id)
-        assert combined == sorted(corpus, key=lambda e: e.cve_id)
-        assert not {e.cve_id for e in train_set} & {e.cve_id for e in test_set}
+        combined = sorted(train_set + test_set, key=lambda doc: doc[1].cve_id)
+        assert combined == sorted(corpus, key=lambda doc: doc[1].cve_id)
+        assert not {e.cve_id for _, e in train_set} & {e.cve_id for _, e in test_set}
 
     def test_fraction_one_rejected(self):
         with pytest.raises(ValueError):
@@ -138,10 +137,10 @@ class TestSplit:
     def test_stratified_preserves_group_fractions(self):
         corpus = [example(i, opportune=1 if i < 20 else 0) for i in range(200)]
         train_set, test_set = split(
-            corpus, train_fraction=0.8, seed=3, stratify_key=lambda e: e.opportune
+            corpus, train_fraction=0.8, seed=3, stratify_key=lambda doc: doc[1].opportune
         )
-        assert sum(1 for e in train_set if e.opportune == 1) == 16
-        assert sum(1 for e in test_set if e.opportune == 1) == 4
+        assert sum(1 for _, e in train_set if e.opportune == 1) == 16
+        assert sum(1 for _, e in test_set if e.opportune == 1) == 4
 
 
 class TestTrain:
@@ -149,23 +148,23 @@ class TestTrain:
         corpus = separable_corpus()
         # Separability oracle: a bare "contains alpha" rule already gets
         # 100%, so the trained model has no excuse not to.
-        rule = [0 if "alpha" in ex.description else 1 for ex in corpus]
-        assert rule == [ex.utility for ex in corpus]
+        rule = [0 if "alpha" in text else 1 for text, _ in corpus]
+        assert rule == [ex.utility for _, ex in corpus]
 
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         model = train(Task.UTILITY, corpus, vocab)
-        assert predict_texts(model, [ex.description for ex in corpus]) == [ex.utility for ex in corpus]
+        assert predict_texts(model, [text for text, _ in corpus]) == [ex.utility for _, ex in corpus]
 
     def test_single_class_warns_and_predicts_constantly(self):
         corpus = [example(i, utility=2, description=f"doc {i} text") for i in range(6)]
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         with pytest.warns(DegenerateTaskWarning):
             model = train(Task.UTILITY, corpus, vocab)
         assert predict_texts(model, ["anything at all", ""]) == [2, 2]
 
     def test_bitwise_deterministic(self):
         corpus = separable_corpus()
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         config = TrainConfig(epochs=5, seed=42)
         a = train(Task.UTILITY, corpus, vocab, config)
         b = train(Task.UTILITY, corpus, vocab, config)
@@ -180,7 +179,7 @@ class TestTrain:
         # objective is therefore flat-to-decreasing; anything above float
         # noise means the shrink/step arithmetic regressed.
         corpus = separable_corpus(n_per_class=10, seed=3)
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         objectives = []
         for epochs in range(1, 11):
             model = train(
@@ -194,7 +193,7 @@ class TestTrain:
         # Looser check in the weak-regularization regime: stochastic epoch
         # endpoints wobble, but the final objective beats the first by far.
         corpus = separable_corpus(n_per_class=12, seed=2)
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         first = dense_reference_objective(
             train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=1)), corpus
         )
@@ -213,7 +212,7 @@ class TestTrain:
         ids=["separable", "separable-strong-reg", "three-class"],
     )
     def test_sparse_trainer_matches_dense_reference(self, corpus, config):
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         model = train(Task.UTILITY, corpus, vocab, config)
         weights, bias = dense_reference_train(Task.UTILITY, corpus, vocab, config)
         assert np.abs(model.weights - weights).max() <= 1e-9
@@ -225,7 +224,7 @@ class TestTrain:
         # on every other step.
         monkeypatch.setattr(svm, "_SCALE_FLOOR", 0.6)
         corpus = three_class_corpus()
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         config = TrainConfig(epochs=3, seed=11)
         model = train(Task.UTILITY, corpus, vocab, config)
         weights, bias = dense_reference_train(Task.UTILITY, corpus, vocab, config)
@@ -253,7 +252,7 @@ class TestTrain:
     def test_non_finite_weights_raise(self):
         # 1 / (lambda * t) overflows for a subnormal lambda.
         corpus = three_class_corpus()
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         with pytest.raises(TrainingDiverged, match="utility model diverged"):
             train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=2, reg_lambda=1e-320))
 
@@ -262,13 +261,12 @@ class TestTrain:
         # can only fire on records from outside the type system.
         class RawRecord:
             cve_id = "CVE-2021-00000"
-            description = "x y"
             utility = 0
             opportune = 5
 
         vocab = fit_vocabulary(["x y"], min_df=1)
         with pytest.raises(InvalidCategory):
-            train(Task.OPPORTUNE, [RawRecord(), RawRecord()], vocab)
+            train(Task.OPPORTUNE, [("x y", RawRecord()), ("x y", RawRecord())], vocab)
 
 
 class TestPredict:
@@ -292,7 +290,7 @@ class TestPredict:
 
     def test_prediction_always_legal(self):
         corpus = separable_corpus()
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         model = train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=3))
         rng = random.Random(13)
         pool = ["alpha", "beta", "noise1", "noise5", "unseen"]
@@ -301,7 +299,7 @@ class TestPredict:
 
     def test_rescaled_document_predicts_identically(self):
         corpus = separable_corpus()
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         model = train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=3))
         doc = "alpha noise1 noise2"
         once, repeated = predict_texts(model, [doc, " ".join([doc] * 4)])
@@ -309,7 +307,7 @@ class TestPredict:
 
     def test_batch_prediction_matches_one_at_a_time(self):
         corpus = three_class_corpus()
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         model = train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=4))
         rng = random.Random(21)
         pool = ["alpha", "beta", "gamma", "noise2", "noise7", "unseen"]
@@ -341,7 +339,7 @@ def with_num_documents(doc, value):
 class TestModelFiles:
     def trained(self):
         corpus = separable_corpus()
-        vocab = fit_vocabulary([ex.description for ex in corpus], min_df=1)
+        vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         return train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=3))
 
     def test_round_trip_bitwise(self, tmp_path):
@@ -361,31 +359,6 @@ class TestModelFiles:
         save_model(first, model)
         save_model(second, load_model(first))
         assert first.read_bytes() == second.read_bytes()
-
-    def test_tokens_no_text_produces_load_and_never_match(self, tmp_path):
-        # A model file may list tokens that tokenize never returns. They
-        # load, take columns, and match nothing: rows and predictions are
-        # those of the model without them, though a match would flip
-        # every prediction to class 0.
-        model = self.trained()
-        path = tmp_path / "model.json"
-        save_model(path, model)
-        doc = json.loads(path.read_text())
-        odd = ["a", "Foo", "a b", "\u00e91", "x", "AB", "ab\n"]
-        doc["vocabulary"]["tokens"][:0] = [[token, 1] for token in odd]
-        doc["weights"] = [[1e3 if c == 0 else -1e3] * len(odd) + row
-                          for c, row in enumerate(doc["weights"])]
-        path.write_text(json.dumps(doc))
-        loaded = load_model(path)
-        assert [loaded.vocab.index[token] for token in odd] == list(range(len(odd)))
-        texts = ["beta a", "beta Foo", "beta a b", "beta \u00e91", "beta x AB ab", "alpha", "a", ""]
-        expected = predict_texts(model, texts)
-        assert expected[:6] == [1] * 5 + [0]
-        assert predict_texts(loaded, texts) == expected
-        with_odd, without = design_matrix(loaded.vocab, texts), design_matrix(model.vocab, texts)
-        assert np.array_equal(with_odd.indptr, without.indptr)
-        assert np.array_equal(with_odd.indices, without.indices + len(odd))
-        assert np.array_equal(with_odd.data, without.data)
 
     def test_version_mismatch_rejected(self, tmp_path):
         model = self.trained()
@@ -434,6 +407,11 @@ class TestModelFiles:
             lambda doc: json.dumps(with_tokens(doc, lambda t, df: [t, df + 1000])),
             lambda doc: json.dumps(with_tokens(doc, lambda t, df: [int.from_bytes(t.encode(), "big"), df])),
             lambda doc: json.dumps(with_tokens(doc, lambda t, df: ["same", df])),
+            # Tokens tokenize never returns once loaded and matched no text.
+            lambda doc: json.dumps(with_tokens(doc, lambda t, df: [t.upper(), df])),
+            lambda doc: json.dumps(with_tokens(doc, lambda t, df: [t + " x", df])),
+            lambda doc: json.dumps(with_tokens(doc, lambda t, df: [t + "\u00e9", df])),
+            lambda doc: json.dumps(with_tokens(doc, lambda t, df: ["a" if t == "alpha" else t, df])),
             lambda doc: json.dumps(with_num_documents(doc, -3)),
             lambda doc: json.dumps(with_num_documents(doc, "30")),
             lambda doc: json.dumps(with_num_documents(doc, 10**400)),
@@ -464,7 +442,8 @@ class TestModelFiles:
             "not-json", "not-an-object", "no-weights", "no-tokens", "too-few-weight-rows",
             "short-weight-rows", "ragged-weights", "short-bias", "nested-bias", "unknown-task",
             "bad-config", "wide-weight-rows", "string-df", "negative-df", "df-above-documents",
-            "int-tokens", "repeated-token", "negative-documents", "string-documents",
+            "int-tokens", "repeated-token", "upper-case-tokens", "spaced-tokens",
+            "non-ascii-tokens", "one-letter-token", "negative-documents", "string-documents",
             "huge-documents", "wrong-classes", "string-classes", "nan-weights", "inf-weight",
             "nan-bias", "unknown-config-key", "string-weights", "bool-weight", "string-bias",
             "bool-bias", "bool-version", "float-classes", "negative-seed", "seed-above-range",

@@ -35,17 +35,17 @@ WORDS = st.one_of(COMMON_WORDS, COMMON_WORDS, st.lists(st.sampled_from(RARE), ma
 @st.composite
 def corpora(draw):
     n = draw(st.integers(2, 24))
-    return [
-        LabeledExample(
+    docs = []
+    for i in range(n):
+        example = LabeledExample(
             cve_id=f"CVE-2021-{i:05d}",
             utility=draw(st.sampled_from([0, 1, 2])),
             opportune=draw(st.sampled_from([0, 1])),
             labeler=Labeler.SME,
             labeled_at=TS,
-            description=" ".join(draw(WORDS)),
         )
-        for i in range(n)
-    ]
+        docs.append((" ".join(draw(WORDS)), example))
+    return docs
 
 
 def fit(module, task, corpus, vocab, config):
@@ -65,13 +65,13 @@ def fit(module, task, corpus, vocab, config):
     floor=st.sampled_from([1e-9, 1e-9, 0.3, 0.6]),
 )
 def test_trainer_matches_reference_bitwise(task, corpus, min_df, reg_lambda, epochs, seed, floor):
-    vocab = fit_vocabulary([ex.description for ex in corpus], min_df=min_df)
+    vocab = fit_vocabulary([text for text, _ in corpus], min_df=min_df)
     config = TrainConfig(epochs=epochs, reg_lambda=reg_lambda, seed=seed)
     with mock.patch.object(svm, "_SCALE_FLOOR", floor), \
             mock.patch.object(svm_reference, "_SCALE_FLOOR", floor):
         got = fit(svm, task, corpus, vocab, config)
         expected = fit(svm_reference, task, corpus, vocab, config)
-    empty = any(not set(ex.description.split()) & vocab.index.keys() for ex in corpus)
+    empty = any(not set(text.split()) & vocab.index.keys() for text, _ in corpus)
     event(f"classes: {len(task.classes)}, vocabulary empty: {vocab.size == 0}")
     event(f"some document holds no vocabulary token: {empty}")
     assert got.weights.flags.c_contiguous
