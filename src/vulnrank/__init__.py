@@ -16,11 +16,13 @@ from vulnrank.cvss import (
 )
 from vulnrank.feeds import (
     CveRecord,
+    Judgment,
     LabeledExample,
     Labeler,
     iter_cve_records,
     load_asset_context,
     load_exploit_refs,
+    load_judgments,
     load_labels,
     merge_labels,
     save_labels,
@@ -48,6 +50,7 @@ __all__ = [
     "CvssVector",
     "DEFAULT_ENV_WEIGHTS",
     "ExportFormat",
+    "Judgment",
     "LabeledExample",
     "Labeler",
     "ScoredVulnerability",
@@ -59,6 +62,7 @@ __all__ = [
     "iter_cve_records",
     "load_asset_context",
     "load_exploit_refs",
+    "load_judgments",
     "load_labels",
     "merge_labels",
     "parse_vector",

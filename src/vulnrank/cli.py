@@ -52,6 +52,7 @@ from vulnrank.feeds import (
     iter_cve_records,
     load_asset_context,
     load_exploit_refs,
+    load_judgments,
     load_labels,
     merge_labels,
     output_target,
@@ -464,7 +465,7 @@ def _scored_portfolio(config: RunConfig):
     """Load labels, refs and context, then score the CVE feed as it streams."""
     _require_paths(config, ["cves", "labels"], ("refs", "context"))
     with _cve_feed_error_first(config):
-        labels = _effective_labels(config)
+        labels = load_judgments(config.labels)
         wx_map = {}
         if config.refs is not None:
             # Unbound, the URL dicts are freed before scoring starts.

@@ -124,6 +124,9 @@ _METRICS = {
     "I": ImpactMetric,
     "A": ImpactMetric,
 }
+# Each metric key's members by their vector value: parsing looks a value
+# up here rather than through the Python-level ``Enum.__call__``.
+_MEMBERS = {key: {m.value: m for m in enum_cls} for key, enum_cls in _METRICS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,15 +189,15 @@ def parse_vector(text: str) -> CvssVector:
         key, sep, raw = token.partition(":")
         if not sep or not key or not raw:
             raise MalformedVector(f"bad metric token {token!r}")
-        enum_cls = _METRICS.get(key)
-        if enum_cls is None:
+        members = _MEMBERS.get(key)
+        if members is None:
             raise MalformedVector(f"unknown metric key in token {token!r}")
         if key in seen:
             raise DuplicateMetric(f"metric {key} given more than once (token {token!r})")
-        try:
-            seen[key] = enum_cls(raw)
-        except ValueError:
-            raise UnknownMetricValue(f"illegal value in token {token!r}") from None
+        member = members.get(raw)
+        if member is None:
+            raise UnknownMetricValue(f"illegal value in token {token!r}")
+        seen[key] = member
 
     missing = [key for key in _METRICS if key not in seen]
     if missing:

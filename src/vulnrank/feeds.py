@@ -25,6 +25,15 @@ the CVE's wx is ``sum(urls.values())``. Asset context loads as
 ``{cve_id: (exposure, criticality)}``, each value one of six shared pairs.
 A published ``score`` is a number in [0, 10] with at most one decimal.
 
+A label store is read two ways, each line through one generator
+(``iter_label_rows``), so both raise the same error at the same line.
+``load_labels`` returns every line as a ``LabeledExample``, superseded
+ones included, for ``merge_labels`` to fold: training, prediction and
+saving use it. ``load_judgments`` folds by the same rule as it reads and
+returns ``{cve_id: Judgment}``, each value one of twelve shared
+(utility, opportune, labeler) triples: the score path uses it, and
+builds no ``LabeledExample``.
+
 ``iter_cve_records`` yields a CVE feed's records one line at a time and
 keeps only the ids it has seen. The CVE, label, context and reference
 loaders intern every id they keep (``sys.intern``), so feeds loaded side
@@ -47,7 +56,7 @@ A label store is written from a ``%`` template, with nothing escaped:
 its other fields are labels, labeler names and ``format_ts`` stamps, and
 ``write_labels`` raises ValueError for an id that ``CVE_ID_RE`` does not
 match as a whole before it opens the file, so every store line it writes
-is in ``load_labels``' canonical form.
+is in the store's canonical form.
 
 The loaders build records they have checked through the dataclasses'
 slot setters, without the frozen ``__init__``; a record built by its
@@ -70,7 +79,7 @@ from enum import Enum
 from itertools import islice
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from vulnrank.cvss import CvssError, CvssVector, parse_vector
 
@@ -140,13 +149,12 @@ class Task(Enum):
         return example.utility if self is Task.UTILITY else example.opportune
 
 
-# The legal utility and opportune values, read from Task once: checking a
-# label then costs no Enum access.
+# The legal utility and opportune values and labeler names, read from the
+# enums once: checking a label then costs no Enum access.
 _UTILITIES, _OPPORTUNES = Task.UTILITY.classes, Task.OPPORTUNE.classes
+_LABELER_NAMES = frozenset(member.value for member in Labeler)
 
 
-# Members by value; a loader looks a field up only when it is a string.
-_LABELERS = {member.value: member for member in Labeler}
 # The six asset contexts by their raw (exposure, criticality) strings:
 # every context line with the same two strings maps to one shared pair.
 _CONTEXTS = {(e.value, c.value): (e, c) for e in Exposure for c in Criticality}
@@ -165,12 +173,34 @@ class CveRecord:
         return self.vector is not None or self.published_score is not None
 
 
+class Judgment(NamedTuple):
+    """The label fields the threat score reads: utility 0/1/2, the
+    opportune flag 0/1 and who assigned them. There are twelve, each
+    built once (``_JUDGMENTS``); ``load_judgments`` maps each CVE to one.
+    """
+
+    utility: int
+    opportune: int
+    labeler: Labeler
+
+
+# The twelve judgments by their (utility, opportune, labeler name) fields,
+# and by the block scan's raw groups of a store line.
+_JUDGMENTS = {
+    (u, o, lab.value): Judgment(u, o, lab) for u in _UTILITIES for o in _OPPORTUNES for lab in Labeler
+}
+_STORE_JUDGMENTS = {
+    (b"%d" % u, b"%d" % o, name.encode()): judgment for (u, o, name), judgment in _JUDGMENTS.items()
+}
+
+
 @dataclass(frozen=True, slots=True)
 class LabeledExample:
     """One triage judgment for a CVE: utility 0/1/2, the opportune flag
-    0/1, who assigned them and when; one label store line. Training and
-    scoring both use it, training as ``(description, example)`` pairs
-    that ``attach_descriptions`` joins from the CVE feed.
+    0/1, who assigned them and when; one label store line. Training uses
+    it as ``(description, example)`` pairs that ``attach_descriptions``
+    joins from the CVE feed. Scoring reads only the three fields it shares
+    with ``Judgment``, so it takes either.
     """
 
     cve_id: str
@@ -474,27 +504,27 @@ def format_ts(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
-def load_labels(path) -> list[LabeledExample]:
-    """Load label records as written, including superseded entries.
+def iter_label_rows(path) -> Iterator[tuple[str, Judgment, datetime]]:
+    """Yield ``(cve_id, judgment, ts)`` for each line of a label store.
 
     A line in the store's own form (``_STORE_LINE``) gives its values from
     the block scan's groups, which admit only ids, labels and labelers the
-    checks accept; any other line is decoded as JSON and checked field by
-    field. Both then share the stamp check and the slot setters, so they
-    give the same record, or the same error, for the same line.
+    checks accept, and its judgment straight from them; any other line is
+    decoded as JSON and checked field by field. Both then share the stamp
+    check, so they give the same row, or the same error, for the same
+    line; an error raises at its line, after the rows before it. Equal
+    stamps are one shared datetime. The id is not interned: each reader
+    interns the ids it keeps.
     """
-    examples: list[LabeledExample] = []
-    append = examples.append
-    set_id, set_utility, set_opportune, set_labeler, set_ts = _LABELED_EXAMPLE_SETTERS
     # Label stores repeat stamps: a predict run gives all its labels one.
     stamps: dict[str, datetime] = {}
     for lineno, obj in _iter_jsonl(path, _STORE_LINE):
         if type(obj) is tuple:
             cve_id, utility, opportune, labeler, raw_ts, _ = obj
             cve_id, raw_ts = cve_id.decode(), raw_ts.decode()
-            utility, opportune = _STORE_DIGITS[utility], _STORE_DIGITS[opportune]
-            labeler = _STORE_LABELERS[labeler]
+            judgment = _STORE_JUDGMENTS[utility, opportune, labeler]
         else:
+            judgment = None
             cve_id = obj.get("cve")
             if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
                 raise _bad_cve_id(path, lineno, "cve", cve_id)
@@ -505,8 +535,7 @@ def load_labels(path) -> list[LabeledExample]:
             if opportune is None:
                 raise _missing(path, lineno, "opportune")
             labeler = obj.get("labeler")
-            labeler = _LABELERS.get(labeler) if isinstance(labeler, str) else None
-            if labeler is None:
+            if not isinstance(labeler, str) or labeler not in _LABELER_NAMES:
                 raise InvalidCategory(f"{path}:{lineno}: labeler must be SME or Model")
             raw_ts = obj.get("ts")
         ts = stamps.get(raw_ts) if isinstance(raw_ts, str) else None
@@ -515,8 +544,21 @@ def load_labels(path) -> list[LabeledExample]:
                 raise _missing(path, lineno, "ts")
             ts = stamps[raw_ts] = parse_ts(raw_ts, f"{path}:{lineno}")
         # The store form's pattern admits only labels; a decoded line's are checked.
-        if type(obj) is dict and (problem := _bad_labels(utility, opportune)) is not None:
-            raise InvalidCategory(f"{path}:{lineno}: {problem}")
+        if judgment is None:
+            problem = _bad_labels(utility, opportune)
+            if problem is not None:
+                raise InvalidCategory(f"{path}:{lineno}: {problem}")
+            judgment = _JUDGMENTS[utility, opportune, labeler]
+        yield cve_id, judgment, ts
+
+
+def load_labels(path) -> list[LabeledExample]:
+    """Load label records as written, including superseded entries, each
+    line read and checked by ``iter_label_rows``."""
+    examples: list[LabeledExample] = []
+    append = examples.append
+    set_id, set_utility, set_opportune, set_labeler, set_ts = _LABELED_EXAMPLE_SETTERS
+    for cve_id, (utility, opportune, labeler), ts in iter_label_rows(path):
         ex = _new(LabeledExample)
         set_id(ex, intern(cve_id))
         set_utility(ex, utility)
@@ -525,6 +567,32 @@ def load_labels(path) -> list[LabeledExample]:
         set_ts(ex, ts)
         append(ex)
     return examples
+
+
+def load_judgments(path) -> dict[str, Judgment]:
+    """A label store's effective judgment per CVE: what
+    ``merge_labels(load_labels(path))`` gives, without its examples.
+
+    Each line, read and checked by ``iter_label_rows``, replaces its CVE's
+    judgment by ``merge_labels``' rule as it is read: SME beats Model, the
+    newest stamp wins, and on an exact tie the later line wins. Only the
+    current winner's stamp is kept per CVE, and only until the store is
+    read; every judgment is one of the twelve shared ``Judgment`` values.
+    """
+    judgments: dict[str, Judgment] = {}
+    winning_ts: dict[str, datetime] = {}
+    sme = Labeler.SME
+    for cve_id, judgment, ts in iter_label_rows(path):
+        current = judgments.get(cve_id)
+        if current is not None:
+            is_sme, was_sme = judgment.labeler is sme, current.labeler is sme
+            if is_sme < was_sme or (is_sme == was_sme and ts < winning_ts[cve_id]):
+                continue
+        else:
+            cve_id = intern(cve_id)
+        judgments[cve_id] = judgment
+        winning_ts[cve_id] = ts
+    return judgments
 
 
 def merge_labels(examples: Iterable[LabeledExample]) -> dict[str, LabeledExample]:
@@ -570,8 +638,6 @@ def write_labels(path, merged: dict[str, LabeledExample]) -> None:
 
 # A store line; no field needs JSON escaping (see the module docstring).
 _LABEL_LINE = '{"cve":"%s","utility":%d,"opportune":%d,"labeler":"%s","ts":"%s"}\n'
-_STORE_DIGITS = {b"0": 0, b"1": 1, b"2": 2}
-_STORE_LABELERS = {member.value.encode(): member for member in Labeler}
 
 
 def _label_lines(merged: dict[str, LabeledExample]) -> Iterator[str]:

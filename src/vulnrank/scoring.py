@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from vulnrank.cvss import base_score
-from vulnrank.feeds import Criticality, CveRecord, Exposure, LabeledExample, _slot_setters
+from vulnrank.feeds import Criticality, CveRecord, Exposure, Judgment, LabeledExample, _slot_setters
 
 logger = logging.getLogger(__name__)
 
@@ -71,8 +71,10 @@ DEFAULT_ENV_WEIGHTS: Mapping[Exposure | Criticality, Decimal] = MappingProxyType
 class ScoredVulnerability:
     """One CVE with all scoring inputs and its final threat score.
 
-    ``cvss`` is the one-place CVSS ``Decimal``, ``wx`` the exploit count
-    and ``env`` the environmental product (``NEUTRAL_ENV`` without asset
+    ``cvss`` is the one-place CVSS ``Decimal``, ``wx`` the exploit count,
+    ``labels`` the CVE's ``Judgment`` (or any value with its ``utility``,
+    ``opportune`` and ``labeler``, such as a ``LabeledExample``) and
+    ``env`` the environmental product (``NEUTRAL_ENV`` without asset
     context). ``threat_score`` is not a constructor argument: it is
     computed from the other fields, so it always matches them.
     """
@@ -80,7 +82,7 @@ class ScoredVulnerability:
     cve_id: str
     cvss: Decimal
     wx: int
-    labels: LabeledExample
+    labels: Judgment | LabeledExample
     env: Decimal
     threat_score: Decimal = field(init=False)
 
@@ -113,9 +115,10 @@ def env_factor(
 
 
 def threat_score(
-    cvss: Decimal, wx: int, labels: LabeledExample, env: Decimal = NEUTRAL_ENV
+    cvss: Decimal, wx: int, labels: Judgment | LabeledExample, env: Decimal = NEUTRAL_ENV
 ) -> Decimal:
-    """Exact threat score from a one-place Decimal CVSS; unbounded above, never rounded."""
+    """Exact threat score from a one-place Decimal CVSS; unbounded above,
+    never rounded. ``labels`` gives its ``utility`` and ``opportune``."""
     if not 0 <= cvss <= 10:
         raise ScoringError(f"cvss score {cvss} outside [0, 10]")
     if wx < 0:
@@ -172,7 +175,7 @@ def _scored_row(cve_id, cvss, wx, labels, env, threat) -> ScoredVulnerability:
 def score_portfolio(
     records: Iterable[CveRecord],
     wx_map: Mapping[str, int] | None = None,
-    labels_map: Mapping[str, LabeledExample] | None = None,
+    labels_map: Mapping[str, Judgment | LabeledExample] | None = None,
     ctx_map: Mapping[str, tuple[Exposure, Criticality]] | None = None,
     env_weights: Mapping[Exposure | Criticality, Decimal] = DEFAULT_ENV_WEIGHTS,
 ) -> list[ScoredVulnerability]:
@@ -185,11 +188,13 @@ def score_portfolio(
 
     ``wx_map`` holds each CVE's exploit count as an int; records without
     an entry there count zero exploits, and a negative count raises
-    ``ScoringError``. ``ctx_map`` holds (exposure, criticality) pairs; a
-    record without one scores with ``NEUTRAL_ENV``, and equal pairs share
-    one env ``Decimal``. ``threat_score`` runs once per distinct (CVSS,
-    wx, utility, opportune, context), and rows whose threat scores are
-    equal in value and exponent share one ``Decimal``.
+    ``ScoringError``. ``labels_map`` holds each CVE's ``Judgment``, as
+    ``feeds.load_judgments`` reads it, or a ``LabeledExample``; a row keeps
+    the value it is given as its ``labels``. ``ctx_map`` holds (exposure,
+    criticality) pairs; a record without one scores with ``NEUTRAL_ENV``,
+    and equal pairs share one env ``Decimal``. ``threat_score`` runs once
+    per distinct (CVSS, wx, utility, opportune, context), and rows whose
+    threat scores are equal in value and exponent share one ``Decimal``.
 
     Records with neither a vector nor a published score, and records
     without an entry in ``labels_map`` (``vulnrank predict`` fills them

@@ -16,11 +16,13 @@ training runs.
 
 V is held transposed, as a C-contiguous (vocabulary, K) array ``Vt``
 with one row per token, and its bias column as a list of K Python
-floats. A step then makes one numpy call, ``val @ Vt.take(idx, 0)``,
+floats. A step then makes one numpy call, ``val.dot(Vt.take(idx, 0))``,
 which gathers the document's rows into one contiguous block and takes
-its K dot products. Everything else in a step is Python float
-arithmetic on K values: the margins, the per-class ``m < 1.0`` tests,
-the decay of ``s``, the step size and the bias. Python floats round
+its K dot products. ``val.dot(block)`` reaches the same BLAS call as
+``val @ block`` and returns the same bytes, without the matmul ufunc's
+dispatch. Everything else in a step is Python float arithmetic on K
+values: the margins, the per-class ``m < 1.0`` tests, the decay of
+``s``, the step size and the bias. Python floats round
 exactly as numpy's float64 does, and each expression keeps the
 operation order the trainer had when V was a (K, vocabulary + 1)
 array, so training still yields the same bytes. Only a step that
@@ -288,7 +290,7 @@ def train(
             block = Vt.take(idx, 0)
             # m < 1.0 per class, not min(margins): a NaN margin never violates.
             violated = [
-                y * (s * (d + b)) < 1.0 for y, d, b in zip(ys, (val @ block).tolist(), bias)
+                y * (s * (d + b)) < 1.0 for y, d, b in zip(ys, val.dot(block).tolist(), bias)
             ]
             if t > 1:
                 s *= 1.0 - 1.0 / t

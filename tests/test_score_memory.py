@@ -1,6 +1,7 @@
 """The score path keeps only what it ranks: its memory grows per CVE by the
-row, the label and one id string, not by the feed's records, and rows
-share their threat Decimals."""
+row and one id string, not by the feed's records or the store's lines;
+rows share their threat Decimals and their labels, each one of the
+twelve ``Judgment`` values, and no ``LabeledExample`` is built."""
 
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import vulnrank
 from vulnrank import feeds
+from vulnrank.cli import main
 
 SRC = Path(vulnrank.__file__).resolve().parents[1]
 
@@ -22,10 +24,12 @@ VECTORS = (
     "CVSS:3.1/AV:A/AC:L/PR:H/UI:N/S:U/C:N/I:L/A:L",
 )
 WORDS = ("buffer", "overflow", "remote", "attacker", "crafted", "request", "header", "parser")
-# Bytes of traced peak per added CVE. The streamed path takes about 341,
-# on spaced and canonical feeds alike; one that holds every CveRecord
-# until scoring ends (a list of the CVE feed) takes about 504.
-PER_CVE_BOUND = 420
+# Bytes of traced peak per added CVE. The streamed path takes about 262,
+# on spaced and canonical feeds alike. One whose rows each hold a
+# LabeledExample (merge_labels(load_labels(...)) as the labels) takes
+# about 334, and one that also holds every CveRecord until scoring ends
+# (a list of the CVE feed) about 424.
+PER_CVE_BOUND = 320
 
 
 # The block scan's canonical form of each feed.
@@ -124,3 +128,33 @@ def test_score_path_memory_per_cve_is_bounded(tmp_path, render, decoded):
     small, large, threat_objects, threats = json.loads(done.stdout.splitlines()[-1])
     assert (large - small) / 6_000 < PER_CVE_BOUND, (small, large)
     assert threat_objects <= threats
+
+
+def _no_labeled_example(*_args, **_kwargs):
+    raise AssertionError("a LabeledExample was built")
+
+
+@pytest.mark.parametrize("command", ["score", "rank", "report"])
+@pytest.mark.parametrize("render", [json.dumps, feeds.compact_json], ids=["spaced", "canonical"])
+def test_score_path_builds_no_labeled_example(tmp_path, monkeypatch, capsys, command, render):
+    args, _ = write_feeds(tmp_path, 40, render)
+    # Superseded rows too: a Model row loses to the SME row before it, and
+    # an older SME row to the one it follows.
+    store = tmp_path / "labels.jsonl"
+    superseded = [
+        {"cve": "CVE-2000-10000", "utility": 2, "opportune": 1, "labeler": "Model", "ts": "2030-01-01T00:00:00Z"},
+        {"cve": "CVE-2001-10001", "utility": 2, "opportune": 1, "labeler": "SME", "ts": "2020-01-01T00:00:00Z"},
+    ]
+    with store.open("a") as fh:
+        fh.writelines(render(row) + "\n" for row in superseded)
+    expected_rows = main([command, *args[1:], "--output", str(tmp_path / "expected")])
+    # A LabeledExample is built by its constructor or, in load_labels,
+    # through its slot setters; with both refusing, reading the store
+    # whole must fail.
+    monkeypatch.setattr(feeds.LabeledExample, "__init__", _no_labeled_example)
+    monkeypatch.setattr(feeds, "_LABELED_EXAMPLE_SETTERS", (_no_labeled_example,) * 5)
+    with pytest.raises(AssertionError, match="LabeledExample"):
+        feeds.load_labels(store)
+    assert main([command, *args[1:], "--output", str(tmp_path / "got")]) == expected_rows == 0
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "expected").read_bytes()
+    assert capsys.readouterr().err == ""

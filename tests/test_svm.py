@@ -171,6 +171,25 @@ class TestTrain:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_step_margins_by_dot_equal_matmul_bitwise(self, n_classes):
+        # A step takes its margins as val.dot(block), where the trainer's
+        # layout was fixed for val @ block: on the trainer's shapes (a row
+        # of the design matrix, a view at any offset of its data, against
+        # its gathered (nnz, K) rows of Vt) both give the same bytes.
+        rng = np.random.default_rng(17)
+        vocab_size = 6000
+        for _ in range(150):
+            nnz = [int(n) for n in rng.integers(0, 4097, size=3)]
+            data = rng.random(sum(nnz)) * 10.0 ** float(rng.integers(-3, 1))
+            Vt = rng.standard_normal((vocab_size, n_classes)) * 10.0 ** float(rng.integers(-4, 5))
+            start = 0
+            for n in nnz:
+                idx = np.sort(rng.choice(vocab_size, n, replace=False))
+                val, start = data[start : start + n], start + n
+                block = Vt.take(idx, 0)
+                assert val.dot(block).tobytes() == (val @ block).tobytes()
+
     def test_objective_non_increasing_across_epochs(self):
         # With reg_lambda > 2 the weight norm stays below 1/lambda * max||x||,
         # so every sample keeps violating the margin and the 1/(lambda*t)
