@@ -147,7 +147,7 @@ def test_score_path_builds_no_labeled_example(tmp_path, monkeypatch, capsys, com
     ]
     with store.open("a") as fh:
         fh.writelines(render(row) + "\n" for row in superseded)
-    expected_rows = main([command, *args[1:], "--output", str(tmp_path / "expected")])
+    expected_exit = main([command, *args[1:], "--output", str(tmp_path / "expected")])
     # A LabeledExample is built by its constructor or, in load_labels,
     # through its slot setters; with both refusing, reading the store
     # whole must fail.
@@ -155,6 +155,6 @@ def test_score_path_builds_no_labeled_example(tmp_path, monkeypatch, capsys, com
     monkeypatch.setattr(feeds, "_LABELED_EXAMPLE_SETTERS", (_no_labeled_example,) * 5)
     with pytest.raises(AssertionError, match="LabeledExample"):
         feeds.load_labels(store)
-    assert main([command, *args[1:], "--output", str(tmp_path / "got")]) == expected_rows == 0
+    assert main([command, *args[1:], "--output", str(tmp_path / "got")]) == expected_exit == 0
     assert (tmp_path / "got").read_bytes() == (tmp_path / "expected").read_bytes()
     assert capsys.readouterr().err == ""
