@@ -20,11 +20,10 @@ from vulnrank.feeds import (
     LabeledExample,
     Labeler,
     iter_cve_records,
+    iter_label_rows,
     load_asset_context,
     load_exploit_refs,
     load_judgments,
-    load_labels,
-    merge_labels,
     save_labels,
 )
 from vulnrank.report import (
@@ -60,11 +59,10 @@ __all__ = [
     "env_factor",
     "export_chunks",
     "iter_cve_records",
+    "iter_label_rows",
     "load_asset_context",
     "load_exploit_refs",
     "load_judgments",
-    "load_labels",
-    "merge_labels",
     "parse_vector",
     "rank",
     "save_labels",

@@ -11,11 +11,13 @@ unknown flag, a flag without its value, a missing subcommand or --task).
 
 Exit codes are a stable scripting contract: 0 success, 2 ingest,
 validation, configuration or file read/write failure, 3 training
-failure, 4 model compatibility failure, 5 scoring completeness failure.
-Every failure prints one ``error:`` line to stderr. Output files are
-written by ``feeds.write_atomic``, which follows symlinks, refuses a
-target that is not a regular file, and fsyncs a temporary file beside
-the target before renaming it into place.
+failure, 4 model compatibility failure, 5 scoring completeness failure,
+130 ``label`` stopped by SIGINT at a prompt. Every failure prints one
+``error:`` line to stderr; an interrupted ``label`` saves the answers
+given so far and prints ``interrupted: saved N label(s) to <store>``.
+Output files are written by ``feeds.write_atomic``, which follows
+symlinks, refuses a target that is not a regular file, and fsyncs a
+temporary file beside the target before renaming it into place.
 """
 
 from __future__ import annotations
@@ -45,19 +47,21 @@ from vulnrank.feeds import (
     Exposure,
     FeedError,
     IoError,
+    Judgment,
     LabeledExample,
     Labeler,
     Task,
     attach_descriptions,
+    fold_labels,
     iter_cve_records,
+    iter_label_rows,
     load_asset_context,
     load_exploit_refs,
     load_judgments,
-    load_labels,
-    merge_labels,
     output_target,
     parse_ts,
     save_labels,
+    shared_judgment,
     write_atomic,
     write_labels,
 )
@@ -101,6 +105,7 @@ EXIT_INGEST = 2
 EXIT_TRAIN = 3
 EXIT_MODEL = 4
 EXIT_SCORING = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 
 ENV_PREFIX = "VULNRANK_"
 FORMAT_NAMES = "text, csv or json-lines"
@@ -307,11 +312,6 @@ def _require_paths(config: RunConfig, required: list[str], optional: tuple[str, 
             raise FeedError(f"{name} file not found: {value}")
 
 
-def _effective_labels(config: RunConfig) -> dict[str, LabeledExample]:
-    path = Path(config.labels)
-    return merge_labels(load_labels(path)) if path.exists() else {}
-
-
 def cmd_ingest(config: RunConfig) -> int:
     _require_paths(config, ["cves"], ("refs", "context", "labels"))
     cve_count = sum(1 for _ in iter_cve_records(config.cves))
@@ -320,7 +320,7 @@ def cmd_ingest(config: RunConfig) -> int:
         ref_count = sum(map(len, load_exploit_refs(config.refs).values()))
     label_count = 0
     if config.labels is not None:
-        label_count = len(load_labels(config.labels))
+        label_count = sum(1 for _ in iter_label_rows(config.labels))
     ctx_count = 0
     if config.context is not None:
         ctx_count = len(load_asset_context(config.context))
@@ -335,11 +335,15 @@ def cmd_train(config: RunConfig, task: Task) -> int:
     train_config = TrainConfig(epochs=config.epochs, reg_lambda=config.reg_lambda, seed=config.seed)
     _require_paths(config, ["cves", "labels"])
     with _cve_feed_error_first(config, CorpusTooSmall):
-        merged = _effective_labels(config)
+        judgments, stamps = load_judgments(config.labels)
         # Model rows are predictions, with a placeholder 0 for the task not
         # predicted; a model learns from SME judgments only.
-        examples = [ex for _, ex in sorted(merged.items()) if ex.labeler is Labeler.SME]
-        del merged  # train's peak comes after the join
+        examples = [
+            LabeledExample(cve_id, *judgment, stamps[cve_id])
+            for cve_id, judgment in sorted(judgments.items())
+            if judgment.labeler is Labeler.SME
+        ]
+        del judgments, stamps  # train's peak comes after the join
         if len(examples) < 5:
             raise CorpusTooSmall(f"label store holds {len(examples)} SME examples; need at least 5")
     # The CVE feed streams through the join, which keeps only the labeled
@@ -366,21 +370,12 @@ def cmd_train(config: RunConfig, task: Task) -> int:
     return EXIT_OK
 
 
-def _without_sme_labels(records, merged: dict[str, LabeledExample]) -> Iterator[CveRecord]:
+def _without_sme_labels(records, judgments: dict[str, Judgment]) -> Iterator[CveRecord]:
     return (
         rec
         for rec in records
-        if rec.cve_id not in merged or merged[rec.cve_id].labeler is not Labeler.SME
+        if rec.cve_id not in judgments or judgments[rec.cve_id].labeler is not Labeler.SME
     )
-
-
-def _deterministic_ts(merged: dict[str, LabeledExample]) -> datetime:
-    # Reruns on identical inputs must produce identical label files, so
-    # model labels are stamped with the newest timestamp already in the
-    # store rather than the wall clock.
-    if not merged:
-        return datetime(1970, 1, 1, tzinfo=timezone.utc)
-    return max(ex.labeled_at for ex in merged.values())
 
 
 def cmd_predict(config: RunConfig, task: Task) -> int:
@@ -393,34 +388,38 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
         raise ModelVersionError(
             f"{config.model_path(task)} holds a {model.task.value} model, not {task.value}"
         )
-    merged = _effective_labels(config)
-    stamp = _deterministic_ts(merged)
+    judgments, stamps = load_judgments(config.labels) if Path(config.labels).exists() else ({}, {})
+    # Reruns on identical inputs must produce identical label files, so
+    # model labels are stamped with the newest stamp already in the store
+    # rather than the wall clock.
+    stamp = max(stamps.values(), default=datetime(1970, 1, 1, tzinfo=timezone.utc))
     # The CVE feed streams: one block of targets, descriptions included, is
-    # held at a time, and only each target's fresh label is kept. A bad
+    # held at a time, and only each target's fresh row is kept. A bad
     # feed line still raises before the store is written.
     from vulnrank.triage.features import BLOCK_TEXTS  # numpy is loaded by now
 
-    targets = _without_sme_labels(iter_cve_records(config.cves), merged)
+    targets = _without_sme_labels(iter_cve_records(config.cves), judgments)
     fresh = []
     while block := list(islice(targets, BLOCK_TEXTS)):
         predictions = predict_texts(model, [rec.description for rec in block])
         for rec, predicted in zip(block, predictions):
-            existing = merged.get(rec.cve_id)
+            existing = judgments.get(rec.cve_id)
             utility, opportune = (existing.utility, existing.opportune) if existing else (0, 0)
             if task is Task.UTILITY:
                 utility = predicted
             else:
                 opportune = predicted
-            fresh.append(LabeledExample(rec.cve_id, utility, opportune, Labeler.MODEL, stamp))
+            fresh.append((rec.cve_id, shared_judgment(utility, opportune, Labeler.MODEL), stamp))
     if not fresh:
         print("all CVEs already carry SME labels; nothing to predict")
         return EXIT_OK
-    # What save_labels would write, without reading the store again:
-    # merge_labels is a left fold, so merging the merged store with the
-    # fresh labels equals merging every stored entry with them.
-    write_labels(config.labels, merge_labels([*merged.values(), *fresh]))
     # Rows new to the store hold a placeholder 0 for the other task.
-    if placeholders := sum(ex.cve_id not in merged for ex in fresh):
+    placeholders = sum(cve_id not in judgments for cve_id, _, _ in fresh)
+    # What save_labels would write, without reading the store again: the
+    # store is folded row by row, so folding the fresh rows into its fold
+    # equals folding them after every stored row.
+    write_labels(config.labels, *fold_labels(fresh, judgments, stamps))
+    if placeholders:
         other = (Task.OPPORTUNE if task is Task.UTILITY else Task.UTILITY).value
         warning = f"{placeholders} new Model rows hold {other} 0 until predict --task {other} runs"
         print(f"warning: {warning}", file=sys.stderr)
@@ -465,7 +464,8 @@ def _scored_portfolio(config: RunConfig):
     """Load labels, refs and context, then score the CVE feed as it streams."""
     _require_paths(config, ["cves", "labels"], ("refs", "context"))
     with _cve_feed_error_first(config):
-        labels = load_judgments(config.labels)
+        # Only the judgments: the stamps are freed before the feed streams.
+        labels = load_judgments(config.labels)[0]
         wx_map = {}
         if config.refs is not None:
             # Unbound, the URL dicts are freed before scoring starts.
@@ -525,33 +525,41 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
         raise FeedError("no labels path configured (flag --labels)")
     output_target(config.labels)  # before reading it: a FIFO would block
     with _cve_feed_error_first(config):
-        merged = _effective_labels(config)
+        judgments = load_judgments(config.labels)[0] if Path(config.labels).exists() else {}
     targets = sorted(
-        _without_sme_labels(iter_cve_records(config.cves), merged), key=lambda r: r.cve_id
+        _without_sme_labels(iter_cve_records(config.cves), judgments), key=lambda r: r.cve_id
     )
     if not targets:
         print("all CVEs already carry SME labels")
         return EXIT_OK
 
-    collected = []
-    for rec in targets:
-        print(f"\n{rec.cve_id}: {rec.description}")
-        # Each task's value is the name of the LabeledExample field it labels.
-        labels = {}
-        for task in Task:
-            answer = _prompt(task)
-            if answer in ("s", "q"):
+    collected, interrupted = [], False
+    try:
+        for rec in targets:
+            print(f"\n{rec.cve_id}: {rec.description}")
+            # Each task's value is the name of the LabeledExample field it labels.
+            labels = {}
+            for task in Task:
+                answer = _prompt(task)
+                if answer in ("s", "q"):
+                    break
+                labels[task.value] = int(answer)
+            if answer == "q":
                 break
-            labels[task.value] = int(answer)
-        if answer == "q":
-            break
-        if answer != "s":
-            collected.append(
-                LabeledExample(rec.cve_id, labeler=Labeler.SME, labeled_at=stamp, **labels)
-            )
+            if answer != "s":
+                collected.append(
+                    LabeledExample(rec.cve_id, labeler=Labeler.SME, labeled_at=stamp, **labels)
+                )
+    except KeyboardInterrupt:
+        # SIGINT quits: the answers given so far are saved.
+        interrupted = True
     if collected:
         # Reads the store again, or a predict run during this session would be lost.
         save_labels(config.labels, collected)
+    if interrupted:
+        print()  # ends the prompt's line
+        print(f"interrupted: saved {len(collected)} label(s) to {config.labels}", file=sys.stderr)
+        return EXIT_INTERRUPTED
     print(f"\nsaved {len(collected)} label(s) to {config.labels}")
     return EXIT_OK
 

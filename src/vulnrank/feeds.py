@@ -25,14 +25,14 @@ the CVE's wx is ``sum(urls.values())``. Asset context loads as
 ``{cve_id: (exposure, criticality)}``, each value one of six shared pairs.
 A published ``score`` is a number in [0, 10] with at most one decimal.
 
-A label store is read two ways, each line through one generator
-(``iter_label_rows``), so both raise the same error at the same line.
-``load_labels`` returns every line as a ``LabeledExample``, superseded
-ones included, for ``merge_labels`` to fold: training, prediction and
-saving use it. ``load_judgments`` folds by the same rule as it reads and
-returns ``{cve_id: Judgment}``, each value one of twelve shared
-(utility, opportune, labeler) triples: the score path uses it, and
-builds no ``LabeledExample``.
+A label store is read line by line by one generator
+(``iter_label_rows``), and folded by one rule (``fold_labels``): SME
+beats Model, the newest stamp wins, and on an exact tie the later row
+wins. ``load_judgments`` folds the store's rows into ``{cve_id:
+Judgment}``, each value one of twelve shared (utility, opportune,
+labeler) triples, and ``{cve_id: stamp}`` as it reads them.
+``save_labels`` and the ``predict`` command fold their new rows into
+those two and write them back with ``write_labels``.
 
 ``iter_cve_records`` yields a CVE feed's records one line at a time and
 keeps only the ids it has seen. The CVE, label, context and reference
@@ -76,7 +76,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple
@@ -176,7 +176,8 @@ class CveRecord:
 class Judgment(NamedTuple):
     """The label fields the threat score reads: utility 0/1/2, the
     opportune flag 0/1 and who assigned them. There are twelve, each
-    built once (``_JUDGMENTS``); ``load_judgments`` maps each CVE to one.
+    built once (``_JUDGMENTS``, ``shared_judgment``); ``load_judgments``
+    maps each CVE to one.
     """
 
     utility: int
@@ -239,7 +240,6 @@ def _slot_setters(cls) -> tuple:
 
 _new = object.__new__
 _CVE_RECORD_SETTERS = _slot_setters(CveRecord)
-_LABELED_EXAMPLE_SETTERS = _slot_setters(LabeledExample)
 
 _scan_once = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
@@ -552,104 +552,95 @@ def iter_label_rows(path) -> Iterator[tuple[str, Judgment, datetime]]:
         yield cve_id, judgment, ts
 
 
-def load_labels(path) -> list[LabeledExample]:
-    """Load label records as written, including superseded entries, each
-    line read and checked by ``iter_label_rows``."""
-    examples: list[LabeledExample] = []
-    append = examples.append
-    set_id, set_utility, set_opportune, set_labeler, set_ts = _LABELED_EXAMPLE_SETTERS
-    for cve_id, (utility, opportune, labeler), ts in iter_label_rows(path):
-        ex = _new(LabeledExample)
-        set_id(ex, intern(cve_id))
-        set_utility(ex, utility)
-        set_opportune(ex, opportune)
-        set_labeler(ex, labeler)
-        set_ts(ex, ts)
-        append(ex)
-    return examples
+def fold_labels(
+    rows: Iterable[tuple[str, Judgment, datetime]],
+    judgments: dict[str, Judgment],
+    stamps: dict[str, datetime],
+) -> tuple[dict[str, Judgment], dict[str, datetime]]:
+    """Fold ``(cve_id, judgment, ts)`` rows into ``judgments`` and
+    ``stamps``, in place, and return both.
 
-
-def load_judgments(path) -> dict[str, Judgment]:
-    """A label store's effective judgment per CVE: what
-    ``merge_labels(load_labels(path))`` gives, without its examples.
-
-    Each line, read and checked by ``iter_label_rows``, replaces its CVE's
-    judgment by ``merge_labels``' rule as it is read: SME beats Model, the
-    newest stamp wins, and on an exact tie the later line wins. Only the
-    current winner's stamp is kept per CVE, and only until the store is
-    read; every judgment is one of the twelve shared ``Judgment`` values.
+    A row replaces its CVE's entry unless that entry wins: SME beats
+    Model, within one labeler the newest stamp wins, and on an exact tie
+    the later row wins. A CVE new to the dicts is keyed by its interned
+    id, so the ids need to be strings.
     """
-    judgments: dict[str, Judgment] = {}
-    winning_ts: dict[str, datetime] = {}
     sme = Labeler.SME
-    for cve_id, judgment, ts in iter_label_rows(path):
+    for cve_id, judgment, ts in rows:
         current = judgments.get(cve_id)
         if current is not None:
             is_sme, was_sme = judgment.labeler is sme, current.labeler is sme
-            if is_sme < was_sme or (is_sme == was_sme and ts < winning_ts[cve_id]):
+            if is_sme < was_sme or (is_sme == was_sme and ts < stamps[cve_id]):
                 continue
         else:
             cve_id = intern(cve_id)
         judgments[cve_id] = judgment
-        winning_ts[cve_id] = ts
-    return judgments
+        stamps[cve_id] = ts
+    return judgments, stamps
 
 
-def merge_labels(examples: Iterable[LabeledExample]) -> dict[str, LabeledExample]:
-    """Resolve to one effective label per CVE.
-
-    SME judgments always beat model predictions; within the same
-    provenance the newest timestamp wins, and on an exact tie the
-    later entry in iteration order wins.
+def load_judgments(path) -> tuple[dict[str, Judgment], dict[str, datetime]]:
+    """A label store's effective ``{cve_id: Judgment}`` and the winning
+    row's ``{cve_id: stamp}``: its rows, read and checked by
+    ``iter_label_rows``, folded by ``fold_labels``. Every judgment is one
+    of the twelve shared ``Judgment`` values.
     """
-    merged: dict[str, LabeledExample] = {}
-    for ex in examples:
-        current = merged.get(ex.cve_id)
-        if current is None:
-            merged[ex.cve_id] = ex
-            continue
-        incoming = (ex.labeler is Labeler.SME, ex.labeled_at)
-        existing = (current.labeler is Labeler.SME, current.labeled_at)
-        if incoming >= existing:
-            merged[ex.cve_id] = ex
-    return merged
+    return fold_labels(iter_label_rows(path), {}, {})
+
+
+def shared_judgment(utility: int, opportune: int, labeler: Labeler) -> Judgment:
+    """The one shared ``Judgment`` with these fields; the labels must be
+    ones a ``LabeledExample`` accepts."""
+    return _JUDGMENTS[utility, opportune, labeler.value]
 
 
 def save_labels(path, examples: Iterable[LabeledExample]) -> None:
-    """Merge the given examples into the label file at ``path``.
+    """Fold the given examples into the label store at ``path``.
 
-    Existing entries are loaded first, so saving is append-safe; the
-    result holds one line per CVE, sorted by id.
+    The target is checked (``output_target``), and every example's id,
+    before the store is read, so a FIFO raises IoError rather than
+    blocking and a bad id ValueError. The stored rows come first, so
+    saving is append-safe; the result holds one line per CVE, sorted by id.
     """
-    path = Path(path)
-    existing = load_labels(path) if path.exists() else []
-    write_labels(path, merge_labels(existing + list(examples)))
+    examples = list(examples)
+    _refuse_bad_ids(ex.cve_id for ex in examples)
+    stored = iter_label_rows(path) if os.path.exists(output_target(path)) else ()
+    new = (
+        (ex.cve_id, shared_judgment(ex.utility, ex.opportune, ex.labeler), ex.labeled_at)
+        for ex in examples
+    )
+    write_labels(path, *fold_labels(chain(stored, new), {}, {}))
 
 
-def write_labels(path, merged: dict[str, LabeledExample]) -> None:
-    """Write an already merged store to ``path``: one line per CVE, sorted
-    by id. An id that is not a CVE id raises ValueError before the file is
-    opened."""
-    for ex in merged.values():
-        if not isinstance(ex.cve_id, str) or not _is_cve_id(ex.cve_id):
-            raise ValueError(f"cannot write a label for {ex.cve_id!r}: not a CVE id")
-    write_atomic(path, encoded_chunks(_label_lines(merged)))
+def _refuse_bad_ids(ids: Iterable) -> None:
+    for cve_id in ids:
+        if not isinstance(cve_id, str) or not _is_cve_id(cve_id):
+            raise ValueError(f"cannot write a label for {cve_id!r}: not a CVE id")
+
+
+def write_labels(path, judgments: dict[str, Judgment], stamps: dict[str, datetime]) -> None:
+    """Write a folded store to ``path``: one line per CVE, sorted by id,
+    with its judgment and stamp. An id that is not a CVE id raises
+    ValueError before the file is opened."""
+    _refuse_bad_ids(judgments)
+    write_atomic(path, encoded_chunks(_label_lines(judgments, stamps)))
 
 
 # A store line; no field needs JSON escaping (see the module docstring).
 _LABEL_LINE = '{"cve":"%s","utility":%d,"opportune":%d,"labeler":"%s","ts":"%s"}\n'
 
 
-def _label_lines(merged: dict[str, LabeledExample]) -> Iterator[str]:
-    stamps: dict[datetime, str] = {}
-    for cve_id in sorted(merged):
-        ex = merged[cve_id]
+def _label_lines(judgments: dict[str, Judgment], stamps: dict[str, datetime]) -> Iterator[str]:
+    formatted: dict[datetime, str] = {}
+    for cve_id in sorted(judgments):
+        utility, opportune, labeler = judgments[cve_id]
         # Equal instants in different UTC offsets are equal keys and
         # format alike, so a store's few distinct stamps format once each.
-        ts = stamps.get(ex.labeled_at)
+        stamp = stamps[cve_id]
+        ts = formatted.get(stamp)
         if ts is None:
-            ts = stamps[ex.labeled_at] = format_ts(ex.labeled_at)
-        yield _LABEL_LINE % (ex.cve_id, ex.utility, ex.opportune, ex.labeler.value, ts)
+            ts = formatted[stamp] = format_ts(stamp)
+        yield _LABEL_LINE % (cve_id, utility, opportune, labeler.value, ts)
 
 
 # Lines per chunk of a streamed output: a writer holds one chunk's lines,

@@ -10,6 +10,8 @@ from decimal import Decimal
 
 import pytest
 
+from vulnrank.feeds import LabeledExample, iter_label_rows
+
 CVE_SMB = {
     "id": "CVE-2017-0143",
     "vector": "CVSS:3.1/AV:N/AC:H/PR:N/UI:N/S:U/C:H/I:H/A:H",
@@ -63,6 +65,11 @@ CVE_PUMP = {
 }
 
 WORKED_TRIO = (CVE_SMB, CVE_URLLIB3, CVE_PUMP)
+
+
+def read_store(path) -> list[LabeledExample]:
+    """Every row of a label store, superseded ones included, in file order."""
+    return [LabeledExample(cve_id, *judgment, ts) for cve_id, judgment, ts in iter_label_rows(path)]
 
 
 def write_jsonl(path, rows):

@@ -6,10 +6,12 @@ the differential test compares them with: for any feed, both return
 equal records and log the same warning, or raise the same exception type
 with the same message. The line reader is ``jsonl_reference.iter_jsonl``,
 and a CVE id is checked against ``vulnrank.feeds.CVE_ID_RE`` as a whole
-string, the rule both versions share.
+string, the rule both versions share. ``merge_label_rows`` is the label
+store's merge rule as it was first written down, for ``fold_labels``.
 """
 
 import logging
+from datetime import datetime
 from decimal import Decimal
 
 from vulnrank.cvss import CvssError, parse_vector
@@ -20,7 +22,7 @@ from vulnrank.feeds import (
     DuplicateId,
     Exposure,
     InvalidCategory,
-    LabeledExample,
+    Judgment,
     Labeler,
     SchemaError,
     parse_ts,
@@ -129,8 +131,8 @@ def load_exploit_refs(path) -> dict[str, dict[str, bool]]:
     return refs
 
 
-def load_labels(path) -> list[LabeledExample]:
-    examples = []
+def label_rows(path) -> list[tuple[str, Judgment, datetime]]:
+    rows = []
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
         cve_id = _cve_id(_require(obj, "cve", where), where)
@@ -143,8 +145,27 @@ def load_labels(path) -> list[LabeledExample]:
         for name, value, legal in (("utility", utility, (0, 1, 2)), ("opportune", opportune, (0, 1))):
             if not isinstance(value, int) or isinstance(value, bool) or value not in legal:
                 raise InvalidCategory(f"{where}: {name} must be one of {legal}, got {value!r}")
-        examples.append(LabeledExample(cve_id, utility, opportune, labeler, ts))
-    return examples
+        rows.append((cve_id, Judgment(utility, opportune, labeler), ts))
+    return rows
+
+
+def merge_label_rows(rows) -> tuple[dict[str, Judgment], dict[str, datetime]]:
+    """Resolve to one effective label per CVE, as ``({cve_id: judgment},
+    {cve_id: stamp})`` in the order the CVEs first appear.
+
+    SME judgments always beat model predictions; within the same
+    provenance the newest timestamp wins, and on an exact tie the later
+    entry in iteration order wins.
+    """
+    entries = {}
+    for index, (cve_id, judgment, ts) in enumerate(rows):
+        rank = (judgment.labeler is Labeler.SME, ts, index)
+        entries.setdefault(cve_id, []).append((rank, judgment, ts))
+    winners = {cve_id: max(found, key=lambda entry: entry[0]) for cve_id, found in entries.items()}
+    return (
+        {cve_id: judgment for cve_id, (_, judgment, _) in winners.items()},
+        {cve_id: ts for cve_id, (_, _, ts) in winners.items()},
+    )
 
 
 def load_asset_context(path) -> dict[str, tuple[Exposure, Criticality]]:

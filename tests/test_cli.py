@@ -7,9 +7,12 @@ import io
 import json
 import os
 import re
+import select
+import signal
 import stat
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
@@ -19,12 +22,12 @@ import pytest
 import vulnrank.cli as cli
 from vulnrank import feeds
 from vulnrank.cli import CONFIG_KEYS, RunConfig, build_config, build_parser, main
-from vulnrank.feeds import Criticality, Exposure, Labeler, format_ts, load_labels, save_labels
+from vulnrank.feeds import Criticality, Exposure, LabeledExample, Labeler, format_ts, save_labels
 from vulnrank.report import ExportFormat
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
 
-from conftest import trio_cve_rows, trio_label_rows, write_jsonl
+from conftest import read_store, trio_cve_rows, trio_label_rows, write_jsonl
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # A JSON value nested far deeper than the recursion limit.
@@ -474,7 +477,7 @@ class TestTrain:
         before = train_both()
         assert before["opportune"][0].startswith("train/test: 160/40,")
         assert main(["predict", *self.train_args(tmp_path)[1:]]) == 0
-        stored = load_labels(tmp_path / "labels.jsonl")
+        stored = read_store(tmp_path / "labels.jsonl")
         assert sum(ex.labeler is Labeler.MODEL for ex in stored) == 400
         assert train_both() == before
 
@@ -587,7 +590,7 @@ class TestPredict:
     def test_predicts_only_unlabeled(self, trained, tmp_path):
         portfolio = self.write_portfolio(tmp_path, labeled_count=11)
         assert main(self.predict_args(trained, portfolio)) == 0
-        labels = load_labels(portfolio / "portfolio_labels.jsonl")
+        labels = read_store(portfolio / "portfolio_labels.jsonl")
         model_labels = [ex for ex in labels if ex.labeler is Labeler.MODEL]
         assert len(model_labels) == 1
         assert len(labels) == 12
@@ -602,10 +605,10 @@ class TestPredict:
     def test_never_overwrites_sme(self, trained, tmp_path):
         portfolio = self.write_portfolio(tmp_path, labeled_count=2)
         sme_before = {
-            ex.cve_id: ex for ex in load_labels(portfolio / "portfolio_labels.jsonl")
+            ex.cve_id: ex for ex in read_store(portfolio / "portfolio_labels.jsonl")
         }
         assert main(self.predict_args(trained, portfolio)) == 0
-        after = {ex.cve_id: ex for ex in load_labels(portfolio / "portfolio_labels.jsonl")}
+        after = {ex.cve_id: ex for ex in read_store(portfolio / "portfolio_labels.jsonl")}
         for cve_id, ex in sme_before.items():
             assert after[cve_id] == ex
             assert after[cve_id].labeler is Labeler.SME
@@ -621,7 +624,7 @@ class TestPredict:
         portfolio = self.write_portfolio(tmp_path, labeled_count=0)
         assert main(self.predict_args(trained, portfolio, task="utility")) == 0
         assert main(self.predict_args(trained, portfolio, task="opportune")) == 0
-        labels = load_labels(portfolio / "portfolio_labels.jsonl")
+        labels = read_store(portfolio / "portfolio_labels.jsonl")
         assert len(labels) == 12
         assert all(ex.labeler is Labeler.MODEL for ex in labels)
 
@@ -645,12 +648,12 @@ class TestPredict:
     def test_opportune_first_warns_of_utility_placeholders(self, trained, tmp_path, capsys):
         portfolio = self.write_portfolio(tmp_path, labeled_count=2)
         store = portfolio / "portfolio_labels.jsonl"
-        before = {ex.cve_id for ex in load_labels(store)}
+        before = {ex.cve_id for ex in read_store(store)}
         assert main(self.predict_args(trained, portfolio, task="opportune")) == 0
         assert capsys.readouterr().err == (
             "warning: 10 new Model rows hold utility 0 until predict --task utility runs\n"
         )
-        rows = [ex for ex in load_labels(store) if ex.cve_id not in before]
+        rows = [ex for ex in read_store(store) if ex.cve_id not in before]
         assert len(rows) == 10 and all(ex.utility == 0 for ex in rows)
 
     @pytest.mark.parametrize("store", ["superseded", "missing"])
@@ -681,34 +684,33 @@ class TestPredict:
                 {"cve": ids[n], "utility": u, "opportune": o, "labeler": who, "ts": ts}
                 for n, u, o, who, ts in rows
             ])
-        loads, merges = [], []
-        real_load, real_merge = cli.load_labels, cli.merge_labels
+        loads, folds = [], []
+        real_load, real_fold = cli.load_judgments, cli.fold_labels
 
         def spy_load(p):
             loads.append(p)
             return real_load(p)
 
-        def spy_merge(examples):
-            merges.append(list(examples))
-            return real_merge(merges[-1])
+        def spy_fold(rows, judgments, stamps):
+            folds.append(list(rows))
+            return real_fold(folds[-1], judgments, stamps)
 
-        monkeypatch.setattr(cli, "load_labels", spy_load)
-        monkeypatch.setattr(feeds, "load_labels", spy_load)
-        monkeypatch.setattr(cli, "merge_labels", spy_merge)
+        monkeypatch.setattr(cli, "load_judgments", spy_load)
+        monkeypatch.setattr(feeds, "load_judgments", spy_load)
+        monkeypatch.setattr(cli, "fold_labels", spy_fold)
         for task in ("utility", "opportune"):
             expected = tmp_path / "expected.jsonl"
             expected.unlink(missing_ok=True)
             if path.exists():
                 expected.write_bytes(path.read_bytes())
             loads.clear()
-            merges.clear()
+            folds.clear()
             assert main(self.predict_args(trained, portfolio, task=task)) == 0
             assert len(loads) == (1 if expected.exists() else 0)
-            # The last merge takes the stored entries, merged, then the predictions.
-            stored = len(real_merge(merges[0])) if len(merges) == 2 else 0
-            fresh = merges[-1][stored:]
+            # The one fold takes the predictions, into the store's fold.
+            (fresh,) = folds
             assert len(fresh) == len(ids) - (3 if store == "superseded" else 0)
-            save_labels(expected, fresh)
+            save_labels(expected, [LabeledExample(cve_id, *j, ts) for cve_id, j, ts in fresh])
             assert path.read_bytes() == expected.read_bytes()
 
     def test_predicts_one_block_of_descriptions_at_a_time(self, trained, tmp_path, monkeypatch):
@@ -1258,7 +1260,7 @@ class TestLabelLoop:
         prompts = self.prompts_for(monkeypatch, ["2", "s", "0", "0", "q"])
         assert main(self.label_args(trio_feed_dir)) == 0
         assert prompts == [UTILITY_PROMPT, OPPORTUNE_PROMPT] * 2 + [UTILITY_PROMPT]
-        (label,) = load_labels(trio_feed_dir / "new_labels.jsonl")
+        (label,) = read_store(trio_feed_dir / "new_labels.jsonl")
         assert (label.cve_id, label.utility, label.opportune) == ("CVE-2019-11324", 0, 0)
 
     def test_invalid_opportune_reprompts(self, trio_feed_dir, monkeypatch, capsys):
@@ -1266,13 +1268,13 @@ class TestLabelLoop:
         assert main(self.label_args(trio_feed_dir)) == 0
         assert prompts == [UTILITY_PROMPT, OPPORTUNE_PROMPT, OPPORTUNE_PROMPT, UTILITY_PROMPT]
         assert "  enter one of: 0, 1, q, s\n" in capsys.readouterr().out
-        (label,) = load_labels(trio_feed_dir / "new_labels.jsonl")
+        (label,) = read_store(trio_feed_dir / "new_labels.jsonl")
         assert (label.utility, label.opportune) == (2, 1)
 
     def test_records_labels(self, trio_feed_dir, monkeypatch, capsys):
         self.run_with_keys(monkeypatch, ["2", "1", "q"])
         assert main(self.label_args(trio_feed_dir)) == 0
-        labels = load_labels(trio_feed_dir / "new_labels.jsonl")
+        labels = read_store(trio_feed_dir / "new_labels.jsonl")
         assert len(labels) == 1
         assert (labels[0].utility, labels[0].opportune) == (2, 1)
         assert labels[0].labeler is Labeler.SME
@@ -1286,11 +1288,42 @@ class TestLabelLoop:
         assert capsys.readouterr().err == f"error: cannot write {store}: not a regular file\n"
         assert stat.S_ISFIFO(store.stat().st_mode)
 
+    def test_sigint_at_a_prompt_saves_the_answers_and_exits_130(self, trio_feed_dir):
+        # Two CVEs are answered on a pipe, then SIGINT comes while the
+        # third CVE's prompt waits. It once ended in a traceback, return
+        # code -2 and no store.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "vulnrank", *self.label_args(trio_feed_dir)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        try:
+            child.stdin.write(b"2\n1\n0\n0\n")
+            child.stdin.flush()
+            out, deadline = b"", time.monotonic() + 60
+            while out.count(UTILITY_PROMPT.encode()) < 3:
+                ready, _, _ = select.select([child.stdout], [], [], max(deadline - time.monotonic(), 0))
+                chunk = os.read(child.stdout.fileno(), 4096) if ready else b""
+                assert chunk, out
+                out += chunk
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        store = trio_feed_dir / "new_labels.jsonl"
+        assert child.returncode == 130
+        assert err.decode() == f"interrupted: saved 2 label(s) to {store}\n"
+        assert store.read_bytes() == (
+            b'{"cve":"CVE-2017-0143","utility":2,"opportune":1,"labeler":"SME","ts":"2024-05-01T00:00:00Z"}\n'
+            b'{"cve":"CVE-2019-11324","utility":0,"opportune":0,"labeler":"SME","ts":"2024-05-01T00:00:00Z"}\n'
+        )
+
     def test_invalid_entry_reprompts(self, trio_feed_dir, monkeypatch, capsys):
         self.run_with_keys(monkeypatch, ["7", "2", "1", "q"])
         assert main(self.label_args(trio_feed_dir)) == 0
         assert "enter one of" in capsys.readouterr().out
-        labels = load_labels(trio_feed_dir / "new_labels.jsonl")
+        labels = read_store(trio_feed_dir / "new_labels.jsonl")
         assert len(labels) == 1
 
     def test_session_transcript_and_store(self, tmp_path, monkeypatch, capsys):
@@ -1359,7 +1392,7 @@ class TestLabelLoop:
     def test_skip_moves_on(self, trio_feed_dir, monkeypatch, capsys):
         self.run_with_keys(monkeypatch, ["s", "0", "0", "q"])
         assert main(self.label_args(trio_feed_dir)) == 0
-        labels = load_labels(trio_feed_dir / "new_labels.jsonl")
+        labels = read_store(trio_feed_dir / "new_labels.jsonl")
         assert len(labels) == 1
         assert labels[0].cve_id == "CVE-2019-11324"  # second in id order
 
@@ -1389,7 +1422,7 @@ class TestLabelLoop:
         args = self.label_args(trio_feed_dir)
         args[args.index("--timestamp") + 1] = stamp
         assert main(args) == 0
-        (label,) = load_labels(trio_feed_dir / "new_labels.jsonl")
+        (label,) = read_store(trio_feed_dir / "new_labels.jsonl")
         assert format_ts(label.labeled_at) == "2024-05-01T00:00:00Z"
 
     def test_store_year_below_1000_round_trips(self, trio_feed_dir, monkeypatch, capsys):

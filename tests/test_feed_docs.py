@@ -25,7 +25,6 @@ LOADER_KEYS = {
     "iter_cve_records": ("CVE records", {"id", "description", "vector", "score"}),
     "load_exploit_refs": ("Exploit references", {"cve", "url", "source", "exploit"}),
     "iter_label_rows": ("Labels", {"cve", "utility", "opportune", "labeler", "ts"}),
-    "load_labels": ("Labels", {"cve", "utility", "opportune", "labeler", "ts"}),
     "load_judgments": ("Labels", {"cve", "utility", "opportune", "labeler", "ts"}),
     "load_asset_context": ("Asset context", {"cve", "exposure", "criticality"}),
 }

@@ -5,8 +5,11 @@ import logging
 import os
 import re
 import stat
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +23,7 @@ from vulnrank.feeds import (
     Exposure,
     InvalidCategory,
     IoError,
+    Judgment,
     LabeledExample,
     Labeler,
     ParseError,
@@ -31,8 +35,7 @@ from vulnrank.feeds import (
     iter_cve_records,
     load_asset_context,
     load_exploit_refs,
-    load_labels,
-    merge_labels,
+    load_judgments,
     parse_ts,
     save_labels,
     write_atomic,
@@ -42,11 +45,20 @@ from vulnrank.feeds import (
 from vulnrank.cli import main
 from vulnrank.scoring import score_portfolio
 
-from conftest import WORKED_TRIO, trio_cve_rows, trio_ref_rows, write_jsonl
+from conftest import WORKED_TRIO, read_store, trio_cve_rows, trio_ref_rows, write_jsonl
+
+SRC = Path(feeds.__file__).resolve().parents[1]
 
 
 def ts(text):
     return datetime.fromisoformat(text).replace(tzinfo=timezone.utc)
+
+
+def judgments_and_stamps(examples):
+    """What ``write_labels`` takes for ``examples``, one per id."""
+    examples = list(examples)
+    judgments = {ex.cve_id: Judgment(ex.utility, ex.opportune, ex.labeler) for ex in examples}
+    return judgments, {ex.cve_id: ex.labeled_at for ex in examples}
 
 
 # Ids the rule "CVE-, four ASCII digits, -, four or more ASCII digits, as
@@ -297,7 +309,7 @@ class TestLabels:
         examples = [self.example(), self.example(cve="CVE-2020-0002", utility=2, opportune=1)]
         path = tmp_path / "labels.jsonl"
         save_labels(path, examples)
-        assert sorted(load_labels(path), key=lambda e: e.cve_id) == examples
+        assert sorted(read_store(path), key=lambda e: e.cve_id) == examples
 
     def test_save_is_deterministic(self, tmp_path):
         examples = [self.example(cve=f"CVE-2020-{n:04d}") for n in range(9, 0, -1)]
@@ -318,21 +330,21 @@ class TestLabels:
             for n, stamp in enumerate(stamps, start=1)
         }
         path = tmp_path / "labels.jsonl"
-        write_labels(path, dict(reversed(merged.items())))
+        write_labels(path, *judgments_and_stamps(reversed(merged.values())))
         assert path.read_text().splitlines() == [
             compact_json({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
                           "labeler": "Model", "ts": format_ts(ex.labeled_at)})
             for ex in merged.values()
         ]
-        loaded = [ex.labeled_at for ex in load_labels(path)]
+        loaded = [ex.labeled_at for ex in read_store(path)]
         assert loaded == [ex.labeled_at for ex in merged.values()]
 
     def test_write_labels_in_chunks_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        merged = merge_labels([self.example(cve=f"CVE-2020-{n:04d}") for n in range(1, 6)])
+        store = judgments_and_stamps([self.example(cve=f"CVE-2020-{n:04d}") for n in range(1, 6)])
         whole, chunked = tmp_path / "whole.jsonl", tmp_path / "chunked.jsonl"
-        write_labels(whole, merged)
+        write_labels(whole, *store)
         monkeypatch.setattr("vulnrank.feeds.CHUNK_LINES", 2)  # three chunks
-        write_labels(chunked, merged)
+        write_labels(chunked, *store)
         assert chunked.read_bytes() == whole.read_bytes()
         assert len(whole.read_text().splitlines()) == 5
 
@@ -350,6 +362,28 @@ class TestLabels:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
+    def test_fifo_store_raises_before_it_is_read(self, tmp_path):
+        # save_labels read the store before the target was checked, and
+        # reading a FIFO blocks until some process opens it for writing.
+        store = tmp_path / "store"
+        os.mkfifo(store)
+        child = (
+            "import sys\n"
+            "from vulnrank.feeds import IoError, save_labels\n"
+            "from vulnrank.synth import synth_labeled_corpus\n"
+            "try:\n"
+            "    save_labels(sys.argv[1], [ex for _, ex in synth_labeled_corpus(n=2, seed=1)])\n"
+            "except IoError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(store)], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"cannot write {store}: not a regular file\n"
+        assert stat.S_ISFIFO(store.stat().st_mode)
+
     @pytest.mark.parametrize(
         "bad",
         ["", "cve-2020-0003", "CVE-2020-003", "CVE-2020-0003\n", 'CVE-2020-0003"', "CVE-2020-0003\\",
@@ -365,7 +399,7 @@ class TestLabels:
         examples = [self.example(cve="CVE-2020-0002"), self.example(cve=bad)]
         with pytest.raises(ValueError, match="not a CVE id$"):
             if writer == "write_labels":
-                write_labels(path, {ex.cve_id: ex for ex in examples})
+                write_labels(path, *judgments_and_stamps(examples))
             else:
                 save_labels(path, examples)
         assert path.read_bytes() == before
@@ -373,7 +407,7 @@ class TestLabels:
 
     def test_non_cve_id_creates_no_store(self, tmp_path):
         with pytest.raises(ValueError, match="^cannot write a label for 'CVE-1-1': not a CVE id$"):
-            write_labels(tmp_path / "labels.jsonl", {"CVE-1-1": self.example(cve="CVE-1-1")})
+            write_labels(tmp_path / "labels.jsonl", *judgments_and_stamps([self.example(cve="CVE-1-1")]))
         assert list(tmp_path.iterdir()) == []
 
     def test_newest_wins_on_merge(self, tmp_path):
@@ -382,20 +416,23 @@ class TestLabels:
         path = tmp_path / "labels.jsonl"
         save_labels(path, [older])
         save_labels(path, [newer])
-        (loaded,) = load_labels(path)
+        (loaded,) = read_store(path)
         assert loaded.utility == 2
 
-    def test_sme_beats_newer_model(self):
+    def test_sme_beats_newer_model(self, tmp_path):
         sme = self.example(utility=1, labeler=Labeler.SME, when="2021-01-01T00:00:00")
         model = self.example(utility=2, labeler=Labeler.MODEL, when="2022-01-01T00:00:00")
-        merged = merge_labels([sme, model])
-        assert merged["CVE-2020-0001"].labeler is Labeler.SME
+        path = tmp_path / "labels.jsonl"
+        save_labels(path, [sme, model])
+        judgments, stamps = load_judgments(path)
+        assert judgments["CVE-2020-0001"] == (1, 0, Labeler.SME)
+        assert stamps["CVE-2020-0001"] == sme.labeled_at
 
     def test_invalid_category(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "utility": 7, "opportune": 0, "labeler": "SME", "ts": "2021-01-01T00:00:00Z"}]
         path = write_jsonl(tmp_path / "labels.jsonl", rows)
         with pytest.raises(InvalidCategory):
-            load_labels(path)
+            read_store(path)
 
     @pytest.mark.parametrize(
         "field, value", [("utility", True), ("utility", 1.0), ("utility", "1"), ("opportune", False)]
@@ -406,18 +443,18 @@ class TestLabels:
         row = {"cve": "CVE-2020-0001", "utility": 1, "opportune": 0, "labeler": "SME", "ts": "2021-01-01T00:00:00Z"}
         path = write_jsonl(tmp_path / "labels.jsonl", [row, dict(row, **{field: value})])
         with pytest.raises(InvalidCategory, match=f"labels.jsonl:2: {field} "):
-            load_labels(path)
+            read_store(path)
 
     def test_invalid_labeler(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "utility": 1, "opportune": 0, "labeler": "Bot", "ts": "2021-01-01T00:00:00Z"}]
         path = write_jsonl(tmp_path / "labels.jsonl", rows)
         with pytest.raises(InvalidCategory, match="labeler"):
-            load_labels(path)
+            read_store(path)
 
     def test_ts_z_suffix_round_trip(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "utility": 1, "opportune": 0, "labeler": "SME", "ts": "2021-01-01T12:30:00Z"}]
         path = write_jsonl(tmp_path / "labels.jsonl", rows)
-        (loaded,) = load_labels(path)
+        (loaded,) = read_store(path)
         assert format_ts(loaded.labeled_at) == "2021-01-01T12:30:00Z"
 
     def test_proportions_survive_round_trip(self, tmp_path):
@@ -430,7 +467,7 @@ class TestLabels:
                 n += 1
         path = tmp_path / "labels.jsonl"
         save_labels(path, examples)
-        loaded = load_labels(path)
+        loaded = read_store(path)
         for utility, count in counts.items():
             assert sum(1 for e in loaded if e.utility == utility) == count
 
@@ -612,12 +649,13 @@ LABEL_OFFSETS = [timezone(timedelta(minutes=m)) for m in (0, 330, -240, 845, -71
 def test_label_lines_match_the_json_encoder(rows):
     """The templated store lines are the bytes compact_json wrote for them."""
     merged = {row[0]: LabeledExample(*row) for row in rows}
+    store = judgments_and_stamps(merged.values())
     expected = "".join(
         compact_json({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
                       "labeler": ex.labeler.value, "ts": format_ts(ex.labeled_at)}) + "\n"
         for _, ex in sorted(merged.items())
     )
-    assert "".join(_label_lines(merged)) == expected
+    assert "".join(_label_lines(*store)) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -636,20 +674,21 @@ def test_label_lines_match_the_json_encoder(rows):
     )
 )
 def test_written_store_reads_back_without_the_json_decoder(tmp_path_factory, rows):
-    """Every line write_labels renders is in the form load_labels reads
-    from the pattern's groups, and reads back as the entry it was."""
+    """Every line write_labels renders is in the form iter_label_rows
+    reads from the pattern's groups, and reads back as the entry it was."""
     merged = {row[0]: LabeledExample(*row) for row in rows}
+    store = judgments_and_stamps(merged.values())
     scan = feeds._line_scan(feeds._STORE_LINE)
-    assert all(scan(line.encode("utf-8"))[0][-1] == b"" for line in _label_lines(merged))
+    assert all(scan(line.encode("utf-8"))[0][-1] == b"" for line in _label_lines(*store))
     path = tmp_path_factory.getbasetemp() / "fast_path_store.jsonl"
-    write_labels(path, merged)
+    write_labels(path, *store)
 
     def decoded(*args):
         raise AssertionError("a store line was decoded as JSON")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(feeds, "_scan_once", decoded)
-        loaded = load_labels(path)
+        loaded = read_store(path)
     assert loaded == sorted(merged.values(), key=lambda ex: ex.cve_id)
     assert [format_ts(ex.labeled_at) for ex in loaded] == [
         format_ts(merged[ex.cve_id].labeled_at) for ex in loaded

@@ -128,7 +128,7 @@ ID_FIELD = {"cves": "id", "context": "cve"}
 LOADERS = {
     "cves": (lambda path: list(feeds.iter_cve_records(path)), feeds_reference.load_cve_records),
     "refs": (feeds.load_exploit_refs, feeds_reference.load_exploit_refs),
-    "labels": (feeds.load_labels, feeds_reference.load_labels),
+    "labels": (lambda path: list(feeds.iter_label_rows(path)), feeds_reference.label_rows),
     "context": (feeds.load_asset_context, feeds_reference.load_asset_context),
 }
 
@@ -309,7 +309,8 @@ def test_near_misses_of_the_store_form_load_as_json(tmp_path, line, ending):
     assert decoded("labels", data) == [False, True]
     path = tmp_path / "labels.jsonl"
     path.write_bytes(data)
-    assert outcome(feeds.load_labels, path) == outcome(feeds_reference.load_labels, path)
+    load, reference = LOADERS["labels"]
+    assert outcome(load, path) == outcome(reference, path)
 
 
 @pytest.mark.parametrize(
@@ -321,8 +322,9 @@ def test_bad_stamp_in_the_store_form_fails_at_its_line(tmp_path, stamp):
     assert decoded("labels", line) == [False]
     path = tmp_path / "labels.jsonl"
     path.write_bytes(STORE_LINE.encode("utf-8") + b"\n" + line + b"\n")
-    got = outcome(feeds.load_labels, path)
-    assert got == outcome(feeds_reference.load_labels, path)
+    load, reference = LOADERS["labels"]
+    got = outcome(load, path)
+    assert got == outcome(reference, path)
     assert got[1][1].startswith(f"{path}:2: ts '{stamp}' ")
 
 

@@ -84,7 +84,10 @@ def _tracer():
 # in the cli, which binds no "count_wx" either, so the tracer's observer
 # that reads ".count" is listed absent rather than handed ints. Every
 # command streams the CVE feed, and the cli binds no "load_cve_records".
-UNBOUND_CLI_NAMES = {"count_wx", "export", "load_cve_records"}
+# Every command reads the label store through load_judgments, or counts
+# its rows with iter_label_rows, so the cli binds no "load_labels" and no
+# "merge_labels".
+UNBOUND_CLI_NAMES = {"count_wx", "export", "load_cve_records", "load_labels", "merge_labels"}
 
 
 def test_traced_cli_names_resolve_to_their_functions():

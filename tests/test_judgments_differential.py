@@ -1,14 +1,17 @@
-"""Differential test of ``load_judgments`` against ``merge_labels(load_labels(...))``.
+"""Differential test of the label store's fold against ``feeds_reference``.
 
-Both read the same generated store: a few CVEs with several rows each,
+``load_judgments`` and the reference merge of the reference rows
+(``merge_label_rows(label_rows(...))``) read the same generated store: a few CVEs with several rows each,
 so most rows are superseded, and stamps drawn from a small set in which
 ``Z``, ``+02:00`` and naive forms name the same instant, so many rows
 tie exactly. Lines are rendered in the store's canonical form or spaced
 by ``json.dumps``, each on its own draw, and most stores get one bad
 line. The readers must give the same ``(utility, opportune, labeler)``
-per id, in the same order, or raise the same exception type with the
-same message. They run with blocks of a few dozen bytes or fewer as
-well, so that lines straddle the blocks they are read in.
+and the same winning stamp, offset included, per id, in the same order,
+or raise the same exception type with the same message. They run with
+blocks of a few dozen bytes or fewer as well, so that lines straddle
+the blocks they are read in. ``save_labels`` must write what the
+reference merge of a stored file's rows and then the new examples gives.
 """
 
 import json
@@ -17,6 +20,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from vulnrank import feeds
+
+import feeds_reference
 
 MISSING = object()  # the field is left out
 IDS = ["CVE-2020-0001", "CVE-2020-0002", "CVE-2021-123456"]
@@ -70,29 +75,34 @@ def stores(draw) -> bytes:
 
 
 def outcome(read, path):
-    """``read(path)`` as ``[(id, (utility, opportune, labeler))]``, or the error it raises."""
+    """``read(path)`` as ``[(id, (utility, opportune, labeler), stamp)]``,
+    each stamp in ISO form, or the error it raises."""
     try:
-        merged = read(path)
+        judgments, stamps = read(path)
     except Exception as exc:  # the error is the outcome
         return None, (type(exc).__name__, str(exc))
-    return [(cve_id, (j.utility, j.opportune, j.labeler)) for cve_id, j in merged.items()], None
+    assert list(judgments) == list(stamps)
+    return [
+        (cve_id, (j.utility, j.opportune, j.labeler), stamps[cve_id].isoformat())
+        for cve_id, j in judgments.items()
+    ], None
 
 
-def merged_examples(path):
-    return feeds.merge_labels(feeds.load_labels(path))
+def reference_merge(path):
+    return feeds_reference.merge_label_rows(feeds_reference.label_rows(path))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_load_judgments_matches_the_merged_examples(tmp_path_factory, data):
+def test_load_judgments_matches_the_reference_merge(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "judgments_differential.jsonl"
     path.write_bytes(data.draw(stores(), label="store"))
     block_bytes = data.draw(st.sampled_from([feeds.BLOCK_BYTES, 1, 16, 48]), label="block bytes")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(feeds, "BLOCK_BYTES", block_bytes)
         got = outcome(feeds.load_judgments, path)
-        judgments = feeds.load_judgments(path) if got[1] is None else {}
-    expected = outcome(merged_examples, path)
+        judgments = feeds.load_judgments(path)[0] if got[1] is None else {}
+    expected = outcome(reference_merge, path)
     event(expected[1][0] if expected[1] else "loaded")
     assert got == expected
     # Every value is one of the twelve shared judgments.
@@ -107,5 +117,57 @@ def test_an_exact_tie_goes_to_the_later_line(tmp_path):
     ]
     path = tmp_path / "labels.jsonl"
     path.write_text(canonical(rows[0]) + "\n" + json.dumps(rows[1]) + "\n" + canonical(rows[2]) + "\n")
-    assert feeds.load_judgments(path) == {IDS[0]: (2, 0, feeds.Labeler.SME)}
-    assert outcome(feeds.load_judgments, path) == outcome(merged_examples, path)
+    judgments, stamps = feeds.load_judgments(path)
+    assert judgments == {IDS[0]: (2, 0, feeds.Labeler.SME)}
+    assert stamps[IDS[0]].isoformat() == "2021-01-01T00:00:00+00:00"
+    assert outcome(feeds.load_judgments, path) == outcome(reference_merge, path)
+
+
+EXAMPLE = st.builds(
+    feeds.LabeledExample,
+    cve_id=st.sampled_from(IDS),
+    utility=st.sampled_from([0, 1, 2]),
+    opportune=st.sampled_from([0, 1]),
+    labeler=st.sampled_from(feeds.Labeler),
+    labeled_at=st.sampled_from(STAMPS).map(lambda ts: feeds.parse_ts(ts, "ts")),
+)
+
+
+def rendered(judgments, stamps) -> bytes:
+    """A folded store as compact_json writes each line, sorted by id."""
+    return b"".join(
+        feeds.compact_json({
+            "cve": cve_id, "utility": utility, "opportune": opportune,
+            "labeler": labeler.value, "ts": feeds.format_ts(stamps[cve_id]),
+        }).encode() + b"\n"
+        for cve_id, (utility, opportune, labeler) in sorted(judgments.items())
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_save_labels_writes_the_reference_merge(tmp_path_factory, data):
+    # The stored rows, if there is a store, come first, then the new
+    # examples in their order.
+    path = tmp_path_factory.getbasetemp() / "save_differential.jsonl"
+    path.unlink(missing_ok=True)
+    stored = data.draw(st.none() | stores(), label="store")
+    if stored is not None:
+        path.write_bytes(stored)
+    examples = data.draw(st.lists(EXAMPLE, max_size=8), label="examples")
+    new_rows = [
+        (ex.cve_id, feeds.Judgment(ex.utility, ex.opportune, ex.labeler), ex.labeled_at)
+        for ex in examples
+    ]
+    try:
+        rows = feeds_reference.label_rows(path) if stored is not None else []
+    except feeds.FeedError as exc:
+        with pytest.raises(type(exc)) as raised:
+            feeds.save_labels(path, examples)
+        assert str(raised.value) == str(exc)
+        assert path.read_bytes() == stored
+        event("store refused")
+        return
+    feeds.save_labels(path, examples)
+    event("saved")
+    assert path.read_bytes() == rendered(*feeds_reference.merge_label_rows(rows + new_rows))

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from vulnrank.cli import main
-from vulnrank.feeds import Labeler, load_labels, save_labels
+from vulnrank.feeds import Labeler, save_labels
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
 from vulnrank.triage import Task, TrainConfig, fit_vocabulary, save_model, train
+
+from conftest import read_store
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -130,6 +132,6 @@ def test_edited_model_predicts_or_exits_4(saved, data):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         return
     assert _well_formed(json.loads(text)), text
-    predicted = [ex for ex in load_labels(labels) if ex.labeler is Labeler.MODEL]
+    predicted = [ex for ex in read_store(labels) if ex.labeler is Labeler.MODEL]
     assert {ex.cve_id for ex in predicted} == unlabeled
     assert all(ex.utility in Task.UTILITY.classes and ex.opportune == 0 for ex in predicted)

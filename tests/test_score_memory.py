@@ -26,7 +26,7 @@ VECTORS = (
 WORDS = ("buffer", "overflow", "remote", "attacker", "crafted", "request", "header", "parser")
 # Bytes of traced peak per added CVE. The streamed path takes about 262,
 # on spaced and canonical feeds alike. One whose rows each hold a
-# LabeledExample (merge_labels(load_labels(...)) as the labels) takes
+# LabeledExample (a store fold that keeps an example per CVE) takes
 # about 334, and one that also holds every CveRecord until scoring ends
 # (a list of the CVE feed) about 424.
 PER_CVE_BOUND = 320
@@ -148,13 +148,16 @@ def test_score_path_builds_no_labeled_example(tmp_path, monkeypatch, capsys, com
     with store.open("a") as fh:
         fh.writelines(render(row) + "\n" for row in superseded)
     expected_exit = main([command, *args[1:], "--output", str(tmp_path / "expected")])
-    # A LabeledExample is built by its constructor or, in load_labels,
-    # through its slot setters; with both refusing, reading the store
-    # whole must fail.
-    monkeypatch.setattr(feeds.LabeledExample, "__init__", _no_labeled_example)
-    monkeypatch.setattr(feeds, "_LABELED_EXAMPLE_SETTERS", (_no_labeled_example,) * 5)
+    # A LabeledExample, built by its constructor or through its slot
+    # setters, sets its labeled_at slot; with that slot refusing, either
+    # way of building one must fail.
+    refusing = property(_no_labeled_example, _no_labeled_example)
+    monkeypatch.setattr(feeds.LabeledExample, "labeled_at", refusing)
+    (cve_id, judgment, ts), *_ = feeds.iter_label_rows(store)
     with pytest.raises(AssertionError, match="LabeledExample"):
-        feeds.load_labels(store)
+        feeds.LabeledExample(cve_id, *judgment, ts)
+    with pytest.raises(AssertionError, match="LabeledExample"):
+        feeds._slot_setters(feeds.LabeledExample)[-1](object.__new__(feeds.LabeledExample), ts)
     assert main([command, *args[1:], "--output", str(tmp_path / "got")]) == expected_exit == 0
     assert (tmp_path / "got").read_bytes() == (tmp_path / "expected").read_bytes()
     assert capsys.readouterr().err == ""

@@ -2,7 +2,9 @@
 without the frozen ``__init__``, are the records the constructor builds
 from the same values: equal, with equal hashes and reprs, ``replace``
 alike, and with every slot set. Asset context is no record:
-``load_asset_context`` maps each CVE to one of six shared pairs."""
+``load_asset_context`` maps each CVE to one of six shared pairs. Nor is
+a label store line: ``iter_label_rows`` yields its values, with one of
+the twelve shared judgments, and builds no ``LabeledExample``."""
 
 import dataclasses
 import itertools
@@ -22,9 +24,9 @@ from vulnrank.feeds import (
     LabeledExample,
     Labeler,
     iter_cve_records,
+    iter_label_rows,
     load_asset_context,
-    load_labels,
-    merge_labels,
+    shared_judgment,
 )
 from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability, env_factor, score_portfolio
 
@@ -74,10 +76,11 @@ def test_labeled_examples(tmp_path, store_form):
     lines = feeds._line_scan(feeds._STORE_LINE)(path.read_bytes())
     assert [raw == b"" for *_, raw in lines] == [store_form] * len(rows)
     built = [LabeledExample(cve, u, o, Labeler(who), STAMP) for cve, u, o, who in rows]
-    loaded = load_labels(path)
-    for ex, expected in zip(loaded, built, strict=True):
-        assert_same_record(ex, expected, labeled_at=datetime(2022, 1, 1, tzinfo=timezone.utc))
-    assert merge_labels(loaded) == merge_labels(built)
+    loaded = list(iter_label_rows(path))
+    # A row holds a line's values in the example's field order.
+    for (cve_id, judgment, ts), expected in zip(loaded, built, strict=True):
+        assert_same_record(LabeledExample(cve_id, *judgment, ts), expected, utility=0)
+        assert judgment is shared_judgment(expected.utility, expected.opportune, expected.labeler)
 
 
 def test_a_labeled_example_holds_a_store_line():
