@@ -12,12 +12,14 @@ unknown flag, a flag without its value, a missing subcommand or --task).
 Exit codes are a stable scripting contract: 0 success, 2 ingest,
 validation, configuration or file read/write failure, 3 training
 failure, 4 model compatibility failure, 5 scoring completeness failure,
-130 ``label`` stopped by SIGINT at a prompt. Every failure prints one
-``error:`` line to stderr; an interrupted ``label`` saves the answers
-given so far and prints ``interrupted: saved N label(s) to <store>``.
-Output files are written by ``feeds.write_atomic``, which follows
-symlinks, refuses a target that is not a regular file, and fsyncs a
-temporary file beside the target before renaming it into place.
+130 stopped by SIGINT. Every failure prints one ``error:`` line to
+stderr, SIGINT ``error: interrupted``, except at a ``label`` prompt: an
+interrupted ``label`` saves the answers given so far and prints
+``interrupted: saved N label(s) to <store>``. Output files are written
+by ``feeds.write_atomic``, which follows symlinks, refuses a target that
+is not a regular file, and fsyncs a temporary file beside the target
+before renaming it into place, so an interrupted command leaves its
+output as it was.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import partial
 from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from vulnrank.cvss import CvssError
 from vulnrank.feeds import (
@@ -115,8 +116,7 @@ EXPORT_FORMATS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """All knobs for a run; field names double as config keys and flags."""
 
     cves: str | None = None
@@ -132,10 +132,7 @@ class RunConfig:
     epochs: int = 20
     reg_lambda: float = 1e-4
     stratified: bool = False
-    # A mapping proxy is not hashable, so dataclass refuses it as a default.
-    env_weights: Mapping[Exposure | Criticality, Decimal] = field(
-        default_factory=lambda: DEFAULT_ENV_WEIGHTS
-    )
+    env_weights: Mapping[Exposure | Criticality, Decimal] = DEFAULT_ENV_WEIGHTS
     tier_bounds: tuple[Decimal, ...] = DEFAULT_TIER_BOUNDS
 
     def model_path(self, task: Task) -> str:
@@ -296,8 +293,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             settings.append((key, os.environ[name], name))
         if getattr(args, key, None) is not None:
             settings.append((key, getattr(args, key), _flag(key)))
-    return replace(
-        RunConfig(format=EXPORT_FORMATS.get(getattr(args, "command", None))),
+    return RunConfig(format=EXPORT_FORMATS.get(getattr(args, "command", None)))._replace(
         **{key: CONFIG_KEYS[key][0](raw, where) for key, raw, where in settings}
     )
 
@@ -621,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(exc: Exception, code: int) -> int:
+def _error(exc: Exception | str, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
 
@@ -638,8 +634,8 @@ def _triage_main(command: str, config: RunConfig, task_name: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = build_config(args)
         if args.command == "ingest":
             return cmd_ingest(config)
@@ -654,6 +650,8 @@ def main(argv=None) -> int:
         return _error(exc, EXIT_SCORING)
     except (FeedError, CvssError, InvalidConfig, OSError) as exc:
         return _error(exc, EXIT_INGEST)
+    except KeyboardInterrupt:
+        return _error("interrupted", EXIT_INTERRUPTED)
 
 
 if __name__ == "__main__":

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from enum import Enum
-from itertools import product, starmap
-from operator import attrgetter
-from typing import Iterator
+from itertools import product
+from typing import Iterator, NamedTuple
 
 
 class CvssError(ValueError):
@@ -44,35 +42,42 @@ class DomainError(CvssError):
     """Numeric input outside [0, 10]."""
 
 
-class AttackVector(Enum):
+class IdentityEnum(Enum):
+    """An Enum that hashes by identity, as it compares: ``Enum.__hash__``
+    runs in Python, ``object.__hash__`` does not. Every vulnrank enum is one."""
+
+    __hash__ = object.__hash__
+
+
+class AttackVector(IdentityEnum):
     NETWORK = "N"
     ADJACENT = "A"
     LOCAL = "L"
     PHYSICAL = "P"
 
 
-class AttackComplexity(Enum):
+class AttackComplexity(IdentityEnum):
     LOW = "L"
     HIGH = "H"
 
 
-class PrivilegesRequired(Enum):
+class PrivilegesRequired(IdentityEnum):
     NONE = "N"
     LOW = "L"
     HIGH = "H"
 
 
-class UserInteraction(Enum):
+class UserInteraction(IdentityEnum):
     NONE = "N"
     REQUIRED = "R"
 
 
-class Scope(Enum):
+class Scope(IdentityEnum):
     UNCHANGED = "U"
     CHANGED = "C"
 
 
-class ImpactMetric(Enum):
+class ImpactMetric(IdentityEnum):
     """Shared value set for confidentiality, integrity, and availability."""
 
     NONE = "N"
@@ -80,7 +85,7 @@ class ImpactMetric(Enum):
     HIGH = "H"
 
 
-class Severity(Enum):
+class Severity(IdentityEnum):
     NONE = "None"
     LOW = "Low"
     MEDIUM = "Medium"
@@ -129,13 +134,12 @@ _METRICS = {
 _MEMBERS = {key: {m.value: m for m in enum_cls} for key, enum_cls in _METRICS.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class CvssVector:
+class CvssVector(NamedTuple):
     """The eight base metrics of one vulnerability.
 
-    The hash is computed once, at construction: ``base_score`` looks a
-    vector up once per record, and hashing eight Enum members through
-    ``Enum.__hash__`` would cost most of that lookup.
+    It hashes as the tuple of its eight members, each by identity
+    (``IdentityEnum``), so ``base_score``'s cache lookup, once per
+    record, runs no Python code.
     """
 
     attack_vector: AttackVector
@@ -146,22 +150,11 @@ class CvssVector:
     confidentiality: ImpactMetric
     integrity: ImpactMetric
     availability: ImpactMetric
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(_metric_values(self)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def to_string(self) -> str:
         """Canonical vector form, prefix always included."""
-        pairs = zip(_METRICS, _metric_values(self))
+        pairs = zip(_METRICS, self)
         return "/".join([VECTOR_PREFIX, *(f"{key}:{member.value}" for key, member in pairs)])
-
-
-# The eight metric values of a vector, in field order.
-_metric_values = attrgetter(*(f.name for f in fields(CvssVector) if f.init))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -202,7 +195,7 @@ def parse_vector(text: str) -> CvssVector:
     missing = [key for key in _METRICS if key not in seen]
     if missing:
         raise MissingMetric(f"missing metric(s): {', '.join(missing)}")
-    return CvssVector(*[seen[key] for key in _METRICS])
+    return CvssVector._make([seen[key] for key in _METRICS])
 
 
 def round_up(x: float) -> Decimal:
@@ -272,4 +265,4 @@ def base_score(v: CvssVector) -> Decimal:
 
 def iter_vectors() -> Iterator[CvssVector]:
     """Yield all 2,592 possible base vectors in a fixed order."""
-    return starmap(CvssVector, product(*_METRICS.values()))
+    return map(CvssVector._make, product(*_METRICS.values()))

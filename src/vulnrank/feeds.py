@@ -58,10 +58,11 @@ its other fields are labels, labeler names and ``format_ts`` stamps, and
 match as a whole before it opens the file, so every store line it writes
 is in the store's canonical form.
 
-The loaders build records they have checked through the dataclasses'
-slot setters, without the frozen ``__init__``; a record built by its
-constructor is checked there. ``attach_descriptions`` builds nothing: it
-pairs each checked example with its CVE's description.
+Records are named tuples. ``iter_cve_records`` builds the ones it has
+checked with ``tuple.__new__``; a ``LabeledExample`` checks its labels
+in its own ``__new__``, which ``_make`` and ``_replace`` go through.
+``attach_descriptions`` builds nothing: it pairs each checked example
+with its CVE's description.
 """
 
 from __future__ import annotations
@@ -72,16 +73,14 @@ import logging
 import os
 import re
 import tempfile
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
-from enum import Enum
 from itertools import chain, islice
 from pathlib import Path
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
-from vulnrank.cvss import CvssError, CvssVector, parse_vector
+from vulnrank.cvss import CvssError, CvssVector, IdentityEnum, parse_vector
 
 logger = logging.getLogger(__name__)
 
@@ -119,23 +118,23 @@ class IoError(OSError):
 REFERENCE_SOURCES = frozenset({"ExploitDB", "Metasploit", "GitHub", "Other"})
 
 
-class Exposure(Enum):
+class Exposure(IdentityEnum):
     PUBLIC = "Public"
     PRIVATE = "Private"
 
 
-class Criticality(Enum):
+class Criticality(IdentityEnum):
     LOW = "Low"
     MEDIUM = "Medium"
     HIGH = "High"
 
 
-class Labeler(Enum):
+class Labeler(IdentityEnum):
     SME = "SME"
     MODEL = "Model"
 
 
-class Task(Enum):
+class Task(IdentityEnum):
     """A triage task: the LabeledExample field it labels and its classes."""
 
     UTILITY = "utility"
@@ -160,8 +159,7 @@ _LABELER_NAMES = frozenset(member.value for member in Labeler)
 _CONTEXTS = {(e.value, c.value): (e, c) for e in Exposure for c in Criticality}
 
 
-@dataclass(frozen=True, slots=True)
-class CveRecord:
+class CveRecord(NamedTuple):
     cve_id: str
     description: str
     vector: CvssVector | None = None
@@ -195,25 +193,37 @@ _STORE_JUDGMENTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledExample:
-    """One triage judgment for a CVE: utility 0/1/2, the opportune flag
-    0/1, who assigned them and when; one label store line. Training uses
-    it as ``(description, example)`` pairs that ``attach_descriptions``
-    joins from the CVE feed. Scoring reads only the three fields it shares
-    with ``Judgment``, so it takes either.
-    """
-
+class _ExampleFields(NamedTuple):
     cve_id: str
     utility: int
     opportune: int
     labeler: Labeler
     labeled_at: datetime
 
-    def __post_init__(self):
-        problem = _bad_labels(self.utility, self.opportune)
+
+class LabeledExample(_ExampleFields):
+    """One triage judgment for a CVE: utility 0/1/2, the opportune flag
+    0/1, who assigned them and when; one label store line. Training uses
+    it as ``(description, example)`` pairs that ``attach_descriptions``
+    joins from the CVE feed. Scoring reads only the three fields it shares
+    with ``Judgment``, so it takes either.
+
+    Every way of building one checks the labels: ``_make``, and so
+    ``_replace``, call the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, cve_id: str, utility: int, opportune: int, labeler: Labeler,
+                labeled_at: datetime):
+        problem = _bad_labels(utility, opportune)
         if problem is not None:
             raise InvalidCategory(problem)
+        return tuple.__new__(cls, (cve_id, utility, opportune, labeler, labeled_at))
+
+    @classmethod
+    def _make(cls, iterable) -> LabeledExample:
+        return cls(*iterable)
 
 
 def _bad_labels(utility, opportune) -> str | None:
@@ -225,21 +235,6 @@ def _bad_labels(utility, opportune) -> str | None:
         return f"opportune must be one of {_OPPORTUNES}, got {opportune!r}"
     return None
 
-
-def _slot_setters(cls) -> tuple:
-    """The slot setter of each field of a slotted dataclass, in field order.
-
-    Each is ``cls.<field>.__set__``: it stores a value in the record's slot
-    past a frozen class's ``__setattr__``, and no ``__post_init__`` runs.
-    A loader that has already checked every value builds a record as
-    ``object.__new__(cls)`` and one call per setter, defaults included; the
-    record then equals, hashes and prints as the constructor's would.
-    """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-_new = object.__new__
-_CVE_RECORD_SETTERS = _slot_setters(CveRecord)
 
 _scan_once = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
@@ -394,7 +389,7 @@ def iter_cve_records(path) -> Iterator[CveRecord]:
     duplicate id on.
     """
     seen: set[str] = set()
-    set_id, set_description, set_vector, set_score = _CVE_RECORD_SETTERS
+    new = tuple.__new__
     for lineno, obj in _iter_jsonl(path, _CVE_LINE):
         if type(obj) is tuple:
             cve_id, description, vector, score, _ = obj
@@ -424,12 +419,7 @@ def iter_cve_records(path) -> Iterator[CveRecord]:
                 raise SchemaError(f"{path}:{lineno}: bad vector: {exc}") from None
         if score is not None:
             score = _published_score(score, path, lineno)
-        record = _new(CveRecord)
-        set_id(record, cve_id)
-        set_description(record, description)
-        set_vector(record, vector)
-        set_score(record, score)
-        yield record
+        yield new(CveRecord, (cve_id, description, vector, score))
 
 
 def load_exploit_refs(path) -> dict[str, dict[str, bool]]:

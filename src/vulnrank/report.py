@@ -16,14 +16,12 @@ from decimals.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
-from enum import Enum
 from itertools import chain, filterfalse
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from vulnrank.cvss import severity_of
+from vulnrank.cvss import IdentityEnum, severity_of
 from vulnrank.feeds import CHUNK_LINES, CVE_ID_RE, compact_json, encoded_chunks
 from vulnrank.scoring import ScoredVulnerability, format_quantity
 
@@ -31,7 +29,7 @@ DEFAULT_TIER_BOUNDS = (Decimal(64), Decimal(32), Decimal(16), Decimal(8))
 DEFAULT_TOP_K = (10, 100, 1000)
 
 
-class ExportFormat(Enum):
+class ExportFormat(IdentityEnum):
     TEXT = "text"
     CSV = "csv"
     STRUCTURED = "json-lines"
@@ -71,8 +69,7 @@ _PORTFOLIO_LINES = {
 _is_cve_id = CVE_ID_RE.fullmatch
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     total: int
     cvss_bands: dict[int, int]
     critical_count: int
@@ -274,9 +271,10 @@ _REPORT_RENDERERS = {
 
 def export_chunks(obj: list | tuple | ComparisonReport, fmt: ExportFormat) -> Iterator[bytes]:
     """Deterministic bytes for a portfolio, its rows in rank order in a list
-    or tuple as ``rank`` returns them, or a comparison report, in chunks: a
-    portfolio's of ``CHUNK_LINES`` lines, so no export holds its whole
-    output, and a report's in one. Any other type raises TypeError.
+    or plain tuple as ``rank`` returns them, or a comparison report, in
+    chunks: a portfolio's of ``CHUNK_LINES`` lines, so no export holds its
+    whole output, and a report's in one. Any other type raises TypeError,
+    a single row, a tuple itself, included.
 
     Rows are written unquoted and unescaped, so an id that ``CVE_ID_RE``
     does not match as a whole raises ValueError here, at the call, before
@@ -284,7 +282,7 @@ def export_chunks(obj: list | tuple | ComparisonReport, fmt: ExportFormat) -> It
     """
     if isinstance(obj, ComparisonReport):
         return iter((_REPORT_RENDERERS[fmt](obj).encode("utf-8"),))
-    if not isinstance(obj, (list, tuple)):
+    if not isinstance(obj, list) and type(obj) is not tuple:
         raise TypeError(f"cannot export {type(obj).__name__}")
     bad = next(filterfalse(_is_cve_id, map(_by_id, obj)), None)
     if bad is not None:

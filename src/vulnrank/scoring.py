@@ -13,13 +13,12 @@ no rounding. Scores have no upper bound.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from decimal import Decimal
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from vulnrank.cvss import base_score
-from vulnrank.feeds import Criticality, CveRecord, Exposure, Judgment, LabeledExample, _slot_setters
+from vulnrank.feeds import Criticality, CveRecord, Exposure, Judgment, LabeledExample
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +66,16 @@ DEFAULT_ENV_WEIGHTS: Mapping[Exposure | Criticality, Decimal] = MappingProxyType
 })
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredVulnerability:
+class _RowFields(NamedTuple):
+    cve_id: str
+    cvss: Decimal
+    wx: int
+    labels: Judgment | LabeledExample
+    env: Decimal
+    threat_score: Decimal
+
+
+class ScoredVulnerability(_RowFields):
     """One CVE with all scoring inputs and its final threat score.
 
     ``cvss`` is the one-place CVSS ``Decimal``, ``wx`` the exploit count,
@@ -76,20 +83,24 @@ class ScoredVulnerability:
     ``opportune`` and ``labeler``, such as a ``LabeledExample``) and
     ``env`` the environmental product (``NEUTRAL_ENV`` without asset
     context). ``threat_score`` is not a constructor argument: it is
-    computed from the other fields, so it always matches them.
+    computed from the other fields, so it always matches them. ``_make``,
+    and so ``_replace``, and a copy or an unpickled row compute it again
+    too, whatever threat score they are given.
     """
 
-    cve_id: str
-    cvss: Decimal
-    wx: int
-    labels: Judgment | LabeledExample
-    env: Decimal
-    threat_score: Decimal = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "threat_score", threat_score(self.cvss, self.wx, self.labels, self.env)
-        )
+    def __new__(cls, cve_id: str, cvss: Decimal, wx: int, labels: Judgment | LabeledExample,
+                env: Decimal):
+        threat = threat_score(cvss, wx, labels, env)
+        return tuple.__new__(cls, (cve_id, cvss, wx, labels, env, threat))
+
+    @classmethod
+    def _make(cls, iterable) -> ScoredVulnerability:
+        return cls(*tuple(iterable)[:5])
+
+    def __getnewargs__(self) -> tuple:
+        return self[:5]
 
 
 def env_factor(
@@ -153,24 +164,6 @@ def resolve_base_score(record: CveRecord) -> Decimal:
 
 _TENTH = Decimal("0.1")
 
-# score_portfolio builds rows without __init__, which would compute each
-# threat score again: a row's threat_score is the shared Decimal equal in
-# value and exponent to threat_score of its own fields.
-_new_row = object.__new__
-_ROW_SETTERS = _slot_setters(ScoredVulnerability)
-
-
-def _scored_row(cve_id, cvss, wx, labels, env, threat) -> ScoredVulnerability:
-    set_id, set_cvss, set_wx, set_labels, set_env, set_threat = _ROW_SETTERS
-    row = _new_row(ScoredVulnerability)
-    set_id(row, cve_id)
-    set_cvss(row, cvss)
-    set_wx(row, wx)
-    set_labels(row, labels)
-    set_env(row, env)
-    set_threat(row, threat)
-    return row
-
 
 def score_portfolio(
     records: Iterable[CveRecord],
@@ -218,6 +211,10 @@ def score_portfolio(
     unlabeled: list[str] = []
     failure: ScoringError | None = None
     scored = []
+    # Rows are built past ScoredVulnerability.__new__, which would compute
+    # each threat score again: a row's threat_score is the shared Decimal
+    # equal in value and exponent to threat_score of its own fields.
+    new_row = tuple.__new__
     for record in records:
         cve_id = record.cve_id
         labels = labels_map.get(cve_id)
@@ -245,7 +242,7 @@ def score_portfolio(
         except ScoringError as exc:
             failure = exc
             continue
-        scored.append(_scored_row(cve_id, cvss, wx, labels, env, threat))
+        scored.append(new_row(ScoredVulnerability, (cve_id, cvss, wx, labels, env, threat)))
 
     if no_cvss:
         raise MissingCvss(no_cvss)

@@ -13,7 +13,6 @@ import stat
 import subprocess
 import sys
 import time
-from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -130,7 +129,7 @@ class TestConfigResolution:
         assert main(["ingest", "--config", str(path)]) == 2
 
     def test_every_run_config_field_has_one_parser(self):
-        assert list(CONFIG_KEYS) == [f.name for f in fields(RunConfig)]
+        assert list(CONFIG_KEYS) == list(RunConfig._fields)
 
     @pytest.mark.parametrize(
         "doc, named",
@@ -404,7 +403,7 @@ class TestTrain:
     def test_fewer_than_five_sme_rows_exits_3(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
-        model_rows = [replace(ex, labeler=Labeler.MODEL) for _, ex in corpus[4:]]
+        model_rows = [ex._replace(labeler=Labeler.MODEL) for _, ex in corpus[4:]]
         save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus[:4]] + model_rows)
         assert main(self.train_args(tmp_path)) == 3
         err = capsys.readouterr().err
@@ -1214,6 +1213,60 @@ class TestOutputFiles:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err == "error: cannot write nodir/written: No such file or directory\n", err
+
+
+def _interrupt(*_args, **_kwargs):
+    raise KeyboardInterrupt
+
+
+class TestInterrupt:
+    """SIGINT anywhere but at a label prompt ends a command with one
+    ``error: interrupted`` line and exit 130. It once ended in a traceback
+    and return code -2. An output being written is left as it was, since
+    write_atomic renames the temporary file last and removes it on failure."""
+
+    @staticmethod
+    def files(directory) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    @staticmethod
+    def main(args) -> int:
+        # An interrupt that escapes main would stop the whole test run.
+        try:
+            return main(args)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_interrupted_write_leaves_the_output(self, synth_feeds, monkeypatch, capsys, role):
+        # score's --output, predict's store or train's model, written in
+        # full to the temporary file; SIGINT comes at its fsync. The file
+        # holds one store line, so predict has labels to write.
+        path = synth_feeds / "written"
+        path.write_bytes(b'{"cve":"CVE-2020-0001","utility":1,"opportune":0,"labeler":"SME","ts":"2021-06-01T00:00:00Z"}\n')
+        args = writing_args(synth_feeds, role, path)
+        before = self.files(synth_feeds)
+        capsys.readouterr()
+        monkeypatch.setattr(os, "fsync", _interrupt)
+        assert self.main(args) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert self.files(synth_feeds) == before
+
+    @pytest.mark.parametrize("command", ["score", "rank", "report", "ingest"])
+    def test_interrupted_read_writes_nothing(self, trio_feed_dir, monkeypatch, capsys, command):
+        path = trio_feed_dir / "written"
+        path.write_bytes(b"before\n")
+        args = [command]
+        for name in ("cves", "refs", "labels"):
+            args += [f"--{name}", str(trio_feed_dir / f"{name}.jsonl")]
+        if command != "ingest":
+            args += ["--output", str(path)]
+        before = self.files(trio_feed_dir)
+        monkeypatch.setattr(cli, "load_exploit_refs", _interrupt)
+        assert self.main(args) == 130
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: interrupted\n")
+        assert self.files(trio_feed_dir) == before
 
 
 UTILITY_PROMPT = "utility [0/1/2, s=skip, q=quit]: "

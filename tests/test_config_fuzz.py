@@ -8,7 +8,6 @@ import io
 import json
 import os
 from contextlib import redirect_stderr
-from dataclasses import fields
 from decimal import Decimal
 from types import MappingProxyType
 from unittest import mock
@@ -66,8 +65,10 @@ TYPED = {
         lambda xs: sorted(xs, reverse=True)
     ),
 }
+# Each RunConfig field's declared type, as written in the class.
+FIELD_TYPES = {name: ref.__forward_arg__ for name, ref in RunConfig.__annotations__.items()}
 DOCS = (
-    st.fixed_dictionaries({}, optional={f.name: TYPED[f.type] for f in fields(RunConfig)})
+    st.fixed_dictionaries({}, optional={name: TYPED[t] for name, t in FIELD_TYPES.items()})
     | st.dictionaries(st.sampled_from(list(CONFIG_KEYS)), JSON_VALUES | PLAUSIBLE_JSON, max_size=3)
     | JSON_VALUES
 )
@@ -125,8 +126,8 @@ def test_config_is_typed_or_exits_2(tmp_path_factory, doc, env):
             err = stderr.getvalue()
             assert err.startswith("error: ") and err.count("\n") == 1, err
             return
-    for f in fields(RunConfig):
-        assert DECLARED[f.type](getattr(config, f.name)), (f.name, getattr(config, f.name))
+    for name, t in FIELD_TYPES.items():
+        assert DECLARED[t](getattr(config, name)), (name, getattr(config, name))
     assert 0 <= config.seed <= 2**32 - 1
     if not isinstance(doc, dict) or "env_weights" not in doc:
         assert config.env_weights == DEFAULT_ENV_WEIGHTS

@@ -256,21 +256,17 @@ class TestMonotonicity:
     IMPACT_STEPS = [(ImpactMetric.NONE, ImpactMetric.LOW), (ImpactMetric.LOW, ImpactMetric.HIGH)]
 
     def test_raising_impact_never_decreases(self):
-        from dataclasses import replace
-
         for v in iter_vectors():
             before = base_score(v)
             for field in ("confidentiality", "integrity", "availability"):
                 current = getattr(v, field)
                 for low, high in self.IMPACT_STEPS:
                     if current is low:
-                        raised = replace(v, **{field: high})
+                        raised = v._replace(**{field: high})
                         assert base_score(raised) >= before, v.to_string()
 
     def test_lowering_complexity_never_decreases(self):
-        from dataclasses import replace
-
         for v in iter_vectors():
             if v.attack_complexity is AttackComplexity.HIGH:
-                eased = replace(v, attack_complexity=AttackComplexity.LOW)
+                eased = v._replace(attack_complexity=AttackComplexity.LOW)
                 assert base_score(eased) >= base_score(v), v.to_string()

@@ -1,6 +1,8 @@
 """numpy is imported by train and predict only, and csv by no command.
 numpy.random is imported by none: train shuffles with the standard
-library's generator.
+library's generator. Nor do the commands that leave numpy unloaded load
+dataclasses or the inspect module it imports: vulnrank's records are
+named tuples, and only the triage classes, beside numpy, are dataclasses.
 
 ``vulnrank.cli`` binds the ``vulnrank.triage`` names on first access, so
 a process that scores, ranks, reports or ingests never loads numpy. The
@@ -29,13 +31,15 @@ from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_fe
 REPO = Path(__file__).resolve().parent.parent
 SRC = Path(vulnrank.__file__).resolve().parents[1]
 
+# Runs main on the argv in sys.argv[1], then prints its exit code and
+# whether each module named in sys.argv[2] is loaded.
 CHILD = """
 import json, sys
 from vulnrank.cli import main
-argv = json.loads(sys.argv[1])
-code = main(argv)
-print(json.dumps([code, "numpy" in sys.modules, "csv" in sys.modules]))
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, *(name in sys.modules for name in json.loads(sys.argv[2]))]))
 """
+UNLOADED = ["numpy", "csv", "dataclasses", "inspect"]
 
 
 def test_score_rank_report_ingest_leave_numpy_unloaded(trio_feed_dir):
@@ -43,15 +47,17 @@ def test_score_rank_report_ingest_leave_numpy_unloaded(trio_feed_dir):
     for name in ("cves", "refs", "labels"):
         feeds += [f"--{name}", str(trio_feed_dir / f"{name}.jsonl")]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    for command in ("score", "rank", "report", "ingest"):
+    for command in ("score", "rank", "report", "ingest", "label"):
         argv = [command, *feeds, "--output", str(trio_feed_dir / f"{command}.out")]
-        if command == "ingest":
+        if command in ("ingest", "label"):
             argv = argv[:-2]
+        # label reads its answers from stdin: at end of input it quits.
         done = subprocess.run(
-            [sys.executable, "-c", CHILD, json.dumps(argv)],
-            capture_output=True, text=True, env=env, check=True,
+            [sys.executable, "-c", CHILD, json.dumps(argv), json.dumps(UNLOADED)],
+            capture_output=True, text=True, env=env, check=True, stdin=subprocess.DEVNULL,
         )
-        assert json.loads(done.stdout.splitlines()[-1]) == [0, False, False], (command, done.stdout, done.stderr)
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert loaded == [0] + [False] * len(UNLOADED), (command, done.stdout, done.stderr)
 
 
 def test_train_leaves_numpy_random_unloaded(tmp_path):
@@ -63,9 +69,8 @@ def test_train_leaves_numpy_random_unloaded(tmp_path):
         "--cves", str(tmp_path / "cves.jsonl"), "--labels", str(tmp_path / "labels.jsonl"),
         "--model-utility", str(tmp_path / "utility_model.json"),
     ]
-    child = CHILD.replace('"csv" in sys.modules', '"numpy.random" in sys.modules')
     done = subprocess.run(
-        [sys.executable, "-c", child, json.dumps(argv)],
+        [sys.executable, "-c", CHILD, json.dumps(argv), json.dumps(["numpy", "numpy.random"])],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
     )
     assert json.loads(done.stdout.splitlines()[-1]) == [0, True, False], (done.stdout, done.stderr)

@@ -273,11 +273,13 @@ class TestExport:
         [
             (lambda rows: {s.cve_id: s for s in rows}, "dict"),
             (lambda rows: (s for s in rows), "generator"),
+            (lambda rows: rows[0], "ScoredVulnerability"),
         ],
-        ids=["dict", "generator"],
+        ids=["dict", "generator", "row"],
     )
     def test_other_types_are_a_type_error(self, make, name):
-        # A dict or a one-shot generator is no ranking: refused at the call.
+        # A dict, a one-shot generator or a single row, a named tuple, is
+        # no ranking: refused at the call.
         with pytest.raises(TypeError, match=f"^cannot export {name}$"):
             export_chunks(make(rank(trio_portfolio())), ExportFormat.CSV)
 

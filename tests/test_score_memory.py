@@ -24,11 +24,12 @@ VECTORS = (
     "CVSS:3.1/AV:A/AC:L/PR:H/UI:N/S:U/C:N/I:L/A:L",
 )
 WORDS = ("buffer", "overflow", "remote", "attacker", "crafted", "request", "header", "parser")
-# Bytes of traced peak per added CVE. The streamed path takes about 262,
-# on spaced and canonical feeds alike. One whose rows each hold a
+# Bytes of traced peak per added CVE. The streamed path takes about 278,
+# on spaced and canonical feeds alike: a row is a named tuple, and a tuple
+# subclass is allocated with one spare item. One whose rows each hold a
 # LabeledExample (a store fold that keeps an example per CVE) takes
-# about 334, and one that also holds every CveRecord until scoring ends
-# (a list of the CVE feed) about 424.
+# about 366, and one that also holds every CveRecord until scoring ends
+# (a list of the CVE feed) about 544.
 PER_CVE_BOUND = 320
 
 
@@ -148,16 +149,14 @@ def test_score_path_builds_no_labeled_example(tmp_path, monkeypatch, capsys, com
     with store.open("a") as fh:
         fh.writelines(render(row) + "\n" for row in superseded)
     expected_exit = main([command, *args[1:], "--output", str(tmp_path / "expected")])
-    # A LabeledExample, built by its constructor or through its slot
-    # setters, sets its labeled_at slot; with that slot refusing, either
-    # way of building one must fail.
-    refusing = property(_no_labeled_example, _no_labeled_example)
-    monkeypatch.setattr(feeds.LabeledExample, "labeled_at", refusing)
+    # A LabeledExample is built by its __new__, which its _make and
+    # _replace call too; with that refusing, every way of building one fails.
+    monkeypatch.setattr(feeds.LabeledExample, "__new__", staticmethod(_no_labeled_example))
     (cve_id, judgment, ts), *_ = feeds.iter_label_rows(store)
     with pytest.raises(AssertionError, match="LabeledExample"):
         feeds.LabeledExample(cve_id, *judgment, ts)
     with pytest.raises(AssertionError, match="LabeledExample"):
-        feeds._slot_setters(feeds.LabeledExample)[-1](object.__new__(feeds.LabeledExample), ts)
+        feeds.LabeledExample._make((cve_id, *judgment, ts))
     assert main([command, *args[1:], "--output", str(tmp_path / "got")]) == expected_exit == 0
     assert (tmp_path / "got").read_bytes() == (tmp_path / "expected").read_bytes()
     assert capsys.readouterr().err == ""

@@ -1,20 +1,29 @@
-"""Records the loaders and ``score_portfolio`` build through slot setters,
-without the frozen ``__init__``, are the records the constructor builds
-from the same values: equal, with equal hashes and reprs, ``replace``
-alike, and with every slot set. Asset context is no record:
-``load_asset_context`` maps each CVE to one of six shared pairs. Nor is
-a label store line: ``iter_label_rows`` yields its values, with one of
-the twelve shared judgments, and builds no ``LabeledExample``."""
+"""Records are named tuples. The ones the loaders and ``score_portfolio``
+build with ``tuple.__new__``, past any checking ``__new__``, are the
+records the constructor builds from the same values: equal, with equal
+hashes and reprs, and ``_replace`` alike. ``_make`` and ``_replace``
+keep a record's invariants, and a copy or a pickle round trip gives an
+equal record; every vulnrank enum member hashes by identity and survives
+both as itself. Asset context is no record: ``load_asset_context`` maps
+each CVE to one of six shared pairs. Nor is a label store line:
+``iter_label_rows`` yields its values, with one of the twelve shared
+judgments, and builds no ``LabeledExample``."""
 
-import dataclasses
+import copy
+import enum
+import importlib
 import itertools
+import pickle
+import pkgutil
 import re
 from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
 
+import vulnrank
 from vulnrank import feeds
+from vulnrank.cli import RunConfig, build_config, build_parser
 from vulnrank.cvss import base_score, parse_vector
 from vulnrank.feeds import (
     Criticality,
@@ -28,7 +37,15 @@ from vulnrank.feeds import (
     load_asset_context,
     shared_judgment,
 )
-from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability, env_factor, score_portfolio
+from vulnrank.report import compare
+from vulnrank.scoring import (
+    DEFAULT_ENV_WEIGHTS,
+    NEUTRAL_ENV,
+    ScoredVulnerability,
+    env_factor,
+    score_portfolio,
+    threat_score,
+)
 
 from conftest import write_jsonl
 
@@ -38,14 +55,15 @@ STAMP = datetime(2021, 6, 1, tzinfo=timezone.utc)
 
 def assert_same_record(loaded, built, **changes):
     assert type(loaded) is type(built)
-    for field in dataclasses.fields(built):
-        # A slot left unset raises AttributeError here.
-        assert getattr(loaded, field.name) == getattr(built, field.name), field.name
+    assert len(loaded) == len(built._fields)
+    assert not hasattr(loaded, "__dict__")
+    for name in built._fields:
+        assert getattr(loaded, name) == getattr(built, name), name
     assert loaded == built and built == loaded
     assert hash(loaded) == hash(built)
     assert repr(loaded) == repr(built)
-    assert dataclasses.replace(loaded, **changes) == dataclasses.replace(built, **changes)
-    assert dataclasses.replace(loaded) == built
+    assert loaded._replace(**changes) == built._replace(**changes)
+    assert loaded._replace() == built
 
 
 def test_cve_records(tmp_path):
@@ -88,7 +106,7 @@ def test_a_labeled_example_holds_a_store_line():
     # stamp under their own names.
     keys = re.findall(r'"(\w+)":', feeds._LABEL_LINE)
     names = {"cve": "cve_id", "ts": "labeled_at"}
-    assert [names.get(key, key) for key in keys] == [f.name for f in dataclasses.fields(LabeledExample)]
+    assert [names.get(key, key) for key in keys] == list(LabeledExample._fields)
 
 
 def test_asset_context(tmp_path):
@@ -156,3 +174,90 @@ def test_constructor_still_checks_labels(field, value):
     values = {"utility": 1, "opportune": 0, field: value}
     with pytest.raises(InvalidCategory, match=f"^{field} must be one of "):
         LabeledExample("CVE-2020-0001", labeler=Labeler.SME, labeled_at=STAMP, **values)
+
+
+EXAMPLE = LabeledExample("CVE-2020-0001", 2, 1, Labeler.SME, STAMP)
+ROW = ScoredVulnerability("CVE-2020-0001", Decimal("9.8"), 3, EXAMPLE, Decimal("2.25"))
+
+
+@pytest.mark.parametrize("changes", [{"utility": 7}, {"opportune": True}, {"utility": "1"}], ids=repr)
+def test_make_and_replace_check_labels(changes):
+    with pytest.raises(InvalidCategory):
+        EXAMPLE._replace(**changes)
+    with pytest.raises(InvalidCategory):
+        LabeledExample._make({**EXAMPLE._asdict(), **changes}.values())
+
+
+@pytest.mark.parametrize("changes", [
+    {"wx": 0}, {"cvss": Decimal("7.50")}, {"env": Decimal(1), "labels": shared_judgment(0, 0, Labeler.MODEL)},
+    {"threat_score": Decimal(1)},
+], ids=repr)
+def test_make_and_replace_compute_the_threat_score(changes):
+    # A threat score given to either is computed again from the other fields.
+    inputs = {**ROW._asdict(), **changes}
+    inputs.pop("threat_score")
+    for row in (ROW._replace(**changes), ScoredVulnerability._make({**ROW._asdict(), **changes}.values())):
+        assert type(row) is ScoredVulnerability
+        assert row[:5] == tuple(inputs.values())
+        expected = threat_score(row.cvss, row.wx, row.labels, row.env)
+        assert row.threat_score.as_tuple() == expected.as_tuple()
+
+
+def _records() -> list:
+    vector = parse_vector(VECTOR)
+    return [
+        vector,
+        CveRecord("CVE-2020-0001", "a", vector, Decimal("9.8")),
+        CveRecord("CVE-2020-0002", "b"),
+        EXAMPLE,
+        ROW,
+        ROW._replace(labels=shared_judgment(1, 0, Labeler.MODEL)),
+        compare([ROW]),
+        # The default weights are a read-only mapping proxy, which neither
+        # deepcopy nor pickle takes, so these configs hold a dict.
+        RunConfig(env_weights=dict(DEFAULT_ENV_WEIGHTS)),
+        build_config(build_parser().parse_args(["score", "--cves", "x", "--tier-bounds", "9,3"]))._replace(
+            env_weights={Exposure.PUBLIC: Decimal(2)}
+        ),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r, pickle.HIGHEST_PROTOCOL))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_pickles_are_equal(record, clone):
+    cloned = clone(record)
+    assert type(cloned) is type(record)
+    assert cloned == record
+    assert repr(cloned) == repr(record)
+
+
+def test_a_record_equals_the_plain_tuple_of_its_fields():
+    for record in _records():
+        assert record == tuple(record)
+        assert tuple(record) == tuple(getattr(record, name) for name in record._fields)
+
+
+def _vulnrank_enums() -> list[type[enum.Enum]]:
+    found = set()
+    for info in pkgutil.walk_packages(vulnrank.__path__, "vulnrank."):
+        if info.name == "vulnrank.__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, enum.EnumMeta) and value.__module__.startswith("vulnrank") and len(value):
+                found.add(value)
+    return sorted(found, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+def test_every_enum_member_hashes_by_identity_and_pickles_as_itself():
+    enums = _vulnrank_enums()
+    assert {cls.__name__ for cls in enums} >= {"AttackVector", "Severity", "Labeler", "Task", "ExportFormat"}
+    for cls in enums:
+        for member in cls:
+            assert hash(member) == object.__hash__(member), member
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert copy.deepcopy(member) is member
