@@ -26,7 +26,7 @@ print(f"working in {workdir}\n")
 corpus = synth_labeled_corpus(n=300, seed=11)
 records = synth_cve_records(corpus, seed=11)
 write_cve_feed(workdir / "cves.jsonl", records)
-save_labels(workdir / "labels.jsonl", [ex for _, ex in corpus[:250]])
+save_labels(workdir / "labels.jsonl", [row for _, row in corpus[:250]])
 write_ref_feed(
     workdir / "refs.jsonl",
     [

@@ -7,12 +7,11 @@ with a hard-coded PIN (CVSS 6.8) outranks a TLS validation bug
 (CVSS 7.5) because attackers get more out of it with less effort.
 """
 
-from datetime import datetime, timezone
 from decimal import Decimal
 
 from vulnrank import (
     CveRecord,
-    LabeledExample,
+    Judgment,
     Labeler,
     compare,
     export_chunks,
@@ -50,9 +49,8 @@ WX = {
 # SME triage: the SMB bug and the pump both give attackers "actions on
 # objectives" (utility 2); the pump needs no exploit code at all
 # (opportune 1).
-LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 LABELS = {
-    cve_id: LabeledExample(cve_id, utility, opportune, Labeler.SME, LABELED_AT)
+    cve_id: Judgment(utility, opportune, Labeler.SME)
     for cve_id, utility, opportune in (
         ("CVE-2017-0143", 2, 0),
         ("CVE-2019-11324", 0, 0),

@@ -20,8 +20,8 @@ from vulnrank.triage import (
 # 600 labeled examples: utility split 42/32/26, opportune 92/8.
 corpus = synth_labeled_corpus(n=600, seed=42)
 print(f"corpus: {len(corpus)} labeled descriptions")
-description, example = corpus[0]
-print(f"example: {example.cve_id} (utility={example.utility}, opportune={example.opportune})")
+description, (cve_id, judgment, _) = corpus[0]
+print(f"example: {cve_id} (utility={judgment.utility}, opportune={judgment.opportune})")
 print(f"  {description}\n")
 
 train_set, test_set = split(corpus, train_fraction=0.8, seed=42)

@@ -17,7 +17,6 @@ from vulnrank.cvss import (
 from vulnrank.feeds import (
     CveRecord,
     Judgment,
-    LabeledExample,
     Labeler,
     iter_cve_records,
     iter_label_rows,
@@ -50,7 +49,6 @@ __all__ = [
     "DEFAULT_ENV_WEIGHTS",
     "ExportFormat",
     "Judgment",
-    "LabeledExample",
     "Labeler",
     "ScoredVulnerability",
     "Severity",

@@ -13,9 +13,10 @@ Exit codes are a stable scripting contract: 0 success, 2 ingest,
 validation, configuration or file read/write failure, 3 training
 failure, 4 model compatibility failure, 5 scoring completeness failure,
 130 stopped by SIGINT. Every failure prints one ``error:`` line to
-stderr, SIGINT ``error: interrupted``, except at a ``label`` prompt: an
-interrupted ``label`` saves the answers given so far and prints
-``interrupted: saved N label(s) to <store>``. Output files are written
+stderr, SIGINT ``error: interrupted``, except at a ``label`` prompt:
+there SIGINT, SIGTERM and SIGHUP save the answers given so far, print
+``interrupted: saved N label(s) to <store>`` and exit 128 plus the
+signal's number (130, 143 and 129). Output files are written
 by ``feeds.write_atomic``, which follows symlinks, refuses a target that
 is not a regular file, and fsyncs a temporary file beside the target
 before renaming it into place, so an interrupted command leaves its
@@ -49,7 +50,6 @@ from vulnrank.feeds import (
     FeedError,
     IoError,
     Judgment,
-    LabeledExample,
     Labeler,
     Task,
     attach_descriptions,
@@ -62,7 +62,6 @@ from vulnrank.feeds import (
     output_target,
     parse_ts,
     save_labels,
-    shared_judgment,
     write_atomic,
     write_labels,
 )
@@ -334,19 +333,19 @@ def cmd_train(config: RunConfig, task: Task) -> int:
         judgments, stamps = load_judgments(config.labels)
         # Model rows are predictions, with a placeholder 0 for the task not
         # predicted; a model learns from SME judgments only.
-        examples = [
-            LabeledExample(cve_id, *judgment, stamps[cve_id])
+        rows = [
+            (cve_id, judgment, stamps[cve_id])
             for cve_id, judgment in sorted(judgments.items())
             if judgment.labeler is Labeler.SME
         ]
         del judgments, stamps  # train's peak comes after the join
-        if len(examples) < 5:
-            raise CorpusTooSmall(f"label store holds {len(examples)} SME examples; need at least 5")
+        if len(rows) < 5:
+            raise CorpusTooSmall(f"label store holds {len(rows)} SME examples; need at least 5")
     # The CVE feed streams through the join, which keeps only the labeled
     # CVEs' descriptions; a bad feed line raises before the missing ids.
-    docs = attach_descriptions(examples, iter_cve_records(config.cves))
+    docs = attach_descriptions(rows, iter_cve_records(config.cves))
 
-    stratify = (lambda doc: task.label_of(doc[1])) if config.stratified else None
+    stratify = (lambda doc: task.label_of(doc[1][1])) if config.stratified else None
     train_set, test_set = split(docs, seed=config.seed, stratify_key=stratify)
     vocab = fit_vocabulary([text for text, _ in train_set], min_df=config.min_df)
 
@@ -399,13 +398,9 @@ def cmd_predict(config: RunConfig, task: Task) -> int:
     while block := list(islice(targets, BLOCK_TEXTS)):
         predictions = predict_texts(model, [rec.description for rec in block])
         for rec, predicted in zip(block, predictions):
-            existing = judgments.get(rec.cve_id)
-            utility, opportune = (existing.utility, existing.opportune) if existing else (0, 0)
-            if task is Task.UTILITY:
-                utility = predicted
-            else:
-                opportune = predicted
-            fresh.append((rec.cve_id, shared_judgment(utility, opportune, Labeler.MODEL), stamp))
+            utility, opportune, _ = judgments.get(rec.cve_id, (0, 0, None))
+            labels = (predicted, opportune) if task is Task.UTILITY else (utility, predicted)
+            fresh.append((rec.cve_id, Judgment(*labels, Labeler.MODEL), stamp))
     if not fresh:
         print("all CVEs already carry SME labels; nothing to predict")
         return EXIT_OK
@@ -511,6 +506,36 @@ def _prompt(task: Task) -> str:
         print(f"  enter one of: {', '.join(sorted(legal))}")
 
 
+class _Stopped(KeyboardInterrupt):
+    """A stop signal at a label prompt; its argument is the exit code."""
+
+
+def _raise_stopped(signum, _frame):
+    raise _Stopped(128 + signum)
+
+
+@contextmanager
+def _stop_signals_raise():
+    """Within the block SIGINT, SIGTERM and SIGHUP raise ``_Stopped``,
+    unless found ignored; the handlers found are restored after it. Off
+    the main thread, where no handler can be set, they are left alone."""
+    import signal  # only label needs it; at the top every command would load it
+
+    try:
+        previous = {
+            signum: signal.signal(signum, _raise_stopped)
+            for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+            if signal.getsignal(signum) is not signal.SIG_IGN
+        }
+    except ValueError:
+        previous = {}
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
 def cmd_label(config: RunConfig, timestamp: str | None) -> int:
     if timestamp is None:
         stamp = datetime.now(timezone.utc)
@@ -529,33 +554,32 @@ def cmd_label(config: RunConfig, timestamp: str | None) -> int:
         print("all CVEs already carry SME labels")
         return EXIT_OK
 
-    collected, interrupted = [], False
+    collected, code = [], None
     try:
-        for rec in targets:
-            print(f"\n{rec.cve_id}: {rec.description}")
-            # Each task's value is the name of the LabeledExample field it labels.
-            labels = {}
-            for task in Task:
-                answer = _prompt(task)
-                if answer in ("s", "q"):
+        with _stop_signals_raise():
+            for rec in targets:
+                print(f"\n{rec.cve_id}: {rec.description}")
+                # Each task's value is the name of the Judgment field it labels.
+                answers = {}
+                for task in Task:
+                    answer = _prompt(task)
+                    if answer in ("s", "q"):
+                        break
+                    answers[task.value] = int(answer)
+                if answer == "q":
                     break
-                labels[task.value] = int(answer)
-            if answer == "q":
-                break
-            if answer != "s":
-                collected.append(
-                    LabeledExample(rec.cve_id, labeler=Labeler.SME, labeled_at=stamp, **labels)
-                )
-    except KeyboardInterrupt:
-        # SIGINT quits: the answers given so far are saved.
-        interrupted = True
+                if answer != "s":
+                    collected.append((rec.cve_id, Judgment(**answers, labeler=Labeler.SME), stamp))
+    except _Stopped as exc:
+        # A stop signal quits: the answers given so far are saved.
+        code = exc.args[0]
     if collected:
         # Reads the store again, or a predict run during this session would be lost.
         save_labels(config.labels, collected)
-    if interrupted:
+    if code is not None:
         print()  # ends the prompt's line
         print(f"interrupted: saved {len(collected)} label(s) to {config.labels}", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return code
     print(f"\nsaved {len(collected)} label(s) to {config.labels}")
     return EXIT_OK
 

@@ -25,12 +25,12 @@ the CVE's wx is ``sum(urls.values())``. Asset context loads as
 ``{cve_id: (exposure, criticality)}``, each value one of six shared pairs.
 A published ``score`` is a number in [0, 10] with at most one decimal.
 
-A label store is read line by line by one generator
-(``iter_label_rows``), and folded by one rule (``fold_labels``): SME
-beats Model, the newest stamp wins, and on an exact tie the later row
-wins. ``load_judgments`` folds the store's rows into ``{cve_id:
-Judgment}``, each value one of twelve shared (utility, opportune,
-labeler) triples, and ``{cve_id: stamp}`` as it reads them.
+A labeled CVE is one row ``(cve_id, judgment, stamp)``, the judgment one
+of twelve shared, checked ``Judgment`` triples. A label store is read into
+such rows by one generator (``iter_label_rows``), and folded by one rule
+(``fold_labels``): SME beats Model, the newest stamp wins, and on an exact
+tie the later row wins. ``load_judgments`` folds the store's rows into
+``{cve_id: Judgment}`` and ``{cve_id: stamp}`` as it reads them.
 ``save_labels`` and the ``predict`` command fold their new rows into
 those two and write them back with ``write_labels``.
 
@@ -59,10 +59,10 @@ match as a whole before it opens the file, so every store line it writes
 is in the store's canonical form.
 
 Records are named tuples. ``iter_cve_records`` builds the ones it has
-checked with ``tuple.__new__``; a ``LabeledExample`` checks its labels
-in its own ``__new__``, which ``_make`` and ``_replace`` go through.
-``attach_descriptions`` builds nothing: it pairs each checked example
-with its CVE's description.
+checked with ``tuple.__new__``; a ``Judgment`` checks its fields in its
+own ``__new__``, which ``_make`` and ``_replace`` go through.
+``attach_descriptions`` builds nothing: it pairs each label row with
+its CVE's description.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class Labeler(IdentityEnum):
 
 
 class Task(IdentityEnum):
-    """A triage task: the LabeledExample field it labels and its classes."""
+    """A triage task: the Judgment field it labels and its classes."""
 
     UTILITY = "utility"
     OPPORTUNE = "opportune"
@@ -144,8 +144,8 @@ class Task(IdentityEnum):
     def classes(self) -> tuple[int, ...]:
         return (0, 1, 2) if self is Task.UTILITY else (0, 1)
 
-    def label_of(self, example: LabeledExample) -> int:
-        return example.utility if self is Task.UTILITY else example.opportune
+    def label_of(self, judgment: Judgment) -> int:
+        return judgment.utility if self is Task.UTILITY else judgment.opportune
 
 
 # The legal utility and opportune values and labeler names, read from the
@@ -171,58 +171,31 @@ class CveRecord(NamedTuple):
         return self.vector is not None or self.published_score is not None
 
 
-class Judgment(NamedTuple):
-    """The label fields the threat score reads: utility 0/1/2, the
-    opportune flag 0/1 and who assigned them. There are twelve, each
-    built once (``_JUDGMENTS``, ``shared_judgment``); ``load_judgments``
-    maps each CVE to one.
-    """
-
+class _JudgmentFields(NamedTuple):
     utility: int
     opportune: int
     labeler: Labeler
 
 
-# The twelve judgments by their (utility, opportune, labeler name) fields,
-# and by the block scan's raw groups of a store line.
-_JUDGMENTS = {
-    (u, o, lab.value): Judgment(u, o, lab) for u in _UTILITIES for o in _OPPORTUNES for lab in Labeler
-}
-_STORE_JUDGMENTS = {
-    (b"%d" % u, b"%d" % o, name.encode()): judgment for (u, o, name), judgment in _JUDGMENTS.items()
-}
-
-
-class _ExampleFields(NamedTuple):
-    cve_id: str
-    utility: int
-    opportune: int
-    labeler: Labeler
-    labeled_at: datetime
-
-
-class LabeledExample(_ExampleFields):
-    """One triage judgment for a CVE: utility 0/1/2, the opportune flag
-    0/1, who assigned them and when; one label store line. Training uses
-    it as ``(description, example)`` pairs that ``attach_descriptions``
-    joins from the CVE feed. Scoring reads only the three fields it shares
-    with ``Judgment``, so it takes either.
-
-    Every way of building one checks the labels: ``_make``, and so
-    ``_replace``, call the constructor.
+class Judgment(_JudgmentFields):
+    """One triage judgment: utility 0/1/2, the opportune flag 0/1 and who
+    assigned them. The constructor checks them (InvalidCategory) and
+    returns one of the twelve judgments built once (``_JUDGMENTS``);
+    ``_make``, ``_replace``, a copy and an unpickled judgment call it too.
     """
 
     __slots__ = ()
 
-    def __new__(cls, cve_id: str, utility: int, opportune: int, labeler: Labeler,
-                labeled_at: datetime):
+    def __new__(cls, utility: int, opportune: int, labeler: Labeler):
         problem = _bad_labels(utility, opportune)
         if problem is not None:
             raise InvalidCategory(problem)
-        return tuple.__new__(cls, (cve_id, utility, opportune, labeler, labeled_at))
+        if type(labeler) is not Labeler:
+            raise InvalidCategory("labeler must be SME or Model")
+        return _JUDGMENTS[utility, opportune, labeler._value_]
 
     @classmethod
-    def _make(cls, iterable) -> LabeledExample:
+    def _make(cls, iterable) -> Judgment:
         return cls(*iterable)
 
 
@@ -234,6 +207,19 @@ def _bad_labels(utility, opportune) -> str | None:
     if not isinstance(opportune, int) or isinstance(opportune, bool) or opportune not in _OPPORTUNES:
         return f"opportune must be one of {_OPPORTUNES}, got {opportune!r}"
     return None
+
+
+LabelRow = tuple[str, Judgment, datetime]  # a labeled CVE: one store line
+
+# The twelve judgments, built past the constructor, by their (utility,
+# opportune, labeler name) fields and by the block scan's raw store groups.
+_JUDGMENTS = {
+    (u, o, lab.value): tuple.__new__(Judgment, (u, o, lab))
+    for u in _UTILITIES for o in _OPPORTUNES for lab in Labeler
+}
+_STORE_JUDGMENTS = {
+    (b"%d" % u, b"%d" % o, name.encode()): judgment for (u, o, name), judgment in _JUDGMENTS.items()
+}
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -494,7 +480,7 @@ def format_ts(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
-def iter_label_rows(path) -> Iterator[tuple[str, Judgment, datetime]]:
+def iter_label_rows(path) -> Iterator[LabelRow]:
     """Yield ``(cve_id, judgment, ts)`` for each line of a label store.
 
     A line in the store's own form (``_STORE_LINE``) gives its values from
@@ -543,7 +529,7 @@ def iter_label_rows(path) -> Iterator[tuple[str, Judgment, datetime]]:
 
 
 def fold_labels(
-    rows: Iterable[tuple[str, Judgment, datetime]],
+    rows: Iterable[LabelRow],
     judgments: dict[str, Judgment],
     stamps: dict[str, datetime],
 ) -> tuple[dict[str, Judgment], dict[str, datetime]]:
@@ -578,28 +564,22 @@ def load_judgments(path) -> tuple[dict[str, Judgment], dict[str, datetime]]:
     return fold_labels(iter_label_rows(path), {}, {})
 
 
-def shared_judgment(utility: int, opportune: int, labeler: Labeler) -> Judgment:
-    """The one shared ``Judgment`` with these fields; the labels must be
-    ones a ``LabeledExample`` accepts."""
-    return _JUDGMENTS[utility, opportune, labeler.value]
+def save_labels(path, rows: Iterable[LabelRow]) -> None:
+    """Fold ``(cve_id, judgment, ts)`` rows into the label store at ``path``.
 
-
-def save_labels(path, examples: Iterable[LabeledExample]) -> None:
-    """Fold the given examples into the label store at ``path``.
-
-    The target is checked (``output_target``), and every example's id,
-    before the store is read, so a FIFO raises IoError rather than
-    blocking and a bad id ValueError. The stored rows come first, so
-    saving is append-safe; the result holds one line per CVE, sorted by id.
+    Every row's id and judgment are checked, and then the target
+    (``output_target``), before the store is read, so a bad id or a
+    judgment that is not a ``Judgment`` raises ValueError and a FIFO
+    IoError rather than blocking. The stored rows come first, so saving
+    is append-safe; the result holds one line per CVE, sorted by id.
     """
-    examples = list(examples)
-    _refuse_bad_ids(ex.cve_id for ex in examples)
+    rows = list(rows)
+    _refuse_bad_ids(cve_id for cve_id, _, _ in rows)
+    for cve_id, judgment, _ in rows:
+        if not isinstance(judgment, Judgment):
+            raise ValueError(f"cannot write a label for {cve_id}: {judgment!r} is not a Judgment")
     stored = iter_label_rows(path) if os.path.exists(output_target(path)) else ()
-    new = (
-        (ex.cve_id, shared_judgment(ex.utility, ex.opportune, ex.labeler), ex.labeled_at)
-        for ex in examples
-    )
-    write_labels(path, *fold_labels(chain(stored, new), {}, {}))
+    write_labels(path, *fold_labels(chain(stored, rows), {}, {}))
 
 
 def _refuse_bad_ids(ids: Iterable) -> None:
@@ -730,21 +710,21 @@ def load_asset_context(path) -> dict[str, tuple[Exposure, Criticality]]:
 
 
 def attach_descriptions(
-    examples: Iterable[LabeledExample], records: Iterable[CveRecord]
-) -> list[tuple[str, LabeledExample]]:
-    """Each example paired with its CVE's description from the feed, as
-    ``(description, example)`` in the examples' order.
+    rows: Iterable[LabelRow], records: Iterable[CveRecord]
+) -> list[tuple[str, LabelRow]]:
+    """Each ``(cve_id, judgment, ts)`` row paired with its CVE's
+    description from the feed, as ``(description, row)`` in the rows' order.
 
-    ``records`` is read once, and only the descriptions of the examples'
-    ids are kept, so a streamed feed (``iter_cve_records``) holds one
-    record at a time. Raises SchemaError naming the CVEs that have labels
-    but no feed record, since such examples have no description to train
-    on; a feed that raises part-way raises before that check.
+    ``records`` is read once, and only the descriptions of the rows' ids
+    are kept, so a streamed feed (``iter_cve_records``) holds one record
+    at a time. Raises SchemaError naming the CVEs that have labels but no
+    feed record, since such rows have no description to train on; a feed
+    that raises part-way raises before that check.
     """
-    examples = list(examples)
-    wanted = {ex.cve_id for ex in examples}
+    rows = list(rows)
+    wanted = {row[0] for row in rows}
     by_id = {rec.cve_id: rec.description for rec in records if rec.cve_id in wanted}
-    missing = [ex.cve_id for ex in examples if ex.cve_id not in by_id]
+    missing = [row[0] for row in rows if row[0] not in by_id]
     if missing:
         raise SchemaError(f"labeled CVEs absent from the CVE feed: {', '.join(sorted(missing))}")
-    return [(by_id[ex.cve_id], ex) for ex in examples]
+    return [(by_id[row[0]], row) for row in rows]

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from vulnrank.cvss import base_score
-from vulnrank.feeds import Criticality, CveRecord, Exposure, Judgment, LabeledExample
+from vulnrank.feeds import Criticality, CveRecord, Exposure, Judgment
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +70,7 @@ class _RowFields(NamedTuple):
     cve_id: str
     cvss: Decimal
     wx: int
-    labels: Judgment | LabeledExample
+    labels: Judgment
     env: Decimal
     threat_score: Decimal
 
@@ -79,19 +79,17 @@ class ScoredVulnerability(_RowFields):
     """One CVE with all scoring inputs and its final threat score.
 
     ``cvss`` is the one-place CVSS ``Decimal``, ``wx`` the exploit count,
-    ``labels`` the CVE's ``Judgment`` (or any value with its ``utility``,
-    ``opportune`` and ``labeler``, such as a ``LabeledExample``) and
-    ``env`` the environmental product (``NEUTRAL_ENV`` without asset
-    context). ``threat_score`` is not a constructor argument: it is
-    computed from the other fields, so it always matches them. ``_make``,
-    and so ``_replace``, and a copy or an unpickled row compute it again
-    too, whatever threat score they are given.
+    ``labels`` the CVE's ``Judgment`` and ``env`` the environmental
+    product (``NEUTRAL_ENV`` without asset context). ``threat_score`` is
+    not a constructor argument: it is computed from the other fields, so
+    it always matches them. ``_make``, and so ``_replace``, and a copy or
+    an unpickled row compute it again too, whatever threat score they are
+    given.
     """
 
     __slots__ = ()
 
-    def __new__(cls, cve_id: str, cvss: Decimal, wx: int, labels: Judgment | LabeledExample,
-                env: Decimal):
+    def __new__(cls, cve_id: str, cvss: Decimal, wx: int, labels: Judgment, env: Decimal):
         threat = threat_score(cvss, wx, labels, env)
         return tuple.__new__(cls, (cve_id, cvss, wx, labels, env, threat))
 
@@ -126,7 +124,7 @@ def env_factor(
 
 
 def threat_score(
-    cvss: Decimal, wx: int, labels: Judgment | LabeledExample, env: Decimal = NEUTRAL_ENV
+    cvss: Decimal, wx: int, labels: Judgment, env: Decimal = NEUTRAL_ENV
 ) -> Decimal:
     """Exact threat score from a one-place Decimal CVSS; unbounded above,
     never rounded. ``labels`` gives its ``utility`` and ``opportune``."""
@@ -168,7 +166,7 @@ _TENTH = Decimal("0.1")
 def score_portfolio(
     records: Iterable[CveRecord],
     wx_map: Mapping[str, int] | None = None,
-    labels_map: Mapping[str, Judgment | LabeledExample] | None = None,
+    labels_map: Mapping[str, Judgment] | None = None,
     ctx_map: Mapping[str, tuple[Exposure, Criticality]] | None = None,
     env_weights: Mapping[Exposure | Criticality, Decimal] = DEFAULT_ENV_WEIGHTS,
 ) -> list[ScoredVulnerability]:
@@ -182,10 +180,10 @@ def score_portfolio(
     ``wx_map`` holds each CVE's exploit count as an int; records without
     an entry there count zero exploits, and a negative count raises
     ``ScoringError``. ``labels_map`` holds each CVE's ``Judgment``, as
-    ``feeds.load_judgments`` reads it, or a ``LabeledExample``; a row keeps
-    the value it is given as its ``labels``. ``ctx_map`` holds (exposure,
-    criticality) pairs; a record without one scores with ``NEUTRAL_ENV``,
-    and equal pairs share one env ``Decimal``. ``threat_score`` runs once
+    ``feeds.load_judgments`` reads it; a row keeps it as its ``labels``.
+    ``ctx_map`` holds (exposure, criticality) pairs; a record without one
+    scores with ``NEUTRAL_ENV``, and equal pairs share one env
+    ``Decimal``. ``threat_score`` runs once
     per distinct (CVSS, wx, utility, opportune, context), and rows whose
     threat scores are equal in value and exponent share one ``Decimal``.
 

@@ -14,7 +14,7 @@ import random
 from datetime import datetime, timezone
 from decimal import Decimal
 
-from vulnrank.feeds import CveRecord, LabeledExample, Labeler, write_atomic
+from vulnrank.feeds import CveRecord, Judgment, LabelRow, Labeler, write_atomic
 from vulnrank.scoring import ScoredVulnerability, score_portfolio
 
 SYNTH_TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -64,15 +64,15 @@ def synth_labeled_corpus(
     utility_split=(0.42, 0.32, 0.26),
     opportune_rate: float = 0.08,
     labeler: Labeler = Labeler.SME,
-) -> list[tuple[str, LabeledExample]]:
-    """``(description, example)`` pairs: labeled examples and their
-    planted-keyword descriptions."""
+) -> list[tuple[str, LabelRow]]:
+    """``(description, row)`` pairs: ``(cve_id, judgment, ts)`` label rows
+    and their planted-keyword descriptions."""
     rng = random.Random(seed)
     utilities = [c for c, count in enumerate(_split_counts(n, utility_split)) for _ in range(count)]
     rng.shuffle(utilities)
     opportune_ids = set(rng.sample(range(n), round(n * opportune_rate)))
 
-    examples = []
+    docs = []
     for i in range(n):
         utility = utilities[i]
         opportune = 1 if i in opportune_ids else 0
@@ -82,22 +82,22 @@ def synth_labeled_corpus(
         description = f"A flaw in {vendor} {component} before {version} {sentence}."
         if opportune:
             description += " " + rng.choice(OPPORTUNE_PHRASES)
-        example = LabeledExample(f"CVE-2098-{10000 + i}", utility, opportune, labeler, SYNTH_TS)
-        examples.append((description, example))
-    return examples
+        row = (f"CVE-2098-{10000 + i}", Judgment(utility, opportune, labeler), SYNTH_TS)
+        docs.append((description, row))
+    return docs
 
 
 def synth_cve_records(docs, seed: int = 42) -> list[CveRecord]:
-    """A CVE record per ``(description, example)`` pair, with a seeded
+    """A CVE record per ``(description, row)`` pair, with a seeded
     one-decimal published score."""
     rng = random.Random(seed + 1)
     return [
         CveRecord(
-            cve_id=ex.cve_id,
+            cve_id=cve_id,
             description=description,
             published_score=Decimal(rng.randrange(1, 101)).scaleb(-1),
         )
-        for description, ex in docs
+        for description, (cve_id, _, _) in docs
     ]
 
 
@@ -124,7 +124,7 @@ def synth_portfolio(
             score = Decimal(rng.randrange(1, 91)).scaleb(-1)
         records.append(CveRecord(cve_id, f"synthetic finding {i}", published_score=score))
         utility, opportune = rng.choice((0, 1, 2)), rng.choice((0, 1))
-        labels_map[cve_id] = LabeledExample(cve_id, utility, opportune, Labeler.SME, SYNTH_TS)
+        labels_map[cve_id] = Judgment(utility, opportune, Labeler.SME)
     wx_map = {
         f"CVE-2097-{10000 + i}": 120 if i == big_wx else rng.randrange(1, 61) for i in wx_ids
     }

@@ -94,7 +94,7 @@ def evaluate_predictions(
 
 
 def evaluate(model: LinearModel, docs: Sequence[Doc]) -> EvalReport:
-    """Predict every ``(description, example)`` pair and score against its task label."""
-    y_true = [model.task.label_of(ex) for _, ex in docs]
+    """Predict every ``(description, row)`` doc and score against its judgment's task label."""
+    y_true = [model.task.label_of(judgment) for _, (_, judgment, _) in docs]
     y_pred = predict_texts(model, [text for text, _ in docs])
     return evaluate_predictions(model.classes, y_true, y_pred)

@@ -58,7 +58,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from vulnrank.feeds import InvalidCategory, LabeledExample, Task
+from vulnrank.feeds import InvalidCategory, LabelRow, Task
 from vulnrank.triage import features
 from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 
@@ -66,9 +66,8 @@ from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 _SCALE_FLOOR = 1e-9
 # The seeds of the legacy MT19937 seeding: one 32-bit word.
 SEED_RANGE = (0, 2**32 - 1)
-# A training document: a CVE's description and its label, as
-# feeds.attach_descriptions pairs them.
-Doc = tuple[str, LabeledExample]
+# A training document: a description and its label row, as feeds.attach_descriptions pairs them.
+Doc = tuple[str, LabelRow]
 
 
 class CorpusTooSmall(ValueError):
@@ -224,10 +223,10 @@ def split(
 
 def _validate_labels(task: Task, docs: Sequence[Doc]) -> np.ndarray:
     labels = []
-    for _, ex in docs:
-        label = task.label_of(ex)
+    for _, (cve_id, judgment, _) in docs:
+        label = task.label_of(judgment)
         if label not in task.classes:
-            raise InvalidCategory(f"{ex.cve_id}: label {label} illegal for task {task.value}")
+            raise InvalidCategory(f"{cve_id}: label {label} illegal for task {task.value}")
         labels.append(label)
     return np.array(labels)
 
@@ -239,7 +238,7 @@ def train(
     config: TrainConfig = TrainConfig(),
 ) -> LinearModel:
     """Fit one binary classifier per class over the task's full class set,
-    from ``(description, example)`` pairs.
+    from ``(description, row)`` pairs.
 
     A single-class train set cannot support discrimination; the model
     then predicts that class constantly and a DegenerateTaskWarning is

@@ -10,7 +10,7 @@ from decimal import Decimal
 
 import pytest
 
-from vulnrank.feeds import LabeledExample, iter_label_rows
+from vulnrank.feeds import iter_label_rows
 
 CVE_SMB = {
     "id": "CVE-2017-0143",
@@ -67,9 +67,10 @@ CVE_PUMP = {
 WORKED_TRIO = (CVE_SMB, CVE_URLLIB3, CVE_PUMP)
 
 
-def read_store(path) -> list[LabeledExample]:
-    """Every row of a label store, superseded ones included, in file order."""
-    return [LabeledExample(cve_id, *judgment, ts) for cve_id, judgment, ts in iter_label_rows(path)]
+def read_store(path) -> list:
+    """Every ``(cve_id, judgment, ts)`` row of a label store, superseded
+    ones included, in file order."""
+    return list(iter_label_rows(path))
 
 
 def write_jsonl(path, rows):

@@ -14,11 +14,12 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from vulnrank.feeds import InvalidCategory, LabeledExample
+from vulnrank.feeds import InvalidCategory
 from vulnrank.triage.features import EmptyCorpus, Vocabulary, design_matrix
 from vulnrank.triage.svm import (
     CorpusTooSmall,
     DegenerateTaskWarning,
+    Doc,
     LinearModel,
     Task,
     TrainConfig,
@@ -28,19 +29,19 @@ from vulnrank.triage.svm import (
 _SCALE_FLOOR = 1e-9
 
 
-def _validate_labels(task: Task, docs: Sequence[tuple[str, LabeledExample]]) -> np.ndarray:
+def _validate_labels(task: Task, docs: Sequence[Doc]) -> np.ndarray:
     labels = []
-    for _, ex in docs:
-        label = task.label_of(ex)
+    for _, (cve_id, judgment, _) in docs:
+        label = task.label_of(judgment)
         if label not in task.classes:
-            raise InvalidCategory(f"{ex.cve_id}: label {label} illegal for task {task.value}")
+            raise InvalidCategory(f"{cve_id}: label {label} illegal for task {task.value}")
         labels.append(label)
     return np.array(labels)
 
 
 def train(
     task: Task,
-    docs: Sequence[tuple[str, LabeledExample]],
+    docs: Sequence[Doc],
     vocab: Vocabulary,
     config: TrainConfig = TrainConfig(),
 ) -> LinearModel:
@@ -113,11 +114,11 @@ def train(
 
 
 def split(
-    examples: Sequence[LabeledExample],
+    examples: Sequence[Doc],
     train_fraction: float = 0.8,
     seed: int = 42,
-    stratify_key: Callable[[LabeledExample], Hashable] | None = None,
-) -> tuple[list[LabeledExample], list[LabeledExample]]:
+    stratify_key: Callable[[Doc], Hashable] | None = None,
+) -> tuple[list[Doc], list[Doc]]:
     """Seeded shuffle-then-prefix split into (train, test)."""
     n = len(examples)
     if n < 5:

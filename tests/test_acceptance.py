@@ -9,12 +9,11 @@ each criterion enforces its own runtime budget.
 
 import random
 import time
-from datetime import datetime, timezone
 from decimal import Decimal
 
 from vulnrank.cli import main
 from vulnrank.cvss import base_score, iter_vectors, parse_vector, severity_of
-from vulnrank.feeds import LabeledExample, Labeler, save_labels
+from vulnrank.feeds import Judgment, Labeler, save_labels
 from vulnrank.report import compare, rank
 from vulnrank.scoring import NEUTRAL_ENV, threat_score
 from vulnrank.synth import (
@@ -30,8 +29,6 @@ from vulnrank.triage.svm import Task, TrainConfig, split, train
 
 from conftest import WORKED_TRIO
 from cvss_reference import reference_base_score
-
-LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def _passed(n, message):
@@ -66,7 +63,7 @@ def test_criterion_1_cvss_reproduction():
 def test_criterion_2_threat_score_reproduction():
     scores = {}
     for rec in WORKED_TRIO:
-        labels = LabeledExample(rec["id"], rec["utility"], rec["opportune"], Labeler.SME, LABELED_AT)
+        labels = Judgment(rec["utility"], rec["opportune"], Labeler.SME)
         scores[rec["id"]] = threat_score(rec["score"], rec["wx"], labels)
     assert scores["CVE-2017-0143"] == Decimal("102.3")
     assert scores["CVE-2019-11324"] == Decimal("9.5")
@@ -153,9 +150,9 @@ def test_criterion_3_ml_substitutes():
     # (c) Learning sanity on the 600-document keyword-planted corpus
     # with the published class balance (42/32/26 utility, 92/8 opportune).
     corpus = synth_labeled_corpus(n=600, seed=42)
-    utility_counts = [sum(1 for _, ex in corpus if ex.utility == c) for c in (0, 1, 2)]
+    utility_counts = [sum(1 for _, (_, j, _) in corpus if j.utility == c) for c in (0, 1, 2)]
     assert utility_counts == [252, 192, 156]
-    assert sum(1 for _, ex in corpus if ex.opportune == 1) == 48
+    assert sum(1 for _, (_, j, _) in corpus if j.opportune == 1) == 48
 
     train_set, test_set = split(corpus, 0.8, seed=42)
     assert (len(train_set), len(test_set)) == (480, 120)
@@ -182,7 +179,7 @@ def test_criterion_4_scoring_properties():
     # Exhaustive multiplier table.
     for utility, factor_u in ((0, 1), (1, 2), (2, 3)):
         for opportune, factor_o in ((0, 1), (1, 2)):
-            labels = LabeledExample("CVE-2000-0001", utility, opportune, Labeler.SME, LABELED_AT)
+            labels = Judgment(utility, opportune, Labeler.SME)
             assert threat_score(Decimal("1.0"), 0, labels) == Decimal(factor_u * factor_o)
 
     # Strict monotonicity over 10,000 randomized instances with cvss+wx > 0.
@@ -195,20 +192,20 @@ def test_criterion_4_scoring_properties():
             wx = 1
         utility, opportune = rng.choice((0, 1, 2)), rng.choice((0, 1))
         env = rng.choice(weights) * rng.choice(weights)
-        labels = LabeledExample("CVE-2000-0001", utility, opportune, Labeler.SME, LABELED_AT)
+        labels = Judgment(utility, opportune, Labeler.SME)
         base = threat_score(cvss, wx, labels, env)
 
         bumped_wx = threat_score(cvss, wx + 1, labels, env)
         assert bumped_wx - base == (utility + 1) * (opportune + 1) * env
         if utility < 2:
-            raised = LabeledExample("CVE-2000-0001", utility + 1, opportune, Labeler.SME, LABELED_AT)
+            raised = Judgment(utility + 1, opportune, Labeler.SME)
             assert threat_score(cvss, wx, raised, env) > base
         if opportune == 0:
-            flagged = LabeledExample("CVE-2000-0001", utility, 1, Labeler.SME, LABELED_AT)
+            flagged = Judgment(utility, 1, Labeler.SME)
             assert threat_score(cvss, wx, flagged, env) > base
 
     # Neutral case: the formula degenerates to the CVSS score.
-    neutral = LabeledExample("CVE-2000-0001", 0, 0, Labeler.SME, LABELED_AT)
+    neutral = Judgment(0, 0, Labeler.SME)
     for tenths in range(0, 101):
         cvss = Decimal(tenths).scaleb(-1)
         assert threat_score(cvss, 0, neutral, NEUTRAL_ENV) == cvss
@@ -246,7 +243,7 @@ def test_criterion_5_comparison_report_properties():
 def _run_pipeline(workdir, seed):
     """ingest -> train x2 -> predict x2 -> score -> report, seed pinned."""
     corpus = synth_labeled_corpus(n=200, seed=5)
-    labeled = [ex for _, ex in corpus[:170]]
+    labeled = [row for _, row in corpus[:170]]
     records = synth_cve_records(corpus, seed=5)
     write_cve_feed(workdir / "cves.jsonl", records)
     save_labels(workdir / "labels.jsonl", labeled)

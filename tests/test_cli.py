@@ -12,6 +12,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -21,7 +22,7 @@ import pytest
 import vulnrank.cli as cli
 from vulnrank import feeds
 from vulnrank.cli import CONFIG_KEYS, RunConfig, build_config, build_parser, main
-from vulnrank.feeds import Criticality, Exposure, LabeledExample, Labeler, format_ts, save_labels
+from vulnrank.feeds import Criticality, Exposure, Judgment, Labeler, format_ts, save_labels
 from vulnrank.report import ExportFormat
 from vulnrank.scoring import DEFAULT_ENV_WEIGHTS
 from vulnrank.synth import synth_cve_records, synth_labeled_corpus, write_cve_feed
@@ -48,7 +49,7 @@ def synth_feeds(tmp_path):
     """A small but trainable synthetic corpus written as feed files."""
     corpus = synth_labeled_corpus(n=200, seed=7)
     write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus, seed=7))
-    save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
+    save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus])
     return tmp_path
 
 
@@ -397,14 +398,14 @@ class TestTrain:
     def test_corpus_too_small_exits_3(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=3, seed=1)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
-        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
+        save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus])
         assert main(self.train_args(tmp_path)) == 3
 
     def test_fewer_than_five_sme_rows_exits_3(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
-        model_rows = [ex._replace(labeler=Labeler.MODEL) for _, ex in corpus[4:]]
-        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus[:4]] + model_rows)
+        model_rows = [(cve_id, j._replace(labeler=Labeler.MODEL), ts) for _, (cve_id, j, ts) in corpus[4:]]
+        save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus[:4]] + model_rows)
         assert main(self.train_args(tmp_path)) == 3
         err = capsys.readouterr().err
         assert err == "error: label store holds 4 SME examples; need at least 5\n"
@@ -428,23 +429,23 @@ class TestTrain:
     def test_cve_feed_error_wins_over_too_few_sme_rows(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         expected = self.bad_cve_feed(tmp_path, corpus)
-        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus[:4]])
+        save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus[:4]])
         assert main(self.train_args(tmp_path)) == 2
         assert capsys.readouterr().err == expected
 
     def test_cve_feed_error_wins_over_labels_absent_from_it(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         expected = self.bad_cve_feed(tmp_path, corpus[:5])
-        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
+        save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus])
         assert main(self.train_args(tmp_path)) == 2
         assert capsys.readouterr().err == expected
 
     def test_labels_absent_from_a_good_feed_exit_2(self, tmp_path, capsys):
         corpus = synth_labeled_corpus(n=10, seed=1)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus[2:]))
-        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
+        save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus])
         assert main(self.train_args(tmp_path)) == 2
-        missing = ", ".join(sorted(ex.cve_id for _, ex in corpus[:2]))
+        missing = ", ".join(sorted(cve_id for _, (cve_id, _, _) in corpus[:2]))
         assert capsys.readouterr().err == f"error: labeled CVEs absent from the CVE feed: {missing}\n"
 
     def test_bad_label_store_when_the_cve_feed_is_good(self, tmp_path, capsys):
@@ -462,7 +463,7 @@ class TestTrain:
         # opportune split from 160/40 to 480/120 and its macro-F to 0.61.
         corpus = synth_labeled_corpus(n=600, seed=3)
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus, seed=3))
-        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus[:200]])
+        save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus[:200]])
 
         def train_both():
             trained = {}
@@ -477,7 +478,7 @@ class TestTrain:
         assert before["opportune"][0].startswith("train/test: 160/40,")
         assert main(["predict", *self.train_args(tmp_path)[1:]]) == 0
         stored = read_store(tmp_path / "labels.jsonl")
-        assert sum(ex.labeler is Labeler.MODEL for ex in stored) == 400
+        assert sum(j.labeler is Labeler.MODEL for _, j, _ in stored) == 400
         assert train_both() == before
 
     @pytest.mark.parametrize(
@@ -543,9 +544,9 @@ class TestTrain:
         assert not list(synth_feeds.rglob("*.tmp"))
 
     def test_degenerate_task_warns_but_succeeds(self, tmp_path, capsys):
-        corpus = [doc for doc in synth_labeled_corpus(n=200, seed=3) if doc[1].opportune == 0][:40]
+        corpus = [doc for doc in synth_labeled_corpus(n=200, seed=3) if doc[1][1].opportune == 0][:40]
         write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus))
-        save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
+        save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus])
         assert main(self.train_args(tmp_path, task="opportune", min_df=1)) == 0
         captured = capsys.readouterr()
         assert "constant" in captured.err
@@ -583,14 +584,14 @@ class TestPredict:
     def write_portfolio(self, tmp_path, labeled_count=2):
         corpus = synth_labeled_corpus(n=12, seed=99)
         write_cve_feed(tmp_path / "portfolio.jsonl", synth_cve_records(corpus, seed=99))
-        save_labels(tmp_path / "portfolio_labels.jsonl", [ex for _, ex in corpus[:labeled_count]])
+        save_labels(tmp_path / "portfolio_labels.jsonl", [row for _, row in corpus[:labeled_count]])
         return tmp_path
 
     def test_predicts_only_unlabeled(self, trained, tmp_path):
         portfolio = self.write_portfolio(tmp_path, labeled_count=11)
         assert main(self.predict_args(trained, portfolio)) == 0
         labels = read_store(portfolio / "portfolio_labels.jsonl")
-        model_labels = [ex for ex in labels if ex.labeler is Labeler.MODEL]
+        model_labels = [row for row in labels if row[1].labeler is Labeler.MODEL]
         assert len(model_labels) == 1
         assert len(labels) == 12
 
@@ -603,14 +604,12 @@ class TestPredict:
 
     def test_never_overwrites_sme(self, trained, tmp_path):
         portfolio = self.write_portfolio(tmp_path, labeled_count=2)
-        sme_before = {
-            ex.cve_id: ex for ex in read_store(portfolio / "portfolio_labels.jsonl")
-        }
+        sme_before = {row[0]: row for row in read_store(portfolio / "portfolio_labels.jsonl")}
         assert main(self.predict_args(trained, portfolio)) == 0
-        after = {ex.cve_id: ex for ex in read_store(portfolio / "portfolio_labels.jsonl")}
-        for cve_id, ex in sme_before.items():
-            assert after[cve_id] == ex
-            assert after[cve_id].labeler is Labeler.SME
+        after = {row[0]: row for row in read_store(portfolio / "portfolio_labels.jsonl")}
+        for cve_id, row in sme_before.items():
+            assert after[cve_id] == row
+            assert after[cve_id][1].labeler is Labeler.SME
 
     def test_rerun_byte_identical(self, trained, tmp_path):
         portfolio = self.write_portfolio(tmp_path, labeled_count=2)
@@ -625,7 +624,7 @@ class TestPredict:
         assert main(self.predict_args(trained, portfolio, task="opportune")) == 0
         labels = read_store(portfolio / "portfolio_labels.jsonl")
         assert len(labels) == 12
-        assert all(ex.labeler is Labeler.MODEL for ex in labels)
+        assert all(j.labeler is Labeler.MODEL for _, j, _ in labels)
 
     def test_placeholder_rows_warn_until_the_other_task_runs(self, trained, tmp_path, capsys):
         # Ten CVEs have no row: utility's run writes them with opportune 0
@@ -647,13 +646,13 @@ class TestPredict:
     def test_opportune_first_warns_of_utility_placeholders(self, trained, tmp_path, capsys):
         portfolio = self.write_portfolio(tmp_path, labeled_count=2)
         store = portfolio / "portfolio_labels.jsonl"
-        before = {ex.cve_id for ex in read_store(store)}
+        before = {cve_id for cve_id, _, _ in read_store(store)}
         assert main(self.predict_args(trained, portfolio, task="opportune")) == 0
         assert capsys.readouterr().err == (
             "warning: 10 new Model rows hold utility 0 until predict --task utility runs\n"
         )
-        rows = [ex for ex in read_store(store) if ex.cve_id not in before]
-        assert len(rows) == 10 and all(ex.utility == 0 for ex in rows)
+        rows = [row for row in read_store(store) if row[0] not in before]
+        assert len(rows) == 10 and all(j.utility == 0 for _, j, _ in rows)
 
     @pytest.mark.parametrize("store", ["superseded", "missing"])
     def test_store_equals_what_save_labels_writes(self, trained, tmp_path, monkeypatch, store):
@@ -709,7 +708,7 @@ class TestPredict:
             # The one fold takes the predictions, into the store's fold.
             (fresh,) = folds
             assert len(fresh) == len(ids) - (3 if store == "superseded" else 0)
-            save_labels(expected, [LabeledExample(cve_id, *j, ts) for cve_id, j, ts in fresh])
+            save_labels(expected, fresh)
             assert path.read_bytes() == expected.read_bytes()
 
     def test_predicts_one_block_of_descriptions_at_a_time(self, trained, tmp_path, monkeypatch):
@@ -1313,24 +1312,22 @@ class TestLabelLoop:
         prompts = self.prompts_for(monkeypatch, ["2", "s", "0", "0", "q"])
         assert main(self.label_args(trio_feed_dir)) == 0
         assert prompts == [UTILITY_PROMPT, OPPORTUNE_PROMPT] * 2 + [UTILITY_PROMPT]
-        (label,) = read_store(trio_feed_dir / "new_labels.jsonl")
-        assert (label.cve_id, label.utility, label.opportune) == ("CVE-2019-11324", 0, 0)
+        ((cve_id, judgment, _),) = read_store(trio_feed_dir / "new_labels.jsonl")
+        assert (cve_id, judgment.utility, judgment.opportune) == ("CVE-2019-11324", 0, 0)
 
     def test_invalid_opportune_reprompts(self, trio_feed_dir, monkeypatch, capsys):
         prompts = self.prompts_for(monkeypatch, ["2", "5", "1", "q"])
         assert main(self.label_args(trio_feed_dir)) == 0
         assert prompts == [UTILITY_PROMPT, OPPORTUNE_PROMPT, OPPORTUNE_PROMPT, UTILITY_PROMPT]
         assert "  enter one of: 0, 1, q, s\n" in capsys.readouterr().out
-        (label,) = read_store(trio_feed_dir / "new_labels.jsonl")
-        assert (label.utility, label.opportune) == (2, 1)
+        ((_, judgment, _),) = read_store(trio_feed_dir / "new_labels.jsonl")
+        assert (judgment.utility, judgment.opportune) == (2, 1)
 
     def test_records_labels(self, trio_feed_dir, monkeypatch, capsys):
         self.run_with_keys(monkeypatch, ["2", "1", "q"])
         assert main(self.label_args(trio_feed_dir)) == 0
-        labels = read_store(trio_feed_dir / "new_labels.jsonl")
-        assert len(labels) == 1
-        assert (labels[0].utility, labels[0].opportune) == (2, 1)
-        assert labels[0].labeler is Labeler.SME
+        ((_, judgment, _),) = read_store(trio_feed_dir / "new_labels.jsonl")
+        assert judgment is Judgment(2, 1, Labeler.SME)
 
     def test_fifo_store_exits_2_before_reading(self, trio_feed_dir, monkeypatch, capsys):
         # label reads the store, then writes it; reading a FIFO would block.
@@ -1341,10 +1338,14 @@ class TestLabelLoop:
         assert capsys.readouterr().err == f"error: cannot write {store}: not a regular file\n"
         assert stat.S_ISFIFO(store.stat().st_mode)
 
-    def test_sigint_at_a_prompt_saves_the_answers_and_exits_130(self, trio_feed_dir):
-        # Two CVEs are answered on a pipe, then SIGINT comes while the
-        # third CVE's prompt waits. It once ended in a traceback, return
-        # code -2 and no store.
+    @pytest.mark.parametrize("signum, code", [
+        (signal.SIGINT, 130), (signal.SIGTERM, 143), (signal.SIGHUP, 129),
+    ], ids=["SIGINT", "SIGTERM", "SIGHUP"])
+    def test_stop_signal_at_a_prompt_saves_the_answers(self, trio_feed_dir, signum, code):
+        # Two CVEs are answered on a pipe, then the signal comes while the
+        # third CVE's prompt waits. SIGINT once ended in a traceback, return
+        # code -2 and no store; SIGTERM and SIGHUP killed the process and
+        # lost every answer.
         child = subprocess.Popen(
             [sys.executable, "-m", "vulnrank", *self.label_args(trio_feed_dir)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -1359,18 +1360,51 @@ class TestLabelLoop:
                 chunk = os.read(child.stdout.fileno(), 4096) if ready else b""
                 assert chunk, out
                 out += chunk
-            child.send_signal(signal.SIGINT)
+            child.send_signal(signum)
             _, err = child.communicate(timeout=60)
         finally:
             child.kill()
             child.wait()
         store = trio_feed_dir / "new_labels.jsonl"
-        assert child.returncode == 130
+        assert child.returncode == code
         assert err.decode() == f"interrupted: saved 2 label(s) to {store}\n"
         assert store.read_bytes() == (
             b'{"cve":"CVE-2017-0143","utility":2,"opportune":1,"labeler":"SME","ts":"2024-05-01T00:00:00Z"}\n'
             b'{"cve":"CVE-2019-11324","utility":0,"opportune":0,"labeler":"SME","ts":"2024-05-01T00:00:00Z"}\n'
         )
+
+    def test_stop_signals_are_handled_only_around_the_prompts(self, trio_feed_dir, monkeypatch, capsys):
+        # A signal found ignored stays ignored, and every handler found is
+        # back once the prompts are over.
+        signums = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+        previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+        try:
+            before = [signal.getsignal(signum) for signum in signums]
+            during = []
+
+            def answer(prompt=""):
+                during.append([signal.getsignal(signum) for signum in signums])
+                return "q"
+
+            monkeypatch.setattr("builtins.input", answer)
+            assert main(self.label_args(trio_feed_dir)) == 0
+            assert [signal.getsignal(signum) for signum in signums] == before
+        finally:
+            signal.signal(signal.SIGHUP, previous)
+        ((on_int, on_term, on_hup),) = during
+        assert on_int is on_term and on_int not in before
+        assert on_hup is signal.SIG_IGN
+
+    def test_a_session_off_the_main_thread_runs(self, trio_feed_dir, monkeypatch, capsys):
+        # Only the main thread may set a signal handler; elsewhere the
+        # prompts run with the handlers as they are.
+        self.run_with_keys(monkeypatch, ["2", "1", "q"])
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(self.label_args(trio_feed_dir))))
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive() and codes == [0]
+        assert len(read_store(trio_feed_dir / "new_labels.jsonl")) == 1
 
     def test_invalid_entry_reprompts(self, trio_feed_dir, monkeypatch, capsys):
         self.run_with_keys(monkeypatch, ["7", "2", "1", "q"])
@@ -1447,7 +1481,7 @@ class TestLabelLoop:
         assert main(self.label_args(trio_feed_dir)) == 0
         labels = read_store(trio_feed_dir / "new_labels.jsonl")
         assert len(labels) == 1
-        assert labels[0].cve_id == "CVE-2019-11324"  # second in id order
+        assert labels[0][0] == "CVE-2019-11324"  # second in id order
 
     @pytest.mark.parametrize(
         "stamp",
@@ -1475,8 +1509,8 @@ class TestLabelLoop:
         args = self.label_args(trio_feed_dir)
         args[args.index("--timestamp") + 1] = stamp
         assert main(args) == 0
-        (label,) = read_store(trio_feed_dir / "new_labels.jsonl")
-        assert format_ts(label.labeled_at) == "2024-05-01T00:00:00Z"
+        ((_, _, ts),) = read_store(trio_feed_dir / "new_labels.jsonl")
+        assert format_ts(ts) == "2024-05-01T00:00:00Z"
 
     def test_store_year_below_1000_round_trips(self, trio_feed_dir, monkeypatch, capsys):
         store = write_jsonl(

@@ -24,7 +24,6 @@ from vulnrank.feeds import (
     InvalidCategory,
     IoError,
     Judgment,
-    LabeledExample,
     Labeler,
     ParseError,
     SchemaError,
@@ -54,11 +53,10 @@ def ts(text):
     return datetime.fromisoformat(text).replace(tzinfo=timezone.utc)
 
 
-def judgments_and_stamps(examples):
-    """What ``write_labels`` takes for ``examples``, one per id."""
-    examples = list(examples)
-    judgments = {ex.cve_id: Judgment(ex.utility, ex.opportune, ex.labeler) for ex in examples}
-    return judgments, {ex.cve_id: ex.labeled_at for ex in examples}
+def judgments_and_stamps(rows):
+    """What ``write_labels`` takes for ``(cve_id, judgment, ts)`` rows, one per id."""
+    rows = list(rows)
+    return {cve_id: j for cve_id, j, _ in rows}, {cve_id: t for cve_id, _, t in rows}
 
 
 # Ids the rule "CVE-, four ASCII digits, -, four or more ASCII digits, as
@@ -210,8 +208,7 @@ class TestLoadExploitRefs:
     def test_cve_missing_from_feed_scores_wx_0(self, tmp_path):
         refs = load_exploit_refs(write_jsonl(tmp_path / "refs.jsonl", trio_ref_rows()))
         record = CveRecord("CVE-2020-27256", "text", published_score=Decimal("6.8"))
-        labels = {"CVE-2020-27256": LabeledExample(
-            "CVE-2020-27256", 0, 0, Labeler.SME, ts("2024-01-01T00:00:00"))}
+        labels = {"CVE-2020-27256": Judgment(0, 0, Labeler.SME)}
         (scored,) = score_portfolio([record], wx_of(refs), labels)
         assert scored.wx == 0
         assert scored.threat_score == Decimal("6.8")
@@ -301,15 +298,13 @@ class TestLoadExploitRefs:
 
 class TestLabels:
     def example(self, cve="CVE-2020-0001", utility=1, opportune=0, labeler=Labeler.SME, when="2021-01-01T00:00:00"):
-        return LabeledExample(
-            cve_id=cve, utility=utility, opportune=opportune, labeler=labeler, labeled_at=ts(when)
-        )
+        return cve, Judgment(utility, opportune, labeler), ts(when)
 
     def test_round_trip(self, tmp_path):
         examples = [self.example(), self.example(cve="CVE-2020-0002", utility=2, opportune=1)]
         path = tmp_path / "labels.jsonl"
         save_labels(path, examples)
-        assert sorted(read_store(path), key=lambda e: e.cve_id) == examples
+        assert sorted(read_store(path)) == examples
 
     def test_save_is_deterministic(self, tmp_path):
         examples = [self.example(cve=f"CVE-2020-{n:04d}") for n in range(9, 0, -1)]
@@ -323,21 +318,19 @@ class TestLabels:
         # offsets share one string, other instants of one day do not.
         stamps = ["2021-06-01T00:00:00+00:00", "2021-06-01T10:00:00+00:00", "2021-06-01T12:00:00+02:00",
                   "2021-06-01T23:30:00-05:00", "2021-06-01T10:00:00+00:00"]
-        merged = {
-            f"CVE-2020-{n:04d}": LabeledExample(
-                f"CVE-2020-{n:04d}", n % 3, n % 2, Labeler.MODEL, datetime.fromisoformat(stamp)
-            )
+        rows = [
+            (f"CVE-2020-{n:04d}", Judgment(n % 3, n % 2, Labeler.MODEL), datetime.fromisoformat(stamp))
             for n, stamp in enumerate(stamps, start=1)
-        }
-        path = tmp_path / "labels.jsonl"
-        write_labels(path, *judgments_and_stamps(reversed(merged.values())))
-        assert path.read_text().splitlines() == [
-            compact_json({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
-                          "labeler": "Model", "ts": format_ts(ex.labeled_at)})
-            for ex in merged.values()
         ]
-        loaded = [ex.labeled_at for ex in read_store(path)]
-        assert loaded == [ex.labeled_at for ex in merged.values()]
+        path = tmp_path / "labels.jsonl"
+        write_labels(path, *judgments_and_stamps(reversed(rows)))
+        assert path.read_text().splitlines() == [
+            compact_json({"cve": cve_id, "utility": j.utility, "opportune": j.opportune,
+                          "labeler": "Model", "ts": format_ts(t)})
+            for cve_id, j, t in rows
+        ]
+        loaded = [t for _, _, t in read_store(path)]
+        assert loaded == [t for _, _, t in rows]
 
     def test_write_labels_in_chunks_writes_the_same_bytes(self, tmp_path, monkeypatch):
         store = judgments_and_stamps([self.example(cve=f"CVE-2020-{n:04d}") for n in range(1, 6)])
@@ -372,7 +365,7 @@ class TestLabels:
             "from vulnrank.feeds import IoError, save_labels\n"
             "from vulnrank.synth import synth_labeled_corpus\n"
             "try:\n"
-            "    save_labels(sys.argv[1], [ex for _, ex in synth_labeled_corpus(n=2, seed=1)])\n"
+            "    save_labels(sys.argv[1], [row for _, row in synth_labeled_corpus(n=2, seed=1)])\n"
             "except IoError as exc:\n"
             "    print(exc)\n"
         )
@@ -396,12 +389,32 @@ class TestLabels:
         path = tmp_path / "labels.jsonl"
         save_labels(path, [self.example()])
         before = path.read_bytes()
-        examples = [self.example(cve="CVE-2020-0002"), self.example(cve=bad)]
+        rows = [self.example(cve="CVE-2020-0002"), self.example(cve=bad)]
         with pytest.raises(ValueError, match="not a CVE id$"):
             if writer == "write_labels":
-                write_labels(path, *judgments_and_stamps(examples))
+                write_labels(path, *judgments_and_stamps(rows))
             else:
-                save_labels(path, examples)
+                save_labels(path, rows)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
+
+    @pytest.mark.parametrize(
+        "bad", [(2, 1, Labeler.SME), None, {"utility": 2, "opportune": 1, "labeler": Labeler.SME}],
+        ids=["plain-tuple", "none", "dict"],
+    )
+    def test_a_row_without_a_judgment_is_refused_before_the_store_is_opened(
+        self, tmp_path, monkeypatch, bad
+    ):
+        # Only a Judgment is checked, so nothing else may reach the store;
+        # the store is neither read nor written.
+        path = tmp_path / "labels.jsonl"
+        save_labels(path, [self.example()])
+        before = path.read_bytes()
+        monkeypatch.setattr(feeds, "iter_label_rows", lambda *_: pytest.fail("store read"))
+        monkeypatch.setattr(feeds, "output_target", lambda *_: pytest.fail("store opened"))
+        rows = [self.example(cve="CVE-2020-0002"), ("CVE-2020-0003", bad, ts("2021-01-01T00:00:00"))]
+        with pytest.raises(ValueError, match="^cannot write a label for CVE-2020-0003: .* is not a Judgment$"):
+            save_labels(path, rows)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
@@ -416,8 +429,8 @@ class TestLabels:
         path = tmp_path / "labels.jsonl"
         save_labels(path, [older])
         save_labels(path, [newer])
-        (loaded,) = read_store(path)
-        assert loaded.utility == 2
+        ((_, judgment, _),) = read_store(path)
+        assert judgment.utility == 2
 
     def test_sme_beats_newer_model(self, tmp_path):
         sme = self.example(utility=1, labeler=Labeler.SME, when="2021-01-01T00:00:00")
@@ -426,7 +439,7 @@ class TestLabels:
         save_labels(path, [sme, model])
         judgments, stamps = load_judgments(path)
         assert judgments["CVE-2020-0001"] == (1, 0, Labeler.SME)
-        assert stamps["CVE-2020-0001"] == sme.labeled_at
+        assert stamps["CVE-2020-0001"] == sme[2]
 
     def test_invalid_category(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "utility": 7, "opportune": 0, "labeler": "SME", "ts": "2021-01-01T00:00:00Z"}]
@@ -454,8 +467,8 @@ class TestLabels:
     def test_ts_z_suffix_round_trip(self, tmp_path):
         rows = [{"cve": "CVE-2020-0001", "utility": 1, "opportune": 0, "labeler": "SME", "ts": "2021-01-01T12:30:00Z"}]
         path = write_jsonl(tmp_path / "labels.jsonl", rows)
-        (loaded,) = read_store(path)
-        assert format_ts(loaded.labeled_at) == "2021-01-01T12:30:00Z"
+        ((_, _, stamp),) = read_store(path)
+        assert format_ts(stamp) == "2021-01-01T12:30:00Z"
 
     def test_proportions_survive_round_trip(self, tmp_path):
         # 42%/32%/26% utility split over a synthetic corpus of 50.
@@ -469,7 +482,7 @@ class TestLabels:
         save_labels(path, examples)
         loaded = read_store(path)
         for utility, count in counts.items():
-            assert sum(1 for e in loaded if e.utility == utility) == count
+            assert sum(1 for _, j, _ in loaded if j.utility == utility) == count
 
     @pytest.mark.parametrize("bad_id", BAD_IDS.values(), ids=BAD_IDS)
     def test_non_ascii_or_newline_id_exits_2(self, tmp_path, capsys, bad_id):
@@ -507,33 +520,29 @@ class TestAssetContext:
 class TestAttachDescriptions:
     def test_join(self, tmp_path):
         records = list(iter_cve_records(write_jsonl(tmp_path / "cves.jsonl", trio_cve_rows())))
-        examples = [
-            LabeledExample("CVE-2017-0143", 2, 0, Labeler.SME, ts("2021-01-01T00:00:00"))
-        ]
-        ((description, _),) = attach_descriptions(examples, records)
+        rows = [("CVE-2017-0143", Judgment(2, 0, Labeler.SME), ts("2021-01-01T00:00:00"))]
+        ((description, _),) = attach_descriptions(rows, records)
         assert "SMBv1" in description
 
-    def test_pairs_follow_the_examples(self, tmp_path):
+    def test_pairs_follow_the_rows(self, tmp_path):
         path = write_jsonl(tmp_path / "cves.jsonl", [
             {"id": "CVE-2020-0001", "description": "a", "score": 5},
             {"id": "CVE-2020-0002", "description": "unlabeled", "score": 5},
             {"id": "CVE-2020-0003", "description": "", "score": 5},
         ])
         stamp = ts("2021-01-01T00:00:00")
-        examples = [
-            LabeledExample("CVE-2020-0003", 1, 0, Labeler.SME, stamp),
-            LabeledExample("CVE-2020-0001", 2, 1, Labeler.MODEL, stamp),
+        rows = [
+            ("CVE-2020-0003", Judgment(1, 0, Labeler.SME), stamp),
+            ("CVE-2020-0001", Judgment(2, 1, Labeler.MODEL), stamp),
         ]
-        joined = attach_descriptions(iter(examples), iter_cve_records(path))
-        assert joined == [("", examples[0]), ("a", examples[1])]
-        assert all(ex is given for (_, ex), given in zip(joined, examples, strict=True))
+        joined = attach_descriptions(iter(rows), iter_cve_records(path))
+        assert joined == [("", rows[0]), ("a", rows[1])]
+        assert all(row is given for (_, row), given in zip(joined, rows, strict=True))
 
     def test_missing_record_named(self):
-        examples = [
-            LabeledExample("CVE-1999-9999", 0, 0, Labeler.SME, ts("2021-01-01T00:00:00"))
-        ]
+        rows = [("CVE-1999-9999", Judgment(0, 0, Labeler.SME), ts("2021-01-01T00:00:00"))]
         with pytest.raises(SchemaError, match="CVE-1999-9999"):
-            attach_descriptions(examples, [])
+            attach_descriptions(rows, [])
 
 
 class TestWriteAtomic:
@@ -648,12 +657,12 @@ LABEL_OFFSETS = [timezone(timedelta(minutes=m)) for m in (0, 330, -240, 845, -71
 )
 def test_label_lines_match_the_json_encoder(rows):
     """The templated store lines are the bytes compact_json wrote for them."""
-    merged = {row[0]: LabeledExample(*row) for row in rows}
+    merged = {cve_id: (cve_id, Judgment(u, o, lab), t) for cve_id, u, o, lab, t in rows}
     store = judgments_and_stamps(merged.values())
     expected = "".join(
-        compact_json({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
-                      "labeler": ex.labeler.value, "ts": format_ts(ex.labeled_at)}) + "\n"
-        for _, ex in sorted(merged.items())
+        compact_json({"cve": cve_id, "utility": j.utility, "opportune": j.opportune,
+                      "labeler": j.labeler.value, "ts": format_ts(t)}) + "\n"
+        for cve_id, j, t in sorted(merged.values())
     )
     assert "".join(_label_lines(*store)) == expected
 
@@ -676,7 +685,7 @@ def test_label_lines_match_the_json_encoder(rows):
 def test_written_store_reads_back_without_the_json_decoder(tmp_path_factory, rows):
     """Every line write_labels renders is in the form iter_label_rows
     reads from the pattern's groups, and reads back as the entry it was."""
-    merged = {row[0]: LabeledExample(*row) for row in rows}
+    merged = {cve_id: (cve_id, Judgment(u, o, lab), t) for cve_id, u, o, lab, t in rows}
     store = judgments_and_stamps(merged.values())
     scan = feeds._line_scan(feeds._STORE_LINE)
     assert all(scan(line.encode("utf-8"))[0][-1] == b"" for line in _label_lines(*store))
@@ -689,10 +698,8 @@ def test_written_store_reads_back_without_the_json_decoder(tmp_path_factory, row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(feeds, "_scan_once", decoded)
         loaded = read_store(path)
-    assert loaded == sorted(merged.values(), key=lambda ex: ex.cve_id)
-    assert [format_ts(ex.labeled_at) for ex in loaded] == [
-        format_ts(merged[ex.cve_id].labeled_at) for ex in loaded
-    ]
+    assert loaded == sorted(merged.values())
+    assert [format_ts(t) for _, _, t in loaded] == [format_ts(merged[cve_id][2]) for cve_id, _, _ in loaded]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -69,8 +69,8 @@ def write_golden_feeds(root):
     vectors = list(iter_vectors())
 
     cves, refs, context, labels = [], [], [], []
-    for i, (description, ex) in enumerate(corpus):
-        row = {"id": ex.cve_id, "description": description}
+    for i, (description, (cve_id, judgment, _)) in enumerate(corpus):
+        row = {"id": cve_id, "description": description}
         kind = i % 5
         vector = rng.choice(vectors)
         if kind in (0, 2, 3):
@@ -82,7 +82,7 @@ def write_golden_feeds(root):
                 row["score"] = float(base_score(vector))
         if kind == 3:
             row["references"] = [
-                {"url": f"https://example.org/{ex.cve_id}/{n}", "source": rng.choice(SOURCES),
+                {"url": f"https://example.org/{cve_id}/{n}", "source": rng.choice(SOURCES),
                  "exploit": rng.random() < 0.5}
                 for n in range(rng.randrange(1, 4))
             ]
@@ -90,18 +90,18 @@ def write_golden_feeds(root):
 
         if rng.random() < 0.3:
             for n in range(rng.choice((1, 1, 2, 5, 40))):
-                url = f"https://exploits.example/{ex.cve_id}/{rng.randrange(0, 8) if n % 3 else n}"
-                refs.append({"cve": ex.cve_id, "url": url, "source": rng.choice(SOURCES),
+                url = f"https://exploits.example/{cve_id}/{rng.randrange(0, 8) if n % 3 else n}"
+                refs.append({"cve": cve_id, "url": url, "source": rng.choice(SOURCES),
                              "exploit": rng.random() < 0.85})
         if rng.random() < 0.4:
             exposure, criticality = rng.choice(CONTEXTS)
-            context.append({"cve": ex.cve_id, "exposure": exposure, "criticality": criticality})
+            context.append({"cve": cve_id, "exposure": exposure, "criticality": criticality})
 
         labeler = "Model" if rng.random() < 0.3 else "SME"
-        labels.append({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
+        labels.append({"cve": cve_id, "utility": judgment.utility, "opportune": judgment.opportune,
                        "labeler": labeler, "ts": "2024-01-01T00:00:00Z"})
         if rng.random() < 0.2:
-            labels.append({"cve": ex.cve_id, "utility": rng.choice((0, 1, 2)),
+            labels.append({"cve": cve_id, "utility": rng.choice((0, 1, 2)),
                            "opportune": rng.choice((0, 1)), "labeler": rng.choice(("SME", "Model")),
                            "ts": rng.choice(("2023-06-01T00:00:00Z", "2024-06-01T00:00:00Z"))})
 
@@ -214,13 +214,13 @@ def write_triage_feeds(root):
     """
     rng = random.Random(20240601)
     cves, labels = [], []
-    for i, (description, ex) in enumerate(synth_labeled_corpus(n=240, seed=29)):
+    for i, (description, (cve_id, judgment, _)) in enumerate(synth_labeled_corpus(n=240, seed=29)):
         if i % 4 == 0:
             description += " " + rng.choice(NON_ASCII)
-        cves.append({"id": ex.cve_id, "description": description})
+        cves.append({"id": cve_id, "description": description})
         if i % 3 == 2:
             continue
-        labels.append({"cve": ex.cve_id, "utility": ex.utility, "opportune": ex.opportune,
+        labels.append({"cve": cve_id, "utility": judgment.utility, "opportune": judgment.opportune,
                        "labeler": "Model" if i % 10 == 0 else "SME", "ts": rng.choice(STAMPS)})
     write_jsonl(root / "cves.jsonl", cves)
     write_jsonl(root / "labels.jsonl", labels)

@@ -63,7 +63,7 @@ def test_score_rank_report_ingest_leave_numpy_unloaded(trio_feed_dir):
 def test_train_leaves_numpy_random_unloaded(tmp_path):
     corpus = synth_labeled_corpus(n=60, seed=3)
     write_cve_feed(tmp_path / "cves.jsonl", synth_cve_records(corpus, seed=3))
-    save_labels(tmp_path / "labels.jsonl", [ex for _, ex in corpus])
+    save_labels(tmp_path / "labels.jsonl", [row for _, row in corpus])
     argv = [
         "train", "--task", "utility", "--min-df", "1",
         "--cves", str(tmp_path / "cves.jsonl"), "--labels", str(tmp_path / "labels.jsonl"),
@@ -91,8 +91,13 @@ def _tracer():
 # command streams the CVE feed, and the cli binds no "load_cve_records".
 # Every command reads the label store through load_judgments, or counts
 # its rows with iter_label_rows, so the cli binds no "load_labels" and no
-# "merge_labels".
-UNBOUND_CLI_NAMES = {"count_wx", "export", "load_cve_records", "load_labels", "merge_labels"}
+# "merge_labels". A label is a (cve_id, Judgment, stamp) row whose
+# Judgment checks itself, so it binds no "LabeledExample" and no
+# "shared_judgment".
+UNBOUND_CLI_NAMES = {
+    "LabeledExample", "count_wx", "export", "load_cve_records", "load_labels", "merge_labels",
+    "shared_judgment",
+}
 
 
 def test_traced_cli_names_resolve_to_their_functions():

@@ -11,7 +11,7 @@ and the same winning stamp, offset included, per id, in the same order,
 or raise the same exception type with the same message. They run with
 blocks of a few dozen bytes or fewer as well, so that lines straddle
 the blocks they are read in. ``save_labels`` must write what the
-reference merge of a stored file's rows and then the new examples gives.
+reference merge of a stored file's rows and then the new rows gives.
 """
 
 import json
@@ -123,13 +123,15 @@ def test_an_exact_tie_goes_to_the_later_line(tmp_path):
     assert outcome(feeds.load_judgments, path) == outcome(reference_merge, path)
 
 
-EXAMPLE = st.builds(
-    feeds.LabeledExample,
-    cve_id=st.sampled_from(IDS),
-    utility=st.sampled_from([0, 1, 2]),
-    opportune=st.sampled_from([0, 1]),
-    labeler=st.sampled_from(feeds.Labeler),
-    labeled_at=st.sampled_from(STAMPS).map(lambda ts: feeds.parse_ts(ts, "ts")),
+NEW_ROW = st.tuples(
+    st.sampled_from(IDS),
+    st.builds(
+        feeds.Judgment,
+        utility=st.sampled_from([0, 1, 2]),
+        opportune=st.sampled_from([0, 1]),
+        labeler=st.sampled_from(feeds.Labeler),
+    ),
+    st.sampled_from(STAMPS).map(lambda ts: feeds.parse_ts(ts, "ts")),
 )
 
 
@@ -148,26 +150,22 @@ def rendered(judgments, stamps) -> bytes:
 @given(data=st.data())
 def test_save_labels_writes_the_reference_merge(tmp_path_factory, data):
     # The stored rows, if there is a store, come first, then the new
-    # examples in their order.
+    # rows in their order.
     path = tmp_path_factory.getbasetemp() / "save_differential.jsonl"
     path.unlink(missing_ok=True)
     stored = data.draw(st.none() | stores(), label="store")
     if stored is not None:
         path.write_bytes(stored)
-    examples = data.draw(st.lists(EXAMPLE, max_size=8), label="examples")
-    new_rows = [
-        (ex.cve_id, feeds.Judgment(ex.utility, ex.opportune, ex.labeler), ex.labeled_at)
-        for ex in examples
-    ]
+    new_rows = data.draw(st.lists(NEW_ROW, max_size=8), label="rows")
     try:
         rows = feeds_reference.label_rows(path) if stored is not None else []
     except feeds.FeedError as exc:
         with pytest.raises(type(exc)) as raised:
-            feeds.save_labels(path, examples)
+            feeds.save_labels(path, new_rows)
         assert str(raised.value) == str(exc)
         assert path.read_bytes() == stored
         event("store refused")
         return
-    feeds.save_labels(path, examples)
+    feeds.save_labels(path, new_rows)
     event("saved")
     assert path.read_bytes() == rendered(*feeds_reference.merge_label_rows(rows + new_rows))

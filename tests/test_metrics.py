@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from vulnrank.feeds import LabeledExample, Labeler, Task
+from vulnrank.feeds import Judgment, Labeler, Task
 from vulnrank.triage.features import fit_vocabulary
 from vulnrank.triage.metrics import EmptyTestSet, evaluate, evaluate_predictions
 from vulnrank.triage.svm import TrainConfig, train
@@ -117,12 +117,10 @@ class TestAggregateProperties:
         corpus = [
             (
                 ("alpha" if n % 2 else "beta") + " filler",
-                LabeledExample(
-                    cve_id=f"CVE-2021-{n:05d}",
-                    utility=n % 2,
-                    opportune=0,
-                    labeler=Labeler.SME,
-                    labeled_at=datetime(2021, 1, 1, tzinfo=timezone.utc),
+                (
+                    f"CVE-2021-{n:05d}",
+                    Judgment(n % 2, 0, Labeler.SME),
+                    datetime(2021, 1, 1, tzinfo=timezone.utc),
                 ),
             )
             for n in range(4)

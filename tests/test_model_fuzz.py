@@ -43,8 +43,8 @@ def saved(tmp_path_factory):
     vocab = fit_vocabulary([text for text, _ in corpus], min_df=3)
     save_model(root / "model.json", train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=2)))
     write_cve_feed(root / "cves.jsonl", synth_cve_records(corpus[:8], seed=5))
-    unlabeled = {ex.cve_id for _, ex in corpus[3:8]}
-    return root, json.loads((root / "model.json").read_text()), [ex for _, ex in corpus[:3]], unlabeled
+    unlabeled = {cve_id for _, (cve_id, _, _) in corpus[3:8]}
+    return root, json.loads((root / "model.json").read_text()), [row for _, row in corpus[:3]], unlabeled
 
 
 def _children(node) -> list:
@@ -132,6 +132,6 @@ def test_edited_model_predicts_or_exits_4(saved, data):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         return
     assert _well_formed(json.loads(text)), text
-    predicted = [ex for ex in read_store(labels) if ex.labeler is Labeler.MODEL]
-    assert {ex.cve_id for ex in predicted} == unlabeled
-    assert all(ex.utility in Task.UTILITY.classes and ex.opportune == 0 for ex in predicted)
+    predicted = [(cve_id, j) for cve_id, j, _ in read_store(labels) if j.labeler is Labeler.MODEL]
+    assert {cve_id for cve_id, _ in predicted} == unlabeled
+    assert all(j.utility in Task.UTILITY.classes and j.opportune == 0 for _, j in predicted)

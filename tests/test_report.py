@@ -5,12 +5,11 @@ import io
 import json
 import random
 import tracemalloc
-from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
 
-from vulnrank.feeds import CHUNK_LINES, LabeledExample, Labeler
+from vulnrank.feeds import CHUNK_LINES, Judgment, Labeler
 from vulnrank.report import (
     CSV_COLUMNS,
     ExportFormat,
@@ -22,15 +21,13 @@ from vulnrank.scoring import NEUTRAL_ENV, ScoredVulnerability
 
 from conftest import WORKED_TRIO
 
-LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
-
 
 def scored(cve_id, cvss, wx=0, utility=0, opportune=0, source=Labeler.SME):
     return ScoredVulnerability(
         cve_id=cve_id,
         cvss=Decimal(cvss),
         wx=wx,
-        labels=LabeledExample(cve_id, utility, opportune, source, LABELED_AT),
+        labels=Judgment(utility, opportune, source),
         env=NEUTRAL_ENV,
     )
 

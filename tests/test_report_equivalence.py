@@ -20,7 +20,6 @@ size around the chunk boundaries.
 import csv
 import io
 import math
-from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
@@ -28,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from vulnrank.cli import _scored_portfolio, build_config, build_parser
 from vulnrank.cvss import severity_of
-from vulnrank.feeds import CHUNK_LINES, LabeledExample, Labeler, compact_json
+from vulnrank.feeds import CHUNK_LINES, Judgment, Labeler, compact_json
 from vulnrank.report import (
     CSV_COLUMNS,
     DEFAULT_TIER_BOUNDS,
@@ -41,7 +40,6 @@ from vulnrank.scoring import ScoredVulnerability, format_quantity
 
 from test_golden import write_golden_feeds
 
-LABELED_AT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 TOP_K = (1, 2, 3, 5, 10, 100, 1000)
 # The second set has bounds equal to threat scores the tied portfolios hold.
 TIER_BOUNDS = (DEFAULT_TIER_BOUNDS, (Decimal(15), Decimal("7.5"), Decimal(0)))
@@ -170,7 +168,7 @@ ENVS = [
 
 def scored(year, number, width, utility, opportune, labeler, cvss, wx, env):
     cve_id = f"CVE-{year}-{number:0{width}d}"
-    labels = LabeledExample(cve_id, utility, opportune, labeler, LABELED_AT)
+    labels = Judgment(utility, opportune, labeler)
     return ScoredVulnerability(cve_id=cve_id, cvss=cvss, wx=wx, labels=labels, env=env)
 
 

@@ -1,7 +1,7 @@
 """The score path keeps only what it ranks: its memory grows per CVE by the
 row and one id string, not by the feed's records or the store's lines;
 rows share their threat Decimals and their labels, each one of the
-twelve ``Judgment`` values, and no ``LabeledExample`` is built."""
+twelve ``Judgment`` values, looked up, never constructed."""
 
 import json
 import os
@@ -27,9 +27,9 @@ WORDS = ("buffer", "overflow", "remote", "attacker", "crafted", "request", "head
 # Bytes of traced peak per added CVE. The streamed path takes about 278,
 # on spaced and canonical feeds alike: a row is a named tuple, and a tuple
 # subclass is allocated with one spare item. One whose rows each hold a
-# LabeledExample (a store fold that keeps an example per CVE) takes
-# about 366, and one that also holds every CveRecord until scoring ends
-# (a list of the CVE feed) about 544.
+# five-field label record (a store fold that keeps a record per CVE)
+# takes about 366, and one that also holds every CveRecord until scoring
+# ends (a list of the CVE feed) about 544.
 PER_CVE_BOUND = 320
 
 
@@ -131,13 +131,13 @@ def test_score_path_memory_per_cve_is_bounded(tmp_path, render, decoded):
     assert threat_objects <= threats
 
 
-def _no_labeled_example(*_args, **_kwargs):
-    raise AssertionError("a LabeledExample was built")
+def _no_judgment(*_args, **_kwargs):
+    raise AssertionError("the Judgment constructor was called")
 
 
 @pytest.mark.parametrize("command", ["score", "rank", "report"])
 @pytest.mark.parametrize("render", [json.dumps, feeds.compact_json], ids=["spaced", "canonical"])
-def test_score_path_builds_no_labeled_example(tmp_path, monkeypatch, capsys, command, render):
+def test_score_path_calls_no_judgment_constructor(tmp_path, monkeypatch, capsys, command, render):
     args, _ = write_feeds(tmp_path, 40, render)
     # Superseded rows too: a Model row loses to the SME row before it, and
     # an older SME row to the one it follows.
@@ -149,14 +149,16 @@ def test_score_path_builds_no_labeled_example(tmp_path, monkeypatch, capsys, com
     with store.open("a") as fh:
         fh.writelines(render(row) + "\n" for row in superseded)
     expected_exit = main([command, *args[1:], "--output", str(tmp_path / "expected")])
-    # A LabeledExample is built by its __new__, which its _make and
-    # _replace call too; with that refusing, every way of building one fails.
-    monkeypatch.setattr(feeds.LabeledExample, "__new__", staticmethod(_no_labeled_example))
-    (cve_id, judgment, ts), *_ = feeds.iter_label_rows(store)
-    with pytest.raises(AssertionError, match="LabeledExample"):
-        feeds.LabeledExample(cve_id, *judgment, ts)
-    with pytest.raises(AssertionError, match="LabeledExample"):
-        feeds.LabeledExample._make((cve_id, *judgment, ts))
+    # The score path looks each judgment up among the twelve shared ones.
+    # The constructor's __new__ checks its fields, and _make, _replace, a
+    # copy and an unpickled judgment call it too; with it refusing, every
+    # call fails.
+    monkeypatch.setattr(feeds.Judgment, "__new__", staticmethod(_no_judgment))
+    (_, judgment, _), *_ = feeds.iter_label_rows(store)
+    with pytest.raises(AssertionError, match="Judgment constructor"):
+        feeds.Judgment(*judgment)
+    with pytest.raises(AssertionError, match="Judgment constructor"):
+        judgment._replace(utility=0)
     assert main([command, *args[1:], "--output", str(tmp_path / "got")]) == expected_exit == 0
     assert (tmp_path / "got").read_bytes() == (tmp_path / "expected").read_bytes()
     assert capsys.readouterr().err == ""

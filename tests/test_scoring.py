@@ -2,7 +2,6 @@
 
 import math
 import random
-from datetime import datetime, timezone
 from decimal import Decimal
 from itertools import product
 
@@ -16,12 +15,13 @@ from vulnrank.feeds import (
     CveRecord,
     Exposure,
     InvalidCategory,
-    LabeledExample,
+    Judgment,
     Labeler,
     iter_cve_records,
     load_asset_context,
     load_exploit_refs,
 )
+from vulnrank.report import ExportFormat, export_chunks, rank
 from vulnrank.scoring import (
     DEFAULT_ENV_WEIGHTS,
     NEUTRAL_ENV,
@@ -49,9 +49,7 @@ WEIGHTS = st.integers(0, 4).flatmap(
 
 
 def labels(utility=0, opportune=0, source=Labeler.SME):
-    return LabeledExample(
-        "CVE-2020-0001", utility, opportune, source, datetime(2024, 1, 1, tzinfo=timezone.utc)
-    )
+    return Judgment(utility, opportune, source)
 
 
 class TestThreatScore:
@@ -150,6 +148,18 @@ class TestThreatScore:
             labels(utility=3)
         with pytest.raises(InvalidCategory):
             labels(opportune=2)
+
+    def test_an_unchecked_judgment_is_neither_scored_nor_exported(self):
+        # Judgment(5, True, SME) was once built without a check: a CVSS 5.0
+        # CVE then scored 60, and its row exported "utility":5,"opportune":True,
+        # which is not JSON.
+        record = CveRecord("CVE-2020-0001", "a", published_score=Decimal("5.0"))
+        scored, exported = None, None
+        with pytest.raises(InvalidCategory, match=r"^utility must be one of \(0, 1, 2\), got 5$"):
+            labels_map = {"CVE-2020-0001": Judgment(5, True, Labeler.SME)}
+            scored = score_portfolio([record], {}, labels_map)
+            exported = b"".join(export_chunks(rank(scored), ExportFormat.STRUCTURED))
+        assert (scored, exported) == (None, None)
 
 
 class TestEnvFactor:

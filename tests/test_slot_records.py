@@ -6,8 +6,9 @@ keep a record's invariants, and a copy or a pickle round trip gives an
 equal record; every vulnrank enum member hashes by identity and survives
 both as itself. Asset context is no record: ``load_asset_context`` maps
 each CVE to one of six shared pairs. Nor is a label store line:
-``iter_label_rows`` yields its values, with one of the twelve shared
-judgments, and builds no ``LabeledExample``."""
+``iter_label_rows`` yields it as the row ``(cve_id, judgment, ts)``, the
+judgment one of twelve shared values, which its constructor checks and
+returns, a copy and an unpickled judgment included."""
 
 import copy
 import enum
@@ -30,12 +31,11 @@ from vulnrank.feeds import (
     CveRecord,
     Exposure,
     InvalidCategory,
-    LabeledExample,
+    Judgment,
     Labeler,
     iter_cve_records,
     iter_label_rows,
     load_asset_context,
-    shared_judgment,
 )
 from vulnrank.report import compare
 from vulnrank.scoring import (
@@ -82,7 +82,7 @@ def test_cve_records(tmp_path):
 
 
 @pytest.mark.parametrize("store_form", [True, False], ids=["store-line", "json"])
-def test_labeled_examples(tmp_path, store_form):
+def test_label_rows(tmp_path, store_form):
     path = tmp_path / "labels.jsonl"
     rows = [("CVE-2020-0001", 2, 1, "SME"), ("CVE-2020-0002", 0, 0, "Model")]
     sep = (",", ":") if store_form else (", ", ": ")
@@ -93,20 +93,26 @@ def test_labeled_examples(tmp_path, store_form):
     ))
     lines = feeds._line_scan(feeds._STORE_LINE)(path.read_bytes())
     assert [raw == b"" for *_, raw in lines] == [store_form] * len(rows)
-    built = [LabeledExample(cve, u, o, Labeler(who), STAMP) for cve, u, o, who in rows]
+    built = [(cve, Judgment(u, o, Labeler(who)), STAMP) for cve, u, o, who in rows]
     loaded = list(iter_label_rows(path))
-    # A row holds a line's values in the example's field order.
-    for (cve_id, judgment, ts), expected in zip(loaded, built, strict=True):
-        assert_same_record(LabeledExample(cve_id, *judgment, ts), expected, utility=0)
-        assert judgment is shared_judgment(expected.utility, expected.opportune, expected.labeler)
+    for (cve_id, judgment, ts), (expected_id, expected, expected_ts) in zip(loaded, built, strict=True):
+        assert (cve_id, ts) == (expected_id, expected_ts)
+        assert judgment is expected
+        assert_same_record(judgment, tuple.__new__(Judgment, tuple(expected)), utility=0)
 
 
-def test_a_labeled_example_holds_a_store_line():
-    # The fields are the store line's keys, in order, the id and the
-    # stamp under their own names.
+def test_a_row_holds_a_store_line():
+    # The id, the judgment's fields and the stamp are the store line's
+    # keys, in order.
     keys = re.findall(r'"(\w+)":', feeds._LABEL_LINE)
-    names = {"cve": "cve_id", "ts": "labeled_at"}
-    assert [names.get(key, key) for key in keys] == list(LabeledExample._fields)
+    assert keys == ["cve", *Judgment._fields, "ts"]
+
+
+def test_the_twelve_judgments_are_shared():
+    judgments = [Judgment(u, o, lab) for u in (0, 1, 2) for o in (0, 1) for lab in Labeler]
+    assert len({id(j) for j in judgments}) == 12
+    assert all(Judgment(*j) is j and Judgment._make(j) is j and j._replace() is j for j in judgments)
+    assert Judgment(2, 1, Labeler.SME)._replace(utility=0) is Judgment(0, 1, Labeler.SME)
 
 
 def test_asset_context(tmp_path):
@@ -138,10 +144,10 @@ def test_scored_rows():
         CveRecord("CVE-2020-0004", "d", published_score=Decimal("7.5")),
     ]
     labels = {
-        "CVE-2020-0001": LabeledExample("CVE-2020-0001", 2, 1, Labeler.SME, STAMP),
-        "CVE-2020-0002": LabeledExample("CVE-2020-0002", 1, 0, Labeler.MODEL, STAMP),
-        "CVE-2020-0003": LabeledExample("CVE-2020-0003", 0, 1, Labeler.SME, STAMP),
-        "CVE-2020-0004": LabeledExample("CVE-2020-0004", 2, 0, Labeler.MODEL, STAMP),
+        "CVE-2020-0001": Judgment(2, 1, Labeler.SME),
+        "CVE-2020-0002": Judgment(1, 0, Labeler.MODEL),
+        "CVE-2020-0003": Judgment(0, 1, Labeler.SME),
+        "CVE-2020-0004": Judgment(2, 0, Labeler.MODEL),
     }
     wx = {"CVE-2020-0001": 3}
     ctx = {
@@ -168,28 +174,39 @@ def test_scored_rows():
     assert [str(row.cvss) for row in scored] == ["9.8", "7.5", "7.50", "7.5"]
 
 
-@pytest.mark.parametrize("value", [True, 3, "1"], ids=repr)
-@pytest.mark.parametrize("field", ["utility", "opportune"])
-def test_constructor_still_checks_labels(field, value):
-    values = {"utility": 1, "opportune": 0, field: value}
-    with pytest.raises(InvalidCategory, match=f"^{field} must be one of "):
-        LabeledExample("CVE-2020-0001", labeler=Labeler.SME, labeled_at=STAMP, **values)
+# The field a bad value is given to, the value, and the start of the message.
+BAD_FIELDS = [
+    *(("utility", value, "utility must be one of ") for value in (True, 3, "1")),
+    *(("opportune", value, "opportune must be one of ") for value in (True, 3, "1")),
+    *(("labeler", value, "labeler must be SME or Model") for value in ("SME", None)),
+]
 
 
-EXAMPLE = LabeledExample("CVE-2020-0001", 2, 1, Labeler.SME, STAMP)
-ROW = ScoredVulnerability("CVE-2020-0001", Decimal("9.8"), 3, EXAMPLE, Decimal("2.25"))
+@pytest.mark.parametrize(
+    "field, value, message", BAD_FIELDS, ids=[f"{field}-{value!r}" for field, value, _ in BAD_FIELDS]
+)
+def test_constructor_still_checks_labels(field, value, message):
+    values = {"utility": 1, "opportune": 0, "labeler": Labeler.SME, field: value}
+    with pytest.raises(InvalidCategory, match=f"^{message}"):
+        Judgment(**values)
 
 
-@pytest.mark.parametrize("changes", [{"utility": 7}, {"opportune": True}, {"utility": "1"}], ids=repr)
-def test_make_and_replace_check_labels(changes):
-    with pytest.raises(InvalidCategory):
-        EXAMPLE._replace(**changes)
-    with pytest.raises(InvalidCategory):
-        LabeledExample._make({**EXAMPLE._asdict(), **changes}.values())
+JUDGMENT = Judgment(2, 1, Labeler.SME)
+ROW = ScoredVulnerability("CVE-2020-0001", Decimal("9.8"), 3, JUDGMENT, Decimal("2.25"))
 
 
 @pytest.mark.parametrize("changes", [
-    {"wx": 0}, {"cvss": Decimal("7.50")}, {"env": Decimal(1), "labels": shared_judgment(0, 0, Labeler.MODEL)},
+    {"utility": 7}, {"opportune": True}, {"utility": "1"}, {"labeler": "SME"}, {"labeler": None},
+], ids=repr)
+def test_make_and_replace_check_labels(changes):
+    with pytest.raises(InvalidCategory):
+        JUDGMENT._replace(**changes)
+    with pytest.raises(InvalidCategory):
+        Judgment._make({**JUDGMENT._asdict(), **changes}.values())
+
+
+@pytest.mark.parametrize("changes", [
+    {"wx": 0}, {"cvss": Decimal("7.50")}, {"env": Decimal(1), "labels": Judgment(0, 0, Labeler.MODEL)},
     {"threat_score": Decimal(1)},
 ], ids=repr)
 def test_make_and_replace_compute_the_threat_score(changes):
@@ -209,9 +226,9 @@ def _records() -> list:
         vector,
         CveRecord("CVE-2020-0001", "a", vector, Decimal("9.8")),
         CveRecord("CVE-2020-0002", "b"),
-        EXAMPLE,
+        JUDGMENT,
         ROW,
-        ROW._replace(labels=shared_judgment(1, 0, Labeler.MODEL)),
+        ROW._replace(labels=Judgment(1, 0, Labeler.MODEL)),
         compare([ROW]),
         # The default weights are a read-only mapping proxy, which neither
         # deepcopy nor pickle takes, so these configs hold a dict.
@@ -233,6 +250,9 @@ def test_copies_and_pickles_are_equal(record, clone):
     assert type(cloned) is type(record)
     assert cloned == record
     assert repr(cloned) == repr(record)
+    # A judgment is one of the twelve shared values, whichever way it is made.
+    if type(record) is Judgment:
+        assert cloned is record
 
 
 def test_a_record_equals_the_plain_tuple_of_its_fields():

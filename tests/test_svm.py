@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vulnrank.triage.svm as svm
-from vulnrank.feeds import InvalidCategory, IoError, LabeledExample, Labeler
+from vulnrank.feeds import InvalidCategory, IoError, Judgment, Labeler
 from vulnrank.triage.features import fit_vocabulary
 from vulnrank.triage.modelio import CorruptModel, ModelVersionError, load_model, save_model
 from vulnrank.triage.svm import (
@@ -29,13 +29,7 @@ TS = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
 
 def example(n, utility=0, opportune=0, description="filler text"):
-    return description, LabeledExample(
-        cve_id=f"CVE-2021-{n:05d}",
-        utility=utility,
-        opportune=opportune,
-        labeler=Labeler.SME,
-        labeled_at=TS,
-    )
+    return description, (f"CVE-2021-{n:05d}", Judgment(utility, opportune, Labeler.SME), TS)
 
 
 def separable_corpus(n_per_class=15, seed=9):
@@ -74,7 +68,7 @@ def dense_reference_train(task, examples, vocab, config):
         for col, weight in featurize(vocab, text).items():
             X[row, col] = weight
     X[:, -1] = 1.0
-    Y = np.array([[1.0 if task.label_of(ex) == c else -1.0 for c in task.classes] for _, ex in examples])
+    Y = np.array([[1.0 if task.label_of(j) == c else -1.0 for c in task.classes] for _, (_, j, _) in examples])
     W = np.zeros((len(task.classes), vocab.size + 1))
     rng = np.random.RandomState(config.seed)
     t = 0
@@ -96,7 +90,7 @@ def dense_reference_objective(model, examples):
             X[row, col] = weight
     total = 0.0
     for ci, c in enumerate(model.classes):
-        ys = np.array([1.0 if model.task.label_of(ex) == c else -1.0 for _, ex in examples])
+        ys = np.array([1.0 if model.task.label_of(j) == c else -1.0 for _, (_, j, _) in examples])
         margins = ys * (X @ model.weights[ci] + model.bias[ci])
         norm_sq = model.weights[ci] @ model.weights[ci] + model.bias[ci] ** 2
         total += np.maximum(0.0, 1.0 - margins).mean() + 0.5 * model.config.reg_lambda * norm_sq
@@ -122,9 +116,9 @@ class TestSplit:
     def test_exact_partition(self):
         corpus = self.corpus(43)
         train_set, test_set = split(corpus, train_fraction=0.8, seed=1)
-        combined = sorted(train_set + test_set, key=lambda doc: doc[1].cve_id)
-        assert combined == sorted(corpus, key=lambda doc: doc[1].cve_id)
-        assert not {e.cve_id for _, e in train_set} & {e.cve_id for _, e in test_set}
+        combined = sorted(train_set + test_set, key=lambda doc: doc[1][0])
+        assert combined == sorted(corpus, key=lambda doc: doc[1][0])
+        assert not {row[0] for _, row in train_set} & {row[0] for _, row in test_set}
 
     def test_fraction_one_rejected(self):
         with pytest.raises(ValueError):
@@ -137,10 +131,10 @@ class TestSplit:
     def test_stratified_preserves_group_fractions(self):
         corpus = [example(i, opportune=1 if i < 20 else 0) for i in range(200)]
         train_set, test_set = split(
-            corpus, train_fraction=0.8, seed=3, stratify_key=lambda doc: doc[1].opportune
+            corpus, train_fraction=0.8, seed=3, stratify_key=lambda doc: doc[1][1].opportune
         )
-        assert sum(1 for _, e in train_set if e.opportune == 1) == 16
-        assert sum(1 for _, e in test_set if e.opportune == 1) == 4
+        assert sum(1 for _, (_, j, _) in train_set if j.opportune == 1) == 16
+        assert sum(1 for _, (_, j, _) in test_set if j.opportune == 1) == 4
 
 
 class TestTrain:
@@ -149,11 +143,11 @@ class TestTrain:
         # Separability oracle: a bare "contains alpha" rule already gets
         # 100%, so the trained model has no excuse not to.
         rule = [0 if "alpha" in text else 1 for text, _ in corpus]
-        assert rule == [ex.utility for _, ex in corpus]
+        assert rule == [j.utility for _, (_, j, _) in corpus]
 
         vocab = fit_vocabulary([text for text, _ in corpus], min_df=1)
         model = train(Task.UTILITY, corpus, vocab)
-        assert predict_texts(model, [text for text, _ in corpus]) == [ex.utility for _, ex in corpus]
+        assert predict_texts(model, [text for text, _ in corpus]) == [j.utility for _, (_, j, _) in corpus]
 
     def test_single_class_warns_and_predicts_constantly(self):
         corpus = [example(i, utility=2, description=f"doc {i} text") for i in range(6)]
@@ -276,16 +270,16 @@ class TestTrain:
             train(Task.UTILITY, corpus, vocab, TrainConfig(epochs=2, reg_lambda=1e-320))
 
     def test_illegal_label_for_task(self):
-        # LabeledExample validates its own fields, so the trainer's guard
-        # can only fire on records from outside the type system.
-        class RawRecord:
-            cve_id = "CVE-2021-00000"
+        # Judgment checks its own fields, so the trainer's guard can only
+        # fire on a row whose judgment comes from outside the type system.
+        class RawJudgment:
             utility = 0
             opportune = 5
 
         vocab = fit_vocabulary(["x y"], min_df=1)
-        with pytest.raises(InvalidCategory):
-            train(Task.OPPORTUNE, [("x y", RawRecord()), ("x y", RawRecord())], vocab)
+        row = ("CVE-2021-00000", RawJudgment(), TS)
+        with pytest.raises(InvalidCategory, match="^CVE-2021-00000: label 5 illegal for task opportune$"):
+            train(Task.OPPORTUNE, [("x y", row), ("x y", row)], vocab)
 
 
 class TestPredict:

@@ -17,7 +17,7 @@ from unittest import mock
 from hypothesis import event, given, settings, strategies as st
 
 import vulnrank.triage.svm as svm
-from vulnrank.feeds import LabeledExample, Labeler
+from vulnrank.feeds import Judgment, Labeler
 from vulnrank.triage.features import fit_vocabulary
 from vulnrank.triage.svm import DegenerateTaskWarning, Task, TrainConfig
 
@@ -37,14 +37,8 @@ def corpora(draw):
     n = draw(st.integers(2, 24))
     docs = []
     for i in range(n):
-        example = LabeledExample(
-            cve_id=f"CVE-2021-{i:05d}",
-            utility=draw(st.sampled_from([0, 1, 2])),
-            opportune=draw(st.sampled_from([0, 1])),
-            labeler=Labeler.SME,
-            labeled_at=TS,
-        )
-        docs.append((" ".join(draw(WORDS)), example))
+        judgment = Judgment(draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0, 1])), Labeler.SME)
+        docs.append((" ".join(draw(WORDS)), (f"CVE-2021-{i:05d}", judgment, TS)))
     return docs
 
 

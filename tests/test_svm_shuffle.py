@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnrank.feeds import LabeledExample, Labeler
+from vulnrank.feeds import Judgment, Labeler
 from vulnrank.triage.svm import SEED_RANGE, TrainConfig, _generator, _permutation, split
 
 import svm_reference
@@ -23,7 +23,7 @@ SIZES = sorted(
 
 
 def example(n, utility=0, opportune=0):
-    return f"doc {n}", LabeledExample(f"CVE-2021-{n:05d}", utility, opportune, Labeler.SME, TS)
+    return f"doc {n}", (f"CVE-2021-{n:05d}", Judgment(utility, opportune, Labeler.SME), TS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -60,7 +60,7 @@ def test_any_seed_and_sizes_draw_the_randomstate_orders(seed, sizes):
 )
 def test_split_equals_the_randomstate_split(seed, labels, fraction, stratified):
     corpus = [example(i, utility=label) for i, label in enumerate(labels)]
-    key = (lambda doc: doc[1].utility) if stratified else None
+    key = (lambda doc: doc[1][1].utility) if stratified else None
     try:
         expected = svm_reference.split(corpus, fraction, seed, key)
     except ValueError as exc:
@@ -74,7 +74,7 @@ def test_split_equals_the_randomstate_split(seed, labels, fraction, stratified):
 @pytest.mark.parametrize("stratified", [False, True], ids=["plain", "stratified"])
 def test_split_of_a_large_corpus_equals_the_randomstate_split(seed, stratified):
     corpus = [example(i, utility=i % 3, opportune=int(i % 11 == 0)) for i in range(2_500)]
-    key = (lambda doc: doc[1].opportune) if stratified else None
+    key = (lambda doc: doc[1][1].opportune) if stratified else None
     expected = svm_reference.split(corpus, seed=seed, stratify_key=key)
     assert split(corpus, seed=seed, stratify_key=key) == expected
 

@@ -56,14 +56,14 @@ def write_feeds(directory, n_unlabeled):
     and no label; returns the train command's arguments."""
     rng = random.Random(5)
     labeled = synth_labeled_corpus(n=40, seed=5)
-    rows = [{"id": ex.cve_id, "description": text, "score": 5.0} for text, ex in labeled]
+    rows = [{"id": cve_id, "description": text, "score": 5.0} for text, (cve_id, _, _) in labeled]
     rows += (
         {"id": f"CVE-{2000 + k % 24}-{10000 + k}", "description": " ".join(rng.choices(WORDS, k=40))}
         for k in range(n_unlabeled)
     )
     cves, labels = directory / "cves.jsonl", directory / "labels.jsonl"
     cves.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    save_labels(labels, [ex for _, ex in labeled])
+    save_labels(labels, [row for _, row in labeled])
     return [
         "train", "--task", "utility", "--min-df", "1", "--epochs", "2",
         "--cves", str(cves), "--labels", str(labels),
