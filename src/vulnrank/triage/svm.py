@@ -44,7 +44,11 @@ and seed reproduce bitwise-identical weights. The generator is the
 standard library's Mersenne Twister (MT19937) seeded as numpy's legacy
 ``RandomState(seed)`` seeds it, and a shuffle draws as its
 ``permutation`` does, so every order is the one ``RandomState`` gives
-without loading ``numpy.random``.
+without loading ``numpy.random``. The ``vulnrank`` command sets
+``OPENBLAS_NUM_THREADS=1`` unless it is already set (``vulnrank.__main__``),
+so numpy starts no OpenBLAS worker threads: the one BLAS call, a step's
+(nnz,) by (nnz, K) product, is far too small to be split between
+threads, and the weights do not depend on the setting.
 """
 
 from __future__ import annotations

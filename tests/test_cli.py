@@ -1268,7 +1268,61 @@ class TestInterrupt:
         assert self.files(trio_feed_dir) == before
 
 
-UTILITY_PROMPT = "utility [0/1/2, s=skip, q=quit]: "
+# Runs the process entry point in a child, then prints what the command
+# left: the variable, the process's thread count and whether numpy loaded.
+ENTRY_PROBE = """
+import os, sys
+from vulnrank.__main__ import main
+code = main()
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")), "numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+class TestEntryPoint:
+    """``python -m vulnrank`` and the ``vulnrank`` script start numpy's
+    OpenBLAS with one thread unless OPENBLAS_NUM_THREADS is set, since
+    vulnrank never uses OpenBLAS's worker threads; ``vulnrank.cli.main``,
+    called in-process, leaves the environment as it is."""
+
+    @staticmethod
+    def train_args(feeds):
+        return ["train", "--task", "utility", "--cves", str(feeds / "cves.jsonl"),
+                "--labels", str(feeds / "labels.jsonl"), "--model-utility", str(feeds / "model.json")]
+
+    def probe_train(self, feeds, blas_threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(SRC)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, *self.train_args(feeds)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1].split()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_train_loads_numpy_without_blas_worker_threads(self, synth_feeds):
+        assert self.probe_train(synth_feeds, None) == ["1", "1", "True"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_a_value_the_user_set_is_kept(self, synth_feeds):
+        variable, _, numpy_loaded = self.probe_train(synth_feeds, "2")
+        assert (variable, numpy_loaded) == ("2", "True")
+
+    def test_cli_main_leaves_the_environment_as_it_is(self, synth_feeds, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert main(self.train_args(synth_feeds)) == 0
+        assert dict(os.environ) == before
+
+    def test_the_console_script_is_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"vulnrank": "vulnrank.__main__:main"}
+
+
+UTILITY_PROMPT ="utility [0/1/2, s=skip, q=quit]: "
 OPPORTUNE_PROMPT = "opportune [0/1, s=skip, q=quit]: "
 
 

@@ -264,8 +264,6 @@ def test_a_record_equals_the_plain_tuple_of_its_fields():
 def _vulnrank_enums() -> list[type[enum.Enum]]:
     found = set()
     for info in pkgutil.walk_packages(vulnrank.__path__, "vulnrank."):
-        if info.name == "vulnrank.__main__":  # importing it runs the CLI
-            continue
         module = importlib.import_module(info.name)
         for value in vars(module).values():
             if isinstance(value, enum.EnumMeta) and value.__module__.startswith("vulnrank") and len(value):
