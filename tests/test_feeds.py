@@ -418,6 +418,45 @@ class TestLabels:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
+    @pytest.mark.parametrize(
+        "cve, stamp",
+        [
+            ("CVE-2020-0003", datetime(2024, 1, 1)),
+            ("CVE-2020-0001", datetime(2024, 1, 1)),  # naive, for an id already stored
+            ("CVE-2020-0003", "2024-01-01T00:00:00Z"),
+            ("CVE-2020-0003", None),
+            ("CVE-2020-0003", datetime(2024, 1, 1).date()),
+            ("CVE-2020-0003", datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))),
+            ("CVE-2020-0003", datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone(timedelta(hours=-1)))),
+        ],
+        ids=["naive", "naive-stored-id", "str", "none", "date", "before-year-1", "after-year-9999"],
+    )
+    def test_a_stamp_that_is_not_aware_in_years_1_to_9999_is_refused_before_the_store_is_opened(
+        self, tmp_path, monkeypatch, cve, stamp
+    ):
+        # A stamp is checked by the rule parse_ts reads by: aware, and in
+        # years 1-9999 in UTC. A naive one would be written in local time.
+        path = tmp_path / "labels.jsonl"
+        save_labels(path, [self.example()])
+        before = path.read_bytes()
+        monkeypatch.setattr(feeds, "iter_label_rows", lambda *_: pytest.fail("store read"))
+        monkeypatch.setattr(feeds, "output_target", lambda *_: pytest.fail("store opened"))
+        rows = [self.example(cve="CVE-2020-0002"), (cve, Judgment(2, 1, Labeler.SME), stamp)]
+        refusal = f"^cannot write a label for {cve}: .* is not an aware datetime in years 1-9999 in UTC$"
+        with pytest.raises(ValueError, match=refusal):
+            save_labels(path, rows)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
+
+    def test_stamps_at_the_utc_bounds_are_saved(self, tmp_path):
+        first = datetime(1, 1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
+        last = datetime(9999, 12, 31, 22, 59, 59, tzinfo=timezone(timedelta(hours=-1)))
+        path = tmp_path / "labels.jsonl"
+        save_labels(path, [self.example(), ("CVE-2020-0002", Judgment(0, 0, Labeler.MODEL), first),
+                           ("CVE-2020-0003", Judgment(0, 0, Labeler.MODEL), last)])
+        stamps = [format_ts(t) for _, _, t in read_store(path)]
+        assert stamps == ["2021-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z"]
+
     def test_non_cve_id_creates_no_store(self, tmp_path):
         with pytest.raises(ValueError, match="^cannot write a label for 'CVE-1-1': not a CVE id$"):
             write_labels(tmp_path / "labels.jsonl", *judgments_and_stamps([self.example(cve="CVE-1-1")]))
@@ -696,7 +735,7 @@ def test_written_store_reads_back_without_the_json_decoder(tmp_path_factory, row
         raise AssertionError("a store line was decoded as JSON")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(feeds, "_scan_once", decoded)
+        mp.setattr(feeds.json, "loads", decoded)
         loaded = read_store(path)
     assert loaded == sorted(merged.values())
     assert [format_ts(t) for _, _, t in loaded] == [format_ts(merged[cve_id][2]) for cve_id, _, _ in loaded]

@@ -12,10 +12,11 @@ and log the same warnings, or raise the same exception type with the
 same message.
 
 Some lines of every feed are rendered in the loader's canonical form
-(``compact_json``, keys in the loader's order), so the loader reads them
-from the block scan's groups without the JSON decoder; the near misses of
-each form below must be decoded as JSON, and still load as the reference
-loads them. The loaders also run with blocks of a few dozen bytes or
+(``compact_json`` or a default ``json.dumps``, keys in the loader's
+order), so the loader reads them from the block scan's groups without the
+JSON decoder; the near misses of each form below, mixed spacing among
+them, must be decoded as JSON, and still load as the reference loads
+them. The loaders also run with blocks of a few dozen bytes or
 fewer, so that lines straddle the blocks they are read in.
 """
 
@@ -23,13 +24,18 @@ import json
 import logging
 import string
 from contextlib import contextmanager
+from datetime import datetime, timezone
+from decimal import Decimal
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from vulnrank import feeds
+from vulnrank.cvss import parse_vector
+from vulnrank.synth import write_cve_feed, write_ref_feed
 
 import feeds_reference
+from conftest import write_jsonl
 
 MISSING = object()  # the field is left out
 DUPLICATE = object()  # the id of the feed's first record
@@ -157,12 +163,12 @@ FORMS = {
 }
 
 
-def loader_form(kind: str):
-    """A renderer of ``kind``'s records as ``compact_json`` writes them,
-    with the loader's keys first, in its order, and any other key after."""
+def loader_form(kind: str, dumps=feeds.compact_json):
+    """A renderer of ``kind``'s records as ``dumps`` writes them, with the
+    loader's keys first, in its order, and any other key after."""
 
     def render(record: dict) -> str:
-        return feeds.compact_json({**{k: record[k] for k in KEY_ORDER[kind] if k in record}, **record})
+        return dumps({**{k: record[k] for k in KEY_ORDER[kind] if k in record}, **record})
 
     return render
 
@@ -182,8 +188,9 @@ def feeds_for(draw, kind: str) -> bytes:
         ids = draw(st.lists(st.sampled_from(IDS), min_size=count, max_size=count, unique=True))
         for record, cve_id in zip(records, ids):
             record[ID_FIELD[kind]] = cve_id
-    # Lines are rendered one way or the other, each on its own draw.
-    render = st.sampled_from([json.dumps, loader_form(kind)])
+    # Lines are rendered as drawn or in the loader's key order, compact or
+    # spaced, each on its own draw.
+    render = st.sampled_from([json.dumps, loader_form(kind), loader_form(kind, json.dumps)])
     lines = [draw(render)(present(record)) for record in records]
     fault = draw(st.sampled_from(["none", "fields", "fields", "fields", "line"]))
     at = draw(st.integers(0, count - 1))
@@ -274,6 +281,17 @@ def test_every_inline_reference_shape_loads(tmp_path, references):
 
 
 STORE_LINE = '{"cve":"CVE-2020-0001","utility":1,"opportune":0,"labeler":"SME","ts":"2021-01-01T00:00:00Z"}'
+
+
+def mixed(line: str) -> dict:
+    """``line`` written with each of json.dumps' two spaced separators alone."""
+    obj = json.loads(line)
+    return {
+        "spaced commas": json.dumps(obj, separators=(", ", ":")),
+        "spaced colons": json.dumps(obj, separators=(",", ": ")),
+    }
+
+
 # Lines close to the store's own form that the pattern must not match; the
 # JSON path reads each, and the reference says what that must give.
 NEAR_MISSES = {
@@ -293,7 +311,7 @@ NEAR_MISSES = {
     "offset stamp": STORE_LINE.replace("00:00:00Z", "02:00:00+02:00"),
     "naive stamp": STORE_LINE.replace("00:00:00Z", "00:00:00"),
     "fractional stamp": STORE_LINE.replace("00:00:00Z", "00:00:00.5Z"),
-    "spaced": json.dumps(json.loads(STORE_LINE)),
+    **mixed(STORE_LINE),
     "leading space": " " + STORE_LINE,
     "trailing spaces": STORE_LINE + "  ",
     "trailing tab": STORE_LINE + "\t",
@@ -337,11 +355,12 @@ FIRST = {
     "cves": CVE_LINE.replace("0002", "0001"),
     "refs": REF_LINE.replace("0002", "0001"),
     "context": CONTEXT_LINE.replace("0002", "0001"),
+    "labels": STORE_LINE,
 }
 # Per form: lines close to it that the scan must leave to the JSON decoder.
 FORM_NEAR_MISSES = {
     "cves": {
-        "spaced": json.dumps(json.loads(CVE_LINE)),
+        **mixed(CVE_LINE),
         "reordered keys": '{"description":"a b","id":"CVE-2020-0002","score":7.5}',
         "score before vector": '{"id":"CVE-2020-0002","description":"a b","score":7.5,"vector":"%s"}' % VECTOR_TEXT,
         "extra key": CVE_LINE[:-1] + ',"note":"x"}',
@@ -366,7 +385,7 @@ FORM_NEAR_MISSES = {
         "bad id": CVE_LINE.replace("CVE-2020-0002", "CVE-20-2"),
     },
     "refs": {
-        "spaced": json.dumps(json.loads(REF_LINE)),
+        **mixed(REF_LINE),
         "reordered keys": '{"url":"https://x/1","cve":"CVE-2020-0002","source":"GitHub","exploit":true}',
         "extra key": REF_LINE[:-1] + ',"note":"x"}',
         "escaped slash": REF_LINE.replace("https://", "https:\\/\\/"),
@@ -383,7 +402,7 @@ FORM_NEAR_MISSES = {
         "source absent": REF_LINE.replace(',"source":"GitHub"', ""),
     },
     "context": {
-        "spaced": json.dumps(json.loads(CONTEXT_LINE)),
+        **mixed(CONTEXT_LINE),
         "reordered keys": '{"exposure":"Public","cve":"CVE-2020-0002","criticality":"High"}',
         "extra key": CONTEXT_LINE[:-1] + ',"note":"x"}',
         "repeated cve": CONTEXT_LINE[:-1] + ',"cve":"CVE-2020-0001"}',
@@ -414,6 +433,9 @@ FORM_EDGES = {
         "empty description": CVE_LINE.replace('"a b"', '""'),
         "punctuation": CVE_LINE.replace('"a b"', "\"it's a/b {x} [y] ~!\""),
         "duplicate id": FIRST["cves"],
+        "spaced": json.dumps(json.loads(CVE_LINE)),
+        "spaced, no vector": json.dumps({"id": "CVE-2020-0002", "description": "a b", "score": 10.0}),
+        "spaced, neither": json.dumps({"id": "CVE-2020-0002", "description": ""}),
     },
     "refs": {
         "unknown source": REF_LINE.replace("GitHub", "PacketStorm"),
@@ -421,11 +443,18 @@ FORM_EDGES = {
         "exploit false": REF_LINE.replace("true", "false"),
         "spaces in url": REF_LINE.replace("https://x/1", " x 1 "),
         "repeated url": FIRST["refs"].replace("true", "false"),
+        "spaced": json.dumps(json.loads(REF_LINE)),
+        "spaced, exploit false": json.dumps(json.loads(REF_LINE.replace("true", "false"))),
     },
     "context": {
         "private low": CONTEXT_LINE.replace("Public", "Private").replace("High", "Low"),
         "duplicate id": FIRST["context"],
         "long id": CONTEXT_LINE.replace("CVE-2020-0002", "CVE-2020-1234567"),
+        "spaced": json.dumps(json.loads(CONTEXT_LINE)),
+    },
+    "labels": {
+        "spaced": json.dumps(json.loads(STORE_LINE.replace("0001", "0002"))),
+        "spaced, Model": json.dumps(json.loads(STORE_LINE.replace("0001", "0003").replace("SME", "Model"))),
     },
 }
 FORM_CASES = [
@@ -502,7 +531,10 @@ def test_an_error_in_the_third_block_names_its_line(
 
 
 @pytest.mark.parametrize("block_bytes", [feeds.BLOCK_BYTES, 1, 30], ids=lambda n: f"{n}B")
-@pytest.mark.parametrize("last", [cve_line(9), json.dumps(json.loads(cve_line(9)))], ids=["form", "json"])
+@pytest.mark.parametrize(
+    "last", [cve_line(9), json.dumps(json.loads(cve_line(9))), mixed(cve_line(9))["spaced colons"]],
+    ids=["form", "spaced", "json"],
+)
 def test_a_last_line_without_a_newline_loads(tmp_path, monkeypatch, block_bytes, last):
     monkeypatch.setattr(feeds, "BLOCK_BYTES", block_bytes)
     path = tmp_path / "cves.jsonl"
@@ -538,3 +570,96 @@ def test_a_cut_utf8_sequence_at_eof_is_unexpected_end_of_data(tmp_path, monkeypa
     assert got == outcome(feeds_reference.load_exploit_refs, path)
     assert got[1][0] == "ParseError" and got[1][1].startswith(f"{path}:3: not UTF-8 ("), got
     assert "unexpected end of data" in got[1][1]
+
+
+# Records in each loader's documented key order, with every string printable
+# ASCII without '"' or '\': the values each canonical form admits.
+FORM_TEXT = st.text(st.sampled_from([chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\']), max_size=12)
+FORM_ID = st.sampled_from(IDS) | st.builds("CVE-{}-{:04d}".format, st.integers(1999, 2030), st.integers(0, 10**6))
+FORM_TIME = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59), timezones=st.just(timezone.utc))
+FORM_FIELDS = {
+    "cves": st.fixed_dictionaries(
+        {"id": FORM_ID, "description": FORM_TEXT},
+        optional={"vector": VECTOR, "score": st.integers(0, 10) | st.integers(0, 100).map(lambda n: n / 10)},
+    ),
+    "refs": st.fixed_dictionaries({
+        "cve": FORM_ID,
+        "url": FORM_TEXT.filter(bool),
+        "source": SOURCE.filter(lambda source: isinstance(source, str)) | FORM_TEXT,
+        "exploit": st.booleans(),
+    }),
+    "labels": st.fixed_dictionaries({
+        "cve": FORM_ID,
+        "utility": st.sampled_from([0, 1, 2]),
+        "opportune": st.sampled_from([0, 1]),
+        "labeler": st.sampled_from(["SME", "Model"]),
+        "ts": FORM_TIME.map(feeds.format_ts),
+    }),
+    "context": st.fixed_dictionaries({"cve": FORM_ID, **VALID["context"]}),
+}
+FORM_RECORDS = {
+    kind: st.lists(
+        fields.map(lambda record, kind=kind: {k: record[k] for k in KEY_ORDER[kind] if k in record}),
+        max_size=8,
+        unique_by=(lambda record, key=ID_FIELD[kind]: record[key]) if kind in ID_FIELD else None,
+    )
+    for kind, fields in FORM_FIELDS.items()
+}
+# Each way of spacing a line, and whether the block scan reads it from its groups.
+SPACINGS = {
+    "compact": (feeds.compact_json, True),
+    "json.dumps": (json.dumps, True),
+    "spaced commas": (json.JSONEncoder(separators=(", ", ":")).encode, False),
+    "spaced colons": (json.JSONEncoder(separators=(",", ": ")).encode, False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_both_json_dumps_forms_are_scanned_and_mixed_spacing_is_decoded(tmp_path_factory, kind, data):
+    records = data.draw(FORM_RECORDS[kind])
+    path = tmp_path_factory.getbasetemp() / f"spacing_{kind}.jsonl"
+    loader, reference = LOADERS[kind]
+    outcomes = set()
+    for dumps, scanned in SPACINGS.values():
+        feed = "".join(loader_form(kind, dumps)(record) + "\n" for record in records).encode("utf-8")
+        assert decoded(kind, feed) == [not scanned] * len(records)
+        path.write_bytes(feed)
+        got = outcome(loader, path)
+        assert got == outcome(reference, path)
+        outcomes.add(repr(got))
+    assert len(outcomes) == 1
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_writer_writes_a_scanned_form(tmp_path_factory, data):
+    """What vulnrank's writers and the tests' write_jsonl write is read
+    without the JSON decoder: a writer that drifts off both forms fails."""
+    root = tmp_path_factory.getbasetemp()
+    cves, refs = data.draw(FORM_RECORDS["cves"]), data.draw(FORM_RECORDS["refs"])
+    records = [
+        feeds.CveRecord(
+            row["id"],
+            row["description"],
+            parse_vector(VECTOR_TEXT) if "vector" in row else None,
+            Decimal(str(row["score"])) if "score" in row else None,
+        )
+        for row in cves
+    ]
+    write_cve_feed(root / "synth_cves.jsonl", records)
+    write_ref_feed(root / "synth_refs.jsonl", refs)
+    judgment = st.builds(feeds.Judgment, st.sampled_from([0, 1, 2]), st.sampled_from([0, 1]),
+                         st.sampled_from(feeds.Labeler))
+    store = data.draw(st.dictionaries(FORM_ID, st.tuples(judgment, FORM_TIME), max_size=8))
+    judgments, stamps = {k: j for k, (j, _) in store.items()}, {k: t for k, (_, t) in store.items()}
+    feeds.write_labels(root / "store.jsonl", judgments, stamps)
+    written = {"synth_cves": "cves", "synth_refs": "refs", "store": "labels"}
+    for kind in LOADERS:
+        write_jsonl(root / f"jsonl_{kind}.jsonl", data.draw(FORM_RECORDS[kind]))
+        written[f"jsonl_{kind}"] = kind
+    for name, kind in written.items():
+        feed = (root / f"{name}.jsonl").read_bytes()
+        assert not any(decoded(kind, feed)), name
+    assert list(feeds.iter_cve_records(root / "synth_cves.jsonl")) == records
