@@ -39,24 +39,25 @@ keeps only the ids it has seen. The CVE, label, context and reference
 loaders intern every id they keep (``sys.intern``), so feeds loaded side
 by side hold one string per CVE.
 
-Each loader has a canonical line form (``_CVE_LINE``, ``_REF_LINE``,
-``_STORE_LINE``, ``_CONTEXT_LINE``): what ``compact_json`` or a default
-``json.dumps`` writes for a record with the loader's keys in a fixed
-order and string values of printable ASCII without ``"`` or ``\\``. A
-feed is read in blocks of ``BLOCK_BYTES``, each extended to the end of
-its line, and one bytes pattern per feed splits a block into one tuple
-per line. A canonical line is read from its groups without the JSON
-decoder; any other line, such as a blank one, another key order, mixed
-spacing, an escape, a repeated key, a CR or a faulty value, is decoded by
-``json.loads`` and checked as above. Both ways share the loader's checks
-after the values are read, so for any line they give the same record, or
-the same error at the same line.
+Each loader has a canonical line form: what ``compact_json`` writes for
+a record with the loader's keys in a fixed order and string values of
+printable ASCII without ``"`` or ``\\`` (``_CVE_LINE``, ``_REF_LINE``,
+``_STORE_LINE``, ``_CONTEXT_LINE``). A feed is read in blocks of
+``BLOCK_BYTES``, each extended to the end of its line, and one bytes
+pattern per feed splits a block into one tuple per line. A canonical
+line comes back as its groups and is read from them without the JSON
+decoder; any other line, such as a blank one, another key order or
+spacing, an escape, a repeated key, a CR or a faulty value, is decoded
+by ``json.loads`` and checked as above. Both ways share the loader's
+checks after the values are read, so for any line they give the same
+record, or the same error at the same line.
 
 A label store is written from a ``%`` template, with nothing escaped:
 its other fields are labels, labeler names and ``format_ts`` stamps, and
 ``write_labels`` raises ValueError for an id that ``CVE_ID_RE`` does not
-match as a whole before it opens the file, so every store line it writes
-is in the store's canonical form.
+match as a whole, or a stamp that is not an aware ``datetime`` in years
+1-9999 in UTC, before it opens the file, so every store line it writes
+is in the store's canonical form and reads back as written.
 
 Records are named tuples. ``iter_cve_records`` builds the ones it has
 checked with ``tuple.__new__``; a ``Judgment`` checks its fields in its
@@ -229,32 +230,27 @@ compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # its line, so a reader holds one block and its lines' tuples at a time.
 BLOCK_BYTES = 16 * 1024
 
-# The canonical line of each feed: what compact_json or a default json.dumps
-# writes for a record with its keys in the order below and string values
-# of printable ASCII without '"' or '\', each its own JSON text. Group 1 is
-# the space after the first ':', and (?(1) ) puts one after every later
-# separator, so a line is all compact or all spaced. The other groups are
-# the values; an optional one never matches empty, so b"" is an absent field.
+# The canonical line of each feed: what compact_json writes for a record
+# with its keys in the order below and string values of printable ASCII
+# without '"' or '\', each its own JSON text. The groups are the values;
+# an optional one never matches empty, so b"" is an absent field.
 _ID = CVE_ID_RE.pattern.encode()
 _TEXT = rb"[ !#-\[\]-~]"
 _CVE_LINE = (
-    rb'\{"id":(?:( )|)"(%s)",(?(1) )"description":(?(1) )"(%s*)"(?:,(?(1) )"vector":(?(1) )"(%s+)")?'
-    rb'(?:,(?(1) )"score":(?(1) )((?:10|[0-9])(?:\.[0-9])?))?\}' % (_ID, _TEXT, _TEXT)
+    rb'\{"id":"(%s)","description":"(%s*)"(?:,"vector":"(%s+)")?'
+    rb'(?:,"score":((?:10|[0-9])(?:\.[0-9])?))?\}' % (_ID, _TEXT, _TEXT)
 )
-_REF_LINE = (
-    rb'\{"cve":(?:( )|)"(%s)",(?(1) )"url":(?(1) )"(%s+)",(?(1) )"source":(?(1) )"(%s*)",'
-    rb'(?(1) )"exploit":(?(1) )(true|false)\}' % (_ID, _TEXT, _TEXT)
+_REF_LINE = rb'\{"cve":"(%s)","url":"(%s+)","source":"(%s*)","exploit":(true|false)\}' % (
+    _ID, _TEXT, _TEXT,
 )
 _CONTEXT_LINE = (
-    rb'\{"cve":(?:( )|)"(%s)",(?(1) )"exposure":(?(1) )"(Public|Private)",'
-    rb'(?(1) )"criticality":(?(1) )"(Low|Medium|High)"\}' % _ID
+    rb'\{"cve":"(%s)","exposure":"(Public|Private)","criticality":"(Low|Medium|High)"\}' % _ID
 )
 # A store line as _LABEL_LINE writes it: id, utility, opportune, labeler
 # and a format_ts stamp.
 _STORE_LINE = (
-    rb'\{"cve":(?:( )|)"(%s)",(?(1) )"utility":(?(1) )([012]),(?(1) )"opportune":(?(1) )([01]),'
-    rb'(?(1) )"labeler":(?(1) )"(SME|Model)",(?(1) )'
-    rb'"ts":(?(1) )"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)"\}' % _ID
+    rb'\{"cve":"(%s)","utility":([012]),"opportune":([01]),"labeler":"(SME|Model)",'
+    rb'"ts":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)"\}' % _ID
 )
 
 
@@ -263,10 +259,10 @@ def _line_scan(canonical: bytes):
     """The ``findall`` that splits a block into its lines: one tuple per
     line, in order, whose last item is the raw line.
 
-    A line in the ``canonical`` form gives its groups, spacing first, and
-    an empty raw line. Any other line gives empty groups and its bytes,
-    ``\\n`` included, as iterating the file yields them; a lone ``\\r``
-    stays inside its line. Compiled when a loader first reads that form.
+    A line in the ``canonical`` form gives its groups and an empty raw
+    line. Any other line gives empty groups and its bytes, ``\\n``
+    included, as iterating the file yields them; a lone ``\\r`` stays
+    inside its line. Compiled when a loader first reads that form.
     """
     return re.compile(rb"(?:%s)(?:\n|\Z)|([^\n]*\n|[^\n]+\Z)" % canonical).findall
 
@@ -276,9 +272,9 @@ def _iter_jsonl(path, canonical: bytes) -> Iterator[tuple[int, dict | tuple]]:
 
     The file is read ``BLOCK_BYTES`` at a time, each block extended to the
     end of its line, and ``_line_scan(canonical)`` splits the block. A line
-    in the ``canonical`` form, compact or spaced, is not decoded: its tuple
-    of groups is yielded in place of the object, for the loader to read
-    its values from. Any other line is decoded on its own by ``json.loads``.
+    in the ``canonical`` form is not decoded: its tuple of groups is
+    yielded in place of the object, for the loader to read its values from.
+    Any other line is decoded on its own by ``json.loads``.
 
     Raises ParseError naming ``<file>:<line>`` for a line that is not
     UTF-8, not one JSON value (an integer too long for ``int`` or nesting
@@ -370,7 +366,7 @@ def iter_cve_records(path) -> Iterator[CveRecord]:
     new = tuple.__new__
     for lineno, obj in _iter_jsonl(path, _CVE_LINE):
         if type(obj) is tuple:
-            _, cve_id, description, vector, score, _ = obj
+            cve_id, description, vector, score, _ = obj
             cve_id, description = cve_id.decode(), description.decode()
             vector = vector.decode() if vector else None
             score = float(score) if score else None
@@ -415,7 +411,7 @@ def load_exploit_refs(path) -> dict[str, dict[str, bool]]:
     unknown_sources = 0
     for lineno, obj in _iter_jsonl(path, _REF_LINE):
         if type(obj) is tuple:
-            _, cve_id, url, source, exploit, _ = obj
+            cve_id, url, source, exploit, _ = obj
             cve_id, url, source = cve_id.decode(), url.decode(), source.decode()
             exploit = exploit == b"true"
         else:
@@ -491,7 +487,7 @@ def iter_label_rows(path) -> Iterator[LabelRow]:
     stamps: dict[str, datetime] = {}
     for lineno, obj in _iter_jsonl(path, _STORE_LINE):
         if type(obj) is tuple:
-            _, cve_id, utility, opportune, labeler, raw_ts, _ = obj
+            cve_id, utility, opportune, labeler, raw_ts, _ = obj
             cve_id, raw_ts = cve_id.decode(), raw_ts.decode()
             judgment = _STORE_JUDGMENTS[utility, opportune, labeler]
         else:
@@ -571,12 +567,10 @@ def save_labels(path, rows: Iterable[LabelRow]) -> None:
     """
     rows = list(rows)
     _refuse_bad_ids(cve_id for cve_id, _, _ in rows)
-    for cve_id, judgment, ts in rows:
+    for cve_id, judgment, _ in rows:
         if not isinstance(judgment, Judgment):
             raise ValueError(f"cannot write a label for {cve_id}: {judgment!r} is not a Judgment")
-        if not isinstance(ts, datetime) or ts.utcoffset() is None or not _UTC_MIN <= ts <= _UTC_MAX:
-            problem = f"{ts!r} is not an aware datetime in years 1-9999 in UTC"
-            raise ValueError(f"cannot write a label for {cve_id}: {problem}")
+    _refuse_bad_stamps((cve_id, ts) for cve_id, _, ts in rows)
     stored = iter_label_rows(path) if os.path.exists(output_target(path)) else ()
     write_labels(path, *fold_labels(chain(stored, rows), {}, {}))
 
@@ -587,11 +581,23 @@ def _refuse_bad_ids(ids: Iterable) -> None:
             raise ValueError(f"cannot write a label for {cve_id!r}: not a CVE id")
 
 
+def _refuse_bad_stamps(stamped: Iterable[tuple[str, datetime]]) -> None:
+    # A stamp format_ts can write unshifted, and parse_ts reads back: an
+    # aware datetime in years 1-9999 in UTC. A store has few distinct
+    # stamps, so each is checked once, for the last id that has it.
+    for ts, cve_id in {ts: cve_id for cve_id, ts in stamped}.items():
+        if not isinstance(ts, datetime) or ts.utcoffset() is None or not _UTC_MIN <= ts <= _UTC_MAX:
+            problem = f"{ts!r} is not an aware datetime in years 1-9999 in UTC"
+            raise ValueError(f"cannot write a label for {cve_id}: {problem}")
+
+
 def write_labels(path, judgments: dict[str, Judgment], stamps: dict[str, datetime]) -> None:
     """Write a folded store to ``path``: one line per CVE, sorted by id,
-    with its judgment and stamp. An id that is not a CVE id raises
+    with its judgment and stamp. An id that is not a CVE id, or a stamp
+    that is not an aware ``datetime`` in years 1-9999 in UTC, raises
     ValueError before the file is opened."""
     _refuse_bad_ids(judgments)
+    _refuse_bad_stamps(stamps.items())
     write_atomic(path, encoded_chunks(_label_lines(judgments, stamps)))
 
 
@@ -687,7 +693,7 @@ def load_asset_context(path) -> dict[str, tuple[Exposure, Criticality]]:
     contexts: dict[str, tuple[Exposure, Criticality]] = {}
     for lineno, obj in _iter_jsonl(path, _CONTEXT_LINE):
         if type(obj) is tuple:
-            _, cve_id, exposure, criticality, _ = obj
+            cve_id, exposure, criticality, _ = obj
             cve_id, exposure, criticality = cve_id.decode(), exposure.decode(), criticality.decode()
         else:
             cve_id = obj.get("cve")

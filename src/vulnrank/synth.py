@@ -9,12 +9,11 @@ still looking like vulnerability text.
 
 from __future__ import annotations
 
-import json
 import random
 from datetime import datetime, timezone
 from decimal import Decimal
 
-from vulnrank.feeds import CveRecord, Judgment, LabelRow, Labeler, write_atomic
+from vulnrank.feeds import CveRecord, Judgment, LabelRow, Labeler, compact_json, write_atomic
 from vulnrank.scoring import ScoredVulnerability, score_portfolio
 
 SYNTH_TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -141,10 +140,10 @@ def write_cve_feed(path, records) -> None:
         if rec.published_score is not None:
             row["score"] = float(rec.published_score)
         rows.append(row)
-    write_atomic(path, "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8"))
+    write_atomic(path, "".join(compact_json(row) + "\n" for row in rows).encode("utf-8"))
 
 
 def write_ref_feed(path, rows) -> None:
     """Exploit reference feed: dicts with cve/url/source/exploit fields."""
-    write_atomic(path, "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8"))
+    write_atomic(path, "".join(compact_json(row) + "\n" for row in rows).encode("utf-8"))
 

@@ -5,12 +5,11 @@ expected base scores were verified by hand against the v3.1 formula before
 being frozen here.
 """
 
-import json
 from decimal import Decimal
 
 import pytest
 
-from vulnrank.feeds import iter_label_rows
+from vulnrank.feeds import compact_json, iter_label_rows
 
 CVE_SMB = {
     "id": "CVE-2017-0143",
@@ -74,10 +73,11 @@ def read_store(path) -> list:
 
 
 def write_jsonl(path, rows):
-    """Write one JSON object per line; returns the path."""
+    """Write one JSON object per line, as ``compact_json`` writes it;
+    returns the path."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row) + "\n")
+            fh.write(compact_json(row) + "\n")
     return path
 
 

@@ -448,6 +448,19 @@ class TestLabels:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
+    @pytest.mark.parametrize("stamp", [datetime(2024, 1, 1), "2024-01-01T00:00:00Z"], ids=["naive", "str"])
+    def test_write_labels_refuses_a_bad_stamp_before_the_store_is_opened(self, tmp_path, monkeypatch, stamp):
+        path = tmp_path / "labels.jsonl"
+        save_labels(path, [self.example()])
+        before = path.read_bytes()
+        monkeypatch.setattr(feeds, "write_atomic", lambda *_: pytest.fail("store opened"))
+        judgments, stamps = judgments_and_stamps([self.example(), self.example(cve="CVE-2020-0002")])
+        stamps["CVE-2020-0002"] = stamp
+        refusal = "^cannot write a label for CVE-2020-0002: .* is not an aware datetime in years 1-9999 in UTC$"
+        with pytest.raises(ValueError, match=refusal):
+            write_labels(path, judgments, stamps)
+        assert path.read_bytes() == before
+
     def test_stamps_at_the_utc_bounds_are_saved(self, tmp_path):
         first = datetime(1, 1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
         last = datetime(9999, 12, 31, 22, 59, 59, tzinfo=timezone(timedelta(hours=-1)))

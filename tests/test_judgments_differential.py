@@ -4,8 +4,8 @@
 (``merge_label_rows(label_rows(...))``) read the same generated store: a few CVEs with several rows each,
 so most rows are superseded, and stamps drawn from a small set in which
 ``Z``, ``+02:00`` and naive forms name the same instant, so many rows
-tie exactly. Lines are rendered compact in the store's key order or by
-``json.dumps`` as drawn, each on its own draw, and most stores get one bad
+tie exactly. Lines are rendered in the store's canonical form or spaced
+by ``json.dumps``, each on its own draw, and most stores get one bad
 line. The readers must give the same ``(utility, opportune, labeler)``
 and the same winning stamp, offset included, per id, in the same order,
 or raise the same exception type with the same message. They run with

@@ -25,7 +25,7 @@ VECTORS = (
 )
 WORDS = ("buffer", "overflow", "remote", "attacker", "crafted", "request", "header", "parser")
 # Bytes of traced peak per added CVE. The streamed path takes about 278,
-# on decoded and scanned feeds alike: a row is a named tuple, and a tuple
+# on spaced and canonical feeds alike: a row is a named tuple, and a tuple
 # subclass is allocated with one spare item. One whose rows each hold a
 # five-field label record (a store fold that keeps a record per CVE)
 # takes about 366, and one that also holds every CveRecord until scoring
@@ -36,17 +36,6 @@ PER_CVE_BOUND = 320
 # The block scan's canonical form of each feed.
 FORMS = {"cves": feeds._CVE_LINE, "labels": feeds._STORE_LINE, "refs": feeds._REF_LINE,
          "context": feeds._CONTEXT_LINE}
-
-
-def reordered(row: dict) -> str:
-    """``row`` as json.dumps writes it with its keys reversed: off every
-    canonical form, so the block scan leaves each line to the decoder."""
-    return json.dumps(dict(reversed(row.items())))
-
-
-# How a feed's lines are written, and whether the scan leaves them to the decoder.
-RENDERS = [(json.dumps, False), (feeds.compact_json, False), (reordered, True)]
-RENDER_IDS = ["spaced", "canonical", "reordered"]
 
 # The peaks are taken in a new interpreter, so that what the process ran
 # before cannot move them. Every id is interned, and the table of interned
@@ -123,7 +112,8 @@ def write_feeds(directory, n, render):
     return args, decoded
 
 
-@pytest.mark.parametrize("render, decoded", RENDERS, ids=RENDER_IDS)
+@pytest.mark.parametrize("render, decoded", [(json.dumps, True), (feeds.compact_json, False)],
+                         ids=["spaced", "canonical"])
 def test_score_path_memory_per_cve_is_bounded(tmp_path, render, decoded):
     sizes = {}
     for n in (2_000, 8_000):
@@ -146,7 +136,7 @@ def _no_judgment(*_args, **_kwargs):
 
 
 @pytest.mark.parametrize("command", ["score", "rank", "report"])
-@pytest.mark.parametrize("render", [render for render, _ in RENDERS], ids=RENDER_IDS)
+@pytest.mark.parametrize("render", [json.dumps, feeds.compact_json], ids=["spaced", "canonical"])
 def test_score_path_calls_no_judgment_constructor(tmp_path, monkeypatch, capsys, command, render):
     args, _ = write_feeds(tmp_path, 40, render)
     # Superseded rows too: a Model row loses to the SME row before it, and

@@ -85,10 +85,10 @@ def test_cve_records(tmp_path):
 def test_label_rows(tmp_path, store_form):
     path = tmp_path / "labels.jsonl"
     rows = [("CVE-2020-0001", 2, 1, "SME"), ("CVE-2020-0002", 0, 0, "Model")]
-    # Keys out of the store's order leave a line to the JSON decoder.
+    sep = (",", ":") if store_form else (", ", ": ")
     path.write_text("".join(
-        (f'{{"cve":"{cve}","utility":{u},' if store_form else f'{{"utility":{u},"cve":"{cve}",')
-        + f'"opportune":{o},"labeler":"{who}","ts":"2021-06-01T00:00:00Z"}}\n'
+        f'{{"cve"{sep[1]}"{cve}"{sep[0]}"utility"{sep[1]}{u}{sep[0]}"opportune"{sep[1]}{o}'
+        f'{sep[0]}"labeler"{sep[1]}"{who}"{sep[0]}"ts"{sep[1]}"2021-06-01T00:00:00Z"}}\n'
         for cve, u, o, who in rows
     ))
     lines = feeds._line_scan(feeds._STORE_LINE)(path.read_bytes())
